@@ -49,6 +49,17 @@ class AddressSpaceLocator final : public PageLocator {
   mem::AddressSpace& space_;
 };
 
+/// The one offline locator, for analysis of a recorded trace (analyze,
+/// explain, serve): every address is homed on node 0, the master-allocation
+/// default the tool targets.  Sound for verdicts: remote/local
+/// classification of each sample comes from its recorded level; only the
+/// home-node attribution of the channel needs this locator.  Stateless, so
+/// concurrent locate() calls are safe.
+class ReplayLocator final : public PageLocator {
+ public:
+  topology::NodeId locate(mem::Addr, topology::NodeId) override { return 0; }
+};
+
 /// A sample annotated with everything the classifier and diagnoser need.
 struct AttributedSample {
   pebs::MemorySample sample;

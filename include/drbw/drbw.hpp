@@ -35,15 +35,9 @@ struct ChannelVerdict {
 };
 
 struct AnalysisConfig {
-  /// Channels whose source node produced fewer samples than this are
-  /// defaulted to "good": hardware sampling "does not monitor every memory
-  /// access" (§V-D) and a starved batch carries no signal.
-  std::size_t min_source_samples = 50;
-  /// Channels carrying fewer remote-DRAM samples than this are defaulted to
-  /// "good": §IV-B — bandwidth issues on a channel are identified by the
-  /// accesses *on that channel*; a channel with (almost) no observed
-  /// traffic cannot be diagnosed as contended.
-  std::size_t min_remote_samples = 8;
+  /// Channels the guard calls sparse are defaulted to "good" without
+  /// consulting the model (see features::kAnalysisGuard).
+  features::SparseGuard sparse_guard = features::kAnalysisGuard;
 };
 
 struct Report {

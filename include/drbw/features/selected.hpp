@@ -50,6 +50,33 @@ struct FeatureVector {
   }
 };
 
+/// Sparse-channel guard: a scope with fewer than `min_scope_samples`
+/// samples, or fewer than `min_remote_samples` remote-DRAM samples, carries
+/// too little signal to classify.  The caller decides what a sparse channel
+/// becomes (kAnalysisGuard keeps it as good, kWindowGuard drops it).
+struct SparseGuard {
+  std::size_t min_scope_samples = 0;
+  std::size_t min_remote_samples = 0;
+
+  bool sparse(const FeatureVector& f) const {
+    return f.scope_samples < min_scope_samples ||
+           f.values[5] < static_cast<double>(min_remote_samples);
+  }
+};
+
+/// Whole-run analysis: a sparse channel is reported "good (sparse)" without
+/// consulting the model.  §V-D: hardware sampling "does not monitor every
+/// memory access", so a starved source batch carries no signal.  §IV-B:
+/// bandwidth issues on a channel are identified by the accesses *on that
+/// channel*, and one with (almost) no observed remote traffic cannot be
+/// diagnosed as contended.
+inline constexpr SparseGuard kAnalysisGuard{50, 8};
+
+/// Windowed scopes (explain, serve): a window holds a slice of the run's
+/// samples, so the bar is lower, and a sparse channel is dropped rather
+/// than reported — its near-empty features explain nothing.
+inline constexpr SparseGuard kWindowGuard{8, 2};
+
 /// Features of one remote channel, ready for classification.
 struct ChannelFeatures {
   topology::ChannelId channel;

@@ -1,4 +1,6 @@
-// Trace -> per-client session slicing for online replay.
+// Trace -> per-client session slicing for online replay, and the cycle-window
+// bucketer every windowed front end (analyze --windows, explain, serve's
+// default window width) shares.
 //
 // `drbw serve` simulates N concurrent clients by replaying a recorded trace
 // as N independent sample streams: every sample is assigned to the client
@@ -39,8 +41,23 @@ struct ClientSession {
 std::vector<ClientSession> slice_sessions(const Trace& trace,
                                           std::uint32_t clients);
 
-/// Largest sample cycle in the trace (0 for an empty trace); serve derives
-/// its default window width from this span.
+/// Largest sample cycle in the trace (0 for an empty trace); the windowed
+/// front ends derive their window width from this span.
 std::uint64_t trace_cycle_span(const Trace& trace);
+
+/// Most cycle windows a caller may ask for (`--windows`): every window owns
+/// a sample bucket and a profile, so the count is bounded up front.
+inline constexpr std::uint64_t kMaxCycleWindows = 65536;
+
+/// Width of each of `windows` equal cycle windows covering [0, span]:
+/// span / windows + 1, so the sample at `span` lands in the last window.
+std::uint64_t cycle_window_width(std::uint64_t span, std::uint64_t windows);
+
+/// Splits `samples` into `count` consecutive windows of `width` cycles,
+/// keeping stream order inside each window.  Empty windows are kept, and a
+/// sample past the last window's end lands in the last window.
+std::vector<std::vector<MemorySample>> bucket_by_cycle(
+    const std::vector<MemorySample>& samples, std::uint64_t width,
+    std::size_t count);
 
 }  // namespace drbw::pebs

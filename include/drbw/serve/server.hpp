@@ -41,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "drbw/features/selected.hpp"
 #include "drbw/ml/decision_tree.hpp"
 #include "drbw/pebs/session.hpp"
 #include "drbw/serve/queue.hpp"
@@ -73,11 +74,9 @@ struct ServeOptions {
   std::uint64_t backoff_cycles = 100;
   /// Consecutive faults that trip a client into quarantine.
   int breaker_threshold = 3;
-  /// Sparse-window guards: a window buffer below these thresholds is
-  /// counted good without consulting the tree (mirrors analyze's sparse
-  /// channel handling).
-  std::size_t min_window_samples = 8;
-  std::size_t min_remote_samples = 2;
+  /// A channel the guard calls sparse is dropped from its window without
+  /// consulting the tree (see features::kWindowGuard).
+  features::SparseGuard sparse_guard = features::kWindowGuard;
   int jobs = 1;
   /// Snapshot artifact path ("" = never write one).
   std::string snapshot_path;

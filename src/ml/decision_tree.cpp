@@ -123,13 +123,13 @@ Json DriftBaseline::to_json() const {
   Json j;
   j.set("buckets", static_cast<std::int64_t>(kBuckets));
   j.set("total", total);
-  JsonArray rows;
+  Json rows = JsonArray{};
   for (const auto& feature_counts : counts) {
-    JsonArray row;
+    Json row = JsonArray{};
     for (const std::uint64_t c : feature_counts) row.push_back(Json(c));
-    rows.push_back(Json(std::move(row)));
+    rows.push_back(std::move(row));
   }
-  j.set("counts", Json(std::move(rows)));
+  j.set("counts", std::move(rows));
   return j;
 }
 

@@ -27,4 +27,21 @@ std::uint64_t trace_cycle_span(const Trace& trace) {
   return last;
 }
 
+std::uint64_t cycle_window_width(std::uint64_t span, std::uint64_t windows) {
+  DRBW_CHECK_MSG(windows > 0, "window count must be positive");
+  return span / windows + 1;
+}
+
+std::vector<std::vector<MemorySample>> bucket_by_cycle(
+    const std::vector<MemorySample>& samples, std::uint64_t width,
+    std::size_t count) {
+  DRBW_CHECK_MSG(width > 0 && count > 0,
+                 "window width and count must be positive");
+  std::vector<std::vector<MemorySample>> buckets(count);
+  for (const MemorySample& s : samples) {
+    buckets[std::min<std::uint64_t>(s.cycle / width, count - 1)].push_back(s);
+  }
+  return buckets;
+}
+
 }  // namespace drbw::pebs

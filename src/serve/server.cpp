@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
-#include <map>
 #include <sstream>
 
 #include "drbw/core/profiler.hpp"
@@ -17,32 +16,6 @@
 namespace drbw::serve {
 
 namespace {
-
-/// Page locator for replayed streams: every recorded allocation range is
-/// homed on node 0 (the master-allocation default), like the CLI's offline
-/// analyze path.  Read-only after construction, so concurrent locate()
-/// calls from classify tasks are safe.
-class ReplayLocator final : public core::PageLocator {
- public:
-  explicit ReplayLocator(const std::vector<mem::AllocationEvent>& events) {
-    for (const auto& e : events) {
-      if (e.kind == mem::AllocationEvent::Kind::kAlloc) {
-        ranges_[e.base] = e.base + e.size_bytes;
-      }
-    }
-  }
-  topology::NodeId locate(mem::Addr addr, topology::NodeId) override {
-    auto it = ranges_.upper_bound(addr);
-    if (it != ranges_.begin()) {
-      --it;
-      if (addr < it->second) return 0;
-    }
-    return 0;
-  }
-
- private:
-  std::map<mem::Addr, mem::Addr> ranges_;
-};
 
 /// One deterministic retry loop: `draw(attempt)` returns true when the
 /// injected fault fires for that attempt.  Success on any attempt makes the
@@ -213,12 +186,13 @@ ServeResult Server::run(const pebs::Trace& trace) {
       options_.drain_per_tick == 0 ? queue_depth : options_.drain_per_tick;
   const int breaker = std::max(1, options_.breaker_threshold);
   const std::uint64_t span = pebs::trace_cycle_span(trace);
-  const std::uint64_t window =
-      options_.window_cycles == 0 ? span / 8 + 1 : options_.window_cycles;
+  const std::uint64_t window = options_.window_cycles == 0
+                                   ? pebs::cycle_window_width(span, 8)
+                                   : options_.window_cycles;
 
   const std::vector<pebs::ClientSession> sessions =
       pebs::slice_sessions(trace, clients);
-  ReplayLocator locator(trace.events);
+  core::ReplayLocator locator;
   util::TaskPool pool(options_.jobs);
 
   std::vector<ClientState> states(clients);
@@ -475,11 +449,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
           features::extract_channels(profile, machine_);
       std::vector<std::vector<double>> rows;
       for (const features::ChannelFeatures& ch : channels) {
-        if (ch.features.scope_samples < options_.min_window_samples) continue;
-        if (ch.features.values[5] <
-            static_cast<double>(options_.min_remote_samples)) {
-          continue;
-        }
+        if (options_.sparse_guard.sparse(ch.features)) continue;
         rows.push_back(ch.features.as_row());
       }
       const RetryOutcome classify = attempt_with_backoff(

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "drbw/obs/trace.hpp"
+#include "drbw/pebs/session.hpp"
 #include "drbw/util/strings.hpp"
 #include "drbw/util/table.hpp"
 
@@ -49,9 +50,7 @@ Report DrBw::analyze_profile(core::ProfileResult profile) const {
       ChannelVerdict verdict;
       verdict.channel = cf.channel;
       verdict.features = cf.features;
-      if (cf.features.scope_samples < config_.min_source_samples ||
-          cf.features.values[5] <
-              static_cast<double>(config_.min_remote_samples)) {
+      if (config_.sparse_guard.sparse(cf.features)) {
         verdict.sparse = true;
         verdict.verdict = ml::Label::kGood;
       } else {
@@ -81,13 +80,9 @@ std::vector<WindowVerdict> DrBw::analyze_windows(
   DRBW_CHECK_MSG(window_cycles > 0, "window length must be positive");
   const std::uint64_t windows =
       run.total_cycles / window_cycles + (run.total_cycles % window_cycles != 0);
-  std::vector<std::vector<pebs::MemorySample>> buckets(
-      std::max<std::uint64_t>(windows, 1));
-  for (const pebs::MemorySample& s : run.samples) {
-    const std::uint64_t w =
-        std::min<std::uint64_t>(s.cycle / window_cycles, buckets.size() - 1);
-    buckets[w].push_back(s);
-  }
+  const std::vector<std::vector<pebs::MemorySample>> buckets =
+      pebs::bucket_by_cycle(run.samples, window_cycles,
+                            std::max<std::uint64_t>(windows, 1));
 
   core::Profiler profiler(machine_, locator);
   std::vector<WindowVerdict> verdicts;
@@ -99,9 +94,8 @@ std::vector<WindowVerdict> DrBw::analyze_windows(
     verdict.samples = buckets[w].size();
     // Allocation events carry no timestamps; the allocation table is valid
     // for every window (the real tool keeps it live across the whole run).
-    const core::ProfileResult profile =
-        profiler.profile(run.alloc_events, buckets[w]);
-    const Report report = analyze_profile(profile);
+    const Report report =
+        analyze_profile(profiler.profile(run.alloc_events, buckets[w]));
     verdict.rmc = report.rmc;
     verdict.contended = report.contended;
     verdicts.push_back(std::move(verdict));

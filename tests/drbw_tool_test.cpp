@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "drbw/drbw.hpp"
+#include "drbw/pebs/session.hpp"
 #include "drbw/serve/server.hpp"
 #include "drbw/util/artifact.hpp"
 
@@ -267,6 +268,35 @@ TEST_F(DrBwToolTest, WindowedAnalysisValidatesArguments) {
   EXPECT_EQ(verdicts.size(), 1u);  // one giant window
 }
 
+TEST_F(DrBwToolTest, CycleBucketerKeepsEdgesAndEmptyWindows) {
+  const auto at = [](std::uint64_t cycle) {
+    pebs::MemorySample s;
+    s.cycle = cycle;
+    return s;
+  };
+  // Three windows over [0, 9]: width 9 / 3 + 1 = 4.  The sample at the last
+  // cycle lands in the last window, and the empty middle window is kept.
+  const std::vector<pebs::MemorySample> samples{at(0), at(3), at(9)};
+  const std::uint64_t width = pebs::cycle_window_width(9, 3);
+  EXPECT_EQ(width, 4u);
+  const auto buckets = pebs::bucket_by_cycle(samples, width, 3);
+  ASSERT_EQ(buckets.size(), 3u);
+  EXPECT_EQ(buckets[0].size(), 2u);
+  EXPECT_TRUE(buckets[1].empty());
+  ASSERT_EQ(buckets[2].size(), 1u);
+  EXPECT_EQ(buckets[2][0].cycle, 9u);
+  // One window holds every sample, in stream order.
+  const auto one =
+      pebs::bucket_by_cycle(samples, pebs::cycle_window_width(9, 1), 1);
+  ASSERT_EQ(one.size(), 1u);
+  ASSERT_EQ(one[0].size(), 3u);
+  EXPECT_EQ(one[0][1].cycle, 3u);
+  // Samples past the last window's end are clamped into it.
+  EXPECT_EQ(pebs::bucket_by_cycle(samples, 1, 2)[1].size(), 2u);
+  EXPECT_THROW(pebs::bucket_by_cycle(samples, 0, 1), Error);
+  EXPECT_THROW(pebs::bucket_by_cycle(samples, 1, 0), Error);
+}
+
 TEST_F(DrBwToolTest, RejectsModelWithWrongArity) {
   ml::Dataset d({"only", "two"});
   d.add({0.0, 0.0}, ml::Label::kGood);
@@ -294,6 +324,14 @@ TEST(DrBwCliExitCodeTest, MalformedArgumentsExit64) {
   EXPECT_EQ(run_cli("analyze --trace"), 64);           // option missing value
   EXPECT_EQ(run_cli("analyze --no-such-flag x"), 64);  // unknown option
   EXPECT_EQ(run_cli("record --timing sideways"), 64);  // bad --timing value
+  // --windows is capped (one bucket and profile per window) and --jobs
+  // must not be negative.
+  EXPECT_EQ(run_cli("analyze --windows 65537"), 64);
+  EXPECT_EQ(run_cli("explain --windows 100000000"), 64);
+  EXPECT_EQ(run_cli("analyze --jobs -1"), 64);
+  EXPECT_EQ(run_cli("explain --jobs -1"), 64);
+  EXPECT_EQ(run_cli("serve --jobs -2"), 64);
+  EXPECT_EQ(run_cli("train --jobs -3"), 64);
 }
 
 TEST(DrBwCliExitCodeTest, MissingInputsExit66) {
@@ -354,6 +392,60 @@ TEST(DrBwCliExplainTest, WritesDeterministicArtifactAndReport) {
   EXPECT_NE(manifest.find("\"subcommand\": \"explain\""), std::string::npos);
   EXPECT_NE(manifest.find("\"explain\""), std::string::npos);
   EXPECT_NE(manifest.find("drbw_model_confidence_bucket"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+/// Pins the front ends' output bytes: a seeded trace through `analyze
+/// --windows`, `explain` at --jobs 1 and 4, and `serve` must reproduce these
+/// CRC-32s.  Every path is relative to the run directory, so the artifacts
+/// do not depend on where the test runs.  The windows and the serve window
+/// capacity are small enough that the sparse-channel guards decide verdicts
+/// (analyze keeps all but one window sparse-good), so the pin also holds
+/// each front end to its guard thresholds.
+TEST(DrBwCliPinTest, FrontEndOutputsMatchPinnedChecksums) {
+  const std::string dir =
+      ::testing::TempDir() + "/drbw_cli_pin_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto run_in_dir = [&](const std::string& args) {
+    const std::string cmd = "cd '" + dir + "' && " + DRBW_CLI_PATH + " " +
+                            args + " >>stdout.txt 2>/dev/null";
+    const int rc = std::system(cmd.c_str());
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+  };
+  const auto crc_of = [&](const std::string& name) {
+    return util::crc32(cli_read_file(dir + "/" + name));
+  };
+  ASSERT_EQ(run_in_dir("record --benchmark streamcluster --config T32-N4 "
+                       "--seed 7 --out trace.csv --run-dir r"),
+            0);
+  ASSERT_EQ(run_in_dir("train --out model.json --run-dir r"), 0);
+  std::filesystem::remove(dir + "/stdout.txt");
+  const std::string inputs = " --model model.json --jobs ";
+  ASSERT_EQ(run_in_dir("analyze --trace trace.csv --windows 64 --run-dir r" +
+                       inputs + "1"),
+            2);
+  std::string window_lines;
+  {
+    std::istringstream out(cli_read_file(dir + "/stdout.txt"));
+    for (std::string line; std::getline(out, line);) {
+      if (line.rfind('[', 0) == 0) window_lines += line + '\n';
+    }
+  }
+  EXPECT_EQ(util::crc32(window_lines), 0xb38c3646u) << window_lines;
+  for (const char* jobs : {"1", "4"}) {
+    ASSERT_EQ(run_in_dir("explain --trace trace.csv --windows 64 "
+                         "--out explain.json --report explain.md --run-dir r" +
+                         inputs + jobs),
+              0);
+    EXPECT_EQ(crc_of("explain.json"), 0x87964376u) << "--jobs " << jobs;
+    EXPECT_EQ(crc_of("explain.md"), 0x799d52c2u) << "--jobs " << jobs;
+  }
+  ASSERT_EQ(run_in_dir("serve --replay trace.csv --window-capacity 64 "
+                       "--run-dir r" +
+                       inputs + "1"),
+            0);
+  EXPECT_EQ(crc_of("r/serve_snapshot.json"), 0x4cca85cbu);
   std::filesystem::remove_all(dir);
 }
 

@@ -103,6 +103,24 @@ TEST_F(FeaturesTest, ChannelScopeFiltersRemoteByHomeNode) {
   }
 }
 
+TEST_F(FeaturesTest, SparseGuardBoundaries) {
+  for (const SparseGuard& guard : {kAnalysisGuard, kWindowGuard}) {
+    FeatureVector v;
+    v.scope_samples = guard.min_scope_samples;
+    v.values[5] = static_cast<double>(guard.min_remote_samples);
+    EXPECT_FALSE(guard.sparse(v));  // exactly at both minimums passes
+    v.scope_samples -= 1;
+    EXPECT_TRUE(guard.sparse(v));  // one scope sample short
+    v.scope_samples += 1;
+    v.values[5] -= 1.0;
+    EXPECT_TRUE(guard.sparse(v));  // one remote sample short
+  }
+  EXPECT_EQ(kAnalysisGuard.min_scope_samples, 50u);
+  EXPECT_EQ(kAnalysisGuard.min_remote_samples, 8u);
+  EXPECT_EQ(kWindowGuard.min_scope_samples, 8u);
+  EXPECT_EQ(kWindowGuard.min_remote_samples, 2u);
+}
+
 TEST_F(FeaturesTest, NamesAndKeysAligned) {
   EXPECT_EQ(selected_feature_names().size(), 13u);
   EXPECT_EQ(selected_feature_keys().size(), 13u);

@@ -141,8 +141,7 @@ TEST_F(RegistryCoverageTest, EveryRegisteredNameIsEmittedByThePipeline) {
   const auto run = bound_run(machine_, space, 2, 150'000, 42);
   core::AddressSpaceLocator locator(space);
   AnalysisConfig config;
-  config.min_source_samples = 1;
-  config.min_remote_samples = 1;
+  config.sparse_guard = {1, 1};
   const DrBw tool(machine_, always_rmc_model(), config);
   const Report report = tool.analyze(run, locator);
   ASSERT_TRUE(report.rmc);  // always-rmc model ⇒ the diagnose stage ran
@@ -219,8 +218,7 @@ TEST_F(RegistryCoverageTest, DiagnoseCfFaultSiteFires) {
   const auto run = bound_run(machine_, space, 2, 100'000, 7);
   core::AddressSpaceLocator locator(space);
   AnalysisConfig config;
-  config.min_source_samples = 1;
-  config.min_remote_samples = 1;
+  config.sparse_guard = {1, 1};
   const DrBw tool(machine_, always_rmc_model(), config);
 
   const ArmGuard guard("seed=1,diagnose.cf:fail:1");

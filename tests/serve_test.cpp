@@ -332,8 +332,7 @@ TEST(ServeLoopTest, ClassifiesWindowsWithAModel) {
   const ml::Classifier model = always_rmc_model();
   serve::ServeOptions opts = one_client_options(serve::OverloadPolicy::kBlock);
   opts.queue_depth = 64;
-  opts.min_window_samples = 1;
-  opts.min_remote_samples = 1;
+  opts.sparse_guard = {1, 1};
   serve::Server server(machine, &model, opts);
   const serve::ServeResult r = server.run(trace);
   EXPECT_FALSE(r.degraded);
@@ -354,8 +353,7 @@ TEST(ServeModelObsTest, SnapshotCarriesTimelineAndDriftSection) {
   ASSERT_TRUE(model.has_drift_baseline());
   serve::ServeOptions opts = one_client_options(serve::OverloadPolicy::kBlock);
   opts.queue_depth = 64;
-  opts.min_window_samples = 1;
-  opts.min_remote_samples = 1;
+  opts.sparse_guard = {1, 1};
   serve::Server server(machine, &model, opts);
   const serve::ServeResult r = server.run(trace);
   EXPECT_TRUE(r.drift_available);
@@ -392,8 +390,7 @@ TEST(ServeModelObsTest, DriftThresholdFlagsDivergingClientsDeterministically) {
     serve::ServeOptions opts =
         one_client_options(serve::OverloadPolicy::kBlock);
     opts.queue_depth = 64;
-    opts.min_window_samples = 1;
-    opts.min_remote_samples = 1;
+    opts.sparse_guard = {1, 1};
     opts.drift_threshold = threshold;
     serve::Server server(machine, &model, opts);
     return server.run(trace);
@@ -557,8 +554,7 @@ TEST(ServeFaultTest, JobsCountLeavesResultsByteIdentical) {
     opts.queue_depth = 8;
     opts.overload = serve::OverloadPolicy::kShedOldest;
     opts.drain_per_tick = 4;
-    opts.min_window_samples = 1;
-    opts.min_remote_samples = 1;
+    opts.sparse_guard = {1, 1};
     opts.jobs = jobs[i];
     serve::Server server(machine, &model, opts);
     results[i] = server.run(trace);
@@ -584,8 +580,7 @@ TEST(ServeObsTest, EveryServeMetricAndSpanIsEmitted) {
   const ml::Classifier model = always_rmc_model();
   const std::string dir = fresh_dir("obs");
   serve::ServeOptions opts = one_client_options(serve::OverloadPolicy::kBlock);
-  opts.min_window_samples = 1;
-  opts.min_remote_samples = 1;
+  opts.sparse_guard = {1, 1};
   opts.snapshot_path = dir + "/serve_snapshot.json";
   serve::Server server(machine, &model, opts);
   (void)server.run(trace);

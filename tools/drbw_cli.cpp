@@ -20,10 +20,9 @@
 //       detected from the index header and loaded across --jobs workers
 //       (the merged trace is byte-identical at any value).
 //       --expect-trace-version V rejects artifacts newer than vV with the
-//       version-skew exit code (69).  NOTE: offline page-home lookups need
-//       the recording address space, so analyze re-materializes the
-//       benchmark's layout from the trace's allocation events
-//       (bind-to-node-0 fallback for unknown ranges).
+//       version-skew exit code (69).  NOTE: a trace carries no page-home
+//       map, so offline analysis homes every page on node 0, the
+//       master-allocation default (core::ReplayLocator).
 //
 //   drbw explain  --trace trace.csv [--model model.json] [--windows N]
 //                 [--out explain.json] [--report FILE] [--jobs N]
@@ -214,9 +213,22 @@ struct RunSession {
   }
 
   /// Arms all sinks.  Must run after parse() and before any pipeline work;
-  /// malformed --timing/--inject-faults surface as usage errors (exit 64)
-  /// before anything is armed.
+  /// malformed --jobs/--timing/--inject-faults surface as usage errors
+  /// (exit 64) before anything is armed.
   void begin() {
+    manifest_.jobs = 1;
+    for (const auto& [name, value] : parser_.resolved_options()) {
+      if (name == "jobs") {
+        const long long jobs = parser_.option_int("jobs");
+        if (jobs < 0) {
+          throw UsageError("--jobs must be >= 0, got '" + value + "'");
+        }
+        manifest_.jobs = static_cast<int>(jobs);
+        continue;  // context, not golden — see obs/manifest.hpp
+      }
+      if (name == "run-dir") continue;  // the manifest's own location
+      manifest_.config.emplace_back(name, value);
+    }
     const std::string& timing = parser_.option("timing");
     obs::TimingMode mode;
     if (timing == "sim") {
@@ -253,15 +265,6 @@ struct RunSession {
     // Span durations are golden (sim-cycle / seq based) unless the trace
     // sink is in wall mode — then Span reports wall micros (see obs::Span).
     manifest_.spans_golden = !(tracing && mode == obs::TimingMode::kWall);
-    manifest_.jobs = 1;
-    for (const auto& [name, value] : parser_.resolved_options()) {
-      if (name == "jobs") {
-        manifest_.jobs = static_cast<int>(parser_.option_int("jobs"));
-        continue;  // context, not golden — see obs/manifest.hpp
-      }
-      if (name == "run-dir") continue;  // the manifest's own location
-      manifest_.config.emplace_back(name, value);
-    }
     begun_ = true;
   }
 
@@ -433,6 +436,108 @@ workloads::PlacementMode parse_placement(const std::string& name) {
   throw Error("unknown placement '" + name + "'");
 }
 
+/// --load-mode / --max-bad-fraction, shared by every subcommand that reads
+/// a trace.
+void add_load_options(ArgParser& parser) {
+  parser.add_option("load-mode",
+                    "strict (reject the first malformed record) | lenient "
+                    "(quarantine malformed records, escalate past "
+                    "--max-bad-fraction)",
+                    "strict");
+  parser.add_option("max-bad-fraction",
+                    "lenient only: tolerated quarantined/seen record "
+                    "fraction before the load fails as corrupt",
+                    "0.25");
+}
+
+util::LoadPolicy load_policy(const ArgParser& parser) {
+  try {
+    return util::load_policy_from_name(
+        parser.option("load-mode"), parser.option_double("max-bad-fraction"));
+  } catch (const Error& e) {
+    throw UsageError(std::string("--load-mode: ") + e.what());
+  }
+}
+
+/// A loaded trace plus the policy and stats its load ran under.
+struct TraceInput {
+  util::LoadPolicy policy;
+  util::LoadStats stats;
+  pebs::Trace trace;
+};
+
+/// The input stage analyze, explain and serve share.  Fails fast on missing
+/// inputs (exit 66 with a sibling hint) before any model training or trace
+/// parsing; --model is checked too when `require_model` (serve degrades
+/// instead).  A sharded trace is many artifacts: the manifest lists the
+/// index first and then every shard, each content-identified, so provenance
+/// covers the whole set (index-ordered, hence golden).  load_trace fills
+/// the stats incrementally, so they reach the manifest even when the load
+/// escalates — the quarantine tally at the moment of failure is exactly
+/// what `drbw doctor` needs.
+TraceInput load_trace_input(const ArgParser& parser, RunSession& session,
+                            const std::string& path, bool require_model,
+                            int max_version = pebs::kTraceVersion) {
+  TraceInput input;
+  input.policy = load_policy(parser);
+  util::require_input_file(path, "trace file");
+  if (require_model && !parser.option("model").empty()) {
+    util::require_input_file(parser.option("model"), "model file");
+  }
+  const std::vector<std::string> trace_files = pebs::trace_artifact_paths(path);
+  session.note_input("trace-in", trace_files.front());
+  for (std::size_t i = 1; i < trace_files.size(); ++i) {
+    session.note_input("trace-shard-in", trace_files[i]);
+  }
+  pebs::LoadOptions load;
+  load.policy = input.policy;
+  load.jobs = static_cast<int>(parser.option_int("jobs"));
+  load.max_version = max_version;
+  try {
+    input.trace = pebs::load_trace(path, load, &input.stats);
+  } catch (...) {
+    session.set_load_stats(input.stats);
+    throw;
+  }
+  session.set_load_stats(input.stats);
+  return input;
+}
+
+/// --model, or the default classifier trained in-process when it is empty.
+ml::Classifier load_model(const ArgParser& parser, RunSession& session,
+                          const topology::Machine& machine,
+                          const util::LoadPolicy& policy) {
+  if (parser.option("model").empty()) {
+    return workloads::train_default_classifier(machine);
+  }
+  ml::Classifier model = ml::Classifier::load(parser.option("model"), policy);
+  session.note_input("model-in", parser.option("model"));
+  return model;
+}
+
+/// --shards for record and convert.
+std::size_t shards_option(const ArgParser& parser) {
+  const long long shards = parser.option_int("shards");
+  if (shards < 1 || shards > static_cast<long long>(pebs::kMaxTraceShards)) {
+    throw UsageError("--shards must be between 1 and " +
+                     std::to_string(pebs::kMaxTraceShards) + ", got '" +
+                     parser.option("shards") + "'");
+  }
+  return static_cast<std::size_t>(shards);
+}
+
+/// --windows for analyze and explain, bounded so a typo cannot allocate
+/// millions of sample buckets.
+long long windows_option(const ArgParser& parser) {
+  const long long windows = parser.option_int("windows");
+  if (windows > static_cast<long long>(pebs::kMaxCycleWindows)) {
+    throw UsageError("--windows must be at most " +
+                     std::to_string(pebs::kMaxCycleWindows) + ", got '" +
+                     parser.option("windows") + "'");
+  }
+  return windows;
+}
+
 int cmd_train(int argc, char** argv) {
   ArgParser parser("drbw train", "Train the bandwidth-contention classifier");
   parser.add_option("seed", "training seed", "2017");
@@ -529,14 +634,7 @@ int cmd_record(int argc, char** argv) {
     session.stage("persist");
     pebs::SaveOptions save;
     save.format = pebs::trace_format_from_name(parser.option("format"));
-    const long long shards = parser.option_int("shards");
-    if (shards < 1 ||
-        shards > static_cast<long long>(pebs::kMaxTraceShards)) {
-      throw UsageError("--shards must be between 1 and " +
-                       std::to_string(pebs::kMaxTraceShards) + ", got '" +
-                       parser.option("shards") + "'");
-    }
-    save.shards = static_cast<std::size_t>(shards);
+    save.shards = shards_option(parser);
     save.jobs = static_cast<int>(parser.option_int("jobs"));
     const std::vector<std::string> written = pebs::save_trace(
         parser.option("out"), {run.alloc_events, run.samples}, save);
@@ -561,48 +659,13 @@ int cmd_record(int argc, char** argv) {
   }
 }
 
-/// Page locator for offline analysis: reconstructs a plausible layout from
-/// the trace's allocation events (every recorded range homed on node 0,
-/// the master-allocation default the tool targets).  Sound for verdicts:
-/// remote/local classification of each SAMPLE comes from its recorded
-/// level; only the home-node attribution of the channel needs this map.
-class TraceLocator final : public core::PageLocator {
- public:
-  explicit TraceLocator(const std::vector<mem::AllocationEvent>& events) {
-    for (const auto& e : events) {
-      if (e.kind == mem::AllocationEvent::Kind::kAlloc) {
-        ranges_[e.base] = e.base + e.size_bytes;
-      }
-    }
-  }
-  topology::NodeId locate(mem::Addr addr, topology::NodeId) override {
-    auto it = ranges_.upper_bound(addr);
-    if (it != ranges_.begin()) {
-      --it;
-      if (addr < it->second) return 0;  // recorded heap: master-allocated
-    }
-    return 0;  // unknown (static) ranges: program image on node 0
-  }
-
- private:
-  std::map<mem::Addr, mem::Addr> ranges_;
-};
-
 int cmd_analyze(int argc, char** argv) {
   ArgParser parser("drbw analyze", "Analyze a recorded trace offline");
   parser.add_option("trace", "trace file from `drbw record`", "drbw_trace.csv");
   parser.add_option("model", "trained model (empty = train now)", "");
   parser.add_option("windows", "split the run into N time windows", "1");
   parser.add_option("report", "also write a Markdown report here", "");
-  parser.add_option("load-mode",
-                    "strict (reject the first malformed record) | lenient "
-                    "(quarantine malformed records, escalate past "
-                    "--max-bad-fraction)",
-                    "strict");
-  parser.add_option("max-bad-fraction",
-                    "lenient only: tolerated quarantined/seen record "
-                    "fraction before the load fails as corrupt",
-                    "0.25");
+  add_load_options(parser);
   parser.add_option("jobs",
                     "parallel shard readers for sharded traces (0 = one per "
                     "hardware thread); the merged trace is identical at any "
@@ -618,76 +681,34 @@ int cmd_analyze(int argc, char** argv) {
   session.begin();
   try {
     session.stage("load");
-    util::LoadPolicy policy;
-    try {
-      policy = util::load_policy_from_name(
-          parser.option("load-mode"), parser.option_double("max-bad-fraction"));
-    } catch (const Error& e) {
-      throw UsageError(std::string("--load-mode: ") + e.what());
-    }
-    pebs::LoadOptions load;
-    load.policy = policy;
-    load.jobs = static_cast<int>(parser.option_int("jobs"));
     const long long expect = parser.option_int("expect-trace-version");
     if (expect < 0 || expect > pebs::kTraceVersion) {
       throw UsageError("--expect-trace-version must be between 0 and " +
                        std::to_string(pebs::kTraceVersion) + ", got '" +
                        parser.option("expect-trace-version") + "'");
     }
-    if (expect > 0) load.max_version = static_cast<int>(expect);
-    // Fail fast on missing inputs (exit 66 with a sibling hint) before any
-    // model training or trace parsing happens.
-    util::require_input_file(parser.option("trace"), "trace file");
-    if (!parser.option("model").empty()) {
-      util::require_input_file(parser.option("model"), "model file");
-    }
-    // A sharded trace is many artifacts; the manifest lists the index first
-    // and then every shard, each content-identified, so provenance covers
-    // the whole set (and the listing is index-ordered, hence golden).
-    const std::vector<std::string> trace_files =
-        pebs::trace_artifact_paths(parser.option("trace"));
-    session.note_input("trace-in", trace_files.front());
-    for (std::size_t i = 1; i < trace_files.size(); ++i) {
-      session.note_input("trace-shard-in", trace_files[i]);
-    }
-
-    const auto machine = topology::Machine::xeon_e5_4650();
-    // load_trace fills the stats incrementally, so record them in the
-    // manifest even when the load escalates — the quarantine tally at the
-    // moment of failure is exactly what `drbw doctor` needs.
-    util::LoadStats load_stats;
-    pebs::Trace trace;
-    try {
-      trace = pebs::load_trace(parser.option("trace"), load, &load_stats);
-    } catch (...) {
-      session.set_load_stats(load_stats);
-      throw;
-    }
-    session.set_load_stats(load_stats);
+    const long long windows = windows_option(parser);
+    TraceInput input = load_trace_input(
+        parser, session, parser.option("trace"), /*require_model=*/true,
+        expect > 0 ? static_cast<int>(expect) : pebs::kTraceVersion);
+    pebs::Trace& trace = input.trace;
     std::cout << "loaded " << trace.samples.size() << " samples, "
               << trace.events.size() << " allocation events";
-    if (load_stats.records_quarantined > 0 || !load_stats.checksum_ok) {
-      std::cout << " (" << load_stats.records_quarantined << " of "
-                << load_stats.records_seen << " records quarantined"
-                << (load_stats.checksum_ok ? "" : ", checksum FAILED") << ")";
+    if (input.stats.records_quarantined > 0 || !input.stats.checksum_ok) {
+      std::cout << " (" << input.stats.records_quarantined << " of "
+                << input.stats.records_seen << " records quarantined"
+                << (input.stats.checksum_ok ? "" : ", checksum FAILED") << ")";
     }
     std::cout << '\n';
 
     session.stage("classify");
-    const ml::Classifier model =
-        parser.option("model").empty()
-            ? workloads::train_default_classifier(machine)
-            : ml::Classifier::load(parser.option("model"), policy);
-    if (!parser.option("model").empty()) {
-      session.note_input("model-in", parser.option("model"));
-    }
-    const DrBw tool(machine, model);
+    const auto machine = topology::Machine::xeon_e5_4650();
+    const DrBw tool(machine,
+                    load_model(parser, session, machine, input.policy));
+    core::ReplayLocator locator;
 
-    TraceLocator locator(trace.events);
-    core::Profiler profiler(machine, locator);
-
-    const auto windows = parser.option_int("windows");
     if (windows <= 1) {
+      core::Profiler profiler(machine, locator);
       const Report report =
           tool.analyze_profile(profiler.profile(trace.events, trace.samples));
       std::cout << report.to_string(machine);
@@ -698,7 +719,8 @@ int cmd_analyze(int argc, char** argv) {
         report::write_file(
             parser.option("report"),
             report::to_markdown(report, machine, meta) +
-                report::robustness_markdown(load_stats, parser.option("trace"),
+                report::robustness_markdown(input.stats,
+                                            parser.option("trace"),
                                             parser.option("load-mode")) +
                 report::telemetry_markdown(obs::Registry::global()));
         session.note_output("report-out", parser.option("report"));
@@ -707,18 +729,19 @@ int cmd_analyze(int argc, char** argv) {
       return session.finish(report.rmc ? 2 : 0);  // exit signals the verdict
     }
 
-    // Windowed: derive the span from the sample timestamps.
+    // Windowed: the run spans the sample timestamps; the trace moves into
+    // the pseudo run, which is all the windows read.
     session.stage("windows");
-    std::uint64_t last_cycle = 0;
-    for (const auto& s : trace.samples) last_cycle = std::max(last_cycle, s.cycle);
-    const std::uint64_t window =
-        std::max<std::uint64_t>(1, last_cycle / static_cast<std::uint64_t>(windows) + 1);
+    const std::uint64_t span = pebs::trace_cycle_span(trace);
     sim::RunResult pseudo;
-    pseudo.total_cycles = last_cycle + 1;
-    pseudo.samples = trace.samples;
-    pseudo.alloc_events = trace.events;
+    pseudo.total_cycles = span + 1;
+    pseudo.samples = std::move(trace.samples);
+    pseudo.alloc_events = std::move(trace.events);
     bool any = false;
-    for (const auto& v : tool.analyze_windows(pseudo, locator, window)) {
+    for (const auto& v : tool.analyze_windows(
+             pseudo, locator,
+             pebs::cycle_window_width(span,
+                                      static_cast<std::uint64_t>(windows)))) {
       std::cout << "[" << v.start_cycle << ", " << v.end_cycle << ") "
                 << v.samples << " samples: "
                 << (v.rmc ? "RMC" : "good");
@@ -755,15 +778,7 @@ int cmd_explain(int argc, char** argv) {
                     "explain.json");
   parser.add_option("report", "also write a per-window Markdown report here",
                     "");
-  parser.add_option("load-mode",
-                    "strict (reject the first malformed record) | lenient "
-                    "(quarantine malformed records, escalate past "
-                    "--max-bad-fraction)",
-                    "strict");
-  parser.add_option("max-bad-fraction",
-                    "lenient only: tolerated quarantined/seen record "
-                    "fraction before the load fails as corrupt",
-                    "0.25");
+  add_load_options(parser);
   parser.add_option("jobs",
                     "parallel window explainers (0 = one per hardware "
                     "thread); every artifact is byte-identical at any value",
@@ -774,67 +789,29 @@ int cmd_explain(int argc, char** argv) {
   session.begin();
   try {
     session.stage("load");
-    util::LoadPolicy policy;
-    try {
-      policy = util::load_policy_from_name(
-          parser.option("load-mode"), parser.option_double("max-bad-fraction"));
-    } catch (const Error& e) {
-      throw UsageError(std::string("--load-mode: ") + e.what());
-    }
-    const long long windows_opt = parser.option_int("windows");
+    const long long windows_opt = windows_option(parser);
     if (windows_opt < 1) {
       throw UsageError("--windows must be >= 1, got '" +
                        parser.option("windows") + "'");
     }
     const std::size_t windows = static_cast<std::size_t>(windows_opt);
-    pebs::LoadOptions load;
-    load.policy = policy;
-    load.jobs = static_cast<int>(parser.option_int("jobs"));
-    util::require_input_file(parser.option("trace"), "trace file");
-    if (!parser.option("model").empty()) {
-      util::require_input_file(parser.option("model"), "model file");
-    }
-    const std::vector<std::string> trace_files =
-        pebs::trace_artifact_paths(parser.option("trace"));
-    session.note_input("trace-in", trace_files.front());
-    for (std::size_t i = 1; i < trace_files.size(); ++i) {
-      session.note_input("trace-shard-in", trace_files[i]);
-    }
-    util::LoadStats load_stats;
-    pebs::Trace trace;
-    try {
-      trace = pebs::load_trace(parser.option("trace"), load, &load_stats);
-    } catch (...) {
-      session.set_load_stats(load_stats);
-      throw;
-    }
-    session.set_load_stats(load_stats);
-
+    const TraceInput input = load_trace_input(
+        parser, session, parser.option("trace"), /*require_model=*/true);
     const auto machine = topology::Machine::xeon_e5_4650();
     const ml::Classifier model =
-        parser.option("model").empty()
-            ? workloads::train_default_classifier(machine)
-            : ml::Classifier::load(parser.option("model"), policy);
-    if (!parser.option("model").empty()) {
-      session.note_input("model-in", parser.option("model"));
-    }
+        load_model(parser, session, machine, input.policy);
 
     session.stage("explain");
     // Bucket the samples into cycle windows (analyze's windowing), then
     // explain each window's channels in an indexed fan-out; everything below
     // aggregates in window order, so every artifact is golden at any --jobs.
-    std::uint64_t last_cycle = 0;
-    for (const auto& s : trace.samples) {
-      last_cycle = std::max(last_cycle, s.cycle);
-    }
-    const std::uint64_t window_cycles = std::max<std::uint64_t>(
-        1, last_cycle / static_cast<std::uint64_t>(windows) + 1);
-    std::vector<std::vector<pebs::MemorySample>> buckets(windows);
-    for (const auto& s : trace.samples) {
-      buckets[std::min<std::size_t>(windows - 1, s.cycle / window_cycles)]
-          .push_back(s);
-    }
-    TraceLocator locator(trace.events);
+    const pebs::Trace& trace = input.trace;
+    const std::uint64_t last_cycle = pebs::trace_cycle_span(trace);
+    const std::uint64_t window_cycles =
+        pebs::cycle_window_width(last_cycle, windows);
+    const std::vector<std::vector<pebs::MemorySample>> buckets =
+        pebs::bucket_by_cycle(trace.samples, window_cycles, windows);
+    core::ReplayLocator locator;
     struct Verdict {
       std::string channel;
       ml::Explanation exp;
@@ -853,10 +830,7 @@ int cmd_explain(int argc, char** argv) {
             profiler.profile(trace.events, buckets[w]);
         for (const features::ChannelFeatures& ch :
              features::extract_channels(profile, machine)) {
-          // The serve loop's sparse-window guards: a nearly-empty channel
-          // scope yields all-zero features whose "verdict" explains nothing.
-          if (ch.features.scope_samples < 8) continue;
-          if (ch.features.values[5] < 2.0) continue;
+          if (features::kWindowGuard.sparse(ch.features)) continue;
           slots[w].verdicts.push_back(Verdict{
               machine.channel_name(ch.channel),
               model.predict_explained(ch.features.as_row())});
@@ -1104,15 +1078,7 @@ int cmd_serve(int argc, char** argv) {
                     "F (0 = never flag; needs a baseline-carrying v3 model; "
                     "typed, never fatal)",
                     "0");
-  parser.add_option("load-mode",
-                    "strict (reject the first malformed record) | lenient "
-                    "(quarantine malformed records, escalate past "
-                    "--max-bad-fraction)",
-                    "strict");
-  parser.add_option("max-bad-fraction",
-                    "lenient only: tolerated quarantined/seen record "
-                    "fraction before the load fails as corrupt",
-                    "0.25");
+  add_load_options(parser);
   parser.add_option("jobs",
                     "parallel window classifiers (0 = one per hardware "
                     "thread); snapshots, metrics, and the manifest are "
@@ -1124,13 +1090,6 @@ int cmd_serve(int argc, char** argv) {
   session.begin();
   try {
     session.stage("load");
-    util::LoadPolicy policy;
-    try {
-      policy = util::load_policy_from_name(
-          parser.option("load-mode"), parser.option_double("max-bad-fraction"));
-    } catch (const Error& e) {
-      throw UsageError(std::string("--load-mode: ") + e.what());
-    }
     serve::ServeOptions opts;
     try {
       opts.overload = serve::overload_policy_from_name(parser.option("overload"));
@@ -1177,25 +1136,9 @@ int cmd_serve(int argc, char** argv) {
                              ? run_dir + "/serve_snapshot.json"
                              : parser.option("snapshot-out");
 
-    pebs::LoadOptions load;
-    load.policy = policy;
-    load.jobs = opts.jobs;
-    util::require_input_file(parser.option("replay"), "trace file");
-    const std::vector<std::string> trace_files =
-        pebs::trace_artifact_paths(parser.option("replay"));
-    session.note_input("trace-in", trace_files.front());
-    for (std::size_t i = 1; i < trace_files.size(); ++i) {
-      session.note_input("trace-shard-in", trace_files[i]);
-    }
-    util::LoadStats load_stats;
-    pebs::Trace trace;
-    try {
-      trace = pebs::load_trace(parser.option("replay"), load, &load_stats);
-    } catch (...) {
-      session.set_load_stats(load_stats);
-      throw;
-    }
-    session.set_load_stats(load_stats);
+    const TraceInput input = load_trace_input(
+        parser, session, parser.option("replay"), /*require_model=*/false);
+    const pebs::Trace& trace = input.trace;
     std::cout << "loaded " << trace.samples.size() << " samples, "
               << trace.events.size() << " allocation events\n";
 
@@ -1209,7 +1152,7 @@ int cmd_serve(int argc, char** argv) {
     } else {
       session.note_input("model-in", parser.option("model"));
       try {
-        model = ml::Classifier::load(parser.option("model"), policy);
+        model = ml::Classifier::load(parser.option("model"), input.policy);
       } catch (const Error& e) {
         std::cerr << "drbw serve: degraded to pass-through telemetry: "
                   << e.what() << '\n';
@@ -1471,30 +1414,14 @@ int cmd_convert(int argc, char** argv) {
                     "parallel shard readers/writers (0 = one per hardware "
                     "thread)",
                     "1");
-  parser.add_option("load-mode", "strict | lenient (see drbw analyze)",
-                    "strict");
-  parser.add_option("max-bad-fraction",
-                    "lenient only: tolerated quarantined/seen record "
-                    "fraction before the load fails as corrupt",
-                    "0.25");
+  add_load_options(parser);
   if (!parser.parse(argc, argv)) return 0;
   pebs::LoadOptions load;
-  try {
-    load.policy = util::load_policy_from_name(
-        parser.option("load-mode"), parser.option_double("max-bad-fraction"));
-  } catch (const Error& e) {
-    throw UsageError(std::string("--load-mode: ") + e.what());
-  }
+  load.policy = load_policy(parser);
   load.jobs = static_cast<int>(parser.option_int("jobs"));
   pebs::SaveOptions save;
   save.format = pebs::trace_format_from_name(parser.option("format"));
-  const long long shards = parser.option_int("shards");
-  if (shards < 1 || shards > static_cast<long long>(pebs::kMaxTraceShards)) {
-    throw UsageError("--shards must be between 1 and " +
-                     std::to_string(pebs::kMaxTraceShards) + ", got '" +
-                     parser.option("shards") + "'");
-  }
-  save.shards = static_cast<std::size_t>(shards);
+  save.shards = shards_option(parser);
   save.jobs = load.jobs;
   util::require_input_file(parser.option("in"), "trace file");
   util::LoadStats stats;
