@@ -332,6 +332,16 @@ TEST(DrBwCliExitCodeTest, MalformedArgumentsExit64) {
   EXPECT_EQ(run_cli("explain --jobs -1"), 64);
   EXPECT_EQ(run_cli("serve --jobs -2"), 64);
   EXPECT_EQ(run_cli("train --jobs -3"), 64);
+  // record/train/topology values are validated before any simulation runs.
+  EXPECT_EQ(run_cli("record --benchmark nosuch"), 64);
+  EXPECT_EQ(run_cli("record --config garbage"), 64);
+  EXPECT_EQ(run_cli("record --config T0-N4"), 64);
+  EXPECT_EQ(run_cli("record --input 2"), 64);
+  EXPECT_EQ(run_cli("record --input -1"), 64);
+  EXPECT_EQ(run_cli("record --placement bogus"), 64);
+  EXPECT_EQ(run_cli("train --machine opteron"), 64);
+  EXPECT_EQ(run_cli("train --machine bogus"), 64);
+  EXPECT_EQ(run_cli("topology --machine bogus"), 64);
 }
 
 TEST(DrBwCliExitCodeTest, MissingInputsExit66) {

@@ -62,6 +62,13 @@ void harvest_include(std::string_view raw_line, std::size_t line,
 
 }  // namespace
 
+bool meaningful_reason(std::string_view reason) {
+  return reason.size() >= 3 &&
+         std::any_of(reason.begin(), reason.end(), [](char c) {
+           return std::isalpha(static_cast<unsigned char>(c)) != 0;
+         });
+}
+
 Lexed lex(std::string_view content) {
   Lexed out;
   out.blanked.assign(content.size(), ' ');

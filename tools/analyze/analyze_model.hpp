@@ -1,10 +1,10 @@
 // drbw_analyze — shared whole-program model for the contract analyzer.
 //
-// drbw_lint checks one line at a time; the rules in tools/analyze reason
-// about the *program*: the include graph against the committed layer DAG
-// (layers.json), every emitted fault-site / metric / span name against the
-// committed registry (registry.json), and intra-TU dataflow from unordered
-// containers into emitter calls.  This header owns the model every pass
+// The rules in tools/analyze reason about the *program*: the include graph
+// against the committed layer DAG (layers.json), every emitted fault-site /
+// metric / span name against the committed registry (registry.json),
+// intra-TU dataflow from unordered containers into emitter calls, and the
+// token-level line rules.  This header owns the model every pass
 // shares: each translation unit is lexed exactly once into a token stream
 // (identifiers, numbers, punctuation), its string literals (blanked from the
 // token stream but kept here — registry names live in literals), its
@@ -54,6 +54,10 @@ struct Allow {
   std::string rule;
   std::string reason;  // trimmed; empty = missing
 };
+
+/// An allow reason must actually say something: at least three characters
+/// with at least one letter, so "." or "--" cannot wave a finding through.
+bool meaningful_reason(std::string_view reason);
 
 /// A fully lexed translation unit.
 struct Lexed {

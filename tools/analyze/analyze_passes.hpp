@@ -1,4 +1,4 @@
-// drbw_analyze — the three pass families over the shared Model.
+// drbw_analyze — the four pass families over the shared Model.
 //
 //   1. Layer DAG     — the include graph vs tools/analyze/layers.json:
 //                      back-edges (a file including a *higher* layer),
@@ -11,11 +11,15 @@
 //                      entries, names no test or CI leg covers, and
 //                      exit-code drift between util/error.hpp, the README
 //                      table, and postmortem.cpp's doctor advice.
-//   3. Determinism   — intra-TU dataflow beyond drbw_lint's single-line
+//   3. Determinism   — intra-TU dataflow beyond the single-token line
 //      dataflow        rules: unordered-container iteration flowing through
 //                      locals into emitter calls, mutable namespace-scope
 //                      state outside obs/fault, and thread fan-outs that
 //                      emit without a TraceTrack fork-key install.
+//   4. Line rules    — ten token-level determinism/hygiene rules keyed off
+//                      each file's path-derived role (rand, wall clocks,
+//                      build stamps, raw allocation, naked artifact writes
+//                      and diagnostics, header hygiene).
 #pragma once
 
 #include <string>
@@ -34,6 +38,7 @@ struct Finding {
   std::size_t line = 0;
   std::string message;
   std::string fingerprint;
+  bool allow_exempt = false;  // no allow-comment can suppress it
 };
 
 Finding make_finding(std::string rule, std::string file, std::size_t line,
@@ -127,5 +132,28 @@ std::string exit_table_markdown(const Registry& registry);
 // ------------------------------------------------------ determinism dataflow
 
 std::vector<Finding> check_dataflow(const Model& model);
+
+// --------------------------------------------------------------- line rules
+
+/// Where a file sits in the layering, derived purely from its repo-relative
+/// path.  The mem/ layer owns raw allocation, util/rng.hpp owns entropy,
+/// emitter files (trace/dataset/report writers) must not iterate unordered
+/// containers or open output streams, and so on.
+struct FileRoles {
+  bool is_header = false;         // .hpp / .h
+  bool is_public_header = false;  // under include/drbw/
+  bool in_mem_layer = false;      // mem/ subsystem: raw allocation allowed
+  bool is_rng_home = false;       // util/rng.hpp: entropy sources allowed
+  bool is_emitter = false;        // writes traces / datasets / reports
+  bool is_artifact_home = false;  // util/artifact.*: owns the atomic-write path
+  bool is_obs_wall_home = false;  // src/obs/: the one wall-clock shim lives here
+  bool is_bench = false;          // bench/: chrono self-timing is its job
+  bool is_diag_home = false;      // src/obs/, tools/, util/error: stderr OK
+};
+
+FileRoles file_roles(std::string_view rel);
+
+/// Runs the ten line rules over every TU (tests, benches and examples too).
+std::vector<Finding> check_lint(const Model& model);
 
 }  // namespace drbw::analyze

@@ -1,7 +1,6 @@
 #include "analyze_report.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <fstream>
 #include <map>
 #include <set>
@@ -28,16 +27,6 @@ int severity(const std::string& rule) {
 
 const char* sarif_level(const std::string& rule) {
   return severity(rule) == 0 ? "error" : "warning";
-}
-
-/// An allow-comment reason must actually say something: at least three
-/// characters with at least one letter ("." or "--" do not count).
-bool meaningful_reason(const std::string& reason) {
-  if (reason.size() < 3) return false;
-  for (const char c : reason) {
-    if (std::isalpha(static_cast<unsigned char>(c))) return true;
-  }
-  return false;
 }
 
 void rank(std::vector<Finding>& findings) {
@@ -97,32 +86,30 @@ AnalysisResult finalize(std::vector<Finding> findings, const Model& model,
 
   // 1. Allow-comments: `// drbw-analyze: allow(<rule>) <reason>` on the
   // finding's line or the line above suppresses it — but only with a real
-  // reason; a bare allow earns its own finding and the original stands.
+  // reason.  Every reason-less allow earns its own finding, whether or not
+  // anything sits under it, and an allow-exempt finding always stands.
   std::vector<Finding> kept;
-  std::set<std::pair<std::string, std::size_t>> flagged_allows;
+  for (const Tu& tu : model.tus) {
+    for (const Allow& allow : tu.lex.allows) {
+      if (meaningful_reason(allow.reason)) continue;
+      kept.push_back(make_finding(
+          "allow-missing-reason", tu.rel, allow.line, "allow:" + allow.rule,
+          "allow(" + allow.rule +
+              ") has no usable reason — write why the rule does not apply "
+              "here, or remove the annotation"));
+    }
+  }
   for (Finding& finding : findings) {
     const Tu* tu = model.find(finding.file);
-    bool suppressed = false;
-    if (tu != nullptr) {
-      for (const Allow& allow : tu->lex.allows) {
-        if (allow.rule != finding.rule) continue;
-        if (allow.line != finding.line && allow.line + 1 != finding.line) {
-          continue;
-        }
-        if (meaningful_reason(allow.reason)) {
-          suppressed = true;
-          break;
-        }
-        if (flagged_allows.emplace(finding.file, allow.line).second) {
-          kept.push_back(make_finding(
-              "allow-missing-reason", finding.file, allow.line,
-              "allow:" + allow.rule,
-              "allow(" + allow.rule +
-                  ") has no usable reason — write why the rule does not "
-                  "apply here, or remove the annotation"));
-        }
-      }
-    }
+    const bool suppressed =
+        !finding.allow_exempt && tu != nullptr &&
+        std::any_of(tu->lex.allows.begin(), tu->lex.allows.end(),
+                    [&](const Allow& allow) {
+                      return allow.rule == finding.rule &&
+                             (allow.line == finding.line ||
+                              allow.line + 1 == finding.line) &&
+                             meaningful_reason(allow.reason);
+                    });
     if (!suppressed) kept.push_back(std::move(finding));
   }
 

@@ -1,7 +1,7 @@
 // drbw_analyze — finding aggregation, allow-comments, baseline, output.
 //
 // Findings from every pass are filtered through the in-source escape hatch
-// (`// drbw-analyze: allow(<rule>) <reason>`, non-empty reason required) and
+// (`// drbw-analyze: allow(<rule>) <reason>`, meaningful reason required) and
 // then split against the committed baseline (tools/analyze/baseline.json):
 // fingerprints present there are reported as suppressed, anything new fails
 // the run, and baseline entries that no longer match anything are flagged
@@ -38,9 +38,9 @@ struct AnalysisResult {
   bool clean() const { return fresh.empty() && stale.empty(); }
 };
 
-/// Applies allow-comments (suppressing matches, flagging reason-less
-/// allows), ranks findings (rule severity class, then file, then line), and
-/// splits against the baseline.
+/// Applies allow-comments (suppressing matches unless the finding is
+/// allow-exempt, flagging every reason-less allow), ranks findings (rule
+/// severity class, then file, then line), and splits against the baseline.
 AnalysisResult finalize(std::vector<Finding> findings, const Model& model,
                         const std::vector<BaselineEntry>& baseline);
 

@@ -4,14 +4,16 @@
 //                [--json-out F] [--emit-dot] [--emit-exit-table]
 //                [--max-findings N]
 //
-// Lexes every translation unit under include/, src/, tools/ and tests/ once
-// and runs three pass families over the shared model: the include graph
-// against the committed layer DAG (tools/analyze/layers.json), every emitted
-// fault-site / metric / span / stage name against the committed registry
-// (tools/analyze/registry.json) plus the test suite and CI, and the
-// determinism dataflow rules.  Findings are filtered through in-source
-// `// drbw-analyze: allow(<rule>) <reason>` annotations and the committed
-// baseline (tools/analyze/baseline.json); anything new fails the run.
+// Lexes every translation unit under include/, src/, tools/, tests/, bench/
+// and examples/ once and runs four pass families over the shared model: the
+// include graph against the committed layer DAG (tools/analyze/layers.json),
+// every emitted fault-site / metric / span / stage name against the
+// committed registry (tools/analyze/registry.json) plus the test suite and
+// CI, the determinism dataflow rules, and the ten token-level line rules
+// (rand, wall clocks, raw allocation, header hygiene, ...).  Findings are
+// filtered through in-source `// drbw-analyze: allow(<rule>) <reason>`
+// annotations and the committed baseline (tools/analyze/baseline.json);
+// anything new fails the run.
 //
 // Exit codes: 0 clean, 1 new or stale findings, 2 internal error.
 // `--emit-dot` and `--emit-exit-table` print the generated DESIGN.md layer
@@ -45,8 +47,8 @@ int main(int argc, char** argv) {
   namespace fs = std::filesystem;
   ArgParser parser("drbw_analyze",
                    "Whole-program contract analyzer: layer DAG, name "
-                   "registry, determinism dataflow (see README — Static "
-                   "analysis)");
+                   "registry, determinism dataflow, line rules (see README "
+                   "— Static analysis)");
   parser.add_option("root", "repository root to scan", ".");
   parser.add_option("layers", "layer spec (default <root>/tools/analyze/layers.json)", "");
   parser.add_option("registry", "name registry (default <root>/tools/analyze/registry.json)", "");
@@ -77,7 +79,8 @@ int main(int argc, char** argv) {
     // Fixture trees under tests/analyze/ are inputs for analyze_test, not
     // part of the program; tools/analyze itself is scanned like any layer.
     const analyze::Model model = analyze::load_tree(
-        root.string(), {"include", "src", "tools", "tests"}, spec,
+        root.string(), {"include", "src", "tools", "tests", "bench", "examples"},
+        spec,
         {"tests/analyze/"});
 
     const analyze::LayerResult layers = analyze::check_layers(model, spec);
@@ -106,6 +109,9 @@ int main(int argc, char** argv) {
       findings.push_back(std::move(f));
     }
     for (analyze::Finding& f : analyze::check_dataflow(model)) {
+      findings.push_back(std::move(f));
+    }
+    for (analyze::Finding& f : analyze::check_lint(model)) {
       findings.push_back(std::move(f));
     }
 

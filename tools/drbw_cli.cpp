@@ -122,11 +122,13 @@
 // subcommand, 66 missing input file, 67 parse error, 68 corrupt artifact,
 // 69 artifact version skew, 70 injected fault, 74 I/O error.
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 
@@ -416,15 +418,45 @@ topology::Machine machine_by_name(const std::string& name) {
   const std::string lower = to_lower(name);
   if (lower == "xeon") return topology::Machine::xeon_e5_4650();
   if (lower == "opteron") return topology::Machine::opteron_6174();
-  throw Error("unknown machine '" + name + "' (use xeon or opteron)");
+  throw UsageError("unknown machine '" + name + "' (use xeon or opteron)");
 }
 
-workloads::RunConfig parse_config(const std::string& name) {
+/// Parses --config Tt-Nn and bounds it by `machine` exactly as
+/// RunConfig::bind would, so a bad value is a usage error before any
+/// simulation instead of an internal check deep inside it.
+workloads::RunConfig parse_config(const std::string& name,
+                                  const topology::Machine& machine) {
+  const auto bad = [&](const std::string& why) {
+    return UsageError("--config expects Tt-Nn (e.g. T32-N4), got '" + name +
+                      "': " + why);
+  };
   const auto parts = split(name, '-');
-  DRBW_CHECK_MSG(parts.size() == 2 && parts[0].size() > 1 && parts[1].size() > 1,
-                 "config must look like T32-N4, got '" << name << "'");
-  return workloads::RunConfig{std::stoi(parts[0].substr(1)),
-                              std::stoi(parts[1].substr(1))};
+  if (parts.size() != 2) throw bad("expected one '-'");
+  const auto field = [&](const std::string& part, char tag) {
+    const bool digits =
+        part.size() >= 2 && part.size() <= 5 &&
+        std::all_of(part.begin() + 1, part.end(), [](char c) {
+          return std::isdigit(static_cast<unsigned char>(c)) != 0;
+        });
+    if (!digits || std::toupper(static_cast<unsigned char>(part[0])) != tag) {
+      throw bad(std::string("'") + part + "' is not " + tag + "<count>");
+    }
+    return std::stoi(part.substr(1));
+  };
+  const workloads::RunConfig config{field(parts[0], 'T'), field(parts[1], 'N')};
+  const int per_node = static_cast<int>(machine.cpus_of_node(0).size());
+  if (config.num_nodes < 1 || config.num_nodes > machine.num_nodes()) {
+    throw bad("nodes must be between 1 and " +
+              std::to_string(machine.num_nodes()));
+  }
+  if (config.total_threads < 1 ||
+      config.total_threads % config.num_nodes != 0 ||
+      config.threads_per_node() > per_node) {
+    throw bad("threads must be a positive multiple of the node count, at most " +
+              std::to_string(per_node) + " per node (" +
+              std::to_string(machine.num_hw_threads()) + " in total)");
+  }
+  return config;
 }
 
 workloads::PlacementMode parse_placement(const std::string& name) {
@@ -433,7 +465,8 @@ workloads::PlacementMode parse_placement(const std::string& name) {
         workloads::PlacementMode::kColocate, workloads::PlacementMode::kReplicate}) {
     if (name == workloads::placement_mode_name(mode)) return mode;
   }
-  throw Error("unknown placement '" + name + "'");
+  throw UsageError("unknown placement '" + name +
+                   "' (use original, interleave, colocate or replicate)");
 }
 
 /// --load-mode / --max-bad-fraction, shared by every subcommand that reads
@@ -552,10 +585,12 @@ int cmd_train(int argc, char** argv) {
   RunSession session("train", parser);
   session.begin();
   try {
-    session.stage("train");
     const auto machine = machine_by_name(parser.option("machine"));
-    DRBW_CHECK_MSG(parser.option("machine") == "xeon",
-                   "the Table II generator targets the Xeon's Tt-Nn grid");
+    if (to_lower(parser.option("machine")) != "xeon") {
+      throw UsageError("train: --machine must be xeon (the Table II "
+                       "generator targets the Xeon's Tt-Nn grid)");
+    }
+    session.stage("train");
     const auto model = workloads::train_default_classifier(
         machine, static_cast<std::uint64_t>(parser.option_int("seed")),
         static_cast<int>(parser.option_int("jobs")));
@@ -617,17 +652,29 @@ int cmd_record(int argc, char** argv) {
   RunSession session("record", parser);
   session.begin();
   try {
-    session.stage("build");
     const auto machine = topology::Machine::xeon_e5_4650();
-    const auto bench =
-        workloads::make_suite_benchmark(parser.option("benchmark"));
+    std::unique_ptr<workloads::Benchmark> bench;
+    try {
+      bench = workloads::make_suite_benchmark(parser.option("benchmark"));
+    } catch (const Error& e) {
+      throw UsageError(std::string("--benchmark: ") + e.what());
+    }
+    const workloads::RunConfig config =
+        parse_config(parser.option("config"), machine);
+    const workloads::PlacementMode placement =
+        parse_placement(parser.option("placement"));
+    const std::int64_t input = parser.option_int("input");
+    if (input < 0 || static_cast<std::size_t>(input) >= bench->num_inputs()) {
+      throw UsageError("--input must be between 0 and " +
+                       std::to_string(bench->num_inputs() - 1) + " for " +
+                       bench->name() + ", got " + std::to_string(input));
+    }
+    session.stage("build");
     mem::AddressSpace space(machine);
     sim::EngineConfig engine;
     engine.seed = static_cast<std::uint64_t>(parser.option_int("seed"));
-    const auto built = bench->build(
-        space, machine, parse_config(parser.option("config")),
-        parse_placement(parser.option("placement")),
-        static_cast<std::size_t>(parser.option_int("input")));
+    const auto built = bench->build(space, machine, config, placement,
+                                    static_cast<std::size_t>(input));
     session.stage("execute");
     const auto run = workloads::execute(machine, space, built, engine);
 
