@@ -81,7 +81,9 @@ class DrBw {
   /// windows of `window_cycles` and classifies each window's channels
   /// independently.  Latency-profile features are duration-free, so the
   /// whole-run model applies; count features shrink with the window, which
-  /// only makes windowed detection more conservative.
+  /// only makes windowed detection more conservative.  Verdicts only: each
+  /// window is featurized by a features::ChannelWindow (no profile, no
+  /// diagnosis).
   std::vector<WindowVerdict> analyze_windows(const sim::RunResult& run,
                                              core::PageLocator& locator,
                                              std::uint64_t window_cycles) const;

@@ -34,6 +34,10 @@ namespace drbw::features {
 
 inline constexpr int kNumSelected = 13;
 
+/// Latency thresholds (cycles) of the ratio features [0]-[4], in order.
+inline constexpr std::array<double, 5> kLatencyThresholds = {
+    1000.0, 500.0, 200.0, 100.0, 50.0};
+
 /// Table I descriptions, index-aligned with FeatureVector::values.
 const std::array<std::string, kNumSelected>& selected_feature_names();
 

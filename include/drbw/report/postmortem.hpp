@@ -103,17 +103,23 @@ struct PerfDelta {
   double after = 0.0;
   double ratio = 1.0;  ///< after / before (1.0 when before == 0)
   bool regression = false;
+  /// The baseline has it and the new manifest does not (informational:
+  /// never a regression; `after` stays 0).
+  bool gone = false;
 };
 
 struct PerfDiff {
   double threshold = 0.25;
-  std::vector<PerfDelta> rows;  ///< sorted: regressions first, then by name
+  /// Sorted: regressions first, then the compared rows, then the gone rows,
+  /// each group by name.
+  std::vector<PerfDelta> rows;
   bool regressed = false;
   bool spans_comparable = true;  ///< false when either side lacks span stats
 };
 
 /// Compares span total durations and metric counters between two manifests.
 /// A row regresses when after > before * (1 + threshold) with before > 0.
+/// Baseline spans and counters the new manifest lacks become `gone` rows.
 PerfDiff perf_diff(const ManifestData& before, const ManifestData& after,
                    double threshold);
 

@@ -11,10 +11,14 @@
 //      its BoundedQueue in client/ordinal order, under the configured
 //      overload policy (block | shed-oldest | reject);
 //   2. drain — up to drain_per_tick samples per client move from the queue
-//      into the client's sliding window buffer;
-//   3. classify — non-empty buffers are featurized and classified with the
-//      trained tree, fanned out over util::TaskPool into indexed slots and
-//      applied serially, so results are byte-identical at any jobs count.
+//      into the client's sliding window: each entering sample is added to
+//      the client's features::ChannelWindow and each sample aging out past
+//      window_capacity is evicted from it, so a tick costs O(drained
+//      samples), not O(window_capacity);
+//   3. classify — windows that took samples are read out per channel and
+//      classified with the trained tree, fanned out over util::TaskPool
+//      into indexed slots and applied serially, so results are
+//      byte-identical at any jobs count.
 //
 // Robustness contract:
 //   * Four fault sites guard the hot path — serve.ingest (per sample,
@@ -54,6 +58,15 @@ namespace drbw::serve {
 /// still readable (both additions are simply absent).
 inline constexpr int kServeSnapshotVersion = 2;
 
+/// Retry draws are keyed `key * 16 + attempt`, so attempts 0..15 stay
+/// inside their own key's block of draws (and the backoff shift stays far
+/// below 64 bits).
+inline constexpr int kMaxServeRetries = 15;
+
+/// Largest first-retry penalty: `backoff << kMaxServeRetries` still fits in
+/// 64 bits with room to accumulate across operations.
+inline constexpr std::uint64_t kMaxBackoffCycles = std::uint64_t{1} << 32;
+
 struct ServeOptions {
   std::uint32_t clients = 4;
   std::size_t queue_depth = 64;
@@ -68,9 +81,11 @@ struct ServeOptions {
   /// Stop admitting new samples at this simulated cycle (0 = replay all).
   std::uint64_t max_cycles = 0;
   /// Extra attempts after a failed draw before the operation counts as a
-  /// fault (deterministic exponential backoff between attempts).
+  /// fault (deterministic exponential backoff between attempts); at most
+  /// kMaxServeRetries.
   int max_retries = 2;
-  /// Simulated-cycle penalty of the first retry; doubles per attempt.
+  /// Simulated-cycle penalty of the first retry; doubles per attempt; at
+  /// most kMaxBackoffCycles.
   std::uint64_t backoff_cycles = 100;
   /// Consecutive faults that trip a client into quarantine.
   int breaker_threshold = 3;

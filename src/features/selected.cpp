@@ -47,11 +47,9 @@ class Accumulator {
   void add(const core::AttributedSample& s) {
     const double lat = s.sample.latency_cycles;
     all_.add(lat);
-    if (lat > 1000.0) ++above_[0];
-    if (lat > 500.0) ++above_[1];
-    if (lat > 200.0) ++above_[2];
-    if (lat > 100.0) ++above_[3];
-    if (lat > 50.0) ++above_[4];
+    for (std::size_t i = 0; i < kLatencyThresholds.size(); ++i) {
+      if (lat > kLatencyThresholds[i]) ++above_[i];
+    }
 
     switch (s.sample.level) {
       case pebs::MemLevel::kRemoteDram:
@@ -96,7 +94,7 @@ class Accumulator {
   OnlineStats remote_;
   OnlineStats local_;
   OnlineStats lfb_;
-  std::array<std::uint64_t, 5> above_{};
+  std::array<std::uint64_t, kLatencyThresholds.size()> above_{};
 };
 
 }  // namespace

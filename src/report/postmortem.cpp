@@ -479,26 +479,43 @@ PerfDiff perf_diff(const ManifestData& before, const ManifestData& after,
     diff.rows.push_back(std::move(delta));
   };
 
+  const auto gone = [&](const std::string& name, const std::string& kind,
+                        double a) {
+    PerfDelta delta;
+    delta.name = name;
+    delta.kind = kind;
+    delta.before = a;
+    delta.gone = true;
+    diff.rows.push_back(std::move(delta));
+  };
+
   for (const obs::SpanStat& stat : before.spans) {
-    for (const obs::SpanStat& other : after.spans) {
-      if (other.name == stat.name) {
-        compare(stat.name, "span", static_cast<double>(stat.total_dur),
-                static_cast<double>(other.total_dur));
-        break;
-      }
+    const auto match = std::find_if(
+        after.spans.begin(), after.spans.end(),
+        [&](const obs::SpanStat& other) { return other.name == stat.name; });
+    if (match == after.spans.end()) {
+      gone(stat.name, "span", static_cast<double>(stat.total_dur));
+    } else {
+      compare(stat.name, "span", static_cast<double>(stat.total_dur),
+              static_cast<double>(match->total_dur));
     }
   }
   for (const auto& [name, value] : before.counters) {
-    for (const auto& [other_name, other_value] : after.counters) {
-      if (other_name == name) {
-        compare(name, "counter", value, other_value);
-        break;
-      }
+    const auto match =
+        std::find_if(after.counters.begin(), after.counters.end(),
+                     [&](const auto& other) { return other.first == name; });
+    if (match == after.counters.end()) {
+      gone(name, "counter", value);
+    } else {
+      compare(name, "counter", value, match->second);
     }
   }
+  const auto group = [](const PerfDelta& row) {
+    return row.regression ? 0 : (row.gone ? 2 : 1);
+  };
   std::stable_sort(diff.rows.begin(), diff.rows.end(),
-                   [](const PerfDelta& a, const PerfDelta& b) {
-                     if (a.regression != b.regression) return a.regression;
+                   [&](const PerfDelta& a, const PerfDelta& b) {
+                     if (group(a) != group(b)) return group(a) < group(b);
                      return a.name < b.name;
                    });
   return diff;
@@ -511,8 +528,18 @@ std::string render_perf_diff(const PerfDiff& diff) {
      << static_cast<int>(diff.threshold * 100.0) << "%"
      << (diff.spans_comparable ? "" : "; span stats missing on one side")
      << ")\n";
-  os << "  " << diff.rows.size() << " comparable quantities\n";
+  const auto gone = static_cast<std::size_t>(
+      std::count_if(diff.rows.begin(), diff.rows.end(),
+                    [](const PerfDelta& row) { return row.gone; }));
+  os << "  " << diff.rows.size() - gone << " comparable quantities";
+  if (gone > 0) os << ", " << gone << " gone from the new manifest";
+  os << '\n';
   for (const PerfDelta& row : diff.rows) {
+    if (row.gone) {
+      os << "  gone       " << row.kind << ' ' << row.name << ": "
+         << row.before << " -> (absent)\n";
+      continue;
+    }
     std::snprintf(buf, sizeof buf, "%+.1f%%", (row.ratio - 1.0) * 100.0);
     os << "  " << (row.regression ? "REGRESSION " : "ok         ") << row.kind
        << ' ' << row.name << ": " << row.before << " -> " << row.after << " ("

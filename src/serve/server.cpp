@@ -8,9 +8,11 @@
 #include "drbw/core/profiler.hpp"
 #include "drbw/fault/injector.hpp"
 #include "drbw/features/selected.hpp"
+#include "drbw/features/window.hpp"
 #include "drbw/obs/metrics.hpp"
 #include "drbw/obs/trace.hpp"
 #include "drbw/util/artifact.hpp"
+#include "drbw/util/error.hpp"
 #include "drbw/util/task_pool.hpp"
 
 namespace drbw::serve {
@@ -46,10 +48,17 @@ RetryOutcome attempt_with_backoff(int max_retries, std::uint64_t backoff_base,
 
 /// Mutable per-client replay state around the public ClientStats.
 struct ClientState {
+  ClientState(const topology::Machine& machine, core::PageLocator& locator)
+      : window(machine, locator) {}
+
   ClientStats stats;
   std::size_t cursor = 0;  ///< next unconsumed session sample
   std::vector<pebs::SessionSample> deferred;  ///< pushed back under block
-  std::vector<pebs::SessionSample> buffer;    ///< sliding classify window
+  /// Sliding classify window: `buffer` holds its samples oldest first and
+  /// `window` their running channel features (add on push, evict on pop).
+  std::deque<pebs::MemorySample> buffer;
+  features::ChannelWindow window;
+  std::uint64_t window_updates = 0;  ///< window adds + evicts
   int consecutive_faults = 0;
   // Model-health accounting (touched only when a model is present).
   std::vector<double> window_confidences;
@@ -177,7 +186,14 @@ std::string render_snapshot(const ServeResult& r) {
 
 Server::Server(const topology::Machine& machine, const ml::Classifier* model,
                ServeOptions options)
-    : machine_(machine), model_(model), options_(std::move(options)) {}
+    : machine_(machine), model_(model), options_(std::move(options)) {
+  DRBW_CHECK_MSG(options_.max_retries >= 0 &&
+                     options_.max_retries <= kMaxServeRetries,
+                 "serve max_retries must be between 0 and "
+                     << kMaxServeRetries << ", got " << options_.max_retries);
+  DRBW_CHECK_MSG(options_.backoff_cycles <= kMaxBackoffCycles,
+                 "serve backoff_cycles must be at most " << kMaxBackoffCycles);
+}
 
 ServeResult Server::run(const pebs::Trace& trace) {
   const std::uint32_t clients = std::max<std::uint32_t>(1, options_.clients);
@@ -195,11 +211,13 @@ ServeResult Server::run(const pebs::Trace& trace) {
   core::ReplayLocator locator;
   util::TaskPool pool(options_.jobs);
 
-  std::vector<ClientState> states(clients);
+  std::vector<ClientState> states;
+  states.reserve(clients);
   // deque: BoundedQueue is immovable (owns a mutex), and deque constructs
   // elements in place without relocating the existing ones.
   std::deque<BoundedQueue> queues;
   for (std::uint32_t c = 0; c < clients; ++c) {
+    states.emplace_back(machine_, locator);
     states[c].stats.client = c;
     queues.emplace_back(queue_depth, options_.overload);
   }
@@ -232,6 +250,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
       st.stats.dropped += sessions[c].samples.size() - st.cursor;
       st.cursor = sessions[c].samples.size();
       st.buffer.clear();
+      st.window.clear();
     }
   };
 
@@ -409,12 +428,15 @@ ServeResult Server::run(const pebs::Trace& trace) {
       if (st.stats.quarantined) continue;
       const std::vector<pebs::SessionSample> batch = queues[c].drain(drain_n);
       if (batch.empty()) continue;
-      st.buffer.insert(st.buffer.end(), batch.begin(), batch.end());
-      if (st.buffer.size() > options_.window_capacity) {
-        st.buffer.erase(st.buffer.begin(),
-                        st.buffer.begin() +
-                            static_cast<std::ptrdiff_t>(
-                                st.buffer.size() - options_.window_capacity));
+      for (const pebs::SessionSample& s : batch) {
+        st.buffer.push_back(s.sample);
+        st.window.add(s.sample);
+        ++st.window_updates;
+        if (st.buffer.size() > options_.window_capacity) {
+          st.window.evict(st.buffer.front());
+          st.buffer.pop_front();
+          ++st.window_updates;
+        }
       }
       if (model_ != nullptr) slots[c].candidate = true;
     }
@@ -437,18 +459,8 @@ ServeResult Server::run(const pebs::Trace& trace) {
         slot.window_fault = true;
         return;
       }
-      std::vector<pebs::MemorySample> samples;
-      samples.reserve(states[i].buffer.size());
-      for (const pebs::SessionSample& s : states[i].buffer) {
-        samples.push_back(s.sample);
-      }
-      core::Profiler profiler(machine_, locator);
-      const core::ProfileResult profile =
-          profiler.profile(trace.events, samples);
-      const std::vector<features::ChannelFeatures> channels =
-          features::extract_channels(profile, machine_);
       std::vector<std::vector<double>> rows;
-      for (const features::ChannelFeatures& ch : channels) {
+      for (const features::ChannelFeatures& ch : states[i].window.channels()) {
         if (options_.sparse_guard.sparse(ch.features)) continue;
         rows.push_back(ch.features.as_row());
       }
@@ -616,6 +628,10 @@ ServeResult Server::run(const pebs::Trace& trace) {
       .counter("drbw_serve_clients_quarantined_total",
                "Clients tripped into quarantine by the circuit breaker")
       .add(result.quarantined_clients);
+  auto& window_updates = registry.counter(
+      "drbw_serve_window_updates_total",
+      "Samples added to or evicted from client classify windows");
+  for (const ClientState& st : states) window_updates.add(st.window_updates);
   std::uint64_t peak = 0;
   for (const ClientStats& st : result.clients) {
     peak = std::max(peak, st.peak_depth);

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "drbw/features/window.hpp"
 #include "drbw/obs/trace.hpp"
 #include "drbw/pebs/session.hpp"
 #include "drbw/util/strings.hpp"
@@ -84,7 +85,6 @@ std::vector<WindowVerdict> DrBw::analyze_windows(
       pebs::bucket_by_cycle(run.samples, window_cycles,
                             std::max<std::uint64_t>(windows, 1));
 
-  core::Profiler profiler(machine_, locator);
   std::vector<WindowVerdict> verdicts;
   for (std::uint64_t w = 0; w < buckets.size(); ++w) {
     WindowVerdict verdict;
@@ -92,12 +92,17 @@ std::vector<WindowVerdict> DrBw::analyze_windows(
     verdict.end_cycle =
         std::min(run.total_cycles, (w + 1) * window_cycles);
     verdict.samples = buckets[w].size();
-    // Allocation events carry no timestamps; the allocation table is valid
-    // for every window (the real tool keeps it live across the whole run).
-    const Report report =
-        analyze_profile(profiler.profile(run.alloc_events, buckets[w]));
-    verdict.rmc = report.rmc;
-    verdict.contended = report.contended;
+    // A verdict needs only the channel features: no heap attribution, and
+    // no diagnosis of the contended channels.
+    features::ChannelWindow window(machine_, locator);
+    for (const pebs::MemorySample& sample : buckets[w]) window.add(sample);
+    for (const features::ChannelFeatures& cf : window.channels()) {
+      if (config_.sparse_guard.sparse(cf.features)) continue;
+      if (model_.predict(cf.features.as_row()) == ml::Label::kRmc) {
+        verdict.contended.push_back(cf.channel);
+      }
+    }
+    verdict.rmc = !verdict.contended.empty();
     verdicts.push_back(std::move(verdict));
   }
   return verdicts;

@@ -331,6 +331,20 @@ TEST(DrBwCliExitCodeTest, MalformedArgumentsExit64) {
   EXPECT_EQ(run_cli("analyze --jobs -1"), 64);
   EXPECT_EQ(run_cli("explain --jobs -1"), 64);
   EXPECT_EQ(run_cli("serve --jobs -2"), 64);
+  // serve's numeric options are range-checked, never clamped or wrapped:
+  // retry draws are keyed key*16+attempt, so at most 15 retries.
+  EXPECT_EQ(run_cli("serve --max-retries 16"), 64);
+  EXPECT_EQ(run_cli("serve --max-retries 65"), 64);
+  EXPECT_EQ(run_cli("serve --max-retries -1"), 64);
+  EXPECT_EQ(run_cli("serve --window-capacity 0"), 64);
+  EXPECT_EQ(run_cli("serve --window-capacity -4"), 64);
+  EXPECT_EQ(run_cli("serve --window-cycles -1"), 64);
+  EXPECT_EQ(run_cli("serve --drain-rate -1"), 64);
+  EXPECT_EQ(run_cli("serve --max-cycles -1"), 64);
+  EXPECT_EQ(run_cli("serve --backoff-cycles -1"), 64);
+  EXPECT_EQ(run_cli("serve --backoff-cycles 99999999999"), 64);
+  EXPECT_EQ(run_cli("serve --snapshot-every -1"), 64);
+  EXPECT_EQ(run_cli("serve --breaker-threshold 0"), 64);
   EXPECT_EQ(run_cli("train --jobs -3"), 64);
   // record/train/topology values are validated before any simulation runs.
   EXPECT_EQ(run_cli("record --benchmark nosuch"), 64);

@@ -2,11 +2,15 @@
 // with TEST_P / INSTANTIATE_TEST_SUITE_P.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "drbw/core/profiler.hpp"
 #include "drbw/diagnoser/diagnoser.hpp"
 #include "drbw/features/selected.hpp"
+#include "drbw/features/window.hpp"
 #include "drbw/ml/decision_tree.hpp"
 #include "drbw/sim/engine.hpp"
+#include "drbw/util/rng.hpp"
 #include "drbw/util/stats.hpp"
 
 namespace drbw {
@@ -326,6 +330,105 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(0, 5),
                        ::testing::Values(100ull, 4096ull, 10 * 4096ull,
                                          1ull << 20)));
+
+// ---------------------------------------------------------------------- //
+// ChannelWindow: over random add/evict sequences on a simulator trace, the
+// incremental features equal (==) those of a fresh window holding the same
+// samples; against the Welford extract_channels() on a profile of those
+// samples the counts are identical, the means agree to 1e-12 relative, and
+// the committed model's verdicts match.
+
+class ChannelWindowProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ChannelWindowProperty, IncrementalMatchesFreshAndProfiled) {
+  AddressSpace space(machine());
+  const auto spread = space.allocate("prop.c:20 spread", 1ull << 26,
+                                     PlacementSpec::interleave());
+  const auto master = space.allocate("prop.c:21 master", 1ull << 26,
+                                     PlacementSpec::bind(0));
+  std::vector<sim::SimThread> threads;
+  sim::Phase phase{"main", {}};
+  std::uint32_t tid = 0;
+  for (int n = 0; n < 4; ++n) {
+    for (int t = 0; t < 4; ++t) {
+      threads.push_back(
+          {tid++, machine().cpus_of_node(n)[static_cast<std::size_t>(t)]});
+      phase.work.push_back(sim::ThreadWork{
+          {sim::random_read(spread, 150'000), sim::seq_read(master, 150'000)},
+          1.0});
+    }
+  }
+  sim::EngineConfig cfg;
+  cfg.epoch_cycles = 50'000;
+  cfg.seed = GetParam();
+  sim::Engine engine(machine(), space, cfg);
+  const auto run = engine.run(threads, {phase});
+  ASSERT_GT(run.samples.size(), 500u);
+
+  // Every sampled page was homed during the run, so the locator now answers
+  // statelessly — evict()'s precondition.
+  core::AddressSpaceLocator locator(space);
+  const core::Profiler profiler(machine(), locator);
+  const ml::Classifier model =
+      ml::Classifier::load(std::string(DRBW_SOURCE_ROOT) + "/drbw_model.json");
+  features::ChannelWindow window(machine(), locator);
+  std::vector<pebs::MemorySample> held;
+  Rng rng(GetParam());
+  std::size_t checks = 0;
+  for (int step = 0; step < 3000; ++step) {
+    if (held.empty() || rng.bernoulli(0.6)) {
+      const auto& s = run.samples[rng.bounded(run.samples.size())];
+      window.add(s);
+      held.push_back(s);
+    } else {
+      const std::size_t at = rng.bounded(held.size());
+      window.evict(held[at]);
+      held[at] = held.back();
+      held.pop_back();
+    }
+    if (step % 97 != 0) continue;
+    ++checks;
+    features::ChannelWindow fresh(machine(), locator);
+    for (const auto& s : held) fresh.add(s);
+    const auto incremental = window.channels();
+    const auto rebuilt = fresh.channels();
+    const auto profiled = features::extract_channels(
+        profiler.profile(run.alloc_events, held), machine());
+    ASSERT_EQ(incremental.size(), profiled.size());
+    ASSERT_EQ(rebuilt.size(), profiled.size());
+    for (std::size_t c = 0; c < incremental.size(); ++c) {
+      const auto& inc = incremental[c];
+      const auto& ref = profiled[c];
+      EXPECT_EQ(inc.channel, rebuilt[c].channel);
+      EXPECT_EQ(inc.channel, ref.channel);
+      EXPECT_EQ(inc.features.values, rebuilt[c].features.values);
+      EXPECT_EQ(inc.features.scope_samples, ref.features.scope_samples);
+      for (int f = 0; f < features::kNumSelected; ++f) {
+        const auto i = static_cast<std::size_t>(f);
+        const bool is_mean = f == 6 || f == 8 || f == 10 || f == 12;
+        if (is_mean) {
+          EXPECT_NEAR(inc.features.values[i], ref.features.values[i],
+                      1e-12 * std::abs(ref.features.values[i]))
+              << "feature " << f << " step " << step;
+        } else {
+          EXPECT_EQ(inc.features.values[i], ref.features.values[i])
+              << "feature " << f << " step " << step;
+        }
+      }
+      EXPECT_EQ(model.predict(inc.features.as_row()),
+                model.predict(ref.features.as_row()));
+    }
+  }
+  EXPECT_GT(checks, 20u);
+  // Evicting everything returns the window to the empty state exactly.
+  for (const auto& s : held) window.evict(s);
+  for (const auto& cf : window.channels()) {
+    for (const double v : cf.features.values) EXPECT_EQ(v, 0.0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedGrid, ChannelWindowProperty,
+                         ::testing::Values(3, 17, 2017));
 
 }  // namespace
 }  // namespace drbw

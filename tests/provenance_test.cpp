@@ -245,6 +245,36 @@ TEST(PerfDiffTest, ImprovementsAndZeroBaselinesNeverRegress) {
   EXPECT_FALSE(report::perf_diff(zero, before, 0.25).regressed);
 }
 
+TEST(PerfDiffTest, BaselineOnlyQuantitiesListAsGoneNeverRegress) {
+  auto before = perf_fixture(1000.0, 50.0);
+  before.spans.push_back(obs::SpanStat{"profile", 156, 156, 1});
+  before.counters.emplace_back("drbw_core_profile_calls_total", 156.0);
+  const auto after = perf_fixture(1000.0, 50.0);
+  const report::PerfDiff diff = report::perf_diff(before, after, 0.0);
+  EXPECT_FALSE(diff.regressed);
+  ASSERT_EQ(diff.rows.size(), 4u);
+  // Compared rows first, then the gone ones, each group by name.
+  EXPECT_FALSE(diff.rows[0].gone);
+  EXPECT_FALSE(diff.rows[1].gone);
+  EXPECT_EQ(diff.rows[2].name, "drbw_core_profile_calls_total");
+  EXPECT_EQ(diff.rows[2].kind, "counter");
+  EXPECT_TRUE(diff.rows[2].gone);
+  EXPECT_EQ(diff.rows[3].name, "profile");
+  EXPECT_EQ(diff.rows[3].kind, "span");
+  EXPECT_TRUE(diff.rows[3].gone);
+  EXPECT_DOUBLE_EQ(diff.rows[3].before, 156.0);
+  EXPECT_FALSE(diff.rows[3].regression);
+  const std::string rendered = report::render_perf_diff(diff);
+  EXPECT_NE(rendered.find("2 comparable quantities, 2 gone"),
+            std::string::npos)
+      << rendered;
+  EXPECT_NE(rendered.find("gone       span profile: 156 -> (absent)"),
+            std::string::npos)
+      << rendered;
+  // Quantities new in the after manifest have no baseline: not listed.
+  EXPECT_EQ(report::perf_diff(after, before, 0.0).rows.size(), 2u);
+}
+
 #ifdef DRBW_CLI_PATH
 
 // ---------------------------------------------------------------------------
@@ -402,6 +432,13 @@ TEST(ProvenanceCliTest, PerfDiffGateExitsThreeOnRegression) {
   EXPECT_EQ(run_cli("perf diff " + a + " " + b + " " + a), 3);
   EXPECT_EQ(run_cli("perf diff " + a + " " + a + " " + b + " --threshold 2.0"),
             0);
+
+  // A span missing from the new manifest is informational: exit stays 0.
+  const std::string c = testing::TempDir() + "/prov_perf_c.json";
+  obs::RunManifest fewer = before;
+  fewer.spans.clear();
+  fewer.write(c);
+  EXPECT_EQ(run_cli("perf diff " + a + " " + c), 0);
 }
 
 TEST(ProvenanceCliTest, ExpectTraceVersionPinGatesBinaryTraces) {

@@ -9,7 +9,9 @@
 //     keyed;
 //   * the circuit breaker trips after exactly breaker_threshold consecutive
 //     faults ("serve.session"), and retry/backoff accounting is exact;
-//   * results and snapshots are byte-identical at any --jobs value;
+//   * results and snapshots are byte-identical at any --jobs value, at both
+//     window-capacity extremes and through a quarantine that clears a
+//     client's sliding window mid-run;
 //   * --max-cycles shutdown still drains: every sample is accounted and the
 //     final snapshot ("serve.snapshot" span) is written;
 //   * a missing/corrupt model degrades the run (exit 0, degraded manifest)
@@ -24,7 +26,8 @@
 // drbw_serve_samples_deferred_total, drbw_serve_samples_dropped_total,
 // drbw_serve_windows_classified_total, drbw_serve_windows_rmc_total,
 // drbw_serve_ticks_total, drbw_serve_faults_total, drbw_serve_retries_total,
-// drbw_serve_clients_quarantined_total, drbw_serve_queue_depth_peak,
+// drbw_serve_clients_quarantined_total, drbw_serve_window_updates_total,
+// drbw_serve_queue_depth_peak,
 // drbw_model_confidence_bucket, drbw_model_drift_score; spans
 // serve.tick and serve.snapshot; fault sites serve.ingest, serve.session,
 // serve.window, serve.classify; stage serve.
@@ -568,6 +571,68 @@ TEST(ServeFaultTest, JobsCountLeavesResultsByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
+// Sliding windows: incremental add/evict accounting and capacity extremes
+// ---------------------------------------------------------------------------
+
+TEST(ServeWindowTest, WindowUpdatesCountEveryAddAndEvict) {
+  const Machine machine = Machine::xeon_e5_4650();
+  const pebs::Trace trace = flat_trace(100, 0, pebs::MemLevel::kLocalDram);
+  const ml::Classifier model = always_rmc_model();
+  obs::Counter& updates = obs::Registry::global().counter(
+      "drbw_serve_window_updates_total",
+      "Samples added to or evicted from client classify windows");
+  const std::uint64_t before = updates.value();
+  serve::ServeOptions opts = one_client_options(serve::OverloadPolicy::kBlock);
+  opts.window_capacity = 10;
+  serve::Server server(machine, &model, opts);
+  const serve::ServeResult r = server.run(trace);
+  ASSERT_EQ(r.samples_admitted, 100u);
+  // 100 samples enter the window; all but the last 10 are evicted again.
+  if (obs::kEnabled) {
+    EXPECT_EQ(updates.value() - before, 100u + 90u);
+  }
+}
+
+TEST(ServeWindowTest, CapacityExtremesStayJobsIdenticalThroughQuarantine) {
+  if (!fault::kEnabled) GTEST_SKIP() << "built with -DDRBW_FAULTS=OFF";
+  const Machine machine = Machine::xeon_e5_4650();
+  const pebs::Trace trace = mixed_trace(machine, 400);
+  const ml::Classifier model = always_rmc_model();
+  // A one-fault breaker: the first window fault quarantines its client,
+  // which by then has classified windows, and clears its window.
+  const ArmGuard guard("seed=3,serve.window:fail:0.1");
+  // Capacity 1 evicts on every drained sample; 1000 exceeds any session,
+  // so nothing is ever evicted.
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{1000}}) {
+    serve::ServeResult results[2];
+    const int jobs[2] = {1, 4};
+    for (int i = 0; i < 2; ++i) {
+      serve::ServeOptions opts;
+      opts.clients = 4;
+      opts.queue_depth = 8;
+      opts.overload = serve::OverloadPolicy::kShedOldest;
+      opts.window_cycles = 100;
+      opts.drain_per_tick = 4;
+      opts.window_capacity = capacity;
+      opts.max_retries = 0;
+      opts.breaker_threshold = 1;
+      opts.sparse_guard = {1, 1};
+      opts.jobs = jobs[i];
+      serve::Server server(machine, &model, opts);
+      results[i] = server.run(trace);
+    }
+    EXPECT_EQ(results[0].snapshot_json, results[1].snapshot_json)
+        << "capacity " << capacity;
+    bool quarantined_mid_run = false;
+    for (const serve::ClientStats& c : results[0].clients) {
+      quarantined_mid_run |= c.quarantined && c.windows_classified > 0;
+    }
+    EXPECT_TRUE(quarantined_mid_run) << "capacity " << capacity;
+    EXPECT_GT(results[0].windows_classified, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Observable-name contract for the serve layer
 // ---------------------------------------------------------------------------
 
@@ -600,6 +665,7 @@ TEST(ServeObsTest, EveryServeMetricAndSpanIsEmitted) {
       "drbw_serve_faults_total",
       "drbw_serve_retries_total",
       "drbw_serve_clients_quarantined_total",
+      "drbw_serve_window_updates_total",
       "drbw_serve_queue_depth_peak",
       // Model observability (always_rmc_model carries a drift baseline).
       "drbw_model_confidence_bucket",

@@ -127,6 +127,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -135,6 +136,7 @@
 #include "drbw/drbw.hpp"
 #include "drbw/fault/injector.hpp"
 #include "drbw/features/selected.hpp"
+#include "drbw/features/window.hpp"
 #include "drbw/obs/flight_recorder.hpp"
 #include "drbw/obs/manifest.hpp"
 #include "drbw/obs/trace.hpp"
@@ -872,11 +874,9 @@ int cmd_explain(int argc, char** argv) {
       util::TaskPool pool(static_cast<int>(parser.option_int("jobs")));
       pool.parallel_for(windows, [&](std::size_t w) {
         if (buckets[w].empty()) return;
-        core::Profiler profiler(machine, locator);
-        const core::ProfileResult profile =
-            profiler.profile(trace.events, buckets[w]);
-        for (const features::ChannelFeatures& ch :
-             features::extract_channels(profile, machine)) {
+        features::ChannelWindow window(machine, locator);
+        for (const pebs::MemorySample& sample : buckets[w]) window.add(sample);
+        for (const features::ChannelFeatures& ch : window.channels()) {
           if (features::kWindowGuard.sparse(ch.features)) continue;
           slots[w].verdicts.push_back(Verdict{
               machine.channel_name(ch.channel),
@@ -1143,34 +1143,38 @@ int cmd_serve(int argc, char** argv) {
     } catch (const Error& e) {
       throw UsageError(std::string("--overload: ") + e.what());
     }
-    const long long clients = parser.option_int("clients");
-    if (clients < 1) {
-      throw UsageError("--clients must be >= 1, got '" +
-                       parser.option("clients") + "'");
-    }
-    opts.clients = static_cast<std::uint32_t>(clients);
-    const long long depth = parser.option_int("queue-depth");
-    if (depth < 1) {
-      throw UsageError("--queue-depth must be >= 1, got '" +
-                       parser.option("queue-depth") + "'");
-    }
-    opts.queue_depth = static_cast<std::size_t>(depth);
+    // Every numeric option is range-checked: an out-of-range value is a
+    // usage error, never a silent clamp or an unsigned wrap.
+    const auto ranged = [&](const char* name, long long lo, long long hi) {
+      const long long value = parser.option_int(name);
+      if (value < lo || value > hi) {
+        throw UsageError("--" + std::string(name) + " must be between " +
+                         std::to_string(lo) + " and " + std::to_string(hi) +
+                         ", got '" + parser.option(name) + "'");
+      }
+      return value;
+    };
+    constexpr long long kMaxCount = std::numeric_limits<std::uint32_t>::max();
+    constexpr long long kMaxCycles = std::numeric_limits<long long>::max();
+    opts.clients = static_cast<std::uint32_t>(ranged("clients", 1, kMaxCount));
+    opts.queue_depth =
+        static_cast<std::size_t>(ranged("queue-depth", 1, kMaxCount));
     opts.window_cycles =
-        static_cast<std::uint64_t>(parser.option_int("window-cycles"));
+        static_cast<std::uint64_t>(ranged("window-cycles", 0, kMaxCycles));
     opts.drain_per_tick =
-        static_cast<std::size_t>(parser.option_int("drain-rate"));
-    opts.window_capacity = static_cast<std::size_t>(
-        std::max<long long>(1, parser.option_int("window-capacity")));
+        static_cast<std::size_t>(ranged("drain-rate", 0, kMaxCount));
+    opts.window_capacity =
+        static_cast<std::size_t>(ranged("window-capacity", 1, kMaxCount));
     opts.max_cycles =
-        static_cast<std::uint64_t>(parser.option_int("max-cycles"));
+        static_cast<std::uint64_t>(ranged("max-cycles", 0, kMaxCycles));
     opts.max_retries =
-        static_cast<int>(std::max<long long>(0, parser.option_int("max-retries")));
-    opts.backoff_cycles =
-        static_cast<std::uint64_t>(parser.option_int("backoff-cycles"));
+        static_cast<int>(ranged("max-retries", 0, serve::kMaxServeRetries));
+    opts.backoff_cycles = static_cast<std::uint64_t>(
+        ranged("backoff-cycles", 0, serve::kMaxBackoffCycles));
     opts.breaker_threshold = static_cast<int>(
-        std::max<long long>(1, parser.option_int("breaker-threshold")));
+        ranged("breaker-threshold", 1, std::numeric_limits<int>::max()));
     opts.snapshot_every =
-        static_cast<std::uint64_t>(parser.option_int("snapshot-every"));
+        static_cast<std::uint64_t>(ranged("snapshot-every", 0, kMaxCycles));
     opts.drift_threshold = parser.option_double("drift-threshold");
     if (opts.drift_threshold < 0.0) {
       throw UsageError("--drift-threshold must be >= 0, got '" +
