@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "drbw/pebs/sample.hpp"
@@ -40,6 +41,13 @@ struct ClientSession {
 /// trace, so sessions are identical across runs and job counts.
 std::vector<ClientSession> slice_sessions(const Trace& trace,
                                           std::uint32_t clients);
+
+/// Throws Error(kCorruptArtifact) at the first sample whose cpu is not a
+/// hardware thread of a `num_cpus`-thread machine (a trace recorded on a
+/// bigger machine), naming `path`, the sample ordinal and the cpu.  One
+/// pass over the samples, no copy.
+void require_known_cpus(const Trace& trace, int num_cpus,
+                        const std::string& path);
 
 /// Largest sample cycle in the trace (0 for an empty trace); the windowed
 /// front ends derive their window width from this span.

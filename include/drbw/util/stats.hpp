@@ -72,6 +72,10 @@ double quantile(std::vector<double> values, double q);
 /// Quantile over an already ascending-sorted vector.
 double quantile_sorted(const std::vector<double>& sorted, double q);
 
+/// Lower median (nearest rank, element (n-1)/2 of the sorted copy); 0 for
+/// an empty input.  Always one of the inputs, so it is deterministic.
+double lower_median(std::vector<double> values);
+
 /// Fixed-width histogram used for latency distributions in reports.
 class Histogram {
  public:

@@ -47,6 +47,10 @@ inline obs::Counter& pool_tasks_run_counter() {
 
 }  // namespace detail
 
+/// Largest `--jobs` any front end accepts: far above any real core count,
+/// and small enough that a typo cannot ask for a billion workers.
+inline constexpr int kMaxJobs = 1024;
+
 class TaskPool {
  public:
   /// `jobs` is the total concurrency, *including* the calling thread during

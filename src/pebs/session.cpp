@@ -21,6 +21,19 @@ std::vector<ClientSession> slice_sessions(const Trace& trace,
   return sessions;
 }
 
+void require_known_cpus(const Trace& trace, int num_cpus,
+                        const std::string& path) {
+  for (std::size_t i = 0; i < trace.samples.size(); ++i) {
+    const topology::CpuId cpu = trace.samples[i].cpu;
+    if (cpu < 0 || cpu >= num_cpus) {
+      throw Error(path + ": sample " + std::to_string(i) + " has cpu " +
+                      std::to_string(cpu) + ", but the machine has " +
+                      std::to_string(num_cpus) + " hardware threads",
+                  ErrorCode::kCorruptArtifact);
+    }
+  }
+}
+
 std::uint64_t trace_cycle_span(const Trace& trace) {
   std::uint64_t last = 0;
   for (const MemorySample& s : trace.samples) last = std::max(last, s.cycle);

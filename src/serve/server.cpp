@@ -13,6 +13,7 @@
 #include "drbw/obs/trace.hpp"
 #include "drbw/util/artifact.hpp"
 #include "drbw/util/error.hpp"
+#include "drbw/util/stats.hpp"
 #include "drbw/util/task_pool.hpp"
 
 namespace drbw::serve {
@@ -75,13 +76,6 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-/// Lower-median over an unsorted copy (nearest-rank, deterministic).
-double median_of(std::vector<double> values) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  return values[(values.size() - 1) / 2];
-}
-
 /// Bounds the snapshot: merges adjacent timeline rows until at most
 /// `max_rows` remain.  Counts sum, drift takes the running max, and the
 /// merged confidence is the lower median of the source rows' medians —
@@ -107,7 +101,7 @@ std::vector<TimelineRow> downsample_timeline(
       }
       confidences.push_back(rows[i].confidence_p50);
     }
-    merged.confidence_p50 = median_of(std::move(confidences));
+    merged.confidence_p50 = lower_median(std::move(confidences));
     out.push_back(merged);
   }
   return out;
@@ -270,7 +264,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
       mh.windows = st.window_confidences.size();
       mh.rows = st.rows_classified;
       if (!st.window_confidences.empty()) {
-        mh.confidence_p50 = median_of(st.window_confidences);
+        mh.confidence_p50 = lower_median(st.window_confidences);
         mh.confidence_min = *std::min_element(st.window_confidences.begin(),
                                               st.window_confidences.end());
       }
@@ -289,7 +283,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
                              st.window_confidences.end());
       out.model_health.push_back(mh);
     }
-    out.confidence_p50 = median_of(std::move(all_confidences));
+    out.confidence_p50 = lower_median(std::move(all_confidences));
   };
 
   // Generous termination backstop: the loop below always makes progress
@@ -534,7 +528,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
         }
       }
       result.timeline.push_back(TimelineRow{tick, 1, tick_windows, tick_rmc,
-                                            median_of(tick_confidences),
+                                            lower_median(tick_confidences),
                                             drift_now});
     }
 

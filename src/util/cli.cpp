@@ -1,6 +1,8 @@
 #include "drbw/util/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
@@ -9,6 +11,19 @@
 #include "drbw/util/strings.hpp"
 
 namespace drbw {
+
+namespace {
+
+template <typename T>
+[[noreturn]] void throw_out_of_range(const std::string& name, T lo, T hi,
+                                     const std::string& raw) {
+  std::ostringstream os;
+  os << "--" << name << " must be between " << lo << " and " << hi
+     << ", got '" << raw << "'";
+  throw UsageError(os.str());
+}
+
+}  // namespace
 
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -28,6 +43,19 @@ ArgParser& ArgParser::add_option(const std::string& name, const std::string& hel
   return *this;
 }
 
+ArgParser& ArgParser::add_positional(const std::string& name,
+                                     const std::string& help,
+                                     std::size_t min_count,
+                                     std::size_t max_count) {
+  DRBW_CHECK_MSG(min_count <= max_count && max_count > 0 &&
+                     (positional_specs_.empty() ||
+                      positional_specs_.back().max_count != kUnbounded),
+                 "positional <" << name << ">: bad counts, or follows an "
+                                   "unbounded positional");
+  positional_specs_.push_back(Positional{name, help, min_count, max_count});
+  return *this;
+}
+
 const ArgParser::Spec* ArgParser::find_spec(const std::string& name) const {
   for (const auto& [n, spec] : specs_) {
     if (n == name) return &spec;
@@ -43,7 +71,11 @@ bool ArgParser::parse(int argc, const char* const* argv) {
       return false;
     }
     if (!starts_with(arg, "--")) {
-      throw UsageError("unexpected positional argument '" + arg + "'");
+      if (positional_specs_.empty()) {
+        throw UsageError("unexpected positional argument '" + arg + "'");
+      }
+      positionals_.push_back(std::move(arg));
+      continue;
     }
     std::string name = arg.substr(2);
     std::string inline_value;
@@ -65,6 +97,22 @@ bool ArgParser::parse(int argc, const char* const* argv) {
       values_[name] = argv[++i];
     }
   }
+  // Declared positionals fill in order; only the last may be unbounded.
+  std::size_t min_total = 0, max_total = 0;
+  std::string required;
+  for (const Positional& p : positional_specs_) {
+    min_total += p.min_count;
+    max_total =
+        p.max_count == kUnbounded ? kUnbounded : max_total + p.max_count;
+    if (p.min_count > 0) required += " <" + p.name + ">";
+  }
+  if (positionals_.size() > max_total) {
+    throw UsageError(program_ + ": unexpected extra argument '" +
+                     positionals_[max_total] + "'");
+  }
+  if (positionals_.size() < min_total) {
+    throw UsageError(program_ + " expects" + required + " (see --help)");
+  }
   return true;
 }
 
@@ -80,22 +128,31 @@ const std::string& ArgParser::option(const std::string& name) const {
   return it->second;
 }
 
-std::int64_t ArgParser::option_int(const std::string& name) const {
+std::int64_t ArgParser::option_int(const std::string& name, std::int64_t lo,
+                                   std::int64_t hi) const {
   const std::string& raw = option(name);
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(raw.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  if (raw.empty() || *end != '\0') {
     throw UsageError("option --" + name + " expects an integer, got '" + raw + "'");
+  }
+  if (errno == ERANGE || v < lo || v > hi) {
+    throw_out_of_range(name, lo, hi, raw);
   }
   return v;
 }
 
-double ArgParser::option_double(const std::string& name) const {
+double ArgParser::option_double(const std::string& name, double lo,
+                                 double hi) const {
   const std::string& raw = option(name);
   char* end = nullptr;
   const double v = std::strtod(raw.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
+  if (raw.empty() || *end != '\0') {
     throw UsageError("option --" + name + " expects a number, got '" + raw + "'");
+  }
+  if (!std::isfinite(v) || v < lo || v > hi) {
+    throw_out_of_range(name, lo, hi, raw);
   }
   return v;
 }
@@ -116,7 +173,21 @@ std::vector<std::pair<std::string, std::string>> ArgParser::resolved_options()
 
 std::string ArgParser::usage() const {
   std::ostringstream os;
-  os << program_ << " — " << description_ << "\n\nOptions:\n";
+  os << program_ << " — " << description_ << "\n\n";
+  if (!positional_specs_.empty()) {
+    os << "Usage: " << program_ << " [options]";
+    for (const Positional& p : positional_specs_) {
+      const std::string name =
+          "<" + p.name + ">" + (p.max_count > 1 ? "..." : "");
+      os << ' ' << (p.min_count == 0 ? "[" + name + "]" : name);
+    }
+    os << "\n\nArguments:\n";
+    for (const Positional& p : positional_specs_) {
+      os << "  <" << p.name << ">\n      " << p.help << '\n';
+    }
+    os << '\n';
+  }
+  os << "Options:\n";
   for (const auto& [name, spec] : specs_) {
     os << "  --" << name;
     if (!spec.is_flag) os << " <value>";

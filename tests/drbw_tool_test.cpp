@@ -356,6 +356,25 @@ TEST(DrBwCliExitCodeTest, MalformedArgumentsExit64) {
   EXPECT_EQ(run_cli("train --machine opteron"), 64);
   EXPECT_EQ(run_cli("train --machine bogus"), 64);
   EXPECT_EQ(run_cli("topology --machine bogus"), 64);
+  // Every numeric option is a bounded read: out-of-range values and
+  // non-finite doubles are usage errors before any input is touched.
+  EXPECT_EQ(run_cli("stats --width 0"), 64);
+  EXPECT_EQ(run_cli("stats --width -5"), 64);
+  EXPECT_EQ(run_cli("stats --width 2000000000"), 64);
+  EXPECT_EQ(run_cli("stats --width 9999999999"), 64);
+  EXPECT_EQ(run_cli("stats --top -1"), 64);
+  EXPECT_EQ(run_cli("explain --jobs 99999999999"), 64);
+  EXPECT_EQ(run_cli("fleet /nonexistent/fleet_root --jobs 99999999999"), 64);
+  EXPECT_EQ(run_cli("convert --jobs -1"), 64);
+  EXPECT_EQ(run_cli("analyze --windows -5"), 64);
+  EXPECT_EQ(run_cli("analyze --load-mode lenient --max-bad-fraction nan"), 64);
+  EXPECT_EQ(run_cli("analyze --max-bad-fraction -1"), 64);
+  EXPECT_EQ(run_cli("analyze --max-bad-fraction 2"), 64);
+  EXPECT_EQ(run_cli("serve --drift-threshold nan"), 64);
+  // Positionals are declared: one more than declared is a usage error.
+  EXPECT_EQ(run_cli("doctor a b"), 64);
+  EXPECT_EQ(run_cli("flame a b"), 64);
+  EXPECT_EQ(run_cli("fleet a b"), 64);
 }
 
 TEST(DrBwCliExitCodeTest, MissingInputsExit66) {
@@ -377,6 +396,36 @@ std::string cli_read_file(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+/// A trace recorded on a bigger machine carries cpu ids the replaying
+/// machine lacks: every trace-reading front end rejects it as a corrupt
+/// artifact (68) at load time, and the manifest says so for `drbw doctor`.
+TEST(DrBwCliExitCodeTest, OutOfRangeCpuExits68) {
+  const std::string dir =
+      ::testing::TempDir() + "/drbw_cli_cpu_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ASSERT_EQ(run_cli("record --config T4-N2 --out " + dir + "/good.csv" +
+                    " --run-dir " + dir + "/rec"),
+            0);
+  pebs::Trace trace = pebs::load_trace(dir + "/good.csv");
+  ASSERT_GT(trace.samples.size(), 2u);
+  trace.samples[trace.samples.size() / 2].cpu = 99;
+  const std::string bad = dir + "/cpu99.csv";
+  pebs::save_trace(bad, trace);
+  for (const std::string& args :
+       {"analyze --trace " + bad, "analyze --windows 4 --trace " + bad,
+        "explain --out " + dir + "/x.json --trace " + bad,
+        "serve --replay " + bad}) {
+    const std::string run_dir = dir + "/run";
+    std::filesystem::remove_all(run_dir);
+    EXPECT_EQ(run_cli(args + " --run-dir " + run_dir), 68) << args;
+    EXPECT_NE(cli_read_file(run_dir + "/run.json").find("corrupt-artifact"),
+              std::string::npos)
+        << args;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 /// `drbw explain` end to end: a recorded trace + trained model yield a

@@ -371,6 +371,13 @@ TEST(FleetCliTest, BaselineRegressionGatesWithExitThree) {
                     " --threshold 500"),
             0);
   EXPECT_EQ(run_cli("fleet " + kFleetDir), 0);
+  // A threshold that is not a finite number >= 0 cannot turn the gate off.
+  for (const char* bad : {"nan", "inf", "-1"}) {
+    EXPECT_EQ(run_cli("fleet " + kFleetDir + " --baseline " + baseline +
+                      " --threshold " + bad),
+              64)
+        << bad;
+  }
 }
 
 TEST(FleetCliTest, FilterTopAndUsageErrors) {

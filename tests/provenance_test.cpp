@@ -424,6 +424,11 @@ TEST(ProvenanceCliTest, PerfDiffGateExitsThreeOnRegression) {
   EXPECT_EQ(run_cli("perf diff " + a + " " + b + " --threshold 2.0"), 0);
   EXPECT_EQ(run_cli("perf diff " + a), 64);                   // one manifest
   EXPECT_EQ(run_cli("perf diff " + a + " " + b + " --threshold x"), 64);
+  // A threshold that is not a finite number >= 0 cannot turn the gate off.
+  for (const char* bad : {"nan", "inf", "-1"}) {
+    EXPECT_EQ(run_cli("perf diff " + a + " " + b + " --threshold " + bad), 64)
+        << bad;
+  }
 
   // Baseline vs *each* comparison manifest: one regressing run anywhere in
   // the list gates the whole invocation.

@@ -134,6 +134,13 @@ TEST(Quantile, InterpolatesLinearly) {
   EXPECT_DOUBLE_EQ(quantile({5.0}, 0.3), 5.0);
 }
 
+TEST(Quantile, LowerMedianIsNearestRankFromBelow) {
+  EXPECT_DOUBLE_EQ(lower_median({}), 0.0);
+  EXPECT_DOUBLE_EQ(lower_median({7.0}), 7.0);
+  EXPECT_DOUBLE_EQ(lower_median({4.0, 1.0, 3.0, 2.0}), 2.0);  // not 2.5
+  EXPECT_DOUBLE_EQ(lower_median({5.0, 1.0, 3.0}), 3.0);
+}
+
 TEST(Quantile, RejectsEmptyAndOutOfRange) {
   EXPECT_THROW(quantile({}, 0.5), Error);
   EXPECT_THROW(quantile({1.0}, 1.5), Error);
@@ -321,6 +328,68 @@ TEST(Cli, RejectsUnknownAndMalformed) {
   const char* notint[] = {"prog", "--seed", "abc"};
   ASSERT_TRUE(p.parse(3, notint));
   EXPECT_THROW(p.option_int("seed"), Error);
+}
+
+TEST(Cli, PositionalsInterleaveWithOptionsWithinDeclaredCounts) {
+  const auto make = [] {
+    ArgParser p("prog", "test");
+    p.add_positional("base", "the baseline", 1, 1)
+        .add_positional("more", "the rest", 1, ArgParser::kUnbounded)
+        .add_option("threshold", "a threshold", "0.25");
+    return p;
+  };
+  ArgParser p = make();
+  const char* argv[] = {"prog", "a", "--threshold", "2", "b", "c"};
+  ASSERT_TRUE(p.parse(6, argv));
+  EXPECT_EQ(p.positionals(), (std::vector<std::string>{"a", "b", "c"}));
+  EXPECT_DOUBLE_EQ(p.option_double("threshold", 0.0, 10.0), 2.0);
+  const std::string usage = p.usage();
+  EXPECT_NE(usage.find("<base>"), std::string::npos);
+  EXPECT_NE(usage.find("<more>..."), std::string::npos);
+
+  ArgParser q = make();
+  const char* too_few[] = {"prog", "a"};
+  EXPECT_THROW(q.parse(2, too_few), UsageError);
+
+  ArgParser one("prog", "test");
+  one.add_positional("dir", "a directory", 0, 1);
+  const char* none[] = {"prog"};
+  ASSERT_TRUE(one.parse(1, none));
+  EXPECT_TRUE(one.positionals().empty());
+  ArgParser two("prog", "test");
+  two.add_positional("dir", "a directory", 0, 1);
+  const char* extra[] = {"prog", "x", "y"};
+  EXPECT_THROW(two.parse(3, extra), UsageError);
+}
+
+TEST(Cli, BoundedReadsRejectOutOfRangeAndNonFinite) {
+  ArgParser p("prog", "test");
+  p.add_option("n", "a count", "5").add_option("f", "a fraction", "0.5");
+  const char* argv[] = {"prog"};
+  ASSERT_TRUE(p.parse(1, argv));
+  EXPECT_EQ(p.option_int("n", 1, 5), 5);
+  EXPECT_DOUBLE_EQ(p.option_double("f", 0.0, 1.0), 0.5);
+  try {
+    p.option_int("n", 1, 4);
+    FAIL() << "expected a UsageError";
+  } catch (const UsageError& e) {
+    EXPECT_STREQ(e.what(), "--n must be between 1 and 4, got '5'");
+    EXPECT_EQ(e.code(), ErrorCode::kUsage);
+  }
+  EXPECT_THROW(p.option_double("f", 0.75, 1.0), UsageError);
+  for (const char* raw : {"nan", "inf", "-inf", "1e999"}) {
+    ArgParser q("prog", "test");
+    q.add_option("f", "a fraction", raw);
+    ASSERT_TRUE(q.parse(1, argv));
+    EXPECT_THROW(q.option_double("f", 0.0, 1.0), UsageError) << raw;
+    EXPECT_THROW(q.option_double("f"), UsageError) << raw;
+  }
+  ArgParser big("prog", "test");
+  big.add_option("n", "a count", "99999999999999999999")
+      .add_option("e", "empty", "");
+  ASSERT_TRUE(big.parse(1, argv));
+  EXPECT_THROW(big.option_int("n"), UsageError);  // overflows int64
+  EXPECT_THROW(big.option_int("e"), UsageError);  // empty is not a number
 }
 
 }  // namespace

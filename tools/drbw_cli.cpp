@@ -1,121 +1,22 @@
 // drbw — the command-line front-end to the DR-BW reproduction.
 //
-//   drbw train    [--seed N] [--out model.json]
-//       Collect the Table II mini-program runs and train the classifier.
+//   train     train the bandwidth-contention classifier (Table II runs)
+//   record    profile a proxy benchmark into a PEBS sample trace
+//   analyze   offline verdicts, Contribution Fractions and advice for a trace
+//   explain   per-window decision paths, confidence and feature attribution
+//   serve     replay a trace through the online serving loop
+//   convert   re-encode a trace artifact (csv <-> binary, shard or unshard)
+//   inspect   pretty-print a trained model (Fig. 3 style)
+//   topology  describe a simulated machine
+//   stats     render an ASCII timeline from a --trace-out file or snapshot
+//   doctor    diagnose a previous run from its run dir
+//   perf diff compare run manifests; the CI perf gate
+//   fleet     aggregate a tree of run dirs into one report
+//   flame     fold one run's spans into a collapsed-stack profile
 //
-//   drbw record   --benchmark NAME [--input I] [--config Tt-Nn]
-//                 [--placement original|interleave|colocate|replicate]
-//                 [--out trace.csv] [--seed N] [--format csv|binary]
-//                 [--shards N] [--jobs N]
-//       Run a proxy benchmark on the simulated machine with DR-BW attached
-//       and write the PEBS sample trace + allocation events.  --format
-//       binary writes the compact v3 body (10-100x faster to load);
-//       --shards N splits the trace into N per-worker artifacts behind a
-//       shard-set index at --out, written in parallel across --jobs.
-//
-//   drbw analyze  --trace trace.csv [--model model.json] [--windows N]
-//                 [--jobs N] [--expect-trace-version V]
-//       Offline analysis of a recorded trace: per-channel verdicts,
-//       Contribution Fractions, and optimization advice.  Sharded sets are
-//       detected from the index header and loaded across --jobs workers
-//       (the merged trace is byte-identical at any value).
-//       --expect-trace-version V rejects artifacts newer than vV with the
-//       version-skew exit code (69).  NOTE: a trace carries no page-home
-//       map, so offline analysis homes every page on node 0, the
-//       master-allocation default (core::ReplayLocator).
-//
-//   drbw explain  --trace trace.csv [--model model.json] [--windows N]
-//                 [--out explain.json] [--report FILE] [--jobs N]
-//       Model observability for a recorded trace: every windowed channel
-//       verdict comes back with its exact decision path through the tree,
-//       a leaf-purity confidence score, and Saabas-style per-feature
-//       attribution.  Writes a checksummed `#drbw-explain v1` JSON artifact
-//       (decision-path frequency and attribution aggregates included) and,
-//       with --report, a per-window Markdown report.  Byte-identical at any
-//       --jobs value.
-//
-//   drbw serve    --replay trace.csv [--model model.json] [--clients N]
-//                 [--queue-depth D] [--overload block|shed-oldest|reject]
-//                 [--window-cycles W] [--drain-rate R] [--max-cycles C]
-//                 [--max-retries K] [--breaker-threshold K]
-//                 [--snapshot-out FILE] [--snapshot-every N]
-//                 [--drift-threshold F] [--jobs N]
-//       Online contention detection: replay a recorded trace as N simulated
-//       client streams through bounded ingest queues, sliding-window
-//       featurization, and incremental classification.  Overload behaviour
-//       is an explicit policy; failed operations retry with deterministic
-//       backoff and a circuit breaker quarantines misbehaving clients.
-//       With a missing/corrupt --model the server degrades to pass-through
-//       telemetry and still exits 0 (the manifest records degraded=true).
-//       A checksummed serve_snapshot.json lands in --run-dir either way.
-//       Models saved at format v3 embed their training distribution; the
-//       server then measures per-client PSI drift against it, records a
-//       windowed contention timeline in the snapshot, and --drift-threshold
-//       F marks the run drift-suspected (typed, never fatal — the manifest
-//       records drift="suspected" and `drbw doctor` surfaces it).  Older
-//       models still serve with drift reported unavailable.
-//
-//   drbw convert  --in trace.csv --out trace.bin [--format csv|binary]
-//                 [--shards N] [--jobs N]
-//       Re-encode a trace artifact: csv <-> binary, shard or unshard.  The
-//       loaded records round-trip exactly, so converting down to csv v2 is
-//       the escape hatch for consumers pinned to the older format.
-//
-//   drbw inspect  --model model.json
-//       Pretty-print a trained model (Fig. 3 style).
-//
-//   drbw topology [--machine xeon|opteron]
-//       Print the machine description and channel table.
-//
-//   drbw stats    --trace obs_trace.json [--width N] [--top N] [--serve]
-//       Render the per-epoch channel-utilization ASCII timeline from a trace
-//       produced with --trace-out.  With --serve the input is a
-//       serve_snapshot.json instead and the windowed contention timeline is
-//       rendered (classified-rmc fraction, confidence p50, drift score).
-//
-//   drbw doctor   [run-dir]
-//       Post-mortem: load the run manifest (run.json) and flight dump
-//       (flight.log) a previous run left in run-dir and print a ranked
-//       diagnosis.  Diagnosing a failed run successfully exits 0.
-//
-//   drbw perf diff <baseline/run.json> <after/run.json>... [--threshold F]
-//       Compare span statistics and metric counters between run manifests:
-//       the first is the baseline, every following manifest is diffed
-//       against it.  Exits 3 when any comparison regressed past the
-//       threshold (default 0.25 = +25%), which CI uses as a perf gate.
-//
-//   drbw fleet <root-dir> [--baseline run.json] [--threshold F]
-//              [--filter status=ok|failed] [--top N] [--jobs N]
-//              [--out report.md] [--json-out report.json]
-//              [--flame-out profile.folded]
-//       Aggregate every run dir under root-dir (recursively) into a fleet
-//       report: outcome histogram, span-time distributions, fault-fire and
-//       quarantine tallies; corrupt manifests are quarantined into the
-//       report, never fatal.  --baseline perf-diffs every passing run
-//       against the given manifest and exits 3 when any regresses;
-//       --flame-out merges every run's flight.log spans into one
-//       collapsed-stack profile.  All outputs are byte-identical at any
-//       --jobs value.
-//
-//   drbw flame <run-dir|trace> [--out FILE]
-//       Fold one run's deterministic spans into collapsed-stack format
-//       (`stage;substage;span weight` — what flamegraph.pl and speedscope
-//       ingest).  A directory folds its flight.log; a file is either a
-//       flight dump or a trace_event JSON from --trace-out.
-//
-// train/record/analyze/serve additionally accept --trace-out FILE (Chrome
-// trace_event JSON), --metrics-out FILE (.json => JSON, else Prometheus
-// text), --timing sim|wall (wall-clock span durations; marks the trace
-// non-golden), --inject-faults SPEC (deterministic fault injection,
-// grammar: seed=N,site:kind:rate,...), and --run-dir DIR (where the run
-// manifest `run.json` and flight dump `flight.log` land; default ".").
-// analyze also accepts --load-mode strict|lenient and --max-bad-fraction F
-// (lenient loads quarantine malformed trace records and escalate past the
-// cap).
-//
-// Every train/record/analyze run leaves a provenance manifest behind, and on
-// any typed failure the flight recorder's last events are dumped next to it
-// before the process exits — `drbw doctor` turns the pair into a diagnosis.
+// `drbw <sub> --help` lists each subcommand's arguments and options; every
+// subcommand parses them with the one ArgParser grammar (util/cli.hpp), and
+// every numeric option is read with bounds.
 //
 // Exit codes: 0 success, 1 runtime error, 2 analyze found contention,
 // 3 perf diff found a regression, 64 malformed arguments, 65 unknown
@@ -124,7 +25,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <limits>
@@ -150,6 +50,7 @@
 #include "drbw/util/ascii_chart.hpp"
 #include "drbw/util/cli.hpp"
 #include "drbw/util/json.hpp"
+#include "drbw/util/stats.hpp"
 #include "drbw/util/strings.hpp"
 #include "drbw/util/task_pool.hpp"
 #include "drbw/util/table.hpp"
@@ -172,13 +73,28 @@ constexpr int kExitPerfRegression = 3;   // perf diff crossed the threshold
 /// would flag it.
 constexpr std::size_t kFlightCapacity = 65536;
 
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+constexpr double kDoubleMax = std::numeric_limits<double>::max();
+
+/// --jobs, on every subcommand that takes it.
+int jobs_option(const ArgParser& parser) {
+  return static_cast<int>(parser.option_int("jobs", 0, util::kMaxJobs));
+}
+
+/// --seed: any int64, reinterpreted as the u64 engine seed.
+std::uint64_t seed_option(const ArgParser& parser) {
+  return static_cast<std::uint64_t>(parser.option_int(
+      "seed", std::numeric_limits<std::int64_t>::min(), kInt64Max));
+}
+
 /// Provenance plumbing shared by the pipeline subcommands (train / record /
-/// analyze).  Owns what ObsSinks + FaultOptions used to: the
-/// --trace-out/--metrics-out/--timing sinks and the --inject-faults arming —
-/// plus the run manifest and flight recorder lifecycle:
+/// analyze / explain / serve): the --trace-out/--metrics-out/--timing sinks,
+/// the --inject-faults arming, and the run manifest and flight recorder
+/// lifecycle:
 ///
-///   begin()    arms trace/flight/fault sinks before any pipeline work
+///   run(body)  begin(), then body() -> finish(code), or fail(e) on a throw
 ///   stage(s)   leaves a "stage" breadcrumb in the flight ring
+///   begin()    arms trace/flight/fault sinks before any pipeline work
 ///   finish(c)  writes sinks, then flight.log, then run.json *last* — a
 ///              manifest on disk always describes a finished run
 ///   fail(e)    records the outcome, disarms the injector (so the post-
@@ -216,6 +132,20 @@ struct RunSession {
     manifest_.subcommand = std::move(subcommand);
   }
 
+  /// Runs one pipeline subcommand body (returning its exit code) inside the
+  /// session.  A usage error from begin() escapes before anything is armed.
+  template <typename Body>
+  int run(const Body& body) {
+    begin();
+    try {
+      return finish(body());
+    } catch (const Error& e) {
+      return fail(e);
+    } catch (const std::exception& e) {
+      return fail(Error(e.what()));
+    }
+  }
+
   /// Arms all sinks.  Must run after parse() and before any pipeline work;
   /// malformed --jobs/--timing/--inject-faults surface as usage errors
   /// (exit 64) before anything is armed.
@@ -223,11 +153,7 @@ struct RunSession {
     manifest_.jobs = 1;
     for (const auto& [name, value] : parser_.resolved_options()) {
       if (name == "jobs") {
-        const long long jobs = parser_.option_int("jobs");
-        if (jobs < 0) {
-          throw UsageError("--jobs must be >= 0, got '" + value + "'");
-        }
-        manifest_.jobs = static_cast<int>(jobs);
+        manifest_.jobs = jobs_option(parser_);
         continue;  // context, not golden — see obs/manifest.hpp
       }
       if (name == "run-dir") continue;  // the manifest's own location
@@ -275,6 +201,9 @@ struct RunSession {
   /// Stage-transition breadcrumb; `drbw doctor` reports the last one as the
   /// failing stage.
   void stage(const char* name) { obs::flight().note("stage", name); }
+
+  /// --run-dir, "." when empty; valid once the session has begun.
+  const std::string& run_dir() const { return run_dir_; }
 
   void note_input(const std::string& role, const std::string& path) {
     manifest_.inputs.push_back(make_ref(role, path));
@@ -486,9 +415,9 @@ void add_load_options(ArgParser& parser) {
 }
 
 util::LoadPolicy load_policy(const ArgParser& parser) {
+  const double max_bad = parser.option_double("max-bad-fraction", 0.0, 1.0);
   try {
-    return util::load_policy_from_name(
-        parser.option("load-mode"), parser.option_double("max-bad-fraction"));
+    return util::load_policy_from_name(parser.option("load-mode"), max_bad);
   } catch (const Error& e) {
     throw UsageError(std::string("--load-mode: ") + e.what());
   }
@@ -509,8 +438,11 @@ struct TraceInput {
 /// covers the whole set (index-ordered, hence golden).  load_trace fills
 /// the stats incrementally, so they reach the manifest even when the load
 /// escalates — the quarantine tally at the moment of failure is exactly
-/// what `drbw doctor` needs.
+/// what `drbw doctor` needs.  A sample whose cpu `machine` lacks (a trace
+/// from a bigger machine) fails the load as a corrupt artifact (68) in
+/// either load mode, before any stage indexes a per-cpu table with it.
 TraceInput load_trace_input(const ArgParser& parser, RunSession& session,
+                            const topology::Machine& machine,
                             const std::string& path, bool require_model,
                             int max_version = pebs::kTraceVersion) {
   TraceInput input;
@@ -526,7 +458,7 @@ TraceInput load_trace_input(const ArgParser& parser, RunSession& session,
   }
   pebs::LoadOptions load;
   load.policy = input.policy;
-  load.jobs = static_cast<int>(parser.option_int("jobs"));
+  load.jobs = jobs_option(parser);
   load.max_version = max_version;
   try {
     input.trace = pebs::load_trace(path, load, &input.stats);
@@ -535,6 +467,7 @@ TraceInput load_trace_input(const ArgParser& parser, RunSession& session,
     throw;
   }
   session.set_load_stats(input.stats);
+  pebs::require_known_cpus(input.trace, machine.num_hw_threads(), path);
   return input;
 }
 
@@ -550,29 +483,6 @@ ml::Classifier load_model(const ArgParser& parser, RunSession& session,
   return model;
 }
 
-/// --shards for record and convert.
-std::size_t shards_option(const ArgParser& parser) {
-  const long long shards = parser.option_int("shards");
-  if (shards < 1 || shards > static_cast<long long>(pebs::kMaxTraceShards)) {
-    throw UsageError("--shards must be between 1 and " +
-                     std::to_string(pebs::kMaxTraceShards) + ", got '" +
-                     parser.option("shards") + "'");
-  }
-  return static_cast<std::size_t>(shards);
-}
-
-/// --windows for analyze and explain, bounded so a typo cannot allocate
-/// millions of sample buckets.
-long long windows_option(const ArgParser& parser) {
-  const long long windows = parser.option_int("windows");
-  if (windows > static_cast<long long>(pebs::kMaxCycleWindows)) {
-    throw UsageError("--windows must be at most " +
-                     std::to_string(pebs::kMaxCycleWindows) + ", got '" +
-                     parser.option("windows") + "'");
-  }
-  return windows;
-}
-
 int cmd_train(int argc, char** argv) {
   ArgParser parser("drbw train", "Train the bandwidth-contention classifier");
   parser.add_option("seed", "training seed", "2017");
@@ -585,8 +495,7 @@ int cmd_train(int argc, char** argv) {
   RunSession::add_options(parser);
   if (!parser.parse(argc, argv)) return 0;
   RunSession session("train", parser);
-  session.begin();
-  try {
+  return session.run([&] {
     const auto machine = machine_by_name(parser.option("machine"));
     if (to_lower(parser.option("machine")) != "xeon") {
       throw UsageError("train: --machine must be xeon (the Table II "
@@ -594,8 +503,7 @@ int cmd_train(int argc, char** argv) {
     }
     session.stage("train");
     const auto model = workloads::train_default_classifier(
-        machine, static_cast<std::uint64_t>(parser.option_int("seed")),
-        static_cast<int>(parser.option_int("jobs")));
+        machine, seed_option(parser), jobs_option(parser));
     session.stage("persist");
     model.save(parser.option("out"));
     session.note_output("model-out", parser.option("out"));
@@ -621,12 +529,8 @@ int cmd_train(int argc, char** argv) {
               << parser.option("out") << '\n'
               << shape.str() << "\n\n"
               << model.describe();
-    return session.finish(0);
-  } catch (const Error& e) {
-    return session.fail(e);
-  } catch (const std::exception& e) {
-    return session.fail(Error(e.what()));
-  }
+    return 0;
+  });
 }
 
 int cmd_record(int argc, char** argv) {
@@ -652,8 +556,7 @@ int cmd_record(int argc, char** argv) {
   RunSession::add_options(parser);
   if (!parser.parse(argc, argv)) return 0;
   RunSession session("record", parser);
-  session.begin();
-  try {
+  return session.run([&] {
     const auto machine = topology::Machine::xeon_e5_4650();
     std::unique_ptr<workloads::Benchmark> bench;
     try {
@@ -665,16 +568,12 @@ int cmd_record(int argc, char** argv) {
         parse_config(parser.option("config"), machine);
     const workloads::PlacementMode placement =
         parse_placement(parser.option("placement"));
-    const std::int64_t input = parser.option_int("input");
-    if (input < 0 || static_cast<std::size_t>(input) >= bench->num_inputs()) {
-      throw UsageError("--input must be between 0 and " +
-                       std::to_string(bench->num_inputs() - 1) + " for " +
-                       bench->name() + ", got " + std::to_string(input));
-    }
+    const std::int64_t input = parser.option_int(
+        "input", 0, static_cast<std::int64_t>(bench->num_inputs()) - 1);
     session.stage("build");
     mem::AddressSpace space(machine);
     sim::EngineConfig engine;
-    engine.seed = static_cast<std::uint64_t>(parser.option_int("seed"));
+    engine.seed = seed_option(parser);
     const auto built = bench->build(space, machine, config, placement,
                                     static_cast<std::size_t>(input));
     session.stage("execute");
@@ -683,8 +582,9 @@ int cmd_record(int argc, char** argv) {
     session.stage("persist");
     pebs::SaveOptions save;
     save.format = pebs::trace_format_from_name(parser.option("format"));
-    save.shards = shards_option(parser);
-    save.jobs = static_cast<int>(parser.option_int("jobs"));
+    save.shards = static_cast<std::size_t>(
+        parser.option_int("shards", 1, pebs::kMaxTraceShards));
+    save.jobs = jobs_option(parser);
     const std::vector<std::string> written = pebs::save_trace(
         parser.option("out"), {run.alloc_events, run.samples}, save);
     session.note_output("trace-out", written.front());
@@ -700,12 +600,8 @@ int cmd_record(int argc, char** argv) {
       std::cout << ", " << written.size() - 1 << " shards";
     }
     std::cout << ")\n";
-    return session.finish(0);
-  } catch (const Error& e) {
-    return session.fail(e);
-  } catch (const std::exception& e) {
-    return session.fail(Error(e.what()));
-  }
+    return 0;
+  });
 }
 
 int cmd_analyze(int argc, char** argv) {
@@ -727,18 +623,16 @@ int cmd_analyze(int argc, char** argv) {
   RunSession::add_options(parser);
   if (!parser.parse(argc, argv)) return 0;
   RunSession session("analyze", parser);
-  session.begin();
-  try {
+  return session.run([&] {
     session.stage("load");
-    const long long expect = parser.option_int("expect-trace-version");
-    if (expect < 0 || expect > pebs::kTraceVersion) {
-      throw UsageError("--expect-trace-version must be between 0 and " +
-                       std::to_string(pebs::kTraceVersion) + ", got '" +
-                       parser.option("expect-trace-version") + "'");
-    }
-    const long long windows = windows_option(parser);
+    const std::int64_t expect =
+        parser.option_int("expect-trace-version", 0, pebs::kTraceVersion);
+    const std::int64_t windows =
+        parser.option_int("windows", 1, pebs::kMaxCycleWindows);
+    const auto machine = topology::Machine::xeon_e5_4650();
     TraceInput input = load_trace_input(
-        parser, session, parser.option("trace"), /*require_model=*/true,
+        parser, session, machine, parser.option("trace"),
+        /*require_model=*/true,
         expect > 0 ? static_cast<int>(expect) : pebs::kTraceVersion);
     pebs::Trace& trace = input.trace;
     std::cout << "loaded " << trace.samples.size() << " samples, "
@@ -751,12 +645,11 @@ int cmd_analyze(int argc, char** argv) {
     std::cout << '\n';
 
     session.stage("classify");
-    const auto machine = topology::Machine::xeon_e5_4650();
     const DrBw tool(machine,
                     load_model(parser, session, machine, input.policy));
     core::ReplayLocator locator;
 
-    if (windows <= 1) {
+    if (windows == 1) {
       core::Profiler profiler(machine, locator);
       const Report report =
           tool.analyze_profile(profiler.profile(trace.events, trace.samples));
@@ -775,7 +668,7 @@ int cmd_analyze(int argc, char** argv) {
         session.note_output("report-out", parser.option("report"));
         std::cout << "report written to " << parser.option("report") << '\n';
       }
-      return session.finish(report.rmc ? 2 : 0);  // exit signals the verdict
+      return report.rmc ? 2 : 0;  // exit signals the verdict
     }
 
     // Windowed: the run spans the sample timestamps; the trace moves into
@@ -798,23 +691,12 @@ int cmd_analyze(int argc, char** argv) {
       std::cout << '\n';
       any |= v.rmc;
     }
-    return session.finish(any ? 2 : 0);
-  } catch (const Error& e) {
-    return session.fail(e);
-  } catch (const std::exception& e) {
-    return session.fail(Error(e.what()));
-  }
+    return any ? 2 : 0;
+  });
 }
 
 /// Version of the `#drbw-explain` JSON artifact.
 constexpr int kExplainVersion = 1;
-
-/// Lower-median (nearest-rank) over an unsorted copy.
-double lower_median(std::vector<double> values) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  return values[(values.size() - 1) / 2];
-}
 
 int cmd_explain(int argc, char** argv) {
   ArgParser parser("drbw explain",
@@ -835,18 +717,14 @@ int cmd_explain(int argc, char** argv) {
   RunSession::add_options(parser);
   if (!parser.parse(argc, argv)) return 0;
   RunSession session("explain", parser);
-  session.begin();
-  try {
+  return session.run([&] {
     session.stage("load");
-    const long long windows_opt = windows_option(parser);
-    if (windows_opt < 1) {
-      throw UsageError("--windows must be >= 1, got '" +
-                       parser.option("windows") + "'");
-    }
-    const std::size_t windows = static_cast<std::size_t>(windows_opt);
-    const TraceInput input = load_trace_input(
-        parser, session, parser.option("trace"), /*require_model=*/true);
+    const auto windows = static_cast<std::size_t>(
+        parser.option_int("windows", 1, pebs::kMaxCycleWindows));
     const auto machine = topology::Machine::xeon_e5_4650();
+    const TraceInput input = load_trace_input(
+        parser, session, machine, parser.option("trace"),
+        /*require_model=*/true);
     const ml::Classifier model =
         load_model(parser, session, machine, input.policy);
 
@@ -865,20 +743,17 @@ int cmd_explain(int argc, char** argv) {
       std::string channel;
       ml::Explanation exp;
     };
-    struct WindowSlot {
-      std::vector<Verdict> verdicts;
-    };
-    std::vector<WindowSlot> slots(windows);
+    std::vector<std::vector<Verdict>> slots(windows);
     {
       obs::Span explain_span("explain");
-      util::TaskPool pool(static_cast<int>(parser.option_int("jobs")));
+      util::TaskPool pool(jobs_option(parser));
       pool.parallel_for(windows, [&](std::size_t w) {
         if (buckets[w].empty()) return;
         features::ChannelWindow window(machine, locator);
         for (const pebs::MemorySample& sample : buckets[w]) window.add(sample);
         for (const features::ChannelFeatures& ch : window.channels()) {
           if (features::kWindowGuard.sparse(ch.features)) continue;
-          slots[w].verdicts.push_back(Verdict{
+          slots[w].push_back(Verdict{
               machine.channel_name(ch.channel),
               model.predict_explained(ch.features.as_row())});
         }
@@ -899,11 +774,11 @@ int cmd_explain(int argc, char** argv) {
         "drbw_model_confidence_bucket",
         "Per-window classification confidence (leaf purity, percent)",
         {50, 60, 70, 80, 90, 95, 100});
-    for (const WindowSlot& slot : slots) {
-      if (slot.verdicts.empty()) continue;
+    for (const std::vector<Verdict>& verdicts : slots) {
+      if (verdicts.empty()) continue;
       ++windows_explained;
       bool window_rmc = false;
-      for (const Verdict& v : slot.verdicts) {
+      for (const Verdict& v : verdicts) {
         ++rows;
         const bool is_rmc = v.exp.label == ml::Label::kRmc;
         if (is_rmc) {
@@ -951,7 +826,7 @@ int cmd_explain(int argc, char** argv) {
                                                (w + 1) * window_cycles));
       entry.set("samples", buckets[w].size());
       Json verdicts = JsonArray{};
-      for (const Verdict& v : slots[w].verdicts) {
+      for (const Verdict& v : slots[w]) {
         Json row = JsonObject{};
         row.set("channel", v.channel);
         row.set("label", v.exp.label == ml::Label::kRmc ? "rmc" : "good");
@@ -1039,13 +914,13 @@ int cmd_explain(int argc, char** argv) {
         md << "\n### window " << w << " [" << w * window_cycles << ", "
            << std::min<std::uint64_t>(last_cycle + 1, (w + 1) * window_cycles)
            << ") — " << buckets[w].size() << " sample(s)\n\n";
-        if (slots[w].verdicts.empty()) {
+        if (slots[w].empty()) {
           md << "no explainable channel (sparse window)\n";
           continue;
         }
         md << "| channel | verdict | confidence | path |\n"
               "|---|---|---:|---|\n";
-        for (const Verdict& v : slots[w].verdicts) {
+        for (const Verdict& v : slots[w]) {
           md << "| " << v.channel << " | "
              << (v.exp.label == ml::Label::kRmc ? "RMC" : "good") << " | "
              << format_fixed(v.exp.confidence, 3) << " | `"
@@ -1064,12 +939,8 @@ int cmd_explain(int argc, char** argv) {
               << format_fixed(confidence_p50, 3) << '\n';
     std::cout << "explain artifact written to " << parser.option("out")
               << '\n';
-    return session.finish(0);
-  } catch (const Error& e) {
-    return session.fail(e);
-  } catch (const std::exception& e) {
-    return session.fail(Error(e.what()));
-  }
+    return 0;
+  });
 }
 
 int cmd_serve(int argc, char** argv) {
@@ -1134,8 +1005,7 @@ int cmd_serve(int argc, char** argv) {
   RunSession::add_options(parser);
   if (!parser.parse(argc, argv)) return 0;
   RunSession session("serve", parser);
-  session.begin();
-  try {
+  return session.run([&] {
     session.stage("load");
     serve::ServeOptions opts;
     try {
@@ -1143,52 +1013,38 @@ int cmd_serve(int argc, char** argv) {
     } catch (const Error& e) {
       throw UsageError(std::string("--overload: ") + e.what());
     }
-    // Every numeric option is range-checked: an out-of-range value is a
-    // usage error, never a silent clamp or an unsigned wrap.
-    const auto ranged = [&](const char* name, long long lo, long long hi) {
-      const long long value = parser.option_int(name);
-      if (value < lo || value > hi) {
-        throw UsageError("--" + std::string(name) + " must be between " +
-                         std::to_string(lo) + " and " + std::to_string(hi) +
-                         ", got '" + parser.option(name) + "'");
-      }
-      return value;
+    constexpr std::int64_t kMaxCount =
+        std::numeric_limits<std::uint32_t>::max();
+    const auto count = [&](const char* name, std::int64_t lo) {
+      return static_cast<std::uint32_t>(parser.option_int(name, lo, kMaxCount));
     };
-    constexpr long long kMaxCount = std::numeric_limits<std::uint32_t>::max();
-    constexpr long long kMaxCycles = std::numeric_limits<long long>::max();
-    opts.clients = static_cast<std::uint32_t>(ranged("clients", 1, kMaxCount));
-    opts.queue_depth =
-        static_cast<std::size_t>(ranged("queue-depth", 1, kMaxCount));
-    opts.window_cycles =
-        static_cast<std::uint64_t>(ranged("window-cycles", 0, kMaxCycles));
-    opts.drain_per_tick =
-        static_cast<std::size_t>(ranged("drain-rate", 0, kMaxCount));
-    opts.window_capacity =
-        static_cast<std::size_t>(ranged("window-capacity", 1, kMaxCount));
-    opts.max_cycles =
-        static_cast<std::uint64_t>(ranged("max-cycles", 0, kMaxCycles));
-    opts.max_retries =
-        static_cast<int>(ranged("max-retries", 0, serve::kMaxServeRetries));
+    const auto cycles = [&](const char* name) {
+      return static_cast<std::uint64_t>(parser.option_int(name, 0, kInt64Max));
+    };
+    opts.clients = count("clients", 1);
+    opts.queue_depth = count("queue-depth", 1);
+    opts.window_cycles = cycles("window-cycles");
+    opts.drain_per_tick = count("drain-rate", 0);
+    opts.window_capacity = count("window-capacity", 1);
+    opts.max_cycles = cycles("max-cycles");
+    opts.max_retries = static_cast<int>(
+        parser.option_int("max-retries", 0, serve::kMaxServeRetries));
     opts.backoff_cycles = static_cast<std::uint64_t>(
-        ranged("backoff-cycles", 0, serve::kMaxBackoffCycles));
-    opts.breaker_threshold = static_cast<int>(
-        ranged("breaker-threshold", 1, std::numeric_limits<int>::max()));
-    opts.snapshot_every =
-        static_cast<std::uint64_t>(ranged("snapshot-every", 0, kMaxCycles));
-    opts.drift_threshold = parser.option_double("drift-threshold");
-    if (opts.drift_threshold < 0.0) {
-      throw UsageError("--drift-threshold must be >= 0, got '" +
-                       parser.option("drift-threshold") + "'");
-    }
-    opts.jobs = static_cast<int>(parser.option_int("jobs"));
-    std::string run_dir = parser.option("run-dir");
-    if (run_dir.empty()) run_dir = ".";
+        parser.option_int("backoff-cycles", 0, serve::kMaxBackoffCycles));
+    opts.breaker_threshold = static_cast<int>(parser.option_int(
+        "breaker-threshold", 1, std::numeric_limits<int>::max()));
+    opts.snapshot_every = cycles("snapshot-every");
+    opts.drift_threshold =
+        parser.option_double("drift-threshold", 0.0, kDoubleMax);
+    opts.jobs = jobs_option(parser);
     opts.snapshot_path = parser.option("snapshot-out").empty()
-                             ? run_dir + "/serve_snapshot.json"
+                             ? session.run_dir() + "/serve_snapshot.json"
                              : parser.option("snapshot-out");
 
-    const TraceInput input = load_trace_input(
-        parser, session, parser.option("replay"), /*require_model=*/false);
+    const auto machine = topology::Machine::xeon_e5_4650();
+    const TraceInput input =
+        load_trace_input(parser, session, machine, parser.option("replay"),
+                         /*require_model=*/false);
     const pebs::Trace& trace = input.trace;
     std::cout << "loaded " << trace.samples.size() << " samples, "
               << trace.events.size() << " allocation events\n";
@@ -1196,7 +1052,6 @@ int cmd_serve(int argc, char** argv) {
     // Graceful degradation: a model that cannot be loaded (missing file,
     // unparseable JSON, checksum damage, newer format) must not take the
     // server down — classification is skipped, telemetry still flows.
-    const auto machine = topology::Machine::xeon_e5_4650();
     std::optional<ml::Classifier> model;
     if (parser.option("model").empty()) {
       model = workloads::train_default_classifier(machine);
@@ -1263,25 +1118,20 @@ int cmd_serve(int argc, char** argv) {
     session.stage("persist");
     // A degraded run still exits 0: serve is a telemetry loop, not a
     // verdict tool, and "kept serving without a model" is the contract.
-    return session.finish(0);
-  } catch (const Error& e) {
-    return session.fail(e);
-  } catch (const std::exception& e) {
-    return session.fail(Error(e.what()));
-  }
+    return 0;
+  });
 }
 
-const Json* find_member(const JsonObject& object, const std::string& key) {
-  for (const auto& [name, value] : object) {
-    if (name == key) return &value;
-  }
-  return nullptr;
+/// A snapshot object's numeric member, 0 when absent.
+double number_or_zero(const Json& object, const char* key) {
+  const Json* node = object.find(key);
+  return node != nullptr ? node->as_number() : 0.0;
 }
 
 /// `drbw stats --serve`: render the windowed contention timeline a v2 serve
 /// snapshot carries.  Accepts the checksummed artifact (validated) or a raw
 /// snapshot body.
-int stats_serve(const ArgParser& parser) {
+int stats_serve(const ArgParser& parser, int width) {
   const std::string path = parser.option("trace");
   util::require_input_file(path, "serve snapshot");
   std::string body = util::read_file_or_throw(path, "serve snapshot");
@@ -1292,14 +1142,13 @@ int stats_serve(const ArgParser& parser) {
                .body;
   }
   const Json root = Json::parse(body);
-  const JsonObject& fields = root.as_object();
-  const Json* version = find_member(fields, "drbw_serve_snapshot");
+  const Json* version = root.find("drbw_serve_snapshot");
   if (version == nullptr) {
     throw Error(path + ": not a serve snapshot (no drbw_serve_snapshot "
                        "field); `drbw serve` writes one at --snapshot-out",
                 ErrorCode::kParse);
   }
-  const Json* timeline = find_member(fields, "timeline");
+  const Json* timeline = root.find("timeline");
   if (timeline == nullptr || !timeline->is_array() ||
       timeline->as_array().empty()) {
     std::cout << "no contention timeline in " << path << " (v"
@@ -1312,13 +1161,8 @@ int stats_serve(const ArgParser& parser) {
   std::vector<std::pair<double, double>> conf_series;
   std::vector<std::pair<double, double>> drift_series;
   std::uint64_t windows = 0, rmc = 0;
-  double max_drift = 0.0;
   for (const Json& row : timeline->as_array()) {
-    const JsonObject& r = row.as_object();
-    const auto num = [&](const char* key) {
-      const Json* node = find_member(r, key);
-      return node != nullptr ? node->as_number() : 0.0;
-    };
+    const auto num = [&](const char* key) { return number_or_zero(row, key); };
     const double tick = num("tick");
     const double row_windows = num("windows");
     const double row_rmc = num("rmc");
@@ -1327,13 +1171,11 @@ int stats_serve(const ArgParser& parser) {
     rmc_series.emplace_back(tick,
                             row_windows > 0.0 ? row_rmc / row_windows : 0.0);
     conf_series.emplace_back(tick, num("confidence_p50"));
-    const double drift = num("drift");
-    max_drift = std::max(max_drift, drift);
     // PSI divergence is unbounded; the chart wants [0, 1], so the row is
-    // capped for display and the true max printed below.
-    drift_series.emplace_back(tick, std::min(1.0, drift));
+    // capped for display and the snapshot's true max score printed below.
+    drift_series.emplace_back(tick, std::min(1.0, num("drift")));
   }
-  TimelineChart chart(static_cast<int>(parser.option_int("width")));
+  TimelineChart chart(width);
   chart.add_series("rmc fraction", rmc_series);
   chart.add_series("confidence p50", conf_series);
   chart.add_series("drift (cap 1)", drift_series);
@@ -1341,11 +1183,9 @@ int stats_serve(const ArgParser& parser) {
             << timeline->as_array().size() << " row(s), " << windows
             << " classified window(s), " << rmc << " contended)\n\n"
             << chart.render();
-  if (const Json* drift = find_member(fields, "drift")) {
-    const JsonObject& d = drift->as_object();
+  if (const Json* drift = root.find("drift")) {
     const auto num = [&](const char* key) {
-      const Json* node = find_member(d, key);
-      return node != nullptr ? node->as_number() : 0.0;
+      return number_or_zero(*drift, key);
     };
     std::cout << "\ndrift: max score " << format_fixed(num("score"), 3)
               << " (threshold " << format_fixed(num("threshold"), 3) << "), "
@@ -1374,16 +1214,17 @@ int cmd_stats(int argc, char** argv) {
                   "treat --trace as a serve snapshot and render its windowed "
                   "contention timeline");
   if (!parser.parse(argc, argv)) return 0;
-  if (parser.flag("serve")) return stats_serve(parser);
+  const int width = static_cast<int>(parser.option_int("width", 1, 1024));
+  const auto top =
+      static_cast<std::size_t>(parser.option_int("top", 0, kInt64Max));
+  if (parser.flag("serve")) return stats_serve(parser, width);
 
-  const std::string content =
-      util::read_file_or_throw(parser.option("trace"), "trace file");
-  if (content.rfind("#drbw-serve-snapshot", 0) == 0) {
-    throw UsageError("drbw stats: '" + parser.option("trace") +
-                     "' is a serve snapshot, not a trace_event file — did "
-                     "you mean `drbw stats --serve --trace " +
-                     parser.option("trace") + "`?");
-  }
+  const std::string& path = parser.option("trace");
+  const UsageError snapshot_hint(
+      "drbw stats: '" + path + "' is a serve snapshot, not a trace_event "
+      "file — did you mean `drbw stats --serve --trace " + path + "`?");
+  const std::string content = util::read_file_or_throw(path, "trace file");
+  if (content.rfind("#drbw-serve-snapshot", 0) == 0) throw snapshot_hint;
   const Json root = Json::parse(content);
 
   // Per-channel (epoch-start-cycle, utilization) series from the engine's
@@ -1391,24 +1232,18 @@ int cmd_stats(int argc, char** argv) {
   // stats works on traces from any subcommand.
   std::map<std::string, std::vector<std::pair<double, double>>> series;
   std::size_t epochs = 0;
-  const Json* events = find_member(root.as_object(), "traceEvents");
+  const Json* events = root.find("traceEvents");
   if (events == nullptr) {
-    if (find_member(root.as_object(), "drbw_serve_snapshot") != nullptr) {
-      throw UsageError("drbw stats: '" + parser.option("trace") +
-                       "' is a serve snapshot, not a trace_event file — did "
-                       "you mean `drbw stats --serve --trace " +
-                       parser.option("trace") + "`?");
-    }
+    if (root.find("drbw_serve_snapshot") != nullptr) throw snapshot_hint;
     throw Error("not a trace_event file: no traceEvents");
   }
   for (const Json& event : events->as_array()) {
-    const JsonObject& fields = event.as_object();
-    const Json* name = find_member(fields, "name");
-    const Json* phase = find_member(fields, "ph");
-    const Json* args = find_member(fields, "args");
+    const Json* name = event.find("name");
+    const Json* phase = event.find("ph");
+    const Json* args = event.find("args");
     if (name == nullptr || phase == nullptr || args == nullptr) continue;
     if (name->as_string() != "epoch" || phase->as_string() != "C") continue;
-    const double ts = find_member(fields, "ts")->as_number();
+    const double ts = event.find("ts")->as_number();
     ++epochs;
     for (const auto& [channel, value] : args->as_object()) {
       if (channel == "max_latency_multiplier") continue;
@@ -1416,7 +1251,7 @@ int cmd_stats(int argc, char** argv) {
     }
   }
   if (series.empty()) {
-    std::cout << "no per-epoch channel events in " << parser.option("trace")
+    std::cout << "no per-epoch channel events in " << path
               << " (record the trace with --trace-out on train/record/"
                  "analyze)\n";
     return 0;
@@ -1431,17 +1266,16 @@ int cmd_stats(int argc, char** argv) {
   }
   std::stable_sort(order.begin(), order.end(),
                    [](const auto& a, const auto& b) { return a.second > b.second; });
-  const auto top = static_cast<std::size_t>(parser.option_int("top"));
   if (top > 0 && order.size() > top) order.resize(top);
 
-  TimelineChart chart(static_cast<int>(parser.option_int("width")));
+  TimelineChart chart(width);
   for (const auto& [channel, peak] : order) {
     chart.add_series(channel, series.at(channel));
   }
   std::cout << "channel utilization per epoch (" << epochs << " epochs, "
             << order.size() << " of " << series.size() << " channels)";
-  if (const Json* other = find_member(root.as_object(), "otherData")) {
-    if (const Json* clock = find_member(other->as_object(), "clock")) {
+  if (const Json* other = root.find("otherData")) {
+    if (const Json* clock = other->find("clock")) {
       std::cout << ", clock: " << clock->as_string();
     }
   }
@@ -1469,10 +1303,11 @@ int cmd_convert(int argc, char** argv) {
   if (!parser.parse(argc, argv)) return 0;
   pebs::LoadOptions load;
   load.policy = load_policy(parser);
-  load.jobs = static_cast<int>(parser.option_int("jobs"));
+  load.jobs = jobs_option(parser);
   pebs::SaveOptions save;
   save.format = pebs::trace_format_from_name(parser.option("format"));
-  save.shards = shards_option(parser);
+  save.shards = static_cast<std::size_t>(
+      parser.option_int("shards", 1, pebs::kMaxTraceShards));
   save.jobs = load.jobs;
   util::require_input_file(parser.option("in"), "trace file");
   util::LoadStats stats;
@@ -1537,83 +1372,34 @@ int cmd_topology(int argc, char** argv) {
   return 0;
 }
 
-// doctor and perf diff take positional arguments, which ArgParser rejects by
-// design; both are small enough to hand-parse.
-
 int cmd_doctor(int argc, char** argv) {
-  const char* usage =
-      "drbw doctor [run-dir] — diagnose a previous run from its manifest\n"
-      "\n"
-      "Loads <run-dir>/run.json (and flight.log when present; default\n"
-      "run-dir is '.') and prints ranked root-cause findings.  Exits 0 when\n"
-      "the diagnosis succeeds — including for runs that themselves failed.\n";
-  std::string run_dir = ".";
-  bool have_dir = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::cout << usage;
-      return 0;
-    }
-    if (starts_with(arg, "--")) {
-      throw UsageError("drbw doctor: unknown option '" + arg + "'");
-    }
-    if (have_dir) {
-      throw UsageError("drbw doctor expects at most one run directory");
-    }
-    run_dir = arg;
-    have_dir = true;
-  }
+  ArgParser parser("drbw doctor",
+                   "Diagnose a previous run from its manifest: loads "
+                   "<run-dir>/run.json (and flight.log when present) and "
+                   "prints ranked root-cause findings; exits 0 when the "
+                   "diagnosis succeeds, including for runs that failed");
+  parser.add_positional("run-dir", "run directory (default: .)", 0, 1);
+  if (!parser.parse(argc, argv)) return 0;
+  const std::string run_dir =
+      parser.positionals().empty() ? "." : parser.positionals().front();
   std::cout << report::render_doctor(report::doctor(run_dir));
   return 0;
 }
 
 int cmd_perf_diff(int argc, char** argv) {
-  const char* usage =
-      "drbw perf diff <baseline/run.json> <after/run.json>... "
-      "[--threshold F]\n"
-      "\n"
-      "Compares span statistics and metric counters between run manifests:\n"
-      "the first is the baseline, and every following manifest is diffed\n"
-      "against it.  Exits 3 when any comparison grew past baseline*(1+F)\n"
-      "(default F = 0.25); CI uses this as a perf gate.\n";
-  std::vector<std::string> manifests;
-  double threshold = 0.25;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::cout << usage;
-      return 0;
-    }
-    if (arg == "--threshold" || starts_with(arg, "--threshold=")) {
-      std::string raw;
-      if (const auto eq = arg.find('='); eq != std::string::npos) {
-        raw = arg.substr(eq + 1);
-      } else {
-        if (i + 1 >= argc) {
-          throw UsageError("drbw perf diff: --threshold expects a value");
-        }
-        raw = argv[++i];
-      }
-      char* end = nullptr;
-      threshold = std::strtod(raw.c_str(), &end);
-      if (end == nullptr || *end != '\0' || raw.empty() || threshold < 0.0) {
-        throw UsageError(
-            "drbw perf diff: --threshold expects a non-negative number, "
-            "got '" + raw + "'");
-      }
-      continue;
-    }
-    if (starts_with(arg, "--")) {
-      throw UsageError("drbw perf diff: unknown option '" + arg + "'");
-    }
-    manifests.push_back(arg);
-  }
-  if (manifests.size() < 2) {
-    throw UsageError(
-        "drbw perf diff expects a baseline and at least one comparison "
-        "manifest");
-  }
+  ArgParser parser("drbw perf diff",
+                   "Compare span statistics and metric counters between run "
+                   "manifests; exits 3 when any comparison grew past "
+                   "baseline*(1+threshold), which CI uses as a perf gate");
+  parser.add_positional("baseline", "the baseline run.json", 1, 1);
+  parser.add_positional("after", "manifest(s) diffed against the baseline", 1,
+                        ArgParser::kUnbounded);
+  parser.add_option("threshold",
+                    "regression threshold F: past baseline*(1+F) regresses",
+                    "0.25");
+  if (!parser.parse(argc, argv)) return 0;
+  const double threshold = parser.option_double("threshold", 0.0, kDoubleMax);
+  const std::vector<std::string>& manifests = parser.positionals();
   const report::ManifestData before = report::load_manifest(manifests[0]);
   bool any_regressed = false;
   for (std::size_t i = 1; i < manifests.size(); ++i) {
@@ -1628,111 +1414,53 @@ int cmd_perf_diff(int argc, char** argv) {
   return any_regressed ? kExitPerfRegression : 0;
 }
 
-/// Hand-parsed "--name value" / "--name=value" helper for the positional
-/// subcommands (doctor-style).  Returns true when `arg` matched `name`,
-/// leaving the value in `value` (and advancing `i` for the two-token form).
-bool take_option(const std::string& cmd, const std::string& arg,
-                 const char* name, int argc, char** argv, int& i,
-                 std::string& value) {
-  const std::string flag = std::string("--") + name;
-  if (arg == flag) {
-    if (i + 1 >= argc) {
-      throw UsageError(cmd + ": " + flag + " expects a value");
-    }
-    value = argv[++i];
-    return true;
-  }
-  if (starts_with(arg, flag + "=")) {
-    value = arg.substr(flag.size() + 1);
-    return true;
-  }
-  return false;
-}
-
-long long parse_int_option(const std::string& cmd, const char* name,
-                           const std::string& raw, long long min_value) {
-  char* end = nullptr;
-  const long long value = std::strtoll(raw.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || raw.empty() || value < min_value) {
-    throw UsageError(cmd + ": --" + name + " expects an integer >= " +
-                     std::to_string(min_value) + ", got '" + raw + "'");
-  }
-  return value;
-}
-
 int cmd_fleet(int argc, char** argv) {
-  const char* usage =
-      "drbw fleet <root-dir> [options] — aggregate a tree of run dirs\n"
-      "\n"
-      "Recursively discovers every directory under root-dir holding a\n"
-      "run.json, validates each manifest's checksum (corrupt manifests are\n"
-      "quarantined into the report, never fatal), and aggregates outcomes,\n"
-      "span-time distributions, fault fires, and quarantine tallies.\n"
-      "\n"
-      "  --baseline run.json   perf-diff every passing run against this\n"
-      "                        manifest; exit 3 when any run regresses\n"
-      "  --threshold F         regression threshold (default 0.25 = +25%)\n"
-      "  --filter status=S     aggregate only ok or failed runs\n"
-      "  --top N               list at most N runs in the report (0 = all)\n"
-      "  --jobs N              parallel manifest loads (0 = hw threads);\n"
-      "                        every output is byte-identical at any value\n"
-      "  --out FILE            write the Markdown report here (default:\n"
-      "                        print to stdout)\n"
-      "  --json-out FILE       write the checksummed #drbw-fleet JSON here\n"
-      "  --flame-out FILE      merge every run's flight.log spans into one\n"
-      "                        collapsed-stack profile here\n";
-  const std::string cmd = "drbw fleet";
-  std::string root;
-  std::string out, json_out, flame_out;
-  std::string value;
+  ArgParser parser("drbw fleet",
+                   "Aggregate outcomes, span times, fault fires and "
+                   "quarantines of every run dir under <root-dir> (corrupt "
+                   "manifests are quarantined into the report, never fatal)");
+  parser.add_positional("root-dir", "searched recursively for run dirs", 1, 1);
+  parser.add_option("baseline",
+                    "perf-diff every passing run against this manifest; "
+                    "exit 3 when any run regresses",
+                    "");
+  parser.add_option("threshold",
+                    "regression threshold F: past baseline*(1+F) regresses",
+                    "0.25");
+  parser.add_option("filter", "status=ok | status=failed: aggregate only "
+                    "those runs (empty = all)", "");
+  parser.add_option("top", "list at most N runs in the report (0 = all)",
+                    "0");
+  parser.add_option("jobs",
+                    "parallel manifest loads (0 = one per hardware thread); "
+                    "every output is byte-identical at any value",
+                    "1");
+  parser.add_option("out", "write the Markdown report here (empty = stdout)",
+                    "");
+  parser.add_option("json-out", "write the checksummed #drbw-fleet JSON here",
+                    "");
+  parser.add_option("flame-out",
+                    "merge every run's flight.log spans into one "
+                    "collapsed-stack profile here",
+                    "");
+  if (!parser.parse(argc, argv)) return 0;
+  const std::string& root = parser.positionals().front();
+  const std::string& out = parser.option("out");
+  const std::string& json_out = parser.option("json-out");
+  const std::string& flame_out = parser.option("flame-out");
   report::FleetOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::cout << usage;
-      return 0;
-    }
-    if (take_option(cmd, arg, "baseline", argc, argv, i, value)) {
-      options.baseline_path = value;
-    } else if (take_option(cmd, arg, "threshold", argc, argv, i, value)) {
-      char* end = nullptr;
-      options.threshold = std::strtod(value.c_str(), &end);
-      if (end == nullptr || *end != '\0' || value.empty() ||
-          options.threshold < 0.0) {
-        throw UsageError(cmd + ": --threshold expects a non-negative "
-                         "number, got '" + value + "'");
-      }
-    } else if (take_option(cmd, arg, "filter", argc, argv, i, value)) {
-      if (value == "status=ok" || value == "status=failed") {
-        options.filter_status = value.substr(std::string("status=").size());
-      } else {
-        throw UsageError(cmd + ": --filter expects status=ok or "
-                         "status=failed, got '" + value + "'");
-      }
-    } else if (take_option(cmd, arg, "top", argc, argv, i, value)) {
-      options.top =
-          static_cast<std::size_t>(parse_int_option(cmd, "top", value, 0));
-    } else if (take_option(cmd, arg, "jobs", argc, argv, i, value)) {
-      options.jobs =
-          static_cast<int>(parse_int_option(cmd, "jobs", value, 0));
-    } else if (take_option(cmd, arg, "out", argc, argv, i, value)) {
-      out = value;
-    } else if (take_option(cmd, arg, "json-out", argc, argv, i, value)) {
-      json_out = value;
-    } else if (take_option(cmd, arg, "flame-out", argc, argv, i, value)) {
-      flame_out = value;
-    } else if (starts_with(arg, "--")) {
-      throw UsageError(cmd + ": unknown option '" + arg + "'");
-    } else if (root.empty()) {
-      root = arg;
-    } else {
-      throw UsageError(cmd + " expects exactly one root directory");
-    }
+  options.baseline_path = parser.option("baseline");
+  options.threshold = parser.option_double("threshold", 0.0, kDoubleMax);
+  const std::string& filter = parser.option("filter");
+  if (filter == "status=ok" || filter == "status=failed") {
+    options.filter_status = filter.substr(std::string("status=").size());
+  } else if (!filter.empty()) {
+    throw UsageError("--filter expects status=ok or status=failed, got '" +
+                     filter + "'");
   }
-  if (root.empty()) {
-    throw UsageError(cmd + " expects a root directory\n" +
-                     std::string(usage));
-  }
+  options.top =
+      static_cast<std::size_t>(parser.option_int("top", 0, kInt64Max));
+  options.jobs = jobs_option(parser);
 
   const report::FleetReport fleet = report::fleet_scan(root, options);
   const std::string markdown = report::render_fleet_markdown(fleet);
@@ -1772,39 +1500,18 @@ int cmd_fleet(int argc, char** argv) {
 }
 
 int cmd_flame(int argc, char** argv) {
-  const char* usage =
-      "drbw flame <run-dir|trace> [--out FILE] — collapsed-stack export\n"
-      "\n"
-      "Folds a run's deterministic spans into collapsed-stack format\n"
-      "(`frame;frame;frame weight`, one line per stack — the input format\n"
-      "of flamegraph.pl and speedscope).  A directory argument folds its\n"
-      "flight.log; a file argument is either a #drbw-flight dump or a\n"
-      "trace_event JSON written with --trace-out.  Without --out the\n"
-      "profile goes to stdout (pipe it straight into flamegraph.pl).\n";
-  const std::string cmd = "drbw flame";
-  std::string input;
-  std::string out;
-  std::string value;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::cout << usage;
-      return 0;
-    }
-    if (take_option(cmd, arg, "out", argc, argv, i, value)) {
-      out = value;
-    } else if (starts_with(arg, "--")) {
-      throw UsageError(cmd + ": unknown option '" + arg + "'");
-    } else if (input.empty()) {
-      input = arg;
-    } else {
-      throw UsageError(cmd + " expects exactly one run dir or trace file");
-    }
-  }
-  if (input.empty()) {
-    throw UsageError(cmd + " expects a run dir or trace file\n" +
-                     std::string(usage));
-  }
+  ArgParser parser("drbw flame",
+                   "Fold a run's deterministic spans into collapsed-stack "
+                   "format (`frame;frame weight`, the input of flamegraph.pl "
+                   "and speedscope)");
+  parser.add_positional("input",
+                        "a run dir (folds its flight.log), a #drbw-flight "
+                        "dump, or a trace_event JSON from --trace-out",
+                        1, 1);
+  parser.add_option("out", "write the profile here (empty = stdout)", "");
+  if (!parser.parse(argc, argv)) return 0;
+  const std::string& input = parser.positionals().front();
+  const std::string& out = parser.option("out");
 
   obs::FlameFold fold;
   std::error_code ec;
