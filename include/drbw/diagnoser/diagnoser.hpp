@@ -44,6 +44,13 @@ struct Diagnosis {
   std::vector<topology::ChannelId> channels;
 };
 
+/// The profile's channels named by `contended`, in that order (a repeated
+/// id repeats its channel).  Throws drbw::Error if one is absent; diagnose
+/// and collect_evidence both resolve their channels through this.
+std::vector<const core::ChannelProfile*> resolve_channels(
+    const core::ProfileResult& profile,
+    const std::vector<topology::ChannelId>& contended);
+
 /// Per-channel CF distribution (§VI-A "metrics per channel").
 std::vector<ObjectContribution> contributions_in_channel(
     const core::ProfileResult& profile, topology::ChannelId channel);

@@ -1,7 +1,6 @@
 #include "drbw/diagnoser/diagnoser.hpp"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 #include "drbw/fault/injector.hpp"
@@ -16,27 +15,30 @@ namespace {
 Diagnosis tally(const core::ProfileResult& profile,
                 const std::vector<const core::ChannelProfile*>& channels) {
   Diagnosis d;
-  std::map<std::uint32_t, std::uint64_t> per_object;
+  std::vector<std::uint64_t> per_object(profile.tracker.objects().size(), 0);
   for (const core::ChannelProfile* channel : channels) {
     d.channels.push_back(channel->channel);
+    d.total_samples += channel->samples.size();
     for (const core::AttributedSample& s : channel->samples) {
-      ++d.total_samples;
       if (s.object == core::kUnknownObject) {
         ++d.untracked_samples;
       } else {
+        DRBW_CHECK_MSG(s.object < per_object.size(),
+                       "unknown tracked object " << s.object);
         ++per_object[s.object];
       }
     }
   }
-  for (const auto& [object, samples] : per_object) {
+  // Ascending object id, as the sort below is not stable.
+  for (std::uint32_t object = 0; object < per_object.size(); ++object) {
+    const std::uint64_t samples = per_object[object];
+    if (samples == 0) continue;
     ObjectContribution c;
     c.object = object;
     c.site = profile.tracker.object(object).site;
     c.samples = samples;
-    c.cf = d.total_samples > 0
-               ? static_cast<double>(samples) /
-                     static_cast<double>(d.total_samples)
-               : 0.0;
+    c.cf = static_cast<double>(samples) /
+           static_cast<double>(d.total_samples);
     d.ranking.push_back(std::move(c));
   }
   d.untracked_cf = d.total_samples > 0
@@ -53,14 +55,26 @@ Diagnosis tally(const core::ProfileResult& profile,
 
 }  // namespace
 
+std::vector<const core::ChannelProfile*> resolve_channels(
+    const core::ProfileResult& profile,
+    const std::vector<topology::ChannelId>& contended) {
+  std::vector<const core::ChannelProfile*> channels;
+  channels.reserve(contended.size());
+  for (const topology::ChannelId want : contended) {
+    const auto it = std::find_if(
+        profile.channels.begin(), profile.channels.end(),
+        [&](const core::ChannelProfile& cp) { return cp.channel == want; });
+    DRBW_CHECK_MSG(it != profile.channels.end(),
+                   "contended channel N" << want.src << "->N" << want.dst
+                                         << " not present in profile");
+    channels.push_back(&*it);
+  }
+  return channels;
+}
+
 std::vector<ObjectContribution> contributions_in_channel(
     const core::ProfileResult& profile, topology::ChannelId channel) {
-  for (const core::ChannelProfile& cp : profile.channels) {
-    if (cp.channel == channel) {
-      return tally(profile, {&cp}).ranking;
-    }
-  }
-  throw Error("channel not present in profile");
+  return tally(profile, resolve_channels(profile, {channel})).ranking;
 }
 
 Diagnosis diagnose(const core::ProfileResult& profile,
@@ -76,20 +90,7 @@ Diagnosis diagnose(const core::ProfileResult& profile,
                     "injected diagnoser failure while ranking Contribution "
                     "Fractions over " +
                         std::to_string(contended.size()) + " channel(s)");
-  std::vector<const core::ChannelProfile*> channels;
-  for (const topology::ChannelId want : contended) {
-    bool found = false;
-    for (const core::ChannelProfile& cp : profile.channels) {
-      if (cp.channel == want) {
-        channels.push_back(&cp);
-        found = true;
-        break;
-      }
-    }
-    DRBW_CHECK_MSG(found, "contended channel N" << want.src << "->N" << want.dst
-                                                << " not present in profile");
-  }
-  return tally(profile, channels);
+  return tally(profile, resolve_channels(profile, contended));
 }
 
 std::string render(const Diagnosis& diagnosis, std::size_t top_n) {

@@ -35,16 +35,14 @@ const std::array<std::string, kNumSelected>& selected_feature_keys() {
 
 namespace {
 
-/// Accumulates Table I statistics over one scope.
+/// Accumulates Table I statistics over one scope.  The remote-DRAM
+/// statistics (features 6-7) are kept outside, in the caller's remote
+/// stats, so that one source's per-channel scopes share everything else.
 class Accumulator {
  public:
-  /// `remote_home_filter` < 0 accepts every remote sample; otherwise only
-  /// remote samples homed on that node count toward features 6-7 (the
-  /// per-channel scope).
-  explicit Accumulator(int remote_home_filter = -1)
-      : remote_home_filter_(remote_home_filter) {}
-
-  void add(const core::AttributedSample& s) {
+  /// Adds `s`; returns true for a remote-DRAM sample, which the caller
+  /// charges to its remote stats.
+  bool add(const core::AttributedSample& s) {
     const double lat = s.sample.latency_cycles;
     all_.add(lat);
     for (std::size_t i = 0; i < kLatencyThresholds.size(); ++i) {
@@ -53,10 +51,7 @@ class Accumulator {
 
     switch (s.sample.level) {
       case pebs::MemLevel::kRemoteDram:
-        if (remote_home_filter_ < 0 || s.home_node == remote_home_filter_) {
-          remote_.add(lat);
-        }
-        break;
+        return true;
       case pebs::MemLevel::kLocalDram:
         local_.add(lat);
         break;
@@ -66,9 +61,10 @@ class Accumulator {
       default:
         break;
     }
+    return false;
   }
 
-  FeatureVector finish() const {
+  FeatureVector finish(const OnlineStats& remote) const {
     FeatureVector v;
     const auto n = static_cast<double>(all_.count());
     for (int i = 0; i < 5; ++i) {
@@ -76,8 +72,8 @@ class Accumulator {
           n > 0.0 ? static_cast<double>(above_[static_cast<std::size_t>(i)]) / n
                   : 0.0;
     }
-    v.values[5] = static_cast<double>(remote_.count());
-    v.values[6] = remote_.mean();
+    v.values[5] = static_cast<double>(remote.count());
+    v.values[6] = remote.mean();
     v.values[7] = static_cast<double>(local_.count());
     v.values[8] = local_.mean();
     v.values[9] = n;
@@ -89,9 +85,7 @@ class Accumulator {
   }
 
  private:
-  int remote_home_filter_;
   OnlineStats all_;
-  OnlineStats remote_;
   OnlineStats local_;
   OnlineStats lfb_;
   std::array<std::uint64_t, kLatencyThresholds.size()> above_{};
@@ -101,33 +95,39 @@ class Accumulator {
 
 FeatureVector extract_run(const core::ProfileResult& profile) {
   Accumulator acc;
+  OnlineStats remote;
   for (const core::ChannelProfile& channel : profile.channels) {
-    for (const core::AttributedSample& s : channel.samples) acc.add(s);
+    for (const core::AttributedSample& s : channel.samples) {
+      if (acc.add(s)) remote.add(s.sample.latency_cycles);
+    }
   }
-  return acc.finish();
+  return acc.finish(remote);
 }
 
 std::vector<ChannelFeatures> extract_channels(const core::ProfileResult& profile,
                                               const topology::Machine& machine) {
+  const int num_nodes = machine.num_nodes();
   std::vector<ChannelFeatures> out;
-  for (int src = 0; src < machine.num_nodes(); ++src) {
-    // One pass over the source node's samples fills all of its channels.
-    std::vector<Accumulator> accs;
-    accs.reserve(static_cast<std::size_t>(machine.num_nodes()));
-    for (int dst = 0; dst < machine.num_nodes(); ++dst) {
-      accs.emplace_back(/*remote_home_filter=*/dst);
-    }
+  for (int src = 0; src < num_nodes; ++src) {
+    // One pass over the source node's samples fills all of its channels:
+    // they share the source scope and differ only in the home node of the
+    // remote-DRAM samples, so each home node gets its own remote stats.
+    Accumulator acc;
+    std::vector<OnlineStats> remote(static_cast<std::size_t>(num_nodes));
     for (const core::ChannelProfile& channel : profile.channels) {
       if (channel.channel.src != src) continue;
       for (const core::AttributedSample& s : channel.samples) {
-        for (auto& acc : accs) acc.add(s);
+        if (acc.add(s) && s.home_node >= 0 && s.home_node < num_nodes) {
+          remote[static_cast<std::size_t>(s.home_node)].add(
+              s.sample.latency_cycles);
+        }
       }
     }
-    for (int dst = 0; dst < machine.num_nodes(); ++dst) {
+    for (int dst = 0; dst < num_nodes; ++dst) {
       if (dst == src) continue;  // detection targets remote channels only
       ChannelFeatures cf;
       cf.channel = topology::ChannelId{src, dst};
-      cf.features = accs[static_cast<std::size_t>(dst)].finish();
+      cf.features = acc.finish(remote[static_cast<std::size_t>(dst)]);
       out.push_back(std::move(cf));
     }
   }

@@ -2,6 +2,7 @@
 // Fractions and root-cause ranking (§VI).
 #include <gtest/gtest.h>
 
+#include "drbw/diagnoser/advice.hpp"
 #include "drbw/diagnoser/diagnoser.hpp"
 
 namespace drbw::diagnoser {
@@ -124,6 +125,9 @@ TEST_F(DiagnoserTest, UnknownChannelThrows) {
   core::ProfileResult profile;  // empty: no channels at all
   EXPECT_THROW(diagnose(profile, {ChannelId{0, 1}}), Error);
   EXPECT_THROW(contributions_in_channel(profile, ChannelId{0, 1}), Error);
+  // The advice engine resolves its channels the same way.
+  EXPECT_THROW(collect_evidence(profile, {ChannelId{0, 1}}), Error);
+  EXPECT_THROW(advise(profile, {ChannelId{0, 1}}), Error);
 }
 
 TEST_F(DiagnoserTest, DeterministicTieBreakBySite) {

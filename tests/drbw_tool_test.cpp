@@ -436,10 +436,13 @@ TEST(DrBwCliExplainTest, WritesDeterministicArtifactAndReport) {
       ::testing::TempDir() + "/drbw_cli_explain_" + std::to_string(::getpid());
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
+  // Own run dirs: concurrent tests must not share the default `.` one.
   ASSERT_EQ(run_cli("record --benchmark streamcluster --config T8-N4 --seed 7"
-                    " --out " + dir + "/trace.csv"),
+                    " --out " + dir + "/trace.csv --run-dir " + dir + "/run_rec"),
             0);
-  ASSERT_EQ(run_cli("train --out " + dir + "/model.json"), 0);
+  ASSERT_EQ(run_cli("train --out " + dir + "/model.json --run-dir " + dir +
+                    "/run_train"),
+            0);
   const std::string common = "explain --trace " + dir + "/trace.csv" +
                              " --model " + dir + "/model.json --windows 4";
   ASSERT_EQ(run_cli(common + " --out " + dir + "/a.json --report " + dir +
@@ -519,6 +522,26 @@ TEST(DrBwCliPinTest, FrontEndOutputsMatchPinnedChecksums) {
                        inputs + "1"),
             0);
   EXPECT_EQ(crc_of("r/serve_snapshot.json"), 0x4cca85cbu);
+  // Whole-run contended analyze: stdout carries the verdict table, the
+  // Contribution-Fraction ranking and the advice block.
+  std::filesystem::remove(dir + "/stdout.txt");
+  ASSERT_EQ(run_in_dir("analyze --trace trace.csv --report report.md "
+                       "--run-dir r" +
+                       inputs + "1"),
+            2);
+  std::string analyze_lines;
+  {
+    std::istringstream out(cli_read_file(dir + "/stdout.txt"));
+    for (std::string line; std::getline(out, line);) {
+      if (line.find("written to") == std::string::npos) {
+        analyze_lines += line + '\n';
+      }
+    }
+  }
+  EXPECT_NE(analyze_lines.find("Optimization guidance"), std::string::npos)
+      << analyze_lines;
+  EXPECT_EQ(util::crc32(analyze_lines), 0xe75ecdeeu) << analyze_lines;
+  EXPECT_EQ(crc_of("report.md"), 0xf4a678f8u);
   std::filesystem::remove_all(dir);
 }
 

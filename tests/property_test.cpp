@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <set>
 
 #include "drbw/core/profiler.hpp"
+#include "drbw/diagnoser/advice.hpp"
 #include "drbw/diagnoser/diagnoser.hpp"
 #include "drbw/features/selected.hpp"
 #include "drbw/features/window.hpp"
@@ -429,6 +433,363 @@ TEST_P(ChannelWindowProperty, IncrementalMatchesFreshAndProfiled) {
 
 INSTANTIATE_TEST_SUITE_P(SeedGrid, ChannelWindowProperty,
                          ::testing::Values(3, 17, 2017));
+
+// ---------------------------------------------------------------------- //
+// Post-profile stages against the reference implementations they replaced:
+// the ordered-container evidence collector (one std::set insert per
+// sample) and one full Welford accumulator per destination channel.  Both
+// rewrites must reproduce every field bit for bit.
+
+namespace reference {
+
+std::vector<diagnoser::ObjectEvidence> collect_evidence(
+    const core::ProfileResult& profile,
+    const std::vector<topology::ChannelId>& contended) {
+  struct Accum {
+    std::uint64_t samples = 0;
+    std::uint64_t writes = 0;
+    std::set<topology::NodeId> nodes;
+    std::map<mem::Addr, std::set<std::uint32_t>> region_threads;
+  };
+  std::map<std::uint32_t, Accum> per_object;
+  std::uint64_t total = 0;
+  for (const topology::ChannelId want : contended) {
+    for (const core::ChannelProfile& channel : profile.channels) {
+      if (!(channel.channel == want)) continue;
+      for (const core::AttributedSample& s : channel.samples) {
+        ++total;
+        if (s.object == core::kUnknownObject) continue;
+        Accum& acc = per_object[s.object];
+        ++acc.samples;
+        acc.writes += s.sample.is_write ? 1 : 0;
+        acc.nodes.insert(s.src_node);
+        acc.region_threads[s.sample.address >> 16].insert(s.sample.tid);
+      }
+    }
+  }
+  std::vector<diagnoser::ObjectEvidence> out;
+  for (const auto& [object, acc] : per_object) {
+    diagnoser::ObjectEvidence e;
+    e.object = object;
+    e.site = profile.tracker.object(object).site;
+    e.samples = acc.samples;
+    e.cf = total > 0 ? static_cast<double>(acc.samples) /
+                           static_cast<double>(total)
+                     : 0.0;
+    e.write_fraction = acc.samples > 0
+                           ? static_cast<double>(acc.writes) /
+                                 static_cast<double>(acc.samples)
+                           : 0.0;
+    e.accessing_nodes = static_cast<int>(acc.nodes.size());
+    std::size_t shared_regions = 0;
+    for (const auto& [region, threads] : acc.region_threads) {
+      if (threads.size() > 1) ++shared_regions;
+    }
+    e.shared_line_fraction =
+        acc.region_threads.empty()
+            ? 0.0
+            : static_cast<double>(shared_regions) /
+                  static_cast<double>(acc.region_threads.size());
+    out.push_back(std::move(e));
+  }
+  std::sort(out.begin(), out.end(),
+            [](const diagnoser::ObjectEvidence& a,
+               const diagnoser::ObjectEvidence& b) {
+              if (a.samples != b.samples) return a.samples > b.samples;
+              return a.site < b.site;
+            });
+  return out;
+}
+
+class Accumulator {
+ public:
+  explicit Accumulator(int remote_home_filter = -1)
+      : remote_home_filter_(remote_home_filter) {}
+
+  void add(const core::AttributedSample& s) {
+    const double lat = s.sample.latency_cycles;
+    all_.add(lat);
+    for (std::size_t i = 0; i < features::kLatencyThresholds.size(); ++i) {
+      if (lat > features::kLatencyThresholds[i]) ++above_[i];
+    }
+    switch (s.sample.level) {
+      case pebs::MemLevel::kRemoteDram:
+        if (remote_home_filter_ < 0 || s.home_node == remote_home_filter_) {
+          remote_.add(lat);
+        }
+        break;
+      case pebs::MemLevel::kLocalDram:
+        local_.add(lat);
+        break;
+      case pebs::MemLevel::kLfb:
+        lfb_.add(lat);
+        break;
+      default:
+        break;
+    }
+  }
+
+  features::FeatureVector finish() const {
+    features::FeatureVector v;
+    const auto n = static_cast<double>(all_.count());
+    for (std::size_t i = 0; i < 5; ++i) {
+      v.values[i] = n > 0.0 ? static_cast<double>(above_[i]) / n : 0.0;
+    }
+    v.values[5] = static_cast<double>(remote_.count());
+    v.values[6] = remote_.mean();
+    v.values[7] = static_cast<double>(local_.count());
+    v.values[8] = local_.mean();
+    v.values[9] = n;
+    v.values[10] = all_.mean();
+    v.values[11] = static_cast<double>(lfb_.count());
+    v.values[12] = lfb_.mean();
+    v.scope_samples = all_.count();
+    return v;
+  }
+
+ private:
+  int remote_home_filter_;
+  OnlineStats all_;
+  OnlineStats remote_;
+  OnlineStats local_;
+  OnlineStats lfb_;
+  std::array<std::uint64_t, features::kLatencyThresholds.size()> above_{};
+};
+
+features::FeatureVector extract_run(const core::ProfileResult& profile) {
+  Accumulator acc;
+  for (const core::ChannelProfile& channel : profile.channels) {
+    for (const core::AttributedSample& s : channel.samples) acc.add(s);
+  }
+  return acc.finish();
+}
+
+std::vector<features::ChannelFeatures> extract_channels(
+    const core::ProfileResult& profile, const Machine& m) {
+  std::vector<features::ChannelFeatures> out;
+  for (int src = 0; src < m.num_nodes(); ++src) {
+    std::vector<Accumulator> accs;
+    for (int dst = 0; dst < m.num_nodes(); ++dst) accs.emplace_back(dst);
+    for (const core::ChannelProfile& channel : profile.channels) {
+      if (channel.channel.src != src) continue;
+      for (const core::AttributedSample& s : channel.samples) {
+        for (auto& acc : accs) acc.add(s);
+      }
+    }
+    for (int dst = 0; dst < m.num_nodes(); ++dst) {
+      if (dst == src) continue;
+      features::ChannelFeatures cf;
+      cf.channel = topology::ChannelId{src, dst};
+      cf.features = accs[static_cast<std::size_t>(dst)].finish();
+      out.push_back(std::move(cf));
+    }
+  }
+  return out;
+}
+
+}  // namespace reference
+
+/// An empty profile over every channel of machine(), tracking one object
+/// per entry of `sizes` ("oracle.c:<i> obj"), laid out back to back from
+/// 1 GiB so objects smaller than 64 KiB share regions with their
+/// neighbours.  Returns the object bases through `bases`.
+core::ProfileResult empty_profile(const std::vector<std::uint64_t>& sizes,
+                                  std::vector<mem::Addr>& bases) {
+  core::ProfileResult profile;
+  for (int c = 0; c < machine().num_channels(); ++c) {
+    profile.channels.push_back({machine().channel_at(c), {}});
+  }
+  mem::Addr base = 1ull << 30;
+  bases.clear();
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    mem::AllocationEvent event;
+    event.site.label = "oracle.c:" + std::to_string(i) + " obj";
+    event.base = base;
+    event.size_bytes = sizes[i];
+    profile.tracker.on_event(event);
+    bases.push_back(base);
+    base += sizes[i];
+  }
+  return profile;
+}
+
+/// Files `s` under its (src, home) channel, as the Profiler does.
+void add_sample(core::ProfileResult& profile, const core::AttributedSample& s) {
+  const int index =
+      machine().channel_index(topology::ChannelId{s.src_node, s.home_node});
+  profile.channels[static_cast<std::size_t>(index)].samples.push_back(s);
+  ++profile.total_samples;
+  if (s.object != core::kUnknownObject) ++profile.attributed_samples;
+}
+
+core::AttributedSample attributed(mem::Addr addr, std::uint32_t object,
+                                  std::uint32_t tid, topology::NodeId src,
+                                  topology::NodeId home = 0) {
+  core::AttributedSample s;
+  s.sample.address = addr;
+  s.sample.tid = tid;
+  s.sample.level = pebs::MemLevel::kRemoteDram;
+  s.sample.latency_cycles = 700.0f;
+  s.src_node = src;
+  s.home_node = home;
+  s.object = object;
+  return s;
+}
+
+/// A seeded random profile: every level in every channel (remote-DRAM
+/// samples on the diagonal, local and LFB samples on remote channels),
+/// untracked samples, tids including 0xFFFFFFFF, and objects from 16 KiB
+/// (several per 64 KiB region) to 1 MiB.
+core::ProfileResult random_profile(Rng& rng) {
+  std::vector<std::uint64_t> sizes;
+  const int num_objects = 1 + static_cast<int>(rng.bounded(8));
+  for (int i = 0; i < num_objects; ++i) {
+    const std::uint64_t choices[] = {16 << 10, 32 << 10, 1 << 20};
+    sizes.push_back(choices[rng.bounded(3)]);
+  }
+  std::vector<mem::Addr> bases;
+  core::ProfileResult profile = empty_profile(sizes, bases);
+  const std::uint32_t tids[] = {0, 1, 2, 3, 0xFFFFFFFFu};
+  const int n = 200 + static_cast<int>(rng.bounded(3000));
+  for (int i = 0; i < n; ++i) {
+    const auto obj = static_cast<std::uint32_t>(rng.bounded(sizes.size()));
+    const bool untracked = rng.bernoulli(0.15);
+    core::AttributedSample s = attributed(
+        bases[obj] + rng.bounded(sizes[obj]),
+        untracked ? core::kUnknownObject : obj,
+        // Mostly one thread per object, so both shared and private
+        // regions occur.
+        rng.bernoulli(0.8) ? tids[obj % 5] : tids[rng.bounded(5)],
+        static_cast<topology::NodeId>(rng.bounded(4)),
+        static_cast<topology::NodeId>(rng.bounded(4)));
+    s.sample.level = static_cast<pebs::MemLevel>(rng.bounded(6));
+    s.sample.latency_cycles = static_cast<float>(rng.uniform(20.0, 2500.0));
+    s.sample.is_write = rng.bernoulli(0.3);
+    add_sample(profile, s);
+  }
+  return profile;
+}
+
+void expect_same_evidence(const std::vector<diagnoser::ObjectEvidence>& got,
+                          const std::vector<diagnoser::ObjectEvidence>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].object, want[i].object) << "rank " << i;
+    EXPECT_EQ(got[i].site, want[i].site) << "rank " << i;
+    EXPECT_EQ(got[i].cf, want[i].cf) << "rank " << i;
+    EXPECT_EQ(got[i].samples, want[i].samples) << "rank " << i;
+    EXPECT_EQ(got[i].write_fraction, want[i].write_fraction) << "rank " << i;
+    EXPECT_EQ(got[i].accessing_nodes, want[i].accessing_nodes) << "rank " << i;
+    EXPECT_EQ(got[i].shared_line_fraction, want[i].shared_line_fraction)
+        << "rank " << i;
+  }
+}
+
+class PostProfileOracleProperty
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PostProfileOracleProperty, EvidenceAndTallyMatchOrderedReference) {
+  Rng rng(GetParam());
+  const core::ProfileResult profile = random_profile(rng);
+  std::vector<topology::ChannelId> contended;
+  for (int c = 0; c < machine().num_channels(); ++c) {
+    if (rng.bernoulli(0.4)) contended.push_back(machine().channel_at(c));
+  }
+  const auto want = reference::collect_evidence(profile, contended);
+  expect_same_evidence(diagnoser::collect_evidence(profile, contended), want);
+
+  // diagnose() ranks the same objects by the same counts.
+  const diagnoser::Diagnosis d = diagnoser::diagnose(profile, contended);
+  ASSERT_EQ(d.ranking.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(d.ranking[i].object, want[i].object);
+    EXPECT_EQ(d.ranking[i].samples, want[i].samples);
+    EXPECT_EQ(d.ranking[i].cf, want[i].cf);
+  }
+}
+
+TEST_P(PostProfileOracleProperty, FeaturesMatchPerDestinationReference) {
+  Rng rng(GetParam());
+  const core::ProfileResult profile = random_profile(rng);
+  std::size_t diagonal_remote = 0;
+  std::size_t remote_local_or_lfb = 0;
+  for (const core::ChannelProfile& channel : profile.channels) {
+    for (const core::AttributedSample& s : channel.samples) {
+      if (channel.channel.is_local()) {
+        diagonal_remote += s.sample.level == pebs::MemLevel::kRemoteDram;
+      } else {
+        remote_local_or_lfb += s.sample.level == pebs::MemLevel::kLocalDram ||
+                               s.sample.level == pebs::MemLevel::kLfb;
+      }
+    }
+  }
+  ASSERT_GT(diagonal_remote, 0u);
+  ASSERT_GT(remote_local_or_lfb, 0u);
+
+  const auto got = features::extract_channels(profile, machine());
+  const auto want = reference::extract_channels(profile, machine());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t c = 0; c < got.size(); ++c) {
+    EXPECT_EQ(got[c].channel, want[c].channel);
+    EXPECT_EQ(std::memcmp(&got[c].features, &want[c].features,
+                          sizeof(features::FeatureVector)),
+              0)
+        << machine().channel_name(want[c].channel);
+  }
+  const features::FeatureVector run = features::extract_run(profile);
+  const features::FeatureVector run_want = reference::extract_run(profile);
+  EXPECT_EQ(std::memcmp(&run, &run_want, sizeof(features::FeatureVector)), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedGrid, PostProfileOracleProperty,
+                         ::testing::Values(1, 7, 42, 2017, 65537, 900001));
+
+TEST(PostProfileOracle, EvidenceEdgeCases) {
+  // Objects 0 and 1 are 32 KiB each, so they share the 64 KiB region at
+  // 1 GiB; object 2 is a third 32 KiB object in the next region.
+  std::vector<mem::Addr> bases;
+  core::ProfileResult profile =
+      empty_profile({32 << 10, 32 << 10, 32 << 10}, bases);
+  const std::uint32_t kMaxTid = 0xFFFFFFFFu;
+  // Object 0: its region only ever sees tid 0xFFFFFFFF -> one thread, not
+  // shared.  Object 1 touches the same region from tid 7, which does not
+  // make object 0's region shared: sharing is per (object, region).
+  for (mem::Addr i = 0; i < 3; ++i) {
+    add_sample(profile, attributed(bases[0] + 64 * i, 0, kMaxTid, 1));
+    add_sample(profile, attributed(bases[1] + 64 * i, 1, 7, 2));
+  }
+  // Object 2: tids 0xFFFFFFFF and 0 share its region -> shared.
+  add_sample(profile, attributed(bases[2], 2, kMaxTid, 1));
+  add_sample(profile, attributed(bases[2] + 64, 2, 0, 3));
+  add_sample(profile, attributed(bases[2] + 128, 2, 0, 3));
+  // Untracked samples count toward the total but belong to no object.
+  for (int i = 0; i < 4; ++i) {
+    add_sample(profile, attributed(1ull << 20, core::kUnknownObject, 1, 2));
+  }
+  const std::vector<topology::ChannelId> contended = {
+      {1, 0}, {2, 0}, {3, 0}};
+
+  const auto got = diagnoser::collect_evidence(profile, contended);
+  expect_same_evidence(got, reference::collect_evidence(profile, contended));
+  // Three objects with 3 samples each tie, so the site breaks the tie.
+  ASSERT_EQ(got.size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(got[i].object, i);
+    EXPECT_EQ(got[i].samples, 3u);
+    EXPECT_EQ(got[i].cf, 3.0 / 13.0);
+  }
+  EXPECT_EQ(got[0].shared_line_fraction, 0.0);
+  EXPECT_EQ(got[1].shared_line_fraction, 0.0);
+  EXPECT_EQ(got[2].shared_line_fraction, 1.0);
+  EXPECT_EQ(got[0].accessing_nodes, 1);
+  EXPECT_EQ(got[2].accessing_nodes, 2);
+
+  // No contended channel: no evidence, as the reference.
+  EXPECT_TRUE(diagnoser::collect_evidence(profile, {}).empty());
+  EXPECT_TRUE(reference::collect_evidence(profile, {}).empty());
+  // HeapTracker interns sites, so two objects can never share one: the
+  // (samples, site) sort key is a total order over any evidence list.
+}
 
 }  // namespace
 }  // namespace drbw
