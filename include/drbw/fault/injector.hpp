@@ -144,6 +144,16 @@ class Injector {
   std::vector<std::pair<std::string, std::uint64_t>> counts_;  // sorted keys
 };
 
+/// True when a plan is armed.  Sites whose key costs a pass over content (a
+/// body checksum) test this first, so unarmed runs never pay for the key.
+inline bool armed() {
+  if constexpr (!kEnabled) {
+    return false;
+  } else {
+    return Injector::global().armed();
+  }
+}
+
 /// Decision query; compiled out to a constant under -DDRBW_FAULT=OFF.
 inline bool should_inject(std::string_view site, Kind kind,
                           std::uint64_t key) {

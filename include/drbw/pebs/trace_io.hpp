@@ -13,8 +13,23 @@
 //     F,<base>                        free event
 //     S,<addr>,<cpu>,<tid>,<level>,<latency>,<w>,<cycle>   sample
 //
-//   Binary (v3) — little-endian fixed-width records, 10-100x faster to
-//   load (field parsing is a memcpy, not a strtoull per field):
+//   Field grammar (the one the binary decoder enforces):
+//     integers  [0-9]+, and the value must fit the field's binary width
+//               (cpu and tid u32; addr, cycle, base and size u64) — no
+//               whitespace, sign or hex
+//     level     one of L1 L2 L3 LFB LDR RDR
+//     w         0 or 1
+//     latency   a decimal float, finite and >= 0 (denormals included)
+//     site      unquoted text without '"', or a quoted field in which ""
+//               is one '"'; a quoted site may hold ',' and newlines, so a
+//               record can span lines.  It is keyed (line number and
+//               "trace.read" fault key) by its first line.
+//   Records are parsed in place with std::from_chars.  The writer prints
+//   the latency at precision 6, exactly as `ostream <<` does, so a CSV
+//   round trip keeps six significant digits of it.
+//
+//   Binary (v3) — little-endian fixed-width records, several times faster
+//   to load (field decoding is a byte copy, with no text to scan):
 //     #drbw-trace v3 crc32=<hex> bytes=<n>
 //     prelude   magic 'DRBW' u32 | flags u32 (0) | event count u64 |
 //               sample count u64 | label-blob bytes u64
@@ -103,10 +118,8 @@ struct LoadOptions {
 };
 
 /// Writes a trace; events come first so replay order matches collection.
-/// The stream form emits the legacy v1 CSV header (no checksum — a stream
-/// has no stable byte count to pin); save_trace writes the v2 checksummed
-/// artifact atomically and threads the "trace.write" fault site.
-void write_trace(std::ostream& os, const Trace& trace);
+/// save_trace writes the v2 checksummed CSV artifact atomically and threads
+/// the "trace.write" fault site.
 void save_trace(const std::string& path, const Trace& trace);
 
 /// Format/shard-aware save.  Returns every path written: the artifact at
@@ -118,7 +131,9 @@ std::vector<std::string> save_trace(const std::string& path,
 
 /// Parses a trace; throws drbw::Error on malformed or wrong-version input.
 /// The policy overloads implement strict/lenient loading as described in
-/// the header comment; `stats` (optional) receives record accounting.
+/// the header comment; `stats` (optional) receives record accounting.  The
+/// stream readers take CSV bodies (v1 without a checksum, or v2, whose
+/// checksum they do not check); files of any version go through load_trace.
 Trace read_trace(std::istream& is);
 Trace read_trace(std::istream& is, const util::LoadPolicy& policy,
                  util::LoadStats* stats);

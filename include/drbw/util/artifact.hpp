@@ -97,6 +97,11 @@ std::optional<ArtifactHeader> parse_artifact_header(std::string_view line);
 std::string read_file_or_throw(const std::string& path,
                                const std::string& what);
 
+/// The first line of a file, without its '\n' (the whole file when it has
+/// none).  Fails exactly like read_file_or_throw.  Callers that only need an
+/// artifact's header use this instead of reading a large body.
+std::string read_first_line(const std::string& path, const std::string& what);
+
 /// Throws Error(kNotFound) with the sibling hint unless `path` names an
 /// existing regular file.  The CLI calls this before any heavy work so
 /// missing-input failures surface early with a distinct exit code.

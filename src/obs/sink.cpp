@@ -77,8 +77,10 @@ std::string format_artifact_header(const std::string& kind, int version,
 void atomic_write_file(const std::string& path, std::string_view content) {
   namespace fs = std::filesystem;
   const std::string tmp = path + ".tmp";
-  const bool short_write = fault::should_inject(
-      "artifact.write", fault::Kind::kShortWrite, crc32(content));
+  const bool short_write =
+      fault::armed() && fault::should_inject("artifact.write",
+                                             fault::Kind::kShortWrite,
+                                             crc32(content));
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {

@@ -1,8 +1,11 @@
 #include "drbw/pebs/trace_io.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <filesystem>
@@ -63,6 +66,22 @@ struct TraceMetrics {
   }
 };
 
+bool level_from_view(std::string_view token, MemLevel& out) {
+  if (token.size() == 2 && token[0] == 'L' && token[1] >= '1' &&
+      token[1] <= '3') {
+    out = static_cast<MemLevel>(token[1] - '1');
+  } else if (token == "LFB") {
+    out = MemLevel::kLfb;
+  } else if (token == "LDR") {
+    out = MemLevel::kLocalDram;
+  } else if (token == "RDR") {
+    out = MemLevel::kRemoteDram;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 std::string hex8(std::uint32_t v) {
   char buf[16];
   std::snprintf(buf, sizeof buf, "%08x", v);
@@ -84,12 +103,8 @@ const char* level_token(MemLevel level) {
 }
 
 MemLevel level_from_token(const std::string& token) {
-  if (token == "L1") return MemLevel::kL1;
-  if (token == "L2") return MemLevel::kL2;
-  if (token == "L3") return MemLevel::kL3;
-  if (token == "LFB") return MemLevel::kLfb;
-  if (token == "LDR") return MemLevel::kLocalDram;
-  if (token == "RDR") return MemLevel::kRemoteDram;
+  MemLevel level = MemLevel::kL1;
+  if (level_from_view(token, level)) return level;
   throw Error("unknown memory-level token '" + token + "' in trace",
               ErrorCode::kParse);
 }
@@ -107,24 +122,72 @@ TraceFormat trace_format_from_name(const std::string& name) {
 
 namespace {
 
-void render_csv(std::ostream& os, const mem::AllocationEvent* events,
-                std::size_t event_count, const MemorySample* samples,
-                std::size_t sample_count) {
+/// Room for one rendered sample record: "S," five integers, a level token,
+/// a latency, a write flag, seven separators and the newline come to 86
+/// chars at most, and put_int may look up to 24 chars past the last field.
+constexpr std::size_t kMaxSampleChars = 96;
+
+/// Writes the decimal digits of `v` at `p` and returns their end; any
+/// 64-bit value fits in the 24 chars it may use.
+template <typename T>
+char* put_int(char* p, T v) {
+  return std::to_chars(p, p + 24, v).ptr;
+}
+
+/// Renders the CSV body into one reserved string.  The latency goes through
+/// `chars_format::general` at precision 6, which is exactly what
+/// `ostream << float` prints, so the bytes match the stream renderer's.
+std::string render_csv(const mem::AllocationEvent* events,
+                       std::size_t event_count, const MemorySample* samples,
+                       std::size_t sample_count) {
+  std::string out;
+  // Reserved pages are only touched as they are written, so reserving the
+  // samples' upper bound costs no resident memory and saves every regrowth.
+  out.reserve(event_count * 48 + sample_count * kMaxSampleChars);
+  const auto append_int = [&out](auto v) {
+    char digits[24];
+    out.append(digits, std::to_chars(digits, digits + sizeof digits, v).ptr);
+  };
   for (std::size_t i = 0; i < event_count; ++i) {
     const mem::AllocationEvent& e = events[i];
     if (e.kind == mem::AllocationEvent::Kind::kAlloc) {
-      os << "A," << CsvWriter::escape(e.site.label) << ',' << e.base
-         << ',' << e.size_bytes << '\n';
+      out += "A,";
+      out += CsvWriter::escape(e.site.label);
+      out += ',';
+      append_int(e.base);
+      out += ',';
+      append_int(e.size_bytes);
     } else {
-      os << "F," << e.base << '\n';
+      out += "F,";
+      append_int(e.base);
     }
+    out += '\n';
   }
+  char buf[kMaxSampleChars];
   for (std::size_t i = 0; i < sample_count; ++i) {
     const MemorySample& s = samples[i];
-    os << "S," << s.address << ',' << s.cpu << ',' << s.tid << ','
-       << level_token(s.level) << ',' << s.latency_cycles << ','
-       << (s.is_write ? 1 : 0) << ',' << s.cycle << '\n';
+    char* p = buf;
+    *p++ = 'S';
+    *p++ = ',';
+    p = put_int(p, s.address);
+    *p++ = ',';
+    p = put_int(p, s.cpu);
+    *p++ = ',';
+    p = put_int(p, s.tid);
+    *p++ = ',';
+    for (const char* t = level_token(s.level); *t != '\0'; ++t) *p++ = *t;
+    *p++ = ',';
+    p = std::to_chars(p, p + 16, s.latency_cycles, std::chars_format::general,
+                      6)
+            .ptr;
+    *p++ = ',';
+    *p++ = s.is_write ? '1' : '0';
+    *p++ = ',';
+    p = put_int(p, s.cycle);
+    *p++ = '\n';
+    out.append(buf, p);
   }
+  return out;
 }
 
 void put_u32(std::string& out, std::uint32_t v) {
@@ -221,9 +284,7 @@ std::string render_body(TraceFormat format, const mem::AllocationEvent* events,
   if (format == TraceFormat::kBinary) {
     return render_binary(events, event_count, samples, sample_count);
   }
-  std::ostringstream os;
-  render_csv(os, events, event_count, samples, sample_count);
-  return os.str();
+  return render_csv(events, event_count, samples, sample_count);
 }
 
 /// Escalates a lenient load once the quarantined fraction clears the policy
@@ -246,12 +307,6 @@ void enforce_quarantine_cap(const std::string& source,
 
 }  // namespace
 
-void write_trace(std::ostream& os, const Trace& trace) {
-  os << "#drbw-trace v1" << '\n';
-  render_csv(os, trace.events.data(), trace.events.size(),
-             trace.samples.data(), trace.samples.size());
-}
-
 void save_trace(const std::string& path, const Trace& trace) {
   util::write_versioned_artifact(
       path, kArtifactKind, kTraceCsvVersion,
@@ -262,144 +317,342 @@ void save_trace(const std::string& path, const Trace& trace) {
 
 namespace {
 
-/// Minimal CSV field splitter honoring the double-quote escaping CsvWriter
-/// produces for site labels.
-std::vector<std::string> split_csv(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string field;
-  bool quoted = false;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (quoted) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          quoted = false;
-        }
-      } else {
-        field += c;
-      }
-    } else if (c == '"') {
-      quoted = true;
-    } else if (c == ',') {
-      fields.push_back(std::move(field));
-      field.clear();
-    } else {
-      field += c;
-    }
+/// Walks a body one physical line at a time, in place.  Like getline, the
+/// last line needs no trailing '\n' and a trailing '\n' opens no extra line.
+class LineCursor {
+ public:
+  explicit LineCursor(std::string_view body)
+      : p_(body.data()), end_(body.data() + body.size()) {}
+
+  bool next(std::string_view& line) {
+    if (p_ == end_) return false;
+    const char* eol = find(p_, '\n');
+    line = std::string_view(p_, static_cast<std::size_t>(eol - p_));
+    p_ = eol == end_ ? end_ : eol + 1;
+    return true;
   }
-  fields.push_back(std::move(field));
-  return fields;
+
+  /// Grows `line`, just returned by next(), through the line holding `at`;
+  /// returns how many lines it took in.
+  std::size_t extend(std::string_view& line, const char* at) {
+    const char* eol = find(at, '\n');
+    const auto more = static_cast<std::size_t>(
+        std::count(line.data() + line.size(), eol, '\n'));
+    line = std::string_view(line.data(),
+                            static_cast<std::size_t>(eol - line.data()));
+    p_ = eol == end_ ? end_ : eol + 1;
+    return more;
+  }
+
+  /// The first `c` at or after `from`, or the end of the body.
+  const char* find(const char* from, char c) const {
+    const void* hit =
+        std::memchr(from, c, static_cast<std::size_t>(end_ - from));
+    return hit != nullptr ? static_cast<const char*>(hit) : end_;
+  }
+
+  const char* end() const { return end_; }
+
+ private:
+  const char* p_;
+  const char* end_;
+};
+
+bool is_blank(std::string_view line) {
+  for (const char c : line) {
+    if (!std::isspace(static_cast<unsigned char>(c))) return false;
+  }
+  return true;
 }
 
-std::uint64_t to_u64(const std::string& s) {
-  std::size_t pos = 0;
-  std::uint64_t v = 0;
-  try {
-    v = std::stoull(s, &pos);
-  } catch (const std::exception&) {
-    pos = std::string::npos;
+/// The closing quote of an allocation's quoted label when it opens on
+/// `line` and closes on a later line; nullptr when the record is just
+/// `line`.  The closing quote is the first lone '"', and the label's ','
+/// follows it; a label without one is damaged and its record stays one
+/// line, so a stray quote cannot run on into the records after it.
+const char* label_close_past(std::string_view line, const LineCursor& lines) {
+  if (line.size() < 3 || line.compare(0, 3, "A,\"") != 0) return nullptr;
+  const char* q = line.data() + 3;
+  for (;;) {
+    q = lines.find(q, '"');
+    if (q == lines.end() || q + 1 == lines.end()) return nullptr;
+    if (q[1] != '"') break;
+    q += 2;  // an escaped quote
   }
-  if (pos != s.size() || s.empty()) {
-    throw Error("malformed number '" + s + "'", ErrorCode::kParse);
-  }
-  return v;
+  return q[1] == ',' && q > line.data() + line.size() ? q : nullptr;
 }
 
-float to_latency(const std::string& s) {
-  std::size_t pos = 0;
-  float v = 0.0f;
-  try {
-    v = std::stof(s, &pos);
-  } catch (const std::exception&) {
-    pos = std::string::npos;
-  }
-  if (pos != s.size() || s.empty()) {
-    throw Error("malformed latency '" + s + "'", ErrorCode::kParse);
-  }
-  return v;
-}
-
-void require_arity(const std::vector<std::string>& fields, std::size_t want) {
-  if (fields.size() != want) {
-    throw Error("record has " + std::to_string(fields.size()) +
-                    " fields, expected " + std::to_string(want),
+void require_fields(std::size_t have, std::size_t want) {
+  if (have != want) {
+    throw Error("record has " + std::to_string(have) + " fields, expected " +
+                    std::to_string(want),
                 ErrorCode::kParse);
   }
 }
 
-/// Parses one record line into `trace`; throws Error(kParse) naming the
-/// offending token (the caller prefixes source + line number).
-void parse_record(const std::string& line, Trace& trace) {
-  const auto fields = split_csv(line);
-  const std::string& kind = fields[0];
-  if (kind == "A") {
-    require_arity(fields, 4);
-    trace.events.push_back(mem::AllocationEvent{
-        mem::AllocationEvent::Kind::kAlloc, {fields[1]}, to_u64(fields[2]),
-        to_u64(fields[3])});
-  } else if (kind == "F") {
-    require_arity(fields, 2);
-    trace.events.push_back(mem::AllocationEvent{
-        mem::AllocationEvent::Kind::kFree, {""}, to_u64(fields[1]), 0});
-  } else if (kind == "S") {
-    require_arity(fields, 8);
-    MemorySample s;
-    s.address = to_u64(fields[1]);
-    s.cpu = static_cast<topology::CpuId>(to_u64(fields[2]));
-    s.tid = static_cast<std::uint32_t>(to_u64(fields[3]));
-    s.level = level_from_token(fields[4]);
-    s.latency_cycles = to_latency(fields[5]);
-    s.is_write = fields[6] == "1";
-    s.cycle = to_u64(fields[7]);
-    trace.samples.push_back(s);
-  } else {
-    throw Error("unknown record kind '" + kind + "'", ErrorCode::kParse);
+/// Field count of `rec` under the writer's quoting: a field that opens with
+/// '"' runs to its closing quote ("" escapes one), so its commas do not
+/// split it.
+std::size_t count_fields(std::string_view rec) {
+  std::size_t fields = 1;
+  bool field_start = true;
+  bool quoted = false;
+  for (std::size_t i = 0; i < rec.size(); ++i) {
+    const char c = rec[i];
+    if (quoted) {
+      if (c != '"') continue;
+      if (i + 1 < rec.size() && rec[i + 1] == '"') {
+        ++i;
+      } else {
+        quoted = false;
+      }
+    } else if (c == ',') {
+      ++fields;
+      field_start = true;
+      continue;
+    } else if (c == '"' && field_start) {
+      quoted = true;
+    }
+    field_start = false;
   }
+  return fields;
 }
 
-/// Parses the record lines of a CSV `body` under `policy`.  `source` names
-/// the origin (file path or "<stream>") in every error; `first_line_no` is
-/// the 1-based line number of the first body line in the original file, so
-/// messages point at real file lines even though the header was stripped.
-Trace parse_records(const std::string& body, const std::string& source,
+enum class FieldKind { kNumber, kLatency, kLevel, kWriteFlag, kLabel };
+
+/// One record's fields, read left to right in place.  Each read parses its
+/// field and then requires the ',' right after it (or, for the last field,
+/// the record's end), so no separate split is needed.  After a failed read,
+/// `field` and `kind` name the field that failed.
+struct FieldCursor {
+  const char* p;
+  const char* end;
+  const char* field = nullptr;
+  FieldKind kind = FieldKind::kNumber;
+
+  bool separator(const char* at, bool last) {
+    if (last) return at == end;
+    if (at == end || *at != ',') return false;
+    p = at + 1;
+    return true;
+  }
+
+  const char* comma() const {
+    const void* hit = std::memchr(p, ',', static_cast<std::size_t>(end - p));
+    return static_cast<const char*>(hit);
+  }
+
+  template <typename T>
+  bool integer(T& out, bool last = false) {
+    field = p;
+    kind = FieldKind::kNumber;
+    const auto [at, ec] = std::from_chars(p, end, out);
+    return ec == std::errc() && separator(at, last);
+  }
+
+  bool latency(float& out) {
+    field = p;
+    kind = FieldKind::kLatency;
+    const auto [at, ec] = std::from_chars(p, end, out);
+    return ec == std::errc() && std::isfinite(out) && out >= 0.0f &&
+           separator(at, false);
+  }
+
+  bool level(MemLevel& out) {
+    field = p;
+    kind = FieldKind::kLevel;
+    const char* at = comma();
+    if (at == nullptr ||
+        !level_from_view(std::string_view(p, static_cast<std::size_t>(at - p)),
+                         out)) {
+      return false;
+    }
+    p = at + 1;
+    return true;
+  }
+
+  bool write_flag(bool& out) {
+    field = p;
+    kind = FieldKind::kWriteFlag;
+    if (end - p < 2 || (p[0] != '0' && p[0] != '1') || p[1] != ',') {
+      return false;
+    }
+    out = p[0] == '1';
+    p += 2;
+    return true;
+  }
+
+  /// An allocation label: unquoted text holding no '"', or a quoted field
+  /// whose "" pairs are unescaped into `scratch`.
+  bool label(std::string& scratch, std::string_view& out) {
+    field = p;
+    kind = FieldKind::kLabel;
+    if (p == end || *p != '"') {
+      const char* at = comma();
+      if (at == nullptr || std::find(p, at, '"') != at) return false;
+      out = std::string_view(p, static_cast<std::size_t>(at - p));
+      p = at + 1;
+      return true;
+    }
+    scratch.clear();
+    for (const char* q = p + 1;;) {
+      const auto* quote = static_cast<const char*>(
+          std::memchr(q, '"', static_cast<std::size_t>(end - q)));
+      if (quote == nullptr) return false;
+      scratch.append(q, quote);
+      if (quote + 1 == end || quote[1] != '"') {
+        out = scratch;
+        return separator(quote + 1, false);
+      }
+      scratch += '"';
+      q = quote + 2;
+    }
+  }
+};
+
+/// Throws the Error(kParse) for a record whose read failed at `c`: an arity
+/// mismatch when the record has the wrong field count, else the failed
+/// field with its text.  Off the hot path, so it may rescan the record.
+[[noreturn]] void reject(std::string_view rec, std::size_t want,
+                         const FieldCursor& c) {
+  require_fields(count_fields(rec), want);
+  const auto* at = static_cast<const char*>(
+      std::memchr(c.field, ',', static_cast<std::size_t>(c.end - c.field)));
+  const std::string token(c.field, at == nullptr ? c.end : at);
+  switch (c.kind) {
+    case FieldKind::kNumber:
+      throw Error("malformed number '" + token + "'", ErrorCode::kParse);
+    case FieldKind::kLatency:
+      throw Error("malformed latency '" + token + "'", ErrorCode::kParse);
+    case FieldKind::kLevel:
+      throw Error("unknown memory-level token '" + token + "' in trace",
+                  ErrorCode::kParse);
+    case FieldKind::kWriteFlag:
+      throw Error("malformed write flag '" + token + "'", ErrorCode::kParse);
+    case FieldKind::kLabel:
+      break;
+  }
+  throw Error("malformed site label '" + token + "'", ErrorCode::kParse);
+}
+
+/// Reads CSV records into a trace.  Only a quoted allocation label is ever
+/// copied, into one reused buffer; every other field parses in place.
+class RecordReader {
+ public:
+  /// Appends the non-blank record `rec` to `trace`; throws Error(kParse)
+  /// naming the offending token (the caller prefixes source and line).
+  void read(std::string_view rec, Trace& trace) {
+    if (rec.size() > 1 && rec[1] != ',') {
+      throw Error("unknown record kind '" +
+                      std::string(rec.substr(0, rec.find(','))) + "'",
+                  ErrorCode::kParse);
+    }
+    FieldCursor c{rec.data() + std::min<std::size_t>(rec.size(), 2),
+                  rec.data() + rec.size()};
+    switch (rec[0]) {
+      case 'S': {
+        MemorySample s;
+        std::uint32_t cpu = 0;
+        if (!(c.integer(s.address) && c.integer(cpu) && c.integer(s.tid) &&
+              c.level(s.level) && c.latency(s.latency_cycles) &&
+              c.write_flag(s.is_write) && c.integer(s.cycle, true))) {
+          reject(rec, 8, c);
+        }
+        s.cpu = static_cast<topology::CpuId>(cpu);
+        trace.samples.push_back(s);
+        return;
+      }
+      case 'A': {
+        std::string_view label;
+        std::uint64_t base = 0;
+        std::uint64_t size = 0;
+        if (!(c.label(label_, label) && c.integer(base) &&
+              c.integer(size, true))) {
+          reject(rec, 4, c);
+        }
+        trace.events.push_back(mem::AllocationEvent{
+            mem::AllocationEvent::Kind::kAlloc, {std::string(label)}, base,
+            size});
+        return;
+      }
+      case 'F': {
+        std::uint64_t base = 0;
+        if (!c.integer(base, true)) reject(rec, 2, c);
+        trace.events.push_back(mem::AllocationEvent{
+            mem::AllocationEvent::Kind::kFree, {""}, base, 0});
+        return;
+      }
+      default:
+        throw Error("unknown record kind '" + std::string(rec.substr(0, 1)) +
+                        "'",
+                    ErrorCode::kParse);
+    }
+  }
+
+ private:
+  std::string label_;
+};
+
+/// Parses the records of a CSV `body` under `policy`.  `source` names the
+/// origin (file path or "<stream>") in every error; `first_line_no` is the
+/// 1-based file line of the body's first line, so messages point at real
+/// file lines even though the header was stripped.  A record is keyed (its
+/// line number and its "trace.read" fault key) by its first line; only a
+/// quoted allocation label may run on past it.
+Trace parse_records(std::string_view body, const std::string& source,
                     std::size_t first_line_no, const util::LoadPolicy& policy,
                     util::LoadStats* stats) {
   Trace trace;
   util::LoadStats local;
   util::LoadStats& st = stats != nullptr ? *stats : local;
   TraceMetrics& metrics = TraceMetrics::get();
-  std::istringstream is(body);
-  std::string line;
+  // One batched add instead of a per-record atomic increment, made on every
+  // way out so a strict load that throws still counts what it saw.
+  struct SeenTally {
+    obs::Counter& counter;
+    std::size_t seen = 0;
+    ~SeenTally() { counter.add(seen); }
+  } tally{metrics.records_seen};
+  trace.samples.reserve(
+      static_cast<std::size_t>(std::count(body.begin(), body.end(), '\n')) +
+      1);
+  const bool faults_armed = fault::armed();
+  RecordReader reader;
+  std::string damaged;
+  LineCursor lines(body);
+  std::string_view rec;
   std::size_t line_no = first_line_no - 1;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (trim(line).empty()) continue;
+  while (lines.next(rec)) {
+    const std::size_t key = ++line_no;
+    if (is_blank(rec)) continue;
+    if (const char* close = label_close_past(rec, lines)) {
+      line_no += lines.extend(rec, close);
+    }
     ++st.records_seen;
-    metrics.records_seen.add(1);
-    // Fault site "trace.read": deterministically damage this line (keyed by
-    // its line number, so the decision is identical at any --jobs count).
-    if (fault::should_inject("trace.read", fault::Kind::kCorruptField,
-                             line_no)) {
-      const std::uint64_t bit = fault::corrupt_bits("trace.read", line_no, 0);
-      const std::size_t at = static_cast<std::size_t>(bit % line.size());
-      line[at] = static_cast<char>(line[at] ^ 0x11);
+    ++tally.seen;
+    // Fault site "trace.read": deterministically damage this record (keyed
+    // by its line number, so the decision is identical at any --jobs count).
+    if (faults_armed &&
+        fault::should_inject("trace.read", fault::Kind::kCorruptField, key)) {
+      const std::uint64_t bit = fault::corrupt_bits("trace.read", key, 0);
+      damaged.assign(rec);
+      const std::size_t at = static_cast<std::size_t>(bit % damaged.size());
+      damaged[at] = static_cast<char>(damaged[at] ^ 0x11);
+      rec = damaged;
     }
     try {
-      parse_record(line, trace);
+      reader.read(rec, trace);
       ++st.records_ok;
     } catch (const Error& e) {
       if (!policy.lenient()) {
-        throw Error(source + ":" + std::to_string(line_no) + ": " + e.what(),
+        throw Error(source + ":" + std::to_string(key) + ": " + e.what(),
                     e.code());
       }
       ++st.records_quarantined;
       metrics.records_quarantined.add(1);
       // Post-mortem breadcrumb: which source line was quarantined.  Keyed by
       // content (line number), so flight dumps stay jobs-independent.
-      obs::flight().note("quarantine", source, line_no);
+      obs::flight().note("quarantine", source, key);
     }
   }
   enforce_quarantine_cap(source, policy, st);
@@ -534,8 +787,7 @@ Trace parse_binary(const std::string& body, const std::string& source,
   Trace trace;
   trace.events.reserve(events_avail);
   trace.samples.reserve(samples_avail);
-  const bool faults_armed =
-      fault::kEnabled && fault::Injector::global().armed();
+  const bool faults_armed = fault::armed();
   unsigned char scratch[kBinaryPreludeBytes];
   // Returns the record bytes to decode: the mapped body bytes, or a locally
   // damaged copy when the "trace.read" corrupt fault fires for this key.
@@ -632,45 +884,73 @@ struct ShardIndex {
   std::vector<ShardEntry> entries;
 };
 
+/// Splits an index line at its commas (the index writer never quotes).
+/// Returns the field count; only the first kIndexFields are kept.
+constexpr std::size_t kIndexFields = 6;
+std::size_t split_index_line(std::string_view line,
+                             std::array<std::string_view, kIndexFields>& out) {
+  std::size_t n = 0;
+  for (;;) {
+    const std::size_t comma = line.find(',');
+    if (n < kIndexFields) out[n] = line.substr(0, comma);
+    ++n;
+    if (comma == std::string_view::npos) return n;
+    line.remove_prefix(comma + 1);
+  }
+}
+
+std::uint64_t index_number(std::string_view token) {
+  std::uint64_t v = 0;
+  const auto [at, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), v);
+  if (ec != std::errc() || at != token.data() + token.size()) {
+    throw Error("malformed number '" + std::string(token) + "'",
+                ErrorCode::kParse);
+  }
+  return v;
+}
+
 /// Parses the line-oriented "#drbw-trace-index" body.  `source` names the
 /// index file in every error.
-ShardIndex parse_shard_index(const std::string& body,
+ShardIndex parse_shard_index(std::string_view body,
                              const std::string& source) {
   ShardIndex index;
   std::size_t declared_shards = 0;
   bool saw_format = false;
   bool saw_shards = false;
-  std::istringstream is(body);
-  std::string line;
+  LineCursor lines(body);
+  std::string_view line;
   std::size_t line_no = 1;  // the header line
-  while (std::getline(is, line)) {
+  while (lines.next(line)) {
     ++line_no;
-    if (trim(line).empty()) continue;
-    const auto fields = split_csv(line);
-    const std::string& kind = fields[0];
+    if (is_blank(line)) continue;
+    std::array<std::string_view, kIndexFields> fields;
+    const std::size_t arity = split_index_line(line, fields);
+    const std::string_view kind = fields[0];
     try {
       if (kind == "format") {
-        require_arity(fields, 2);
-        index.format = trace_format_from_name(fields[1]);
+        require_fields(arity, 2);
+        index.format = trace_format_from_name(std::string(fields[1]));
         saw_format = true;
       } else if (kind == "shards") {
-        require_arity(fields, 2);
-        declared_shards = static_cast<std::size_t>(to_u64(fields[1]));
+        require_fields(arity, 2);
+        declared_shards = static_cast<std::size_t>(index_number(fields[1]));
         saw_shards = true;
       } else if (kind == "shard") {
-        require_arity(fields, 6);
+        require_fields(arity, 6);
         ShardEntry entry;
-        entry.file = fields[1];
-        char* end = nullptr;
-        entry.crc = static_cast<std::uint32_t>(
-            std::strtoul(fields[2].c_str(), &end, 16));
-        if (end == nullptr || *end != '\0' || fields[2].size() != 8) {
-          throw Error("malformed shard crc32 '" + fields[2] + "'",
+        entry.file = std::string(fields[1]);
+        const std::string_view crc = fields[2];
+        const auto [at, ec] =
+            std::from_chars(crc.data(), crc.data() + crc.size(), entry.crc, 16);
+        if (ec != std::errc() || at != crc.data() + crc.size() ||
+            crc.size() != 8) {
+          throw Error("malformed shard crc32 '" + std::string(crc) + "'",
                       ErrorCode::kParse);
         }
-        entry.bytes = static_cast<std::size_t>(to_u64(fields[3]));
-        entry.events = static_cast<std::size_t>(to_u64(fields[4]));
-        entry.samples = static_cast<std::size_t>(to_u64(fields[5]));
+        entry.bytes = static_cast<std::size_t>(index_number(fields[3]));
+        entry.events = static_cast<std::size_t>(index_number(fields[4]));
+        entry.samples = static_cast<std::size_t>(index_number(fields[5]));
         if (entry.file.empty() ||
             entry.file.find('/') != std::string::npos ||
             entry.file.find("..") != std::string::npos) {
@@ -680,7 +960,7 @@ ShardIndex parse_shard_index(const std::string& body,
         }
         index.entries.push_back(std::move(entry));
       } else {
-        throw Error("unknown index record kind '" + kind + "'",
+        throw Error("unknown index record kind '" + std::string(kind) + "'",
                     ErrorCode::kParse);
       }
     } catch (const Error& e) {
@@ -920,8 +1200,9 @@ Trace read_trace(std::istream& is, const util::LoadPolicy& policy,
                     "'; binary traces load from files via load_trace)",
                 ErrorCode::kVersionSkew);
   }
-  const std::string body =
-      eol == std::string::npos ? std::string() : content.substr(eol + 1);
+  const std::string_view body =
+      eol == std::string::npos ? std::string_view()
+                               : std::string_view(content).substr(eol + 1);
   return parse_records(body, "<stream>", 2, policy, stats);
 }
 
@@ -977,15 +1258,17 @@ Trace load_trace(const std::string& path) {
 
 std::vector<std::string> trace_artifact_paths(const std::string& path) {
   try {
+    // Only a shard-set index has more files behind it, and only then is the
+    // body worth reading: a single-file trace is named by its header line.
+    const auto header = util::parse_artifact_header(
+        trim(util::read_first_line(path, "trace file")));
+    if (!header.has_value() || header->kind != kIndexKind) return {path};
     const std::string content = util::read_file_or_throw(path, "trace file");
     const std::size_t eol = content.find('\n');
-    const std::string first_line =
-        trim(eol == std::string::npos ? content : content.substr(0, eol));
-    const auto header = util::parse_artifact_header(first_line);
-    if (!header.has_value() || header->kind != kIndexKind) return {path};
-    const std::string body =
-        eol == std::string::npos ? std::string() : content.substr(eol + 1);
-    const ShardIndex index = parse_shard_index(body, path);
+    const ShardIndex index = parse_shard_index(
+        eol == std::string::npos ? std::string_view()
+                                 : std::string_view(content).substr(eol + 1),
+        path);
     std::vector<std::string> paths;
     paths.reserve(index.entries.size() + 1);
     paths.push_back(path);

@@ -117,8 +117,9 @@ void require_input_file(const std::string& path, const std::string& what) {
               ErrorCode::kNotFound);
 }
 
-std::string read_file_or_throw(const std::string& path,
-                               const std::string& what) {
+namespace {
+
+std::ifstream open_input(const std::string& path, const std::string& what) {
   require_input_file(path, what);
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -126,6 +127,25 @@ std::string read_file_or_throw(const std::string& path,
                     "': " + std::strerror(errno),
                 ErrorCode::kIo);
   }
+  return in;
+}
+
+}  // namespace
+
+std::string read_first_line(const std::string& path, const std::string& what) {
+  std::ifstream in = open_input(path, what);
+  std::string line;
+  std::getline(in, line);
+  if (in.bad()) {
+    throw Error("I/O error reading " + what + " '" + path + "'",
+                ErrorCode::kIo);
+  }
+  return line;
+}
+
+std::string read_file_or_throw(const std::string& path,
+                               const std::string& what) {
+  std::ifstream in = open_input(path, what);
   // Size the buffer up front and read once: streaming through an
   // ostringstream costs more than the checksum pass for multi-megabyte
   // binary trace bodies.
@@ -156,7 +176,7 @@ void write_versioned_artifact(const std::string& path, const std::string& kind,
   // detectable on load exactly like real damage.
   const std::string header = format_artifact_header(kind, version, body);
   std::string damaged;
-  if (!fault_site.empty() && fault::kEnabled) {
+  if (!fault_site.empty() && fault::armed()) {
     const std::uint64_t key = crc32(body);
     if (fault::should_inject(fault_site, fault::Kind::kTruncateFile, key)) {
       damaged.assign(body.substr(0, body.size() / 2));

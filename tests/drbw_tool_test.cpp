@@ -428,6 +428,27 @@ TEST(DrBwCliExitCodeTest, OutOfRangeCpuExits68) {
   std::filesystem::remove_all(dir);
 }
 
+/// A CSV field outside the trace grammar (here the leading space a
+/// damaged digit leaves, which std::stoull used to skip) fails a strict
+/// load as a parse error (67) naming path:line, and the manifest says so.
+TEST(DrBwCliExitCodeTest, NarrowedCsvFieldExits67) {
+  const std::string dir =
+      ::testing::TempDir() + "/drbw_cli_grammar_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string bad = dir + "/space.csv";
+  util::atomic_write_file(bad,
+                          "#drbw-trace v1\n"
+                          "S,4096,0,1,LDR,500,0,10\n"
+                          "S, 4100,0,1,LDR,500,0,20\n");
+  EXPECT_EQ(run_cli("analyze --trace " + bad + " --run-dir " + dir + "/run"),
+            67);
+  const std::string manifest = cli_read_file(dir + "/run/run.json");
+  EXPECT_NE(manifest.find("parse-error"), std::string::npos);
+  EXPECT_NE(manifest.find(bad + ":3: malformed number"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
 /// `drbw explain` end to end: a recorded trace + trained model yield a
 /// deterministic `#drbw-explain v1` artifact and Markdown report — the
 /// explain stage and "explain" span both land in the run manifest.

@@ -609,5 +609,43 @@ TEST(TraceReadSite, CorruptionQuarantinesDeterministically) {
   std::remove(path.c_str());
 }
 
+/// The XOR damage the site applies never maps a digit to a digit, so under
+/// the trace field grammar every damaged sample record is rejected: none
+/// loads as a silently different number (" 23" for "123", a write flag of
+/// "!").  Lenient loads quarantine each one; strict loads fail as kParse
+/// (exit 67) at the first damaged line.
+TEST(TraceReadSite, EveryDamagedSampleIsQuarantined) {
+  if (!fault::kEnabled) GTEST_SKIP() << "built with -DDRBW_FAULT=OFF";
+  const std::string path = ::testing::TempDir() + "/read_fault_all.csv";
+  pebs::Trace trace;
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    pebs::MemorySample s;
+    s.address = 10000 + i * 1111;
+    s.cpu = static_cast<topology::CpuId>(i % 16);
+    s.tid = i % 3;
+    s.level = static_cast<pebs::MemLevel>(i % 6);
+    s.latency_cycles = 1.5f * static_cast<float>(i) + 100.0f;
+    s.is_write = i % 2 == 1;
+    s.cycle = 1000000 + i * 13;
+    trace.samples.push_back(s);
+  }
+  pebs::save_trace(path, trace);
+
+  ArmGuard guard("seed=4,trace.read:corrupt:1");
+  util::LoadStats stats;
+  const pebs::Trace loaded = pebs::load_trace(
+      path, util::LoadPolicy{util::LoadMode::kLenient, 1.0}, &stats);
+  EXPECT_EQ(stats.records_seen, 64u);
+  EXPECT_EQ(stats.records_quarantined, 64u);
+  EXPECT_TRUE(loaded.samples.empty());
+
+  std::string message;
+  EXPECT_EQ(code_of([&] { pebs::load_trace(path); }, &message),
+            ErrorCode::kParse);
+  EXPECT_NE(message.find(path + ":2: "), std::string::npos) << message;
+  EXPECT_EQ(exit_code_for(ErrorCode::kParse), 67);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace drbw

@@ -2,10 +2,15 @@
 // with TEST_P / INSTANTIATE_TEST_SUITE_P.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <limits>
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "drbw/core/profiler.hpp"
 #include "drbw/diagnoser/advice.hpp"
@@ -13,7 +18,11 @@
 #include "drbw/features/selected.hpp"
 #include "drbw/features/window.hpp"
 #include "drbw/ml/decision_tree.hpp"
+#include "drbw/pebs/trace_io.hpp"
 #include "drbw/sim/engine.hpp"
+#include "drbw/util/csv.hpp"
+#include "drbw/util/artifact.hpp"
+#include "drbw/util/strings.hpp"
 #include "drbw/util/rng.hpp"
 #include "drbw/util/stats.hpp"
 
@@ -790,6 +799,412 @@ TEST(PostProfileOracle, EvidenceEdgeCases) {
   // HeapTracker interns sites, so two objects can never share one: the
   // (samples, site) sort key is a total order over any evidence list.
 }
+
+// ---------------------------------------------------------------------- //
+// CSV trace codec against the reference implementation it replaced: a
+// vector<string> field split per line, std::stoull / std::stof per field,
+// and an ostream renderer.  The renderer must match byte for byte, the
+// loader must match record for record wherever the reference can load the
+// body at all, and every single-byte damage to a sample line must either
+// load identically in both or fall in the field grammar's narrowing list
+// (trace_io.hpp), where only the new loader rejects it.
+
+namespace reference {
+
+std::string render_csv(const pebs::Trace& trace) {
+  std::ostringstream os;
+  for (const mem::AllocationEvent& e : trace.events) {
+    if (e.kind == mem::AllocationEvent::Kind::kAlloc) {
+      os << "A," << CsvWriter::escape(e.site.label) << ',' << e.base << ','
+         << e.size_bytes << '\n';
+    } else {
+      os << "F," << e.base << '\n';
+    }
+  }
+  for (const pebs::MemorySample& s : trace.samples) {
+    os << "S," << s.address << ',' << s.cpu << ',' << s.tid << ','
+       << pebs::level_token(s.level) << ',' << s.latency_cycles << ','
+       << (s.is_write ? 1 : 0) << ',' << s.cycle << '\n';
+  }
+  return os.str();
+}
+
+std::vector<std::string> split_csv(const std::string& line) {
+  std::vector<std::string> fields;
+  std::string field;
+  bool quoted = false;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    const char c = line[i];
+    if (quoted) {
+      if (c == '"') {
+        if (i + 1 < line.size() && line[i + 1] == '"') {
+          field += '"';
+          ++i;
+        } else {
+          quoted = false;
+        }
+      } else {
+        field += c;
+      }
+    } else if (c == '"') {
+      quoted = true;
+    } else if (c == ',') {
+      fields.push_back(std::move(field));
+      field.clear();
+    } else {
+      field += c;
+    }
+  }
+  fields.push_back(std::move(field));
+  return fields;
+}
+
+std::uint64_t to_u64(const std::string& s) {
+  std::size_t pos = 0;
+  std::uint64_t v = 0;
+  try {
+    v = std::stoull(s, &pos);
+  } catch (const std::exception&) {
+    pos = std::string::npos;
+  }
+  if (pos != s.size() || s.empty()) {
+    throw Error("malformed number '" + s + "'", ErrorCode::kParse);
+  }
+  return v;
+}
+
+float to_latency(const std::string& s) {
+  std::size_t pos = 0;
+  float v = 0.0f;
+  try {
+    v = std::stof(s, &pos);
+  } catch (const std::exception&) {
+    pos = std::string::npos;
+  }
+  if (pos != s.size() || s.empty()) {
+    throw Error("malformed latency '" + s + "'", ErrorCode::kParse);
+  }
+  return v;
+}
+
+void require_arity(const std::vector<std::string>& fields, std::size_t want) {
+  if (fields.size() != want) {
+    throw Error("record has " + std::to_string(fields.size()) +
+                    " fields, expected " + std::to_string(want),
+                ErrorCode::kParse);
+  }
+}
+
+void parse_record(const std::string& line, pebs::Trace& trace) {
+  const auto fields = split_csv(line);
+  const std::string& kind = fields[0];
+  if (kind == "A") {
+    require_arity(fields, 4);
+    trace.events.push_back(mem::AllocationEvent{
+        mem::AllocationEvent::Kind::kAlloc, {fields[1]}, to_u64(fields[2]),
+        to_u64(fields[3])});
+  } else if (kind == "F") {
+    require_arity(fields, 2);
+    trace.events.push_back(mem::AllocationEvent{
+        mem::AllocationEvent::Kind::kFree, {""}, to_u64(fields[1]), 0});
+  } else if (kind == "S") {
+    require_arity(fields, 8);
+    pebs::MemorySample s;
+    s.address = to_u64(fields[1]);
+    s.cpu = static_cast<topology::CpuId>(to_u64(fields[2]));
+    s.tid = static_cast<std::uint32_t>(to_u64(fields[3]));
+    s.level = pebs::level_from_token(fields[4]);
+    s.latency_cycles = to_latency(fields[5]);
+    s.is_write = fields[6] == "1";
+    s.cycle = to_u64(fields[7]);
+    trace.samples.push_back(s);
+  } else {
+    throw Error("unknown record kind '" + kind + "'", ErrorCode::kParse);
+  }
+}
+
+/// The reference's lenient loop over a CSV body (one record per line).
+pebs::Trace parse_records(const std::string& body, util::LoadStats& st) {
+  pebs::Trace trace;
+  std::istringstream is(body);
+  std::string line;
+  while (std::getline(is, line)) {
+    if (trim(line).empty()) continue;
+    ++st.records_seen;
+    try {
+      parse_record(line, trace);
+      ++st.records_ok;
+    } catch (const Error&) {
+      ++st.records_quarantined;
+    }
+  }
+  return trace;
+}
+
+}  // namespace reference
+
+/// A seeded random trace.  Latencies include 0, denormals, FLT_MAX and
+/// arbitrary finite bit patterns; labels include ',', '"' and (unless
+/// `reference_loadable`) newlines.  The reference loader cannot read a
+/// newline in a label or a denormal latency (stof reports ERANGE), so
+/// `reference_loadable` leaves both out.
+pebs::Trace random_trace(Rng& rng, bool reference_loadable) {
+  static const char* const kLabels[] = {
+      "plain.c:1 buf", "comma.c:2 a,b", "quote.c:3 \"q\"", "both.c:4 \"x\",y",
+      "", "crlf.c:5 a\r\nb", "newline.c:6 \n", "\n\n\"\"\n"};
+  const std::size_t label_choices = reference_loadable ? 5 : 8;
+  pebs::Trace trace;
+  const int events = 1 + static_cast<int>(rng.bounded(8));
+  for (int i = 0; i < events; ++i) {
+    mem::AllocationEvent e;
+    if (rng.bernoulli(0.25)) {
+      e.kind = mem::AllocationEvent::Kind::kFree;
+    } else {
+      e.kind = mem::AllocationEvent::Kind::kAlloc;
+      e.site.label = kLabels[rng.bounded(label_choices)];
+      e.size_bytes = rng.bernoulli(0.5) ? rng.next() : rng.bounded(1 << 20);
+    }
+    e.base = rng.bernoulli(0.5) ? rng.next() : rng.bounded(1 << 30);
+    trace.events.push_back(e);
+  }
+  const std::uint32_t tids[] = {0, 7, 0xFFFFFFFFu};
+  const int samples = 50 + static_cast<int>(rng.bounded(400));
+  for (int i = 0; i < samples; ++i) {
+    pebs::MemorySample s;
+    s.address = rng.bernoulli(0.5) ? rng.next() : rng.bounded(1 << 30);
+    s.cpu = static_cast<topology::CpuId>(rng.bounded(64));
+    s.tid = tids[rng.bounded(3)];
+    s.level = static_cast<pebs::MemLevel>(rng.bounded(6));
+    switch (rng.bounded(reference_loadable ? 5 : 7)) {
+      case 0: s.latency_cycles = 0.0f; break;
+      case 1: s.latency_cycles = FLT_MAX; break;
+      case 2: s.latency_cycles = 3.4e38f; break;
+      case 3: s.latency_cycles = static_cast<float>(rng.uniform(0.0, 5e3)); break;
+      case 4: {
+        // Any finite non-negative normal float.
+        const auto bits = static_cast<std::uint32_t>(
+            0x00800000u + rng.bounded(0x7F000000u - 0x00800000u));
+        std::memcpy(&s.latency_cycles, &bits, sizeof bits);
+        break;
+      }
+      case 5: s.latency_cycles = std::numeric_limits<float>::denorm_min(); break;
+      default: s.latency_cycles = FLT_MIN / 3.0f; break;
+    }
+    s.is_write = rng.bernoulli(0.3);
+    s.cycle = rng.bernoulli(0.5) ? rng.next() : rng.bounded(1 << 30);
+    trace.samples.push_back(s);
+  }
+  return trace;
+}
+
+void expect_same_trace(const pebs::Trace& got, const pebs::Trace& want) {
+  ASSERT_EQ(got.events.size(), want.events.size());
+  for (std::size_t i = 0; i < got.events.size(); ++i) {
+    EXPECT_EQ(got.events[i].kind, want.events[i].kind) << "event " << i;
+    EXPECT_EQ(got.events[i].site.label, want.events[i].site.label)
+        << "event " << i;
+    EXPECT_EQ(got.events[i].base, want.events[i].base) << "event " << i;
+    EXPECT_EQ(got.events[i].size_bytes, want.events[i].size_bytes)
+        << "event " << i;
+  }
+  ASSERT_EQ(got.samples.size(), want.samples.size());
+  for (std::size_t i = 0; i < got.samples.size(); ++i) {
+    const pebs::MemorySample& a = got.samples[i];
+    const pebs::MemorySample& b = want.samples[i];
+    std::uint32_t a_bits = 0;
+    std::uint32_t b_bits = 0;
+    std::memcpy(&a_bits, &a.latency_cycles, sizeof a_bits);
+    std::memcpy(&b_bits, &b.latency_cycles, sizeof b_bits);
+    EXPECT_TRUE(a.address == b.address && a.cpu == b.cpu && a.tid == b.tid &&
+                a.level == b.level && a_bits == b_bits &&
+                a.is_write == b.is_write && a.cycle == b.cycle)
+        << "sample " << i;
+  }
+}
+
+void expect_same_stats(const util::LoadStats& got,
+                       const util::LoadStats& want) {
+  EXPECT_EQ(got.records_seen, want.records_seen);
+  EXPECT_EQ(got.records_ok, want.records_ok);
+  EXPECT_EQ(got.records_quarantined, want.records_quarantined);
+  EXPECT_EQ(got.checksum_ok, want.checksum_ok);
+}
+
+/// The body of the artifact at `path`: everything after the header line.
+std::string artifact_body(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::string content((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+  return content.substr(content.find('\n') + 1);
+}
+
+class CsvCodecOracleProperty : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  std::string path(const std::string& name) const {
+    return ::testing::TempDir() + "/drbw_csv_oracle_" +
+           std::to_string(GetParam()) + "_" + name;
+  }
+};
+
+TEST_P(CsvCodecOracleProperty, RendererMatchesStreamReferenceBytes) {
+  Rng rng(GetParam());
+  for (const bool loadable : {true, false}) {
+    const pebs::Trace trace = random_trace(rng, loadable);
+    const std::string file = path("render.csv");
+    pebs::save_trace(file, trace);
+    EXPECT_EQ(artifact_body(file), reference::render_csv(trace));
+    std::remove(file.c_str());
+  }
+  // Rounding ties and the extremes of the latency format.
+  pebs::Trace edges;
+  for (const float f : {1234565.0f, 1234575.0f, 0.5f, 2.5f, 1e-45f, -0.0f,
+                        FLT_MIN, FLT_MAX, 100000.0f, 999999.5f, 1e6f}) {
+    pebs::MemorySample s;
+    s.latency_cycles = f;
+    s.cpu = -1;
+    edges.samples.push_back(s);
+  }
+  const std::string file = path("edges.csv");
+  pebs::save_trace(file, edges);
+  EXPECT_EQ(artifact_body(file), reference::render_csv(edges));
+  std::remove(file.c_str());
+}
+
+TEST_P(CsvCodecOracleProperty, LoaderMatchesReferenceAndBinaryRoundTrip) {
+  Rng rng(GetParam());
+  // Records both loaders reject, mixed into the body to exercise the
+  // quarantine accounting.
+  static const char* const kBad[] = {
+      "Z,1", "S,1,2,3", "S,x,0,0,L1,5,0,1", "S,1,0,0,XYZ,5,0,1",
+      "S,1,0,0,L1,5e99,0,1", "F,12junk", "A,x,1", "   ", ""};
+  const pebs::Trace trace = random_trace(rng, true);
+  std::string body = reference::render_csv(trace);
+  for (const char* bad : kBad) {
+    const std::size_t at = body.find('\n', rng.bounded(body.size()));
+    body.insert(at + 1, std::string(bad) + "\n");
+  }
+  const std::string file = path("load.csv");
+  util::atomic_write_file(file, util::format_artifact_header(
+                                    "trace", pebs::kTraceCsvVersion, body) +
+                                    "\n" + body);
+  const util::LoadPolicy lenient{util::LoadMode::kLenient, 0.9};
+  util::LoadStats got_stats;
+  const pebs::Trace got = pebs::load_trace(file, lenient, &got_stats);
+  util::LoadStats want_stats;
+  const pebs::Trace want = reference::parse_records(body, want_stats);
+  expect_same_trace(got, want);
+  expect_same_stats(got_stats, want_stats);
+  EXPECT_EQ(got_stats.records_quarantined, 7u);  // 9 lines, 2 of them blank
+  std::remove(file.c_str());
+
+  // With newlines in labels and denormal latencies only the new loader can
+  // read the CSV; its trace must survive a binary round trip unchanged and
+  // re-render to the same CSV bytes.
+  for (const bool loadable : {true, false}) {
+    const pebs::Trace original = random_trace(rng, loadable);
+    const std::string csv = path("trip.csv");
+    const std::string bin = path("trip.bin");
+    pebs::save_trace(csv, original);
+    const pebs::Trace from_csv = pebs::load_trace(csv);
+    pebs::SaveOptions binary;
+    binary.format = pebs::TraceFormat::kBinary;
+    pebs::save_trace(bin, from_csv, binary);
+    expect_same_trace(pebs::load_trace(bin), from_csv);
+    const std::string csv_bytes = artifact_body(csv);
+    pebs::save_trace(csv, from_csv);
+    EXPECT_EQ(artifact_body(csv), csv_bytes);
+    std::remove(csv.c_str());
+    std::remove(bin.c_str());
+  }
+}
+
+/// True when the damaged sample `line` (damage at byte `at`) is outside the
+/// field grammar in a way the reference loader tolerated: whitespace or a
+/// sign before a number, a quote in a field, a write flag other than 0/1,
+/// a non-finite or negative latency, or a cpu/tid past u32.
+bool in_narrowing_list(const std::string& line, std::size_t at) {
+  std::size_t index = 0;
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i < at; ++i) {
+    if (line[i] == ',') {
+      ++index;
+      begin = i + 1;
+    }
+  }
+  const std::string field = line.substr(begin, line.find(',', begin) - begin);
+  if (field.find('"') != std::string::npos) return true;
+  if (!field.empty() &&
+      (std::isspace(static_cast<unsigned char>(field[0])) ||
+       field[0] == '+' || field[0] == '-')) {
+    return true;
+  }
+  if (index == 6) return true;  // the write flag
+  if (index == 5) {
+    try {
+      const float latency = reference::to_latency(field);
+      return !std::isfinite(latency) || latency < 0.0f;
+    } catch (const Error&) {
+      return false;
+    }
+  }
+  if (index == 2 || index == 3) {
+    try {
+      return reference::to_u64(field) > 0xFFFFFFFFu;
+    } catch (const Error&) {
+      return false;
+    }
+  }
+  return false;
+}
+
+TEST_P(CsvCodecOracleProperty, SingleByteDamageAgreesOrIsNarrowed) {
+  Rng rng(GetParam());
+  pebs::Trace trace = random_trace(rng, true);
+  trace.events.clear();
+  trace.samples.resize(24);
+  const std::string body = reference::render_csv(trace);
+  std::istringstream lines(body);
+  std::string line;
+  std::size_t mutations = 0;
+  std::size_t narrowed = 0;
+  while (std::getline(lines, line)) {
+    for (std::size_t at = 0; at < line.size(); ++at) {
+      std::string damaged = line;
+      damaged[at] = static_cast<char>(damaged[at] ^ 0x11);
+      ++mutations;
+      pebs::Trace want;
+      bool want_ok = true;
+      try {
+        reference::parse_record(damaged, want);
+      } catch (const Error&) {
+        want_ok = false;
+      }
+      pebs::Trace got;
+      bool got_ok = true;
+      std::stringstream in("#drbw-trace v1\n" + damaged + "\n");
+      try {
+        got = pebs::read_trace(in);
+      } catch (const Error& e) {
+        got_ok = false;
+        EXPECT_EQ(e.code(), ErrorCode::kParse) << damaged;
+      }
+      if (got_ok == want_ok) {
+        if (got_ok) expect_same_trace(got, want);
+        continue;
+      }
+      ++narrowed;
+      EXPECT_FALSE(got_ok) << "new loader accepts what the reference "
+                              "rejects: "
+                           << damaged;
+      EXPECT_TRUE(in_narrowing_list(damaged, at)) << damaged;
+    }
+  }
+  EXPECT_GT(mutations, 500u);
+  EXPECT_GT(narrowed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedGrid, CsvCodecOracleProperty,
+                         ::testing::Values(1, 17, 2017));
 
 }  // namespace
 }  // namespace drbw

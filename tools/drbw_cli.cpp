@@ -284,23 +284,23 @@ struct RunSession {
   }
 
   /// Content-identifies an artifact: its own `#drbw-*` header when it has a
-  /// checksummed one, a whole-file crc otherwise.  Never throws — an
-  /// unreadable path is itself provenance worth recording.
+  /// checksummed one (only that line is read), a whole-file crc otherwise.
+  /// Never throws — an unreadable path is itself provenance worth recording.
   static obs::ArtifactRef make_ref(const std::string& role,
                                    const std::string& path) {
     obs::ArtifactRef ref;
     ref.role = role;
     ref.path = path;
     try {
-      const std::string content = util::read_file_or_throw(path, role);
       const auto header =
-          util::parse_artifact_header(content.substr(0, content.find('\n')));
+          util::parse_artifact_header(util::read_first_line(path, role));
       if (header.has_value() && header->has_checksum) {
         ref.kind = header->kind;
         ref.version = header->version;
         ref.crc = header->crc;
         ref.bytes = header->bytes;
       } else {
+        const std::string content = util::read_file_or_throw(path, role);
         ref.kind = "raw";
         ref.crc = util::crc32(content);
         ref.bytes = content.size();
