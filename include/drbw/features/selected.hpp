@@ -15,12 +15,12 @@
 //   [11] Total # of line-fill-buffer access samples
 //   [12] Average line-fill-buffer access latency
 //
-// Extraction operates on an *analysis scope*:
-//   * whole run  — a training instance (each Table II row is one run), or
-//   * one directed remote channel — the detection unit (§IV-B).  For the
-//     channel (i -> j) the scope is all samples issued from node i, with
-//     the remote-DRAM statistics (features 6-7) restricted to samples whose
-//     data lives on node j — the traffic actually on that channel.
+// The analysis scope is one directed remote channel — the detection unit
+// (§IV-B), and the unit a training instance (Table II row) is taken from.
+// For the channel (i -> j) the scope is all samples issued from node i,
+// with the remote-DRAM statistics (features 6-7) restricted to samples
+// whose data lives on node j — the traffic actually on that channel.
+// features::ChannelWindow (window.hpp) computes them for every scope.
 #pragma once
 
 #include <array>
@@ -87,11 +87,9 @@ struct ChannelFeatures {
   FeatureVector features;
 };
 
-/// Whole-run scope: one vector over every sample of the profile.
-FeatureVector extract_run(const core::ProfileResult& profile);
-
 /// Per-channel scope for every remote channel of the machine, in channel
-/// index order.
+/// index order: one ChannelWindow fed the profile's samples in profile
+/// order.
 std::vector<ChannelFeatures> extract_channels(const core::ProfileResult& profile,
                                               const topology::Machine& machine);
 

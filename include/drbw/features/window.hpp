@@ -1,10 +1,11 @@
-// Incremental per-channel featurization for windowed scopes.
+// The one Table I featurizer.
 //
-// extract_channels() featurizes a finished ProfileResult; a sliding window
-// (serve) would have to re-profile its whole buffer every time it moves.
 // ChannelWindow keeps the Table I statistics of every directed channel as
-// running sums instead, so adding or evicting one sample costs O(1) and
-// reading the features costs O(nodes^2), whatever the window holds.
+// running sums, so adding or evicting one sample costs O(1) and reading the
+// features costs O(nodes^2), whatever the window holds.  A sliding window
+// (serve) adds and evicts; a windowed scope (analyze --windows, explain)
+// adds one bucket; a whole profile (extract_channels) adds every sample
+// once, in profile order.
 //
 // State: one record per source node (sample count, the five latency
 // threshold counters, and count + latency sum for all, local-DRAM and LFB
@@ -24,16 +25,16 @@
 namespace drbw::features {
 
 /// Running Table I statistics of every remote channel over a multiset of
-/// samples.  channels() matches extract_channels() on a profile of the same
-/// samples: the same channels in the same order, identical counts and ratios,
-/// and means within rounding (sum / count here, Welford there).
+/// samples.
 ///
 /// Exactness bound: latencies are floats (24-bit significands) and the sums
 /// are doubles (53-bit), so every partial sum is exact — and evict() undoes
 /// add() bit for bit — while each latency is 0 or at least 1 cycle and a
 /// sum stays below 2^30 cycles (e.g. 4096 samples averaging 262k cycles).
 /// Inside the bound the features are a pure function of the multiset, never
-/// of the add/evict history.
+/// of the add/evict history.  Whole-run sums (extract_channels) run in
+/// profile order, so they are deterministic at any size, and order-free
+/// within the bound.
 ///
 /// Precondition for evict(): the window recomputes the evicted sample's home
 /// node with the locator, so the locator must be stateless (the same answer
@@ -44,13 +45,18 @@ class ChannelWindow {
   /// `machine` and `locator` must outlive the window.
   ChannelWindow(const topology::Machine& machine, core::PageLocator& locator);
 
+  /// Adds a raw sample: its source node comes from the machine, its home
+  /// node from the locator.
   void add(const pebs::MemorySample& sample);
-  /// Removes one sample previously passed to add().
+  /// Adds a profiled sample with the source and home node the profiler
+  /// recorded (both nodes of the machine); the locator is not consulted.
+  void add(const core::AttributedSample& sample);
+  /// Removes one sample previously passed to add(const MemorySample&).
   void evict(const pebs::MemorySample& sample);
   void clear();
 
-  /// Per-channel features for every remote channel, in extract_channels()
-  /// order.
+  /// Per-channel features for every remote channel, in channel index order
+  /// (src-major, the local channel skipped).
   std::vector<ChannelFeatures> channels() const;
 
  private:
@@ -70,7 +76,8 @@ class ChannelWindow {
   };
 
   template <int kSign>
-  void apply(const pebs::MemorySample& sample);
+  void apply(const pebs::MemorySample& sample, topology::NodeId src,
+             topology::NodeId home);
 
   const topology::Machine& machine_;
   core::PageLocator& locator_;

@@ -66,14 +66,4 @@ ProfileResult Profiler::profile(
   return result;
 }
 
-std::vector<const AttributedSample*> ProfileResult::samples_from(
-    topology::NodeId src) const {
-  std::vector<const AttributedSample*> out;
-  for (const ChannelProfile& channel : channels) {
-    if (channel.channel.src != src) continue;
-    for (const AttributedSample& s : channel.samples) out.push_back(&s);
-  }
-  return out;
-}
-
 }  // namespace drbw::core

@@ -13,7 +13,8 @@ ChannelWindow::ChannelWindow(const topology::Machine& machine,
               static_cast<std::size_t>(machine.num_nodes())) {}
 
 template <int kSign>
-void ChannelWindow::apply(const pebs::MemorySample& sample) {
+void ChannelWindow::apply(const pebs::MemorySample& sample,
+                          topology::NodeId src, topology::NodeId home) {
   const auto bump = [](std::uint64_t& count) {
     if constexpr (kSign > 0) {
       ++count;
@@ -32,8 +33,6 @@ void ChannelWindow::apply(const pebs::MemorySample& sample) {
     }
   };
   const double lat = sample.latency_cycles;
-  const topology::NodeId src = machine_.node_of_cpu(sample.cpu);
-  const topology::NodeId home = locator_.locate(sample.address, src);
   SourceStats& stats = sources_[static_cast<std::size_t>(src)];
   step(stats.all, lat);
   for (std::size_t i = 0; i < kLatencyThresholds.size(); ++i) {
@@ -56,10 +55,18 @@ void ChannelWindow::apply(const pebs::MemorySample& sample) {
   }
 }
 
-void ChannelWindow::add(const pebs::MemorySample& sample) { apply<1>(sample); }
+void ChannelWindow::add(const pebs::MemorySample& sample) {
+  const topology::NodeId src = machine_.node_of_cpu(sample.cpu);
+  apply<1>(sample, src, locator_.locate(sample.address, src));
+}
+
+void ChannelWindow::add(const core::AttributedSample& sample) {
+  apply<1>(sample.sample, sample.src_node, sample.home_node);
+}
 
 void ChannelWindow::evict(const pebs::MemorySample& sample) {
-  apply<-1>(sample);
+  const topology::NodeId src = machine_.node_of_cpu(sample.cpu);
+  apply<-1>(sample, src, locator_.locate(sample.address, src));
 }
 
 void ChannelWindow::clear() {

@@ -163,6 +163,8 @@ TEST_F(ProfilerTest, ReplicatedDataResolvesLocalEverywhere) {
 }
 
 TEST_F(ProfilerTest, SamplesFromGroupsBySourceNode) {
+  // Featurization reads src_node/home_node instead of re-locating, so each
+  // sample must carry the nodes of the channel it is filed under.
   const auto obj = space_.allocate("x.c:1 d", 1 << 20, PlacementSpec::bind(3));
   const mem::Addr base = space_.object(obj).base;
   const auto result = profiler_.profile(
@@ -170,9 +172,18 @@ TEST_F(ProfilerTest, SamplesFromGroupsBySourceNode) {
       {sample(base, 0, pebs::MemLevel::kRemoteDram, 500.0f),
        sample(base + 64, 1, pebs::MemLevel::kRemoteDram, 500.0f),
        sample(base + 128, 8, pebs::MemLevel::kRemoteDram, 500.0f)});
-  EXPECT_EQ(result.samples_from(0).size(), 2u);
-  EXPECT_EQ(result.samples_from(1).size(), 1u);
-  EXPECT_EQ(result.samples_from(2).size(), 0u);
+  const auto& from0 =
+      result.channels[static_cast<std::size_t>(machine_.channel_index({0, 3}))];
+  const auto& from1 =
+      result.channels[static_cast<std::size_t>(machine_.channel_index({1, 3}))];
+  ASSERT_EQ(from0.samples.size(), 2u);
+  ASSERT_EQ(from1.samples.size(), 1u);
+  for (const auto& channel : result.channels) {
+    for (const auto& s : channel.samples) {
+      EXPECT_EQ(s.src_node, channel.channel.src);
+      EXPECT_EQ(s.home_node, channel.channel.dst);
+    }
+  }
 }
 
 }  // namespace

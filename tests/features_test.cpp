@@ -1,4 +1,4 @@
-// Tests for feature extraction: Table I semantics in both scopes, and the
+// Tests for feature extraction: Table I semantics per channel, and the
 // candidate catalogue + selection study.
 #include <gtest/gtest.h>
 
@@ -30,19 +30,25 @@ class FeaturesTest : public ::testing::Test {
   }
 };
 
-TEST_F(FeaturesTest, RunScopeComputesTableOne) {
-  const auto obj = space_.allocate("x.c:1 d", 1 << 20, PlacementSpec::bind(1));
-  const mem::Addr base = space_.object(obj).base;
-  // cpu 0 (node 0): remote to node 1; cpu 8 (node 1): local.
+TEST_F(FeaturesTest, ChannelScopeComputesTableOne) {
+  const auto far = space_.allocate("x.c:1 d", 1 << 20, PlacementSpec::bind(1));
+  const auto near = space_.allocate("x.c:2 e", 1 << 20, PlacementSpec::bind(0));
+  const mem::Addr f = space_.object(far).base;
+  const mem::Addr n = space_.object(near).base;
+  // cpu 0 (node 0) issues every sample of the N0->N1 scope; cpu 8 (node 1)
+  // issues one sample that belongs to another source's scope.
   const auto profile = profiler_.profile(
       space_.drain_events(),
-      {sample(base, 0, pebs::MemLevel::kRemoteDram, 1200.0f),
-       sample(base + 64, 0, pebs::MemLevel::kRemoteDram, 400.0f),
-       sample(base + 128, 8, pebs::MemLevel::kLocalDram, 210.0f),
-       sample(base + 192, 8, pebs::MemLevel::kLfb, 60.0f),
-       sample(base + 256, 8, pebs::MemLevel::kL1, 4.0f)});
+      {sample(f, 0, pebs::MemLevel::kRemoteDram, 1200.0f),
+       sample(f + 64, 0, pebs::MemLevel::kRemoteDram, 400.0f),
+       sample(n, 0, pebs::MemLevel::kLocalDram, 210.0f),
+       sample(n + 64, 0, pebs::MemLevel::kLfb, 60.0f),
+       sample(n + 128, 0, pebs::MemLevel::kL1, 4.0f),
+       sample(f + 128, 8, pebs::MemLevel::kLocalDram, 3000.0f)});
 
-  const FeatureVector v = extract_run(profile);
+  const auto channels = extract_channels(profile, machine_);
+  ASSERT_EQ(channels[0].channel, (topology::ChannelId{0, 1}));
+  const FeatureVector& v = channels[0].features;
   EXPECT_DOUBLE_EQ(v.values[9], 5.0);             // total samples
   EXPECT_DOUBLE_EQ(v.values[5], 2.0);             // remote count
   EXPECT_DOUBLE_EQ(v.values[6], 800.0);           // avg remote latency
@@ -61,8 +67,12 @@ TEST_F(FeaturesTest, RunScopeComputesTableOne) {
 
 TEST_F(FeaturesTest, EmptyProfileYieldsZeros) {
   const core::ProfileResult empty;
-  const FeatureVector v = extract_run(empty);
-  for (const double x : v.values) EXPECT_DOUBLE_EQ(x, 0.0);
+  const auto channels = extract_channels(empty, machine_);
+  ASSERT_EQ(channels.size(), 12u);
+  for (const ChannelFeatures& cf : channels) {
+    EXPECT_EQ(cf.features.scope_samples, 0u);
+    for (const double x : cf.features.values) EXPECT_DOUBLE_EQ(x, 0.0);
+  }
 }
 
 TEST_F(FeaturesTest, ChannelScopeFiltersRemoteByHomeNode) {

@@ -6,7 +6,9 @@
 // downstream run.  The pin: loading the committed model and re-serializing it
 // through the current code reproduces the file byte for byte.  (Key order is
 // stable because drbw::Json objects are vectors of pairs, and number
-// formatting is locale-independent %.17g — both deliberate.)
+// formatting is locale-independent %.17g — both deliberate.)  A second pin:
+// the default training run (`drbw train`, seed 2017) reproduces the file, so
+// a change that moves any training feature bit fails here too.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,7 +16,9 @@
 #include <sstream>
 
 #include "drbw/ml/decision_tree.hpp"
+#include "drbw/topology/machine.hpp"
 #include "drbw/util/artifact.hpp"
+#include "drbw/workloads/training.hpp"
 
 namespace drbw::ml {
 namespace {
@@ -29,18 +33,28 @@ std::string read_file(const std::string& path) {
 
 const std::string kModelPath = std::string(DRBW_SOURCE_ROOT) + "/drbw_model.json";
 
+/// The bytes Classifier::save writes: the versioned artifact header, the
+/// JSON dump, and a trailing newline.
+std::string serialize(const Classifier& model) {
+  const std::string body = model.to_json().dump() + "\n";
+  return util::format_artifact_header("model", 3, body) + "\n" + body;
+}
+
 TEST(ModelRoundTripTest, CommittedModelReserializesByteIdentical) {
   const std::string committed = read_file(kModelPath);
   ASSERT_FALSE(committed.empty());
-  const Classifier model = Classifier::load(kModelPath);
-  // Classifier::save writes the versioned artifact header, the JSON dump,
-  // and a trailing newline; reproduce the exact bytes.
-  const std::string body = model.to_json().dump() + "\n";
-  EXPECT_EQ(util::format_artifact_header("model", 3, body) + "\n" + body,
-            committed)
+  EXPECT_EQ(serialize(Classifier::load(kModelPath)), committed)
       << "model serialization drifted from the committed artifact — if the "
          "format change is intentional, retrain/save and recommit "
          "drbw_model.json";
+}
+
+TEST(ModelRoundTripTest, DefaultTrainingReproducesCommittedModel) {
+  const Classifier model = workloads::train_default_classifier(
+      topology::Machine::xeon_e5_4650(), 2017, 1);
+  EXPECT_EQ(serialize(model), read_file(kModelPath))
+      << "default training no longer reproduces drbw_model.json — if the "
+         "change is intentional, run `drbw train` and recommit it";
 }
 
 TEST(ModelRoundTripTest, CommittedModelChecksumValidates) {

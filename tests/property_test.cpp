@@ -24,7 +24,6 @@
 #include "drbw/util/artifact.hpp"
 #include "drbw/util/strings.hpp"
 #include "drbw/util/rng.hpp"
-#include "drbw/util/stats.hpp"
 
 namespace drbw {
 namespace {
@@ -347,9 +346,9 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------- //
 // ChannelWindow: over random add/evict sequences on a simulator trace, the
 // incremental features equal (==) those of a fresh window holding the same
-// samples; against the Welford extract_channels() on a profile of those
-// samples the counts are identical, the means agree to 1e-12 relative, and
-// the committed model's verdicts match.
+// samples, and to those of extract_channels() on a profile of those
+// samples — the exactness bound makes every sum order-free — so the
+// committed model's verdicts match too.
 
 class ChannelWindowProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -418,15 +417,8 @@ TEST_P(ChannelWindowProperty, IncrementalMatchesFreshAndProfiled) {
       EXPECT_EQ(inc.features.scope_samples, ref.features.scope_samples);
       for (int f = 0; f < features::kNumSelected; ++f) {
         const auto i = static_cast<std::size_t>(f);
-        const bool is_mean = f == 6 || f == 8 || f == 10 || f == 12;
-        if (is_mean) {
-          EXPECT_NEAR(inc.features.values[i], ref.features.values[i],
-                      1e-12 * std::abs(ref.features.values[i]))
-              << "feature " << f << " step " << step;
-        } else {
-          EXPECT_EQ(inc.features.values[i], ref.features.values[i])
-              << "feature " << f << " step " << step;
-        }
+        EXPECT_EQ(inc.features.values[i], ref.features.values[i])
+            << "feature " << f << " step " << step;
       }
       EXPECT_EQ(model.predict(inc.features.as_row()),
                 model.predict(ref.features.as_row()));
@@ -446,7 +438,7 @@ INSTANTIATE_TEST_SUITE_P(SeedGrid, ChannelWindowProperty,
 // ---------------------------------------------------------------------- //
 // Post-profile stages against the reference implementations they replaced:
 // the ordered-container evidence collector (one std::set insert per
-// sample) and one full Welford accumulator per destination channel.  Both
+// sample) and one full count + sum tally per destination channel.  Both
 // rewrites must reproduce every field bit for bit.
 
 namespace reference {
@@ -512,8 +504,7 @@ std::vector<diagnoser::ObjectEvidence> collect_evidence(
 
 class Accumulator {
  public:
-  explicit Accumulator(int remote_home_filter = -1)
-      : remote_home_filter_(remote_home_filter) {}
+  explicit Accumulator(int remote_home) : remote_home_(remote_home) {}
 
   void add(const core::AttributedSample& s) {
     const double lat = s.sample.latency_cycles;
@@ -523,9 +514,7 @@ class Accumulator {
     }
     switch (s.sample.level) {
       case pebs::MemLevel::kRemoteDram:
-        if (remote_home_filter_ < 0 || s.home_node == remote_home_filter_) {
-          remote_.add(lat);
-        }
+        if (s.home_node == remote_home_) remote_.add(lat);
         break;
       case pebs::MemLevel::kLocalDram:
         local_.add(lat);
@@ -540,38 +529,42 @@ class Accumulator {
 
   features::FeatureVector finish() const {
     features::FeatureVector v;
-    const auto n = static_cast<double>(all_.count());
+    const auto n = static_cast<double>(all_.count);
     for (std::size_t i = 0; i < 5; ++i) {
       v.values[i] = n > 0.0 ? static_cast<double>(above_[i]) / n : 0.0;
     }
-    v.values[5] = static_cast<double>(remote_.count());
+    v.values[5] = static_cast<double>(remote_.count);
     v.values[6] = remote_.mean();
-    v.values[7] = static_cast<double>(local_.count());
+    v.values[7] = static_cast<double>(local_.count);
     v.values[8] = local_.mean();
     v.values[9] = n;
     v.values[10] = all_.mean();
-    v.values[11] = static_cast<double>(lfb_.count());
+    v.values[11] = static_cast<double>(lfb_.count);
     v.values[12] = lfb_.mean();
-    v.scope_samples = all_.count();
+    v.scope_samples = all_.count;
     return v;
   }
 
  private:
-  int remote_home_filter_;
-  OnlineStats all_;
-  OnlineStats remote_;
-  OnlineStats local_;
-  OnlineStats lfb_;
+  struct Tally {
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    void add(double x) {
+      ++count;
+      sum += x;
+    }
+    double mean() const {
+      return count > 0 ? sum / static_cast<double>(count) : 0.0;
+    }
+  };
+
+  int remote_home_;
+  Tally all_;
+  Tally remote_;
+  Tally local_;
+  Tally lfb_;
   std::array<std::uint64_t, features::kLatencyThresholds.size()> above_{};
 };
-
-features::FeatureVector extract_run(const core::ProfileResult& profile) {
-  Accumulator acc;
-  for (const core::ChannelProfile& channel : profile.channels) {
-    for (const core::AttributedSample& s : channel.samples) acc.add(s);
-  }
-  return acc.finish();
-}
 
 std::vector<features::ChannelFeatures> extract_channels(
     const core::ProfileResult& profile, const Machine& m) {
@@ -745,9 +738,6 @@ TEST_P(PostProfileOracleProperty, FeaturesMatchPerDestinationReference) {
               0)
         << machine().channel_name(want[c].channel);
   }
-  const features::FeatureVector run = features::extract_run(profile);
-  const features::FeatureVector run_want = reference::extract_run(profile);
-  EXPECT_EQ(std::memcmp(&run, &run_want, sizeof(features::FeatureVector)), 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(SeedGrid, PostProfileOracleProperty,

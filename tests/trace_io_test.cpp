@@ -1,6 +1,7 @@
 // Tests for sample-trace persistence and offline re-analysis.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -35,8 +36,15 @@ Trace make_trace() {
   return trace;
 }
 
+/// A temp file private to the running test.  ctest runs every test, and
+/// every instance of a parameterized one, as its own process in parallel,
+/// so the path carries the full test name ('/' mapped to '_').
 std::string temp_path(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string test = std::string(info->test_suite_name()) + "." + info->name();
+  std::replace(test.begin(), test.end(), '/', '_');
+  return ::testing::TempDir() + "/" + test + "_" + name;
 }
 
 /// Saves `trace` as a v2 CSV artifact and reads it back through the
