@@ -60,7 +60,10 @@ void BM_PeriodSampler(benchmark::State& state) {
 }
 BENCHMARK(BM_PeriodSampler);
 
-core::ProfileResult make_profile(std::size_t samples) {
+/// Profiles `samples` fresh samples, which it leaves in `raw`: the profile
+/// borrows them.
+core::ProfileResult make_profile(std::size_t samples,
+                                 std::vector<pebs::MemorySample>& raw) {
   static mem::AddressSpace space(machine());
   static const mem::ObjectId obj = space.allocate(
       "bench.c:2 hot", 64 << 20, mem::PlacementSpec::bind(1));
@@ -68,7 +71,7 @@ core::ProfileResult make_profile(std::size_t samples) {
   const mem::Addr base = space.object(obj).base;
 
   Rng rng(9);
-  std::vector<pebs::MemorySample> raw;
+  raw.clear();
   raw.reserve(samples);
   for (std::size_t i = 0; i < samples; ++i) {
     pebs::MemorySample s;
@@ -106,7 +109,9 @@ void BM_ProfilerAttribution(benchmark::State& state) {
 BENCHMARK(BM_ProfilerAttribution)->Arg(1000)->Arg(50000);
 
 void BM_FeatureExtraction(benchmark::State& state) {
-  const auto profile = make_profile(static_cast<std::size_t>(state.range(0)));
+  std::vector<pebs::MemorySample> raw;
+  const auto profile =
+      make_profile(static_cast<std::size_t>(state.range(0)), raw);
   for (auto _ : state) {
     benchmark::DoNotOptimize(features::extract_channels(profile, machine()));
   }

@@ -14,9 +14,17 @@
 // Detection downstream is per directed channel: "we use only samples
 // observed between nodes 0 and 1 to diagnose performance problems on the
 // bus connecting nodes 0 and 1".
+//
+// A profile holds each sample once: the samples stay in the caller's
+// vector, and a channel keeps an 8-byte SampleRef (index, object) per
+// sample, since the channel itself names the src and home nodes.  The
+// profile therefore borrows that vector and must not outlive it; the
+// profile() overloads that take a temporary are deleted.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "drbw/core/heap_tracker.hpp"
@@ -61,6 +69,8 @@ class ReplayLocator final : public PageLocator {
 };
 
 /// A sample annotated with everything the classifier and diagnoser need.
+/// A profile stores only a SampleRef per sample; iterating a channel's
+/// samples yields this view by value.
 struct AttributedSample {
   pebs::MemorySample sample;
   topology::NodeId src_node = 0;   // node of the CPU that issued the access
@@ -70,12 +80,83 @@ struct AttributedSample {
   bool is_remote() const { return src_node != home_node; }
 };
 
+/// What a profile keeps per sample: the sample's index in the profiled
+/// vector and its heap object.  Its src and home nodes are the channel's.
+struct SampleRef {
+  std::uint32_t index = 0;
+  std::uint32_t object = kUnknownObject;
+};
+static_assert(sizeof(SampleRef) == 8, "a profiled sample costs 8 bytes");
+
+/// Most samples one profile can index (SampleRef::index is 32-bit).
+inline constexpr std::uint64_t kMaxProfileSamples = 0xffffffffu;
+
+/// One channel's samples: refs into the borrowed sample vector, iterated in
+/// profile order as AttributedSample values.
+class ChannelSamples {
+ public:
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = AttributedSample;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = AttributedSample;
+
+    const_iterator() = default;
+    const_iterator(const ChannelSamples* owner, const SampleRef* ref)
+        : owner_(owner), ref_(ref) {}
+
+    AttributedSample operator*() const { return owner_->at(*ref_); }
+    const_iterator& operator++() {
+      ++ref_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      ++ref_;
+      return before;
+    }
+    bool operator==(const const_iterator& o) const { return ref_ == o.ref_; }
+    bool operator!=(const const_iterator& o) const { return ref_ != o.ref_; }
+
+   private:
+    const ChannelSamples* owner_ = nullptr;
+    const SampleRef* ref_ = nullptr;
+  };
+
+  ChannelSamples() = default;
+
+  std::size_t size() const { return refs_.size(); }
+  bool empty() const { return refs_.empty(); }
+  AttributedSample operator[](std::size_t i) const { return at(refs_[i]); }
+  const_iterator begin() const { return {this, refs_.data()}; }
+  const_iterator end() const { return {this, refs_.data() + refs_.size()}; }
+
+ private:
+  friend class Profiler;
+
+  ChannelSamples(const pebs::MemorySample* base, topology::ChannelId channel)
+      : base_(base), channel_(channel) {}
+
+  AttributedSample at(SampleRef ref) const {
+    return AttributedSample{base_[ref.index], channel_.src, channel_.dst,
+                            ref.object};
+  }
+
+  const pebs::MemorySample* base_ = nullptr;
+  topology::ChannelId channel_;
+  std::vector<SampleRef> refs_;
+};
+
 /// All samples whose (src, home) pair maps to one directed channel.
 struct ChannelProfile {
   topology::ChannelId channel;
-  std::vector<AttributedSample> samples;
+  ChannelSamples samples;
 };
 
+/// A profile borrows the sample vector it was built from: it stays valid,
+/// and may be copied, only while that vector lives unmodified.
 struct ProfileResult {
   /// One entry per machine channel index (possibly with zero samples).
   std::vector<ChannelProfile> channels;
@@ -89,13 +170,19 @@ class Profiler {
  public:
   Profiler(const topology::Machine& machine, PageLocator& locator);
 
-  /// Ingests a run's allocation events and samples.
+  /// Ingests a run's allocation events and samples.  The result borrows
+  /// `run.samples`.
   ProfileResult profile(const sim::RunResult& run) const;
+  ProfileResult profile(sim::RunResult&& run) const = delete;
 
   /// Lower-level entry point for callers with a raw stream (tests,
-  /// replayed traces).
+  /// replayed traces).  The result borrows `samples`; more than
+  /// kMaxProfileSamples of them throw Error(kCorruptArtifact).
   ProfileResult profile(const std::vector<mem::AllocationEvent>& events,
                         const std::vector<pebs::MemorySample>& samples) const;
+  ProfileResult profile(const std::vector<mem::AllocationEvent>& events,
+                        std::vector<pebs::MemorySample>&& samples) const =
+      delete;
 
  private:
   const topology::Machine& machine_;

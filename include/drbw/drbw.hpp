@@ -48,7 +48,6 @@ struct Report {
   std::vector<topology::ChannelId> contended;
   diagnoser::Diagnosis diagnosis;          // populated when rmc
   std::vector<diagnoser::Advice> advice;   // populated when rmc
-  core::ProfileResult profile;             // retained for further inspection
 
   /// Full human-readable report.
   std::string to_string(const topology::Machine& machine) const;
@@ -74,8 +73,9 @@ class DrBw {
   /// classifies/diagnoses it.
   Report analyze(const sim::RunResult& run, core::PageLocator& locator) const;
 
-  /// Same, for a pre-built profile (replayed traces, tests).
-  Report analyze_profile(core::ProfileResult profile) const;
+  /// Same, for a pre-built profile (replayed traces, tests).  The report
+  /// copies what it needs, so it may outlive the profile and its samples.
+  Report analyze_profile(const core::ProfileResult& profile) const;
 
   /// Phase-aware detection: slices the run's sample stream into fixed
   /// windows of `window_cycles` and classifies each window's channels

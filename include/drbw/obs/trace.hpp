@@ -5,8 +5,11 @@
 // stamped with the *simulated* cycle clock, pipeline-side events with a
 // per-track sequence number — never the wall clock.  Traces for identical
 // workload + seed are therefore byte-identical across runs and across
-// --jobs values.  Wall-clock span durations exist only behind an explicit
-// TimingMode::kWall opt-in, which marks the output non-golden.
+// --jobs values.  The wall clock exists only behind an explicit
+// TimingMode::kWall opt-in, which marks the output non-golden; it then
+// stamps both ts and dur of pipeline spans and instants (one clock, so
+// spans nest by time), while sim-side counters and complete spans keep the
+// cycle clock.
 //
 // Track scheme: every thread carries a thread-local TrackScope {track, seq,
 // forks}.  The main thread starts on track 0.  A parallel fan-out derives a
@@ -31,12 +34,13 @@ namespace drbw::obs {
 /// Timestamp source for span durations.  kSim is the golden default.
 enum class TimingMode {
   kSim,   ///< ts = simulated cycles (sim events) or sequence index (pipeline)
-  kWall,  ///< span durations in wall-clock microseconds; output is non-golden
+  kWall,  ///< pipeline span/instant ts and dur in wall-clock microseconds;
+          ///< output is non-golden
 };
 
 /// One trace_event record.  `track`/`seq` order the event deterministically;
-/// `ts` is what the viewer displays (cycles, or the seq itself for
-/// pipeline-side events).
+/// `ts` is what the viewer displays (cycles, or for pipeline-side events the
+/// seq itself, or wall microseconds in kWall mode).
 struct TraceEvent {
   std::string name;
   char phase = 'i';  // 'X' complete span, 'i' instant, 'C' counter series
@@ -105,7 +109,8 @@ class Trace {
   }
   TimingMode mode() const { return mode_; }
 
-  /// Pipeline-side instant ('i'); ts = the event's own sequence index.
+  /// Pipeline-side instant ('i'); ts = the event's own sequence index, or
+  /// wall microseconds in kWall mode.
   void instant(std::string name,
                std::vector<std::pair<std::string, double>> num_args = {},
                std::vector<std::pair<std::string, std::string>> str_args = {});
@@ -141,8 +146,9 @@ class Trace {
 
 /// RAII pipeline-stage span.  Claims its sequence slot at construction; emits
 /// an 'X' event at destruction.  In kSim mode dur is the number of trace
-/// sequence points elapsed inside the span (deterministic); in kWall mode it
-/// is wall microseconds (non-golden).  Active when the trace sink *or* the
+/// sequence points elapsed inside the span (deterministic) and ts the
+/// claimed sequence slot; in kWall mode both are wall microseconds
+/// (non-golden).  Active when the trace sink *or* the
 /// flight recorder is enabled: completed spans also leave a "span"
 /// breadcrumb (at the span's start address, same dur) from which the run
 /// manifest derives its per-stage statistics.  Costs two relaxed loads when

@@ -37,16 +37,18 @@ inline bool is_dram(MemLevel level) {
   return level == MemLevel::kLocalDram || level == MemLevel::kRemoteDram;
 }
 
-/// One sampled memory access.
+/// One sampled memory access.  Fields are ordered widest first so the
+/// record packs into 32 bytes: a 1M-sample trace is 32 MB, not 40.
 struct MemorySample {
   mem::Addr address = 0;
+  std::uint64_t cycle = 0;       // retirement timestamp (simulated clock)
   topology::CpuId cpu = 0;       // hardware thread the access retired on
   std::uint32_t tid = 0;         // software thread id
-  MemLevel level = MemLevel::kL1;
   float latency_cycles = 0.0f;   // load-to-use latency
+  MemLevel level = MemLevel::kL1;
   bool is_write = false;
-  std::uint64_t cycle = 0;       // retirement timestamp (simulated clock)
 };
+static_assert(sizeof(MemorySample) == 32, "MemorySample must pack to 32 bytes");
 
 /// Deterministic 1-in-N sampler with a randomized phase per thread,
 /// mirroring PEBS counter arming.  Feed it batches of access counts; it

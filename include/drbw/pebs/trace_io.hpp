@@ -57,6 +57,14 @@
 // File writes go through the atomic artifact writer, so a crashed or
 // fault-injected save never leaves a partial trace at the target path.
 //
+// File loads map the artifact read-only (util::MappedFile) and validate
+// and decode it in place: the body is never copied, only the decoded
+// records are.  Each mapping (the file, or every shard of a set) is dropped
+// before load_trace returns, and the Trace owns its samples.  One caveat
+// of reading through a mapping: another process truncating the file while
+// it loads can raise SIGBUS.  No file content can: damaged or short bodies
+// fail validation with a typed Error as before.
+//
 // Loads run under a util::LoadPolicy: strict (the default) rejects the
 // first malformed record with a typed Error naming the source, record, and
 // offending token; lenient quarantines malformed records, reports counts

@@ -26,6 +26,7 @@
 // the historical util spelling.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -97,6 +98,27 @@ std::optional<ArtifactHeader> parse_artifact_header(std::string_view line);
 std::string read_file_or_throw(const std::string& path,
                                const std::string& what);
 
+/// A whole file mapped read-only (open, fstat, mmap with PROT_READ and
+/// MAP_PRIVATE|MAP_POPULATE), for bodies too large to copy: the pages are
+/// the file's, faulted in once.  Opening fails exactly like
+/// read_file_or_throw; a 0-byte file maps to an empty view.  The view is
+/// valid until the MappedFile is destroyed.  Another process truncating the
+/// file while it is mapped can raise SIGBUS on a later read; no file
+/// content can.
+class MappedFile {
+ public:
+  MappedFile(const std::string& path, const std::string& what);
+  ~MappedFile();
+  MappedFile(const MappedFile&) = delete;
+  MappedFile& operator=(const MappedFile&) = delete;
+
+  std::string_view view() const { return {data_, size_}; }
+
+ private:
+  const char* data_ = nullptr;
+  std::size_t size_ = 0;
+};
+
 /// The first line of a file, without its '\n' (the whole file when it has
 /// none).  Fails exactly like read_file_or_throw.  Callers that only need an
 /// artifact's header use this instead of reading a large body.
@@ -131,15 +153,20 @@ void write_versioned_artifact(const std::string& path, const std::string& kind,
 std::string shard_file_name(const std::string& path, std::size_t index,
                             std::size_t count);
 
-/// A loaded versioned artifact: the parsed header (when present) and the
-/// body text after the header line.
-struct VersionedArtifact {
+/// A validated versioned artifact, viewed in place: the parsed header
+/// (when present) and a view of the body after the header line, into the
+/// content that was validated.
+struct ArtifactView {
   ArtifactHeader header;
-  std::string body;
+  std::string_view body;
   bool legacy = false;  ///< no recognizable header; `body` is the whole file
+  /// crc32 of `body`, computed once during validation (headered artifacts
+  /// only), so callers cross-checking an index need no second pass.
+  std::uint32_t body_crc = 0;
 };
 
-/// Reads and validates a versioned artifact:
+/// Validates an artifact already in memory; `source` names its origin in
+/// errors.  The one validator:
 ///   * header kind mismatch → Error(kParse),
 ///   * header version > max_version → Error(kVersionSkew) naming the
 ///     offending header token ("v3"),
@@ -148,22 +175,26 @@ struct VersionedArtifact {
 ///     validation catches the damage),
 ///   * no header at all → returned with legacy = true; the caller decides
 ///     whether a headerless file is acceptable for this kind.
+ArtifactView validate_versioned_content(const std::string& source,
+                                        std::string_view content,
+                                        const std::string& kind,
+                                        int max_version,
+                                        const LoadPolicy& policy,
+                                        LoadStats* stats = nullptr);
+
+/// A loaded versioned artifact that owns its body.
+struct VersionedArtifact {
+  ArtifactHeader header;
+  std::string body;
+  bool legacy = false;  ///< no recognizable header; `body` is the whole file
+};
+
+/// Maps the file at `path` and validates it with validate_versioned_content,
+/// copying out the body.  Models, manifests and snapshots load through this.
 VersionedArtifact read_versioned_artifact(const std::string& path,
                                           const std::string& kind,
                                           int max_version,
                                           const LoadPolicy& policy,
                                           LoadStats* stats = nullptr);
-
-/// Validation core of read_versioned_artifact for content already in
-/// memory: `source` names the origin in errors, `content` is consumed.
-/// Callers that must sniff the header kind before choosing a validation
-/// path (e.g. the trace loader dispatching single-file vs shard-index) use
-/// this to avoid reading large artifacts twice.
-VersionedArtifact validate_versioned_content(const std::string& source,
-                                             std::string&& content,
-                                             const std::string& kind,
-                                             int max_version,
-                                             const LoadPolicy& policy,
-                                             LoadStats* stats = nullptr);
 
 }  // namespace drbw::util

@@ -57,11 +57,12 @@ void Trace::instant(std::string name,
   event.phase = 'i';
   event.num_args = std::move(num_args);
   event.str_args = std::move(str_args);
-  // ts is filled from the claimed seq below so instants line up in viewers.
+  // ts is the claimed seq, so instants line up with sim-mode spans in
+  // viewers; under wall timing it is the wall clock, as for spans.
   TrackScope& scope = track_scope();
   event.track = scope.track;
   event.seq = scope.seq++;
-  event.ts = event.seq;
+  event.ts = mode_ == TimingMode::kWall ? wall_now_micros() : event.seq;
   std::lock_guard<std::mutex> lock(mutex_);
   events_.push_back(std::move(event));
 }
@@ -179,7 +180,9 @@ Span::Span(const char* name) {
   event_.seq = start_seq_;
   event_.ts = start_seq_;
   if (tracing_ && trace.mode() == TimingMode::kWall) {
+    // One clock for ts and dur, so viewers and `drbw flame` nest by time.
     start_wall_us_ = wall_now_micros();
+    event_.ts = start_wall_us_;
   }
 }
 

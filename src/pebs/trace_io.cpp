@@ -724,7 +724,7 @@ MemorySample parse_binary_sample(const unsigned char* p, std::size_t ordinal) {
 /// samples follow), so one fault spec damages the same logical record in
 /// either format.  In lenient mode a truncated tail quarantines the missing
 /// records against the declared counts, so stats are stable across loads.
-Trace parse_binary(const std::string& body, const std::string& source,
+Trace parse_binary(std::string_view body, const std::string& source,
                    const util::LoadPolicy& policy, util::LoadStats* stats) {
   util::LoadStats local;
   util::LoadStats& st = stats != nullptr ? *stats : local;
@@ -859,7 +859,7 @@ Trace parse_binary(const std::string& body, const std::string& source,
 
 /// Dispatches a validated artifact body to the CSV or binary parser by its
 /// header version.
-Trace parse_trace_body(const util::VersionedArtifact& artifact,
+Trace parse_trace_body(const util::ArtifactView& artifact,
                        const std::string& source,
                        const util::LoadPolicy& policy,
                        util::LoadStats* stats) {
@@ -1023,16 +1023,16 @@ Trace load_sharded(const std::string& index_path, const ShardIndex& index,
       fault::maybe_fail("trace.shard.read", i,
                         "injected fault: shard read failure at shard #" +
                             std::to_string(i) + " of '" + index_path + "'");
-      std::string content = util::read_file_or_throw(shard_path, "trace shard");
-      const util::VersionedArtifact artifact = util::validate_versioned_content(
-          shard_path, std::move(content), kArtifactKind, options.max_version,
+      const util::MappedFile file(shard_path, "trace shard");
+      const util::ArtifactView artifact = util::validate_versioned_content(
+          shard_path, file.view(), kArtifactKind, options.max_version,
           shard_policy, &slot.stats);
       if (artifact.legacy) {
         throw Error(shard_path +
                         ": not a DR-BW trace (missing '#drbw-trace' header)",
                     ErrorCode::kParse);
       }
-      const std::uint32_t crc = util::crc32(artifact.body);
+      const std::uint32_t crc = artifact.body_crc;
       const bool matches_index =
           crc == entry.crc && artifact.body.size() == entry.bytes;
       if (!matches_index &&
@@ -1214,10 +1214,9 @@ Trace load_trace(const std::string& path, const LoadOptions& options,
                  util::LoadStats* stats) {
   util::LoadStats local;
   util::LoadStats& st = stats != nullptr ? *stats : local;
-  std::string content = util::read_file_or_throw(path, "trace file");
-  const std::size_t eol = content.find('\n');
-  const std::string first_line =
-      trim(eol == std::string::npos ? content : content.substr(0, eol));
+  const util::MappedFile file(path, "trace file");
+  const std::string_view content = file.view();
+  const std::string first_line = trim(content.substr(0, content.find('\n')));
   std::optional<util::ArtifactHeader> header;
   try {
     header = util::parse_artifact_header(first_line);
@@ -1225,16 +1224,14 @@ Trace load_trace(const std::string& path, const LoadOptions& options,
     throw Error(path + ": " + e.what(), e.code());
   }
   if (header.has_value() && header->kind == kIndexKind) {
-    const util::VersionedArtifact artifact = util::validate_versioned_content(
-        path, std::move(content), kIndexKind, kTraceIndexVersion,
-        options.policy, &st);
+    const util::ArtifactView artifact = util::validate_versioned_content(
+        path, content, kIndexKind, kTraceIndexVersion, options.policy, &st);
     if (!st.checksum_ok) TraceMetrics::get().checksum_failures.add(1);
     return load_sharded(path, parse_shard_index(artifact.body, path), options,
                         st);
   }
-  const util::VersionedArtifact artifact = util::validate_versioned_content(
-      path, std::move(content), kArtifactKind, options.max_version,
-      options.policy, &st);
+  const util::ArtifactView artifact = util::validate_versioned_content(
+      path, content, kArtifactKind, options.max_version, options.policy, &st);
   if (artifact.legacy) {
     throw Error(path + ": not a DR-BW trace (missing '#drbw-trace' header)",
                 ErrorCode::kParse);
@@ -1263,11 +1260,12 @@ std::vector<std::string> trace_artifact_paths(const std::string& path) {
     const auto header = util::parse_artifact_header(
         trim(util::read_first_line(path, "trace file")));
     if (!header.has_value() || header->kind != kIndexKind) return {path};
-    const std::string content = util::read_file_or_throw(path, "trace file");
+    const util::MappedFile file(path, "trace file");
+    const std::string_view content = file.view();
     const std::size_t eol = content.find('\n');
     const ShardIndex index = parse_shard_index(
-        eol == std::string::npos ? std::string_view()
-                                 : std::string_view(content).substr(eol + 1),
+        eol == std::string_view::npos ? std::string_view()
+                                      : content.substr(eol + 1),
         path);
     std::vector<std::string> paths;
     paths.reserve(index.entries.size() + 1);

@@ -36,7 +36,7 @@ Report DrBw::analyze(const sim::RunResult& run,
   return analyze_profile(profiler.profile(run));
 }
 
-Report DrBw::analyze_profile(core::ProfileResult profile) const {
+Report DrBw::analyze_profile(const core::ProfileResult& profile) const {
   Report report;
   std::vector<features::ChannelFeatures> channel_features;
   {
@@ -71,7 +71,6 @@ Report DrBw::analyze_profile(core::ProfileResult profile) const {
     report.diagnosis = diagnoser::diagnose(profile, report.contended);
     report.advice = diagnoser::advise(profile, report.contended);
   }
-  report.profile = std::move(profile);
   return report;
 }
 

@@ -9,6 +9,11 @@
 #include <sstream>
 #include <system_error>
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include "drbw/fault/injector.hpp"
 #include "drbw/obs/sink.hpp"
 #include "drbw/util/strings.hpp"
@@ -132,6 +137,46 @@ std::ifstream open_input(const std::string& path, const std::string& what) {
 
 }  // namespace
 
+MappedFile::MappedFile(const std::string& path, const std::string& what) {
+  require_input_file(path, what);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    throw Error("cannot open " + what + " '" + path +
+                    "': " + std::strerror(errno),
+                ErrorCode::kIo);
+  }
+  struct stat st {};
+  std::string failure;
+  void* mapped = nullptr;
+  if (::fstat(fd, &st) != 0) {
+    failure = std::strerror(errno);
+  } else if (!S_ISREG(st.st_mode)) {
+    failure = "not a regular file";
+  } else if (st.st_size > 0) {
+    size_ = static_cast<std::size_t>(st.st_size);
+    int flags = MAP_PRIVATE;
+#ifdef MAP_POPULATE
+    flags |= MAP_POPULATE;  // fault the whole body in with one call
+#endif
+    mapped = ::mmap(nullptr, size_, PROT_READ, flags, fd, 0);
+    if (mapped == MAP_FAILED) {
+      failure = std::strerror(errno);
+      mapped = nullptr;
+      size_ = 0;
+    }
+  }
+  ::close(fd);
+  if (!failure.empty()) {
+    throw Error("I/O error reading " + what + " '" + path + "': " + failure,
+                ErrorCode::kIo);
+  }
+  data_ = static_cast<const char*>(mapped);
+}
+
+MappedFile::~MappedFile() {
+  if (data_ != nullptr) ::munmap(const_cast<char*>(data_), size_);
+}
+
 std::string read_first_line(const std::string& path, const std::string& what) {
   std::ifstream in = open_input(path, what);
   std::string line;
@@ -213,16 +258,15 @@ std::string shard_file_name(const std::string& path, std::size_t index,
   return path + suffix;
 }
 
-VersionedArtifact validate_versioned_content(const std::string& source,
-                                             std::string&& content,
-                                             const std::string& kind,
-                                             int max_version,
-                                             const LoadPolicy& policy,
-                                             LoadStats* stats) {
-  VersionedArtifact result;
+ArtifactView validate_versioned_content(const std::string& source,
+                                        std::string_view content,
+                                        const std::string& kind,
+                                        int max_version,
+                                        const LoadPolicy& policy,
+                                        LoadStats* stats) {
+  ArtifactView result;
   const std::size_t eol = content.find('\n');
-  const std::string first_line =
-      trim(eol == std::string::npos ? content : content.substr(0, eol));
+  const std::string first_line = trim(content.substr(0, eol));
   std::optional<ArtifactHeader> header;
   try {
     header = parse_artifact_header(first_line);
@@ -231,7 +275,7 @@ VersionedArtifact validate_versioned_content(const std::string& source,
   }
   if (!header.has_value()) {
     result.legacy = true;
-    result.body = std::move(content);
+    result.body = content;
     return result;
   }
   if (header->kind != kind) {
@@ -251,18 +295,12 @@ VersionedArtifact validate_versioned_content(const std::string& source,
                 ErrorCode::kVersionSkew);
   }
   result.header = *header;
-  if (eol == std::string::npos) {
-    result.body.clear();
-  } else {
-    // Strip the header line in place instead of copying the body out:
-    // erase is one memmove, substr would be a second body-sized allocation.
-    content.erase(0, eol + 1);
-    result.body = std::move(content);
-  }
+  result.body = eol == std::string_view::npos ? std::string_view()
+                                              : content.substr(eol + 1);
+  result.body_crc = crc32(result.body);
   if (header->has_checksum) {
-    const std::uint32_t actual = crc32(result.body);
     const bool size_ok = result.body.size() == header->bytes;
-    if (actual != header->crc || !size_ok) {
+    if (result.body_crc != header->crc || !size_ok) {
       if (!policy.lenient()) {
         std::ostringstream os;
         os << source << ": " << kind << " body fails validation (";
@@ -273,7 +311,7 @@ VersionedArtifact validate_versioned_content(const std::string& source,
           char want[16];
           char got[16];
           std::snprintf(want, sizeof want, "%08x", header->crc);
-          std::snprintf(got, sizeof got, "%08x", actual);
+          std::snprintf(got, sizeof got, "%08x", result.body_crc);
           os << "crc32 " << got << " != declared " << want;
         }
         os << ") — artifact is truncated or corrupt";
@@ -290,9 +328,10 @@ VersionedArtifact read_versioned_artifact(const std::string& path,
                                           int max_version,
                                           const LoadPolicy& policy,
                                           LoadStats* stats) {
-  std::string content = read_file_or_throw(path, kind + " file");
-  return validate_versioned_content(path, std::move(content), kind,
-                                    max_version, policy, stats);
+  const MappedFile file(path, kind + " file");
+  const ArtifactView view = validate_versioned_content(
+      path, file.view(), kind, max_version, policy, stats);
+  return VersionedArtifact{view.header, std::string(view.body), view.legacy};
 }
 
 }  // namespace drbw::util

@@ -94,9 +94,10 @@ TEST_F(ProfilerTest, AssociatesSamplesWithDirectedChannels) {
 
   // cpu 0 -> node 0 accessing node-2 data: channel N0->N2.
   // cpu 17 -> node 2 accessing node-2 data: local channel N2.
-  const auto result = profiler_.profile(
-      events, {sample(base, 0, pebs::MemLevel::kRemoteDram, 600.0f),
-               sample(base + 64, 17, pebs::MemLevel::kLocalDram, 210.0f)});
+  const std::vector<pebs::MemorySample> samples = {
+      sample(base, 0, pebs::MemLevel::kRemoteDram, 600.0f),
+      sample(base + 64, 17, pebs::MemLevel::kLocalDram, 210.0f)};
+  const auto result = profiler_.profile(events, samples);
 
   const auto& remote =
       result.channels[static_cast<std::size_t>(machine_.channel_index({0, 2}))];
@@ -117,10 +118,11 @@ TEST_F(ProfilerTest, AttributesSamplesToHeapObjects) {
   const mem::Addr base_b = space_.object(b).base;
   const auto events = space_.drain_events();
 
-  const auto result = profiler_.profile(
-      events, {sample(base_a + 8, 0, pebs::MemLevel::kLocalDram, 200.0f),
-               sample(base_b + 8, 0, pebs::MemLevel::kLocalDram, 200.0f),
-               sample(base_b + 16, 0, pebs::MemLevel::kL1, 4.0f)});
+  const std::vector<pebs::MemorySample> samples = {
+      sample(base_a + 8, 0, pebs::MemLevel::kLocalDram, 200.0f),
+      sample(base_b + 8, 0, pebs::MemLevel::kLocalDram, 200.0f),
+      sample(base_b + 16, 0, pebs::MemLevel::kL1, 4.0f)};
+  const auto result = profiler_.profile(events, samples);
 
   EXPECT_EQ(result.attributed_samples, 3u);
   const auto local0 =
@@ -136,9 +138,9 @@ TEST_F(ProfilerTest, StaticRegionsRemainUnattributed) {
   const auto s = space_.allocate_static("sp.f:1 globals", 1 << 16,
                                         PlacementSpec::bind(1));
   const mem::Addr base = space_.object(s).base;
-  const auto result = profiler_.profile(
-      space_.drain_events(),
-      {sample(base, 0, pebs::MemLevel::kRemoteDram, 700.0f)});
+  const std::vector<pebs::MemorySample> samples = {
+      sample(base, 0, pebs::MemLevel::kRemoteDram, 700.0f)};
+  const auto result = profiler_.profile(space_.drain_events(), samples);
   EXPECT_EQ(result.total_samples, 1u);
   EXPECT_EQ(result.attributed_samples, 0u);
   const auto& ch =
@@ -151,10 +153,10 @@ TEST_F(ProfilerTest, ReplicatedDataResolvesLocalEverywhere) {
   const auto r = space_.allocate("sc.c:7 block", 1 << 16,
                                  PlacementSpec::replicate());
   const mem::Addr base = space_.object(r).base;
-  const auto result = profiler_.profile(
-      space_.drain_events(),
-      {sample(base, 0, pebs::MemLevel::kLocalDram, 200.0f),
-       sample(base, 25, pebs::MemLevel::kLocalDram, 200.0f)});  // node 3
+  const std::vector<pebs::MemorySample> samples = {
+      sample(base, 0, pebs::MemLevel::kLocalDram, 200.0f),
+      sample(base, 25, pebs::MemLevel::kLocalDram, 200.0f)};  // node 3
+  const auto result = profiler_.profile(space_.drain_events(), samples);
   for (const auto& channel : result.channels) {
     for (const auto& s : channel.samples) {
       EXPECT_FALSE(s.is_remote());
@@ -167,11 +169,11 @@ TEST_F(ProfilerTest, SamplesFromGroupsBySourceNode) {
   // sample must carry the nodes of the channel it is filed under.
   const auto obj = space_.allocate("x.c:1 d", 1 << 20, PlacementSpec::bind(3));
   const mem::Addr base = space_.object(obj).base;
-  const auto result = profiler_.profile(
-      space_.drain_events(),
-      {sample(base, 0, pebs::MemLevel::kRemoteDram, 500.0f),
-       sample(base + 64, 1, pebs::MemLevel::kRemoteDram, 500.0f),
-       sample(base + 128, 8, pebs::MemLevel::kRemoteDram, 500.0f)});
+  const std::vector<pebs::MemorySample> samples = {
+      sample(base, 0, pebs::MemLevel::kRemoteDram, 500.0f),
+      sample(base + 64, 1, pebs::MemLevel::kRemoteDram, 500.0f),
+      sample(base + 128, 8, pebs::MemLevel::kRemoteDram, 500.0f)};
+  const auto result = profiler_.profile(space_.drain_events(), samples);
   const auto& from0 =
       result.channels[static_cast<std::size_t>(machine_.channel_index({0, 3}))];
   const auto& from1 =

@@ -89,9 +89,9 @@ TEST_F(DiagnoserTest, UntrackedStaticDataReported) {
                                     PlacementSpec::bind(1));
   const mem::Addr bs = space_.object(st).base;
   const mem::Addr bh = space_.object(heap).base;
-  const auto profile = profiler_.profile(
-      space_.drain_events(),
-      {sample(bs, 0), sample(bs + 64, 0), sample(bs + 128, 0), sample(bh, 0)});
+  const std::vector<pebs::MemorySample> samples = {
+      sample(bs, 0), sample(bs + 64, 0), sample(bs + 128, 0), sample(bh, 0)};
+  const auto profile = profiler_.profile(space_.drain_events(), samples);
 
   const auto d = diagnose(profile, {ChannelId{0, 1}});
   EXPECT_EQ(d.untracked_samples, 3u);
@@ -105,8 +105,9 @@ TEST_F(DiagnoserTest, UntrackedStaticDataReported) {
 TEST_F(DiagnoserTest, PerChannelHelperMatchesSingleChannelDiagnosis) {
   const auto obj = space_.allocate("x.c:1 d", 1 << 20, PlacementSpec::bind(2));
   const mem::Addr base = space_.object(obj).base;
-  const auto profile = profiler_.profile(
-      space_.drain_events(), {sample(base, 0), sample(base + 64, 0)});
+  const std::vector<pebs::MemorySample> samples = {sample(base, 0),
+                                                    sample(base + 64, 0)};
+  const auto profile = profiler_.profile(space_.drain_events(), samples);
   const auto per_channel = contributions_in_channel(profile, ChannelId{0, 2});
   ASSERT_EQ(per_channel.size(), 1u);
   EXPECT_DOUBLE_EQ(per_channel[0].cf, 1.0);
@@ -114,7 +115,8 @@ TEST_F(DiagnoserTest, PerChannelHelperMatchesSingleChannelDiagnosis) {
 }
 
 TEST_F(DiagnoserTest, EmptyDiagnosisRendersAdvice) {
-  const core::ProfileResult profile = profiler_.profile({}, {});
+  const std::vector<pebs::MemorySample> samples;
+  const core::ProfileResult profile = profiler_.profile({}, samples);
   const auto d = diagnose(profile, {ChannelId{0, 1}});
   EXPECT_TRUE(d.ranking.empty());
   EXPECT_EQ(d.total_samples, 0u);
@@ -133,9 +135,9 @@ TEST_F(DiagnoserTest, UnknownChannelThrows) {
 TEST_F(DiagnoserTest, DeterministicTieBreakBySite) {
   const auto a = space_.allocate("a.c:1 aa", 1 << 16, PlacementSpec::bind(1));
   const auto b = space_.allocate("a.c:2 bb", 1 << 16, PlacementSpec::bind(1));
-  const auto profile = profiler_.profile(
-      space_.drain_events(),
-      {sample(space_.object(a).base, 0), sample(space_.object(b).base, 0)});
+  const std::vector<pebs::MemorySample> samples = {
+      sample(space_.object(a).base, 0), sample(space_.object(b).base, 0)};
+  const auto profile = profiler_.profile(space_.drain_events(), samples);
   const auto d = diagnose(profile, {ChannelId{0, 1}});
   ASSERT_EQ(d.ranking.size(), 2u);
   EXPECT_EQ(d.ranking[0].site, "a.c:1 aa");  // equal counts: lexicographic

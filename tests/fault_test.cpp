@@ -443,6 +443,108 @@ TEST(CorruptionCorpus, ShortBinaryBodyStrictRejectsLenientQuarantines) {
   EXPECT_EQ(second.records_ok, first.records_ok);
 }
 
+// Mapped loads: trace bodies are read through util::MappedFile, which
+// treats a 0-byte file and a short file specially.  Each edge file keeps
+// the exit code and lenient LoadStats the copying reader gave it.
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// Saves a v3 binary trace of 3 events and 100 samples (30-byte records) to
+/// `path` and returns the file's bytes.
+std::string write_binary_trace(const std::string& path) {
+  pebs::Trace trace;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    trace.events.push_back(mem::AllocationEvent{
+        mem::AllocationEvent::Kind::kAlloc, {"m.c:" + std::to_string(i)},
+        0x100000 * (i + 1), 4096});
+  }
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    pebs::MemorySample s;
+    s.address = 0x100000 + i * 64;
+    s.level = pebs::MemLevel::kRemoteDram;
+    s.latency_cycles = 500.0f;
+    s.cycle = i;
+    trace.samples.push_back(s);
+  }
+  pebs::SaveOptions save;
+  save.format = pebs::TraceFormat::kBinary;
+  pebs::save_trace(path, trace, save);
+  return read_all(path);
+}
+
+TEST(MappedLoad, ZeroByteFileIsParseErrorInBothModes) {
+  const std::string path = ::testing::TempDir() + "/mapped_zero_byte.bin";
+  write_bytes(path, "");
+  EXPECT_EQ(exit_code_for(code_of([&] { pebs::load_trace(path); })), 67);
+  util::LoadStats stats;
+  EXPECT_EQ(exit_code_for(code_of([&] {
+              pebs::load_trace(path, util::LoadPolicy{util::LoadMode::kLenient},
+                               &stats);
+            })),
+            67);
+  EXPECT_EQ(stats.records_seen, 0u);
+  EXPECT_TRUE(stats.checksum_ok);
+  std::remove(path.c_str());
+}
+
+TEST(MappedLoad, HeaderOnlyFilesKeepTheirOutcomes) {
+  const std::string path = ::testing::TempDir() + "/mapped_header_only.bin";
+  const std::string full = write_binary_trace(path);
+  const std::string header = full.substr(0, full.find('\n'));
+  const util::LoadPolicy lenient{util::LoadMode::kLenient};
+  // The header of a 100-sample body, with and without its newline: the
+  // body fails its checksum, and a lenient load cannot find a prelude.
+  for (const std::string& bytes : {header + "\n", header}) {
+    write_bytes(path, bytes);
+    EXPECT_EQ(exit_code_for(code_of([&] { pebs::load_trace(path); })), 68);
+    util::LoadStats stats;
+    EXPECT_EQ(exit_code_for(code_of(
+                  [&] { pebs::load_trace(path, lenient, &stats); })),
+              68);
+    EXPECT_EQ(stats.records_seen, 0u);
+    EXPECT_FALSE(stats.checksum_ok);
+  }
+  // A valid header over an empty v3 body: no prelude in either mode.
+  write_bytes(path, util::format_artifact_header("trace", 3, "") + "\n");
+  EXPECT_EQ(exit_code_for(code_of([&] { pebs::load_trace(path); })), 68);
+  EXPECT_EQ(
+      exit_code_for(code_of([&] { pebs::load_trace(path, lenient); })), 68);
+  // A valid header over an empty v2 CSV body is an empty trace.
+  write_bytes(path, util::format_artifact_header("trace", 2, "") + "\n");
+  util::LoadStats stats;
+  const pebs::Trace empty = pebs::load_trace(path, lenient, &stats);
+  EXPECT_TRUE(empty.events.empty());
+  EXPECT_TRUE(empty.samples.empty());
+  EXPECT_EQ(stats.records_seen, 0u);
+  EXPECT_TRUE(stats.checksum_ok);
+  std::remove(path.c_str());
+}
+
+TEST(MappedLoad, TruncatedBinaryBodyStrictRejectsLenientQuarantines) {
+  const std::string path = ::testing::TempDir() + "/mapped_truncated.bin";
+  const std::string full = write_binary_trace(path);
+  // Cut one and a half sample records off the end; the header still
+  // declares the whole body.
+  write_bytes(path, full.substr(0, full.size() - 45));
+  std::string message;
+  EXPECT_EQ(
+      exit_code_for(code_of([&] { pebs::load_trace(path); }, &message)), 68);
+  EXPECT_NE(message.find(path), std::string::npos) << message;
+  util::LoadStats stats;
+  const pebs::Trace recovered = pebs::load_trace(
+      path, util::LoadPolicy{util::LoadMode::kLenient}, &stats);
+  EXPECT_EQ(stats.records_seen, 103u);
+  EXPECT_EQ(stats.records_ok, 101u);
+  EXPECT_EQ(stats.records_quarantined, 2u);
+  EXPECT_FALSE(stats.checksum_ok);
+  EXPECT_EQ(recovered.events.size(), 3u);
+  EXPECT_EQ(recovered.samples.size(), 98u);
+  std::remove(path.c_str());
+}
+
 TEST(CorruptionCorpus, MissingShardStrictNotFoundLenientQuarantines) {
   const std::string path = kDataDir + "/sharded_trace_missing.bin";
   std::string message;

@@ -37,14 +37,14 @@ TEST_F(FeaturesTest, ChannelScopeComputesTableOne) {
   const mem::Addr n = space_.object(near).base;
   // cpu 0 (node 0) issues every sample of the N0->N1 scope; cpu 8 (node 1)
   // issues one sample that belongs to another source's scope.
-  const auto profile = profiler_.profile(
-      space_.drain_events(),
-      {sample(f, 0, pebs::MemLevel::kRemoteDram, 1200.0f),
-       sample(f + 64, 0, pebs::MemLevel::kRemoteDram, 400.0f),
-       sample(n, 0, pebs::MemLevel::kLocalDram, 210.0f),
-       sample(n + 64, 0, pebs::MemLevel::kLfb, 60.0f),
-       sample(n + 128, 0, pebs::MemLevel::kL1, 4.0f),
-       sample(f + 128, 8, pebs::MemLevel::kLocalDram, 3000.0f)});
+  const std::vector<pebs::MemorySample> samples = {
+      sample(f, 0, pebs::MemLevel::kRemoteDram, 1200.0f),
+      sample(f + 64, 0, pebs::MemLevel::kRemoteDram, 400.0f),
+      sample(n, 0, pebs::MemLevel::kLocalDram, 210.0f),
+      sample(n + 64, 0, pebs::MemLevel::kLfb, 60.0f),
+      sample(n + 128, 0, pebs::MemLevel::kL1, 4.0f),
+      sample(f + 128, 8, pebs::MemLevel::kLocalDram, 3000.0f)};
+  const auto profile = profiler_.profile(space_.drain_events(), samples);
 
   const auto channels = extract_channels(profile, machine_);
   ASSERT_EQ(channels[0].channel, (topology::ChannelId{0, 1}));
@@ -81,12 +81,12 @@ TEST_F(FeaturesTest, ChannelScopeFiltersRemoteByHomeNode) {
   const mem::Addr b1 = space_.object(d1).base;
   const mem::Addr b2 = space_.object(d2).base;
   // Node-0 cpu accesses data on node 1 (twice, slow) and node 2 (once, fast).
-  const auto profile = profiler_.profile(
-      space_.drain_events(),
-      {sample(b1, 0, pebs::MemLevel::kRemoteDram, 900.0f),
-       sample(b1 + 64, 0, pebs::MemLevel::kRemoteDram, 1100.0f),
-       sample(b2, 0, pebs::MemLevel::kRemoteDram, 320.0f),
-       sample(b2 + 64, 0, pebs::MemLevel::kL2, 12.0f)});
+  const std::vector<pebs::MemorySample> samples = {
+      sample(b1, 0, pebs::MemLevel::kRemoteDram, 900.0f),
+      sample(b1 + 64, 0, pebs::MemLevel::kRemoteDram, 1100.0f),
+      sample(b2, 0, pebs::MemLevel::kRemoteDram, 320.0f),
+      sample(b2 + 64, 0, pebs::MemLevel::kL2, 12.0f)};
+  const auto profile = profiler_.profile(space_.drain_events(), samples);
 
   const auto channels = extract_channels(profile, machine_);
   // 4 nodes -> 12 remote channels, in (src, dst) order.
@@ -157,11 +157,11 @@ TEST_F(FeaturesTest, CandidateCatalogueIsStableAndCategorized) {
 TEST_F(FeaturesTest, CandidatesCountLevels) {
   const auto obj = space_.allocate("x.c:1 d", 1 << 20, PlacementSpec::bind(1));
   const mem::Addr base = space_.object(obj).base;
-  const auto profile = profiler_.profile(
-      space_.drain_events(),
-      {sample(base, 0, pebs::MemLevel::kRemoteDram, 900.0f),
-       sample(base + 64, 8, pebs::MemLevel::kLocalDram, 210.0f),
-       sample(base + 128, 8, pebs::MemLevel::kL3, 41.0f)});
+  const std::vector<pebs::MemorySample> samples = {
+      sample(base, 0, pebs::MemLevel::kRemoteDram, 900.0f),
+      sample(base + 64, 8, pebs::MemLevel::kLocalDram, 210.0f),
+      sample(base + 128, 8, pebs::MemLevel::kL3, 41.0f)};
+  const auto profile = profiler_.profile(space_.drain_events(), samples);
   const auto values = extract_candidates(profile);
   auto find = [&](const std::string& name) {
     for (const auto& v : values) {

@@ -9,9 +9,11 @@
 #include <utility>
 #include <vector>
 
+#include "drbw/obs/flame.hpp"
 #include "drbw/obs/metrics.hpp"
 #include "drbw/obs/trace.hpp"
 #include "drbw/util/error.hpp"
+#include "drbw/util/json.hpp"
 #include "drbw/util/task_pool.hpp"
 
 namespace drbw::obs {
@@ -238,6 +240,50 @@ TEST(ObsTraceTest, WallModeMarksTraceNonGolden) {
   const std::string json = Trace::instance().to_json();
   EXPECT_NE(json.find("\"clock\": \"wall-micros\", \"golden\": false"),
             std::string::npos);
+}
+
+/// Busy-waits until the wall clock has advanced `micros`, so a wall-mode
+/// span gets a nonzero duration.
+void spin_wall(std::uint64_t micros) {
+  const std::uint64_t start = wall_now_micros();
+  while (wall_now_micros() - start < micros) {
+  }
+}
+
+TEST(ObsTraceTest, WallModeSpansNestByOneClock) {
+  if (!kEnabled) GTEST_SKIP() << "obs compiled out (DRBW_OBS=OFF)";
+  TraceSandbox sandbox;
+  Trace::instance().enable(TimingMode::kWall);
+  {
+    Span parent("parent");
+    {
+      Span a("a");
+      spin_wall(200);
+    }
+    {
+      Span b("b");
+      spin_wall(200);
+    }
+  }
+  const Json root = Json::parse(Trace::instance().to_json());
+  std::vector<FlameSpan> spans;
+  for (const Json& event : root.at("traceEvents").as_array()) {
+    const auto ts = static_cast<std::uint64_t>(event.at("ts").as_int());
+    const auto dur = static_cast<std::uint64_t>(event.at("dur").as_int());
+    spans.push_back(FlameSpan{event.at("name").as_string(), 0, ts, dur});
+  }
+  ASSERT_EQ(spans.size(), 3u);  // in seq order: parent, a, b
+  // ts and dur share the wall clock: the children run back to back inside
+  // the parent.
+  EXPECT_GE(spans[1].start, spans[0].start);
+  EXPECT_GE(spans[2].start, spans[1].start + spans[1].dur);
+  EXPECT_LE(spans[2].start + spans[2].dur, spans[0].start + spans[0].dur);
+  FlameFold fold;
+  fold.add(spans);
+  const std::string collapsed = fold.collapsed();
+  EXPECT_NE(collapsed.find("parent;a "), std::string::npos) << collapsed;
+  EXPECT_NE(collapsed.find("parent;b "), std::string::npos) << collapsed;
+  EXPECT_EQ(collapsed.find("a;b"), std::string::npos) << collapsed;
 }
 
 TEST(ObsDisabledTest, CompiledOutInstrumentsStayZero) {

@@ -436,6 +436,118 @@ INSTANTIATE_TEST_SUITE_P(SeedGrid, ChannelWindowProperty,
                          ::testing::Values(3, 17, 2017));
 
 // ---------------------------------------------------------------------- //
+// Profiler: the index profile (an 8-byte ref per sample into the borrowed
+// vector) yields, per channel and in order, exactly the attributed samples
+// of a reference profile built here with one AttributedSample copy per
+// sample.
+
+class IndexProfileProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(IndexProfileProperty, ViewsMatchReferenceCopyProfile) {
+  Rng rng(GetParam());
+  AddressSpace space(machine());
+  const PlacementSpec placements[] = {
+      PlacementSpec::bind(static_cast<int>(rng.bounded(4))),
+      PlacementSpec::interleave(), PlacementSpec::first_touch(),
+      PlacementSpec::replicate()};
+  std::vector<mem::ObjectId> objects;
+  for (int i = 0; i < 6; ++i) {
+    objects.push_back(space.allocate("index.c:" + std::to_string(i) + " obj",
+                                     1 << 20, placements[i % 4]));
+  }
+  // Static data is not intercepted, so its samples stay untracked.
+  objects.push_back(space.allocate_static("index.c:99 static", 1 << 16,
+                                          PlacementSpec::bind(1)));
+  const std::vector<mem::AllocationEvent> events = space.drain_events();
+
+  std::vector<pebs::MemorySample> samples;
+  const int n = 500 + static_cast<int>(rng.bounded(4000));
+  for (int i = 0; i < n; ++i) {
+    pebs::MemorySample s;
+    const mem::ObjectId id = objects[rng.bounded(objects.size())];
+    s.address = space.object(id).base + rng.bounded(1 << 16);
+    s.cycle = rng.next();
+    s.cpu = static_cast<topology::CpuId>(
+        rng.bounded(static_cast<std::uint64_t>(machine().num_hw_threads())));
+    s.tid = static_cast<std::uint32_t>(rng.next());
+    s.latency_cycles = static_cast<float>(rng.uniform(4.0, 3000.0));
+    s.level = static_cast<pebs::MemLevel>(rng.bounded(6));
+    s.is_write = rng.bernoulli(0.3);
+    samples.push_back(s);
+  }
+
+  // Reference: one AttributedSample copy per sample, filed by channel.
+  core::HeapTracker tracker;
+  tracker.on_events(events);
+  std::vector<std::vector<core::AttributedSample>> want(
+      static_cast<std::size_t>(machine().num_channels()));
+  for (const pebs::MemorySample& s : samples) {
+    core::AttributedSample a;
+    a.sample = s;
+    a.src_node = machine().node_of_cpu(s.cpu);
+    a.home_node = space.resolve_home(s.address, a.src_node);
+    a.object = tracker.object_of(s.address);
+    want[static_cast<std::size_t>(machine().channel_index(
+             topology::ChannelId{a.src_node, a.home_node}))]
+        .push_back(a);
+  }
+
+  core::AddressSpaceLocator locator(space);
+  const core::ProfileResult profile =
+      core::Profiler(machine(), locator).profile(events, samples);
+  ASSERT_EQ(profile.channels.size(), want.size());
+  EXPECT_EQ(profile.total_samples, samples.size());
+  std::uint64_t attributed = 0;
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    const core::ChannelProfile& channel = profile.channels[c];
+    EXPECT_EQ(channel.channel, machine().channel_at(static_cast<int>(c)));
+    ASSERT_EQ(channel.samples.size(), want[c].size());
+    std::size_t i = 0;
+    for (const core::AttributedSample& got : channel.samples) {
+      const core::AttributedSample& ref = want[c][i];
+      EXPECT_EQ(got.sample.address, ref.sample.address);
+      EXPECT_EQ(got.sample.cycle, ref.sample.cycle);
+      EXPECT_EQ(got.sample.cpu, ref.sample.cpu);
+      EXPECT_EQ(got.sample.tid, ref.sample.tid);
+      std::uint32_t got_bits = 0;
+      std::uint32_t ref_bits = 0;
+      std::memcpy(&got_bits, &got.sample.latency_cycles, sizeof got_bits);
+      std::memcpy(&ref_bits, &ref.sample.latency_cycles, sizeof ref_bits);
+      EXPECT_EQ(got_bits, ref_bits);
+      EXPECT_EQ(got.sample.level, ref.sample.level);
+      EXPECT_EQ(got.sample.is_write, ref.sample.is_write);
+      EXPECT_EQ(got.src_node, ref.src_node);
+      EXPECT_EQ(got.home_node, ref.home_node);
+      EXPECT_EQ(got.object, ref.object);
+      // Indexed access yields the same view as iteration.
+      EXPECT_EQ(channel.samples[i].sample.address, ref.sample.address);
+      EXPECT_EQ(channel.samples[i].object, ref.object);
+      attributed += ref.object != core::kUnknownObject;
+      ++i;
+    }
+    EXPECT_EQ(i, want[c].size());
+  }
+  EXPECT_EQ(profile.attributed_samples, attributed);
+  // Both tracked and untracked samples occur.
+  EXPECT_GT(attributed, 0u);
+  EXPECT_LT(attributed, samples.size());
+
+  // A copied profile borrows the same samples and yields the same views.
+  const core::ProfileResult copy = profile;
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    std::size_t i = 0;
+    for (const core::AttributedSample& got : copy.channels[c].samples) {
+      EXPECT_EQ(got.sample.cycle, want[c][i].sample.cycle);
+      EXPECT_EQ(got.object, want[c][i].object);
+      ++i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedGrid, IndexProfileProperty,
+                         ::testing::Values(1, 7, 42, 2017));
+
+// ---------------------------------------------------------------------- //
 // Post-profile stages against the reference implementations they replaced:
 // the ordered-container evidence collector (one std::set insert per
 // sample) and one full count + sum tally per destination channel.  Both
@@ -591,16 +703,46 @@ std::vector<features::ChannelFeatures> extract_channels(
 
 }  // namespace reference
 
-/// An empty profile over every channel of machine(), tracking one object
-/// per entry of `sizes` ("oracle.c:<i> obj"), laid out back to back from
-/// 1 GiB so objects smaller than 64 KiB share regions with their
-/// neighbours.  Returns the object bases through `bases`.
-core::ProfileResult empty_profile(const std::vector<std::uint64_t>& sizes,
-                                  std::vector<mem::Addr>& bases) {
-  core::ProfileResult profile;
-  for (int c = 0; c < machine().num_channels(); ++c) {
-    profile.channels.push_back({machine().channel_at(c), {}});
+/// The raw stream a profile is built from: allocation events, samples, and
+/// the home node of each sample, which ScriptedLocator hands back.
+struct ProfileInput {
+  std::vector<mem::AllocationEvent> events;
+  std::vector<pebs::MemorySample> samples;
+  std::vector<topology::NodeId> homes;
+};
+
+/// Answers the Profiler's locate() calls from a script: it locates each
+/// sample once, in order, so call i homes sample i.
+class ScriptedLocator final : public core::PageLocator {
+ public:
+  explicit ScriptedLocator(const std::vector<topology::NodeId>& homes)
+      : homes_(homes) {}
+  topology::NodeId locate(mem::Addr, topology::NodeId) override {
+    return homes_.at(next_++);
   }
+
+ private:
+  const std::vector<topology::NodeId>& homes_;
+  std::size_t next_ = 0;
+};
+
+/// A real Profiler pass over machine(); the result borrows input.samples.
+core::ProfileResult profile_of(const ProfileInput& input) {
+  ScriptedLocator locator(input.homes);
+  return core::Profiler(machine(), locator)
+      .profile(input.events, input.samples);
+}
+
+/// Base of the untracked range: below every object empty_profile lays out.
+constexpr mem::Addr kUntrackedBase = 1ull << 20;
+
+/// No samples yet, and one tracked object per entry of `sizes`
+/// ("oracle.c:<i> obj", object id i), laid out back to back from 1 GiB so
+/// objects smaller than 64 KiB share regions with their neighbours.
+/// Returns the object bases through `bases`.
+ProfileInput empty_profile(const std::vector<std::uint64_t>& sizes,
+                           std::vector<mem::Addr>& bases) {
+  ProfileInput input;
   mem::Addr base = 1ull << 30;
   bases.clear();
   for (std::size_t i = 0; i < sizes.size(); ++i) {
@@ -608,24 +750,25 @@ core::ProfileResult empty_profile(const std::vector<std::uint64_t>& sizes,
     event.site.label = "oracle.c:" + std::to_string(i) + " obj";
     event.base = base;
     event.size_bytes = sizes[i];
-    profile.tracker.on_event(event);
+    input.events.push_back(event);
     bases.push_back(base);
     base += sizes[i];
   }
-  return profile;
+  return input;
 }
 
-/// Files `s` under its (src, home) channel, as the Profiler does.
-void add_sample(core::ProfileResult& profile, const core::AttributedSample& s) {
-  const int index =
-      machine().channel_index(topology::ChannelId{s.src_node, s.home_node});
-  profile.channels[static_cast<std::size_t>(index)].samples.push_back(s);
-  ++profile.total_samples;
-  if (s.object != core::kUnknownObject) ++profile.attributed_samples;
+/// Appends `s` so the Profiler files it under (src, home): its cpu is the
+/// first of the src node, and its home comes from the script.  The object
+/// is the one its address falls in.
+void add_sample(ProfileInput& input, const core::AttributedSample& s) {
+  pebs::MemorySample sample = s.sample;
+  sample.cpu = machine().cpus_of_node(s.src_node).front();
+  input.samples.push_back(sample);
+  input.homes.push_back(s.home_node);
 }
 
-core::AttributedSample attributed(mem::Addr addr, std::uint32_t object,
-                                  std::uint32_t tid, topology::NodeId src,
+core::AttributedSample attributed(mem::Addr addr, std::uint32_t tid,
+                                  topology::NodeId src,
                                   topology::NodeId home = 0) {
   core::AttributedSample s;
   s.sample.address = addr;
@@ -634,15 +777,14 @@ core::AttributedSample attributed(mem::Addr addr, std::uint32_t object,
   s.sample.latency_cycles = 700.0f;
   s.src_node = src;
   s.home_node = home;
-  s.object = object;
   return s;
 }
 
-/// A seeded random profile: every level in every channel (remote-DRAM
-/// samples on the diagonal, local and LFB samples on remote channels),
-/// untracked samples, tids including 0xFFFFFFFF, and objects from 16 KiB
-/// (several per 64 KiB region) to 1 MiB.
-core::ProfileResult random_profile(Rng& rng) {
+/// A seeded random profile input: every level in every channel
+/// (remote-DRAM samples on the diagonal, local and LFB samples on remote
+/// channels), untracked samples, tids including 0xFFFFFFFF, and objects
+/// from 16 KiB (several per 64 KiB region) to 1 MiB.
+ProfileInput random_profile(Rng& rng) {
   std::vector<std::uint64_t> sizes;
   const int num_objects = 1 + static_cast<int>(rng.bounded(8));
   for (int i = 0; i < num_objects; ++i) {
@@ -650,26 +792,27 @@ core::ProfileResult random_profile(Rng& rng) {
     sizes.push_back(choices[rng.bounded(3)]);
   }
   std::vector<mem::Addr> bases;
-  core::ProfileResult profile = empty_profile(sizes, bases);
+  ProfileInput input = empty_profile(sizes, bases);
   const std::uint32_t tids[] = {0, 1, 2, 3, 0xFFFFFFFFu};
   const int n = 200 + static_cast<int>(rng.bounded(3000));
   for (int i = 0; i < n; ++i) {
     const auto obj = static_cast<std::uint32_t>(rng.bounded(sizes.size()));
     const bool untracked = rng.bernoulli(0.15);
+    const mem::Addr offset = rng.bounded(sizes[obj]);
+    // Mostly one thread per object, so both shared and private regions
+    // occur.
+    const std::uint32_t tid =
+        rng.bernoulli(0.8) ? tids[obj % 5] : tids[rng.bounded(5)];
+    const auto src = static_cast<topology::NodeId>(rng.bounded(4));
+    const auto home = static_cast<topology::NodeId>(rng.bounded(4));
     core::AttributedSample s = attributed(
-        bases[obj] + rng.bounded(sizes[obj]),
-        untracked ? core::kUnknownObject : obj,
-        // Mostly one thread per object, so both shared and private
-        // regions occur.
-        rng.bernoulli(0.8) ? tids[obj % 5] : tids[rng.bounded(5)],
-        static_cast<topology::NodeId>(rng.bounded(4)),
-        static_cast<topology::NodeId>(rng.bounded(4)));
+        (untracked ? kUntrackedBase : bases[obj]) + offset, tid, src, home);
     s.sample.level = static_cast<pebs::MemLevel>(rng.bounded(6));
     s.sample.latency_cycles = static_cast<float>(rng.uniform(20.0, 2500.0));
     s.sample.is_write = rng.bernoulli(0.3);
-    add_sample(profile, s);
+    add_sample(input, s);
   }
-  return profile;
+  return input;
 }
 
 void expect_same_evidence(const std::vector<diagnoser::ObjectEvidence>& got,
@@ -692,7 +835,8 @@ class PostProfileOracleProperty
 
 TEST_P(PostProfileOracleProperty, EvidenceAndTallyMatchOrderedReference) {
   Rng rng(GetParam());
-  const core::ProfileResult profile = random_profile(rng);
+  const ProfileInput input = random_profile(rng);
+  const core::ProfileResult profile = profile_of(input);
   std::vector<topology::ChannelId> contended;
   for (int c = 0; c < machine().num_channels(); ++c) {
     if (rng.bernoulli(0.4)) contended.push_back(machine().channel_at(c));
@@ -712,7 +856,8 @@ TEST_P(PostProfileOracleProperty, EvidenceAndTallyMatchOrderedReference) {
 
 TEST_P(PostProfileOracleProperty, FeaturesMatchPerDestinationReference) {
   Rng rng(GetParam());
-  const core::ProfileResult profile = random_profile(rng);
+  const ProfileInput input = random_profile(rng);
+  const core::ProfileResult profile = profile_of(input);
   std::size_t diagonal_remote = 0;
   std::size_t remote_local_or_lfb = 0;
   for (const core::ChannelProfile& channel : profile.channels) {
@@ -747,24 +892,24 @@ TEST(PostProfileOracle, EvidenceEdgeCases) {
   // Objects 0 and 1 are 32 KiB each, so they share the 64 KiB region at
   // 1 GiB; object 2 is a third 32 KiB object in the next region.
   std::vector<mem::Addr> bases;
-  core::ProfileResult profile =
-      empty_profile({32 << 10, 32 << 10, 32 << 10}, bases);
+  ProfileInput input = empty_profile({32 << 10, 32 << 10, 32 << 10}, bases);
   const std::uint32_t kMaxTid = 0xFFFFFFFFu;
   // Object 0: its region only ever sees tid 0xFFFFFFFF -> one thread, not
   // shared.  Object 1 touches the same region from tid 7, which does not
   // make object 0's region shared: sharing is per (object, region).
   for (mem::Addr i = 0; i < 3; ++i) {
-    add_sample(profile, attributed(bases[0] + 64 * i, 0, kMaxTid, 1));
-    add_sample(profile, attributed(bases[1] + 64 * i, 1, 7, 2));
+    add_sample(input, attributed(bases[0] + 64 * i, kMaxTid, 1));
+    add_sample(input, attributed(bases[1] + 64 * i, 7, 2));
   }
   // Object 2: tids 0xFFFFFFFF and 0 share its region -> shared.
-  add_sample(profile, attributed(bases[2], 2, kMaxTid, 1));
-  add_sample(profile, attributed(bases[2] + 64, 2, 0, 3));
-  add_sample(profile, attributed(bases[2] + 128, 2, 0, 3));
+  add_sample(input, attributed(bases[2], kMaxTid, 1));
+  add_sample(input, attributed(bases[2] + 64, 0, 3));
+  add_sample(input, attributed(bases[2] + 128, 0, 3));
   // Untracked samples count toward the total but belong to no object.
   for (int i = 0; i < 4; ++i) {
-    add_sample(profile, attributed(1ull << 20, core::kUnknownObject, 1, 2));
+    add_sample(input, attributed(kUntrackedBase, 1, 2));
   }
+  const core::ProfileResult profile = profile_of(input);
   const std::vector<topology::ChannelId> contended = {
       {1, 0}, {2, 0}, {3, 0}};
 
