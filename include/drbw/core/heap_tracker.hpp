@@ -35,7 +35,8 @@ inline constexpr std::uint32_t kUnknownObject = 0xffffffffu;
 
 class HeapTracker {
  public:
-  /// Processes one intercepted allocation/free.
+  /// Processes one intercepted allocation/free.  A free whose base was
+  /// never allocated throws Error(kCorruptArtifact).
   void on_event(const mem::AllocationEvent& event);
   /// Convenience: processes a whole event stream in order.
   void on_events(const std::vector<mem::AllocationEvent>& events);

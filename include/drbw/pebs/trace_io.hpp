@@ -7,7 +7,7 @@
 // machine description) without re-simulating.  Two body encodings share
 // the checksummed artifact header (see util/artifact.hpp):
 //
-//   CSV (v1/v2) — line-oriented, human-greppable:
+//   CSV (v2) — line-oriented, human-greppable:
 //     #drbw-trace v2 crc32=<hex> bytes=<n>
 //     A,<site>,<base>,<size>          allocation event
 //     F,<base>                        free event
@@ -38,9 +38,10 @@
 //     samples   addr u64 | cycle u64 | cpu u32 | tid u32 |
 //               latency f32-bits u32 | level u8 | is_write u8
 //
-// v1 traces ("#drbw-trace v1", no checksum) are still accepted on load;
 // save_trace writes CSV v2 by default and binary v3 behind
-// SaveOptions{.format = TraceFormat::kBinary}.
+// SaveOptions{.format = TraceFormat::kBinary}.  Every trace loads through
+// load_trace, and a file without the checksummed header is rejected
+// (kParse) before any record is read.
 //
 // Sharded sets: save_trace with shards > 1 writes one standalone trace
 // artifact per shard (`<path>.shard-000-of-004`, each with its own
@@ -137,14 +138,10 @@ std::vector<std::string> save_trace(const std::string& path,
                                     const Trace& trace,
                                     const SaveOptions& options);
 
-/// Parses a trace; throws drbw::Error on malformed or wrong-version input.
-/// The policy overloads implement strict/lenient loading as described in
-/// the header comment; `stats` (optional) receives record accounting.  The
-/// stream readers take CSV bodies (v1 without a checksum, or v2, whose
-/// checksum they do not check); files of any version go through load_trace.
-Trace read_trace(std::istream& is);
-Trace read_trace(std::istream& is, const util::LoadPolicy& policy,
-                 util::LoadStats* stats);
+/// Loads a trace file; throws drbw::Error on malformed or wrong-version
+/// input.  The policy overloads implement strict/lenient loading as
+/// described in the header comment; `stats` (optional) receives record
+/// accounting.
 Trace load_trace(const std::string& path);
 Trace load_trace(const std::string& path, const util::LoadPolicy& policy,
                  util::LoadStats* stats = nullptr);

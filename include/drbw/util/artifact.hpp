@@ -77,7 +77,6 @@ struct LoadStats {
 struct ArtifactHeader {
   std::string kind;          ///< "trace", "model", …
   int version = 1;
-  bool has_checksum = false; ///< v1 headers carry no crc32=/bytes= fields
   std::uint32_t crc = 0;
   std::size_t bytes = 0;
 };
@@ -86,9 +85,12 @@ struct ArtifactHeader {
 std::string format_artifact_header(const std::string& kind, int version,
                                    std::string_view body);
 
-/// Parses one header line.  Returns nullopt when the line is not a
-/// `#drbw-…` header at all (legacy / foreign file); throws Error(kParse)
-/// when it is one but malformed.
+/// Parses one header line.  Returns nullopt when the line does not start
+/// with `#drbw-`; throws Error(kParse) unless it is exactly the line
+/// format_artifact_header writes, `#drbw-<kind> v<N> crc32=<8 hex>
+/// bytes=<n>`.  Callers outside this module only read a header's fields
+/// with it; whether content is an artifact at all is decided by
+/// validate_versioned_content alone.
 std::optional<ArtifactHeader> parse_artifact_header(std::string_view line);
 
 /// Reads a whole file.  A missing file throws Error(kNotFound) whose message
@@ -153,28 +155,29 @@ void write_versioned_artifact(const std::string& path, const std::string& kind,
 std::string shard_file_name(const std::string& path, std::size_t index,
                             std::size_t count);
 
-/// A validated versioned artifact, viewed in place: the parsed header
-/// (when present) and a view of the body after the header line, into the
-/// content that was validated.
+/// A validated versioned artifact, viewed in place: the parsed header and a
+/// view of the body after the header line, into the content that was
+/// validated.
 struct ArtifactView {
   ArtifactHeader header;
   std::string_view body;
-  bool legacy = false;  ///< no recognizable header; `body` is the whole file
-  /// crc32 of `body`, computed once during validation (headered artifacts
-  /// only), so callers cross-checking an index need no second pass.
+  /// crc32 of `body`, computed once during validation, so callers
+  /// cross-checking an index need no second pass.
   std::uint32_t body_crc = 0;
 };
 
 /// Validates an artifact already in memory; `source` names its origin in
-/// errors.  The one validator:
+/// errors.  The one validator, and the only place that decides whether
+/// bytes are a DR-BW artifact:
+///   * no `#drbw-<kind>` header line → Error(kParse) naming `source` and
+///     "missing '#drbw-<kind>' header"; a malformed one, or one without
+///     both checksum fields → Error(kParse),
 ///   * header kind mismatch → Error(kParse),
 ///   * header version > max_version → Error(kVersionSkew) naming the
 ///     offending header token ("v3"),
-///   * checksum mismatch → strict: Error(kCorruptArtifact); lenient:
+///   * crc32 or length mismatch → strict: Error(kCorruptArtifact); lenient:
 ///     stats->checksum_ok = false and the load continues (per-record
-///     validation catches the damage),
-///   * no header at all → returned with legacy = true; the caller decides
-///     whether a headerless file is acceptable for this kind.
+///     validation catches the damage).
 ArtifactView validate_versioned_content(const std::string& source,
                                         std::string_view content,
                                         const std::string& kind,
@@ -186,7 +189,6 @@ ArtifactView validate_versioned_content(const std::string& source,
 struct VersionedArtifact {
   ArtifactHeader header;
   std::string body;
-  bool legacy = false;  ///< no recognizable header; `body` is the whole file
 };
 
 /// Maps the file at `path` and validates it with validate_versioned_content,

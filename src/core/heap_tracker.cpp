@@ -1,8 +1,10 @@
 #include "drbw/core/heap_tracker.hpp"
 
 #include <algorithm>
+#include <sstream>
 
 #include "drbw/obs/metrics.hpp"
+#include "drbw/util/error.hpp"
 
 namespace drbw::core {
 
@@ -56,9 +58,16 @@ void HeapTracker::on_event(const mem::AllocationEvent& event) {
     return;
   }
   // Free: the wrapper sees only the pointer; match it to the recorded base.
+  // Events come from trace files, so an unmatched free is damaged input
+  // (or a shard loaded without the rest of its set), not a broken invariant.
   const auto it = ranges_.find(event.base);
-  DRBW_CHECK_MSG(it != ranges_.end(),
-                 "free of untracked pointer 0x" << std::hex << event.base);
+  if (it == ranges_.end()) {
+    std::ostringstream os;
+    os << "free of untracked pointer 0x" << std::hex << event.base
+       << ": the free has no matching allocation (a damaged trace, or a "
+          "shard loaded without its set)";
+    throw Error(os.str(), ErrorCode::kCorruptArtifact);
+  }
   TrackedObject& tracked = objects_[it->second.object];
   const std::uint64_t bytes = it->second.end - event.base;
   DRBW_CHECK(tracked.live_bytes >= bytes);

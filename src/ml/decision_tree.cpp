@@ -499,8 +499,8 @@ Classifier Classifier::from_json(const Json& json) {
   }
   Classifier model(Normalizer::from_json(json.at("normalizer")),
                    DecisionTree::from_json(json.at("tree")), std::move(names));
-  // v2 and legacy documents carry no baseline: the model loads fine, drift
-  // detection is simply unavailable (doctor advises re-training).
+  // v2 documents carry no baseline: the model loads fine, drift detection
+  // is simply unavailable (doctor advises re-training).
   if (const Json* baseline = json.find("drift_baseline")) {
     model.drift_baseline_ =
         DriftBaseline::from_json(*baseline, model.feature_names_.size());
@@ -510,7 +510,7 @@ Classifier Classifier::from_json(const Json& json) {
 
 namespace {
 constexpr const char* kModelKind = "model";
-// v3 embeds the drift baseline; v2/legacy still load (baseline absent).
+// v3 embeds the drift baseline; v2 still loads (baseline absent).
 constexpr int kModelVersion = 3;
 }  // namespace
 
@@ -529,8 +529,6 @@ Classifier Classifier::load(const std::string& path,
   const util::VersionedArtifact artifact =
       util::read_versioned_artifact(path, kModelKind, kModelVersion, policy,
                                     stats);
-  // artifact.legacy: pre-v2 model files are raw JSON with no header —
-  // still accepted, the "kind" key inside the document is the check.
   Json json;
   try {
     // A model is one JSON document: even a lenient load (which tolerates a

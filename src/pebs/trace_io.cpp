@@ -202,14 +202,17 @@ void put_u64(std::string& out, std::uint64_t v) {
   put_u32(out, static_cast<std::uint32_t>(v >> 32));
 }
 
-std::uint32_t get_u32(const unsigned char* p) {
+// The decoders read every binary field through these two.  Declared inline
+// so GCC's unit-wide inlining budget, which moves with unrelated edits to
+// this file, cannot leave them as a call per field in the sample loop.
+inline std::uint32_t get_u32(const unsigned char* p) {
   return static_cast<std::uint32_t>(p[0]) |
          (static_cast<std::uint32_t>(p[1]) << 8) |
          (static_cast<std::uint32_t>(p[2]) << 16) |
          (static_cast<std::uint32_t>(p[3]) << 24);
 }
 
-std::uint64_t get_u64(const unsigned char* p) {
+inline std::uint64_t get_u64(const unsigned char* p) {
   return static_cast<std::uint64_t>(get_u32(p)) |
          (static_cast<std::uint64_t>(get_u32(p + 4)) << 32);
 }
@@ -594,14 +597,12 @@ class RecordReader {
 };
 
 /// Parses the records of a CSV `body` under `policy`.  `source` names the
-/// origin (file path or "<stream>") in every error; `first_line_no` is the
-/// 1-based file line of the body's first line, so messages point at real
-/// file lines even though the header was stripped.  A record is keyed (its
-/// line number and its "trace.read" fault key) by its first line; only a
-/// quoted allocation label may run on past it.
+/// file in every error, and line numbers count the header line, so messages
+/// point at real file lines.  A record is keyed (its line number and its
+/// "trace.read" fault key) by its first line; only a quoted allocation
+/// label may run on past it.
 Trace parse_records(std::string_view body, const std::string& source,
-                    std::size_t first_line_no, const util::LoadPolicy& policy,
-                    util::LoadStats* stats) {
+                    const util::LoadPolicy& policy, util::LoadStats* stats) {
   Trace trace;
   util::LoadStats local;
   util::LoadStats& st = stats != nullptr ? *stats : local;
@@ -621,7 +622,7 @@ Trace parse_records(std::string_view body, const std::string& source,
   std::string damaged;
   LineCursor lines(body);
   std::string_view rec;
-  std::size_t line_no = first_line_no - 1;
+  std::size_t line_no = 1;  // the header
   while (lines.next(rec)) {
     const std::size_t key = ++line_no;
     if (is_blank(rec)) continue;
@@ -866,7 +867,7 @@ Trace parse_trace_body(const util::ArtifactView& artifact,
   if (artifact.header.version >= 3) {
     return parse_binary(artifact.body, source, policy, stats);
   }
-  return parse_records(artifact.body, source, 2, policy, stats);
+  return parse_records(artifact.body, source, policy, stats);
 }
 
 // --- Sharded sets ---------------------------------------------------------
@@ -1027,11 +1028,6 @@ Trace load_sharded(const std::string& index_path, const ShardIndex& index,
       const util::ArtifactView artifact = util::validate_versioned_content(
           shard_path, file.view(), kArtifactKind, options.max_version,
           shard_policy, &slot.stats);
-      if (artifact.legacy) {
-        throw Error(shard_path +
-                        ": not a DR-BW trace (missing '#drbw-trace' header)",
-                    ErrorCode::kParse);
-      }
       const std::uint32_t crc = artifact.body_crc;
       const bool matches_index =
           crc == entry.crc && artifact.body.size() == entry.bytes;
@@ -1174,42 +1170,6 @@ std::vector<std::string> save_trace(const std::string& path,
   return written;
 }
 
-Trace read_trace(std::istream& is, const util::LoadPolicy& policy,
-                 util::LoadStats* stats) {
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  const std::string content = buffer.str();
-  const std::size_t eol = content.find('\n');
-  const std::string first_line =
-      trim(eol == std::string::npos ? content : content.substr(0, eol));
-  const auto header = util::parse_artifact_header(first_line);
-  if (!header.has_value()) {
-    throw Error("not a DR-BW trace (missing '#drbw-trace' header)",
-                ErrorCode::kParse);
-  }
-  if (header->kind != kArtifactKind) {
-    throw Error("not a DR-BW trace (artifact kind is '" + header->kind + "')",
-                ErrorCode::kParse);
-  }
-  if (header->version > kTraceCsvVersion) {
-    throw Error("trace format v" + std::to_string(header->version) +
-                    " is newer than the stream reader's v" +
-                    std::to_string(kTraceCsvVersion) +
-                    " (offending header token 'v" +
-                    std::to_string(header->version) +
-                    "'; binary traces load from files via load_trace)",
-                ErrorCode::kVersionSkew);
-  }
-  const std::string_view body =
-      eol == std::string::npos ? std::string_view()
-                               : std::string_view(content).substr(eol + 1);
-  return parse_records(body, "<stream>", 2, policy, stats);
-}
-
-Trace read_trace(std::istream& is) {
-  return read_trace(is, util::LoadPolicy{}, nullptr);
-}
-
 Trace load_trace(const std::string& path, const LoadOptions& options,
                  util::LoadStats* stats) {
   util::LoadStats local;
@@ -1232,10 +1192,6 @@ Trace load_trace(const std::string& path, const LoadOptions& options,
   }
   const util::ArtifactView artifact = util::validate_versioned_content(
       path, content, kArtifactKind, options.max_version, options.policy, &st);
-  if (artifact.legacy) {
-    throw Error(path + ": not a DR-BW trace (missing '#drbw-trace' header)",
-                ErrorCode::kParse);
-  }
   if (!st.checksum_ok) TraceMetrics::get().checksum_failures.add(1);
   Trace trace = parse_trace_body(artifact, path, options.policy, &st);
   TraceMetrics::get().bytes_loaded.add(artifact.body.size());

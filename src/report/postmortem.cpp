@@ -76,11 +76,6 @@ std::vector<obs::SpanStat> parse_spans(const Json* node) {
 ManifestData load_manifest(const std::string& path) {
   const util::VersionedArtifact artifact = util::read_versioned_artifact(
       path, "manifest", obs::kManifestVersion, util::LoadPolicy{});
-  if (artifact.legacy) {
-    throw Error(path + ": not a DR-BW run manifest (missing '#drbw-manifest' "
-                       "header)",
-                ErrorCode::kParse);
-  }
   ManifestData m;
   try {
     m.document = Json::parse(artifact.body);
@@ -138,11 +133,6 @@ ManifestData load_manifest(const std::string& path) {
 std::vector<FlightRecord> load_flight_dump(const std::string& path) {
   const util::VersionedArtifact artifact = util::read_versioned_artifact(
       path, "flight", obs::kFlightVersion, util::LoadPolicy{});
-  if (artifact.legacy) {
-    throw Error(path + ": not a DR-BW flight dump (missing '#drbw-flight' "
-                       "header)",
-                ErrorCode::kParse);
-  }
   std::vector<FlightRecord> records;
   std::istringstream is(artifact.body);
   std::string line;

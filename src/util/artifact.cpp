@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -45,49 +46,57 @@ std::string format_artifact_header(const std::string& kind, int version,
   return obs::format_artifact_header(kind, version, body);
 }
 
+namespace {
+
+/// `text` read whole as a number in `base`, or nullopt: no sign (for the
+/// unsigned types), prefix, space or trailing byte is accepted.
+template <typename T>
+std::optional<T> parse_whole(std::string_view text, int base) {
+  T value{};
+  const char* last = text.data() + text.size();
+  const auto [end, ec] = std::from_chars(text.data(), last, value, base);
+  if (ec != std::errc() || end != last) return std::nullopt;
+  return value;
+}
+
+}  // namespace
+
 std::optional<ArtifactHeader> parse_artifact_header(std::string_view line) {
   constexpr std::string_view kPrefix = "#drbw-";
   if (line.substr(0, kPrefix.size()) != kPrefix) return std::nullopt;
-  const std::string text(line);
-  ArtifactHeader header;
-  // Tokens: "#drbw-<kind>" "v<version>" ["crc32=<hex>" "bytes=<n>"].
-  const std::vector<std::string> tokens = split(trim(text), ' ');
-  header.kind = tokens[0].substr(kPrefix.size());
-  if (header.kind.empty() || tokens.size() < 2 || tokens[1].size() < 2 ||
-      tokens[1][0] != 'v') {
-    throw Error("malformed artifact header '" + text + "'", ErrorCode::kParse);
+  const std::string text = trim(line);
+  // Exactly the line format_artifact_header writes:
+  // "#drbw-<kind> v<version> crc32=<8 hex> bytes=<n>".
+  const std::vector<std::string> tokens = split(text, ' ');
+  if (tokens.size() != 4 || tokens[0].size() == kPrefix.size() ||
+      tokens[1].rfind('v', 0) != 0 || tokens[2].rfind("crc32=", 0) != 0 ||
+      tokens[3].rfind("bytes=", 0) != 0) {
+    throw Error("malformed artifact header '" + text +
+                    "' (expected '#drbw-<kind> v<N> crc32=<8 hex> bytes=<n>')",
+                ErrorCode::kParse);
   }
-  char* end = nullptr;
-  header.version =
-      static_cast<int>(std::strtol(tokens[1].c_str() + 1, &end, 10));
-  if (end == nullptr || *end != '\0' || header.version <= 0) {
+  const auto version =
+      parse_whole<int>(std::string_view(tokens[1]).substr(1), 10);
+  if (!version.has_value() || *version <= 0) {
     throw Error("malformed artifact version in header '" + text + "'",
                 ErrorCode::kParse);
   }
-  for (std::size_t i = 2; i < tokens.size(); ++i) {
-    const std::string& token = tokens[i];
-    if (token.rfind("crc32=", 0) == 0) {
-      header.crc = static_cast<std::uint32_t>(
-          std::strtoul(token.c_str() + 6, &end, 16));
-      if (end == nullptr || *end != '\0' || token.size() != 6 + 8) {
-        throw Error("malformed crc32 field in header '" + text + "'",
-                    ErrorCode::kParse);
-      }
-      header.has_checksum = true;
-    } else if (token.rfind("bytes=", 0) == 0) {
-      header.bytes = static_cast<std::size_t>(
-          std::strtoull(token.c_str() + 6, &end, 10));
-      if (end == nullptr || *end != '\0') {
-        throw Error("malformed bytes field in header '" + text + "'",
-                    ErrorCode::kParse);
-      }
-    } else if (!token.empty()) {
-      throw Error("unknown field '" + token + "' in artifact header '" + text +
-                      "'",
-                  ErrorCode::kParse);
-    }
+  const std::string_view crc_hex = std::string_view(tokens[2]).substr(6);
+  const auto crc = crc_hex.size() == 8
+                       ? parse_whole<std::uint32_t>(crc_hex, 16)
+                       : std::nullopt;
+  if (!crc.has_value()) {
+    throw Error("malformed crc32 field in header '" + text + "'",
+                ErrorCode::kParse);
   }
-  return header;
+  const auto bytes =
+      parse_whole<std::size_t>(std::string_view(tokens[3]).substr(6), 10);
+  if (!bytes.has_value()) {
+    throw Error("malformed bytes field in header '" + text + "'",
+                ErrorCode::kParse);
+  }
+  return ArtifactHeader{tokens[0].substr(kPrefix.size()), *version, *crc,
+                        *bytes};
 }
 
 std::string sibling_hint(const std::string& path) {
@@ -274,9 +283,9 @@ ArtifactView validate_versioned_content(const std::string& source,
     throw Error(source + ": " + e.what(), e.code());
   }
   if (!header.has_value()) {
-    result.legacy = true;
-    result.body = content;
-    return result;
+    throw Error(source + ": not a DR-BW " + kind + " (missing '#drbw-" + kind +
+                    "' header)",
+                ErrorCode::kParse);
   }
   if (header->kind != kind) {
     throw Error(source + ": artifact kind is '" + header->kind +
@@ -298,27 +307,25 @@ ArtifactView validate_versioned_content(const std::string& source,
   result.body = eol == std::string_view::npos ? std::string_view()
                                               : content.substr(eol + 1);
   result.body_crc = crc32(result.body);
-  if (header->has_checksum) {
-    const bool size_ok = result.body.size() == header->bytes;
-    if (result.body_crc != header->crc || !size_ok) {
-      if (!policy.lenient()) {
-        std::ostringstream os;
-        os << source << ": " << kind << " body fails validation (";
-        if (!size_ok) {
-          os << "length " << result.body.size() << " != declared "
-             << header->bytes;
-        } else {
-          char want[16];
-          char got[16];
-          std::snprintf(want, sizeof want, "%08x", header->crc);
-          std::snprintf(got, sizeof got, "%08x", result.body_crc);
-          os << "crc32 " << got << " != declared " << want;
-        }
-        os << ") — artifact is truncated or corrupt";
-        throw Error(os.str(), ErrorCode::kCorruptArtifact);
+  const bool size_ok = result.body.size() == header->bytes;
+  if (result.body_crc != header->crc || !size_ok) {
+    if (!policy.lenient()) {
+      std::ostringstream os;
+      os << source << ": " << kind << " body fails validation (";
+      if (!size_ok) {
+        os << "length " << result.body.size() << " != declared "
+           << header->bytes;
+      } else {
+        char want[16];
+        char got[16];
+        std::snprintf(want, sizeof want, "%08x", header->crc);
+        std::snprintf(got, sizeof got, "%08x", result.body_crc);
+        os << "crc32 " << got << " != declared " << want;
       }
-      if (stats != nullptr) stats->checksum_ok = false;
+      os << ") — artifact is truncated or corrupt";
+      throw Error(os.str(), ErrorCode::kCorruptArtifact);
     }
+    if (stats != nullptr) stats->checksum_ok = false;
   }
   return result;
 }
@@ -331,7 +338,7 @@ VersionedArtifact read_versioned_artifact(const std::string& path,
   const MappedFile file(path, kind + " file");
   const ArtifactView view = validate_versioned_content(
       path, file.view(), kind, max_version, policy, stats);
-  return VersionedArtifact{view.header, std::string(view.body), view.legacy};
+  return VersionedArtifact{view.header, std::string(view.body)};
 }
 
 }  // namespace drbw::util

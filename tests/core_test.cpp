@@ -69,6 +69,26 @@ TEST(HeapTracker, FreeOfUntrackedPointerThrows) {
   EXPECT_THROW(t.object(5), Error);
 }
 
+TEST(HeapTracker, FreeOfNeverAllocatedBaseIsACorruptArtifact) {
+  // A shard loaded without its set frees blocks another shard allocated:
+  // that is damaged input (exit 68), not an internal invariant failure.
+  HeapTracker t;
+  t.on_event(alloc("a.c:1 x", 0x1000, 0x100));
+  ErrorCode code = ErrorCode::kGeneric;
+  std::string message;
+  try {
+    t.on_event(dealloc(0x10000));
+  } catch (const Error& e) {
+    code = e.code();
+    message = e.what();
+  }
+  EXPECT_EQ(code, ErrorCode::kCorruptArtifact);
+  EXPECT_NE(message.find("0x10000"), std::string::npos) << message;
+  EXPECT_NE(message.find("no matching allocation"), std::string::npos)
+      << message;
+  EXPECT_EQ(t.live_range_count(), 1u);
+}
+
 class ProfilerTest : public ::testing::Test {
  protected:
   Machine machine_ = Machine::xeon_e5_4650();

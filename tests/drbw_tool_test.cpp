@@ -437,15 +437,67 @@ TEST(DrBwCliExitCodeTest, NarrowedCsvFieldExits67) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string bad = dir + "/space.csv";
-  util::atomic_write_file(bad,
-                          "#drbw-trace v1\n"
-                          "S,4096,0,1,LDR,500,0,10\n"
-                          "S, 4100,0,1,LDR,500,0,20\n");
+  util::write_versioned_artifact(bad, "trace", 2,
+                                 "S,4096,0,1,LDR,500,0,10\n"
+                                 "S, 4100,0,1,LDR,500,0,20\n");
   EXPECT_EQ(run_cli("analyze --trace " + bad + " --run-dir " + dir + "/run"),
             67);
   const std::string manifest = cli_read_file(dir + "/run/run.json");
   EXPECT_NE(manifest.find("parse-error"), std::string::npos);
   EXPECT_NE(manifest.find(bad + ":3: malformed number"), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+/// Every artifact needs its checksummed header.  A `#drbw-trace v1` trace
+/// without checksum fields, and the raw JSON body of a loadable model, are
+/// parse errors (67) in every front end that reads them, while the same
+/// model and trace with their headers analyze fine.
+TEST(DrBwCliExitCodeTest, ArtifactsWithoutAChecksummedHeaderExit67) {
+  const std::string dir =
+      ::testing::TempDir() + "/drbw_cli_header_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::vector<std::string> names(
+      features::selected_feature_names().begin(),
+      features::selected_feature_names().end());
+  ml::Dataset data(names);
+  data.add(std::vector<double>(names.size(), 0.0), ml::Label::kGood);
+  data.add(std::vector<double>(names.size(), 1.0), ml::Label::kRmc);
+  const ml::Classifier model = ml::Classifier::train(data);
+  const std::string headered = dir + "/model.json";
+  const std::string raw = dir + "/raw_model.json";
+  model.save(headered);
+  util::atomic_write_file(raw, model.to_json().dump() + "\n");
+  pebs::Trace trace;
+  trace.events.push_back(mem::AllocationEvent{
+      mem::AllocationEvent::Kind::kAlloc, {"h.c:1 buf"}, 0x10000, 4096});
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    pebs::MemorySample s;
+    s.address = 0x10000 + i * 64;
+    s.cpu = static_cast<topology::CpuId>(i % 4);
+    s.level = pebs::MemLevel::kRemoteDram;
+    s.latency_cycles = 500.0f;
+    s.cycle = 10 + i;
+    trace.samples.push_back(s);
+  }
+  const std::string good_trace = dir + "/trace.csv";
+  pebs::save_trace(good_trace, trace);
+  const std::string run = " --run-dir " + dir + "/run";
+
+  const int control = run_cli("analyze --trace " + good_trace + " --model " +
+                              headered + run);
+  EXPECT_TRUE(control == 0 || control == 2) << control;
+  EXPECT_EQ(run_cli("analyze --trace " + good_trace + " --model " + raw + run),
+            67);
+  EXPECT_EQ(run_cli("explain --out " + dir + "/x.json --trace " + good_trace +
+                    " --model " + raw + run),
+            67);
+  const std::string v1 = dir + "/v1.csv";
+  util::atomic_write_file(v1, "#drbw-trace v1\nS,4096,0,1,LDR,500,0,10\n");
+  EXPECT_EQ(run_cli("analyze --trace " + v1 + " --model " + headered + run),
+            67);
+  EXPECT_NE(cli_read_file(dir + "/run/run.json").find("parse-error"),
+            std::string::npos);
   std::filesystem::remove_all(dir);
 }
 
@@ -580,13 +632,15 @@ TEST(DrBwCliExplainTest, StatsHintsServeSnapshotsToTheServeFlag) {
   EXPECT_EQ(run_cli("stats --trace " + dir + "/serve_snapshot.json"), 64);
   EXPECT_EQ(run_cli("stats --serve --trace " + dir + "/serve_snapshot.json"),
             0);
-  // Headerless snapshot bodies get the same hint via content sniffing.
+  // Headerless snapshot bodies get the same hint via content sniffing, but
+  // --serve reads only the checksummed artifact: without its header the
+  // snapshot is a parse error.
   {
     std::ofstream out(dir + "/raw.json", std::ios::binary);
     out << "{\n  \"drbw_serve_snapshot\": 2,\n  \"timeline\": []\n}\n";
   }
   EXPECT_EQ(run_cli("stats --trace " + dir + "/raw.json"), 64);
-  EXPECT_EQ(run_cli("stats --serve --trace " + dir + "/raw.json"), 0);
+  EXPECT_EQ(run_cli("stats --serve --trace " + dir + "/raw.json"), 67);
   EXPECT_EQ(run_cli("explain --windows 0 --trace " + dir + "/raw.json"), 64);
   std::filesystem::remove_all(dir);
 }

@@ -1298,6 +1298,7 @@ TEST_P(CsvCodecOracleProperty, SingleByteDamageAgreesOrIsNarrowed) {
   trace.events.clear();
   trace.samples.resize(24);
   const std::string body = reference::render_csv(trace);
+  const std::string file = path("damage.csv");
   std::istringstream lines(body);
   std::string line;
   std::size_t mutations = 0;
@@ -1316,9 +1317,9 @@ TEST_P(CsvCodecOracleProperty, SingleByteDamageAgreesOrIsNarrowed) {
       }
       pebs::Trace got;
       bool got_ok = true;
-      std::stringstream in("#drbw-trace v1\n" + damaged + "\n");
+      util::write_versioned_artifact(file, "trace", 2, damaged + "\n");
       try {
-        got = pebs::read_trace(in);
+        got = pebs::load_trace(file);
       } catch (const Error& e) {
         got_ok = false;
         EXPECT_EQ(e.code(), ErrorCode::kParse) << damaged;
@@ -1336,6 +1337,7 @@ TEST_P(CsvCodecOracleProperty, SingleByteDamageAgreesOrIsNarrowed) {
   }
   EXPECT_GT(mutations, 500u);
   EXPECT_GT(narrowed, 0u);
+  std::remove(file.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(SeedGrid, CsvCodecOracleProperty,

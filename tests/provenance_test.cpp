@@ -12,6 +12,8 @@
 //     exits 3 on them.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -21,8 +23,10 @@
 #include <vector>
 
 #include "drbw/fault/injector.hpp"
+#include "drbw/ml/decision_tree.hpp"
 #include "drbw/obs/flight_recorder.hpp"
 #include "drbw/obs/manifest.hpp"
+#include "drbw/pebs/trace_io.hpp"
 #include "drbw/report/postmortem.hpp"
 #include "drbw/util/artifact.hpp"
 #include "drbw/util/json.hpp"
@@ -135,10 +139,8 @@ TEST(ManifestTest, WriteLoadRoundTripsThroughChecksummedHeader) {
   sample_manifest().write(path);
 
   // The artifact layer validates the CRC on the way back in.
-  const auto artifact = util::read_versioned_artifact(
-      path, "manifest", obs::kManifestVersion, util::LoadPolicy{});
-  EXPECT_FALSE(artifact.legacy);
-  EXPECT_TRUE(artifact.header.has_checksum);
+  (void)util::read_versioned_artifact(path, "manifest", obs::kManifestVersion,
+                                      util::LoadPolicy{});
 
   const report::ManifestData m = report::load_manifest(path);
   EXPECT_EQ(m.subcommand, "analyze");
@@ -203,6 +205,78 @@ TEST(ManifestTest, DoctorRanksInjectedFaultFirst) {
   EXPECT_NE(rendered.find("fault-injected"), std::string::npos);
   EXPECT_NE(rendered.find("exit 70"), std::string::npos);
 }
+
+// ---------------------------------------------------------------------------
+// In-process: one artifact validator for every loader
+
+/// One artifact kind, a plausible body for it, and the loader that reads it.
+struct HeaderlessCase {
+  const char* kind;
+  const char* body;
+  void (*load)(const std::string& path);
+};
+
+/// Names a case by its kind, so test listings stay stable across builds.
+void PrintTo(const HeaderlessCase& c, std::ostream* os) { *os << c.kind; }
+
+class HeaderlessArtifactTest : public testing::TestWithParam<HeaderlessCase> {
+};
+
+/// The body alone, without its `#drbw-<kind>` header line, is not an
+/// artifact: every loader rejects it as a parse error naming the file.
+TEST_P(HeaderlessArtifactTest, LoaderRejectsItAsAParseError) {
+  const HeaderlessCase& c = GetParam();
+  const std::string path =
+      testing::TempDir() + "/prov_headerless_" + std::string(c.kind);
+  util::atomic_write_file(path, c.body);
+  std::string message;
+  ErrorCode code = ErrorCode::kGeneric;
+  try {
+    c.load(path);
+  } catch (const Error& e) {
+    message = e.what();
+    code = e.code();
+  }
+  EXPECT_EQ(code, ErrorCode::kParse) << message;
+  EXPECT_EQ(message.rfind(path + ": ", 0), 0u) << message;
+  EXPECT_NE(message.find("missing '#drbw-" + std::string(c.kind) +
+                         "' header"),
+            std::string::npos)
+      << message;
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Loaders, HeaderlessArtifactTest,
+    testing::Values(
+        HeaderlessCase{"trace", "S,4096,0,1,LDR,500,0,10\n",
+                       [](const std::string& path) {
+                         (void)pebs::load_trace(path);
+                       }},
+        HeaderlessCase{"model", "{\"kind\": \"drbw-decision-tree\"}\n",
+                       [](const std::string& path) {
+                         (void)ml::Classifier::load(path);
+                       }},
+        HeaderlessCase{"manifest", "{\"golden\": {}}\n",
+                       [](const std::string& path) {
+                         (void)report::load_manifest(path);
+                       }},
+        HeaderlessCase{"flight", "track,seq,ts,value,tag,detail\n",
+                       [](const std::string& path) {
+                         (void)report::load_flight_dump(path);
+                       }},
+        // `drbw stats --serve` and `drbw fleet` read snapshots this way.
+        HeaderlessCase{"serve-snapshot",
+                       "{\"drbw_serve_snapshot\": 2, \"timeline\": []}\n",
+                       [](const std::string& path) {
+                         (void)util::read_versioned_artifact(
+                             path, "serve-snapshot", 2, util::LoadPolicy{});
+                       }}),
+    [](const testing::TestParamInfo<HeaderlessCase>& param_info) {
+      std::string name = param_info.param.kind;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 // ---------------------------------------------------------------------------
 // In-process: perf diff
@@ -354,6 +428,22 @@ TEST(ProvenanceCliTest, EveryTypedFailureLeavesADiagnosableRunDir) {
     EXPECT_FALSE(rep.findings.empty()) << c.file;
     // And the CLI's own doctor agrees (exit 0 on a successful diagnosis).
     EXPECT_EQ(run_cli("doctor " + dir), 0) << c.file;
+  }
+}
+
+/// A shard loaded on its own frees blocks its set's earlier shards
+/// allocated.  That is a damaged input (68), never an internal check
+/// failure (exit 1), and the manifest says so for `drbw doctor`.
+TEST(ProvenanceCliTest, LoneShardIsACorruptArtifact) {
+  const std::string dir = make_run_dir("lone_shard");
+  EXPECT_EQ(run_cli("analyze --load-mode lenient --trace " + kDataDir +
+                    "/sharded_trace_bitflip.bin.shard-001-of-003 --run-dir " +
+                    dir),
+            68);
+  if (obs::kEnabled) {
+    const std::string manifest = read_file(dir + "/" + obs::kManifestFileName);
+    EXPECT_NE(manifest.find("corrupt-artifact"), std::string::npos);
+    EXPECT_NE(manifest.find("no matching allocation"), std::string::npos);
   }
 }
 

@@ -439,7 +439,6 @@ TEST(ServeLoopTest, MaxCyclesCutsReplayButStillAccountsAndSnapshots) {
   const util::VersionedArtifact art = util::read_versioned_artifact(
       opts.snapshot_path, "serve-snapshot", serve::kServeSnapshotVersion,
       util::LoadPolicy{});
-  EXPECT_FALSE(art.legacy);
   EXPECT_EQ(art.body, r.snapshot_json);
   EXPECT_NE(art.body.find("\"drained\": false"), std::string::npos);
 }
@@ -751,7 +750,6 @@ TEST(ServeCliTest, WritesProvenanceAndSnapshot) {
   const util::VersionedArtifact art = util::read_versioned_artifact(
       run + "/serve_snapshot.json", "serve-snapshot",
       serve::kServeSnapshotVersion, util::LoadPolicy{});
-  EXPECT_FALSE(art.legacy);
   EXPECT_NE(art.body.find("\"drained\": true"), std::string::npos);
 }
 
@@ -791,6 +789,20 @@ TEST(ServeCliTest, MissingOrCorruptModelDegradesWithExitZero) {
   const std::string corrupt_manifest = read_file(run + "/run.json");
   EXPECT_NE(corrupt_manifest.find("\"degraded\": true"), std::string::npos);
   EXPECT_NE(corrupt_manifest.find("\"drift\": \"unavailable\""),
+            std::string::npos);
+
+  // A loadable model body without its checksummed header is not a model
+  // artifact: serve degrades exactly as for any unloadable model.
+  const std::string headerless = w.dir + "/headerless_model.json";
+  {
+    std::ofstream out(headerless, std::ios::binary | std::ios::trunc);
+    out << always_rmc_model().to_json().dump() << '\n';
+  }
+  const std::string headerless_run = w.dir + "/headerless_model_run";
+  ASSERT_EQ(run_cli("serve --replay " + w.trace + " --clients 2 --model " +
+                    headerless + " --run-dir " + headerless_run),
+            0);
+  EXPECT_NE(read_file(headerless_run + "/run.json").find("\"degraded\": true"),
             std::string::npos);
 }
 
@@ -918,6 +930,27 @@ TEST(ServeFleetTest, AggregatesServeRunsIntoTheServeSection) {
   EXPECT_NE(markdown.find("degraded"), std::string::npos);
   const std::string json = report::render_fleet_json(fleet);
   EXPECT_NE(json.find("\"serve\":"), std::string::npos);
+}
+
+TEST(ServeFleetTest, HeaderlessSnapshotIsTalliedAsDamaged) {
+  const CliWorld& w = cli_world();
+  ASSERT_TRUE(w.ok) << "CLI fixture runs failed";
+  // A copy of a good serve run whose snapshot lost its header line.
+  const std::string root = fresh_dir("headerless_fleet");
+  const std::string run = root + "/jobs1";
+  std::filesystem::copy(w.corpus + "/jobs1", run,
+                        std::filesystem::copy_options::recursive);
+  const std::string snapshot = read_file(run + "/serve_snapshot.json");
+  {
+    std::ofstream out(run + "/serve_snapshot.json",
+                      std::ios::binary | std::ios::trunc);
+    out << snapshot.substr(snapshot.find('\n') + 1);
+  }
+  const report::FleetReport fleet =
+      report::fleet_scan(root, report::FleetOptions{});
+  EXPECT_EQ(fleet.serve_runs, 1u);
+  EXPECT_EQ(fleet.serve_snapshots_missing, 1u);
+  EXPECT_TRUE(fleet.serve_clients.empty());
 }
 
 TEST(ServeFleetTest, AggregatesModelHealthAcrossServeRuns) {

@@ -3,8 +3,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "drbw/core/profiler.hpp"
 #include "drbw/pebs/trace_io.hpp"
@@ -47,20 +45,26 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + "/" + test + "_" + name;
 }
 
-/// Saves `trace` as a v2 CSV artifact and reads it back through the
-/// stream reader.
-Trace stream_round_trip(const Trace& trace) {
-  const std::string path = temp_path("drbw_stream_trace.csv");
+/// Saves `trace` as a v2 CSV artifact and loads it back.
+Trace round_trip(const Trace& trace) {
+  const std::string path = temp_path("drbw_round_trip_trace.csv");
   save_trace(path, trace);
-  std::ifstream in(path, std::ios::binary);
-  Trace loaded = read_trace(in);
+  Trace loaded = load_trace(path);
   std::remove(path.c_str());
   return loaded;
 }
 
+/// Writes hand-made CSV records as a checksummed v2 trace at a path private
+/// to the running test, so they reach the record parser through load_trace.
+std::string write_csv_trace(const std::string& name, const std::string& body) {
+  const std::string path = temp_path(name);
+  util::write_versioned_artifact(path, "trace", 2, body);
+  return path;
+}
+
 TEST(TraceIo, RoundTripPreservesEverything) {
   const Trace original = make_trace();
-  const Trace loaded = stream_round_trip(original);
+  const Trace loaded = round_trip(original);
 
   ASSERT_EQ(loaded.events.size(), 3u);
   EXPECT_EQ(loaded.events[0].site.label, "a.c:1 x, \"quoted\"");
@@ -99,26 +103,19 @@ TEST(TraceIo, LevelTokensRoundTrip) {
 }
 
 TEST(TraceIo, RejectsMalformed) {
-  std::stringstream no_header("A,x,1,2\n");
-  EXPECT_THROW(read_trace(no_header), Error);
-  std::stringstream bad_kind("#drbw-trace v1\nZ,1\n");
-  EXPECT_THROW(read_trace(bad_kind), Error);
-  std::stringstream bad_arity("#drbw-trace v1\nA,x,1\n");
-  EXPECT_THROW(read_trace(bad_arity), Error);
-  std::stringstream bad_number("#drbw-trace v1\nF,12junk\n");
-  EXPECT_THROW(read_trace(bad_number), Error);
+  const std::string no_header = temp_path("no_header.csv");
+  util::atomic_write_file(no_header, "A,x,1,2\n");
+  EXPECT_THROW(load_trace(no_header), Error);
+  EXPECT_THROW(load_trace(write_csv_trace("bad_kind.csv", "Z,1\n")), Error);
+  EXPECT_THROW(load_trace(write_csv_trace("bad_arity.csv", "A,x,1\n")), Error);
+  EXPECT_THROW(load_trace(write_csv_trace("bad_number.csv", "F,12junk\n")),
+               Error);
 }
 
 TEST(TraceIo, EmptyTraceIsValid) {
-  const Trace streamed = stream_round_trip(Trace{});
-  EXPECT_TRUE(streamed.events.empty());
-  EXPECT_TRUE(streamed.samples.empty());
-  const std::string path = temp_path("drbw_empty_trace.csv");
-  save_trace(path, Trace{});
-  const Trace loaded = load_trace(path);
+  const Trace loaded = round_trip(Trace{});
   EXPECT_TRUE(loaded.events.empty());
   EXPECT_TRUE(loaded.samples.empty());
-  std::remove(path.c_str());
 }
 
 TEST(TraceIo, NewlineInSiteLabelRoundTrips) {
@@ -139,7 +136,7 @@ TEST(TraceIo, NewlineInSiteLabelRoundTrips) {
     EXPECT_EQ(loaded.samples.size(), 2u) << path;
     EXPECT_EQ(stats.records_seen, 5u) << path;
   }
-  EXPECT_EQ(stream_round_trip(original).events[1].site.label,
+  EXPECT_EQ(round_trip(original).events[1].site.label,
             original.events[1].site.label);
   std::remove(csv.c_str());
   std::remove(bin.c_str());
@@ -147,26 +144,26 @@ TEST(TraceIo, NewlineInSiteLabelRoundTrips) {
 
 TEST(TraceIo, MultiLineRecordIsKeyedByItsFirstLine) {
   // Line 2 opens a label that closes on line 4; line 5 is the bad record.
-  std::stringstream in(
-      "#drbw-trace v1\n"
+  const std::string path = write_csv_trace(
+      "multi_line.csv",
       "A,\"a\n\nb\",4096,64\n"
       "S,1,0,0,L1,5,0,1x\n");
   std::string message;
   try {
-    read_trace(in);
+    load_trace(path);
   } catch (const Error& e) {
     message = e.what();
   }
-  EXPECT_NE(message.find("<stream>:5:"), std::string::npos) << message;
+  EXPECT_NE(message.find(path + ":5:"), std::string::npos) << message;
   // An unterminated label stays one record, so the lines after it parse,
   // a later quoted label included.
-  std::stringstream open_quote(
-      "#drbw-trace v1\n"
+  const std::string open_quote = write_csv_trace(
+      "open_quote.csv",
       "A,\"never closed,4096,64\n"
       "S,1,0,0,L1,5,0,1\n"
       "A,\"x,y\",8192,64\n");
   util::LoadStats stats;
-  const Trace loaded = read_trace(
+  const Trace loaded = load_trace(
       open_quote, util::LoadPolicy{util::LoadMode::kLenient, 0.5}, &stats);
   EXPECT_EQ(stats.records_seen, 3u);
   EXPECT_EQ(stats.records_quarantined, 1u);
@@ -181,11 +178,10 @@ TEST(TraceIo, MultiLineRecordIsKeyedByItsFirstLine) {
 class NarrowedFieldTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(NarrowedFieldTest, QuarantinedWhenLenientParseErrorWhenStrict) {
-  const std::string path = temp_path("drbw_narrowed_trace.csv");
-  util::atomic_write_file(path, std::string("#drbw-trace v1\n"
-                                            "S,4096,0,1,LDR,500,0,10\n") +
-                                    GetParam() +
-                                    "\nS,4160,1,1,RDR,700,1,30\n");
+  const std::string path =
+      write_csv_trace("drbw_narrowed_trace.csv",
+                      std::string("S,4096,0,1,LDR,500,0,10\n") + GetParam() +
+                          "\nS,4160,1,1,RDR,700,1,30\n");
   util::LoadStats stats;
   const Trace loaded = load_trace(
       path, util::LoadPolicy{util::LoadMode::kLenient, 0.5}, &stats);
@@ -231,14 +227,14 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(TraceIo, QuotesOnlyAroundSiteLabels) {
   const util::LoadPolicy lenient{util::LoadMode::kLenient, 0.9};
   util::LoadStats stats;
-  std::stringstream in(
-      "#drbw-trace v1\n"
+  const std::string path = write_csv_trace(
+      "quotes.csv",
       "A,\"a,b\",4096,64\n"         // quoted label: fine
       "A,plain label,8192,64\n"       // unquoted label: fine
       "A,half\"quoted,8192,64\n"     // a quote inside an unquoted label
       "A,\"closed\"junk,8192,64\n"  // text after the closing quote
       "F,\"4096\"\n");              // a quoted number
-  const Trace loaded = read_trace(in, lenient, &stats);
+  const Trace loaded = load_trace(path, lenient, &stats);
   ASSERT_EQ(loaded.events.size(), 2u);
   EXPECT_EQ(loaded.events[0].site.label, "a,b");
   EXPECT_EQ(loaded.events[1].site.label, "plain label");
@@ -247,9 +243,8 @@ TEST(TraceIo, QuotesOnlyAroundSiteLabels) {
 
 TEST(TraceIo, ErrorsNameTheFailedField) {
   const auto message_of = [](const std::string& record) {
-    std::stringstream in("#drbw-trace v1\n" + record + "\n");
     try {
-      read_trace(in);
+      load_trace(write_csv_trace("field.csv", record + "\n"));
     } catch (const Error& e) {
       EXPECT_EQ(e.code(), ErrorCode::kParse) << record;
       return std::string(e.what());

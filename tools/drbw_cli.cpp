@@ -283,8 +283,8 @@ struct RunSession {
     return run_dir_ + "/" + obs::kManifestFileName;
   }
 
-  /// Content-identifies an artifact: its own `#drbw-*` header when it has a
-  /// checksummed one (only that line is read), a whole-file crc otherwise.
+  /// Content-identifies an artifact: its own `#drbw-*` header when it has
+  /// one (only that line is read), a whole-file crc otherwise.
   /// Never throws — an unreadable path is itself provenance worth recording.
   static obs::ArtifactRef make_ref(const std::string& role,
                                    const std::string& path) {
@@ -294,7 +294,7 @@ struct RunSession {
     try {
       const auto header =
           util::parse_artifact_header(util::read_first_line(path, role));
-      if (header.has_value() && header->has_checksum) {
+      if (header.has_value()) {
         ref.kind = header->kind;
         ref.version = header->version;
         ref.crc = header->crc;
@@ -1129,19 +1129,14 @@ double number_or_zero(const Json& object, const char* key) {
 }
 
 /// `drbw stats --serve`: render the windowed contention timeline a v2 serve
-/// snapshot carries.  Accepts the checksummed artifact (validated) or a raw
-/// snapshot body.
+/// snapshot carries.  The snapshot loads as a validated artifact.
 int stats_serve(const ArgParser& parser, int width) {
   const std::string path = parser.option("trace");
-  util::require_input_file(path, "serve snapshot");
-  std::string body = util::read_file_or_throw(path, "serve snapshot");
-  if (body.rfind("#drbw-serve-snapshot", 0) == 0) {
-    body = util::read_versioned_artifact(path, "serve-snapshot",
-                                         serve::kServeSnapshotVersion,
-                                         util::LoadPolicy{})
-               .body;
-  }
-  const Json root = Json::parse(body);
+  const Json root = Json::parse(
+      util::read_versioned_artifact(path, "serve-snapshot",
+                                    serve::kServeSnapshotVersion,
+                                    util::LoadPolicy{})
+          .body);
   const Json* version = root.find("drbw_serve_snapshot");
   if (version == nullptr) {
     throw Error(path + ": not a serve snapshot (no drbw_serve_snapshot "
