@@ -1,18 +1,15 @@
-// Trace formats: one recorded run, three on-disk shapes.
+// Trace formats: one recorded run, two on-disk encodings.
 //
 //   1. record a sample trace by running sumv (master-thread allocation,
 //      so the trace is worth re-analyzing later),
-//   2. save it three ways — CSV v2, binary v3, and a 4-shard binary
-//      set — and show what lands on disk,
-//   3. load all three back and verify they are the *same trace*, at
-//      jobs=1 and jobs=4 alike.
+//   2. save it two ways — CSV v2 and binary v3 — and show what lands on
+//      disk,
+//   3. load both back and verify they are the *same trace*.
 //
 // Why bother with formats?  CSV is greppable; binary loads several times
 // faster (perfbench/ measures both decoders per sample on million-sample
 // traces: pebs.decode_binary_ns_per_sample vs pebs.decode_csv_ns_per_sample).
-// Sharded sets add parallel writes and crash-safety: the index at the
-// set path is written last, so a torn save is invisible, and
-// merge-on-load is byte-identical at any --jobs.
+// Either way a trace is one checksummed file, written atomically.
 //
 // Build & run:  ./examples/trace_formats
 #include <cstddef>
@@ -78,55 +75,36 @@ int main() {
   std::cout << "recorded " << trace.samples.size() << " samples, "
             << trace.events.size() << " allocation events\n\n";
 
-  // --- 2. save three ways ---
+  // --- 2. save two ways ---
   const std::string csv_path = (dir / "run.csv").string();
   const std::string bin_path = (dir / "run.bin").string();
-  const std::string set_path = (dir / "run_sharded.bin").string();
 
-  pebs::save_trace(csv_path, trace, {});  // CSV v2 is the default
+  pebs::save_trace(csv_path, trace);  // CSV v2 is the default
 
   pebs::SaveOptions binary;
   binary.format = pebs::TraceFormat::kBinary;
   pebs::save_trace(bin_path, trace, binary);
 
-  pebs::SaveOptions sharded = binary;
-  sharded.shards = 4;
-  sharded.jobs = 4;  // parallel writers; the set is identical at jobs=1
-  pebs::save_trace(set_path, trace, sharded);
-
   for (const std::string& path : {csv_path, bin_path}) {
     std::cout << fs::path(path).filename().string() << "  "
               << fs::file_size(path) << " bytes\n";
   }
-  std::cout << "\nsharded set (index first, written last on save):\n";
-  for (const std::string& path : pebs::trace_artifact_paths(set_path)) {
-    std::cout << "  " << fs::path(path).filename().string() << "  "
-              << fs::file_size(path) << " bytes\n";
-  }
 
-  // --- 3. load back: same trace from every format, at any jobs ---
-  bool all_equal = true;
-  for (const std::string& path : {csv_path, bin_path, set_path}) {
-    const bool binary_body = path != csv_path;
-    for (const int jobs : {1, 4}) {
-      pebs::LoadOptions load;
-      load.jobs = jobs;
-      all_equal = all_equal &&
-                  same_trace(trace, pebs::load_trace(path, load), binary_body);
-    }
-  }
+  // --- 3. load back: the same trace from either format ---
+  const bool all_equal =
+      same_trace(trace, pebs::load_trace(csv_path), /*exact_latency=*/false) &&
+      same_trace(trace, pebs::load_trace(bin_path), /*exact_latency=*/true);
   std::cout << "\nround trips " << (all_equal ? "agree" : "DIVERGED")
-            << " across csv / binary / sharded at jobs 1 and 4\n"
-            << "(binary and sharded are bit-exact; CSV rounds latency to 6 "
-               "significant digits)\n";
+            << " across csv / binary\n"
+            << "(binary is bit-exact; CSV rounds latency to 6 significant "
+               "digits)\n";
 
   std::cout
       << "\nPicking a format: CSV stays greppable; `drbw record --format "
-         "binary`\nloads several times faster and `--shards 4` adds "
-         "parallel,\ncrash-safe writes (perfbench/ measures the decoders). "
-         "`drbw convert` moves a trace\nbetween formats after the fact, and "
-         "`drbw analyze --expect-trace-version`\npins what a deployment "
-         "accepts (exit 69 on skew).\n";
+         "binary`\nloads several times faster (perfbench/ measures the "
+         "decoders). `drbw convert`\nmoves a trace between formats after "
+         "the fact, and `drbw analyze\n--expect-trace-version` pins what a "
+         "deployment accepts (exit 69 on skew).\n";
 
   fs::remove_all(dir);
   return all_equal ? 0 : 1;

@@ -35,8 +35,10 @@ inline constexpr std::uint32_t kUnknownObject = 0xffffffffu;
 
 class HeapTracker {
  public:
-  /// Processes one intercepted allocation/free.  A free whose base was
-  /// never allocated throws Error(kCorruptArtifact).
+  /// Processes one intercepted allocation/free.  Damaged event streams throw
+  /// Error(kCorruptArtifact): a free whose base is not live, an allocation
+  /// at a base that is still live or whose range ends past 2^64, and one
+  /// that overflows its site's live byte count.
   void on_event(const mem::AllocationEvent& event);
   /// Convenience: processes a whole event stream in order.
   void on_events(const std::vector<mem::AllocationEvent>& events);

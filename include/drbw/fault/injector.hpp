@@ -75,8 +75,7 @@ struct SiteSpec {
 ///   clause := 'seed=' uint64
 ///           | site ':' kind ':' rate
 ///   site   := dotted identifier   (pebs.sample, engine.epoch, trace.read,
-///                                  trace.write, trace.shard.read,
-///                                  trace.shard.write, model.write,
+///                                  trace.write, model.write,
 ///                                  artifact.write, diagnose.cf,
 ///                                  report.render — the full list is the
 ///                                  registry: tools/analyze/registry.json)

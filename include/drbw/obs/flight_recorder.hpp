@@ -38,7 +38,9 @@ namespace drbw::obs {
 /// "quarantine", "epoch", …); `detail` names the subject (stage name, fault
 /// site:kind, source file); `value` is tag-specific (duration, line number,
 /// epoch index).  `ts` is the claimed sequence index for pipeline-side
-/// events or the simulated cycle for sim-side ones.
+/// events (a span's start on its own clock: the sequence index, or wall
+/// microseconds under TimingMode::kWall) or the simulated cycle for
+/// sim-side ones.
 struct FlightEvent {
   char tag[16] = {};
   char detail[48] = {};
@@ -85,9 +87,10 @@ class FlightRecorder {
 
   /// Span-completion breadcrumb recorded at the span's *start* (track, seq)
   /// address — no new slot is claimed, so span events order at the position
-  /// the span opened, exactly like the trace sink's 'X' events.
+  /// the span opened, exactly like the trace sink's 'X' events.  `ts` and
+  /// `dur` come from one clock (see obs::Span).
   void note_span(std::string_view name, std::uint64_t track,
-                 std::uint64_t seq, std::uint64_t dur);
+                 std::uint64_t seq, std::uint64_t ts, std::uint64_t dur);
 
   /// Events sorted by (track, seq) — deterministic at any --jobs value.
   std::vector<FlightEvent> snapshot() const;

@@ -102,7 +102,11 @@ class Trace {
  public:
   static Trace& instance();
 
+  /// Enables the sink and sets the span clock (see set_mode).
   void enable(TimingMode mode = TimingMode::kSim);
+  /// Sets the span clock without enabling the sink: spans then also stamp
+  /// their flight-recorder breadcrumbs with it.  disable() resets it to kSim.
+  void set_mode(TimingMode mode);
   void disable();
   bool enabled() const {
     return kEnabled && enabled_.load(std::memory_order_relaxed);
@@ -147,12 +151,12 @@ class Trace {
 /// RAII pipeline-stage span.  Claims its sequence slot at construction; emits
 /// an 'X' event at destruction.  In kSim mode dur is the number of trace
 /// sequence points elapsed inside the span (deterministic) and ts the
-/// claimed sequence slot; in kWall mode both are wall microseconds
-/// (non-golden).  Active when the trace sink *or* the
-/// flight recorder is enabled: completed spans also leave a "span"
-/// breadcrumb (at the span's start address, same dur) from which the run
-/// manifest derives its per-stage statistics.  Costs two relaxed loads when
-/// both sinks are off.
+/// claimed sequence slot; in kWall mode (Trace::mode(), whether or not the
+/// sink is enabled) both are wall microseconds (non-golden).  Active when
+/// the trace sink *or* the flight recorder is enabled: completed spans also
+/// leave a "span" breadcrumb (at the span's start address, same ts and dur)
+/// from which the run manifest derives its per-stage statistics.  Costs two
+/// relaxed loads when both sinks are off.
 class Span {
  public:
   explicit Span(const char* name);
@@ -167,8 +171,8 @@ class Span {
   bool active_ = false;
   bool tracing_ = false;
   bool flight_ = false;
+  bool wall_ = false;
   std::uint64_t start_seq_ = 0;
-  std::uint64_t start_wall_us_ = 0;
   TraceEvent event_;
 };
 

@@ -43,25 +43,13 @@
 // load_trace, and a file without the checksummed header is rejected
 // (kParse) before any record is read.
 //
-// Sharded sets: save_trace with shards > 1 writes one standalone trace
-// artifact per shard (`<path>.shard-000-of-004`, each with its own
-// checksummed header) plus a "#drbw-trace-index" artifact at `path` that
-// records every shard's file name, crc32, byte count, and record counts.
-// The index is written *last*, so a crashed or fault-injected sharded
-// save never leaves a loadable-but-incomplete set — the index is the
-// commit point, mirroring the single-file atomic rename.  load_trace
-// detects the index transparently, fans the shard reads out across a
-// util::TaskPool (`LoadOptions::jobs`), cross-checks each shard against
-// the index, and merges in index order — the merged trace and its load
-// stats are byte-identical at any jobs count.
-//
 // File writes go through the atomic artifact writer, so a crashed or
 // fault-injected save never leaves a partial trace at the target path.
 //
 // File loads map the artifact read-only (util::MappedFile) and validate
 // and decode it in place: the body is never copied, only the decoded
-// records are.  Each mapping (the file, or every shard of a set) is dropped
-// before load_trace returns, and the Trace owns its samples.  One caveat
+// records are.  The mapping is dropped before load_trace returns, and the
+// Trace owns its samples.  One caveat
 // of reading through a mapping: another process truncating the file while
 // it loads can raise SIGBUS.  No file content can: damaged or short bodies
 // fail validation with a typed Error as before.
@@ -71,17 +59,10 @@
 // offending token; lenient quarantines malformed records, reports counts
 // through util::LoadStats and the drbw_trace_* obs counters, and escalates
 // to Error(kCorruptArtifact) when the quarantined fraction exceeds the
-// policy cap.  For sharded sets the cap applies to the *merged* totals, and
-// a shard that cannot be read at all (missing file, damaged beyond the
-// header) is quarantined whole using the index's declared record counts, so
-// lenient stats stay stable across loads.  The loader threads the
-// "trace.read" fault site (keyed by line / record ordinal) plus the
-// "trace.shard.write" / "trace.shard.read" sites around per-shard I/O, all
-// keyed so injection is deterministic at any --jobs.
+// policy cap.  The loader threads the "trace.read" fault site, keyed by
+// line / record ordinal so injection is deterministic.
 #pragma once
 
-#include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -95,10 +76,6 @@ namespace drbw::pebs {
 inline constexpr int kTraceVersion = 3;
 /// Version written for CSV bodies (the v2 checksummed line format).
 inline constexpr int kTraceCsvVersion = 2;
-/// Version of the "#drbw-trace-index" artifact naming a sharded set.
-inline constexpr int kTraceIndexVersion = 1;
-/// Largest accepted --shards value (shard names are zero-padded to 3).
-inline constexpr std::size_t kMaxTraceShards = 999;
 
 struct Trace {
   std::vector<mem::AllocationEvent> events;
@@ -116,27 +93,18 @@ TraceFormat trace_format_from_name(const std::string& name);
 
 struct SaveOptions {
   TraceFormat format = TraceFormat::kCsv;
-  std::size_t shards = 1;  ///< > 1 writes a sharded set behind an index
-  int jobs = 1;            ///< TaskPool width for shard writes (0 = hw)
 };
 
 struct LoadOptions {
   util::LoadPolicy policy{};
-  int jobs = 1;                      ///< TaskPool width for shard reads
   int max_version = kTraceVersion;   ///< reject newer headers (kVersionSkew)
 };
 
 /// Writes a trace; events come first so replay order matches collection.
-/// save_trace writes the v2 checksummed CSV artifact atomically and threads
-/// the "trace.write" fault site.
-void save_trace(const std::string& path, const Trace& trace);
-
-/// Format/shard-aware save.  Returns every path written: the artifact at
-/// `path` first (single file, or the shard-set index), then each shard in
-/// index order.  Shard bodies thread the "trace.shard.write" fault site.
-std::vector<std::string> save_trace(const std::string& path,
-                                    const Trace& trace,
-                                    const SaveOptions& options);
+/// The checksummed artifact (CSV v2 unless `options.format` says binary) is
+/// written atomically and threads the "trace.write" fault site.
+void save_trace(const std::string& path, const Trace& trace,
+                const SaveOptions& options = {});
 
 /// Loads a trace file; throws drbw::Error on malformed or wrong-version
 /// input.  The policy overloads implement strict/lenient loading as
@@ -146,20 +114,12 @@ Trace load_trace(const std::string& path);
 Trace load_trace(const std::string& path, const util::LoadPolicy& policy,
                  util::LoadStats* stats = nullptr);
 
-/// Full-control load: CSV or binary body, single file or sharded set (the
-/// index header is sniffed, no flag needed), parallel shard reads, and a
-/// version ceiling (`max_version` < an artifact's header version throws
-/// Error(kVersionSkew) naming the offending token).  `stats` is filled
-/// incrementally, so callers see partial accounting even when a strict
-/// load throws mid-set.
+/// Full-control load: CSV or binary body under a policy, with a version
+/// ceiling (`max_version` < the header version throws Error(kVersionSkew)
+/// naming the offending token).  `stats` is filled incrementally, so
+/// callers see partial accounting even when a strict load throws.
 Trace load_trace(const std::string& path, const LoadOptions& options,
                  util::LoadStats* stats = nullptr);
-
-/// Every file backing the trace at `path`: just {path} for a single-file
-/// trace, or the index followed by each shard (index order) for a sharded
-/// set.  Unreadable paths are returned as {path} — callers use this to list
-/// artifacts in run manifests, where content hashing tolerates absence.
-std::vector<std::string> trace_artifact_paths(const std::string& path);
 
 /// Level <-> trace-token conversion (exposed for tests).
 const char* level_token(MemLevel level);

@@ -149,21 +149,12 @@ void write_versioned_artifact(const std::string& path, const std::string& kind,
                               int version, std::string_view body,
                               const std::string& fault_site = "");
 
-/// File name of shard `index` of a `count`-shard set whose index artifact
-/// lives at `path`: "<path>.shard-007-of-016" (both numbers zero-padded to
-/// three digits so shard listings sort in shard order).
-std::string shard_file_name(const std::string& path, std::size_t index,
-                            std::size_t count);
-
 /// A validated versioned artifact, viewed in place: the parsed header and a
 /// view of the body after the header line, into the content that was
 /// validated.
 struct ArtifactView {
   ArtifactHeader header;
   std::string_view body;
-  /// crc32 of `body`, computed once during validation, so callers
-  /// cross-checking an index need no second pass.
-  std::uint32_t body_crc = 0;
 };
 
 /// Validates an artifact already in memory; `source` names its origin in

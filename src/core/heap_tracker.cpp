@@ -44,9 +44,27 @@ std::uint32_t HeapTracker::intern_site(const std::string& site) {
 }
 
 void HeapTracker::on_event(const mem::AllocationEvent& event) {
+  // Events come from trace files, so every inconsistency below is damaged
+  // input (exit 68), not a broken invariant.
+  const auto corrupt = [&event](const char* subject, const char* what) {
+    std::ostringstream os;
+    os << subject << " 0x" << std::hex << event.base << ": " << what
+       << " (a damaged trace)";
+    throw Error(os.str(), ErrorCode::kCorruptArtifact);
+  };
   if (event.kind == mem::AllocationEvent::Kind::kAlloc) {
+    if (event.size_bytes > ~event.base) {
+      corrupt("allocation at", "the range ends past the 64-bit address space");
+    }
+    if (ranges_.count(event.base) != 0) {
+      corrupt("allocation at", "the base is already allocated and still live");
+    }
     const std::uint32_t obj = intern_site(event.site.label);
     TrackedObject& tracked = objects_[obj];
+    if (event.size_bytes > ~tracked.live_bytes) {
+      corrupt("allocation at",
+              "the site's live bytes overflow 64 bits (overlapping ranges)");
+    }
     tracked.live_bytes += event.size_bytes;
     tracked.peak_bytes = std::max(tracked.peak_bytes, tracked.live_bytes);
     ++tracked.allocations;
@@ -58,15 +76,10 @@ void HeapTracker::on_event(const mem::AllocationEvent& event) {
     return;
   }
   // Free: the wrapper sees only the pointer; match it to the recorded base.
-  // Events come from trace files, so an unmatched free is damaged input
-  // (or a shard loaded without the rest of its set), not a broken invariant.
   const auto it = ranges_.find(event.base);
   if (it == ranges_.end()) {
-    std::ostringstream os;
-    os << "free of untracked pointer 0x" << std::hex << event.base
-       << ": the free has no matching allocation (a damaged trace, or a "
-          "shard loaded without its set)";
-    throw Error(os.str(), ErrorCode::kCorruptArtifact);
+    corrupt("free of untracked pointer",
+            "the free has no matching allocation");
   }
   TrackedObject& tracked = objects_[it->second.object];
   const std::uint64_t bytes = it->second.end - event.base;

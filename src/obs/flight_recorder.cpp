@@ -92,7 +92,8 @@ void FlightRecorder::note(std::string_view tag, std::string_view detail,
 }
 
 void FlightRecorder::note_span(std::string_view name, std::uint64_t track,
-                               std::uint64_t seq, std::uint64_t dur) {
+                               std::uint64_t seq, std::uint64_t ts,
+                               std::uint64_t dur) {
   if (!enabled()) return;
   FlightEvent event;
   copy_field(event.tag, sizeof event.tag, "span");
@@ -100,7 +101,7 @@ void FlightRecorder::note_span(std::string_view name, std::uint64_t track,
   event.value = dur;
   event.track = track;
   event.seq = seq;
-  event.ts = seq;
+  event.ts = ts;
   push(event);
 }
 

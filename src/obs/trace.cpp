@@ -38,7 +38,14 @@ void Trace::enable(TimingMode mode) {
   enabled_.store(true, std::memory_order_relaxed);
 }
 
-void Trace::disable() { enabled_.store(false, std::memory_order_relaxed); }
+void Trace::set_mode(TimingMode mode) {
+  if (kEnabled) mode_ = mode;
+}
+
+void Trace::disable() {
+  enabled_.store(false, std::memory_order_relaxed);
+  mode_ = TimingMode::kSim;
+}
 
 void Trace::record(TraceEvent event) {
   TrackScope& scope = track_scope();
@@ -179,18 +186,18 @@ Span::Span(const char* name) {
   start_seq_ = scope.seq++;
   event_.seq = start_seq_;
   event_.ts = start_seq_;
-  if (tracing_ && trace.mode() == TimingMode::kWall) {
-    // One clock for ts and dur, so viewers and `drbw flame` nest by time.
-    start_wall_us_ = wall_now_micros();
-    event_.ts = start_wall_us_;
+  wall_ = trace.mode() == TimingMode::kWall;
+  if (wall_) {
+    // One clock for ts and dur, in the trace sink and the flight recorder
+    // alike, so viewers and `drbw flame` nest by time.
+    event_.ts = wall_now_micros();
   }
 }
 
 Span::~Span() {
   if (!active_) return;
-  Trace& trace = Trace::instance();
-  if (tracing_ && trace.mode() == TimingMode::kWall) {
-    event_.dur = wall_now_micros() - start_wall_us_;
+  if (wall_) {
+    event_.dur = wall_now_micros() - event_.ts;
   } else {
     // Deterministic "duration": trace sequence points elapsed inside the span.
     event_.dur = track_scope().seq - start_seq_;
@@ -199,9 +206,10 @@ Span::~Span() {
     // Breadcrumb at the span's *start* address (no second slot claimed):
     // span stats in the run manifest come from these.
     FlightRecorder::instance().note_span(event_.name, event_.track, start_seq_,
-                                         event_.dur);
+                                         event_.ts, event_.dur);
   }
   if (tracing_) {
+    Trace& trace = Trace::instance();
     std::lock_guard<std::mutex> lock(trace.mutex_);
     trace.events_.push_back(std::move(event_));
   }

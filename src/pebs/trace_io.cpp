@@ -1,14 +1,10 @@
 #include "drbw/pebs/trace_io.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <exception>
-#include <filesystem>
 #include <map>
 #include <sstream>
 #include <string_view>
@@ -17,17 +13,13 @@
 #include "drbw/fault/injector.hpp"
 #include "drbw/obs/flight_recorder.hpp"
 #include "drbw/obs/metrics.hpp"
-#include "drbw/obs/trace.hpp"
 #include "drbw/util/csv.hpp"
-#include "drbw/util/strings.hpp"
-#include "drbw/util/task_pool.hpp"
 
 namespace drbw::pebs {
 
 namespace {
 
 constexpr const char* kArtifactKind = "trace";
-constexpr const char* kIndexKind = "trace-index";
 
 // Binary (v3) body geometry.  All integers are little-endian regardless of
 // host byte order; the encoder/decoder below shift bytes explicitly.
@@ -46,7 +38,6 @@ struct TraceMetrics {
   obs::Counter& records_quarantined;
   obs::Counter& checksum_failures;
   obs::Counter& bytes_loaded;
-  obs::Counter& shards_loaded;
 
   static TraceMetrics& get() {
     auto& reg = obs::Registry::global();
@@ -59,8 +50,6 @@ struct TraceMetrics {
                     "Trace artifact bodies whose crc32 failed validation"),
         reg.counter("drbw_trace_bytes_loaded_total",
                     "Trace artifact body bytes parsed by the loader"),
-        reg.counter("drbw_trace_shards_loaded_total",
-                    "Trace shards parsed out of sharded sets"),
     };
     return m;
   }
@@ -80,12 +69,6 @@ bool level_from_view(std::string_view token, MemLevel& out) {
     return false;
   }
   return true;
-}
-
-std::string hex8(std::uint32_t v) {
-  char buf[16];
-  std::snprintf(buf, sizeof buf, "%08x", v);
-  return std::string(buf);
 }
 
 }  // namespace
@@ -137,19 +120,17 @@ char* put_int(char* p, T v) {
 /// Renders the CSV body into one reserved string.  The latency goes through
 /// `chars_format::general` at precision 6, which is exactly what
 /// `ostream << float` prints, so the bytes match the stream renderer's.
-std::string render_csv(const mem::AllocationEvent* events,
-                       std::size_t event_count, const MemorySample* samples,
-                       std::size_t sample_count) {
+std::string render_csv(const Trace& trace) {
   std::string out;
   // Reserved pages are only touched as they are written, so reserving the
   // samples' upper bound costs no resident memory and saves every regrowth.
-  out.reserve(event_count * 48 + sample_count * kMaxSampleChars);
+  out.reserve(trace.events.size() * 48 +
+              trace.samples.size() * kMaxSampleChars);
   const auto append_int = [&out](auto v) {
     char digits[24];
     out.append(digits, std::to_chars(digits, digits + sizeof digits, v).ptr);
   };
-  for (std::size_t i = 0; i < event_count; ++i) {
-    const mem::AllocationEvent& e = events[i];
+  for (const mem::AllocationEvent& e : trace.events) {
     if (e.kind == mem::AllocationEvent::Kind::kAlloc) {
       out += "A,";
       out += CsvWriter::escape(e.site.label);
@@ -164,8 +145,7 @@ std::string render_csv(const mem::AllocationEvent* events,
     out += '\n';
   }
   char buf[kMaxSampleChars];
-  for (std::size_t i = 0; i < sample_count; ++i) {
-    const MemorySample& s = samples[i];
+  for (const MemorySample& s : trace.samples) {
     char* p = buf;
     *p++ = 'S';
     *p++ = ',';
@@ -231,14 +211,14 @@ float bits_float(std::uint32_t bits) {
 
 /// Renders the v3 binary body (see the layout in trace_io.hpp).  Labels are
 /// deduplicated into one blob; events reference them by (offset, length).
-std::string render_binary(const mem::AllocationEvent* events,
-                          std::size_t event_count, const MemorySample* samples,
-                          std::size_t sample_count) {
+std::string render_binary(const Trace& trace) {
+  const std::size_t event_count = trace.events.size();
+  const std::size_t sample_count = trace.samples.size();
   std::string labels;
   std::map<std::string_view, std::pair<std::uint32_t, std::uint32_t>> interned;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> refs(event_count);
   for (std::size_t i = 0; i < event_count; ++i) {
-    const std::string& label = events[i].site.label;
+    const std::string& label = trace.events[i].site.label;
     const auto it = interned.find(label);
     if (it != interned.end()) {
       refs[i] = it->second;
@@ -261,15 +241,14 @@ std::string render_binary(const mem::AllocationEvent* events,
   put_u64(out, labels.size());
   out += labels;
   for (std::size_t i = 0; i < event_count; ++i) {
-    const mem::AllocationEvent& e = events[i];
+    const mem::AllocationEvent& e = trace.events[i];
     out.push_back(static_cast<char>(e.kind));
     put_u32(out, refs[i].first);
     put_u32(out, refs[i].second);
     put_u64(out, e.base);
     put_u64(out, e.size_bytes);
   }
-  for (std::size_t i = 0; i < sample_count; ++i) {
-    const MemorySample& s = samples[i];
+  for (const MemorySample& s : trace.samples) {
     put_u64(out, s.address);
     put_u64(out, s.cycle);
     put_u32(out, static_cast<std::uint32_t>(s.cpu));
@@ -281,19 +260,8 @@ std::string render_binary(const mem::AllocationEvent* events,
   return out;
 }
 
-std::string render_body(TraceFormat format, const mem::AllocationEvent* events,
-                        std::size_t event_count, const MemorySample* samples,
-                        std::size_t sample_count) {
-  if (format == TraceFormat::kBinary) {
-    return render_binary(events, event_count, samples, sample_count);
-  }
-  return render_csv(events, event_count, samples, sample_count);
-}
-
 /// Escalates a lenient load once the quarantined fraction clears the policy
-/// cap.  Shared by the CSV parser, the binary parser, and the post-merge
-/// check of sharded loads (shards parse under an uncapped policy so the cap
-/// applies exactly once, to the merged totals).
+/// cap.  Shared by the CSV and binary parsers.
 void enforce_quarantine_cap(const std::string& source,
                             const util::LoadPolicy& policy,
                             const util::LoadStats& st) {
@@ -307,18 +275,6 @@ void enforce_quarantine_cap(const std::string& source,
      << policy.max_bad_fraction << " — artifact too damaged to trust";
   throw Error(os.str(), ErrorCode::kCorruptArtifact);
 }
-
-}  // namespace
-
-void save_trace(const std::string& path, const Trace& trace) {
-  util::write_versioned_artifact(
-      path, kArtifactKind, kTraceCsvVersion,
-      render_body(TraceFormat::kCsv, trace.events.data(), trace.events.size(),
-                  trace.samples.data(), trace.samples.size()),
-      "trace.write");
-}
-
-namespace {
 
 /// Walks a body one physical line at a time, in place.  Like getline, the
 /// last line needs no trailing '\n' and a trailing '\n' opens no extra line.
@@ -689,8 +645,12 @@ mem::AllocationEvent parse_binary_event(const unsigned char* p,
 }
 
 /// Decodes one binary sample record; throws Error(kParse) on an invalid
-/// field (level byte, write flag, non-finite latency).
-MemorySample parse_binary_sample(const unsigned char* p, std::size_t ordinal) {
+/// field (level byte, write flag, non-finite latency).  Always inlined: it
+/// runs once per sample in parse_binary's loop, and GCC's own choice here
+/// depends on how large the enclosing function has grown by inlining, which
+/// moves with unrelated edits to this file.
+[[gnu::always_inline]] inline MemorySample parse_binary_sample(
+    const unsigned char* p, std::size_t ordinal) {
   const std::uint8_t level = p[28];
   if (level > kMaxLevelByte) {
     throw Error("sample record #" + std::to_string(ordinal) +
@@ -870,304 +830,14 @@ Trace parse_trace_body(const util::ArtifactView& artifact,
   return parse_records(artifact.body, source, policy, stats);
 }
 
-// --- Sharded sets ---------------------------------------------------------
-
-struct ShardEntry {
-  std::string file;  // file name relative to the index's directory
-  std::uint32_t crc = 0;
-  std::size_t bytes = 0;
-  std::size_t events = 0;
-  std::size_t samples = 0;
-};
-
-struct ShardIndex {
-  TraceFormat format = TraceFormat::kCsv;
-  std::vector<ShardEntry> entries;
-};
-
-/// Splits an index line at its commas (the index writer never quotes).
-/// Returns the field count; only the first kIndexFields are kept.
-constexpr std::size_t kIndexFields = 6;
-std::size_t split_index_line(std::string_view line,
-                             std::array<std::string_view, kIndexFields>& out) {
-  std::size_t n = 0;
-  for (;;) {
-    const std::size_t comma = line.find(',');
-    if (n < kIndexFields) out[n] = line.substr(0, comma);
-    ++n;
-    if (comma == std::string_view::npos) return n;
-    line.remove_prefix(comma + 1);
-  }
-}
-
-std::uint64_t index_number(std::string_view token) {
-  std::uint64_t v = 0;
-  const auto [at, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), v);
-  if (ec != std::errc() || at != token.data() + token.size()) {
-    throw Error("malformed number '" + std::string(token) + "'",
-                ErrorCode::kParse);
-  }
-  return v;
-}
-
-/// Parses the line-oriented "#drbw-trace-index" body.  `source` names the
-/// index file in every error.
-ShardIndex parse_shard_index(std::string_view body,
-                             const std::string& source) {
-  ShardIndex index;
-  std::size_t declared_shards = 0;
-  bool saw_format = false;
-  bool saw_shards = false;
-  LineCursor lines(body);
-  std::string_view line;
-  std::size_t line_no = 1;  // the header line
-  while (lines.next(line)) {
-    ++line_no;
-    if (is_blank(line)) continue;
-    std::array<std::string_view, kIndexFields> fields;
-    const std::size_t arity = split_index_line(line, fields);
-    const std::string_view kind = fields[0];
-    try {
-      if (kind == "format") {
-        require_fields(arity, 2);
-        index.format = trace_format_from_name(std::string(fields[1]));
-        saw_format = true;
-      } else if (kind == "shards") {
-        require_fields(arity, 2);
-        declared_shards = static_cast<std::size_t>(index_number(fields[1]));
-        saw_shards = true;
-      } else if (kind == "shard") {
-        require_fields(arity, 6);
-        ShardEntry entry;
-        entry.file = std::string(fields[1]);
-        const std::string_view crc = fields[2];
-        const auto [at, ec] =
-            std::from_chars(crc.data(), crc.data() + crc.size(), entry.crc, 16);
-        if (ec != std::errc() || at != crc.data() + crc.size() ||
-            crc.size() != 8) {
-          throw Error("malformed shard crc32 '" + std::string(crc) + "'",
-                      ErrorCode::kParse);
-        }
-        entry.bytes = static_cast<std::size_t>(index_number(fields[3]));
-        entry.events = static_cast<std::size_t>(index_number(fields[4]));
-        entry.samples = static_cast<std::size_t>(index_number(fields[5]));
-        if (entry.file.empty() ||
-            entry.file.find('/') != std::string::npos ||
-            entry.file.find("..") != std::string::npos) {
-          throw Error("shard file name '" + entry.file +
-                          "' must be a plain sibling file name",
-                      ErrorCode::kParse);
-        }
-        index.entries.push_back(std::move(entry));
-      } else {
-        throw Error("unknown index record kind '" + std::string(kind) + "'",
-                    ErrorCode::kParse);
-      }
-    } catch (const Error& e) {
-      if (e.code() == ErrorCode::kUsage) {
-        // trace_format_from_name flags bad CLI input as kUsage; in an index
-        // body it is a parse defect of the artifact, not of the invocation.
-        throw Error(source + ":" + std::to_string(line_no) + ": " + e.what(),
-                    ErrorCode::kParse);
-      }
-      throw Error(source + ":" + std::to_string(line_no) + ": " + e.what(),
-                  e.code());
-    }
-  }
-  if (!saw_format || !saw_shards) {
-    throw Error(source + ": shard index is missing its format/shards lines",
-                ErrorCode::kParse);
-  }
-  if (declared_shards != index.entries.size() || index.entries.empty()) {
-    throw Error(source + ": shard index declares " +
-                    std::to_string(declared_shards) + " shards but lists " +
-                    std::to_string(index.entries.size()),
-                ErrorCode::kCorruptArtifact);
-  }
-  return index;
-}
-
-std::string shard_sibling_path(const std::string& index_path,
-                               const std::string& file) {
-  namespace fs = std::filesystem;
-  const fs::path parent = fs::path(index_path).parent_path();
-  return parent.empty() ? file : (parent / file).string();
-}
-
-/// Loads every shard of a set in parallel and merges in index order.  The
-/// merged trace, stats, and every obs count are byte-identical at any
-/// `options.jobs` because each shard is a pure function of its index slot
-/// and errors are re-raised lowest-shard-first after the join.
-Trace load_sharded(const std::string& index_path, const ShardIndex& index,
-                   const LoadOptions& options, util::LoadStats& st) {
-  TraceMetrics& metrics = TraceMetrics::get();
-  const std::size_t n = index.entries.size();
-  struct Slot {
-    Trace trace;
-    util::LoadStats stats;
-    std::exception_ptr error;
-  };
-  std::vector<Slot> slots(n);
-  // Shards parse uncapped: the max_bad_fraction cap must apply once, to the
-  // merged totals, or a small shard could escalate a load the policy would
-  // tolerate as a whole.
-  util::LoadPolicy shard_policy = options.policy;
-  shard_policy.max_bad_fraction = 1.0;
-  util::TaskPool pool(options.jobs);
-  pool.parallel_for(n, [&](std::size_t i) {
-    Slot& slot = slots[i];
-    try {
-      obs::Span span("trace.shard.load");
-      const ShardEntry& entry = index.entries[i];
-      const std::string shard_path = shard_sibling_path(index_path, entry.file);
-      fault::maybe_fail("trace.shard.read", i,
-                        "injected fault: shard read failure at shard #" +
-                            std::to_string(i) + " of '" + index_path + "'");
-      const util::MappedFile file(shard_path, "trace shard");
-      const util::ArtifactView artifact = util::validate_versioned_content(
-          shard_path, file.view(), kArtifactKind, options.max_version,
-          shard_policy, &slot.stats);
-      const std::uint32_t crc = artifact.body_crc;
-      const bool matches_index =
-          crc == entry.crc && artifact.body.size() == entry.bytes;
-      if (!matches_index &&
-          (!options.policy.lenient() || slot.stats.checksum_ok)) {
-        // Either strict, or the shard is internally consistent yet not the
-        // one the index committed (swapped or regenerated out-of-band) —
-        // per-record salvage can't repair a set-level inconsistency.
-        throw Error(shard_path + ": shard does not match the set index at '" +
-                        index_path + "' (crc32 " + hex8(crc) +
-                        " != declared " + hex8(entry.crc) +
-                        ") — shard set is inconsistent",
-                    ErrorCode::kCorruptArtifact);
-      }
-      if (!slot.stats.checksum_ok) metrics.checksum_failures.add(1);
-      slot.trace = parse_trace_body(artifact, shard_path, shard_policy,
-                                    &slot.stats);
-      metrics.bytes_loaded.add(artifact.body.size());
-      metrics.shards_loaded.add(1);
-    } catch (...) {
-      slot.error = std::current_exception();
-    }
-  });
-  Trace merged;
-  std::size_t total_events = 0;
-  std::size_t total_samples = 0;
-  for (const ShardEntry& entry : index.entries) {
-    total_events += entry.events;
-    total_samples += entry.samples;
-  }
-  merged.events.reserve(total_events);
-  merged.samples.reserve(total_samples);
-  for (std::size_t i = 0; i < n; ++i) {
-    Slot& slot = slots[i];
-    if (slot.error) {
-      if (!options.policy.lenient()) std::rethrow_exception(slot.error);
-      // Whole-shard quarantine: account the index's declared record counts,
-      // so lenient stats are stable no matter how the shard failed.
-      const ShardEntry& entry = index.entries[i];
-      const std::size_t declared = entry.events + entry.samples;
-      st.records_seen += declared;
-      st.records_quarantined += declared;
-      st.checksum_ok = false;
-      metrics.records_seen.add(declared);
-      metrics.records_quarantined.add(declared);
-      obs::flight().note("shard-quarantine", index_path, i);
-      continue;
-    }
-    st.records_seen += slot.stats.records_seen;
-    st.records_ok += slot.stats.records_ok;
-    st.records_quarantined += slot.stats.records_quarantined;
-    st.checksum_ok = st.checksum_ok && slot.stats.checksum_ok;
-    merged.events.insert(merged.events.end(),
-                         std::make_move_iterator(slot.trace.events.begin()),
-                         std::make_move_iterator(slot.trace.events.end()));
-    merged.samples.insert(merged.samples.end(), slot.trace.samples.begin(),
-                          slot.trace.samples.end());
-  }
-  enforce_quarantine_cap(index_path, options.policy, st);
-  return merged;
-}
-
 }  // namespace
 
-std::vector<std::string> save_trace(const std::string& path,
-                                    const Trace& trace,
-                                    const SaveOptions& options) {
-  if (options.shards < 1 || options.shards > kMaxTraceShards) {
-    throw Error("--shards must be between 1 and " +
-                    std::to_string(kMaxTraceShards) + ", got " +
-                    std::to_string(options.shards),
-                ErrorCode::kUsage);
-  }
-  const int version = options.format == TraceFormat::kBinary
-                          ? kTraceVersion
-                          : kTraceCsvVersion;
-  if (options.shards == 1) {
-    util::write_versioned_artifact(
-        path, kArtifactKind, version,
-        render_body(options.format, trace.events.data(), trace.events.size(),
-                    trace.samples.data(), trace.samples.size()),
-        "trace.write");
-    return {path};
-  }
-  const std::size_t shards = options.shards;
-  struct ShardMeta {
-    std::uint32_t crc = 0;
-    std::size_t bytes = 0;
-    std::size_t events = 0;
-    std::size_t samples = 0;
-  };
-  std::vector<ShardMeta> metas(shards);
-  std::vector<std::string> shard_paths(shards);
-  std::vector<std::exception_ptr> errors(shards);
-  const auto range = [](std::size_t total, std::size_t parts, std::size_t i) {
-    return std::make_pair(total * i / parts, total * (i + 1) / parts);
-  };
-  util::TaskPool pool(options.jobs);
-  pool.parallel_for(shards, [&](std::size_t i) {
-    try {
-      obs::Span span("trace.shard.save");
-      const auto [eb, ee] = range(trace.events.size(), shards, i);
-      const auto [sb, se] = range(trace.samples.size(), shards, i);
-      fault::maybe_fail("trace.shard.write", i,
-                        "injected fault: shard write failure at shard #" +
-                            std::to_string(i) + " of '" + path + "'");
-      const std::string body = render_body(
-          options.format, trace.events.data() + eb, ee - eb,
-          trace.samples.data() + sb, se - sb);
-      const std::string shard_path = util::shard_file_name(path, i, shards);
-      util::write_versioned_artifact(shard_path, kArtifactKind, version, body,
-                                     "trace.shard.write");
-      metas[i] = ShardMeta{util::crc32(body), body.size(), ee - eb, se - sb};
-      shard_paths[i] = shard_path;
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  });
-  // Re-raise lowest shard first so the surfaced error is jobs-independent.
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
-  // The index commits the set: it is written last, so a failure anywhere
-  // above leaves no index and a loader never sees a partial set.
-  std::ostringstream body;
-  body << "format," << trace_format_name(options.format) << '\n'
-       << "shards," << shards << '\n';
-  namespace fs = std::filesystem;
-  for (std::size_t i = 0; i < shards; ++i) {
-    body << "shard," << fs::path(shard_paths[i]).filename().string() << ','
-         << hex8(metas[i].crc) << ',' << metas[i].bytes << ','
-         << metas[i].events << ',' << metas[i].samples << '\n';
-  }
-  util::write_versioned_artifact(path, kIndexKind, kTraceIndexVersion,
-                                 body.str(), "trace.write");
-  std::vector<std::string> written;
-  written.reserve(shards + 1);
-  written.push_back(path);
-  written.insert(written.end(), shard_paths.begin(), shard_paths.end());
-  return written;
+void save_trace(const std::string& path, const Trace& trace,
+                const SaveOptions& options) {
+  const bool binary = options.format == TraceFormat::kBinary;
+  util::write_versioned_artifact(
+      path, kArtifactKind, binary ? kTraceVersion : kTraceCsvVersion,
+      binary ? render_binary(trace) : render_csv(trace), "trace.write");
 }
 
 Trace load_trace(const std::string& path, const LoadOptions& options,
@@ -1175,23 +845,9 @@ Trace load_trace(const std::string& path, const LoadOptions& options,
   util::LoadStats local;
   util::LoadStats& st = stats != nullptr ? *stats : local;
   const util::MappedFile file(path, "trace file");
-  const std::string_view content = file.view();
-  const std::string first_line = trim(content.substr(0, content.find('\n')));
-  std::optional<util::ArtifactHeader> header;
-  try {
-    header = util::parse_artifact_header(first_line);
-  } catch (const Error& e) {
-    throw Error(path + ": " + e.what(), e.code());
-  }
-  if (header.has_value() && header->kind == kIndexKind) {
-    const util::ArtifactView artifact = util::validate_versioned_content(
-        path, content, kIndexKind, kTraceIndexVersion, options.policy, &st);
-    if (!st.checksum_ok) TraceMetrics::get().checksum_failures.add(1);
-    return load_sharded(path, parse_shard_index(artifact.body, path), options,
-                        st);
-  }
   const util::ArtifactView artifact = util::validate_versioned_content(
-      path, content, kArtifactKind, options.max_version, options.policy, &st);
+      path, file.view(), kArtifactKind, options.max_version, options.policy,
+      &st);
   if (!st.checksum_ok) TraceMetrics::get().checksum_failures.add(1);
   Trace trace = parse_trace_body(artifact, path, options.policy, &st);
   TraceMetrics::get().bytes_loaded.add(artifact.body.size());
@@ -1207,34 +863,6 @@ Trace load_trace(const std::string& path, const util::LoadPolicy& policy,
 
 Trace load_trace(const std::string& path) {
   return load_trace(path, util::LoadPolicy{}, nullptr);
-}
-
-std::vector<std::string> trace_artifact_paths(const std::string& path) {
-  try {
-    // Only a shard-set index has more files behind it, and only then is the
-    // body worth reading: a single-file trace is named by its header line.
-    const auto header = util::parse_artifact_header(
-        trim(util::read_first_line(path, "trace file")));
-    if (!header.has_value() || header->kind != kIndexKind) return {path};
-    const util::MappedFile file(path, "trace file");
-    const std::string_view content = file.view();
-    const std::size_t eol = content.find('\n');
-    const ShardIndex index = parse_shard_index(
-        eol == std::string_view::npos ? std::string_view()
-                                      : content.substr(eol + 1),
-        path);
-    std::vector<std::string> paths;
-    paths.reserve(index.entries.size() + 1);
-    paths.push_back(path);
-    for (const ShardEntry& entry : index.entries) {
-      paths.push_back(shard_sibling_path(path, entry.file));
-    }
-    return paths;
-  } catch (const Error&) {
-    // Damaged or missing artifacts still get listed (and content-hashed as
-    // absent) under the primary path; the loader reports the real error.
-    return {path};
-  }
 }
 
 }  // namespace drbw::pebs

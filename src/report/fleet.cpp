@@ -631,7 +631,7 @@ std::vector<obs::FlameSpan> flame_spans(
     obs::FlameSpan span;
     span.name = record.detail;
     span.track = record.track;
-    span.start = record.seq;
+    span.start = record.ts;
     span.dur = record.value;
     spans.push_back(std::move(span));
   }

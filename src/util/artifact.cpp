@@ -260,13 +260,6 @@ void write_versioned_artifact(const std::string& path, const std::string& kind,
   atomic_write_file(path, content);
 }
 
-std::string shard_file_name(const std::string& path, std::size_t index,
-                            std::size_t count) {
-  char suffix[40];
-  std::snprintf(suffix, sizeof suffix, ".shard-%03zu-of-%03zu", index, count);
-  return path + suffix;
-}
-
 ArtifactView validate_versioned_content(const std::string& source,
                                         std::string_view content,
                                         const std::string& kind,
@@ -306,9 +299,9 @@ ArtifactView validate_versioned_content(const std::string& source,
   result.header = *header;
   result.body = eol == std::string_view::npos ? std::string_view()
                                               : content.substr(eol + 1);
-  result.body_crc = crc32(result.body);
+  const std::uint32_t body_crc = crc32(result.body);
   const bool size_ok = result.body.size() == header->bytes;
-  if (result.body_crc != header->crc || !size_ok) {
+  if (body_crc != header->crc || !size_ok) {
     if (!policy.lenient()) {
       std::ostringstream os;
       os << source << ": " << kind << " body fails validation (";
@@ -319,7 +312,7 @@ ArtifactView validate_versioned_content(const std::string& source,
         char want[16];
         char got[16];
         std::snprintf(want, sizeof want, "%08x", header->crc);
-        std::snprintf(got, sizeof got, "%08x", result.body_crc);
+        std::snprintf(got, sizeof got, "%08x", body_crc);
         os << "crc32 " << got << " != declared " << want;
       }
       os << ") — artifact is truncated or corrupt";

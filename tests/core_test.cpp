@@ -2,6 +2,8 @@
 // the profiler's channel association + object attribution.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "drbw/core/profiler.hpp"
 #include "drbw/util/error.hpp"
 
@@ -69,9 +71,22 @@ TEST(HeapTracker, FreeOfUntrackedPointerThrows) {
   EXPECT_THROW(t.object(5), Error);
 }
 
+/// Runs `event` through `t`, expecting Error(kCorruptArtifact); returns the
+/// message.
+std::string corrupt_message(HeapTracker& t, const AllocationEvent& event) {
+  try {
+    t.on_event(event);
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCorruptArtifact) << e.what();
+    return e.what();
+  }
+  ADD_FAILURE() << "event accepted";
+  return "";
+}
+
 TEST(HeapTracker, FreeOfNeverAllocatedBaseIsACorruptArtifact) {
-  // A shard loaded without its set frees blocks another shard allocated:
-  // that is damaged input (exit 68), not an internal invariant failure.
+  // A trace that frees a block it never allocated is damaged input (exit
+  // 68), not an internal invariant failure.
   HeapTracker t;
   t.on_event(alloc("a.c:1 x", 0x1000, 0x100));
   ErrorCode code = ErrorCode::kGeneric;
@@ -87,6 +102,59 @@ TEST(HeapTracker, FreeOfNeverAllocatedBaseIsACorruptArtifact) {
   EXPECT_NE(message.find("no matching allocation"), std::string::npos)
       << message;
   EXPECT_EQ(t.live_range_count(), 1u);
+}
+
+TEST(HeapTracker, LiveBaseAllocatedAgainIsACorruptArtifact) {
+  // Overwriting the live range would let the later free subtract bytes the
+  // site no longer counts, wrapping live_bytes into a failed check.
+  HeapTracker t;
+  t.on_event(alloc("x", 0, 0x8000000000000000ull));
+  const std::string message =
+      corrupt_message(t, alloc("x", 0, 0x8000000000000000ull));
+  EXPECT_NE(message.find("still live"), std::string::npos) << message;
+  EXPECT_EQ(t.objects()[0].allocations, 1u);
+  EXPECT_EQ(t.objects()[0].live_bytes, 0x8000000000000000ull);
+  t.on_event(dealloc(0));
+  EXPECT_EQ(t.objects()[0].live_bytes, 0u);
+}
+
+TEST(HeapTracker, RangePastTheAddressSpaceIsACorruptArtifact) {
+  HeapTracker t;
+  const std::string message =
+      corrupt_message(t, alloc("x", 18446744073709551000ull, 4096));
+  EXPECT_NE(message.find("past the 64-bit address space"), std::string::npos)
+      << message;
+  EXPECT_EQ(t.live_range_count(), 0u);
+  // The last byte of the address space is still allocatable.
+  t.on_event(alloc("x", 0xffffffffffffff00ull, 0xff));
+  EXPECT_EQ(t.object_of(0xfffffffffffffffeull), 0u);
+}
+
+TEST(HeapTracker, OverlappingRangesThatOverflowLiveBytesAreCorrupt) {
+  HeapTracker t;
+  t.on_event(alloc("x", 0, 0x8000000000000000ull));
+  const std::string message =
+      corrupt_message(t, alloc("x", 1, 0x8000000000000000ull));
+  EXPECT_NE(message.find("overflow"), std::string::npos) << message;
+  t.on_event(dealloc(0));
+  EXPECT_EQ(t.objects()[0].live_bytes, 0u);
+}
+
+TEST(HeapTracker, FreedBaseMayBeAllocatedAgainByAnotherSite) {
+  // Only a *live* base is refused: once freed, any site may reuse it, and
+  // its bytes count toward the new site alone.
+  HeapTracker t;
+  t.on_event(alloc("a.c:1 x", 0x1000, 0x100));
+  t.on_event(dealloc(0x1000));
+  t.on_event(alloc("b.c:2 y", 0x1000, 0x200));
+  ASSERT_EQ(t.objects().size(), 2u);
+  EXPECT_EQ(t.object_of(0x1000), 1u);
+  EXPECT_EQ(t.object_of(0x11ff), 1u);
+  EXPECT_EQ(t.objects()[0].live_bytes, 0u);
+  EXPECT_EQ(t.objects()[1].live_bytes, 0x200u);
+  t.on_event(dealloc(0x1000));
+  EXPECT_EQ(t.objects()[1].live_bytes, 0u);
+  EXPECT_EQ(t.live_range_count(), 0u);
 }
 
 class ProfilerTest : public ::testing::Test {

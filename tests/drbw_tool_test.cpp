@@ -614,7 +614,7 @@ TEST(DrBwCliPinTest, FrontEndOutputsMatchPinnedChecksums) {
   EXPECT_NE(analyze_lines.find("Optimization guidance"), std::string::npos)
       << analyze_lines;
   EXPECT_EQ(util::crc32(analyze_lines), 0xe75ecdeeu) << analyze_lines;
-  EXPECT_EQ(crc_of("report.md"), 0xf4a678f8u);
+  EXPECT_EQ(crc_of("report.md"), 0xca611d9au);
   std::filesystem::remove_all(dir);
 }
 

@@ -550,61 +550,6 @@ TEST(MappedLoad, TruncatedBinaryBodyStrictRejectsLenientQuarantines) {
   std::remove(path.c_str());
 }
 
-TEST(CorruptionCorpus, MissingShardStrictNotFoundLenientQuarantines) {
-  const std::string path = kDataDir + "/sharded_trace_missing.bin";
-  std::string message;
-  EXPECT_EQ(code_of([&] { pebs::load_trace(path); }, &message),
-            ErrorCode::kNotFound);
-  EXPECT_NE(message.find("shard-001-of-003"), std::string::npos) << message;
-
-  util::LoadStats first;
-  util::LoadStats second;
-  const util::LoadPolicy tolerant{util::LoadMode::kLenient, 0.5};
-  const pebs::Trace a = pebs::load_trace(path, tolerant, &first);
-  const pebs::Trace b = pebs::load_trace(path, tolerant, &second);
-  EXPECT_EQ(first.records_seen, 69u);
-  EXPECT_EQ(first.records_quarantined, 23u);  // shard 1: 3 events, 20 samples
-  EXPECT_FALSE(first.checksum_ok);
-  EXPECT_EQ(a.samples.size(), 40u);
-  EXPECT_EQ(a.samples.size(), b.samples.size());
-  EXPECT_EQ(second.records_quarantined, first.records_quarantined);
-}
-
-TEST(CorruptionCorpus, BitflippedShardStrictRejectsLenientSalvages) {
-  const std::string path = kDataDir + "/sharded_trace_bitflip.bin";
-  EXPECT_EQ(code_of([&] { pebs::load_trace(path); }),
-            ErrorCode::kCorruptArtifact);
-
-  util::LoadStats first;
-  util::LoadStats second;
-  const util::LoadPolicy lenient{util::LoadMode::kLenient};
-  (void)pebs::load_trace(path, lenient, &first);
-  (void)pebs::load_trace(path, lenient, &second);
-  EXPECT_EQ(first.records_seen, 69u);
-  EXPECT_LE(first.records_quarantined, 1u);  // at most the one flipped record
-  EXPECT_FALSE(first.checksum_ok);
-  EXPECT_EQ(second.records_quarantined, first.records_quarantined);
-  EXPECT_EQ(second.records_ok, first.records_ok);
-}
-
-TEST(CorruptionCorpus, SwappedShardIsSetInconsistencyInBothModes) {
-  // Shard 001 is internally valid but not the shard the index committed:
-  // per-record salvage cannot repair that, so lenient quarantines it whole.
-  const std::string path = kDataDir + "/sharded_trace_swap.bin";
-  std::string message;
-  EXPECT_EQ(code_of([&] { pebs::load_trace(path); }, &message),
-            ErrorCode::kCorruptArtifact);
-  EXPECT_NE(message.find("does not match the set index"), std::string::npos)
-      << message;
-
-  util::LoadStats stats;
-  const util::LoadPolicy tolerant{util::LoadMode::kLenient, 0.5};
-  const pebs::Trace merged = pebs::load_trace(path, tolerant, &stats);
-  EXPECT_EQ(stats.records_quarantined, 23u);
-  EXPECT_FALSE(stats.checksum_ok);
-  EXPECT_EQ(merged.samples.size(), 40u);
-}
-
 TEST(CorruptionCorpus, QuarantineCapEscalatesToCorruptArtifact) {
   const std::string path = kDataDir + "/malformed_records_trace.csv";
   // 2 of 10 records are bad (20%): a 10% cap must escalate.
@@ -751,6 +696,28 @@ TEST(TraceReadSite, EveryDamagedSampleIsQuarantined) {
             ErrorCode::kParse);
   EXPECT_NE(message.find(path + ":2: "), std::string::npos) << message;
   EXPECT_EQ(exit_code_for(ErrorCode::kParse), 67);
+  std::remove(path.c_str());
+}
+
+/// A plan naming the retired trace.shard.read/write sites still parses (old
+/// scripts keep running) but arms nothing: a binary trace saves and loads
+/// intact, and no site fires.
+TEST(TraceReadSite, RetiredShardSitesNeverFire) {
+  if (!fault::kEnabled) GTEST_SKIP() << "built with -DDRBW_FAULT=OFF";
+  const std::string path = ::testing::TempDir() + "/retired_sites.bin";
+  const std::string clean = write_binary_trace(path);
+  fault::Injector::global().reset_counts();
+  {
+    ArmGuard guard("seed=5,trace.shard.read:fail:1,trace.shard.write:fail:1");
+    const pebs::Trace loaded = pebs::load_trace(path);
+    EXPECT_EQ(loaded.events.size(), 3u);
+    EXPECT_EQ(loaded.samples.size(), 100u);
+    pebs::SaveOptions save;
+    save.format = pebs::TraceFormat::kBinary;
+    pebs::save_trace(path, loaded, save);
+    EXPECT_TRUE(fault::Injector::global().fire_counts().empty());
+  }
+  EXPECT_EQ(read_all(path), clean);
   std::remove(path.c_str());
 }
 

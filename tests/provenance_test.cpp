@@ -24,9 +24,12 @@
 
 #include "drbw/fault/injector.hpp"
 #include "drbw/ml/decision_tree.hpp"
+#include "drbw/obs/flame.hpp"
 #include "drbw/obs/flight_recorder.hpp"
 #include "drbw/obs/manifest.hpp"
+#include "drbw/obs/trace.hpp"
 #include "drbw/pebs/trace_io.hpp"
+#include "drbw/report/fleet.hpp"
 #include "drbw/report/postmortem.hpp"
 #include "drbw/util/artifact.hpp"
 #include "drbw/util/json.hpp"
@@ -107,6 +110,65 @@ TEST(FlightRecorderTest, FaultFiresLeaveBreadcrumbs) {
   const std::string dump = flight.dump();
   flight.disable();
   EXPECT_NE(dump.find("fault,pebs.sample:drop"), std::string::npos);
+}
+
+/// Busy-waits until the wall clock has advanced `micros`.
+void spin_wall(std::uint64_t micros) {
+  const std::uint64_t start = obs::wall_now_micros();
+  while (obs::wall_now_micros() - start < micros) {
+  }
+}
+
+/// Folds the span breadcrumbs of a flight dump written to `path`.
+std::string fold_flight(const std::string& path) {
+  obs::FlightRecorder::instance().write(path);
+  obs::FlameFold fold;
+  fold.add(report::flame_spans(report::load_flight_dump(path)));
+  return fold.collapsed();
+}
+
+TEST(FlightRecorderTest, WallSpansShareOneClockWithoutTheTraceSink) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with -DDRBW_OBS=OFF";
+  auto& flight = obs::FlightRecorder::instance();
+  const obs::TrackScope saved = obs::track_scope();
+  const auto run_stages = [] {
+    obs::Span parent("parent");
+    {
+      obs::Span a("a");
+      spin_wall(200);
+    }
+    {
+      obs::Span b("b");
+      spin_wall(200);
+    }
+  };
+  // --timing wall without --trace-out: the sink stays off, and the flight
+  // recorder's span ts and dur are both wall microseconds, so the stages
+  // fold side by side under their parent, never one inside another.
+  obs::track_scope() = obs::TrackScope{};
+  flight.enable(64);
+  obs::Trace::instance().set_mode(obs::TimingMode::kWall);
+  run_stages();
+  obs::Trace::instance().disable();  // back to the sim clock
+  const std::string wall =
+      fold_flight(testing::TempDir() + "/prov_wall_flight.log");
+  flight.disable();
+  EXPECT_NE(wall.find("parent;a "), std::string::npos) << wall;
+  EXPECT_NE(wall.find("parent;b "), std::string::npos) << wall;
+  EXPECT_EQ(wall.find("a;b"), std::string::npos) << wall;
+
+  // The sim clock keeps the sequence slot as ts: dumps stay golden.
+  obs::track_scope() = obs::TrackScope{};
+  flight.enable(64);
+  run_stages();
+  const std::string dump = flight.dump();
+  flight.disable();
+  obs::track_scope() = saved;
+  EXPECT_EQ(dump,
+            "track,seq,ts,value,tag,detail\n"
+            "0,0,0,3,span,parent\n"
+            "0,1,1,1,span,a\n"
+            "0,2,2,1,span,b\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -431,19 +493,112 @@ TEST(ProvenanceCliTest, EveryTypedFailureLeavesADiagnosableRunDir) {
   }
 }
 
-/// A shard loaded on its own frees blocks its set's earlier shards
-/// allocated.  That is a damaged input (68), never an internal check
-/// failure (exit 1), and the manifest says so for `drbw doctor`.
-TEST(ProvenanceCliTest, LoneShardIsACorruptArtifact) {
-  const std::string dir = make_run_dir("lone_shard");
-  EXPECT_EQ(run_cli("analyze --load-mode lenient --trace " + kDataDir +
-                    "/sharded_trace_bitflip.bin.shard-001-of-003 --run-dir " +
-                    dir),
+const std::string kModel = std::string(DRBW_SOURCE_ROOT) + "/drbw_model.json";
+
+/// Writes `body` as a checksummed v2 CSV trace and runs `analyze` on it;
+/// returns the exit code.  The manifest lands in `dir`.
+int analyze_csv_body(const std::string& name, const std::string& body,
+                     const std::string& dir) {
+  const std::string trace = testing::TempDir() + "/prov_" + name + ".csv";
+  util::write_versioned_artifact(trace, "trace", pebs::kTraceCsvVersion, body);
+  return run_cli("analyze --trace " + trace + " --model " + kModel +
+                 " --run-dir " + dir);
+}
+
+/// A free with no matching allocation is a damaged input (68), never an
+/// internal check failure (exit 1), and the manifest says so for `drbw
+/// doctor`.
+TEST(ProvenanceCliTest, UnmatchedFreeIsACorruptArtifact) {
+  const std::string dir = make_run_dir("unmatched_free");
+  EXPECT_EQ(analyze_csv_body("unmatched_free",
+                             "A,x,4096,64\nF,8192\nS,4096,0,1,LDR,500,0,10\n",
+                             dir),
             68);
   if (obs::kEnabled) {
     const std::string manifest = read_file(dir + "/" + obs::kManifestFileName);
     EXPECT_NE(manifest.find("corrupt-artifact"), std::string::npos);
     EXPECT_NE(manifest.find("no matching allocation"), std::string::npos);
+  }
+}
+
+/// Heap events that would wrap the tracker's byte counts or ranges: a
+/// second allocation at a live base, and a range ending past 2^64.
+TEST(ProvenanceCliTest, HostileHeapEventsAreCorruptArtifacts) {
+  EXPECT_EQ(analyze_csv_body("live_base",
+                             "A,x,0,9223372036854775808\n"
+                             "A,x,0,9223372036854775808\nF,0\n",
+                             make_run_dir("live_base")),
+            68);
+  EXPECT_EQ(analyze_csv_body("wrapped_range",
+                             "A,x,18446744073709551000,4096\n"
+                             "S,4096,0,1,LDR,500,0,10\n",
+                             make_run_dir("wrapped_range")),
+            68);
+}
+
+/// The retired `#drbw-trace-index` artifact is not a trace: a parse error
+/// (67) naming its kind, from analyze and convert alike.
+TEST(ProvenanceCliTest, TraceIndexArtifactIsAParseError) {
+  const std::string index = testing::TempDir() + "/prov_index.bin";
+  util::write_versioned_artifact(index, "trace-index", 1,
+                                 "format,binary\nshards,1\n"
+                                 "shard,prov_index.bin.shard-000-of-001,"
+                                 "00000000,0,0,0\n");
+  const std::string dir = make_run_dir("trace_index");
+  EXPECT_EQ(run_cli("analyze --trace " + index + " --model " + kModel +
+                    " --run-dir " + dir),
+            67);
+  EXPECT_EQ(run_cli("convert --in " + index + " --out " + testing::TempDir() +
+                    "/prov_index_out.bin"),
+            67);
+  if (obs::kEnabled) {
+    const std::string manifest = read_file(dir + "/" + obs::kManifestFileName);
+    EXPECT_NE(manifest.find("artifact kind is 'trace-index', expected 'trace'"),
+              std::string::npos)
+        << manifest;
+  }
+}
+
+/// Under --timing wall the run dir's flight dump folds analyze's four
+/// stages side by side, with the trace sink on (--trace-out) and off.
+TEST(ProvenanceCliTest, WallTimingFoldsAnalyzeStagesSideBySide) {
+  if (!obs::kEnabled) GTEST_SKIP() << "built with -DDRBW_OBS=OFF";
+  const std::string trace = testing::TempDir() + "/prov_wall_trace.bin";
+  // streamcluster at T32-N4 is contended, so analyze reaches diagnose.
+  ASSERT_EQ(run_cli("record --benchmark streamcluster --config T32-N4 "
+                    "--format binary --out " + trace +
+                    " --run-dir " + make_run_dir("rec_wall")),
+            0);
+  const char* const kStages[] = {"profile", "featurize", "classify",
+                                 "diagnose"};
+  for (const bool traced : {true, false}) {
+    SCOPED_TRACE(traced ? "--trace-out" : "no trace sink");
+    const std::string dir = make_run_dir(traced ? "wall_traced" : "wall_bare");
+    const std::string sink =
+        traced ? " --trace-out " + dir + "/profile.json" : "";
+    const int rc = run_cli("analyze --trace " + trace + " --model " + kModel +
+                           " --timing wall" + sink + " --run-dir " + dir);
+    ASSERT_EQ(rc, 2);  // contention detected
+    obs::FlameFold fold;
+    fold.add(report::flame_spans(
+        report::load_flight_dump(dir + "/" + obs::kFlightFileName)));
+    const std::string collapsed = fold.collapsed();
+    std::istringstream lines(collapsed);
+    std::string line;
+    while (std::getline(lines, line)) {
+      const std::string stack = line.substr(0, line.rfind(' '));
+      const std::vector<std::string> frames = split(stack, ';');
+      int stages = 0;
+      for (const char* stage : kStages) {
+        stages += static_cast<int>(
+            std::count(frames.begin(), frames.end(), std::string(stage)));
+      }
+      EXPECT_LE(stages, 1) << "stages nested in one stack: " << stack;
+    }
+    for (const char* stage : kStages) {
+      EXPECT_NE(collapsed.find(stage), std::string::npos)
+          << stage << " missing from\n" << collapsed;
+    }
   }
 }
 
@@ -573,13 +728,19 @@ TEST(ProvenanceCliTest, ConvertRoundTripsFormatsByteExactly) {
                     make_run_dir("rec_cv")),
             0);
   ASSERT_EQ(run_cli("convert --in " + csv + " --out " + bin +
-                    " --format binary --shards 3 --jobs 2"),
+                    " --format binary"),
             0);
   ASSERT_EQ(run_cli("convert --in " + bin + " --out " + back +
-                    " --format csv --jobs 2"),
+                    " --format csv"),
             0);
-  // csv -> sharded binary -> csv is lossless down to the bytes.
+  // csv -> binary -> csv is lossless down to the bytes.
   EXPECT_EQ(read_file(csv), read_file(back));
+  // A trace is one file: neither convert nor record takes --shards or --jobs.
+  EXPECT_EQ(run_cli("convert --in " + csv + " --out " + bin + " --shards 3"),
+            64);
+  EXPECT_EQ(run_cli("convert --in " + csv + " --out " + bin + " --jobs 2"), 64);
+  EXPECT_EQ(run_cli("record --config T4-N2 --out " + bin + " --shards 2"), 64);
+  EXPECT_EQ(run_cli("record --config T4-N2 --out " + bin + " --jobs 2"), 64);
   EXPECT_EQ(run_cli("convert --in /nonexistent.csv --out " + bin), 66);
   EXPECT_EQ(run_cli("convert --in " + csv + " --out " + bin +
                     " --format tsv"),

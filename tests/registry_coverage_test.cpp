@@ -1,7 +1,7 @@
 // Registry coverage: every name in tools/analyze/registry.json must be
 // *observably* emitted by a real execution, not just registered.  This suite
 // drives one small end-to-end slice of each subsystem — engine run, profile,
-// train, cross-validate, model save/load, sharded trace save/load, task
+// train, cross-validate, model save/load, trace save/load, task
 // pool, full DrBw analyze with a diagnosis — and then asserts the metric
 // registry export and the structured trace actually contain every contract
 // name.  drbw_analyze's `untested-name` rule checks these names appear in a
@@ -161,11 +161,10 @@ TEST_F(RegistryCoverageTest, EveryRegisteredNameIsEmittedByThePipeline) {
   model.save(dir + "/model.json");
   (void)ml::Classifier::load(dir + "/model.json");
 
-  // Sharded trace round trip: trace.shard.load/save spans + trace metrics.
+  // Trace round trip: the trace loader's metrics.
   pebs::SaveOptions save;
   save.format = pebs::TraceFormat::kBinary;
-  save.shards = 2;
-  ASSERT_EQ(pebs::save_trace(dir + "/t.bin", small_trace(), save).size(), 3u);
+  pebs::save_trace(dir + "/t.bin", small_trace(), save);
   (void)pebs::load_trace(dir + "/t.bin");
 
   // Task pool: worker/enqueue/run instrumentation.
@@ -193,8 +192,7 @@ TEST_F(RegistryCoverageTest, EveryRegisteredNameIsEmittedByThePipeline) {
       "drbw_sim_samples_fault_corrupted_total",
       "drbw_sim_samples_fault_dropped_total", "drbw_sim_samples_total",
       "drbw_trace_bytes_loaded_total", "drbw_trace_checksum_failures_total",
-      "drbw_trace_records_quarantined_total", "drbw_trace_records_total",
-      "drbw_trace_shards_loaded_total"};
+      "drbw_trace_records_quarantined_total", "drbw_trace_records_total"};
   for (const char* name : kMetricNames) {
     EXPECT_NE(metrics.find(name), std::string::npos)
         << "metric '" << name << "' missing from the registry export — "
@@ -204,8 +202,8 @@ TEST_F(RegistryCoverageTest, EveryRegisteredNameIsEmittedByThePipeline) {
 
   const std::string trace_json = obs::Trace::instance().to_json();
   const char* const kSpanNames[] = {"profile", "featurize", "classify",
-                                    "diagnose", "cross_validate", "tree_train",
-                                    "trace.shard.load", "trace.shard.save"};
+                                    "diagnose", "cross_validate",
+                                    "tree_train"};
   for (const char* name : kSpanNames) {
     EXPECT_NE(trace_json.find(std::string("\"") + name + "\""),
               std::string::npos)

@@ -1,8 +1,13 @@
-// Tests for sample-trace persistence and offline re-analysis.
+// Tests for sample-trace persistence and offline re-analysis: the CSV (v2)
+// and binary (v3) bodies, their round trips, field grammar, version skew,
+// and truncated-body handling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <functional>
+#include <sstream>
 
 #include "drbw/core/profiler.hpp"
 #include "drbw/pebs/trace_io.hpp"
@@ -60,6 +65,78 @@ std::string write_csv_trace(const std::string& name, const std::string& body) {
   const std::string path = temp_path(name);
   util::write_versioned_artifact(path, "trace", 2, body);
   return path;
+}
+
+/// Deterministic synthetic trace exercising every field: quoted labels,
+/// frees, all six memory levels, write bits, wide addresses.
+Trace make_trace(std::size_t events, std::size_t samples) {
+  Trace trace;
+  for (std::size_t i = 0; i < events; ++i) {
+    if (i % 5 == 4) {
+      trace.events.push_back(mem::AllocationEvent{
+          mem::AllocationEvent::Kind::kFree, {""}, 0x10000 + (i - 4) * 0x1000,
+          0});
+      continue;
+    }
+    trace.events.push_back(mem::AllocationEvent{
+        mem::AllocationEvent::Kind::kAlloc,
+        {"site.c:" + std::to_string(i % 7) + " buf, \"q\""},
+        0x10000 + i * 0x1000, 4096 + i});
+  }
+  for (std::size_t i = 0; i < samples; ++i) {
+    MemorySample s;
+    s.address = 0x10000 + (i * 64) % (events * 0x1000 + 0x1000);
+    s.cpu = static_cast<topology::CpuId>(i % 32);
+    s.tid = static_cast<std::uint32_t>(i % 8);
+    s.level = static_cast<MemLevel>(i % 6);
+    s.latency_cycles = 10.0f + static_cast<float>(i % 900) * 1.5f;
+    s.is_write = i % 3 == 0;
+    s.cycle = 1000 + i * 17;
+    trace.samples.push_back(s);
+  }
+  return trace;
+}
+
+bool traces_equal(const Trace& a, const Trace& b) {
+  if (a.events.size() != b.events.size()) return false;
+  if (a.samples.size() != b.samples.size()) return false;
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    const auto& x = a.events[i];
+    const auto& y = b.events[i];
+    if (x.kind != y.kind || x.site.label != y.site.label || x.base != y.base ||
+        x.size_bytes != y.size_bytes) {
+      return false;
+    }
+  }
+  for (std::size_t i = 0; i < a.samples.size(); ++i) {
+    const auto& x = a.samples[i];
+    const auto& y = b.samples[i];
+    if (x.address != y.address || x.cpu != y.cpu || x.tid != y.tid ||
+        x.level != y.level || x.latency_cycles != y.latency_cycles ||
+        x.is_write != y.is_write || x.cycle != y.cycle) {
+      return false;
+    }
+  }
+  return true;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+/// Runs `fn`, asserting it throws Error with `code`; returns the message.
+std::string expect_error(const std::function<void()>& fn, ErrorCode code) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), code) << e.what();
+    return e.what();
+  }
+  ADD_FAILURE() << "expected Error(" << error_code_name(code) << ")";
+  return "";
 }
 
 TEST(TraceIo, RoundTripPreservesEverything) {
@@ -298,6 +375,215 @@ TEST(TraceIo, RecordedRunReplaysThroughProfiler) {
   for (std::size_t c = 0; c < live.channels.size(); ++c) {
     EXPECT_EQ(replayed.channels[c].samples.size(),
               live.channels[c].samples.size());
+  }
+}
+
+TEST(TraceBinary, RoundTripPreservesEverything) {
+  const std::string path = temp_path("t.bin");
+  const Trace original = make_trace(23, 400);
+  SaveOptions save;
+  save.format = TraceFormat::kBinary;
+  save_trace(path, original, save);
+
+  // The artifact carries the v3 checksummed header over a binary body.
+  const std::string content = slurp(path);
+  EXPECT_EQ(content.rfind("#drbw-trace v3 crc32=", 0), 0u);
+
+  util::LoadStats stats;
+  const Trace loaded = load_trace(path, util::LoadPolicy{}, &stats);
+  EXPECT_TRUE(traces_equal(original, loaded));
+  EXPECT_EQ(stats.records_seen, 423u);
+  EXPECT_EQ(stats.records_ok, 423u);
+  EXPECT_TRUE(stats.checksum_ok);
+}
+
+TEST(TraceBinary, EmptyTraceRoundTrips) {
+  const std::string path = temp_path("t.bin");
+  SaveOptions save;
+  save.format = TraceFormat::kBinary;
+  save_trace(path, Trace{}, save);
+  const Trace loaded = load_trace(path);
+  EXPECT_TRUE(loaded.events.empty());
+  EXPECT_TRUE(loaded.samples.empty());
+}
+
+TEST(TraceBinary, FormatNamesRoundTrip) {
+  EXPECT_EQ(trace_format_from_name("csv"), TraceFormat::kCsv);
+  EXPECT_EQ(trace_format_from_name("binary"), TraceFormat::kBinary);
+  EXPECT_STREQ(trace_format_name(TraceFormat::kCsv), "csv");
+  EXPECT_STREQ(trace_format_name(TraceFormat::kBinary), "binary");
+  expect_error([] { trace_format_from_name("tsv"); }, ErrorCode::kUsage);
+}
+
+TEST(TraceBinary, CsvDefaultStillWritesV2) {
+  const std::string path = temp_path("t.csv");
+  const Trace trace = make_trace(5, 40);
+  save_trace(path, trace);
+  const std::string content = slurp(path);
+  EXPECT_EQ(content.rfind("#drbw-trace v2 crc32=", 0), 0u);
+  EXPECT_TRUE(traces_equal(trace, load_trace(path)));
+}
+
+TEST(TraceBinary, VersionSkewNamesOffendingToken) {
+  const std::string path = temp_path("t.bin");
+  SaveOptions save;
+  save.format = TraceFormat::kBinary;
+  save_trace(path, make_trace(3, 30), save);
+  LoadOptions load;
+  load.max_version = kTraceCsvVersion;  // a strict v2-only consumer
+  const std::string message = expect_error(
+      [&] { load_trace(path, load); }, ErrorCode::kVersionSkew);
+  EXPECT_NE(message.find("offending header token 'v3'"), std::string::npos)
+      << message;
+}
+
+TEST(TraceBinary, TruncatedBodyStrictRejectsLenientQuarantines) {
+  const std::string whole = temp_path("whole.bin");
+  const std::string cut = temp_path("cut.bin");
+  const std::string short_path = temp_path("short.bin");
+  SaveOptions save;
+  save.format = TraceFormat::kBinary;
+  save_trace(whole, make_trace(4, 100), save);
+
+  // Variant 1: the file is cut after the fact — the header's crc32 no
+  // longer matches, so strict rejects before a single record is decoded.
+  const std::string content = slurp(whole);
+  util::atomic_write_file(cut, content.substr(0, content.size() - 900));
+  const std::string msg1 = expect_error(
+      [&] { load_trace(cut); }, ErrorCode::kCorruptArtifact);
+  EXPECT_NE(msg1.find("truncated or corrupt"), std::string::npos) << msg1;
+
+  // Variant 2: a checksummed-but-short body (the writer itself was cut, so
+  // header and body agree) — the structural length check catches it.
+  const std::size_t eol = content.find('\n');
+  const std::string body = content.substr(eol + 1);
+  const std::string short_body = body.substr(0, body.size() - 900);
+  util::write_versioned_artifact(short_path, "trace", kTraceVersion,
+                                 short_body);
+  expect_error([&] { load_trace(short_path); }, ErrorCode::kCorruptArtifact);
+
+  // Lenient: the missing tail records are quarantined against the declared
+  // counts — and the accounting is stable across repeated loads.
+  util::LoadPolicy lenient;
+  lenient.mode = util::LoadMode::kLenient;
+  lenient.max_bad_fraction = 0.9;
+  util::LoadStats first;
+  util::LoadStats second;
+  const Trace a = load_trace(short_path, lenient, &first);
+  const Trace b = load_trace(short_path, lenient, &second);
+  EXPECT_TRUE(traces_equal(a, b));
+  EXPECT_EQ(first.records_seen, 104u);
+  EXPECT_EQ(first.records_seen, second.records_seen);
+  EXPECT_EQ(first.records_quarantined, second.records_quarantined);
+  EXPECT_EQ(first.records_quarantined, 30u);  // 900 bytes = 30 samples
+  EXPECT_EQ(first.records_ok, 74u);
+  EXPECT_TRUE(first.checksum_ok);  // header matches the short body
+}
+
+TEST(TraceBinary, BytesPastTheDeclaredRecordsStrictRejectsLenientKeeps) {
+  const std::string whole = temp_path("whole.bin");
+  const std::string longer = temp_path("longer.bin");
+  const Trace original = make_trace(4, 100);
+  SaveOptions save;
+  save.format = TraceFormat::kBinary;
+  save_trace(whole, original, save);
+  // A checksummed body with 7 bytes no declared record covers: the crc
+  // passes, so only the structural length check can object.
+  const std::string content = slurp(whole);
+  const std::string body = content.substr(content.find('\n') + 1);
+  util::write_versioned_artifact(longer, "trace", kTraceVersion,
+                                 body + "garbage");
+  const std::string message =
+      expect_error([&] { load_trace(longer); }, ErrorCode::kCorruptArtifact);
+  EXPECT_NE(message.find("expected " + std::to_string(body.size())),
+            std::string::npos)
+      << message;
+
+  // Lenient reads every declared record and ignores the surplus.
+  util::LoadPolicy lenient;
+  lenient.mode = util::LoadMode::kLenient;
+  util::LoadStats stats;
+  EXPECT_TRUE(traces_equal(original, load_trace(longer, lenient, &stats)));
+  EXPECT_EQ(stats.records_seen, 104u);
+  EXPECT_EQ(stats.records_ok, 104u);
+  EXPECT_TRUE(stats.checksum_ok);
+}
+
+TEST(TraceBinary, BitFlippedBodyStrictRejectsLenientStable) {
+  const std::string path = temp_path("bitflip.bin");
+  SaveOptions save;
+  save.format = TraceFormat::kBinary;
+  save_trace(path, make_trace(8, 200), save);
+  std::string content = slurp(path);
+  content[content.size() / 2] =
+      static_cast<char>(content[content.size() / 2] ^ 0x04);
+  util::atomic_write_file(path, content);
+
+  expect_error([&] { load_trace(path); }, ErrorCode::kCorruptArtifact);
+
+  // Lenient tolerates the bad checksum and salvages per record; the damage
+  // hits at most one record, and two loads agree exactly.
+  util::LoadPolicy lenient;
+  lenient.mode = util::LoadMode::kLenient;
+  util::LoadStats first;
+  util::LoadStats second;
+  const Trace a = load_trace(path, lenient, &first);
+  const Trace b = load_trace(path, lenient, &second);
+  EXPECT_TRUE(traces_equal(a, b));
+  EXPECT_EQ(first.records_seen, 208u);
+  EXPECT_EQ(first.records_seen, second.records_seen);
+  EXPECT_EQ(first.records_quarantined, second.records_quarantined);
+  EXPECT_LE(first.records_quarantined, 1u);
+  EXPECT_FALSE(first.checksum_ok);
+}
+
+TEST(TraceBinary, MissingFileIsNotFoundInBothModes) {
+  const std::string path = temp_path("absent.bin");
+  std::remove(path.c_str());
+  const std::string message =
+      expect_error([&] { load_trace(path); }, ErrorCode::kNotFound);
+  EXPECT_NE(message.find(path), std::string::npos) << message;
+  // Lenient salvages records, never a missing file.
+  util::LoadPolicy lenient;
+  lenient.mode = util::LoadMode::kLenient;
+  expect_error([&] { load_trace(path, lenient); }, ErrorCode::kNotFound);
+}
+
+TEST(TraceBinary, SavesAreByteIdenticalAndReloadsResaveExactly) {
+  const Trace original = make_trace(17, 503);
+  for (const TraceFormat format : {TraceFormat::kCsv, TraceFormat::kBinary}) {
+    SCOPED_TRACE(trace_format_name(format));
+    const std::string first = temp_path("det_first");
+    const std::string second = temp_path("det_second");
+    const std::string resaved = temp_path("det_resaved");
+    SaveOptions save;
+    save.format = format;
+    save_trace(first, original, save);
+    save_trace(second, original, save);
+    EXPECT_EQ(slurp(first), slurp(second));
+    // A loaded trace is a fixed point of the writer.
+    save_trace(resaved, load_trace(first), save);
+    EXPECT_EQ(slurp(first), slurp(resaved));
+  }
+}
+
+TEST(TraceBinary, ArtifactOfAnotherKindIsAParseErrorInBothModes) {
+  // Checksums pass, but the bytes are not a trace: neither mode may read
+  // them as one.
+  util::LoadPolicy lenient;
+  lenient.mode = util::LoadMode::kLenient;
+  for (const char* kind : {"trace-index", "model"}) {
+    SCOPED_TRACE(kind);
+    const std::string path = temp_path("other_kind");
+    util::write_versioned_artifact(path, kind, 1, "format,binary\n");
+    const std::string expected = std::string("artifact kind is '") + kind +
+                                 "', expected 'trace'";
+    const std::string strict =
+        expect_error([&] { load_trace(path); }, ErrorCode::kParse);
+    EXPECT_NE(strict.find(expected), std::string::npos) << strict;
+    const std::string salvaged =
+        expect_error([&] { load_trace(path, lenient); }, ErrorCode::kParse);
+    EXPECT_NE(salvaged.find(expected), std::string::npos) << salvaged;
   }
 }
 

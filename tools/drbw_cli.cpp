@@ -5,7 +5,7 @@
 //   analyze   offline verdicts, Contribution Fractions and advice for a trace
 //   explain   per-window decision paths, confidence and feature attribution
 //   serve     replay a trace through the online serving loop
-//   convert   re-encode a trace artifact (csv <-> binary, shard or unshard)
+//   convert   re-encode a trace artifact (csv <-> binary)
 //   inspect   pretty-print a trained model (Fig. 3 style)
 //   topology  describe a simulated machine
 //   stats     render an ASCII timeline from a --trace-out file or snapshot
@@ -109,17 +109,16 @@ struct RunSession {
                       "otherwise Prometheus text format)",
                       "");
     parser.add_option("timing",
-                      "sim | wall: span-duration clock for --trace-out "
-                      "(wall marks the trace non-golden)",
+                      "sim | wall: span clock for --trace-out and the run "
+                      "dir's spans (wall marks them non-golden)",
                       "sim");
     parser.add_option(
         "inject-faults",
         "deterministic fault spec: seed=N,site:kind:rate,... (sites: "
-        "pebs.sample, engine.epoch, trace.read, trace.write, "
-        "trace.shard.read, trace.shard.write, model.write, model.drift, "
-        "artifact.write, diagnose.cf, report.render, serve.ingest, "
-        "serve.session, serve.window, serve.classify; kinds: drop, corrupt, "
-        "truncate, malform, short-write, fail)",
+        "pebs.sample, engine.epoch, trace.read, trace.write, model.write, "
+        "model.drift, artifact.write, diagnose.cf, report.render, "
+        "serve.ingest, serve.session, serve.window, serve.classify; kinds: "
+        "drop, corrupt, truncate, malform, short-write, fail)",
         "");
     parser.add_option("run-dir",
                       "directory for the run manifest (run.json) and flight "
@@ -187,14 +186,18 @@ struct RunSession {
     std::error_code ec;
     std::filesystem::create_directories(run_dir_, ec);  // best-effort
 
-    const bool tracing = !parser_.option("trace-out").empty();
-    if (tracing) obs::Trace::instance().enable(mode);
+    // The span clock follows --timing whether or not --trace-out is set, so
+    // the flight recorder's span ts and dur share one clock too.
+    obs::Trace::instance().set_mode(mode);
+    if (!parser_.option("trace-out").empty()) {
+      obs::Trace::instance().enable(mode);
+    }
     obs::FlightRecorder::instance().enable(kFlightCapacity);
 
     manifest_.timing = timing;
-    // Span durations are golden (sim-cycle / seq based) unless the trace
-    // sink is in wall mode — then Span reports wall micros (see obs::Span).
-    manifest_.spans_golden = !(tracing && mode == obs::TimingMode::kWall);
+    // Span durations are golden (seq based) unless --timing wall makes
+    // every Span report wall micros (see obs::Span).
+    manifest_.spans_golden = mode != obs::TimingMode::kWall;
     begun_ = true;
   }
 
@@ -433,12 +436,9 @@ struct TraceInput {
 /// The input stage analyze, explain and serve share.  Fails fast on missing
 /// inputs (exit 66 with a sibling hint) before any model training or trace
 /// parsing; --model is checked too when `require_model` (serve degrades
-/// instead).  A sharded trace is many artifacts: the manifest lists the
-/// index first and then every shard, each content-identified, so provenance
-/// covers the whole set (index-ordered, hence golden).  load_trace fills
-/// the stats incrementally, so they reach the manifest even when the load
-/// escalates — the quarantine tally at the moment of failure is exactly
-/// what `drbw doctor` needs.  A sample whose cpu `machine` lacks (a trace
+/// instead).  load_trace fills the stats incrementally, so they reach the
+/// manifest even when the load escalates — the quarantine tally at the
+/// moment of failure is exactly what `drbw doctor` needs.  A sample whose cpu `machine` lacks (a trace
 /// from a bigger machine) fails the load as a corrupt artifact (68) in
 /// either load mode, before any stage indexes a per-cpu table with it.
 TraceInput load_trace_input(const ArgParser& parser, RunSession& session,
@@ -451,14 +451,9 @@ TraceInput load_trace_input(const ArgParser& parser, RunSession& session,
   if (require_model && !parser.option("model").empty()) {
     util::require_input_file(parser.option("model"), "model file");
   }
-  const std::vector<std::string> trace_files = pebs::trace_artifact_paths(path);
-  session.note_input("trace-in", trace_files.front());
-  for (std::size_t i = 1; i < trace_files.size(); ++i) {
-    session.note_input("trace-shard-in", trace_files[i]);
-  }
+  session.note_input("trace-in", path);
   pebs::LoadOptions load;
   load.policy = input.policy;
-  load.jobs = jobs_option(parser);
   load.max_version = max_version;
   try {
     input.trace = pebs::load_trace(path, load, &input.stats);
@@ -545,14 +540,6 @@ int cmd_record(int argc, char** argv) {
                     "trace body encoding: csv (v2, greppable) | binary "
                     "(v3, 10-100x faster to load)",
                     "csv");
-  parser.add_option("shards",
-                    "split the trace into N artifacts behind a shard-set "
-                    "index at --out (1 = single file)",
-                    "1");
-  parser.add_option("jobs",
-                    "parallel shard writers (0 = one per hardware thread); "
-                    "the written set is identical at any value",
-                    "1");
   RunSession::add_options(parser);
   if (!parser.parse(argc, argv)) return 0;
   RunSession session("record", parser);
@@ -582,24 +569,14 @@ int cmd_record(int argc, char** argv) {
     session.stage("persist");
     pebs::SaveOptions save;
     save.format = pebs::trace_format_from_name(parser.option("format"));
-    save.shards = static_cast<std::size_t>(
-        parser.option_int("shards", 1, pebs::kMaxTraceShards));
-    save.jobs = jobs_option(parser);
-    const std::vector<std::string> written = pebs::save_trace(
-        parser.option("out"), {run.alloc_events, run.samples}, save);
-    session.note_output("trace-out", written.front());
-    for (std::size_t i = 1; i < written.size(); ++i) {
-      session.note_output("trace-shard-out", written[i]);
-    }
+    pebs::save_trace(parser.option("out"), {run.alloc_events, run.samples},
+                     save);
+    session.note_output("trace-out", parser.option("out"));
     std::cout << "recorded " << run.samples.size() << " samples over "
               << format_count(run.total_accesses) << " accesses ("
               << format_fixed(run.seconds(machine) * 1e3, 2)
               << " ms simulated) -> " << parser.option("out") << " ("
-              << parser.option("format");
-    if (written.size() > 1) {
-      std::cout << ", " << written.size() - 1 << " shards";
-    }
-    std::cout << ")\n";
+              << parser.option("format") << ")\n";
     return 0;
   });
 }
@@ -612,9 +589,8 @@ int cmd_analyze(int argc, char** argv) {
   parser.add_option("report", "also write a Markdown report here", "");
   add_load_options(parser);
   parser.add_option("jobs",
-                    "parallel shard readers for sharded traces (0 = one per "
-                    "hardware thread); the merged trace is identical at any "
-                    "value",
+                    "recorded in run.json's context only: analyze runs "
+                    "serially, and its output is identical at any value",
                     "1");
   parser.add_option("expect-trace-version",
                     "reject trace artifacts newer than vN with the "
@@ -1280,43 +1256,23 @@ int cmd_stats(int argc, char** argv) {
 
 int cmd_convert(int argc, char** argv) {
   ArgParser parser("drbw convert",
-                   "Re-encode a trace artifact (csv <-> binary, shard or "
-                   "unshard)");
+                   "Re-encode a trace artifact (csv <-> binary)");
   parser.add_option("in", "trace to convert (any supported version)",
                     "drbw_trace.csv");
   parser.add_option("out", "converted trace output path", "drbw_trace.bin");
   parser.add_option("format", "output body encoding: csv | binary", "binary");
-  parser.add_option("shards",
-                    "split the output into N artifacts behind a shard-set "
-                    "index at --out (1 = single file)",
-                    "1");
-  parser.add_option("jobs",
-                    "parallel shard readers/writers (0 = one per hardware "
-                    "thread)",
-                    "1");
   add_load_options(parser);
   if (!parser.parse(argc, argv)) return 0;
-  pebs::LoadOptions load;
-  load.policy = load_policy(parser);
-  load.jobs = jobs_option(parser);
   pebs::SaveOptions save;
   save.format = pebs::trace_format_from_name(parser.option("format"));
-  save.shards = static_cast<std::size_t>(
-      parser.option_int("shards", 1, pebs::kMaxTraceShards));
-  save.jobs = load.jobs;
   util::require_input_file(parser.option("in"), "trace file");
   util::LoadStats stats;
   const pebs::Trace trace =
-      pebs::load_trace(parser.option("in"), load, &stats);
-  const std::vector<std::string> written =
-      pebs::save_trace(parser.option("out"), trace, save);
+      pebs::load_trace(parser.option("in"), load_policy(parser), &stats);
+  pebs::save_trace(parser.option("out"), trace, save);
   std::cout << "converted " << trace.samples.size() << " samples, "
             << trace.events.size() << " allocation events -> "
-            << parser.option("out") << " (" << parser.option("format");
-  if (written.size() > 1) {
-    std::cout << ", " << written.size() - 1 << " shards";
-  }
-  std::cout << ")";
+            << parser.option("out") << " (" << parser.option("format") << ")";
   if (stats.records_quarantined > 0 || !stats.checksum_ok) {
     std::cout << " [" << stats.records_quarantined << " of "
               << stats.records_seen << " input records quarantined"
