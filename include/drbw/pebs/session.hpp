@@ -6,10 +6,10 @@
 // as N independent sample streams: every sample is assigned to the client
 // `tid % clients` (threads of one recorded run become the "users" of the
 // online service), and each client's stream keeps the trace's simulated
-// cycle order.  The slicer also stamps every sample with its *global*
-// ordinal in the trace — the content-derived key the serve layer feeds the
-// deterministic fault injector, so injected ingest faults hit the same
-// samples at any --jobs value and any client count.
+// cycle order.  A stream holds no samples, only their *global* ordinals:
+// uint32 indices into the trace, which serve carries through its queues and
+// windows and which key the deterministic fault injector, so injected
+// ingest faults hit the same samples at any --jobs value and client count.
 #pragma once
 
 #include <cstdint>
@@ -21,26 +21,32 @@
 
 namespace drbw::pebs {
 
-/// One sample of a client's replay stream.
-struct SessionSample {
-  MemorySample sample;
-  /// Index of the sample in the source trace (0-based) — the deterministic
-  /// fault-injection key for per-sample serve sites.
-  std::uint64_t ordinal = 0;
-};
+/// Most samples a trace may hold to be sliced: an ordinal is 32 bits (the
+/// same bound as core::kMaxProfileSamples).
+inline constexpr std::uint64_t kMaxSessionSamples = 0xffffffffu;
 
-/// One simulated client's replay stream, in trace (cycle) order.
+/// One simulated client's replay stream: the trace ordinals of its samples,
+/// ascending (so in trace order).
 struct ClientSession {
   std::uint32_t client = 0;
-  std::vector<SessionSample> samples;
+  std::vector<std::uint32_t> ordinals;
 };
 
-/// Slices `trace` into `clients` sessions (client = tid % clients).  Always
-/// returns exactly `clients` entries, possibly with empty streams; throws
-/// Error(kUsage) when clients == 0.  Slicing is a pure function of the
-/// trace, so sessions are identical across runs and job counts.
-std::vector<ClientSession> slice_sessions(const Trace& trace,
-                                          std::uint32_t clients);
+/// A trace sliced for replay.
+struct Sessions {
+  /// Exactly `clients` entries (client c at index c), possibly empty.
+  std::vector<ClientSession> clients;
+  /// trace_cycle_span of the trace, taken in the slicing pass.
+  std::uint64_t cycle_span = 0;
+};
+
+/// Slices `trace` into `clients` sessions (client = tid % clients): one
+/// counting pass, then one exact-size ordinal vector per client.  Throws
+/// Error(kUsage) when clients == 0 and Error(kCorruptArtifact) when the
+/// trace holds more than kMaxSessionSamples samples.  Slicing is a pure
+/// function of the trace, so sessions are identical across runs and job
+/// counts.
+Sessions slice_sessions(const Trace& trace, std::uint32_t clients);
 
 /// Throws Error(kCorruptArtifact) at the first sample whose cpu is not a
 /// hardware thread of a `num_cpus`-thread machine (a trace recorded on a

@@ -14,19 +14,21 @@
 //                 (the client sees the failure immediately; newest data is
 //                 lost under pressure).
 //
-// push() is mutex-guarded (MPSC-safe), but every counter is a plain tally
-// under the same mutex: the deterministic serve loop admits serially, in
-// client/ordinal order, so all counts are pure functions of the stream.
+// A queue holds trace ordinals (pebs/session.hpp), never sample copies, in
+// an OrdinalRing that grows on demand: its memory follows the most samples
+// it has held, so a huge --queue-depth costs nothing until traffic fills it.
+//
+// Serial only: no member is synchronized.  The serve loop admits into and
+// drains every queue from its one loop thread, in client/ordinal order, and
+// its parallel classify fan-out never touches a queue, so every counter is
+// a pure function of the stream.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
 #include <vector>
-
-#include "drbw/pebs/session.hpp"
 
 namespace drbw::serve {
 
@@ -52,33 +54,72 @@ enum class AdmitResult {
 
 const char* admit_result_name(AdmitResult result);
 
+/// FIFO of trace ordinals in a power-of-two ring.  The ring starts empty
+/// and doubles (from 16 slots) when a push finds it full, so it holds at
+/// most max(16, 2 x high-water size) slots.  pop_front() needs size() > 0.
+class OrdinalRing {
+ public:
+  std::size_t size() const { return size_; }
+
+  void push_back(std::uint32_t ordinal) {
+    if (size_ == slots_.size()) grow();
+    slots_[(head_ + size_) & (slots_.size() - 1)] = ordinal;
+    ++size_;
+  }
+
+  std::uint32_t pop_front() {
+    const std::uint32_t ordinal = slots_[head_];
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --size_;
+    return ordinal;
+  }
+
+  /// Empties the ring (its slots stay allocated).
+  void clear() {
+    head_ = 0;
+    size_ = 0;
+  }
+
+ private:
+  void grow();
+
+  std::vector<std::uint32_t> slots_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
+
 /// One client's bounded ingest queue.
 class BoundedQueue {
  public:
   BoundedQueue(std::size_t depth, OverloadPolicy policy);
 
-  /// Offers one sample under the overload policy (see file comment).
-  AdmitResult push(const pebs::SessionSample& sample);
+  /// Offers one trace ordinal under the overload policy (see file comment).
+  AdmitResult push(std::uint32_t ordinal);
 
-  /// Pops up to `max` samples, oldest first.
-  std::vector<pebs::SessionSample> drain(std::size_t max);
+  /// Pops up to `max` ordinals, oldest first, handing each to `sink` in
+  /// turn; returns how many it popped.
+  template <typename Sink>
+  std::size_t drain(std::size_t max, Sink&& sink) {
+    const std::size_t n = std::min(max, ring_.size());
+    for (std::size_t i = 0; i < n; ++i) sink(ring_.pop_front());
+    return n;
+  }
 
-  std::size_t size() const;
+  std::size_t size() const { return ring_.size(); }
   std::size_t depth() const { return depth_; }
   OverloadPolicy policy() const { return policy_; }
 
   /// High-water mark of size() since construction.
-  std::size_t peak() const;
-  std::uint64_t admitted() const;
-  std::uint64_t shed() const;
-  std::uint64_t rejected() const;
-  std::uint64_t deferred() const;
+  std::size_t peak() const { return peak_; }
+  std::uint64_t admitted() const { return admitted_; }
+  std::uint64_t shed() const { return shed_; }
+  std::uint64_t rejected() const { return rejected_; }
+  std::uint64_t deferred() const { return deferred_; }
 
  private:
   const std::size_t depth_;
   const OverloadPolicy policy_;
-  mutable std::mutex mutex_;
-  std::deque<pebs::SessionSample> queue_;
+  OrdinalRing ring_;
   std::size_t peak_ = 0;
   std::uint64_t admitted_ = 0;
   std::uint64_t shed_ = 0;

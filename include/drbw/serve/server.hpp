@@ -20,6 +20,12 @@
 //      into indexed slots and applied serially, so results are
 //      byte-identical at any jobs count.
 //
+// Each sample is held once, in the trace: sessions, deferred offers, the
+// queues and the window buffers all carry uint32 trace ordinals, and the
+// window reads trace.samples[ordinal] when it adds or evicts.  Queue and
+// window rings grow with what they hold, never with --queue-depth or
+// --window-capacity.
+//
 // Robustness contract:
 //   * Four fault sites guard the hot path — serve.ingest (per sample,
 //     keyed by trace ordinal), serve.session (per client-window), and

@@ -6,19 +6,32 @@
 
 namespace drbw::pebs {
 
-std::vector<ClientSession> slice_sessions(const Trace& trace,
-                                          std::uint32_t clients) {
+Sessions slice_sessions(const Trace& trace, std::uint32_t clients) {
   if (clients == 0) {
     throw Error("slice_sessions: clients must be >= 1", ErrorCode::kUsage);
   }
-  std::vector<ClientSession> sessions(clients);
-  for (std::uint32_t c = 0; c < clients; ++c) sessions[c].client = c;
-  for (std::size_t i = 0; i < trace.samples.size(); ++i) {
-    const MemorySample& sample = trace.samples[i];
-    ClientSession& session = sessions[sample.tid % clients];
-    session.samples.push_back(SessionSample{sample, i});
+  if (trace.samples.size() > kMaxSessionSamples) {
+    throw Error("cannot replay " + std::to_string(trace.samples.size()) +
+                    " samples: a session indexes at most " +
+                    std::to_string(kMaxSessionSamples),
+                ErrorCode::kCorruptArtifact);
   }
-  return sessions;
+  Sessions out;
+  std::vector<std::size_t> counts(clients, 0);
+  for (const MemorySample& s : trace.samples) {
+    ++counts[s.tid % clients];
+    out.cycle_span = std::max(out.cycle_span, s.cycle);
+  }
+  out.clients.resize(clients);
+  for (std::uint32_t c = 0; c < clients; ++c) {
+    out.clients[c].client = c;
+    out.clients[c].ordinals.reserve(counts[c]);
+  }
+  const auto n = static_cast<std::uint32_t>(trace.samples.size());
+  for (std::uint32_t i = 0; i < n; ++i) {
+    out.clients[trace.samples[i].tid % clients].ordinals.push_back(i);
+  }
+  return out;
 }
 
 void require_known_cpus(const Trace& trace, int num_cpus,

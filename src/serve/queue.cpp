@@ -43,14 +43,23 @@ const char* admit_result_name(AdmitResult result) {
   return "?";
 }
 
+void OrdinalRing::grow() {
+  std::vector<std::uint32_t> slots(
+      std::max<std::size_t>(16, 2 * slots_.size()));
+  for (std::size_t i = 0; i < size_; ++i) {
+    slots[i] = slots_[(head_ + i) & (slots_.size() - 1)];
+  }
+  slots_.swap(slots);
+  head_ = 0;
+}
+
 BoundedQueue::BoundedQueue(std::size_t depth, OverloadPolicy policy)
     : depth_(std::max<std::size_t>(1, depth)), policy_(policy) {}
 
-AdmitResult BoundedQueue::push(const pebs::SessionSample& sample) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (queue_.size() < depth_) {
-    queue_.push_back(sample);
-    peak_ = std::max(peak_, queue_.size());
+AdmitResult BoundedQueue::push(std::uint32_t ordinal) {
+  if (ring_.size() < depth_) {
+    ring_.push_back(ordinal);
+    peak_ = std::max(peak_, ring_.size());
     ++admitted_;
     return AdmitResult::kAdmitted;
   }
@@ -59,8 +68,8 @@ AdmitResult BoundedQueue::push(const pebs::SessionSample& sample) {
       ++deferred_;
       return AdmitResult::kDeferred;
     case OverloadPolicy::kShedOldest:
-      queue_.pop_front();
-      queue_.push_back(sample);
+      ring_.pop_front();
+      ring_.push_back(ordinal);
       ++admitted_;
       ++shed_;
       return AdmitResult::kShed;
@@ -70,48 +79,6 @@ AdmitResult BoundedQueue::push(const pebs::SessionSample& sample) {
   }
   ++rejected_;
   return AdmitResult::kRejected;
-}
-
-std::vector<pebs::SessionSample> BoundedQueue::drain(std::size_t max) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t n = std::min(max, queue_.size());
-  std::vector<pebs::SessionSample> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(queue_.front());
-    queue_.pop_front();
-  }
-  return out;
-}
-
-std::size_t BoundedQueue::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
-}
-
-std::size_t BoundedQueue::peak() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return peak_;
-}
-
-std::uint64_t BoundedQueue::admitted() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return admitted_;
-}
-
-std::uint64_t BoundedQueue::shed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return shed_;
-}
-
-std::uint64_t BoundedQueue::rejected() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return rejected_;
-}
-
-std::uint64_t BoundedQueue::deferred() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return deferred_;
 }
 
 }  // namespace drbw::serve

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <sstream>
 
 #include "drbw/core/profiler.hpp"
@@ -23,7 +22,8 @@ namespace {
 /// One deterministic retry loop: `draw(attempt)` returns true when the
 /// injected fault fires for that attempt.  Success on any attempt makes the
 /// operation ok; every extra attempt costs an exponentially growing
-/// simulated-cycle backoff penalty.
+/// simulated-cycle backoff penalty.  With no plan armed nothing can fire,
+/// so the loop succeeds without drawing.
 struct RetryOutcome {
   bool ok = false;
   std::uint64_t retries = 0;
@@ -31,11 +31,11 @@ struct RetryOutcome {
 };
 
 template <typename Draw>
-RetryOutcome attempt_with_backoff(int max_retries, std::uint64_t backoff_base,
-                                  Draw&& draw) {
+RetryOutcome attempt_with_backoff(bool armed, int max_retries,
+                                  std::uint64_t backoff_base, Draw&& draw) {
   RetryOutcome out;
   for (int attempt = 0; attempt <= max_retries; ++attempt) {
-    if (!draw(static_cast<std::uint64_t>(attempt))) {
+    if (!armed || !draw(static_cast<std::uint64_t>(attempt))) {
       out.ok = true;
       return out;
     }
@@ -49,15 +49,19 @@ RetryOutcome attempt_with_backoff(int max_retries, std::uint64_t backoff_base,
 
 /// Mutable per-client replay state around the public ClientStats.
 struct ClientState {
-  ClientState(const topology::Machine& machine, core::PageLocator& locator)
-      : window(machine, locator) {}
+  ClientState(const topology::Machine& machine, core::PageLocator& locator,
+              std::size_t queue_depth, OverloadPolicy overload)
+      : queue(queue_depth, overload), window(machine, locator) {}
 
   ClientStats stats;
-  std::size_t cursor = 0;  ///< next unconsumed session sample
-  std::vector<pebs::SessionSample> deferred;  ///< pushed back under block
-  /// Sliding classify window: `buffer` holds its samples oldest first and
-  /// `window` their running channel features (add on push, evict on pop).
-  std::deque<pebs::MemorySample> buffer;
+  BoundedQueue queue;
+  std::size_t cursor = 0;  ///< next unconsumed session ordinal
+  std::vector<std::uint32_t> deferred;  ///< pushed back under block
+  std::vector<std::uint32_t> offers;    ///< this tick's admission batch
+  /// Sliding classify window: `buffer` holds its samples' trace ordinals
+  /// oldest first and `window` their running channel features (add on
+  /// push, evict on pop).
+  OrdinalRing buffer;
   features::ChannelWindow window;
   std::uint64_t window_updates = 0;  ///< window adds + evicts
   int consecutive_faults = 0;
@@ -195,26 +199,29 @@ ServeResult Server::run(const pebs::Trace& trace) {
   const std::size_t drain_n =
       options_.drain_per_tick == 0 ? queue_depth : options_.drain_per_tick;
   const int breaker = std::max(1, options_.breaker_threshold);
-  const std::uint64_t span = pebs::trace_cycle_span(trace);
+  const pebs::Sessions sessions = pebs::slice_sessions(trace, clients);
+  const std::uint64_t span = sessions.cycle_span;
   const std::uint64_t window = options_.window_cycles == 0
                                    ? pebs::cycle_window_width(span, 8)
                                    : options_.window_cycles;
+  // Read once: arm/disarm never race a run, and an unarmed run skips every
+  // fault draw on the per-sample path.
+  const bool armed = fault::armed();
+  const auto retry = [&](const auto& draw) {
+    return attempt_with_backoff(armed, options_.max_retries,
+                                options_.backoff_cycles, draw);
+  };
 
-  const std::vector<pebs::ClientSession> sessions =
-      pebs::slice_sessions(trace, clients);
   core::ReplayLocator locator;
   util::TaskPool pool(options_.jobs);
 
   std::vector<ClientState> states;
   states.reserve(clients);
-  // deque: BoundedQueue is immovable (owns a mutex), and deque constructs
-  // elements in place without relocating the existing ones.
-  std::deque<BoundedQueue> queues;
   for (std::uint32_t c = 0; c < clients; ++c) {
-    states.emplace_back(machine_, locator);
+    states.emplace_back(machine_, locator, queue_depth, options_.overload);
     states[c].stats.client = c;
-    queues.emplace_back(queue_depth, options_.overload);
   }
+  const auto discard = [](std::uint32_t) {};
 
   ServeResult result;
   result.degraded = model_ == nullptr;
@@ -238,11 +245,12 @@ ServeResult Server::run(const pebs::Trace& trace) {
     if (!st.stats.quarantined && st.consecutive_faults >= breaker) {
       st.stats.quarantined = true;
       st.stats.quarantined_tick = tick;
-      st.stats.dropped += queues[c].drain(queue_depth).size();
+      st.stats.dropped += st.queue.drain(queue_depth, discard);
       st.stats.dropped += st.deferred.size();
       st.deferred.clear();
-      st.stats.dropped += sessions[c].samples.size() - st.cursor;
-      st.cursor = sessions[c].samples.size();
+      const std::size_t stream = sessions.clients[c].ordinals.size();
+      st.stats.dropped += stream - st.cursor;
+      st.cursor = stream;
       st.buffer.clear();
       st.window.clear();
     }
@@ -313,8 +321,8 @@ ServeResult Server::run(const pebs::Trace& trace) {
     for (std::uint32_t c = 0; c < clients; ++c) {
       const ClientState& st = states[c];
       if (st.stats.quarantined) continue;
-      if (st.cursor < sessions[c].samples.size() || !st.deferred.empty() ||
-          queues[c].size() > 0) {
+      if (st.cursor < sessions.clients[c].ordinals.size() ||
+          !st.deferred.empty() || st.queue.size() > 0) {
         pending = true;
         break;
       }
@@ -329,11 +337,12 @@ ServeResult Server::run(const pebs::Trace& trace) {
       for (std::uint32_t c = 0; c < clients; ++c) {
         ClientState& st = states[c];
         if (st.stats.quarantined) continue;
-        st.stats.dropped += queues[c].drain(queue_depth).size();
+        st.stats.dropped += st.queue.drain(queue_depth, discard);
         st.stats.dropped += st.deferred.size();
         st.deferred.clear();
-        st.stats.dropped += sessions[c].samples.size() - st.cursor;
-        st.cursor = sessions[c].samples.size();
+        const std::size_t stream = sessions.clients[c].ordinals.size();
+        st.stats.dropped += stream - st.cursor;
+        st.cursor = stream;
       }
       break;
     }
@@ -346,20 +355,20 @@ ServeResult Server::run(const pebs::Trace& trace) {
     for (std::uint32_t c = 0; c < clients; ++c) {
       ClientState& st = states[c];
       if (st.stats.quarantined) continue;
-      const std::vector<pebs::SessionSample>& stream = sessions[c].samples;
-      const bool has_arrival =
-          st.cursor < stream.size() && stream[st.cursor].sample.cycle < window_end;
-      if (!has_arrival && st.deferred.empty()) continue;
+      const std::vector<std::uint32_t>& stream = sessions.clients[c].ordinals;
+      const auto arrives = [&] {
+        return st.cursor < stream.size() &&
+               trace.samples[stream[st.cursor]].cycle < window_end;
+      };
+      if (!arrives() && st.deferred.empty()) continue;
 
       // Session-level gate: one retryable draw per client-window.
       const std::uint64_t session_key =
           tick * static_cast<std::uint64_t>(clients) + c;
-      const RetryOutcome session = attempt_with_backoff(
-          options_.max_retries, options_.backoff_cycles,
-          [&](std::uint64_t attempt) {
-            return fault::should_inject("serve.session", fault::Kind::kFail,
-                                        session_key * 16 + attempt);
-          });
+      const RetryOutcome session = retry([&](std::uint64_t attempt) {
+        return fault::should_inject("serve.session", fault::Kind::kFail,
+                                    session_key * 16 + attempt);
+      });
       st.stats.retries += session.retries;
       st.stats.backoff_cycles += session.backoff_cycles;
       if (!session.ok) {
@@ -370,30 +379,26 @@ ServeResult Server::run(const pebs::Trace& trace) {
       }
       st.consecutive_faults = 0;
 
-      std::vector<pebs::SessionSample> offers;
-      offers.swap(st.deferred);
-      while (st.cursor < stream.size() &&
-             stream[st.cursor].sample.cycle < window_end) {
-        offers.push_back(stream[st.cursor]);
-        ++st.cursor;
-      }
-      for (const pebs::SessionSample& sample : offers) {
+      // Last tick's push-backs go first, then this window's arrivals; both
+      // buffers keep their capacity across ticks.
+      st.offers.swap(st.deferred);
+      st.deferred.clear();
+      for (; arrives(); ++st.cursor) st.offers.push_back(stream[st.cursor]);
+      for (const std::uint32_t ordinal : st.offers) {
         if (st.stats.quarantined) {
           ++st.stats.dropped;
           continue;
         }
         ++st.stats.offered;
-        if (fault::should_inject("serve.ingest", fault::Kind::kDropSample,
-                                 sample.ordinal)) {
+        if (armed && fault::should_inject("serve.ingest",
+                                          fault::Kind::kDropSample, ordinal)) {
           ++st.stats.dropped;
           continue;
         }
-        const RetryOutcome ingest = attempt_with_backoff(
-            options_.max_retries, options_.backoff_cycles,
-            [&](std::uint64_t attempt) {
-              return fault::should_inject("serve.ingest", fault::Kind::kFail,
-                                          sample.ordinal * 16 + attempt);
-            });
+        const RetryOutcome ingest = retry([&](std::uint64_t attempt) {
+          return fault::should_inject("serve.ingest", fault::Kind::kFail,
+                                      std::uint64_t{ordinal} * 16 + attempt);
+        });
         st.stats.retries += ingest.retries;
         st.stats.backoff_cycles += ingest.backoff_cycles;
         if (!ingest.ok) {
@@ -401,13 +406,13 @@ ServeResult Server::run(const pebs::Trace& trace) {
           record_fault(c, tick);
           continue;
         }
-        switch (queues[c].push(sample)) {
+        switch (st.queue.push(ordinal)) {
           case AdmitResult::kAdmitted:
           case AdmitResult::kShed:
             st.consecutive_faults = 0;
             break;
           case AdmitResult::kDeferred:
-            st.deferred.push_back(sample);
+            st.deferred.push_back(ordinal);
             break;
           case AdmitResult::kRejected:
             break;
@@ -420,19 +425,19 @@ ServeResult Server::run(const pebs::Trace& trace) {
     for (std::uint32_t c = 0; c < clients; ++c) {
       ClientState& st = states[c];
       if (st.stats.quarantined) continue;
-      const std::vector<pebs::SessionSample> batch = queues[c].drain(drain_n);
-      if (batch.empty()) continue;
-      for (const pebs::SessionSample& s : batch) {
-        st.buffer.push_back(s.sample);
-        st.window.add(s.sample);
-        ++st.window_updates;
-        if (st.buffer.size() > options_.window_capacity) {
-          st.window.evict(st.buffer.front());
-          st.buffer.pop_front();
-          ++st.window_updates;
-        }
-      }
-      if (model_ != nullptr) slots[c].candidate = true;
+      // Add before evict, the order the window has always used: outside
+      // ChannelWindow's exactness bound the order can move feature bits.
+      const std::size_t drained =
+          st.queue.drain(drain_n, [&](std::uint32_t ordinal) {
+            st.buffer.push_back(ordinal);
+            st.window.add(trace.samples[ordinal]);
+            ++st.window_updates;
+            if (st.buffer.size() > options_.window_capacity) {
+              st.window.evict(trace.samples[st.buffer.pop_front()]);
+              ++st.window_updates;
+            }
+          });
+      if (drained > 0 && model_ != nullptr) slots[c].candidate = true;
     }
 
     // -- classify (indexed fan-out; applied serially below) ----------------
@@ -441,12 +446,10 @@ ServeResult Server::run(const pebs::Trace& trace) {
       if (!slot.candidate) return;
       const std::uint64_t key =
           tick * static_cast<std::uint64_t>(clients) + i;
-      const RetryOutcome featurize = attempt_with_backoff(
-          options_.max_retries, options_.backoff_cycles,
-          [&](std::uint64_t attempt) {
-            return fault::should_inject("serve.window", fault::Kind::kFail,
-                                        key * 16 + attempt);
-          });
+      const RetryOutcome featurize = retry([&](std::uint64_t attempt) {
+        return fault::should_inject("serve.window", fault::Kind::kFail,
+                                    key * 16 + attempt);
+      });
       slot.retries += featurize.retries;
       slot.backoff_cycles += featurize.backoff_cycles;
       if (!featurize.ok) {
@@ -458,12 +461,10 @@ ServeResult Server::run(const pebs::Trace& trace) {
         if (options_.sparse_guard.sparse(ch.features)) continue;
         rows.push_back(ch.features.as_row());
       }
-      const RetryOutcome classify = attempt_with_backoff(
-          options_.max_retries, options_.backoff_cycles,
-          [&](std::uint64_t attempt) {
-            return fault::should_inject("serve.classify", fault::Kind::kFail,
-                                        key * 16 + attempt);
-          });
+      const RetryOutcome classify = retry([&](std::uint64_t attempt) {
+        return fault::should_inject("serve.classify", fault::Kind::kFail,
+                                    key * 16 + attempt);
+      });
       slot.retries += classify.retries;
       slot.backoff_cycles += classify.backoff_cycles;
       if (!classify.ok) {
@@ -537,7 +538,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
         (tick + 1) % options_.snapshot_every == 0) {
       ServeResult partial = result;
       for (std::uint32_t c = 0; c < clients; ++c) {
-        states[c].stats.peak_depth = queues[c].peak();
+        states[c].stats.peak_depth = states[c].queue.peak();
         partial.clients.push_back(states[c].stats);
       }
       fill_model_health(partial);
@@ -551,13 +552,14 @@ ServeResult Server::run(const pebs::Trace& trace) {
   }
 
   // -- final accounting ----------------------------------------------------
-  for (std::uint32_t c = 0; c < clients; ++c) {
-    ClientStats& st = states[c].stats;
-    st.admitted = queues[c].admitted();
-    st.shed = queues[c].shed();
-    st.rejected = queues[c].rejected();
-    st.deferred = queues[c].deferred();
-    st.peak_depth = queues[c].peak();
+  for (ClientState& state : states) {
+    const BoundedQueue& queue = state.queue;
+    ClientStats& st = state.stats;
+    st.admitted = queue.admitted();
+    st.shed = queue.shed();
+    st.rejected = queue.rejected();
+    st.deferred = queue.deferred();
+    st.peak_depth = queue.peak();
     result.samples_admitted += st.admitted;
     result.samples_shed += st.shed;
     result.samples_rejected += st.rejected;

@@ -36,6 +36,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -45,11 +46,13 @@
 
 #include "drbw/fault/injector.hpp"
 #include "drbw/features/selected.hpp"
+#include "drbw/features/window.hpp"
 #include "drbw/ml/dataset.hpp"
 #include "drbw/ml/decision_tree.hpp"
 #include "drbw/obs/metrics.hpp"
 #include "drbw/obs/trace.hpp"
 #include "drbw/pebs/session.hpp"
+#include "drbw/pebs/trace_io.hpp"
 #include "drbw/report/fleet.hpp"
 #include "drbw/report/postmortem.hpp"
 #include "drbw/serve/queue.hpp"
@@ -57,6 +60,8 @@
 #include "drbw/topology/machine.hpp"
 #include "drbw/util/artifact.hpp"
 #include "drbw/util/error.hpp"
+#include "drbw/util/rng.hpp"
+#include "drbw/util/stats.hpp"
 
 namespace drbw {
 namespace {
@@ -101,9 +106,9 @@ struct ArmGuard {
   ArmGuard& operator=(const ArmGuard&) = delete;
 };
 
-int run_cli(const std::string& args) {
-  const std::string cmd =
-      std::string(DRBW_CLI_PATH) + " " + args + " >/dev/null 2>&1";
+int run_cli(const std::string& args, const std::string& shell_prefix = "") {
+  const std::string cmd = shell_prefix + std::string(DRBW_CLI_PATH) + " " +
+                          args + " >/dev/null 2>&1";
   const int rc = std::system(cmd.c_str());
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
@@ -167,11 +172,12 @@ pebs::Trace mixed_trace(const Machine& machine, std::size_t n) {
   return trace;
 }
 
-pebs::SessionSample sample_with_ordinal(std::uint64_t ordinal) {
-  pebs::SessionSample s;
-  s.sample.cycle = 100 + ordinal;
-  s.ordinal = ordinal;
-  return s;
+/// Pops up to `max` ordinals off `q`, oldest first.
+std::vector<std::uint32_t> drain_ordinals(serve::BoundedQueue& q,
+                                          std::size_t max) {
+  std::vector<std::uint32_t> out;
+  q.drain(max, [&](std::uint32_t ordinal) { out.push_back(ordinal); });
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -179,25 +185,30 @@ pebs::SessionSample sample_with_ordinal(std::uint64_t ordinal) {
 // ---------------------------------------------------------------------------
 
 TEST(ServeSessionTest, SlicesByTidAndStampsGlobalOrdinals) {
+  // flat_trace gives sample i tid i % 4, so with 2 clients client c owns
+  // exactly the ordinals c, c + 2, c + 4, ... — ascending, in trace order.
   const pebs::Trace trace = flat_trace(12, 0, pebs::MemLevel::kLocalDram);
-  const std::vector<pebs::ClientSession> sessions =
-      pebs::slice_sessions(trace, 2);
-  ASSERT_EQ(sessions.size(), 2u);
-  std::size_t total = 0;
-  for (const pebs::ClientSession& session : sessions) {
-    std::uint64_t last_cycle = 0;
-    for (const pebs::SessionSample& s : session.samples) {
-      EXPECT_EQ(s.sample.tid % 2, session.client);
-      // The ordinal is the sample's index in the source trace.
-      ASSERT_LT(s.ordinal, trace.samples.size());
-      EXPECT_EQ(trace.samples[s.ordinal].cycle, s.sample.cycle);
-      EXPECT_GE(s.sample.cycle, last_cycle);  // cycle order preserved
-      last_cycle = s.sample.cycle;
+  const pebs::Sessions sessions = pebs::slice_sessions(trace, 2);
+  ASSERT_EQ(sessions.clients.size(), 2u);
+  for (std::uint32_t c = 0; c < 2; ++c) {
+    const pebs::ClientSession& session = sessions.clients[c];
+    EXPECT_EQ(session.client, c);
+    std::vector<std::uint32_t> expected;
+    for (std::uint32_t i = c; i < 12; i += 2) expected.push_back(i);
+    EXPECT_EQ(session.ordinals, expected);
+    for (const std::uint32_t ordinal : session.ordinals) {
+      EXPECT_EQ(trace.samples[ordinal].tid % 2, c);
     }
-    total += session.samples.size();
   }
-  EXPECT_EQ(total, trace.samples.size());
-  EXPECT_EQ(pebs::trace_cycle_span(trace), 111u);
+  // The slicing pass also takes the cycle span the serve loop needs.
+  EXPECT_EQ(sessions.cycle_span, 111u);
+  EXPECT_EQ(sessions.cycle_span, pebs::trace_cycle_span(trace));
+
+  const pebs::Sessions empty = pebs::slice_sessions(pebs::Trace{}, 3);
+  ASSERT_EQ(empty.clients.size(), 3u);
+  EXPECT_EQ(empty.clients[2].client, 2u);
+  EXPECT_TRUE(empty.clients[2].ordinals.empty());
+  EXPECT_EQ(empty.cycle_span, 0u);
   EXPECT_EQ(code_of([&] { (void)pebs::slice_sessions(trace, 0); }),
             ErrorCode::kUsage);
 }
@@ -208,9 +219,9 @@ TEST(ServeSessionTest, SlicesByTidAndStampsGlobalOrdinals) {
 
 TEST(BoundedQueueTest, BlockDefersWhenFull) {
   serve::BoundedQueue q(2, serve::OverloadPolicy::kBlock);
-  EXPECT_EQ(q.push(sample_with_ordinal(0)), serve::AdmitResult::kAdmitted);
-  EXPECT_EQ(q.push(sample_with_ordinal(1)), serve::AdmitResult::kAdmitted);
-  EXPECT_EQ(q.push(sample_with_ordinal(2)), serve::AdmitResult::kDeferred);
+  EXPECT_EQ(q.push(0), serve::AdmitResult::kAdmitted);
+  EXPECT_EQ(q.push(1), serve::AdmitResult::kAdmitted);
+  EXPECT_EQ(q.push(2), serve::AdmitResult::kDeferred);
   EXPECT_EQ(q.size(), 2u);
   EXPECT_EQ(q.admitted(), 2u);
   EXPECT_EQ(q.deferred(), 1u);
@@ -218,28 +229,112 @@ TEST(BoundedQueueTest, BlockDefersWhenFull) {
 
 TEST(BoundedQueueTest, ShedOldestEvictsTheOldestSample) {
   serve::BoundedQueue q(2, serve::OverloadPolicy::kShedOldest);
-  EXPECT_EQ(q.push(sample_with_ordinal(0)), serve::AdmitResult::kAdmitted);
-  EXPECT_EQ(q.push(sample_with_ordinal(1)), serve::AdmitResult::kAdmitted);
-  EXPECT_EQ(q.push(sample_with_ordinal(2)), serve::AdmitResult::kShed);
+  EXPECT_EQ(q.push(0), serve::AdmitResult::kAdmitted);
+  EXPECT_EQ(q.push(1), serve::AdmitResult::kAdmitted);
+  EXPECT_EQ(q.push(2), serve::AdmitResult::kShed);
   EXPECT_EQ(q.admitted(), 3u);
   EXPECT_EQ(q.shed(), 1u);
-  const std::vector<pebs::SessionSample> drained = q.drain(10);
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0].ordinal, 1u);  // ordinal 0 was evicted
-  EXPECT_EQ(drained[1].ordinal, 2u);
+  // Ordinal 0 was evicted.
+  EXPECT_EQ(drain_ordinals(q, 10), (std::vector<std::uint32_t>{1, 2}));
   EXPECT_EQ(q.size(), 0u);
 }
 
 TEST(BoundedQueueTest, RejectRefusesTheIncomingSample) {
   serve::BoundedQueue q(2, serve::OverloadPolicy::kReject);
-  EXPECT_EQ(q.push(sample_with_ordinal(0)), serve::AdmitResult::kAdmitted);
-  EXPECT_EQ(q.push(sample_with_ordinal(1)), serve::AdmitResult::kAdmitted);
-  EXPECT_EQ(q.push(sample_with_ordinal(2)), serve::AdmitResult::kRejected);
+  EXPECT_EQ(q.push(0), serve::AdmitResult::kAdmitted);
+  EXPECT_EQ(q.push(1), serve::AdmitResult::kAdmitted);
+  EXPECT_EQ(q.push(2), serve::AdmitResult::kRejected);
   EXPECT_EQ(q.rejected(), 1u);
   EXPECT_EQ(q.peak(), 2u);
-  const std::vector<pebs::SessionSample> drained = q.drain(10);
-  ASSERT_EQ(drained.size(), 2u);
-  EXPECT_EQ(drained[0].ordinal, 0u);  // newest data was lost, oldest kept
+  // The newest data was lost, the oldest kept.
+  EXPECT_EQ(drain_ordinals(q, 10), (std::vector<std::uint32_t>{0, 1}));
+}
+
+TEST(BoundedQueueTest, RingMatchesADequeModelUnderRandomTraffic) {
+  // Random push/drain traffic against a std::deque reference queue.  Pushes
+  // outnumber drained samples, so every queue keeps overflowing and the
+  // ring's head wraps around its slots many times under shed-oldest.
+  Rng rng(2017);
+  for (std::size_t depth = 1; depth <= 9; ++depth) {
+    for (const serve::OverloadPolicy policy :
+         {serve::OverloadPolicy::kBlock, serve::OverloadPolicy::kShedOldest,
+          serve::OverloadPolicy::kReject}) {
+      SCOPED_TRACE(std::string(serve::overload_policy_name(policy)) +
+                   " depth " + std::to_string(depth));
+      serve::BoundedQueue q(depth, policy);
+      std::deque<std::uint32_t> model;
+      std::uint64_t admitted = 0, shed = 0, rejected = 0, deferred = 0;
+      std::size_t peak = 0;
+      std::uint32_t next = 0;
+      for (int step = 0; step < 2000; ++step) {
+        if (rng.bounded(3) != 0) {
+          const std::uint32_t ordinal = next++;
+          serve::AdmitResult expected = serve::AdmitResult::kAdmitted;
+          if (model.size() < depth) {
+            model.push_back(ordinal);
+            ++admitted;
+            peak = std::max(peak, model.size());
+          } else if (policy == serve::OverloadPolicy::kBlock) {
+            ++deferred;
+            expected = serve::AdmitResult::kDeferred;
+          } else if (policy == serve::OverloadPolicy::kShedOldest) {
+            model.pop_front();
+            model.push_back(ordinal);
+            ++admitted;
+            ++shed;
+            expected = serve::AdmitResult::kShed;
+          } else {
+            ++rejected;
+            expected = serve::AdmitResult::kRejected;
+          }
+          ASSERT_EQ(q.push(ordinal), expected) << "step " << step;
+        } else {
+          const std::size_t max = rng.bounded(depth + 2);
+          std::vector<std::uint32_t> expected;
+          while (expected.size() < max && !model.empty()) {
+            expected.push_back(model.front());
+            model.pop_front();
+          }
+          ASSERT_EQ(drain_ordinals(q, max), expected) << "step " << step;
+        }
+        ASSERT_EQ(q.size(), model.size()) << "step " << step;
+      }
+      EXPECT_EQ(q.admitted(), admitted);
+      EXPECT_EQ(q.shed(), shed);
+      EXPECT_EQ(q.rejected(), rejected);
+      EXPECT_EQ(q.deferred(), deferred);
+      EXPECT_EQ(q.peak(), peak);
+    }
+  }
+}
+
+TEST(OrdinalRingTest, GrowsWhileWrappedAndKeepsFifoOrder) {
+  // Leave the head mid-ring, wrap the tail past the end, then push past
+  // the slot count: growth must keep the order.
+  Rng rng(7);
+  serve::OrdinalRing ring;
+  std::deque<std::uint32_t> model;
+  std::uint32_t next = 0;
+  for (int step = 0; step < 5000; ++step) {
+    // Net growth: the ring passes 16, 32, ... slots with its head anywhere.
+    if (model.empty() || rng.bounded(5) < 3) {
+      ring.push_back(next);
+      model.push_back(next++);
+    } else {
+      ASSERT_EQ(ring.pop_front(), model.front()) << "step " << step;
+      model.pop_front();
+    }
+    ASSERT_EQ(ring.size(), model.size());
+  }
+  ASSERT_GT(model.size(), 64u);
+  while (!model.empty()) {
+    ASSERT_EQ(ring.pop_front(), model.front());
+    model.pop_front();
+  }
+  EXPECT_EQ(ring.size(), 0u);
+  ring.push_back(42);
+  ring.clear();
+  EXPECT_EQ(ring.size(), 0u);
 }
 
 TEST(BoundedQueueTest, PolicyAndAdmitTokensRoundTrip) {
@@ -592,6 +687,39 @@ TEST(ServeWindowTest, WindowUpdatesCountEveryAddAndEvict) {
   }
 }
 
+TEST(ServeWindowTest, ZeroCapacityEvictsEveryDrainedSample) {
+  const Machine machine = Machine::xeon_e5_4650();
+  // Remote traffic, so a one-sample window already yields a contended row.
+  const pebs::Trace trace =
+      flat_trace(64, machine.cpus_of_node(1)[0], pebs::MemLevel::kRemoteDram);
+  const ml::Classifier model = always_rmc_model();
+  obs::Counter& updates = obs::Registry::global().counter(
+      "drbw_serve_window_updates_total",
+      "Samples added to or evicted from client classify windows");
+  const auto run_with = [&](std::size_t capacity) {
+    serve::ServeOptions opts =
+        one_client_options(serve::OverloadPolicy::kBlock);
+    opts.window_capacity = capacity;
+    opts.sparse_guard = {1, 1};
+    serve::Server server(machine, &model, opts);
+    return server.run(trace);
+  };
+  const std::uint64_t before = updates.value();
+  const serve::ServeResult empty = run_with(0);
+  ASSERT_EQ(empty.samples_admitted, 64u);
+  // Every drained sample is added and evicted at once, so each window is
+  // empty when it is classified: no row, no contended verdict.
+  if (obs::kEnabled) {
+    EXPECT_EQ(updates.value() - before, 64u + 64u);
+  }
+  EXPECT_EQ(empty.ticks, 4u);  // 64 samples through a depth-16 queue
+  EXPECT_EQ(empty.windows_classified, 4u);
+  EXPECT_EQ(empty.windows_rmc, 0u);
+  const serve::ServeResult one = run_with(1);
+  EXPECT_EQ(one.windows_classified, 4u);
+  EXPECT_EQ(one.windows_rmc, 4u);
+}
+
 TEST(ServeWindowTest, CapacityExtremesStayJobsIdenticalThroughQuarantine) {
   if (!fault::kEnabled) GTEST_SKIP() << "built with -DDRBW_FAULTS=OFF";
   const Machine machine = Machine::xeon_e5_4650();
@@ -628,6 +756,130 @@ TEST(ServeWindowTest, CapacityExtremesStayJobsIdenticalThroughQuarantine) {
     }
     EXPECT_TRUE(quarantined_mid_run) << "capacity " << capacity;
     EXPECT_GT(results[0].windows_classified, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Golden snapshots: the serve loop's bytes, pinned across refactors
+// ---------------------------------------------------------------------------
+
+/// Seeded pseudo-random stream for the golden snapshots: 8 tids, CPUs on
+/// every node, every memory level, latencies 40..1239 cycles, and 1..9
+/// cycles between samples.
+pebs::Trace random_trace(const Machine& machine, std::size_t n,
+                         std::uint64_t seed) {
+  Rng rng(seed);
+  pebs::Trace trace;
+  trace.events.push_back(mem::AllocationEvent{
+      mem::AllocationEvent::Kind::kAlloc, {"serve.c:3 heap"}, 0x40000,
+      64 * 1024});
+  std::uint64_t cycle = 100;
+  for (std::size_t i = 0; i < n; ++i) {
+    pebs::MemorySample s;
+    s.address = 0x40000 + rng.bounded(1024) * 64;
+    const std::vector<topology::CpuId>& cpus = machine.cpus_of_node(
+        static_cast<topology::NodeId>(rng.bounded(4)));
+    s.cpu = cpus[rng.bounded(cpus.size())];
+    s.tid = static_cast<std::uint32_t>(rng.bounded(8));
+    s.level = static_cast<pebs::MemLevel>(rng.bounded(6));
+    s.latency_cycles = static_cast<float>(40 + rng.bounded(1200));
+    s.is_write = rng.bounded(4) == 0;
+    cycle += 1 + rng.bounded(9);
+    s.cycle = cycle;
+    trace.samples.push_back(s);
+  }
+  return trace;
+}
+
+/// A depth-3 tree trained on `trace`'s own channel rows (64-sample chunks):
+/// a row is contended when its first feature is above the rows' median,
+/// with one label in five flipped, so leaves are impure and window
+/// confidences vary.
+ml::Classifier fixture_model(const Machine& machine, const pebs::Trace& trace) {
+  core::ReplayLocator locator;
+  features::ChannelWindow window(machine, locator);
+  std::vector<std::vector<double>> rows;
+  for (std::size_t i = 0; i < trace.samples.size(); ++i) {
+    window.add(trace.samples[i]);
+    if ((i + 1) % 64 != 0) continue;
+    for (const features::ChannelFeatures& ch : window.channels()) {
+      if (!features::kWindowGuard.sparse(ch.features)) {
+        rows.push_back(ch.features.as_row());
+      }
+    }
+    window.clear();
+  }
+  std::vector<double> firsts;
+  for (const std::vector<double>& row : rows) firsts.push_back(row[0]);
+  const double median = lower_median(firsts);
+  ml::Dataset data(std::vector<std::string>(
+      features::selected_feature_names().begin(),
+      features::selected_feature_names().end()));
+  Rng flip(11);
+  for (std::vector<double>& row : rows) {
+    const bool rmc = (row[0] > median) != (flip.bounded(5) == 0);
+    data.add(std::move(row), rmc ? ml::Label::kRmc : ml::Label::kGood);
+  }
+  ml::TreeParams params;
+  params.max_depth = 3;
+  return ml::Classifier::train(data, params);
+}
+
+TEST(ServeGoldenTest, SnapshotsMatchPinnedChecksums) {
+  const Machine machine = Machine::xeon_e5_4650();
+  const pebs::Trace trace = random_trace(machine, 3000, 2017);
+  const ml::Classifier model = fixture_model(machine, trace);
+  // CRC-32 of snapshot_json for policy x window_capacity x fault plan.  The
+  // constants were generated on the commit before sessions, queues and
+  // classify windows became ordinal rings into the trace, and must not be
+  // edited to make a refactor pass: any change here is a byte change.
+  struct Golden {
+    serve::OverloadPolicy policy;
+    std::size_t capacity;
+    bool armed;
+    std::uint32_t crc;
+  };
+  const Golden kGolden[] = {
+      {serve::OverloadPolicy::kBlock, 1, false, 0x85a0fe0fu},
+      {serve::OverloadPolicy::kBlock, 1, true, 0xbd5b4f02u},
+      {serve::OverloadPolicy::kBlock, 37, false, 0x952aca25u},
+      {serve::OverloadPolicy::kBlock, 37, true, 0xf31de5a2u},
+      {serve::OverloadPolicy::kBlock, 4096, false, 0xeebf151bu},
+      {serve::OverloadPolicy::kBlock, 4096, true, 0x5d043015u},
+      {serve::OverloadPolicy::kShedOldest, 1, false, 0xeb224f0au},
+      {serve::OverloadPolicy::kShedOldest, 1, true, 0x0bb66211u},
+      {serve::OverloadPolicy::kShedOldest, 37, false, 0x351ff82bu},
+      {serve::OverloadPolicy::kShedOldest, 37, true, 0x6a7e9a2fu},
+      {serve::OverloadPolicy::kShedOldest, 4096, false, 0xd10afdf7u},
+      {serve::OverloadPolicy::kShedOldest, 4096, true, 0x4a0d84f9u},
+      {serve::OverloadPolicy::kReject, 1, false, 0xb885f59au},
+      {serve::OverloadPolicy::kReject, 1, true, 0x6ae32947u},
+      {serve::OverloadPolicy::kReject, 37, false, 0x389c81a6u},
+      {serve::OverloadPolicy::kReject, 37, true, 0x16d2fb1du},
+      {serve::OverloadPolicy::kReject, 4096, false, 0xd990aeecu},
+      {serve::OverloadPolicy::kReject, 4096, true, 0xd249f5ecu},
+  };
+  for (const Golden& g : kGolden) {
+    if (g.armed && !fault::kEnabled) continue;
+    serve::ServeOptions opts;
+    opts.clients = 4;
+    opts.queue_depth = 8;
+    opts.drain_per_tick = 3;  // below the depth: queues defer and shed
+    opts.overload = g.policy;
+    opts.window_cycles = 200;
+    opts.window_capacity = g.capacity;
+    serve::ServeResult r;
+    if (g.armed) {
+      const ArmGuard guard(
+          "seed=5,serve.ingest:drop:0.1,serve.session:fail:0.1,"
+          "serve.window:fail:0.1,serve.classify:fail:0.1");
+      r = serve::Server(machine, &model, opts).run(trace);
+    } else {
+      r = serve::Server(machine, &model, opts).run(trace);
+    }
+    EXPECT_EQ(util::crc32(r.snapshot_json), g.crc)
+        << serve::overload_policy_name(g.policy) << " capacity "
+        << g.capacity << (g.armed ? " armed" : " unarmed");
   }
 }
 
@@ -760,6 +1012,39 @@ TEST(ServeCliTest, SnapshotIsByteIdenticalAcrossJobs) {
   const std::string b = read_file(w.corpus + "/jobs4/serve_snapshot.json");
   EXPECT_FALSE(a.empty());
   EXPECT_EQ(a, b);
+}
+
+TEST(ServeCliTest, MaximumBoundsServeLikeTheTraceSize) {
+  const CliWorld& w = cli_world();
+  ASSERT_TRUE(w.ok) << "CLI fixture runs failed";
+  // --queue-depth and --window-capacity accept up to 2^32-1.  Rings sized
+  // from the option would need 16 GiB each; they must instead grow with
+  // what they hold, so the maximum serves exactly like a bound equal to the
+  // trace's sample count (neither bound is reached at either value).
+  const std::string samples =
+      std::to_string(pebs::load_trace(w.trace).samples.size());
+  const std::string common = "serve --replay " + w.trace + " --clients 2 " +
+                             "--model " + w.model + " --run-dir ";
+  // A 4 GB address-space cap (as in CI's serve-chaos job) turns such an
+  // allocation into a failed run instead of an OOM kill.  ASan and TSan
+  // reserve terabytes of shadow address space, so they run uncapped.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  const std::string cap;
+#else
+  const std::string cap = "ulimit -v 4000000; ";
+#endif
+  ASSERT_EQ(run_cli(common + w.dir + "/max_bounds --queue-depth 4294967295 "
+                    "--window-capacity 4294967295",
+                    cap),
+            0);
+  ASSERT_EQ(run_cli(common + w.dir + "/count_bounds --queue-depth " + samples +
+                    " --window-capacity " + samples),
+            0);
+  const std::string max_snapshot =
+      read_file(w.dir + "/max_bounds/serve_snapshot.json");
+  EXPECT_NE(max_snapshot.find("\"drained\": true"), std::string::npos);
+  EXPECT_EQ(max_snapshot,
+            read_file(w.dir + "/count_bounds/serve_snapshot.json"));
 }
 
 TEST(ServeCliTest, MissingOrCorruptModelDegradesWithExitZero) {
