@@ -20,6 +20,7 @@
 #include "drbw/features/selected.hpp"
 #include "drbw/ml/decision_tree.hpp"
 #include "drbw/ml/metrics.hpp"
+#include "drbw/pebs/session.hpp"
 #include "drbw/sim/engine.hpp"
 #include "drbw/topology/machine.hpp"
 
@@ -53,15 +54,25 @@ struct Report {
   std::string to_string(const topology::Machine& machine) const;
 };
 
+/// A window's channel that the sparse guard let through, and the model's
+/// explained verdict on it.
+struct WindowChannel {
+  topology::ChannelId channel;
+  features::FeatureVector features;
+  ml::Explanation explanation;
+};
+
 /// Verdict for one time window of a run (phase-aware detection): programs
 /// like AMG2006 contend only in some phases, and a whole-run verdict blurs
-/// that.  Windows with too few samples are reported as sparse/good.
+/// that.  Sparse channels are neither classified nor listed.
 struct WindowVerdict {
   std::uint64_t start_cycle = 0;
   std::uint64_t end_cycle = 0;
   std::size_t samples = 0;
   bool rmc = false;
   std::vector<topology::ChannelId> contended;
+  /// Every non-sparse channel, in channel index order.
+  std::vector<WindowChannel> channels;
 };
 
 class DrBw {
@@ -77,16 +88,22 @@ class DrBw {
   /// copies what it needs, so it may outlive the profile and its samples.
   Report analyze_profile(const core::ProfileResult& profile) const;
 
-  /// Phase-aware detection: slices the run's sample stream into fixed
-  /// windows of `window_cycles` and classifies each window's channels
-  /// independently.  Latency-profile features are duration-free, so the
-  /// whole-run model applies; count features shrink with the window, which
-  /// only makes windowed detection more conservative.  Verdicts only: each
-  /// window is featurized by a features::ChannelWindow (no profile, no
-  /// diagnosis).
+  /// Phase-aware detection: analyze_window, serially, over the windows of
+  /// `window_cycles` that tile [0, total_cycles).  Latency-profile features
+  /// are duration-free, so the whole-run model applies; count features
+  /// shrink with the window, which only makes windowed detection more
+  /// conservative.
   std::vector<WindowVerdict> analyze_windows(const sim::RunResult& run,
                                              core::PageLocator& locator,
                                              std::uint64_t window_cycles) const;
+
+  /// The one window classifier: featurizes window `w` of `windows` (ordinals
+  /// into `samples`) with a features::ChannelWindow — no profile, no
+  /// diagnosis — and explains every channel the sparse guard lets through.
+  /// Windows may be classified concurrently when `locator` is stateless.
+  WindowVerdict analyze_window(const std::vector<pebs::MemorySample>& samples,
+                               const pebs::CycleWindows& windows,
+                               std::size_t w, core::PageLocator& locator) const;
 
   const ml::Classifier& model() const { return model_; }
   const topology::Machine& machine() const { return machine_; }
@@ -96,5 +113,11 @@ class DrBw {
   ml::Classifier model_;
   AnalysisConfig config_;
 };
+
+/// Loads a model artifact (ml::Classifier::load) for DR-BW: a model whose
+/// feature count is not features::kNumSelected cannot classify a channel,
+/// so it fails here with Error(kCorruptArtifact) naming `path`.
+ml::Classifier load_classifier(const std::string& path,
+                               const util::LoadPolicy& policy);
 
 }  // namespace drbw

@@ -22,10 +22,6 @@
 // and drops in their own obs instruments, and the obs flight recorder
 // installs a fire hook (set_fire_hook) so every fired site leaves a
 // breadcrumb without the fault layer ever depending upward.
-//
-// Compile-out: -DDRBW_FAULT=OFF defines DRBW_FAULT_DISABLED, which turns
-// every query below into a constant `false` the optimizer deletes — zero
-// instrumented overhead, like the obs layer.
 #pragma once
 
 #include <atomic>
@@ -39,13 +35,6 @@
 #include "drbw/util/error.hpp"
 
 namespace drbw::fault {
-
-#if defined(DRBW_FAULT_DISABLED)
-inline constexpr bool kEnabled = false;
-#else
-/// Compile-time master switch (see header comment).
-inline constexpr bool kEnabled = true;
-#endif
 
 /// What an armed site does when its draw fires.
 enum class Kind : std::uint8_t {
@@ -145,37 +134,18 @@ class Injector {
 
 /// True when a plan is armed.  Sites whose key costs a pass over content (a
 /// body checksum) test this first, so unarmed runs never pay for the key.
-inline bool armed() {
-  if constexpr (!kEnabled) {
-    return false;
-  } else {
-    return Injector::global().armed();
-  }
-}
+inline bool armed() { return Injector::global().armed(); }
 
-/// Decision query; compiled out to a constant under -DDRBW_FAULT=OFF.
+/// Decision query: whether the armed plan fires `kind` at `site` for `key`.
 inline bool should_inject(std::string_view site, Kind kind,
                           std::uint64_t key) {
-  if constexpr (!kEnabled) {
-    (void)site;
-    (void)kind;
-    (void)key;
-    return false;
-  } else {
-    return Injector::global().should_inject(site, kind, key);
-  }
+  return Injector::global().should_inject(site, kind, key);
 }
 
-/// Bit-flips `value` when compiled in (callers gate on should_inject first).
+/// Bit-flips `value` (callers gate on should_inject first).
 inline std::uint64_t corrupt_bits(std::string_view site, std::uint64_t key,
                                   std::uint64_t value) {
-  if constexpr (!kEnabled) {
-    (void)site;
-    (void)key;
-    return value;
-  } else {
-    return Injector::global().corrupt_bits(site, key, value);
-  }
+  return Injector::global().corrupt_bits(site, key, value);
 }
 
 /// Throws Error(what, kFaultInjected) when the site's kFail draw fires.

@@ -3,9 +3,9 @@
 // ChannelWindow keeps the Table I statistics of every directed channel as
 // running sums, so adding or evicting one sample costs O(1) and reading the
 // features costs O(nodes^2), whatever the window holds.  A sliding window
-// (serve) adds and evicts; a windowed scope (analyze --windows, explain)
-// adds one bucket; a whole profile (extract_channels) adds every sample
-// once, in profile order.
+// (serve) adds and evicts; a windowed scope (DrBw::analyze_window, behind
+// analyze --windows and explain) adds one cycle window's samples; a whole
+// profile (extract_channels) adds every sample once, in profile order.
 //
 // State: one record per source node (sample count, the five latency
 // threshold counters, and count + latency sum for all, local-DRAM and LFB

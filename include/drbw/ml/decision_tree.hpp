@@ -169,11 +169,6 @@ class Classifier {
   /// Attribution indices match feature_names().
   Explanation predict_explained(const std::vector<double>& raw_row) const;
 
-  /// Predicts a batch of raw rows in order — the incremental-classification
-  /// entry point used by the serve layer's window loop.
-  std::vector<Label> predict_batch(
-      const std::vector<std::vector<double>>& raw_rows) const;
-
   const DecisionTree& tree() const { return tree_; }
   const Normalizer& normalizer() const { return normalizer_; }
   const std::vector<std::string>& feature_names() const { return feature_names_; }

@@ -18,8 +18,7 @@
 // Allocation-free: events are fixed-size PODs (char[ ] tags, no strings) in
 // a ring preallocated once at enable(); recording is a bounded memcpy under
 // a mutex, and when the ring is full the oldest events are overwritten and
-// counted in dropped().  With DRBW_OBS_DISABLED every entry point compiles
-// to a no-op.
+// counted in dropped().
 #pragma once
 
 #include <atomic>
@@ -71,7 +70,7 @@ class FlightRecorder {
   void enable(std::size_t capacity = kDefaultCapacity);
   void disable();
   bool enabled() const {
-    return kEnabled && enabled_.load(std::memory_order_relaxed);
+    return enabled_.load(std::memory_order_relaxed);
   }
   void clear();
 

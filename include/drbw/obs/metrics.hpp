@@ -28,14 +28,6 @@
 
 namespace drbw::obs {
 
-#if defined(DRBW_OBS_DISABLED)
-inline constexpr bool kEnabled = false;
-#else
-/// Compile-time master switch.  -DDRBW_OBS=OFF defines DRBW_OBS_DISABLED,
-/// which turns every mutation path below into a no-op the optimizer deletes.
-inline constexpr bool kEnabled = true;
-#endif
-
 /// Whether an instrument participates in the golden (deterministic) export.
 enum class Visibility {
   kGolden,      ///< jobs-independent; included in default exports
@@ -47,7 +39,7 @@ enum class Visibility {
 class Counter {
  public:
   void add(std::uint64_t n = 1) {
-    if (kEnabled) value_.fetch_add(n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
   void reset() { value_.store(0, std::memory_order_relaxed); }
@@ -62,10 +54,9 @@ class Counter {
 class Gauge {
  public:
   void set(double v) {
-    if (kEnabled) bits_.store(std::bit_cast<std::uint64_t>(v), std::memory_order_relaxed);
+    bits_.store(std::bit_cast<std::uint64_t>(v), std::memory_order_relaxed);
   }
   void set_max(double v) {
-    if (!kEnabled) return;
     std::uint64_t cur = bits_.load(std::memory_order_relaxed);
     while (v > std::bit_cast<double>(cur) &&
            !bits_.compare_exchange_weak(cur, std::bit_cast<std::uint64_t>(v),

@@ -97,7 +97,7 @@ std::uint64_t wall_now_micros();
 
 /// Process-wide trace sink.  Disabled by default: every record path starts
 /// with a relaxed enabled() load, so the disabled cost is one predictable
-/// branch.  With DRBW_OBS_DISABLED the check folds to a constant false.
+/// branch.
 class Trace {
  public:
   static Trace& instance();
@@ -109,7 +109,7 @@ class Trace {
   void set_mode(TimingMode mode);
   void disable();
   bool enabled() const {
-    return kEnabled && enabled_.load(std::memory_order_relaxed);
+    return enabled_.load(std::memory_order_relaxed);
   }
   TimingMode mode() const { return mode_; }
 

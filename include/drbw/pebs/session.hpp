@@ -1,6 +1,6 @@
 // Trace -> per-client session slicing for online replay, and the cycle-window
-// bucketer every windowed front end (analyze --windows, explain, serve's
-// default window width) shares.
+// grid every windowed front end (analyze --windows, explain, serve's default
+// window width) shares.
 //
 // `drbw serve` simulates N concurrent clients by replaying a recorded trace
 // as N independent sample streams: every sample is assigned to the client
@@ -12,7 +12,9 @@
 // ingest faults hit the same samples at any --jobs value and client count.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,7 +38,7 @@ struct ClientSession {
 struct Sessions {
   /// Exactly `clients` entries (client c at index c), possibly empty.
   std::vector<ClientSession> clients;
-  /// trace_cycle_span of the trace, taken in the slicing pass.
+  /// Largest sample cycle (0 for an empty trace), taken in the slicing pass.
   std::uint64_t cycle_span = 0;
 };
 
@@ -55,23 +57,54 @@ Sessions slice_sessions(const Trace& trace, std::uint32_t clients);
 void require_known_cpus(const Trace& trace, int num_cpus,
                         const std::string& path);
 
-/// Largest sample cycle in the trace (0 for an empty trace); the windowed
-/// front ends derive their window width from this span.
-std::uint64_t trace_cycle_span(const Trace& trace);
-
-/// Most cycle windows a caller may ask for (`--windows`): every window owns
-/// a sample bucket and a profile, so the count is bounded up front.
+/// Most cycle windows a caller may ask for (`--windows`): every window
+/// costs an offset, a verdict and a featurization pass over its ordinals, so
+/// the count is bounded up front.
 inline constexpr std::uint64_t kMaxCycleWindows = 65536;
 
 /// Width of each of `windows` equal cycle windows covering [0, span]:
-/// span / windows + 1, so the sample at `span` lands in the last window.
+/// span / windows + 1 (saturating at 2^64 - 1), so the sample at `span`
+/// lands in the last window.
 std::uint64_t cycle_window_width(std::uint64_t span, std::uint64_t windows);
 
-/// Splits `samples` into `count` consecutive windows of `width` cycles,
-/// keeping stream order inside each window.  Empty windows are kept, and a
-/// sample past the last window's end lands in the last window.
-std::vector<std::vector<MemorySample>> bucket_by_cycle(
-    const std::vector<MemorySample>& samples, std::uint64_t width,
-    std::size_t count);
+/// Samples grouped into count() consecutive cycle windows, as ordinals into
+/// the vector they were bucketed from (no sample is copied).  Window w
+/// covers [min(w * width, end), min((w + 1) * width, end)), so the windows
+/// tile [0, end) and none is inverted, and holds
+/// ordinals[offsets[w], offsets[w + 1]), in stream order.
+struct CycleWindows {
+  std::uint64_t width = 1;
+  std::uint64_t end = 0;
+  std::vector<std::uint32_t> ordinals;  ///< one per sample
+  std::vector<std::uint32_t> offsets{0};  ///< count() + 1, ascending
+
+  std::size_t count() const { return offsets.size() - 1; }
+  std::uint64_t start_cycle(std::size_t w) const { return edge(w); }
+  std::uint64_t end_cycle(std::size_t w) const { return edge(w + 1); }
+  /// Window w's ordinals.
+  std::span<const std::uint32_t> window(std::size_t w) const {
+    return {ordinals.data() + offsets[w], ordinals.data() + offsets[w + 1]};
+  }
+
+ private:
+  /// min(k * width, end), also when the product passes 2^64.
+  std::uint64_t edge(std::uint64_t k) const {
+    std::uint64_t cycle = 0;
+    return __builtin_mul_overflow(k, width, &cycle) ? end : std::min(cycle, end);
+  }
+};
+
+/// Buckets `samples` into `count` windows of `width` cycles ending at `end`:
+/// one counting pass, then one fill.  Empty windows are kept, and a sample
+/// past the last window's start lands in it.  Throws
+/// Error(kCorruptArtifact) past kMaxSessionSamples samples.
+CycleWindows bucket_by_cycle(const std::vector<MemorySample>& samples,
+                             std::uint64_t width, std::size_t count,
+                             std::uint64_t end);
+
+/// The front ends' grid: exactly `windows` windows of
+/// cycle_window_width(span, windows) cycles over [0, span + 1), span being
+/// the largest sample cycle (the end saturates at 2^64 - 1).
+CycleWindows split_cycle_windows(const Trace& trace, std::size_t windows);
 
 }  // namespace drbw::pebs

@@ -39,7 +39,7 @@ FlightRecorder& FlightRecorder::instance() {
 }
 
 void FlightRecorder::enable(std::size_t capacity) {
-  if (!kEnabled || capacity == 0) return;
+  if (capacity == 0) return;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ring_.assign(capacity, FlightEvent{});
@@ -53,7 +53,7 @@ void FlightRecorder::enable(std::size_t capacity) {
 
 void FlightRecorder::disable() {
   enabled_.store(false, std::memory_order_relaxed);
-  if (kEnabled) fault::Injector::global().set_fire_hook(nullptr);
+  fault::Injector::global().set_fire_hook(nullptr);
 }
 
 void FlightRecorder::clear() {

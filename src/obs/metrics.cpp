@@ -33,7 +33,6 @@ Histogram::Histogram(std::vector<std::uint64_t> bounds)
 }
 
 void Histogram::observe(std::uint64_t v) {
-  if (!kEnabled) return;
   // First bound >= v: Prometheus `le` semantics — v lands in the bucket whose
   // upper edge it is <= to; past the last bound it lands in +Inf.
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
@@ -44,7 +43,7 @@ void Histogram::observe(std::uint64_t v) {
 }
 
 void Histogram::observe_n(std::uint64_t v, std::uint64_t n) {
-  if (!kEnabled || n == 0) return;
+  if (n == 0) return;
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   const auto idx = static_cast<std::size_t>(it - bounds_.begin());
   counts_[idx].fetch_add(n, std::memory_order_relaxed);

@@ -33,14 +33,11 @@ Trace& Trace::instance() {
 }
 
 void Trace::enable(TimingMode mode) {
-  if (!kEnabled) return;
   mode_ = mode;
   enabled_.store(true, std::memory_order_relaxed);
 }
 
-void Trace::set_mode(TimingMode mode) {
-  if (kEnabled) mode_ = mode;
-}
+void Trace::set_mode(TimingMode mode) { mode_ = mode; }
 
 void Trace::disable() {
   enabled_.store(false, std::memory_order_relaxed);

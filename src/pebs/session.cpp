@@ -47,27 +47,46 @@ void require_known_cpus(const Trace& trace, int num_cpus,
   }
 }
 
-std::uint64_t trace_cycle_span(const Trace& trace) {
-  std::uint64_t last = 0;
-  for (const MemorySample& s : trace.samples) last = std::max(last, s.cycle);
-  return last;
-}
-
 std::uint64_t cycle_window_width(std::uint64_t span, std::uint64_t windows) {
   DRBW_CHECK_MSG(windows > 0, "window count must be positive");
-  return span / windows + 1;
+  const std::uint64_t base = span / windows;
+  return std::max(base, base + 1);  // saturating
 }
 
-std::vector<std::vector<MemorySample>> bucket_by_cycle(
-    const std::vector<MemorySample>& samples, std::uint64_t width,
-    std::size_t count) {
+CycleWindows bucket_by_cycle(const std::vector<MemorySample>& samples,
+                             std::uint64_t width, std::size_t count,
+                             std::uint64_t end) {
   DRBW_CHECK_MSG(width > 0 && count > 0,
                  "window width and count must be positive");
-  std::vector<std::vector<MemorySample>> buckets(count);
-  for (const MemorySample& s : samples) {
-    buckets[std::min<std::uint64_t>(s.cycle / width, count - 1)].push_back(s);
+  if (samples.size() > kMaxSessionSamples) {
+    throw Error("cannot window " + std::to_string(samples.size()) +
+                    " samples: an ordinal is 32 bits",
+                ErrorCode::kCorruptArtifact);
   }
-  return buckets;
+  const auto window_of = [&](const MemorySample& s) {
+    return static_cast<std::size_t>(
+        std::min<std::uint64_t>(s.cycle / width, count - 1));
+  };
+  CycleWindows out{width, end, {}, std::vector<std::uint32_t>(count + 1, 0)};
+  // Counting pass: offsets[w + 1] counts window w, then prefix-sums into
+  // window w's first position.
+  for (const MemorySample& s : samples) ++out.offsets[window_of(s) + 1];
+  for (std::size_t w = 0; w < count; ++w) out.offsets[w + 1] += out.offsets[w];
+  // Fill pass: the next free slot of each window, in stream order.
+  std::vector<std::uint32_t> next(out.offsets.begin(), out.offsets.end() - 1);
+  out.ordinals.resize(samples.size());
+  const auto n = static_cast<std::uint32_t>(samples.size());
+  for (std::uint32_t i = 0; i < n; ++i) {
+    out.ordinals[next[window_of(samples[i])]++] = i;
+  }
+  return out;
+}
+
+CycleWindows split_cycle_windows(const Trace& trace, std::size_t windows) {
+  std::uint64_t span = 0;
+  for (const MemorySample& s : trace.samples) span = std::max(span, s.cycle);
+  return bucket_by_cycle(trace.samples, cycle_window_width(span, windows),
+                         windows, std::max(span, span + 1));  // saturating
 }
 
 }  // namespace drbw::pebs

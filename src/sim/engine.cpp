@@ -296,21 +296,19 @@ void Engine::emit_samples(ThreadState& ts, std::uint64_t served,
     // derived from the sample's own content — address, cycle, tid — which
     // is identical at any --jobs count, so the same samples drop or corrupt
     // regardless of run scheduling.
-    if constexpr (fault::kEnabled) {
-      const std::uint64_t fault_key =
-          sample.address ^ (sample.cycle * 0x9e3779b97f4a7c15ULL) ^
-          sample.tid;
-      if (fault::should_inject("pebs.sample", fault::Kind::kDropSample,
-                               fault_key)) {
-        SimMetrics::get().samples_fault_dropped.add(1);
-        continue;
-      }
-      if (fault::should_inject("pebs.sample", fault::Kind::kCorruptField,
-                               fault_key)) {
-        sample.address =
-            fault::corrupt_bits("pebs.sample", fault_key, sample.address);
-        SimMetrics::get().samples_fault_corrupted.add(1);
-      }
+    const std::uint64_t fault_key =
+        sample.address ^ (sample.cycle * 0x9e3779b97f4a7c15ULL) ^
+        sample.tid;
+    if (fault::should_inject("pebs.sample", fault::Kind::kDropSample,
+                             fault_key)) {
+      SimMetrics::get().samples_fault_dropped.add(1);
+      continue;
+    }
+    if (fault::should_inject("pebs.sample", fault::Kind::kCorruptField,
+                             fault_key)) {
+      sample.address =
+          fault::corrupt_bits("pebs.sample", fault_key, sample.address);
+      SimMetrics::get().samples_fault_corrupted.add(1);
     }
     result.samples.push_back(sample);
   }

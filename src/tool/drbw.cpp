@@ -1,10 +1,10 @@
 #include "drbw/drbw.hpp"
 
+#include <span>
 #include <sstream>
 
 #include "drbw/features/window.hpp"
 #include "drbw/obs/trace.hpp"
-#include "drbw/pebs/session.hpp"
 #include "drbw/util/strings.hpp"
 #include "drbw/util/table.hpp"
 
@@ -28,6 +28,20 @@ DrBw::DrBw(const topology::Machine& machine, ml::Classifier model,
                  "model expects " << model_.feature_names().size()
                                   << " features; DR-BW extracts "
                                   << features::kNumSelected);
+}
+
+ml::Classifier load_classifier(const std::string& path,
+                               const util::LoadPolicy& policy) {
+  ml::Classifier model = ml::Classifier::load(path, policy);
+  if (model.feature_names().size() !=
+      static_cast<std::size_t>(features::kNumSelected)) {
+    throw Error(path + ": model expects " +
+                    std::to_string(model.feature_names().size()) +
+                    " features; DR-BW extracts " +
+                    std::to_string(features::kNumSelected),
+                ErrorCode::kCorruptArtifact);
+  }
+  return model;
 }
 
 Report DrBw::analyze(const sim::RunResult& run,
@@ -78,33 +92,41 @@ std::vector<WindowVerdict> DrBw::analyze_windows(
     const sim::RunResult& run, core::PageLocator& locator,
     std::uint64_t window_cycles) const {
   DRBW_CHECK_MSG(window_cycles > 0, "window length must be positive");
-  const std::uint64_t windows =
+  const std::uint64_t count =
       run.total_cycles / window_cycles + (run.total_cycles % window_cycles != 0);
-  const std::vector<std::vector<pebs::MemorySample>> buckets =
-      pebs::bucket_by_cycle(run.samples, window_cycles,
-                            std::max<std::uint64_t>(windows, 1));
-
+  const pebs::CycleWindows windows = pebs::bucket_by_cycle(
+      run.samples, window_cycles, std::max<std::uint64_t>(count, 1),
+      run.total_cycles);
   std::vector<WindowVerdict> verdicts;
-  for (std::uint64_t w = 0; w < buckets.size(); ++w) {
-    WindowVerdict verdict;
-    verdict.start_cycle = w * window_cycles;
-    verdict.end_cycle =
-        std::min(run.total_cycles, (w + 1) * window_cycles);
-    verdict.samples = buckets[w].size();
-    // A verdict needs only the channel features: no heap attribution, and
-    // no diagnosis of the contended channels.
-    features::ChannelWindow window(machine_, locator);
-    for (const pebs::MemorySample& sample : buckets[w]) window.add(sample);
-    for (const features::ChannelFeatures& cf : window.channels()) {
-      if (config_.sparse_guard.sparse(cf.features)) continue;
-      if (model_.predict(cf.features.as_row()) == ml::Label::kRmc) {
-        verdict.contended.push_back(cf.channel);
-      }
-    }
-    verdict.rmc = !verdict.contended.empty();
-    verdicts.push_back(std::move(verdict));
+  verdicts.reserve(windows.count());
+  for (std::size_t w = 0; w < windows.count(); ++w) {
+    verdicts.push_back(analyze_window(run.samples, windows, w, locator));
   }
   return verdicts;
+}
+
+WindowVerdict DrBw::analyze_window(
+    const std::vector<pebs::MemorySample>& samples,
+    const pebs::CycleWindows& windows, std::size_t w,
+    core::PageLocator& locator) const {
+  WindowVerdict verdict;
+  verdict.start_cycle = windows.start_cycle(w);
+  verdict.end_cycle = windows.end_cycle(w);
+  const std::span<const std::uint32_t> ordinals = windows.window(w);
+  verdict.samples = ordinals.size();
+  features::ChannelWindow window(machine_, locator);
+  for (const std::uint32_t o : ordinals) window.add(samples[o]);
+  for (const features::ChannelFeatures& cf : window.channels()) {
+    if (config_.sparse_guard.sparse(cf.features)) continue;
+    ml::Explanation explanation = model_.predict_explained(cf.features.as_row());
+    if (explanation.label == ml::Label::kRmc) {
+      verdict.contended.push_back(cf.channel);
+    }
+    verdict.channels.push_back(
+        WindowChannel{cf.channel, cf.features, std::move(explanation)});
+  }
+  verdict.rmc = !verdict.contended.empty();
+  return verdict;
 }
 
 std::string Report::to_string(const topology::Machine& machine) const {

@@ -3,9 +3,12 @@
 // (profile -> per-channel features -> classify -> diagnose).
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
@@ -15,6 +18,7 @@
 #include "drbw/pebs/session.hpp"
 #include "drbw/serve/server.hpp"
 #include "drbw/util/artifact.hpp"
+#include "drbw/util/json.hpp"
 
 namespace drbw {
 namespace {
@@ -279,22 +283,59 @@ TEST_F(DrBwToolTest, CycleBucketerKeepsEdgesAndEmptyWindows) {
   const std::vector<pebs::MemorySample> samples{at(0), at(3), at(9)};
   const std::uint64_t width = pebs::cycle_window_width(9, 3);
   EXPECT_EQ(width, 4u);
-  const auto buckets = pebs::bucket_by_cycle(samples, width, 3);
-  ASSERT_EQ(buckets.size(), 3u);
-  EXPECT_EQ(buckets[0].size(), 2u);
-  EXPECT_TRUE(buckets[1].empty());
-  ASSERT_EQ(buckets[2].size(), 1u);
-  EXPECT_EQ(buckets[2][0].cycle, 9u);
+  const pebs::CycleWindows buckets =
+      pebs::bucket_by_cycle(samples, width, 3, 10);
+  ASSERT_EQ(buckets.count(), 3u);
+  EXPECT_EQ(buckets.window(0).size(), 2u);
+  EXPECT_TRUE(buckets.window(1).empty());
+  ASSERT_EQ(buckets.window(2).size(), 1u);
+  EXPECT_EQ(samples[buckets.window(2)[0]].cycle, 9u);
+  EXPECT_EQ(buckets.ordinals.size(), samples.size());
   // One window holds every sample, in stream order.
-  const auto one =
-      pebs::bucket_by_cycle(samples, pebs::cycle_window_width(9, 1), 1);
-  ASSERT_EQ(one.size(), 1u);
-  ASSERT_EQ(one[0].size(), 3u);
-  EXPECT_EQ(one[0][1].cycle, 3u);
+  const pebs::CycleWindows one =
+      pebs::bucket_by_cycle(samples, pebs::cycle_window_width(9, 1), 1, 10);
+  ASSERT_EQ(one.count(), 1u);
+  ASSERT_EQ(one.window(0).size(), 3u);
+  EXPECT_EQ(samples[one.window(0)[1]].cycle, 3u);
+  EXPECT_EQ(std::vector<std::uint32_t>(one.window(0).begin(),
+                                       one.window(0).end()),
+            (std::vector<std::uint32_t>{0, 1, 2}));
   // Samples past the last window's end are clamped into it.
-  EXPECT_EQ(pebs::bucket_by_cycle(samples, 1, 2)[1].size(), 2u);
-  EXPECT_THROW(pebs::bucket_by_cycle(samples, 0, 1), Error);
-  EXPECT_THROW(pebs::bucket_by_cycle(samples, 1, 0), Error);
+  EXPECT_EQ(pebs::bucket_by_cycle(samples, 1, 2, 10).window(1).size(), 2u);
+  EXPECT_THROW(pebs::bucket_by_cycle(samples, 0, 1, 10), Error);
+  EXPECT_THROW(pebs::bucket_by_cycle(samples, 1, 0, 10), Error);
+}
+
+/// Nine samples at cycles 0..8 (span 8) in eight windows: width 2, so the
+/// grid is [0,2) [2,4) [4,6) [6,8) [8,9) and then three empty [9,9)
+/// windows.  Every window starts where the previous one ended, none is
+/// inverted, and the grid keeps exactly the windows asked for, even near
+/// the 2^64 cycle limit.
+TEST_F(DrBwToolTest, CycleGridHasExactlyTheRequestedWindows) {
+  pebs::Trace trace;
+  for (std::uint64_t c = 0; c < 9; ++c) {
+    pebs::MemorySample s;
+    s.cycle = 8 - c;  // unsorted: the grid reads the span, not the order
+    trace.samples.push_back(s);
+  }
+  const pebs::CycleWindows grid = pebs::split_cycle_windows(trace, 8);
+  ASSERT_EQ(grid.count(), 8u);
+  EXPECT_EQ(grid.width, 2u);
+  const std::uint64_t expected[8][2] = {{0, 2}, {2, 4}, {4, 6}, {6, 8},
+                                        {8, 9}, {9, 9}, {9, 9}, {9, 9}};
+  for (std::size_t w = 0; w < 8; ++w) {
+    EXPECT_EQ(grid.start_cycle(w), expected[w][0]) << w;
+    EXPECT_EQ(grid.end_cycle(w), expected[w][1]) << w;
+    EXPECT_EQ(grid.window(w).size(), w < 4 ? 2u : (w == 4 ? 1u : 0u)) << w;
+  }
+  trace.samples[0].cycle = std::numeric_limits<std::uint64_t>::max();
+  const pebs::CycleWindows top = pebs::split_cycle_windows(trace, 3);
+  ASSERT_EQ(top.count(), 3u);
+  EXPECT_EQ(top.window(2).size(), 1u);
+  for (std::size_t w = 0; w < 3; ++w) {
+    EXPECT_LE(top.start_cycle(w), top.end_cycle(w)) << w;
+  }
+  EXPECT_EQ(pebs::split_cycle_windows(trace, 1).window(0).size(), 9u);
 }
 
 TEST_F(DrBwToolTest, RejectsModelWithWrongArity) {
@@ -324,8 +365,8 @@ TEST(DrBwCliExitCodeTest, MalformedArgumentsExit64) {
   EXPECT_EQ(run_cli("analyze --trace"), 64);           // option missing value
   EXPECT_EQ(run_cli("analyze --no-such-flag x"), 64);  // unknown option
   EXPECT_EQ(run_cli("record --timing sideways"), 64);  // bad --timing value
-  // --windows is capped (one bucket and profile per window) and --jobs
-  // must not be negative.
+  // --windows is capped (pebs::kMaxCycleWindows) and --jobs must not be
+  // negative.
   EXPECT_EQ(run_cli("analyze --windows 65537"), 64);
   EXPECT_EQ(run_cli("explain --windows 100000000"), 64);
   EXPECT_EQ(run_cli("analyze --jobs -1"), 64);
@@ -497,6 +538,115 @@ TEST(DrBwCliExitCodeTest, ArtifactsWithoutAChecksummedHeaderExit67) {
   EXPECT_EQ(run_cli("analyze --trace " + v1 + " --model " + headered + run),
             67);
   EXPECT_NE(cli_read_file(dir + "/run/run.json").find("parse-error"),
+            std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+/// A 13-feature model trained on two rows: enough for the CLI to load.
+std::string save_tiny_model(const std::string& path) {
+  const std::vector<std::string> names(
+      features::selected_feature_names().begin(),
+      features::selected_feature_names().end());
+  ml::Dataset data(names);
+  data.add(std::vector<double>(names.size(), 0.0), ml::Label::kGood);
+  data.add(std::vector<double>(names.size(), 1.0), ml::Label::kRmc);
+  ml::Classifier::train(data).save(path);
+  return path;
+}
+
+/// Both windowed front ends cut the run into one grid: nine samples at
+/// cycles 0..8 in eight windows give exactly eight windows tiling [0, 9),
+/// none inverted, from `analyze --windows` and `explain --windows` alike.
+TEST(DrBwCliWindowTest, AnalyzeAndExplainShareOneGrid) {
+  const std::string dir =
+      ::testing::TempDir() + "/drbw_cli_grid_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  pebs::Trace trace;
+  for (std::uint64_t c = 0; c < 9; ++c) {
+    pebs::MemorySample s;
+    s.address = 0x10000 + c * 64;
+    s.cpu = static_cast<topology::CpuId>(c % 4);
+    s.level = pebs::MemLevel::kRemoteDram;
+    s.latency_cycles = 500.0f;
+    s.cycle = c;
+    trace.samples.push_back(s);
+  }
+  const std::string trace_path = dir + "/nine.csv";
+  pebs::save_trace(trace_path, trace);
+  const std::string args = " --windows 8 --trace " + trace_path + " --model " +
+                           save_tiny_model(dir + "/model.json") +
+                           " --run-dir " + dir + "/run";
+  const std::string stdout_path = dir + "/analyze.txt";
+  const int rc = std::system((std::string(DRBW_CLI_PATH) + " analyze" + args +
+                              " > " + stdout_path + " 2>/dev/null")
+                                 .c_str());
+  ASSERT_TRUE(WIFEXITED(rc));
+  ASSERT_TRUE(WEXITSTATUS(rc) == 0 || WEXITSTATUS(rc) == 2) << rc;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> analyzed;
+  {
+    std::istringstream out(cli_read_file(stdout_path));
+    for (std::string line; std::getline(out, line);) {
+      std::uint64_t start = 0, end = 0;
+      if (std::sscanf(line.c_str(), "[%" SCNu64 ", %" SCNu64 ")", &start,
+                      &end) == 2) {
+        analyzed.emplace_back(start, end);
+      }
+    }
+  }
+  ASSERT_EQ(run_cli("explain" + args + " --out " + dir + "/explain.json"), 0);
+  const std::string artifact = cli_read_file(dir + "/explain.json");
+  const Json doc = Json::parse(artifact.substr(artifact.find('\n') + 1));
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> explained;
+  for (const Json& w : doc.at("golden").at("windows").as_array()) {
+    explained.emplace_back(static_cast<std::uint64_t>(w.at("start").as_int()),
+                           static_cast<std::uint64_t>(w.at("end").as_int()));
+  }
+  for (const auto* windows : {&analyzed, &explained}) {
+    ASSERT_EQ(windows->size(), 8u);
+    std::uint64_t at = 0;
+    for (const auto& [start, end] : *windows) {
+      EXPECT_EQ(start, at);
+      EXPECT_LE(start, end);
+      at = end;
+    }
+    EXPECT_EQ(at, 9u);
+  }
+  EXPECT_EQ(analyzed, explained);
+  std::filesystem::remove_all(dir);
+}
+
+/// A checksum-valid model whose feature count is not 13 cannot classify a
+/// channel: analyze and explain reject it at load as a corrupt artifact
+/// (68), and serve degrades to pass-through telemetry with exit 0, as for
+/// any other unusable model.
+TEST(DrBwCliExitCodeTest, WrongArityModelIsACorruptArtifact) {
+  const std::string dir =
+      ::testing::TempDir() + "/drbw_cli_arity_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string model =
+      std::string(DRBW_SOURCE_ROOT) + "/tests/data/wrong_arity_model.json";
+  ASSERT_EQ(run_cli("record --config T4-N2 --out " + dir + "/t.csv" +
+                    " --run-dir " + dir + "/rec"),
+            0);
+  const std::string inputs =
+      " --trace " + dir + "/t.csv --model " + model + " --run-dir " + dir;
+  for (const std::string& sub :
+       {std::string("analyze"), std::string("analyze --windows 4"),
+        "explain --out " + dir + "/x.json"}) {
+    EXPECT_EQ(run_cli(sub + inputs + "/run"), 68) << sub;
+    const std::string manifest = cli_read_file(dir + "/run/run.json");
+    EXPECT_NE(manifest.find("corrupt-artifact"), std::string::npos) << sub;
+    EXPECT_NE(manifest.find("wrong_arity_model.json: model expects 14 "
+                            "features; DR-BW extracts 13"),
+              std::string::npos)
+        << manifest;
+  }
+  EXPECT_EQ(run_cli("serve --replay " + dir + "/t.csv --model " + model +
+                    " --run-dir " + dir + "/serve"),
+            0);
+  EXPECT_NE(cli_read_file(dir + "/serve/run.json").find("\"degraded\": true"),
             std::string::npos);
   std::filesystem::remove_all(dir);
 }

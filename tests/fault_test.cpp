@@ -242,7 +242,6 @@ TEST(ArtifactIo, HeaderParsingIsStrict) {
 }
 
 TEST(ArtifactIo, AtomicWriteNeverLeavesPartialArtifact) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built with -DDRBW_FAULT=OFF";
   namespace fs = std::filesystem;
   const std::string path = ::testing::TempDir() + "/atomic_artifact.txt";
   const std::string tmp = path + ".tmp";
@@ -279,7 +278,6 @@ TEST(ArtifactIo, AtomicWriteNeverLeavesPartialArtifact) {
 }
 
 TEST(ArtifactIo, InjectedTraceTruncationIsDetectedOnLoad) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built with -DDRBW_FAULT=OFF";
   const std::string path = ::testing::TempDir() + "/truncated_save.csv";
   pebs::Trace trace;
   for (std::uint64_t i = 0; i < 20; ++i) {
@@ -592,7 +590,6 @@ sim::RunResult run_sim(std::uint64_t seed) {
 }
 
 TEST(EngineFaultSites, EpochFailThrowsTypedError) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built with -DDRBW_FAULT=OFF";
   ArmGuard guard("seed=1,engine.epoch:fail:1");
   std::string message;
   EXPECT_EQ(code_of([] { run_sim(7); }, &message), ErrorCode::kFaultInjected);
@@ -600,7 +597,6 @@ TEST(EngineFaultSites, EpochFailThrowsTypedError) {
 }
 
 TEST(EngineFaultSites, SampleDropsAreDeterministicAndContentKeyed) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built with -DDRBW_FAULT=OFF";
   const std::size_t baseline = run_sim(7).samples.size();
   ASSERT_GT(baseline, 0u);
   ArmGuard guard("seed=11,pebs.sample:drop:0.5");
@@ -615,7 +611,6 @@ TEST(EngineFaultSites, SampleDropsAreDeterministicAndContentKeyed) {
 }
 
 TEST(EngineFaultSites, SampleCorruptionFlipsAddressBits) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built with -DDRBW_FAULT=OFF";
   ArmGuard guard("seed=11,pebs.sample:corrupt:1");
   const auto corrupted = run_sim(7);
   fault::Injector::global().disarm();
@@ -636,7 +631,6 @@ TEST(EngineFaultSites, SampleCorruptionFlipsAddressBits) {
 // ------------------------------------------------------ trace.read site ----
 
 TEST(TraceReadSite, CorruptionQuarantinesDeterministically) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built with -DDRBW_FAULT=OFF";
   const std::string path = ::testing::TempDir() + "/read_fault_trace.csv";
   pebs::Trace trace;
   for (std::uint64_t i = 0; i < 40; ++i) {
@@ -667,7 +661,6 @@ TEST(TraceReadSite, CorruptionQuarantinesDeterministically) {
 /// "!").  Lenient loads quarantine each one; strict loads fail as kParse
 /// (exit 67) at the first damaged line.
 TEST(TraceReadSite, EveryDamagedSampleIsQuarantined) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built with -DDRBW_FAULT=OFF";
   const std::string path = ::testing::TempDir() + "/read_fault_all.csv";
   pebs::Trace trace;
   for (std::uint32_t i = 0; i < 64; ++i) {
@@ -703,7 +696,6 @@ TEST(TraceReadSite, EveryDamagedSampleIsQuarantined) {
 /// scripts keep running) but arms nothing: a binary trace saves and loads
 /// intact, and no site fires.
 TEST(TraceReadSite, RetiredShardSitesNeverFire) {
-  if (!fault::kEnabled) GTEST_SKIP() << "built with -DDRBW_FAULT=OFF";
   const std::string path = ::testing::TempDir() + "/retired_sites.bin";
   const std::string clean = write_binary_trace(path);
   fault::Injector::global().reset_counts();

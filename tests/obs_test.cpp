@@ -20,7 +20,6 @@ namespace drbw::obs {
 namespace {
 
 TEST(ObsCounterTest, AccumulatesAndResets) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled out (DRBW_OBS=OFF)";
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.add();
@@ -31,7 +30,6 @@ TEST(ObsCounterTest, AccumulatesAndResets) {
 }
 
 TEST(ObsGaugeTest, SetAndSetMax) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled out (DRBW_OBS=OFF)";
   Gauge g;
   g.set(2.5);
   EXPECT_DOUBLE_EQ(g.value(), 2.5);
@@ -43,7 +41,6 @@ TEST(ObsGaugeTest, SetAndSetMax) {
 }
 
 TEST(ObsHistogramTest, BucketEdgesFollowLeSemantics) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled out (DRBW_OBS=OFF)";
   Histogram h({10, 20, 30});
   h.observe(10);  // == bound: lands in le="10"
   h.observe(11);  // first bucket past it
@@ -58,7 +55,6 @@ TEST(ObsHistogramTest, BucketEdgesFollowLeSemantics) {
 }
 
 TEST(ObsHistogramTest, ObserveNMatchesRepeatedObserve) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled out (DRBW_OBS=OFF)";
   Histogram bulk({10, 20, 30});
   Histogram loop({10, 20, 30});
   bulk.observe_n(15, 3);
@@ -100,7 +96,6 @@ TEST(ObsRegistryTest, KindAndBoundMismatchesThrow) {
 }
 
 TEST(ObsRegistryTest, PrometheusTextEscapesAndCumulates) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled out (DRBW_OBS=OFF)";
   Registry r;
   r.counter("drbw_c_total", "line\nbreak back\\slash").add(3);
   Histogram& h = r.histogram("drbw_h", "hist", {10, 20});
@@ -120,7 +115,6 @@ TEST(ObsRegistryTest, PrometheusTextEscapesAndCumulates) {
 }
 
 TEST(ObsRegistryTest, JsonTextEscapesAndGroupsKinds) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled out (DRBW_OBS=OFF)";
   Registry r;
   r.counter("drbw_c_total", "say \"hi\"\ttab").add(1);
   r.gauge("drbw_g", "plain").set(0.25);
@@ -133,7 +127,6 @@ TEST(ObsRegistryTest, JsonTextEscapesAndGroupsKinds) {
 }
 
 TEST(ObsRegistryTest, DiagnosticInstrumentsAreOptIn) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled out (DRBW_OBS=OFF)";
   Registry r;
   r.counter("drbw_golden_total", "in every export").add(1);
   r.counter("drbw_diag_total", "jobs-dependent", Visibility::kDiagnostic).add(1);
@@ -164,7 +157,6 @@ class TraceSandbox {
 };
 
 TEST(ObsTraceTest, GoldenSerialization) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled out (DRBW_OBS=OFF)";
   TraceSandbox sandbox;
   Trace& trace = Trace::instance();
   trace.instant("hello", {{"x", 1.5}}, {{"note", "a\"b"}});
@@ -192,7 +184,6 @@ TEST(ObsTraceTest, DisabledTraceRecordsNothing) {
 }
 
 TEST(ObsTraceTest, SpansNestBySequence) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled out (DRBW_OBS=OFF)";
   TraceSandbox sandbox;
   {
     Span outer("outer");
@@ -224,7 +215,6 @@ std::string traced_fanout(int jobs) {
 }
 
 TEST(ObsTraceTest, TraceBytesAreIdenticalAcrossJobCounts) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled out (DRBW_OBS=OFF)";
   const std::string serial = traced_fanout(1);
   const std::string parallel = traced_fanout(4);
   EXPECT_EQ(serial, parallel);
@@ -233,7 +223,6 @@ TEST(ObsTraceTest, TraceBytesAreIdenticalAcrossJobCounts) {
 }
 
 TEST(ObsTraceTest, WallModeMarksTraceNonGolden) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled out (DRBW_OBS=OFF)";
   TraceSandbox sandbox;
   Trace::instance().enable(TimingMode::kWall);
   Trace::instance().instant("tick");
@@ -251,7 +240,6 @@ void spin_wall(std::uint64_t micros) {
 }
 
 TEST(ObsTraceTest, WallModeSpansNestByOneClock) {
-  if (!kEnabled) GTEST_SKIP() << "obs compiled out (DRBW_OBS=OFF)";
   TraceSandbox sandbox;
   Trace::instance().enable(TimingMode::kWall);
   {
@@ -284,19 +272,6 @@ TEST(ObsTraceTest, WallModeSpansNestByOneClock) {
   EXPECT_NE(collapsed.find("parent;a "), std::string::npos) << collapsed;
   EXPECT_NE(collapsed.find("parent;b "), std::string::npos) << collapsed;
   EXPECT_EQ(collapsed.find("a;b"), std::string::npos) << collapsed;
-}
-
-TEST(ObsDisabledTest, CompiledOutInstrumentsStayZero) {
-  if (kEnabled) GTEST_SKIP() << "only meaningful with DRBW_OBS=OFF";
-  Counter c;
-  c.add(5);
-  EXPECT_EQ(c.value(), 0u);
-  Histogram h({10});
-  h.observe(3);
-  EXPECT_EQ(h.count(), 0u);
-  Trace::instance().enable(TimingMode::kSim);
-  Trace::instance().instant("dropped");
-  EXPECT_EQ(Trace::instance().event_count(), 0u);
 }
 
 }  // namespace

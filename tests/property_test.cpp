@@ -2,6 +2,7 @@
 // with TEST_P / INSTANTIATE_TEST_SUITE_P.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdio>
@@ -10,14 +11,17 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "drbw/core/profiler.hpp"
+#include "drbw/drbw.hpp"
 #include "drbw/diagnoser/advice.hpp"
 #include "drbw/diagnoser/diagnoser.hpp"
 #include "drbw/features/selected.hpp"
 #include "drbw/features/window.hpp"
 #include "drbw/ml/decision_tree.hpp"
+#include "drbw/pebs/session.hpp"
 #include "drbw/pebs/trace_io.hpp"
 #include "drbw/sim/engine.hpp"
 #include "drbw/util/csv.hpp"
@@ -434,6 +438,115 @@ TEST_P(ChannelWindowProperty, IncrementalMatchesFreshAndProfiled) {
 
 INSTANTIATE_TEST_SUITE_P(SeedGrid, ChannelWindowProperty,
                          ::testing::Values(3, 17, 2017));
+
+// ---------------------------------------------------------------------- //
+// Cycle windows: DrBw::analyze_window over bucket_by_cycle's ordinal ranges
+// equals, window by window, a reference that copies every window's samples
+// into a vector of its own (the bucketer the ordinal ranges replaced) —
+// the grid, the sample counts, every feature value (==) and every verdict,
+// on random traces with unsorted cycles and 1 to 300 windows.
+
+/// The copying reference bucketer: one sample vector per window, stream
+/// order inside each, samples past the last window clamped into it.
+std::vector<std::vector<pebs::MemorySample>> copy_buckets(
+    const std::vector<pebs::MemorySample>& samples, std::uint64_t width,
+    std::size_t count) {
+  std::vector<std::vector<pebs::MemorySample>> buckets(count);
+  for (const pebs::MemorySample& s : samples) {
+    buckets[std::min<std::uint64_t>(s.cycle / width, count - 1)].push_back(s);
+  }
+  return buckets;
+}
+
+class CycleWindowOracleProperty
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CycleWindowOracleProperty, OrdinalWindowsMatchCopyingReference) {
+  Rng rng(GetParam());
+  pebs::Trace trace;
+  const std::uint64_t cycle_bound = 1 + rng.bounded(2'000'000);
+  const std::size_t n = 500 + rng.bounded(2500);
+  for (std::size_t i = 0; i < n; ++i) {
+    pebs::MemorySample s;
+    s.address = rng.bounded(1ull << 30) & ~63ull;
+    s.cpu = static_cast<topology::CpuId>(
+        rng.bounded(static_cast<std::uint64_t>(machine().num_hw_threads())));
+    s.tid = static_cast<std::uint32_t>(rng.bounded(64));
+    s.level = static_cast<pebs::MemLevel>(rng.bounded(6));
+    if (rng.bernoulli(0.5)) s.level = pebs::MemLevel::kRemoteDram;
+    s.latency_cycles = static_cast<float>(rng.bounded(2500));
+    s.cycle = rng.bounded(cycle_bound);  // unsorted
+    trace.samples.push_back(s);
+  }
+  std::uint64_t span = 0;
+  for (const pebs::MemorySample& s : trace.samples) {
+    span = std::max(span, s.cycle);
+  }
+  const ml::Classifier model =
+      ml::Classifier::load(std::string(DRBW_SOURCE_ROOT) + "/drbw_model.json");
+  core::ReplayLocator locator;
+  std::size_t rmc_windows = 0;
+  for (const features::SparseGuard guard :
+       {features::SparseGuard{0, 0}, features::kWindowGuard}) {
+    const DrBw tool(machine(), model, {guard});
+    for (std::size_t count = 1; count <= 300; ++count) {
+      const std::uint64_t width = span / count + 1;
+      const auto reference = copy_buckets(trace.samples, width, count);
+      const pebs::CycleWindows grid =
+          pebs::split_cycle_windows(trace, count);
+      ASSERT_EQ(grid.count(), count);
+      ASSERT_EQ(grid.width, width);
+      ASSERT_EQ(grid.ordinals.size(), trace.samples.size());
+      for (std::size_t w = 0; w < count; ++w) {
+        const WindowVerdict got =
+            tool.analyze_window(trace.samples, grid, w, locator);
+        ASSERT_EQ(got.start_cycle, std::min(w * width, span + 1)) << count;
+        ASSERT_EQ(got.end_cycle, std::min((w + 1) * width, span + 1)) << count;
+        ASSERT_EQ(got.samples, reference[w].size()) << count << " " << w;
+        // The copy's samples, in its (stream) order.
+        const std::span<const std::uint32_t> ordinals = grid.window(w);
+        ASSERT_TRUE(std::is_sorted(ordinals.begin(), ordinals.end()));
+        for (std::size_t k = 0; k < ordinals.size(); ++k) {
+          const pebs::MemorySample& sample = trace.samples[ordinals[k]];
+          ASSERT_EQ(sample.cycle, reference[w][k].cycle);
+          ASSERT_EQ(sample.address, reference[w][k].address);
+        }
+        features::ChannelWindow window(machine(), locator);
+        for (const pebs::MemorySample& s : reference[w]) window.add(s);
+        std::vector<topology::ChannelId> contended;
+        std::size_t c = 0;
+        for (const features::ChannelFeatures& cf : window.channels()) {
+          if (guard.sparse(cf.features)) continue;
+          ASSERT_LT(c, got.channels.size());
+          const WindowChannel& mine = got.channels[c++];
+          ASSERT_EQ(mine.channel, cf.channel);
+          ASSERT_EQ(mine.features.scope_samples, cf.features.scope_samples);
+          for (std::size_t f = 0; f < cf.features.values.size(); ++f) {
+            ASSERT_EQ(mine.features.values[f], cf.features.values[f])
+                << "feature " << f << ", window " << w << " of " << count;
+          }
+          const ml::Explanation want =
+              model.predict_explained(cf.features.as_row());
+          ASSERT_EQ(want.label, model.predict(cf.features.as_row()));
+          ASSERT_EQ(mine.explanation.label, want.label);
+          ASSERT_EQ(mine.explanation.confidence, want.confidence);
+          ASSERT_EQ(mine.explanation.path_signature(), want.path_signature());
+          if (want.label == ml::Label::kRmc) contended.push_back(cf.channel);
+        }
+        ASSERT_EQ(c, got.channels.size());
+        ASSERT_EQ(got.contended, contended);
+        ASSERT_EQ(got.rmc, !contended.empty());
+        rmc_windows += got.rmc ? 1 : 0;
+      }
+    }
+  }
+  // The traces are hot enough that some windows contend, so the verdict
+  // comparison is not vacuous.
+  EXPECT_GT(rmc_windows, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedGrid, CycleWindowOracleProperty,
+                         ::testing::Values(5, 23, 2017));
 
 // ---------------------------------------------------------------------- //
 // Profiler: the index profile (an 8-byte ref per sample into the borrowed

@@ -66,7 +66,6 @@ std::string golden_view(const std::string& manifest_text) {
 // In-process: flight recorder
 
 TEST(FlightRecorderTest, RecordsSortsAndDumps) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with -DDRBW_OBS=OFF";
   auto& flight = obs::FlightRecorder::instance();
   flight.enable(16);
   flight.note("stage", "load");
@@ -80,7 +79,6 @@ TEST(FlightRecorderTest, RecordsSortsAndDumps) {
 }
 
 TEST(FlightRecorderTest, BoundedRingCountsDrops) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with -DDRBW_OBS=OFF";
   auto& flight = obs::FlightRecorder::instance();
   flight.enable(4);
   for (std::uint64_t i = 0; i < 10; ++i) flight.note("e", "x", i);
@@ -98,9 +96,6 @@ TEST(FlightRecorderTest, DisabledRecorderIsANoOp) {
 }
 
 TEST(FlightRecorderTest, FaultFiresLeaveBreadcrumbs) {
-  if (!obs::kEnabled || !fault::kEnabled) {
-    GTEST_SKIP() << "built with obs or fault compiled out";
-  }
   auto& flight = obs::FlightRecorder::instance();
   flight.enable(64);
   fault::Injector::global().arm(
@@ -128,7 +123,6 @@ std::string fold_flight(const std::string& path) {
 }
 
 TEST(FlightRecorderTest, WallSpansShareOneClockWithoutTheTraceSink) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with -DDRBW_OBS=OFF";
   auto& flight = obs::FlightRecorder::instance();
   const obs::TrackScope saved = obs::track_scope();
   const auto run_stages = [] {
@@ -432,7 +426,6 @@ std::string make_run_dir(const std::string& name) {
 }
 
 TEST(ProvenanceCliTest, ManifestAndFlightAreJobsIndependent) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with -DDRBW_OBS=OFF";
   const std::string d1 = make_run_dir("jobs1");
   const std::string d4 = make_run_dir("jobs4");
   const std::string model = testing::TempDir() + "/prov_model.json";
@@ -466,7 +459,6 @@ struct CorpusCase {
 };
 
 TEST(ProvenanceCliTest, EveryTypedFailureLeavesADiagnosableRunDir) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with -DDRBW_OBS=OFF";
   // One corpus file (or synthetic condition) per typed exit code.
   const std::vector<CorpusCase> cases = {
       {"/nonexistent/trace.csv", "", 66, "not-found"},
@@ -514,11 +506,9 @@ TEST(ProvenanceCliTest, UnmatchedFreeIsACorruptArtifact) {
                              "A,x,4096,64\nF,8192\nS,4096,0,1,LDR,500,0,10\n",
                              dir),
             68);
-  if (obs::kEnabled) {
-    const std::string manifest = read_file(dir + "/" + obs::kManifestFileName);
-    EXPECT_NE(manifest.find("corrupt-artifact"), std::string::npos);
-    EXPECT_NE(manifest.find("no matching allocation"), std::string::npos);
-  }
+  const std::string manifest = read_file(dir + "/" + obs::kManifestFileName);
+  EXPECT_NE(manifest.find("corrupt-artifact"), std::string::npos);
+  EXPECT_NE(manifest.find("no matching allocation"), std::string::npos);
 }
 
 /// Heap events that would wrap the tracker's byte counts or ranges: a
@@ -551,18 +541,15 @@ TEST(ProvenanceCliTest, TraceIndexArtifactIsAParseError) {
   EXPECT_EQ(run_cli("convert --in " + index + " --out " + testing::TempDir() +
                     "/prov_index_out.bin"),
             67);
-  if (obs::kEnabled) {
-    const std::string manifest = read_file(dir + "/" + obs::kManifestFileName);
-    EXPECT_NE(manifest.find("artifact kind is 'trace-index', expected 'trace'"),
-              std::string::npos)
-        << manifest;
-  }
+  const std::string manifest = read_file(dir + "/" + obs::kManifestFileName);
+  EXPECT_NE(manifest.find("artifact kind is 'trace-index', expected 'trace'"),
+            std::string::npos)
+      << manifest;
 }
 
 /// Under --timing wall the run dir's flight dump folds analyze's four
 /// stages side by side, with the trace sink on (--trace-out) and off.
 TEST(ProvenanceCliTest, WallTimingFoldsAnalyzeStagesSideBySide) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with -DDRBW_OBS=OFF";
   const std::string trace = testing::TempDir() + "/prov_wall_trace.bin";
   // streamcluster at T32-N4 is contended, so analyze reaches diagnose.
   ASSERT_EQ(run_cli("record --benchmark streamcluster --config T32-N4 "
@@ -603,9 +590,6 @@ TEST(ProvenanceCliTest, WallTimingFoldsAnalyzeStagesSideBySide) {
 }
 
 TEST(ProvenanceCliTest, InjectedFaultExitsSeventyAndDoctorNamesTheSite) {
-  if (!obs::kEnabled || !fault::kEnabled) {
-    GTEST_SKIP() << "built with obs or fault compiled out";
-  }
   const std::string dir = make_run_dir("injected");
   const std::string trace = testing::TempDir() + "/prov_fault_trace.csv";
   ASSERT_EQ(run_cli("record --config T4-N2 --out " + trace + " --run-dir " +
@@ -638,20 +622,17 @@ TEST(ProvenanceCliTest, LenientCapBoundaryIsExact) {
                     " --load-mode lenient --max-bad-fraction 0.19 --run-dir " +
                     below),
             68);
-  if (obs::kEnabled) {
-    const report::ManifestData ok =
-        report::load_manifest(at_cap + "/" + obs::kManifestFileName);
-    EXPECT_EQ(ok.status, "ok");
-    EXPECT_EQ(ok.records_quarantined, 2u);
-    const report::ManifestData bad =
-        report::load_manifest(below + "/" + obs::kManifestFileName);
-    EXPECT_EQ(bad.error_code, "corrupt-artifact");
-    EXPECT_EQ(bad.records_quarantined, 2u);
-  }
+  const report::ManifestData ok =
+      report::load_manifest(at_cap + "/" + obs::kManifestFileName);
+  EXPECT_EQ(ok.status, "ok");
+  EXPECT_EQ(ok.records_quarantined, 2u);
+  const report::ManifestData bad =
+      report::load_manifest(below + "/" + obs::kManifestFileName);
+  EXPECT_EQ(bad.error_code, "corrupt-artifact");
+  EXPECT_EQ(bad.records_quarantined, 2u);
 }
 
 TEST(ProvenanceCliTest, PerfDiffGateExitsThreeOnRegression) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with -DDRBW_OBS=OFF";
   const std::string a = testing::TempDir() + "/prov_perf_a.json";
   const std::string b = testing::TempDir() + "/prov_perf_b.json";
   obs::RunManifest before = sample_manifest();
@@ -692,7 +673,6 @@ TEST(ProvenanceCliTest, PerfDiffGateExitsThreeOnRegression) {
 }
 
 TEST(ProvenanceCliTest, ExpectTraceVersionPinGatesBinaryTraces) {
-  if (!obs::kEnabled) GTEST_SKIP() << "built with -DDRBW_OBS=OFF";
   const std::string trace = testing::TempDir() + "/prov_pin_trace.bin";
   ASSERT_EQ(run_cli("record --config T4-N2 --format binary --out " + trace +
                     " --run-dir " + make_run_dir("rec_pin")),

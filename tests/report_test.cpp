@@ -115,10 +115,8 @@ TEST_F(ReportTest, TelemetrySectionRendersGoldenRowsOnly) {
                    obs::Visibility::kDiagnostic);
   const std::string md = telemetry_markdown(registry);
   EXPECT_NE(md.find("## Run telemetry"), std::string::npos);
-  if (obs::kEnabled) {
-    EXPECT_NE(md.find("| `drbw_report_demo_total` | counter | 3 |"),
-              std::string::npos);
-  }
+  EXPECT_NE(md.find("| `drbw_report_demo_total` | counter | 3 |"),
+            std::string::npos);
   EXPECT_EQ(md.find("drbw_report_diag_total"), std::string::npos);
   EXPECT_NE(telemetry_markdown(registry, true).find("drbw_report_diag_total"),
             std::string::npos);

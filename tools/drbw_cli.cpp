@@ -24,7 +24,6 @@
 // 69 artifact version skew, 70 injected fault, 74 I/O error.
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <filesystem>
 #include <iostream>
 #include <limits>
@@ -36,12 +35,13 @@
 #include "drbw/drbw.hpp"
 #include "drbw/fault/injector.hpp"
 #include "drbw/features/selected.hpp"
-#include "drbw/features/window.hpp"
 #include "drbw/obs/flight_recorder.hpp"
 #include "drbw/obs/manifest.hpp"
 #include "drbw/obs/trace.hpp"
+#include "drbw/pebs/session.hpp"
 #include "drbw/pebs/trace_io.hpp"
 #include "drbw/obs/flame.hpp"
+#include "drbw/report/explain.hpp"
 #include "drbw/report/fleet.hpp"
 #include "drbw/report/markdown.hpp"
 #include "drbw/report/postmortem.hpp"
@@ -50,11 +50,9 @@
 #include "drbw/util/ascii_chart.hpp"
 #include "drbw/util/cli.hpp"
 #include "drbw/util/json.hpp"
-#include "drbw/util/stats.hpp"
 #include "drbw/util/strings.hpp"
 #include "drbw/util/task_pool.hpp"
 #include "drbw/util/table.hpp"
-#include "drbw/workloads/evaluation.hpp"
 #include "drbw/workloads/suite.hpp"
 #include "drbw/workloads/training.hpp"
 
@@ -175,10 +173,6 @@ struct RunSession {
         fault::Injector::global().arm(std::move(plan));
       } catch (const Error& e) {
         throw UsageError(std::string("--inject-faults: ") + e.what());
-      }
-      if (!fault::kEnabled) {
-        std::cerr << "drbw: warning: built with -DDRBW_FAULT=OFF; "
-                     "--inject-faults is accepted but no fault can fire\n";
       }
     }
     run_dir_ = parser_.option("run-dir");
@@ -473,7 +467,7 @@ ml::Classifier load_model(const ArgParser& parser, RunSession& session,
   if (parser.option("model").empty()) {
     return workloads::train_default_classifier(machine);
   }
-  ml::Classifier model = ml::Classifier::load(parser.option("model"), policy);
+  ml::Classifier model = load_classifier(parser.option("model"), policy);
   session.note_input("model-in", parser.option("model"));
   return model;
 }
@@ -606,11 +600,11 @@ int cmd_analyze(int argc, char** argv) {
     const std::int64_t windows =
         parser.option_int("windows", 1, pebs::kMaxCycleWindows);
     const auto machine = topology::Machine::xeon_e5_4650();
-    TraceInput input = load_trace_input(
+    const TraceInput input = load_trace_input(
         parser, session, machine, parser.option("trace"),
         /*require_model=*/true,
         expect > 0 ? static_cast<int>(expect) : pebs::kTraceVersion);
-    pebs::Trace& trace = input.trace;
+    const pebs::Trace& trace = input.trace;
     std::cout << "loaded " << trace.samples.size() << " samples, "
               << trace.events.size() << " allocation events";
     if (input.stats.records_quarantined > 0 || !input.stats.checksum_ok) {
@@ -647,19 +641,12 @@ int cmd_analyze(int argc, char** argv) {
       return report.rmc ? 2 : 0;  // exit signals the verdict
     }
 
-    // Windowed: the run spans the sample timestamps; the trace moves into
-    // the pseudo run, which is all the windows read.
     session.stage("windows");
-    const std::uint64_t span = pebs::trace_cycle_span(trace);
-    sim::RunResult pseudo;
-    pseudo.total_cycles = span + 1;
-    pseudo.samples = std::move(trace.samples);
-    pseudo.alloc_events = std::move(trace.events);
+    const pebs::CycleWindows grid =
+        pebs::split_cycle_windows(trace, static_cast<std::size_t>(windows));
     bool any = false;
-    for (const auto& v : tool.analyze_windows(
-             pseudo, locator,
-             pebs::cycle_window_width(span,
-                                      static_cast<std::uint64_t>(windows)))) {
+    for (std::size_t w = 0; w < grid.count(); ++w) {
+      const WindowVerdict v = tool.analyze_window(trace.samples, grid, w, locator);
       std::cout << "[" << v.start_cycle << ", " << v.end_cycle << ") "
                 << v.samples << " samples: "
                 << (v.rmc ? "RMC" : "good");
@@ -670,9 +657,6 @@ int cmd_analyze(int argc, char** argv) {
     return any ? 2 : 0;
   });
 }
-
-/// Version of the `#drbw-explain` JSON artifact.
-constexpr int kExplainVersion = 1;
 
 int cmd_explain(int argc, char** argv) {
   ArgParser parser("drbw explain",
@@ -701,220 +685,36 @@ int cmd_explain(int argc, char** argv) {
     const TraceInput input = load_trace_input(
         parser, session, machine, parser.option("trace"),
         /*require_model=*/true);
-    const ml::Classifier model =
-        load_model(parser, session, machine, input.policy);
+    const DrBw tool(machine, load_model(parser, session, machine, input.policy),
+                    {features::kWindowGuard});
 
     session.stage("explain");
-    // Bucket the samples into cycle windows (analyze's windowing), then
-    // explain each window's channels in an indexed fan-out; everything below
-    // aggregates in window order, so every artifact is golden at any --jobs.
-    const pebs::Trace& trace = input.trace;
-    const std::uint64_t last_cycle = pebs::trace_cycle_span(trace);
-    const std::uint64_t window_cycles =
-        pebs::cycle_window_width(last_cycle, windows);
-    const std::vector<std::vector<pebs::MemorySample>> buckets =
-        pebs::bucket_by_cycle(trace.samples, window_cycles, windows);
+    const pebs::CycleWindows grid =
+        pebs::split_cycle_windows(input.trace, windows);
     core::ReplayLocator locator;
-    struct Verdict {
-      std::string channel;
-      ml::Explanation exp;
-    };
-    std::vector<std::vector<Verdict>> slots(windows);
+    std::vector<WindowVerdict> verdicts(windows);
     {
       obs::Span explain_span("explain");
       util::TaskPool pool(jobs_option(parser));
       pool.parallel_for(windows, [&](std::size_t w) {
-        if (buckets[w].empty()) return;
-        features::ChannelWindow window(machine, locator);
-        for (const pebs::MemorySample& sample : buckets[w]) window.add(sample);
-        for (const features::ChannelFeatures& ch : window.channels()) {
-          if (features::kWindowGuard.sparse(ch.features)) continue;
-          slots[w].push_back(Verdict{
-              machine.channel_name(ch.channel),
-              model.predict_explained(ch.features.as_row())});
-        }
+        verdicts[w] = tool.analyze_window(input.trace.samples, grid, w, locator);
       });
     }
-
-    // Serial aggregation: per-window verdict rows, decision-path frequency,
-    // and per-feature attribution sums.
-    const std::array<std::string, features::kNumSelected>& keys =
-        features::selected_feature_keys();
-    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> paths;
-    std::vector<double> attr_sum(model.feature_names().size(), 0.0);
-    std::vector<double> attr_abs(model.feature_names().size(), 0.0);
-    std::vector<double> confidences;
-    std::uint64_t rows = 0, rmc_rows = 0;
-    std::uint64_t windows_explained = 0, windows_rmc = 0;
-    auto& conf_hist = obs::Registry::global().histogram(
-        "drbw_model_confidence_bucket",
-        "Per-window classification confidence (leaf purity, percent)",
-        {50, 60, 70, 80, 90, 95, 100});
-    for (const std::vector<Verdict>& verdicts : slots) {
-      if (verdicts.empty()) continue;
-      ++windows_explained;
-      bool window_rmc = false;
-      for (const Verdict& v : verdicts) {
-        ++rows;
-        const bool is_rmc = v.exp.label == ml::Label::kRmc;
-        if (is_rmc) {
-          ++rmc_rows;
-          window_rmc = true;
-        }
-        confidences.push_back(v.exp.confidence);
-        conf_hist.observe(
-            static_cast<std::uint64_t>(v.exp.confidence * 100.0 + 0.5));
-        auto& tally = paths[v.exp.path_signature()];
-        ++tally.first;
-        if (is_rmc) ++tally.second;
-        for (std::size_t f = 0; f < v.exp.attributions.size(); ++f) {
-          attr_sum[f] += v.exp.attributions[f];
-          attr_abs[f] += std::abs(v.exp.attributions[f]);
-        }
-      }
-      if (window_rmc) ++windows_rmc;
-    }
-    const double confidence_p50 = lower_median(confidences);
-    const double confidence_min =
-        confidences.empty()
-            ? 0.0
-            : *std::min_element(confidences.begin(), confidences.end());
-
-    // The `#drbw-explain v1` artifact: golden-vs-context split like the
-    // manifest, but nothing here depends on --jobs, so the whole document
-    // (and its header checksum) is byte-identical at any value.
-    Json golden = JsonObject{};
-    Json summary = JsonObject{};
-    summary.set("windows", windows);
-    summary.set("windows_explained", windows_explained);
-    summary.set("windows_rmc", windows_rmc);
-    summary.set("rows", rows);
-    summary.set("rmc_rows", rmc_rows);
-    summary.set("confidence_p50", confidence_p50);
-    summary.set("confidence_min", confidence_min);
-    golden.set("summary", std::move(summary));
-    Json window_list = JsonArray{};
-    for (std::size_t w = 0; w < windows; ++w) {
-      Json entry = JsonObject{};
-      entry.set("window", w);
-      entry.set("start", w * window_cycles);
-      entry.set("end", std::min<std::uint64_t>(last_cycle + 1,
-                                               (w + 1) * window_cycles));
-      entry.set("samples", buckets[w].size());
-      Json verdicts = JsonArray{};
-      for (const Verdict& v : slots[w]) {
-        Json row = JsonObject{};
-        row.set("channel", v.channel);
-        row.set("label", v.exp.label == ml::Label::kRmc ? "rmc" : "good");
-        row.set("confidence", v.exp.confidence);
-        row.set("path", v.exp.path_signature());
-        row.set("leaf", v.exp.leaf);
-        verdicts.push_back(std::move(row));
-      }
-      entry.set("verdicts", std::move(verdicts));
-      window_list.push_back(std::move(entry));
-    }
-    golden.set("windows", std::move(window_list));
-    // Path frequency: most common first, signature as the tie-break.
-    std::vector<std::pair<std::string, std::pair<std::uint64_t, std::uint64_t>>>
-        ranked(paths.begin(), paths.end());
-    std::stable_sort(ranked.begin(), ranked.end(),
-                     [](const auto& a, const auto& b) {
-                       if (a.second.first != b.second.first) {
-                         return a.second.first > b.second.first;
-                       }
-                       return a.first < b.first;
-                     });
-    Json path_list = JsonArray{};
-    for (const auto& [signature, tally] : ranked) {
-      Json entry = JsonObject{};
-      entry.set("signature", signature);
-      entry.set("count", tally.first);
-      entry.set("rmc", tally.second);
-      path_list.push_back(std::move(entry));
-    }
-    golden.set("paths", std::move(path_list));
-    Json attribution_list = JsonArray{};
-    for (std::size_t f = 0; f < attr_sum.size(); ++f) {
-      Json entry = JsonObject{};
-      entry.set("feature", f < keys.size() ? keys[f]
-                                           : model.feature_names()[f]);
-      entry.set("mean", rows > 0 ? attr_sum[f] / static_cast<double>(rows)
-                                 : 0.0);
-      entry.set("mean_abs",
-                rows > 0 ? attr_abs[f] / static_cast<double>(rows) : 0.0);
-      attribution_list.push_back(std::move(entry));
-    }
-    golden.set("attributions", std::move(attribution_list));
-    Json context = JsonObject{};
-    context.set("trace", parser.option("trace"));
-    context.set("model", parser.option("model").empty()
-                             ? "(trained in-process)"
-                             : parser.option("model"));
-    Json doc = JsonObject{};
-    doc.set("drbw_explain", kExplainVersion);
-    doc.set("golden", std::move(golden));
-    doc.set("context", std::move(context));
+    const report::ExplainArtifacts explained = report::render_explain(
+        verdicts, machine, {parser.option("trace"), parser.option("model")},
+        !parser.option("report").empty());
 
     session.stage("persist");
     util::write_versioned_artifact(parser.option("out"), "explain",
-                                   kExplainVersion, doc.dump(2) + "\n");
+                                   report::kExplainVersion, explained.json);
     session.note_output("explain-out", parser.option("out"));
-
     if (!parser.option("report").empty()) {
-      std::ostringstream md;
-      md << "# DR-BW explain report\n\n`" << parser.option("trace") << "` vs "
-         << (parser.option("model").empty()
-                 ? std::string("an in-process model")
-                 : "`" + parser.option("model") + "`")
-         << ": " << windows_explained << " of " << windows
-         << " window(s) explained, " << rows << " channel verdict(s) ("
-         << rmc_rows << " rmc), confidence p50 "
-         << format_fixed(confidence_p50, 3) << ", min "
-         << format_fixed(confidence_min, 3) << "\n";
-      md << "\n## Decision paths\n\n| path | count | rmc |\n|---|---:|---:|\n";
-      for (const auto& [signature, tally] : ranked) {
-        md << "| `" << signature << "` | " << tally.first << " | "
-           << tally.second << " |\n";
-      }
-      md << "\n## Feature attribution (mean delta-P(rmc) per verdict)\n\n"
-            "| feature | mean | mean abs |\n|---|---:|---:|\n";
-      for (std::size_t f = 0; f < attr_sum.size(); ++f) {
-        const double denom = rows > 0 ? static_cast<double>(rows) : 1.0;
-        md << "| " << (f < keys.size() ? keys[f] : model.feature_names()[f])
-           << " | " << format_fixed(attr_sum[f] / denom, 4) << " | "
-           << format_fixed(attr_abs[f] / denom, 4) << " |\n";
-      }
-      md << "\n## Windows\n";
-      for (std::size_t w = 0; w < windows; ++w) {
-        md << "\n### window " << w << " [" << w * window_cycles << ", "
-           << std::min<std::uint64_t>(last_cycle + 1, (w + 1) * window_cycles)
-           << ") — " << buckets[w].size() << " sample(s)\n\n";
-        if (slots[w].empty()) {
-          md << "no explainable channel (sparse window)\n";
-          continue;
-        }
-        md << "| channel | verdict | confidence | path |\n"
-              "|---|---|---:|---|\n";
-        for (const Verdict& v : slots[w]) {
-          md << "| " << v.channel << " | "
-             << (v.exp.label == ml::Label::kRmc ? "RMC" : "good") << " | "
-             << format_fixed(v.exp.confidence, 3) << " | `"
-             << v.exp.path_signature() << "` |\n";
-        }
-      }
-      report::write_file(parser.option("report"), md.str());
+      report::write_file(parser.option("report"), explained.markdown);
       session.note_output("report-out", parser.option("report"));
       std::cout << "report written to " << parser.option("report") << '\n';
     }
-
-    std::cout << "explained " << rows << " channel verdict(s) across "
-              << windows_explained << " of " << windows << " window(s): "
-              << rmc_rows << " rmc, " << paths.size()
-              << " distinct decision path(s), confidence p50 "
-              << format_fixed(confidence_p50, 3) << '\n';
-    std::cout << "explain artifact written to " << parser.option("out")
-              << '\n';
+    std::cout << explained.summary << "\nexplain artifact written to "
+              << parser.option("out") << '\n';
     return 0;
   });
 }
@@ -1034,7 +834,7 @@ int cmd_serve(int argc, char** argv) {
     } else {
       session.note_input("model-in", parser.option("model"));
       try {
-        model = ml::Classifier::load(parser.option("model"), input.policy);
+        model = load_classifier(parser.option("model"), input.policy);
       } catch (const Error& e) {
         std::cerr << "drbw serve: degraded to pass-through telemetry: "
                   << e.what() << '\n';
