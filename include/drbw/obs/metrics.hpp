@@ -66,7 +66,6 @@ class Gauge {
   double value() const {
     return std::bit_cast<double>(bits_.load(std::memory_order_relaxed));
   }
-  void reset() { bits_.store(std::bit_cast<std::uint64_t>(0.0), std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> bits_{std::bit_cast<std::uint64_t>(0.0)};
@@ -92,7 +91,6 @@ class Histogram {
   std::uint64_t bucket_count(std::size_t i) const;
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  void reset();
 
  private:
   std::vector<std::uint64_t> bounds_;
@@ -132,9 +130,6 @@ class Registry {
     std::string value;  // rendered scalar or histogram summary
   };
   std::vector<Row> rows(bool include_diagnostic = false) const;
-
-  /// Zeroes every instrument value (registrations stay).  Test-only.
-  void reset_values();
 
   std::size_t size() const;
 

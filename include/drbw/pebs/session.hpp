@@ -15,7 +15,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "drbw/pebs/sample.hpp"
@@ -49,13 +48,6 @@ struct Sessions {
 /// function of the trace, so sessions are identical across runs and job
 /// counts.
 Sessions slice_sessions(const Trace& trace, std::uint32_t clients);
-
-/// Throws Error(kCorruptArtifact) at the first sample whose cpu is not a
-/// hardware thread of a `num_cpus`-thread machine (a trace recorded on a
-/// bigger machine), naming `path`, the sample ordinal and the cpu.  One
-/// pass over the samples, no copy.
-void require_known_cpus(const Trace& trace, int num_cpus,
-                        const std::string& path);
 
 /// Most cycle windows a caller may ask for (`--windows`): every window
 /// costs an offset, a verdict and a featurization pass over its ordinals, so

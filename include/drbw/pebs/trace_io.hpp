@@ -63,7 +63,9 @@
 // line / record ordinal so injection is deterministic.
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "drbw/mem/address_space.hpp"
@@ -98,6 +100,11 @@ struct SaveOptions {
 struct LoadOptions {
   util::LoadPolicy policy{};
   int max_version = kTraceVersion;   ///< reject newer headers (kVersionSkew)
+  /// Hardware threads of the machine the trace will be analyzed on; 0 when
+  /// no machine is known.  A kept sample with a cpu at or past it fails the
+  /// load with Error(kCorruptArtifact) in either policy, once parsing (and
+  /// the quarantine cap) is done: records are not quarantined for it.
+  int num_cpus = 0;
 };
 
 /// Writes a trace; events come first so replay order matches collection.
@@ -124,5 +131,13 @@ Trace load_trace(const std::string& path, const LoadOptions& options,
 /// Level <-> trace-token conversion (exposed for tests).
 const char* level_token(MemLevel level);
 MemLevel level_from_token(const std::string& token);
+
+namespace detail {
+
+/// The number of '\n' bytes in `body`, counted in 32 byte lanes (exposed
+/// for tests; the CSV loader sizes its sample vector with it).
+std::size_t count_newlines(std::string_view body);
+
+}  // namespace detail
 
 }  // namespace drbw::pebs

@@ -65,7 +65,6 @@ struct EvaluationResult {
 
   /// Table VI: detection vs interleave ground truth, pooled over all cases.
   ml::ConfusionMatrix confusion() const;
-  int total_cases() const;
 };
 
 /// Runs one case: detection (profiled original) + ground truth (unprofiled

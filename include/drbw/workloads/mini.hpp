@@ -15,8 +15,6 @@
 // knobs that put a run in "good" or "rmc" mode.
 #pragma once
 
-#include <memory>
-
 #include "drbw/workloads/benchmark.hpp"
 
 namespace drbw::workloads {
@@ -37,8 +35,5 @@ ProxySpec countv_spec(std::uint64_t vector_bytes, bool master_alloc);
 /// of a buffer homed on `memory_node`.
 ProxySpec bandit_spec(std::uint32_t streams, topology::NodeId memory_node,
                       std::uint64_t buffer_bytes = 256ull << 20);
-
-/// Wraps a spec (convenience for the training generator and examples).
-std::unique_ptr<Benchmark> make_mini(const ProxySpec& spec);
 
 }  // namespace drbw::workloads

@@ -54,7 +54,4 @@ std::vector<std::unique_ptr<Benchmark>> make_table5_suite();
 /// Look up any suite benchmark (including "lulesh") by lower-case name.
 std::unique_ptr<Benchmark> make_suite_benchmark(const std::string& name);
 
-/// Names of all Table V benchmarks in row order.
-std::vector<std::string> table5_names();
-
 }  // namespace drbw::workloads

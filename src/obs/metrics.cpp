@@ -56,12 +56,6 @@ std::uint64_t Histogram::bucket_count(std::size_t i) const {
   return counts_[i].load(std::memory_order_relaxed);
 }
 
-void Histogram::reset() {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) counts_[i].store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-}
-
 Registry::Entry& Registry::find_or_insert(const std::string& name, Kind kind,
                                           const std::string& help,
                                           Visibility visibility) {
@@ -214,16 +208,6 @@ std::vector<Registry::Row> Registry::rows(bool include_diagnostic) const {
     out.push_back(std::move(row));
   }
   return out;
-}
-
-void Registry::reset_values() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, entry] : entries_) {
-    (void)name;
-    if (entry.counter) entry.counter->reset();
-    if (entry.gauge) entry.gauge->reset();
-    if (entry.histogram) entry.histogram->reset();
-  }
 }
 
 std::size_t Registry::size() const {

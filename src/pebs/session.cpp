@@ -34,19 +34,6 @@ Sessions slice_sessions(const Trace& trace, std::uint32_t clients) {
   return out;
 }
 
-void require_known_cpus(const Trace& trace, int num_cpus,
-                        const std::string& path) {
-  for (std::size_t i = 0; i < trace.samples.size(); ++i) {
-    const topology::CpuId cpu = trace.samples[i].cpu;
-    if (cpu < 0 || cpu >= num_cpus) {
-      throw Error(path + ": sample " + std::to_string(i) + " has cpu " +
-                      std::to_string(cpu) + ", but the machine has " +
-                      std::to_string(num_cpus) + " hardware threads",
-                  ErrorCode::kCorruptArtifact);
-    }
-  }
-}
-
 std::uint64_t cycle_window_width(std::uint64_t span, std::uint64_t windows) {
   DRBW_CHECK_MSG(windows > 0, "window count must be positive");
   const std::uint64_t base = span / windows;

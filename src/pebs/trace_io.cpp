@@ -324,6 +324,45 @@ bool is_blank(std::string_view line) {
   return true;
 }
 
+/// The first kept sample whose cpu the machine lacks.  The decoders note
+/// each kept sample as they append it and keep decoding; load_trace throws
+/// after the parse, so a bad cpu is never quarantined and never outranks
+/// a parse error or the quarantine cap.
+class CpuCheck {
+ public:
+  /// `num_cpus` <= 0 means no machine is known: every cpu passes.
+  explicit CpuCheck(int num_cpus)
+      : num_cpus_(num_cpus),
+        limit_(num_cpus > 0 ? static_cast<std::uint64_t>(num_cpus)
+                            : std::uint64_t{1} << 32) {}
+
+  /// `ordinal` is the sample's index in the decoded trace.
+  void note(topology::CpuId cpu, std::size_t ordinal) {
+    if (static_cast<std::uint32_t>(cpu) >= limit_ && !found_) [[unlikely]] {
+      found_ = true;
+      ordinal_ = ordinal;
+      cpu_ = cpu;
+    }
+  }
+
+  /// Throws Error(kCorruptArtifact) naming the first noted bad sample.
+  void require_none(const std::string& source) const {
+    if (!found_) return;
+    throw Error(source + ": sample " + std::to_string(ordinal_) +
+                    " has cpu " + std::to_string(cpu_) +
+                    ", but the machine has " + std::to_string(num_cpus_) +
+                    " hardware threads",
+                ErrorCode::kCorruptArtifact);
+  }
+
+ private:
+  int num_cpus_;
+  std::uint64_t limit_;
+  bool found_ = false;
+  std::size_t ordinal_ = 0;
+  topology::CpuId cpu_ = 0;
+};
+
 /// The closing quote of an allocation's quoted label when it opens on
 /// `line` and closes on a later line; nullptr when the record is just
 /// `line`.  The closing quote is the first lone '"', and the label's ','
@@ -498,6 +537,8 @@ struct FieldCursor {
 /// copied, into one reused buffer; every other field parses in place.
 class RecordReader {
  public:
+  explicit RecordReader(CpuCheck& cpus) : cpus_(cpus) {}
+
   /// Appends the non-blank record `rec` to `trace`; throws Error(kParse)
   /// naming the offending token (the caller prefixes source and line).
   void read(std::string_view rec, Trace& trace) {
@@ -518,6 +559,7 @@ class RecordReader {
           reject(rec, 8, c);
         }
         s.cpu = static_cast<topology::CpuId>(cpu);
+        cpus_.note(s.cpu, trace.samples.size());
         trace.samples.push_back(s);
         return;
       }
@@ -549,6 +591,7 @@ class RecordReader {
   }
 
  private:
+  CpuCheck& cpus_;
   std::string label_;
 };
 
@@ -558,7 +601,8 @@ class RecordReader {
 /// "trace.read" fault key) by its first line; only a quoted allocation
 /// label may run on past it.
 Trace parse_records(std::string_view body, const std::string& source,
-                    const util::LoadPolicy& policy, util::LoadStats* stats) {
+                    const util::LoadPolicy& policy, util::LoadStats* stats,
+                    CpuCheck& cpus) {
   Trace trace;
   util::LoadStats local;
   util::LoadStats& st = stats != nullptr ? *stats : local;
@@ -570,11 +614,9 @@ Trace parse_records(std::string_view body, const std::string& source,
     std::size_t seen = 0;
     ~SeenTally() { counter.add(seen); }
   } tally{metrics.records_seen};
-  trace.samples.reserve(
-      static_cast<std::size_t>(std::count(body.begin(), body.end(), '\n')) +
-      1);
+  trace.samples.reserve(detail::count_newlines(body) + 1);
   const bool faults_armed = fault::armed();
-  RecordReader reader;
+  RecordReader reader(cpus);
   std::string damaged;
   LineCursor lines(body);
   std::string_view rec;
@@ -686,7 +728,8 @@ mem::AllocationEvent parse_binary_event(const unsigned char* p,
 /// either format.  In lenient mode a truncated tail quarantines the missing
 /// records against the declared counts, so stats are stable across loads.
 Trace parse_binary(std::string_view body, const std::string& source,
-                   const util::LoadPolicy& policy, util::LoadStats* stats) {
+                   const util::LoadPolicy& policy, util::LoadStats* stats,
+                   CpuCheck& cpus) {
   util::LoadStats local;
   util::LoadStats& st = stats != nullptr ? *stats : local;
   TraceMetrics& metrics = TraceMetrics::get();
@@ -809,6 +852,7 @@ Trace parse_binary(std::string_view body, const std::string& source,
           record_bytes(base + samples_off + i * kBinarySampleBytes,
                        kBinarySampleBytes, key),
           static_cast<std::size_t>(i)));
+      cpus.note(trace.samples.back().cpu, trace.samples.size() - 1);
       ++st.records_ok;
     } catch (const Error& e) {
       quarantine(e, key);
@@ -822,15 +866,43 @@ Trace parse_binary(std::string_view body, const std::string& source,
 /// header version.
 Trace parse_trace_body(const util::ArtifactView& artifact,
                        const std::string& source,
-                       const util::LoadPolicy& policy,
-                       util::LoadStats* stats) {
+                       const util::LoadPolicy& policy, util::LoadStats* stats,
+                       CpuCheck& cpus) {
   if (artifact.header.version >= 3) {
-    return parse_binary(artifact.body, source, policy, stats);
+    return parse_binary(artifact.body, source, policy, stats, cpus);
   }
-  return parse_records(artifact.body, source, policy, stats);
+  return parse_records(artifact.body, source, policy, stats, cpus);
 }
 
 }  // namespace
+
+namespace detail {
+
+std::size_t count_newlines(std::string_view body) {
+  // Each block adds 0 or 1 per row to a byte lane, so a lane holds at most
+  // kRows before the block's lanes are summed and cleared.  Fixed-width
+  // byte compares and adds: GCC turns the inner loop into vector code.
+  constexpr std::size_t kLanes = 32;
+  constexpr std::size_t kRows = 255;
+  const auto* p = reinterpret_cast<const unsigned char*>(body.data());
+  std::size_t n = body.size();
+  std::size_t total = 0;
+  while (n >= kLanes) {
+    const std::size_t rows = std::min(kRows, n / kLanes);
+    unsigned char lanes[kLanes] = {};
+    for (std::size_t r = 0; r < rows; ++r, p += kLanes) {
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        lanes[l] = static_cast<unsigned char>(lanes[l] + (p[l] == '\n'));
+      }
+    }
+    for (const unsigned char lane : lanes) total += lane;
+    n -= rows * kLanes;
+  }
+  for (; n > 0; --n, ++p) total += *p == '\n';
+  return total;
+}
+
+}  // namespace detail
 
 void save_trace(const std::string& path, const Trace& trace,
                 const SaveOptions& options) {
@@ -849,8 +921,10 @@ Trace load_trace(const std::string& path, const LoadOptions& options,
       path, file.view(), kArtifactKind, options.max_version, options.policy,
       &st);
   if (!st.checksum_ok) TraceMetrics::get().checksum_failures.add(1);
-  Trace trace = parse_trace_body(artifact, path, options.policy, &st);
+  CpuCheck cpus(options.num_cpus);
+  Trace trace = parse_trace_body(artifact, path, options.policy, &st, cpus);
   TraceMetrics::get().bytes_loaded.add(artifact.body.size());
+  cpus.require_none(path);
   return trace;
 }
 

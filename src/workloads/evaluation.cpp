@@ -45,12 +45,6 @@ ml::ConfusionMatrix EvaluationResult::confusion() const {
   return cm;
 }
 
-int EvaluationResult::total_cases() const {
-  int n = 0;
-  for (const BenchmarkEvaluation& bench : benchmarks) n += bench.total();
-  return n;
-}
-
 CaseOutcome evaluate_case(const topology::Machine& machine, const DrBw& tool,
                           const Benchmark& benchmark, std::size_t input,
                           const RunConfig& config,

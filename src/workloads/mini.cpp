@@ -72,8 +72,4 @@ ProxySpec bandit_spec(std::uint32_t streams, topology::NodeId memory_node,
   return spec;
 }
 
-std::unique_ptr<Benchmark> make_mini(const ProxySpec& spec) {
-  return std::make_unique<ProxyBenchmark>(spec);
-}
-
 }  // namespace drbw::workloads

@@ -510,12 +510,6 @@ std::vector<std::unique_ptr<Benchmark>> make_table5_suite() {
   return suite;
 }
 
-std::vector<std::string> table5_names() {
-  std::vector<std::string> names;
-  for (const auto& b : make_table5_suite()) names.push_back(b->name());
-  return names;
-}
-
 std::unique_ptr<Benchmark> make_suite_benchmark(const std::string& name) {
   const std::string lower = to_lower(name);
   if (lower == "lulesh") {

@@ -985,6 +985,22 @@ TEST(LintRawAllocTest, MemLayerAndLookalikesPass) {
                         "raw-alloc"));
 }
 
+TEST(LintIsaIntrinsicsTest, OnlyTheCrcKernelFileIncludesIntrinsics) {
+  EXPECT_TRUE(has_rule(check("src/pebs/trace_io.cpp",
+                             "#include <immintrin.h>\n"),
+                       "isa-intrinsics"));
+  EXPECT_TRUE(has_rule(check("tests/obs_test.cpp", "#include <x86intrin.h>\n"),
+                       "isa-intrinsics"));
+  EXPECT_TRUE(has_rule(check("src/obs/sink.cpp", "#include <arm_neon.h>\n"),
+                       "isa-intrinsics"));
+  EXPECT_FALSE(has_rule(check("src/obs/crc32.cpp",
+                              "#include <immintrin.h>\n"),
+                        "isa-intrinsics"));
+  EXPECT_FALSE(has_rule(check("src/pebs/trace_io.cpp",
+                              "#include <cstring>\n#include \"intrin.h\"\n"),
+                        "isa-intrinsics"));
+}
+
 TEST(LintFormatTest, RendersCompilerStyleLocation) {
   AnalysisResult result;
   result.fresh.push_back(

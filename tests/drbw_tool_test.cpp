@@ -441,7 +441,8 @@ std::string cli_read_file(const std::string& path) {
 
 /// A trace recorded on a bigger machine carries cpu ids the replaying
 /// machine lacks: every trace-reading front end rejects it as a corrupt
-/// artifact (68) at load time, and the manifest says so for `drbw doctor`.
+/// artifact (68) at load time, from a CSV or a binary body and in either
+/// load mode, and the manifest names the sample for `drbw doctor`.
 TEST(DrBwCliExitCodeTest, OutOfRangeCpuExits68) {
   const std::string dir =
       ::testing::TempDir() + "/drbw_cli_cpu_" + std::to_string(::getpid());
@@ -452,19 +453,33 @@ TEST(DrBwCliExitCodeTest, OutOfRangeCpuExits68) {
             0);
   pebs::Trace trace = pebs::load_trace(dir + "/good.csv");
   ASSERT_GT(trace.samples.size(), 2u);
-  trace.samples[trace.samples.size() / 2].cpu = 99;
-  const std::string bad = dir + "/cpu99.csv";
-  pebs::save_trace(bad, trace);
-  for (const std::string& args :
-       {"analyze --trace " + bad, "analyze --windows 4 --trace " + bad,
-        "explain --out " + dir + "/x.json --trace " + bad,
-        "serve --replay " + bad}) {
-    const std::string run_dir = dir + "/run";
-    std::filesystem::remove_all(run_dir);
-    EXPECT_EQ(run_cli(args + " --run-dir " + run_dir), 68) << args;
-    EXPECT_NE(cli_read_file(run_dir + "/run.json").find("corrupt-artifact"),
-              std::string::npos)
-        << args;
+  const std::size_t ordinal = trace.samples.size() / 2;
+  trace.samples[ordinal].cpu = 99;
+  // The same bad sample in both encodings; lenient mode must not
+  // quarantine it.
+  const std::string csv = dir + "/cpu99.csv";
+  const std::string bin = dir + "/cpu99.bin";
+  pebs::save_trace(csv, trace);
+  pebs::save_trace(bin, trace, {pebs::TraceFormat::kBinary});
+  for (const std::string& bad : {csv, bin}) {
+    const std::string message =
+        bad + ": sample " + std::to_string(ordinal) + " has cpu 99";
+    for (const char* mode : {"", " --load-mode lenient"}) {
+      for (const std::string& args :
+           {"analyze --trace " + bad, "analyze --windows 4 --trace " + bad,
+            "explain --out " + dir + "/x.json --trace " + bad,
+            "serve --replay " + bad}) {
+        const std::string run_dir = dir + "/run";
+        std::filesystem::remove_all(run_dir);
+        EXPECT_EQ(run_cli(args + mode + " --run-dir " + run_dir), 68)
+            << args << mode;
+        const std::string manifest = cli_read_file(run_dir + "/run.json");
+        EXPECT_NE(manifest.find("corrupt-artifact"), std::string::npos)
+            << args << mode;
+        EXPECT_NE(manifest.find(message), std::string::npos)
+            << args << mode << "\n" << manifest;
+      }
+    }
   }
   std::filesystem::remove_all(dir);
 }

@@ -3,17 +3,22 @@
 // kind, histogram buckets follow Prometheus `le` semantics, both exposition
 // formats escape correctly, and the trace serialization is byte-identical
 // regardless of the TaskPool job count (the determinism contract the rest of
-// the repo already makes for datasets and models).
+// the repo already makes for datasets and models).  The two CRC-32 kernels
+// must agree on every input, and each is called directly.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "drbw/obs/flame.hpp"
 #include "drbw/obs/metrics.hpp"
+#include "drbw/obs/sink.hpp"
 #include "drbw/obs/trace.hpp"
 #include "drbw/util/error.hpp"
 #include "drbw/util/json.hpp"
+#include "drbw/util/rng.hpp"
 #include "drbw/util/task_pool.hpp"
 
 namespace drbw::obs {
@@ -135,6 +140,79 @@ TEST(ObsRegistryTest, DiagnosticInstrumentsAreOptIn) {
   EXPECT_EQ(r.rows().size(), 1u);
   EXPECT_EQ(r.rows(true).size(), 2u);
 }
+
+// ---------------------------------------------------------------- crc32 ----
+
+std::string random_bytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string out(n, '\0');
+  for (char& c : out) c = static_cast<char>(rng.next() >> 56);
+  return out;
+}
+
+/// 1,000 bytes of (131 i + 7) mod 251; its CRC-32 comes from zlib.
+std::string pattern_bytes() {
+  std::string out(1000, '\0');
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<char>((i * 131 + 7) % 251);
+  }
+  return out;
+}
+
+TEST(Crc32Test, KnownAnswers) {
+  const std::string pattern = pattern_bytes();
+  EXPECT_EQ(crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(crc32(""), 0u);
+  EXPECT_EQ(crc32(pattern), 0x77E57F86u);
+  EXPECT_EQ(detail::crc32_portable("123456789"), 0xCBF43926u);
+  EXPECT_EQ(detail::crc32_portable(""), 0u);
+  EXPECT_EQ(detail::crc32_portable(pattern), 0x77E57F86u);
+#if defined(__x86_64__)
+  if (!detail::clmul_supported()) GTEST_SKIP() << "CPU lacks pclmul";
+  EXPECT_EQ(detail::crc32_clmul("123456789"), 0xCBF43926u);
+  EXPECT_EQ(detail::crc32_clmul(""), 0u);
+  EXPECT_EQ(detail::crc32_clmul(pattern), 0x77E57F86u);
+#endif
+}
+
+TEST(Crc32Test, DispatchedEqualsPortableKernel) {
+  const std::string buf = random_bytes(4096 + 15, 11);
+  for (std::size_t len : {0u, 1u, 15u, 16u, 63u, 64u, 65u, 127u, 128u, 1000u,
+                          4096u}) {
+    for (std::size_t align : {0u, 1u, 7u, 15u}) {
+      const std::string_view v(buf.data() + align, len);
+      EXPECT_EQ(crc32(v), detail::crc32_portable(v))
+          << "len " << len << " align " << align;
+    }
+  }
+}
+
+#if defined(__x86_64__)
+
+TEST(Crc32Test, KernelsAgreeOnEveryLengthAndAlignment) {
+  if (!detail::clmul_supported()) GTEST_SKIP() << "CPU lacks pclmul";
+  const std::string buf = random_bytes(4096 + 15, 7);
+  std::size_t mismatches = 0;
+  for (std::size_t align = 0; align < 16; ++align) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const std::string_view v(buf.data() + align, len);
+      const std::uint32_t want = detail::crc32_portable(v);
+      if (detail::crc32_clmul(v) != want && mismatches++ < 5) {
+        ADD_FAILURE() << "len " << len << " align " << align;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Crc32Test, KernelsAgreeOnThirtyMegabytes) {
+  if (!detail::clmul_supported()) GTEST_SKIP() << "CPU lacks pclmul";
+  const std::string buf = random_bytes(30u << 20, 2017);
+  EXPECT_EQ(detail::crc32_clmul(buf), detail::crc32_portable(buf));
+  EXPECT_EQ(crc32(buf), detail::crc32_portable(buf));
+}
+
+#endif  // __x86_64__
 
 /// RAII guard: isolates a test from the process-wide trace singleton and
 /// restores the calling thread's track scope (fork counters included), so

@@ -88,11 +88,15 @@ TEST(FlightRecorderTest, BoundedRingCountsDrops) {
 }
 
 TEST(FlightRecorderTest, DisabledRecorderIsANoOp) {
+  // The recorder is a process singleton and disable() keeps what earlier
+  // notes left in the ring, so assert on the change a note makes, not on
+  // an absolute count.
   auto& flight = obs::FlightRecorder::instance();
   flight.disable();
+  const std::size_t before = flight.event_count();
   flight.note("stage", "ignored");
   EXPECT_FALSE(flight.enabled());
-  EXPECT_EQ(flight.event_count(), 0u);
+  EXPECT_EQ(flight.event_count(), before);
 }
 
 TEST(FlightRecorderTest, FaultFiresLeaveBreadcrumbs) {

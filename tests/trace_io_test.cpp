@@ -11,6 +11,7 @@
 
 #include "drbw/core/profiler.hpp"
 #include "drbw/pebs/trace_io.hpp"
+#include "drbw/util/rng.hpp"
 
 namespace drbw::pebs {
 namespace {
@@ -585,6 +586,108 @@ TEST(TraceBinary, ArtifactOfAnotherKindIsAParseErrorInBothModes) {
         expect_error([&] { load_trace(path, lenient); }, ErrorCode::kParse);
     EXPECT_NE(salvaged.find(expected), std::string::npos) << salvaged;
   }
+}
+
+// ------------------------------------------------------ newline count ----
+
+TEST(TraceNewlineCount, MatchesStdCountOnRandomBodies) {
+  Rng rng(2017);
+  for (std::size_t size : {0u, 1u, 31u, 32u, 33u, 255u * 32u - 1u,
+                           255u * 32u, 255u * 32u + 1u, 100000u}) {
+    for (std::uint64_t density : {2u, 7u, 64u}) {
+      std::string body(size + 3, 'x');
+      for (char& c : body) {
+        c = rng.next() % density == 0 ? '\n'
+                                      : static_cast<char>(rng.next() >> 56);
+      }
+      for (std::size_t offset : {0u, 3u}) {
+        const std::string_view view(body.data() + offset, size);
+        EXPECT_EQ(detail::count_newlines(view),
+                  static_cast<std::size_t>(
+                      std::count(view.begin(), view.end(), '\n')))
+            << "size " << size << " density " << density << " offset "
+            << offset;
+      }
+    }
+  }
+}
+
+TEST(TraceNewlineCount, LanesAreFlushedBeforeTheyOverflow) {
+  // All newlines: every byte lane gains one per 32 bytes, so a lane that
+  // were never flushed would wrap after 255 rows.
+  for (std::size_t size : {255u * 32u + 32u, 255u * 32u * 4u + 17u}) {
+    EXPECT_EQ(detail::count_newlines(std::string(size, '\n')), size);
+  }
+}
+
+// --------------------------------------------------------- cpu check ----
+
+TEST(TraceCpuCheck, OutOfRangeCpuFailsBothEncodingsInBothModes) {
+  util::LoadPolicy lenient;
+  lenient.mode = util::LoadMode::kLenient;
+  const Trace trace = make_trace(10, 100);  // sample i has cpu i % 32
+  for (const TraceFormat format : {TraceFormat::kCsv, TraceFormat::kBinary}) {
+    SCOPED_TRACE(trace_format_name(format));
+    const std::string path = temp_path(trace_format_name(format));
+    save_trace(path, trace, {format});
+    for (const util::LoadPolicy& policy : {util::LoadPolicy{}, lenient}) {
+      LoadOptions load;
+      load.policy = policy;
+      load.num_cpus = 16;
+      util::LoadStats stats;
+      const std::string message = expect_error(
+          [&] { load_trace(path, load, &stats); },
+          ErrorCode::kCorruptArtifact);
+      EXPECT_EQ(message, path + ": sample 16 has cpu 16, but the machine "
+                                "has 16 hardware threads");
+      EXPECT_EQ(stats.records_ok, 110u);
+      EXPECT_EQ(stats.records_quarantined, 0u);
+      load.num_cpus = 32;
+      EXPECT_EQ(load_trace(path, load).samples.size(), 100u);
+      load.num_cpus = 0;  // no machine known
+      EXPECT_EQ(load_trace(path, load).samples.size(), 100u);
+    }
+    std::remove(path.c_str());
+  }
+}
+
+TEST(TraceCpuCheck, OrdinalCountsKeptSamplesAndTheCapComesFirst) {
+  // The second record is quarantined in lenient mode, so the cpu-99
+  // record is kept sample 1; u32 cpus past INT32_MAX are out of range too.
+  const std::string path = write_csv_trace(
+      "cpu.csv",
+      "S,4096,0,1,LDR,500,0,10\n"
+      "S,4100,x,1,LDR,500,0,20\n"
+      "S,4104,99,1,LDR,500,0,30\n"
+      "S,4108,4294967295,1,LDR,500,0,40\n");
+  util::LoadPolicy lenient;
+  lenient.mode = util::LoadMode::kLenient;
+  LoadOptions load;
+  load.policy = lenient;
+  load.num_cpus = 8;
+  EXPECT_EQ(expect_error([&] { load_trace(path, load); },
+                         ErrorCode::kCorruptArtifact),
+            path + ": sample 1 has cpu 99, but the machine has 8 hardware "
+                   "threads");
+  // Strict mode stops at the malformed record: the parse error wins.
+  load.policy = util::LoadPolicy{};
+  expect_error([&] { load_trace(path, load); }, ErrorCode::kParse);
+  // Past the quarantine cap, the cap's error is the one reported.
+  load.policy = lenient;
+  load.policy.max_bad_fraction = 0.1;
+  EXPECT_NE(expect_error([&] { load_trace(path, load); },
+                         ErrorCode::kCorruptArtifact)
+                .find("records are malformed"),
+            std::string::npos);
+  const std::string wide = write_csv_trace(
+      "wide_cpu.csv", "S,4108,4294967295,1,LDR,500,0,40\n");
+  load.policy = util::LoadPolicy{};
+  EXPECT_EQ(expect_error([&] { load_trace(wide, load); },
+                         ErrorCode::kCorruptArtifact),
+            wide + ": sample 0 has cpu -1, but the machine has 8 hardware "
+                   "threads");
+  std::remove(path.c_str());
+  std::remove(wide.c_str());
 }
 
 }  // namespace

@@ -3,12 +3,12 @@
 // The reproduction pipeline promises bitwise-identical datasets, models, and
 // traces at any --jobs count.  That promise dies the day someone reintroduces
 // rand(), a wall-clock seed, or an unordered-container walk that feeds ordered
-// output.  These ten rules are the machine-checked form of the contract; each
-// keys off one token (comments and literals are already blanked by lex) plus
-// the file's path-derived role:
+// output.  These eleven rules are the machine-checked form of the contract;
+// each keys off one token or include (comments and literals are already
+// blanked by lex) plus the file's path-derived role:
 //   no-rand, no-random-device, no-wallclock, obs-wallclock, no-build-stamp,
 //   unordered-iter, raw-alloc, no-naked-artifact-write, no-naked-diagnostic,
-//   include-hygiene.
+//   include-hygiene, isa-intrinsics.
 // obs-wallclock outside src/obs/ is allow-exempt: no annotation launders a
 // chrono clock into the library.
 #include <algorithm>
@@ -185,6 +185,20 @@ void check_tu(const Tu& tu, std::vector<Finding>& findings) {
     }
   }
 
+  // Intrinsics headers compile code for one ISA.  Only the CRC-32 kernel
+  // file includes them: it enables the instructions per function and
+  // dispatches at run time, so the rest of the tree runs on any CPU.
+  if (!roles.is_isa_home) {
+    for (const IncludeDirective& inc : tu.lex.includes) {
+      if (inc.angled &&
+          (ends_with(inc.path, "intrin.h") || inc.path == "arm_neon.h")) {
+        report(inc.line, "isa-intrinsics", inc.path,
+               "ISA intrinsics outside src/obs/crc32.cpp: keep "
+               "instruction-set code in the one run-time dispatched file");
+      }
+    }
+  }
+
   if (roles.is_header &&
       tu.lex.blanked.find("#pragma once") == std::string::npos) {
     report(1, "include-hygiene", "#pragma once",
@@ -217,6 +231,7 @@ FileRoles file_roles(std::string_view rel) {
   roles.is_rng_home = ends_with(rel, "util/rng.hpp");
   roles.is_artifact_home = contains(rel, "util/artifact");
   roles.is_obs_wall_home = contains(rel, "src/obs/");
+  roles.is_isa_home = ends_with(rel, "src/obs/crc32.cpp");
   roles.is_bench = contains(rel, "bench/") || starts_with(rel, "bench");
   roles.is_diag_home = contains(rel, "src/obs/") || contains(rel, "tools/") ||
                        starts_with(rel, "tools") || contains(rel, "util/error");

@@ -147,13 +147,14 @@ struct FileRoles {
   bool is_emitter = false;        // writes traces / datasets / reports
   bool is_artifact_home = false;  // util/artifact.*: owns the atomic-write path
   bool is_obs_wall_home = false;  // src/obs/: the one wall-clock shim lives here
+  bool is_isa_home = false;       // src/obs/crc32.cpp: the one intrinsics file
   bool is_bench = false;          // bench/: chrono self-timing is its job
   bool is_diag_home = false;      // src/obs/, tools/, util/error: stderr OK
 };
 
 FileRoles file_roles(std::string_view rel);
 
-/// Runs the ten line rules over every TU (tests, benches and examples too).
+/// Runs the eleven line rules over every TU (tests, benches and examples too).
 std::vector<Finding> check_lint(const Model& model);
 
 }  // namespace drbw::analyze

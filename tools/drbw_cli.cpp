@@ -432,9 +432,10 @@ struct TraceInput {
 /// parsing; --model is checked too when `require_model` (serve degrades
 /// instead).  load_trace fills the stats incrementally, so they reach the
 /// manifest even when the load escalates — the quarantine tally at the
-/// moment of failure is exactly what `drbw doctor` needs.  A sample whose cpu `machine` lacks (a trace
-/// from a bigger machine) fails the load as a corrupt artifact (68) in
-/// either load mode, before any stage indexes a per-cpu table with it.
+/// moment of failure is exactly what `drbw doctor` needs.  A sample whose
+/// cpu `machine` lacks (a trace from a bigger machine) fails the load as a
+/// corrupt artifact (68) in either load mode, before any stage indexes a
+/// per-cpu table with it.
 TraceInput load_trace_input(const ArgParser& parser, RunSession& session,
                             const topology::Machine& machine,
                             const std::string& path, bool require_model,
@@ -449,6 +450,7 @@ TraceInput load_trace_input(const ArgParser& parser, RunSession& session,
   pebs::LoadOptions load;
   load.policy = input.policy;
   load.max_version = max_version;
+  load.num_cpus = machine.num_hw_threads();
   try {
     input.trace = pebs::load_trace(path, load, &input.stats);
   } catch (...) {
@@ -456,7 +458,6 @@ TraceInput load_trace_input(const ArgParser& parser, RunSession& session,
     throw;
   }
   session.set_load_stats(input.stats);
-  pebs::require_known_cpus(input.trace, machine.num_hw_threads(), path);
   return input;
 }
 
