@@ -18,6 +18,7 @@
 #include "drbw/diagnoser/advice.hpp"
 #include "drbw/diagnoser/diagnoser.hpp"
 #include "drbw/features/selected.hpp"
+#include "drbw/features/window.hpp"
 #include "drbw/ml/decision_tree.hpp"
 #include "drbw/ml/metrics.hpp"
 #include "drbw/pebs/session.hpp"
@@ -97,13 +98,25 @@ class DrBw {
                                              core::PageLocator& locator,
                                              std::uint64_t window_cycles) const;
 
-  /// The one window classifier: featurizes window `w` of `windows` (ordinals
-  /// into `samples`) with a features::ChannelWindow — no profile, no
-  /// diagnosis — and explains every channel the sparse guard lets through.
-  /// Windows may be classified concurrently when `locator` is stateless.
+  /// Featurizes window `w` of `windows` (ordinals into `samples`) with an
+  /// add-only features::ChannelWindow — no profile, no diagnosis — sets the
+  /// verdict's cycle bounds and sample count, and classifies it with
+  /// classify_window.  Windows may be classified concurrently when `locator`
+  /// is stateless.
   WindowVerdict analyze_window(const std::vector<pebs::MemorySample>& samples,
                                const pebs::CycleWindows& windows,
                                std::size_t w, core::PageLocator& locator) const;
+
+  /// The one window classifier (analyze --windows, explain, serve): explains
+  /// every channel of a filled `window` that this DrBw's sparse guard lets
+  /// through.  The verdict's bounds and sample count are left at zero; an
+  /// empty window yields no channels.
+  WindowVerdict classify_window(const features::ChannelWindow& window) const;
+
+  /// Buckets every channel `verdict` classified into `serving`, the way the
+  /// model bucketed its training rows (ml::Classifier::observe_drift).
+  void observe_drift(const WindowVerdict& verdict,
+                     ml::DriftBaseline& serving) const;
 
   const ml::Classifier& model() const { return model_; }
   const topology::Machine& machine() const { return machine_; }

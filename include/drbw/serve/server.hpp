@@ -15,10 +15,10 @@
 //      the client's features::ChannelWindow and each sample aging out past
 //      window_capacity is evicted from it, so a tick costs O(drained
 //      samples), not O(window_capacity);
-//   3. classify — windows that took samples are read out per channel and
-//      classified with the trained tree, fanned out over util::TaskPool
-//      into indexed slots and applied serially, so results are
-//      byte-identical at any jobs count.
+//   3. classify — windows that took samples are classified by
+//      DrBw::classify_window, the window classifier `analyze --windows` and
+//      `explain` use, fanned out over util::TaskPool into indexed slots and
+//      applied serially, so results are byte-identical at any jobs count.
 //
 // Each sample is held once, in the trace: sessions, deferred offers, the
 // queues and the window buffers all carry uint32 trace ordinals, and the
@@ -45,12 +45,18 @@
 //   * Shutdown always drains: the loop ends when every client's stream is
 //     exhausted (or --max-cycles cuts replay short), and the final
 //     checksummed serve_snapshot.json is written either way.
+//
+// This layer is the only code that knows the snapshot format: it renders
+// it (render_snapshot) and reads it back (load_snapshot) for `drbw stats
+// --serve` and `drbw fleet`.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "drbw/drbw.hpp"
 #include "drbw/features/selected.hpp"
 #include "drbw/ml/decision_tree.hpp"
 #include "drbw/pebs/session.hpp"
@@ -59,10 +65,15 @@
 
 namespace drbw::serve {
 
-/// Version of the `#drbw-serve-snapshot` artifact.  v2 added the windowed
-/// contention timeline and the per-client drift section; v1 snapshots are
-/// still readable (both additions are simply absent).
+/// The serve snapshot artifact: its header kind (`#drbw-serve-snapshot`),
+/// its version, the body member that repeats the version, and the file name
+/// a run writes into its run dir.  v2 added the windowed contention
+/// timeline and the per-client drift section; v1 snapshots are still
+/// readable (both additions are simply absent).
+inline constexpr const char* kSnapshotKind = "serve-snapshot";
 inline constexpr int kServeSnapshotVersion = 2;
+inline constexpr const char* kSnapshotVersionMember = "drbw_serve_snapshot";
+inline constexpr const char* kSnapshotFileName = "serve_snapshot.json";
 
 /// Retry draws are keyed `key * 16 + attempt`, so attempts 0..15 stay
 /// inside their own key's block of draws (and the backoff shift stays far
@@ -194,11 +205,39 @@ struct ServeResult {
 /// I/O); Server writes it under the `#drbw-serve-snapshot v2` header.
 std::string render_snapshot(const ServeResult& result);
 
+/// A snapshot read back: the artifact version and what its body carries.
+/// Fields the snapshot does not carry (snapshots_written, snapshot_json)
+/// stay at their defaults.
+struct Snapshot {
+  int version = kServeSnapshotVersion;
+  ServeResult result;
+};
+
+/// The one snapshot reader.  Loads the checksummed artifact at `path` (v1 or
+/// v2, strict) and parses its body: a member the body lacks keeps its
+/// ServeResult default, so render_snapshot(load_snapshot(p).result) is the
+/// body again.  Throws Error(kCorruptArtifact) on a body render_snapshot
+/// cannot have written: a root that is not an object, no version member or
+/// one that differs from the header's, a member of the wrong JSON type, or
+/// a count that is not a non-negative integer.
+Snapshot load_snapshot(const std::string& path);
+
+/// The run manifest's drift verdict: "ok", "suspected" (some client at or
+/// past the threshold) or "unavailable" (no model, or no training baseline).
+const char* drift_verdict(const ServeResult& result);
+
+/// The console summary of a finished run: admission and classification
+/// totals, the degraded and model-health lines, the --max-cycles cut and
+/// the snapshot path.
+std::string render_summary(const ServeResult& result,
+                           const ServeOptions& options);
+
 class Server {
  public:
   /// `model` may be null: the server then runs degraded (pass-through
-  /// telemetry, no classification).  `machine` and `model` must outlive the
-  /// server.
+  /// telemetry, no classification).  Otherwise the server classifies
+  /// through a DrBw over a copy of `*model` with options.sparse_guard.
+  /// `machine` must outlive the server.
   Server(const topology::Machine& machine, const ml::Classifier* model,
          ServeOptions options);
 
@@ -209,8 +248,8 @@ class Server {
 
  private:
   const topology::Machine& machine_;
-  const ml::Classifier* model_;
   ServeOptions options_;
+  std::optional<DrBw> tool_;  ///< empty when degraded
 };
 
 }  // namespace drbw::serve

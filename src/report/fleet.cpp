@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "drbw/obs/sink.hpp"
+#include "drbw/serve/server.hpp"
 #include "drbw/util/artifact.hpp"
 #include "drbw/util/task_pool.hpp"
 
@@ -120,68 +121,27 @@ FleetReport fleet_scan(const std::string& root, const FleetOptions& options) {
     // Per-client overload accounting lives in the run's serve snapshot, not
     // the manifest.  A missing or damaged snapshot is tallied, never fatal —
     // the report layer absorbs what the serve run could not persist.
-    // (The kind/version literals mirror serve::kServeSnapshotVersion; the
-    // report layer deliberately avoids a dependency on the serve headers.)
+    serve::ServeResult snapshot;
     try {
-      const util::VersionedArtifact snapshot = util::read_versioned_artifact(
-          join_root(root, dirs[i]) + "/serve_snapshot.json", "serve-snapshot",
-          2, util::LoadPolicy{});
-      const Json doc = Json::parse(snapshot.body);
-      const Json* clients = doc.find("clients");
-      if (clients != nullptr && clients->is_array()) {
-        for (const Json& entry : clients->as_array()) {
-          if (!entry.is_object()) continue;
-          FleetServeClient row;
-          row.dir = dirs[i];
-          const auto u64 = [&](const char* key) -> std::uint64_t {
-            const Json* node = entry.find(key);
-            return node != nullptr && node->type() == Json::Type::kNumber
-                       ? static_cast<std::uint64_t>(node->as_int())
-                       : 0;
-          };
-          row.client = u64("client");
-          row.shed = u64("shed");
-          row.rejected = u64("rejected");
-          row.dropped = u64("dropped");
-          const Json* quarantined = entry.find("quarantined");
-          row.quarantined = quarantined != nullptr &&
-                            quarantined->type() == Json::Type::kBool &&
-                            quarantined->as_bool();
-          slots[i].serve_clients.push_back(std::move(row));
-        }
-        slots[i].serve_snapshot_ok = true;
-      }
-      // v2 snapshots add a drift section (per-client confidence + PSI
-      // score); v1 snapshots and drift-unavailable runs simply lack it.
-      const Json* drift = doc.find("drift");
-      if (drift != nullptr && drift->is_object()) {
-        slots[i].drift_section = true;
-        const Json* rows = drift->find("clients");
-        if (rows != nullptr && rows->is_array()) {
-          for (const Json& entry : rows->as_array()) {
-            if (!entry.is_object()) continue;
-            FleetModelHealth h;
-            h.dir = dirs[i];
-            const auto num = [&](const char* key) -> double {
-              const Json* node = entry.find(key);
-              return node != nullptr && node->type() == Json::Type::kNumber
-                         ? node->as_number()
-                         : 0.0;
-            };
-            h.client = static_cast<std::uint64_t>(num("client"));
-            h.confidence_p50 = num("confidence_p50");
-            h.confidence_min = num("confidence_min");
-            h.drift_score = num("score");
-            const Json* suspected = entry.find("suspected");
-            h.suspected = suspected != nullptr &&
-                          suspected->type() == Json::Type::kBool &&
-                          suspected->as_bool();
-            slots[i].health.push_back(std::move(h));
-          }
-        }
-      }
+      snapshot = serve::load_snapshot(join_root(root, dirs[i]) + "/" +
+                                      serve::kSnapshotFileName)
+                     .result;
     } catch (const Error&) {
-      // tallied as serve_snapshots_missing below
+      return;  // tallied as serve_snapshots_missing below
+    }
+    slots[i].serve_snapshot_ok = true;
+    for (const serve::ClientStats& c : snapshot.clients) {
+      slots[i].serve_clients.push_back(FleetServeClient{
+          dirs[i], c.client, c.shed, c.rejected, c.dropped, c.quarantined});
+    }
+    // v2 snapshots add a drift section (per-client confidence + PSI
+    // score); v1 snapshots and drift-unavailable runs simply lack it.
+    slots[i].drift_section = snapshot.drift_available;
+    for (const serve::ClientModelHealth& mh : snapshot.model_health) {
+      slots[i].health.push_back(
+          FleetModelHealth{dirs[i], mh.client, mh.confidence_p50,
+                           mh.confidence_min, mh.drift_score,
+                           mh.drift_suspected});
     }
   });
 

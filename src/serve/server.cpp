@@ -1,12 +1,9 @@
 #include "drbw/serve/server.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <sstream>
 
 #include "drbw/core/profiler.hpp"
 #include "drbw/fault/injector.hpp"
-#include "drbw/features/selected.hpp"
 #include "drbw/features/window.hpp"
 #include "drbw/obs/metrics.hpp"
 #include "drbw/obs/trace.hpp"
@@ -71,120 +68,29 @@ struct ClientState {
   ml::DriftBaseline serving;  ///< serving-side drift histograms
 };
 
-const char* bool_token(bool v) { return v ? "true" : "false"; }
-
-/// Fixed, locale-independent double rendering for the snapshot body.
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
-
-/// Bounds the snapshot: merges adjacent timeline rows until at most
-/// `max_rows` remain.  Counts sum, drift takes the running max, and the
-/// merged confidence is the lower median of the source rows' medians —
-/// a pure function of the input, so snapshots stay byte-identical at any
-/// --jobs count.
-std::vector<TimelineRow> downsample_timeline(
-    const std::vector<TimelineRow>& rows, std::size_t max_rows) {
-  if (rows.size() <= max_rows) return rows;
-  const std::size_t group = (rows.size() + max_rows - 1) / max_rows;
-  std::vector<TimelineRow> out;
-  out.reserve(max_rows);
-  for (std::size_t at = 0; at < rows.size(); at += group) {
-    const std::size_t end = std::min(rows.size(), at + group);
-    TimelineRow merged = rows[at];
-    merged.merged = 0;
-    std::vector<double> confidences;
-    for (std::size_t i = at; i < end; ++i) {
-      merged.merged += rows[i].merged;
-      if (i > at) {
-        merged.windows += rows[i].windows;
-        merged.rmc += rows[i].rmc;
-        merged.drift_score = std::max(merged.drift_score, rows[i].drift_score);
-      }
-      confidences.push_back(rows[i].confidence_p50);
-    }
-    merged.confidence_p50 = lower_median(std::move(confidences));
-    out.push_back(merged);
+/// Renders `result`'s snapshot body into result.snapshot_json and, when
+/// `path` is set, writes it there as the checksummed artifact.  Returns
+/// whether it wrote.
+bool write_snapshot(ServeResult& result, const std::string& path) {
+  if (path.empty()) {
+    result.snapshot_json = render_snapshot(result);
+    return false;
   }
-  return out;
+  obs::Span snap_span("serve.snapshot");
+  result.snapshot_json = render_snapshot(result);
+  util::write_versioned_artifact(path, kSnapshotKind, kServeSnapshotVersion,
+                                 result.snapshot_json);
+  return true;
 }
-
-/// Snapshot timelines never exceed this many rows (see downsample_timeline).
-constexpr std::size_t kSnapshotTimelineRows = 256;
 
 }  // namespace
 
-std::string render_snapshot(const ServeResult& r) {
-  std::ostringstream os;
-  os << "{\n  \"drbw_serve_snapshot\": " << kServeSnapshotVersion << ",\n";
-  os << "  \"degraded\": " << bool_token(r.degraded) << ",\n";
-  os << "  \"drained\": " << bool_token(r.drained) << ",\n";
-  os << "  \"ticks\": " << r.ticks << ",\n";
-  os << "  \"window_cycles\": " << r.window_cycles << ",\n";
-  os << "  \"samples\": {\"in\": " << r.samples_in
-     << ", \"admitted\": " << r.samples_admitted
-     << ", \"shed\": " << r.samples_shed
-     << ", \"rejected\": " << r.samples_rejected
-     << ", \"deferred\": " << r.samples_deferred
-     << ", \"dropped\": " << r.samples_dropped << "},\n";
-  os << "  \"windows\": {\"classified\": " << r.windows_classified
-     << ", \"rmc\": " << r.windows_rmc << "},\n";
-  const std::vector<TimelineRow> timeline =
-      downsample_timeline(r.timeline, kSnapshotTimelineRows);
-  os << "  \"timeline\": [";
-  for (std::size_t i = 0; i < timeline.size(); ++i) {
-    const TimelineRow& row = timeline[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"tick\": " << row.tick
-       << ", \"merged\": " << row.merged << ", \"windows\": " << row.windows
-       << ", \"rmc\": " << row.rmc
-       << ", \"confidence_p50\": " << fmt_double(row.confidence_p50)
-       << ", \"drift\": " << fmt_double(row.drift_score) << "}";
-  }
-  os << (timeline.empty() ? "]" : "\n  ]") << ",\n";
-  if (r.drift_available) {
-    os << "  \"drift\": {\"threshold\": " << fmt_double(r.drift_threshold)
-       << ", \"score\": " << fmt_double(r.drift_score)
-       << ", \"confidence_p50\": " << fmt_double(r.confidence_p50)
-       << ", \"suspected_clients\": " << r.drift_suspected_clients
-       << ", \"clients\": [";
-    for (std::size_t i = 0; i < r.model_health.size(); ++i) {
-      const ClientModelHealth& mh = r.model_health[i];
-      os << (i == 0 ? "\n" : ",\n") << "    {\"client\": " << mh.client
-         << ", \"windows\": " << mh.windows << ", \"rows\": " << mh.rows
-         << ", \"confidence_p50\": " << fmt_double(mh.confidence_p50)
-         << ", \"confidence_min\": " << fmt_double(mh.confidence_min)
-         << ", \"score\": " << fmt_double(mh.drift_score)
-         << ", \"suspected\": " << bool_token(mh.drift_suspected) << "}";
-    }
-    os << (r.model_health.empty() ? "]" : "\n  ]") << "},\n";
-  }
-  os << "  \"faults\": {\"total\": " << r.faults
-     << ", \"retries\": " << r.retries
-     << ", \"quarantined_clients\": " << r.quarantined_clients << "},\n";
-  os << "  \"clients\": [";
-  for (std::size_t i = 0; i < r.clients.size(); ++i) {
-    const ClientStats& c = r.clients[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"client\": " << c.client
-       << ", \"offered\": " << c.offered << ", \"admitted\": " << c.admitted
-       << ", \"shed\": " << c.shed << ", \"rejected\": " << c.rejected
-       << ", \"deferred\": " << c.deferred << ", \"dropped\": " << c.dropped
-       << ", \"faults\": " << c.faults << ", \"retries\": " << c.retries
-       << ", \"backoff_cycles\": " << c.backoff_cycles
-       << ", \"windows_classified\": " << c.windows_classified
-       << ", \"windows_rmc\": " << c.windows_rmc
-       << ", \"peak_depth\": " << c.peak_depth
-       << ", \"quarantined\": " << bool_token(c.quarantined)
-       << ", \"quarantined_tick\": " << c.quarantined_tick << "}";
-  }
-  os << (r.clients.empty() ? "]" : "\n  ]") << "\n}\n";
-  return os.str();
-}
-
 Server::Server(const topology::Machine& machine, const ml::Classifier* model,
                ServeOptions options)
-    : machine_(machine), model_(model), options_(std::move(options)) {
+    : machine_(machine), options_(std::move(options)) {
+  if (model != nullptr) {
+    tool_.emplace(machine_, *model, AnalysisConfig{options_.sparse_guard});
+  }
   DRBW_CHECK_MSG(options_.max_retries >= 0 &&
                      options_.max_retries <= kMaxServeRetries,
                  "serve max_retries must be between 0 and "
@@ -224,15 +130,16 @@ ServeResult Server::run(const pebs::Trace& trace) {
   const auto discard = [](std::uint32_t) {};
 
   ServeResult result;
-  result.degraded = model_ == nullptr;
+  result.degraded = !tool_.has_value();
   result.window_cycles = window;
   result.samples_in = trace.samples.size();
   // Drift needs a v3 model with an embedded training baseline; without one
   // the run still serves (and still records the confidence timeline), the
   // drift section is just unavailable.
-  const bool drift_on = model_ != nullptr && model_->has_drift_baseline();
+  const ml::Classifier* model = tool_.has_value() ? &tool_->model() : nullptr;
+  const bool drift_on = model != nullptr && model->has_drift_baseline();
   const std::size_t num_features =
-      model_ != nullptr ? model_->feature_names().size() : 0;
+      model != nullptr ? model->feature_names().size() : 0;
   result.drift_available = drift_on;
   result.drift_threshold = options_.drift_threshold;
 
@@ -278,7 +185,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
       }
       if (!st.serving.empty()) {
         for (const double d :
-             model_->drift_baseline().divergence(st.serving)) {
+             model->drift_baseline().divergence(st.serving)) {
           mh.drift_score = std::max(mh.drift_score, d);
         }
       }
@@ -437,7 +344,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
               ++st.window_updates;
             }
           });
-      if (drained > 0 && model_ != nullptr) slots[c].candidate = true;
+      if (drained > 0 && model != nullptr) slots[c].candidate = true;
     }
 
     // -- classify (indexed fan-out; applied serially below) ----------------
@@ -456,11 +363,6 @@ ServeResult Server::run(const pebs::Trace& trace) {
         slot.window_fault = true;
         return;
       }
-      std::vector<std::vector<double>> rows;
-      for (const features::ChannelFeatures& ch : states[i].window.channels()) {
-        if (options_.sparse_guard.sparse(ch.features)) continue;
-        rows.push_back(ch.features.as_row());
-      }
       const RetryOutcome classify = retry([&](std::uint64_t attempt) {
         return fault::should_inject("serve.classify", fault::Kind::kFail,
                                     key * 16 + attempt);
@@ -471,18 +373,19 @@ ServeResult Server::run(const pebs::Trace& trace) {
         slot.classify_fault = true;
         return;
       }
-      if (!rows.empty()) {
-        slot.rows = rows.size();
-        if (drift_on) slot.drift.resize(num_features);
-        double confidence = 1.0;
-        for (const std::vector<double>& row : rows) {
-          const ml::Explanation exp = model_->predict_explained(row);
-          if (exp.label == ml::Label::kRmc) slot.rmc = true;
-          confidence = std::min(confidence, exp.confidence);
-          if (drift_on) model_->observe_drift(row, slot.drift);
-        }
-        slot.confidence = confidence;
-        slot.has_confidence = true;
+      const WindowVerdict verdict = tool_->classify_window(states[i].window);
+      if (verdict.channels.empty()) return;
+      slot.rmc = verdict.rmc;
+      slot.rows = verdict.channels.size();
+      slot.confidence = 1.0;
+      for (const WindowChannel& ch : verdict.channels) {
+        slot.confidence =
+            std::min(slot.confidence, ch.explanation.confidence);
+      }
+      slot.has_confidence = true;
+      if (drift_on) {
+        slot.drift.resize(num_features);
+        tool_->observe_drift(verdict, slot.drift);
       }
     });
 
@@ -523,7 +426,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
         for (const ClientState& st : states) {
           if (st.serving.empty()) continue;
           for (const double d :
-               model_->drift_baseline().divergence(st.serving)) {
+               model->drift_baseline().divergence(st.serving)) {
             drift_now = std::max(drift_now, d);
           }
         }
@@ -542,12 +445,9 @@ ServeResult Server::run(const pebs::Trace& trace) {
         partial.clients.push_back(states[c].stats);
       }
       fill_model_health(partial);
-      obs::Span snap_span("serve.snapshot");
-      partial.snapshot_json = render_snapshot(partial);
-      util::write_versioned_artifact(options_.snapshot_path, "serve-snapshot",
-                                     kServeSnapshotVersion,
-                                     partial.snapshot_json);
-      ++result.snapshots_written;
+      if (write_snapshot(partial, options_.snapshot_path)) {
+        ++result.snapshots_written;
+      }
     }
   }
 
@@ -636,7 +536,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
       .gauge("drbw_serve_queue_depth_peak",
              "High-water mark across every client ingest queue")
       .set_max(static_cast<double>(peak));
-  if (model_ != nullptr) {
+  if (model != nullptr) {
     auto& confidence_hist = registry.histogram(
         "drbw_model_confidence_bucket",
         "Per-window classification confidence (leaf purity, percent)",
@@ -653,14 +553,8 @@ ServeResult Server::run(const pebs::Trace& trace) {
         .set_max(result.drift_score);
   }
 
-  if (!options_.snapshot_path.empty()) {
-    obs::Span snap_span("serve.snapshot");
-    result.snapshot_json = render_snapshot(result);
-    util::write_versioned_artifact(options_.snapshot_path, "serve-snapshot",
-                                   kServeSnapshotVersion, result.snapshot_json);
+  if (write_snapshot(result, options_.snapshot_path)) {
     ++result.snapshots_written;
-  } else {
-    result.snapshot_json = render_snapshot(result);
   }
   return result;
 }

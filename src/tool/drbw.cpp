@@ -3,7 +3,6 @@
 #include <span>
 #include <sstream>
 
-#include "drbw/features/window.hpp"
 #include "drbw/obs/trace.hpp"
 #include "drbw/util/strings.hpp"
 #include "drbw/util/table.hpp"
@@ -109,14 +108,22 @@ WindowVerdict DrBw::analyze_window(
     const std::vector<pebs::MemorySample>& samples,
     const pebs::CycleWindows& windows, std::size_t w,
     core::PageLocator& locator) const {
-  WindowVerdict verdict;
+  features::ChannelWindow window(machine_, locator);
+  const std::span<const std::uint32_t> ordinals = windows.window(w);
+  for (const std::uint32_t o : ordinals) window.add(samples[o]);
+  WindowVerdict verdict = classify_window(window);
   verdict.start_cycle = windows.start_cycle(w);
   verdict.end_cycle = windows.end_cycle(w);
-  const std::span<const std::uint32_t> ordinals = windows.window(w);
   verdict.samples = ordinals.size();
-  features::ChannelWindow window(machine_, locator);
-  for (const std::uint32_t o : ordinals) window.add(samples[o]);
-  for (const features::ChannelFeatures& cf : window.channels()) {
+  return verdict;
+}
+
+WindowVerdict DrBw::classify_window(
+    const features::ChannelWindow& window) const {
+  WindowVerdict verdict;
+  const std::vector<features::ChannelFeatures> channels = window.channels();
+  verdict.channels.reserve(channels.size());
+  for (const features::ChannelFeatures& cf : channels) {
     if (config_.sparse_guard.sparse(cf.features)) continue;
     ml::Explanation explanation = model_.predict_explained(cf.features.as_row());
     if (explanation.label == ml::Label::kRmc) {
@@ -127,6 +134,15 @@ WindowVerdict DrBw::analyze_window(
   }
   verdict.rmc = !verdict.contended.empty();
   return verdict;
+}
+
+void DrBw::observe_drift(const WindowVerdict& verdict,
+                         ml::DriftBaseline& serving) const {
+  std::vector<double> row;  // one buffer for every channel's row
+  for (const WindowChannel& ch : verdict.channels) {
+    row.assign(ch.features.values.begin(), ch.features.values.end());
+    model_.observe_drift(row, serving);
+  }
 }
 
 std::string Report::to_string(const topology::Machine& machine) const {

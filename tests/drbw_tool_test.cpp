@@ -338,6 +338,17 @@ TEST_F(DrBwToolTest, CycleGridHasExactlyTheRequestedWindows) {
   EXPECT_EQ(pebs::split_cycle_windows(trace, 1).window(0).size(), 9u);
 }
 
+TEST_F(DrBwToolTest, ClassifyWindowOfAnEmptyWindowHasNoChannels) {
+  const DrBw tool(machine_, train_model());
+  core::ReplayLocator locator;
+  const features::ChannelWindow window(machine_, locator);
+  const WindowVerdict verdict = tool.classify_window(window);
+  EXPECT_TRUE(verdict.channels.empty());
+  EXPECT_TRUE(verdict.contended.empty());
+  EXPECT_FALSE(verdict.rmc);
+  EXPECT_EQ(verdict.samples, 0u);
+}
+
 TEST_F(DrBwToolTest, RejectsModelWithWrongArity) {
   ml::Dataset d({"only", "two"});
   d.add({0.0, 0.0}, ml::Label::kGood);
@@ -554,6 +565,40 @@ TEST(DrBwCliExitCodeTest, ArtifactsWithoutAChecksummedHeaderExit67) {
             67);
   EXPECT_NE(cli_read_file(dir + "/run/run.json").find("parse-error"),
             std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+/// `stats --trace` reads trace_event JSON with typed checks: a document
+/// without a traceEvents array is a parse error (67), and an epoch event
+/// that is malformed (no ts, a non-numeric arg) is skipped, never a crash.
+TEST(DrBwCliExitCodeTest, MalformedTraceEventJsonIsSkippedOrExits67) {
+  const std::string dir = ::testing::TempDir() + "/drbw_cli_trace_json_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto stats_on = [&](const std::string& name, const std::string& json) {
+    util::atomic_write_file(dir + "/" + name, json);
+    return run_cli("stats --trace " + dir + "/" + name);
+  };
+  const std::string epoch =
+      R"({"name": "epoch", "ph": "C", "ts": 10, "args": {"N1->N0": 0.5}})";
+  EXPECT_EQ(stats_on("good.json", R"({"traceEvents": [)" + epoch + "]}"), 0);
+  EXPECT_EQ(stats_on("no_ts.json",
+                     R"({"traceEvents": [{"name": "epoch", "ph": "C", )"
+                     R"("args": {"N1->N0": 0.5}}]})"),
+            0);
+  EXPECT_EQ(stats_on("string_arg.json",
+                     R"({"traceEvents": [{"name": "epoch", "ph": "C", )"
+                     R"("ts": 10, "args": {"N1->N0": "hot"}}, )" +
+                         epoch + "]}"),
+            0);
+  EXPECT_EQ(stats_on("not_an_event.json",
+                     R"({"traceEvents": [7, {"name": 1, "ph": "C"}, )" +
+                         epoch + R"(], "otherData": []})"),
+            0);
+  EXPECT_EQ(stats_on("object_events.json", R"({"traceEvents": {}})"), 67);
+  EXPECT_EQ(stats_on("root_array.json", "[" + epoch + "]"), 67);
+  EXPECT_EQ(stats_on("no_events.json", R"({"otherData": {}})"), 67);
   std::filesystem::remove_all(dir);
 }
 

@@ -873,6 +873,139 @@ TEST(ServeGoldenTest, SnapshotsMatchPinnedChecksums) {
 }
 
 // ---------------------------------------------------------------------------
+// Snapshot reader: load_snapshot reads back every byte render_snapshot wrote
+// ---------------------------------------------------------------------------
+
+/// Writes `r`'s snapshot as the checksummed artifact at `path`, loads it
+/// back, and returns the re-rendered body.
+std::string reload(const serve::ServeResult& r, const std::string& path) {
+  util::write_versioned_artifact(path, serve::kSnapshotKind,
+                                 serve::kServeSnapshotVersion, r.snapshot_json);
+  const serve::Snapshot snapshot = serve::load_snapshot(path);
+  EXPECT_EQ(snapshot.version, serve::kServeSnapshotVersion);
+  return serve::render_snapshot(snapshot.result);
+}
+
+TEST(ServeSnapshotTest, LoadRendersEveryGoldenConfigBackByteForByte) {
+  const Machine machine = Machine::xeon_e5_4650();
+  const pebs::Trace trace = random_trace(machine, 3000, 2017);
+  const ml::Classifier model = fixture_model(machine, trace);
+  ASSERT_TRUE(model.has_drift_baseline());
+  const std::string path = fresh_dir("reload") + "/snapshot.json";
+  for (const serve::OverloadPolicy policy :
+       {serve::OverloadPolicy::kBlock, serve::OverloadPolicy::kShedOldest,
+        serve::OverloadPolicy::kReject}) {
+    for (const std::size_t capacity :
+         {std::size_t{1}, std::size_t{37}, std::size_t{4096}}) {
+      for (const bool armed : {false, true}) {
+        serve::ServeOptions opts;
+        opts.clients = 4;
+        opts.queue_depth = 8;
+        opts.drain_per_tick = 3;
+        opts.overload = policy;
+        opts.window_cycles = 200;
+        opts.window_capacity = capacity;
+        serve::ServeResult r;
+        if (armed) {
+          const ArmGuard guard(
+              "seed=5,serve.ingest:drop:0.1,serve.session:fail:0.1,"
+              "serve.window:fail:0.1,serve.classify:fail:0.1");
+          r = serve::Server(machine, &model, opts).run(trace);
+        } else {
+          r = serve::Server(machine, &model, opts).run(trace);
+        }
+        ASSERT_NE(r.snapshot_json.find("\"drift\": {"), std::string::npos);
+        EXPECT_EQ(reload(r, path), r.snapshot_json)
+            << serve::overload_policy_name(policy) << " capacity "
+            << capacity << (armed ? " armed" : " unarmed");
+      }
+    }
+  }
+}
+
+TEST(ServeSnapshotTest, LoadRendersDriftFlagsAndDownsampledTimelinesBack) {
+  const Machine machine = Machine::xeon_e5_4650();
+  const std::string path = fresh_dir("reload_drift") + "/snapshot.json";
+  // A drift-suspected client: every model-health field is set.
+  const pebs::Trace flat =
+      flat_trace(64, machine.cpus_of_node(1)[0], pebs::MemLevel::kRemoteDram);
+  const ml::Classifier rmc_model = always_rmc_model();
+  serve::ServeOptions opts = one_client_options(serve::OverloadPolicy::kBlock);
+  opts.queue_depth = 64;
+  opts.sparse_guard = {1, 1};
+  opts.drift_threshold = 0.001;
+  const serve::ServeResult drifted =
+      serve::Server(machine, &rmc_model, opts).run(flat);
+  ASSERT_NE(drifted.snapshot_json.find("\"suspected\": true"),
+            std::string::npos);
+  EXPECT_EQ(reload(drifted, path), drifted.snapshot_json);
+  const serve::Snapshot loaded = serve::load_snapshot(path);
+  EXPECT_TRUE(loaded.result.drift_available);
+  EXPECT_EQ(loaded.result.drift_suspected_clients, 1u);
+
+  // More classifying ticks than the snapshot keeps rows: the rendered
+  // timeline is merged, and reading it back keeps the merged rows as-is.
+  const pebs::Trace trace = random_trace(machine, 3000, 2017);
+  const ml::Classifier model = fixture_model(machine, trace);
+  serve::ServeOptions fine;
+  fine.clients = 4;
+  fine.window_cycles = 20;
+  const serve::ServeResult r = serve::Server(machine, &model, fine).run(trace);
+  ASSERT_GT(r.timeline.size(), 256u);
+  EXPECT_EQ(reload(r, path), r.snapshot_json);
+  const serve::Snapshot merged = serve::load_snapshot(path);
+  ASSERT_LE(merged.result.timeline.size(), 256u);
+  EXPECT_GT(merged.result.timeline[0].merged, 1u);
+  // A degraded run has no drift section and reads back without one.
+  const serve::ServeResult degraded =
+      serve::Server(machine, nullptr, fine).run(trace);
+  EXPECT_EQ(reload(degraded, path), degraded.snapshot_json);
+  EXPECT_FALSE(serve::load_snapshot(path).result.drift_available);
+}
+
+/// Checksum-valid snapshots whose bodies render_snapshot cannot have
+/// written: each is a corrupt artifact, never a crash or a zero.
+TEST(ServeSnapshotTest, TypeConfusedBodiesAreCorruptArtifacts) {
+  const std::string path = fresh_dir("confused") + "/snapshot.json";
+  const auto load = [&](const std::string& body) {
+    util::write_versioned_artifact(path, serve::kSnapshotKind,
+                                   serve::kServeSnapshotVersion, body);
+    return code_of([&] { serve::load_snapshot(path); });
+  };
+  for (const char* body : {
+           "[]",
+           R"({"drbw_serve_snapshot": "2"})",
+           R"({"timeline": []})",
+           R"({"drbw_serve_snapshot": 1})",
+           R"({"drbw_serve_snapshot": 2, "timeline": [{"tick": "x"}]})",
+           R"({"drbw_serve_snapshot": 2, "timeline": [[1]]})",
+           R"({"drbw_serve_snapshot": 2, "timeline": {}})",
+           R"({"drbw_serve_snapshot": 2, "ticks": -1})",
+           R"({"drbw_serve_snapshot": 2, "ticks": 1.5})",
+           R"({"drbw_serve_snapshot": 2, "degraded": 0})",
+           R"({"drbw_serve_snapshot": 2, "samples": {"in": "7"}})",
+           R"({"drbw_serve_snapshot": 2, "drift": {"clients": [)"
+           R"({"client": 4294967296}]}})",
+           R"({"drbw_serve_snapshot": 2, "clients": [{"quarantined": 1}]})",
+       }) {
+    EXPECT_EQ(load(body), ErrorCode::kCorruptArtifact) << body;
+  }
+  // Absent members keep their defaults: the minimal snapshot loads.
+  util::write_versioned_artifact(path, serve::kSnapshotKind,
+                                 serve::kServeSnapshotVersion,
+                                 R"({"drbw_serve_snapshot": 2})");
+  const serve::Snapshot minimal = serve::load_snapshot(path);
+  EXPECT_TRUE(minimal.result.drained);
+  EXPECT_TRUE(minimal.result.clients.empty());
+  // A v1 snapshot (no timeline, no drift section) still loads.
+  util::write_versioned_artifact(path, serve::kSnapshotKind, 1,
+                                 R"({"drbw_serve_snapshot": 1, "ticks": 3})");
+  const serve::Snapshot v1 = serve::load_snapshot(path);
+  EXPECT_EQ(v1.version, 1);
+  EXPECT_EQ(v1.result.ticks, 3u);
+}
+
+// ---------------------------------------------------------------------------
 // Observable-name contract for the serve layer
 // ---------------------------------------------------------------------------
 
@@ -1222,6 +1355,55 @@ TEST(ServeFleetTest, HeaderlessSnapshotIsTalliedAsDamaged) {
   EXPECT_EQ(fleet.serve_runs, 1u);
   EXPECT_EQ(fleet.serve_snapshots_missing, 1u);
   EXPECT_TRUE(fleet.serve_clients.empty());
+}
+
+/// The four checksum-valid, type-confused snapshots of a real serve run:
+/// `stats --serve` rejects each as a corrupt artifact (68) and fleet counts
+/// each as a missing snapshot.
+TEST(ServeFleetTest, TypeConfusedSnapshotsExit68AndCountAsMissing) {
+  const CliWorld& w = cli_world();
+  ASSERT_TRUE(w.ok) << "CLI fixture runs failed";
+  const std::string good = util::read_versioned_artifact(
+      w.corpus + "/jobs1/serve_snapshot.json", serve::kSnapshotKind,
+      serve::kServeSnapshotVersion, util::LoadPolicy{}).body;
+  ASSERT_NE(good.find("\"clients\": [\n"), std::string::npos);
+  // Prepends `row` to the body's timeline.
+  const auto with_row = [&](const std::string& row) {
+    const std::string key = "\"timeline\": [";
+    std::string body = good;
+    const std::size_t at = body.find(key) + key.size();
+    body.insert(at, body[at] == ']' ? row : row + ", ");
+    return body;
+  };
+  std::string quoted_version = good;
+  const std::string version = "\"drbw_serve_snapshot\": 2,";
+  const std::size_t version_at = quoted_version.find(version);
+  ASSERT_NE(version_at, std::string::npos);
+  quoted_version.replace(version_at, version.size(),
+                         "\"drbw_serve_snapshot\": \"2\",");
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"array_body", "[]"},
+      {"string_tick", with_row(R"({"tick": "x"})")},
+      {"string_version", quoted_version},
+      {"array_row", with_row("[1]")},
+  };
+  for (const auto& [name, body] : cases) {
+    const std::string root = fresh_dir(("confused_" + name).c_str());
+    const std::string run = root + "/jobs1";
+    std::filesystem::copy(w.corpus + "/jobs1", run,
+                          std::filesystem::copy_options::recursive);
+    util::write_versioned_artifact(run + "/serve_snapshot.json",
+                                   serve::kSnapshotKind,
+                                   serve::kServeSnapshotVersion, body);
+    EXPECT_EQ(run_cli("stats --serve --trace " + run + "/serve_snapshot.json"),
+              68)
+        << name;
+    const report::FleetReport fleet =
+        report::fleet_scan(root, report::FleetOptions{});
+    EXPECT_EQ(fleet.serve_runs, 1u) << name;
+    EXPECT_EQ(fleet.serve_snapshots_missing, 1u) << name;
+    EXPECT_TRUE(fleet.serve_clients.empty()) << name;
+  }
 }
 
 TEST(ServeFleetTest, AggregatesModelHealthAcrossServeRuns) {

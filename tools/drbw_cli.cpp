@@ -814,9 +814,10 @@ int cmd_serve(int argc, char** argv) {
     opts.drift_threshold =
         parser.option_double("drift-threshold", 0.0, kDoubleMax);
     opts.jobs = jobs_option(parser);
-    opts.snapshot_path = parser.option("snapshot-out").empty()
-                             ? session.run_dir() + "/serve_snapshot.json"
-                             : parser.option("snapshot-out");
+    opts.snapshot_path =
+        parser.option("snapshot-out").empty()
+            ? session.run_dir() + "/" + serve::kSnapshotFileName
+            : parser.option("snapshot-out");
 
     const auto machine = topology::Machine::xeon_e5_4650();
     const TraceInput input =
@@ -847,50 +848,14 @@ int cmd_serve(int argc, char** argv) {
     const serve::ServeResult result = server.run(trace);
     session.set_degraded(result.degraded);
 
-    std::cout << "served " << result.ticks << " ticks x "
-              << result.window_cycles << " cycles across " << result.clients.size()
-              << " clients (" << serve::overload_policy_name(opts.overload)
-              << "): " << result.samples_admitted << " admitted, "
-              << result.samples_shed << " shed, " << result.samples_rejected
-              << " rejected, " << result.samples_dropped << " dropped\n";
-    std::cout << "classified " << result.windows_classified << " windows ("
-              << result.windows_rmc << " contended), " << result.faults
-              << " faults, " << result.retries << " retries, "
-              << result.quarantined_clients << " clients quarantined\n";
-    if (result.degraded) {
-      std::cout << "DEGRADED: no usable model; classification skipped\n";
-    }
-    // Model observability: the drift verdict goes to the manifest's golden
-    // block ("ok" | "suspected" | "unavailable") so doctor and fleet can
-    // read it without the snapshot.  Suspected drift never changes the exit
-    // code — serve is a telemetry loop, the finding is typed, not fatal.
-    if (result.drift_available) {
-      session.set_drift(result.drift_suspected_clients > 0 ? "suspected"
-                                                           : "ok");
-      std::cout << "model health: confidence p50 "
-                << format_fixed(result.confidence_p50, 3) << ", max drift "
-                << format_fixed(result.drift_score, 3);
-      if (result.drift_suspected_clients > 0) {
-        std::cout << " — DRIFT SUSPECTED (" << result.drift_suspected_clients
-                  << " client(s) at or past --drift-threshold "
-                  << format_fixed(result.drift_threshold, 3) << ")";
-      }
-      std::cout << '\n';
-    } else {
-      session.set_drift("unavailable");
-      if (!result.degraded) {
-        std::cout << "drift detection unavailable: the model carries no "
-                     "training baseline (re-save it with this build's "
-                     "`drbw train` to enable)\n";
-      }
-    }
-    if (!result.drained) {
-      std::cout << "replay cut short at --max-cycles "
-                << opts.max_cycles << "; remaining samples dropped\n";
-    }
-    std::cout << "serve snapshot (" << result.snapshots_written
-              << " writes) at " << opts.snapshot_path << '\n';
-    session.note_output("serve-snapshot-out", opts.snapshot_path);
+    // The drift verdict goes to the manifest's golden block so doctor and
+    // fleet can read it without the snapshot.  Suspected drift never changes
+    // the exit code — serve is a telemetry loop, the finding is typed, not
+    // fatal.
+    session.set_drift(serve::drift_verdict(result));
+    std::cout << serve::render_summary(result, opts);
+    session.note_output(std::string(serve::kSnapshotKind) + "-out",
+                        opts.snapshot_path);
 
     session.stage("persist");
     // A degraded run still exits 0: serve is a telemetry loop, not a
@@ -899,32 +864,15 @@ int cmd_serve(int argc, char** argv) {
   });
 }
 
-/// A snapshot object's numeric member, 0 when absent.
-double number_or_zero(const Json& object, const char* key) {
-  const Json* node = object.find(key);
-  return node != nullptr ? node->as_number() : 0.0;
-}
-
 /// `drbw stats --serve`: render the windowed contention timeline a v2 serve
-/// snapshot carries.  The snapshot loads as a validated artifact.
+/// snapshot carries, read through serve::load_snapshot.
 int stats_serve(const ArgParser& parser, int width) {
   const std::string path = parser.option("trace");
-  const Json root = Json::parse(
-      util::read_versioned_artifact(path, "serve-snapshot",
-                                    serve::kServeSnapshotVersion,
-                                    util::LoadPolicy{})
-          .body);
-  const Json* version = root.find("drbw_serve_snapshot");
-  if (version == nullptr) {
-    throw Error(path + ": not a serve snapshot (no drbw_serve_snapshot "
-                       "field); `drbw serve` writes one at --snapshot-out",
-                ErrorCode::kParse);
-  }
-  const Json* timeline = root.find("timeline");
-  if (timeline == nullptr || !timeline->is_array() ||
-      timeline->as_array().empty()) {
+  const serve::Snapshot snapshot = serve::load_snapshot(path);
+  const serve::ServeResult& result = snapshot.result;
+  if (result.timeline.empty()) {
     std::cout << "no contention timeline in " << path << " (v"
-              << static_cast<long long>(version->as_number())
+              << snapshot.version
               << " snapshot; either it predates v2 or no window was "
                  "classified)\n";
     return 0;
@@ -933,37 +881,33 @@ int stats_serve(const ArgParser& parser, int width) {
   std::vector<std::pair<double, double>> conf_series;
   std::vector<std::pair<double, double>> drift_series;
   std::uint64_t windows = 0, rmc = 0;
-  for (const Json& row : timeline->as_array()) {
-    const auto num = [&](const char* key) { return number_or_zero(row, key); };
-    const double tick = num("tick");
-    const double row_windows = num("windows");
-    const double row_rmc = num("rmc");
-    windows += static_cast<std::uint64_t>(row_windows);
-    rmc += static_cast<std::uint64_t>(row_rmc);
-    rmc_series.emplace_back(tick,
-                            row_windows > 0.0 ? row_rmc / row_windows : 0.0);
-    conf_series.emplace_back(tick, num("confidence_p50"));
+  for (const serve::TimelineRow& row : result.timeline) {
+    const auto tick = static_cast<double>(row.tick);
+    windows += row.windows;
+    rmc += row.rmc;
+    rmc_series.emplace_back(
+        tick, row.windows > 0 ? static_cast<double>(row.rmc) /
+                                    static_cast<double>(row.windows)
+                              : 0.0);
+    conf_series.emplace_back(tick, row.confidence_p50);
     // PSI divergence is unbounded; the chart wants [0, 1], so the row is
     // capped for display and the snapshot's true max score printed below.
-    drift_series.emplace_back(tick, std::min(1.0, num("drift")));
+    drift_series.emplace_back(tick, std::min(1.0, row.drift_score));
   }
   TimelineChart chart(width);
   chart.add_series("rmc fraction", rmc_series);
   chart.add_series("confidence p50", conf_series);
   chart.add_series("drift (cap 1)", drift_series);
-  std::cout << "windowed contention timeline ("
-            << timeline->as_array().size() << " row(s), " << windows
-            << " classified window(s), " << rmc << " contended)\n\n"
+  std::cout << "windowed contention timeline (" << result.timeline.size()
+            << " row(s), " << windows << " classified window(s), " << rmc
+            << " contended)\n\n"
             << chart.render();
-  if (const Json* drift = root.find("drift")) {
-    const auto num = [&](const char* key) {
-      return number_or_zero(*drift, key);
-    };
-    std::cout << "\ndrift: max score " << format_fixed(num("score"), 3)
-              << " (threshold " << format_fixed(num("threshold"), 3) << "), "
-              << static_cast<std::uint64_t>(num("suspected_clients"))
+  if (result.drift_available) {
+    std::cout << "\ndrift: max score " << format_fixed(result.drift_score, 3)
+              << " (threshold " << format_fixed(result.drift_threshold, 3)
+              << "), " << result.drift_suspected_clients
               << " client(s) suspected, confidence p50 "
-              << format_fixed(num("confidence_p50"), 3) << '\n';
+              << format_fixed(result.confidence_p50, 3) << '\n';
   } else {
     std::cout << "\ndrift: unavailable (degraded run, or the model carries "
                  "no training baseline)\n";
@@ -996,30 +940,48 @@ int cmd_stats(int argc, char** argv) {
       "drbw stats: '" + path + "' is a serve snapshot, not a trace_event "
       "file — did you mean `drbw stats --serve --trace " + path + "`?");
   const std::string content = util::read_file_or_throw(path, "trace file");
-  if (content.rfind("#drbw-serve-snapshot", 0) == 0) throw snapshot_hint;
+  if (content.rfind(std::string("#drbw-") + serve::kSnapshotKind, 0) == 0) {
+    throw snapshot_hint;
+  }
   const Json root = Json::parse(content);
 
   // Per-channel (epoch-start-cycle, utilization) series from the engine's
-  // per-epoch "epoch" counter events.  Any other event kinds are skipped, so
-  // stats works on traces from any subcommand.
+  // per-epoch "epoch" counter events.  Any other event kinds, and any event
+  // that is not an object with a string name and phase, a numeric ts and
+  // numeric args, are skipped, so stats works on traces from any subcommand.
   std::map<std::string, std::vector<std::pair<double, double>>> series;
   std::size_t epochs = 0;
-  const Json* events = root.find("traceEvents");
-  if (events == nullptr) {
-    if (root.find("drbw_serve_snapshot") != nullptr) throw snapshot_hint;
-    throw Error("not a trace_event file: no traceEvents");
+  const Json* events = root.is_object() ? root.find("traceEvents") : nullptr;
+  if (events == nullptr || !events->is_array()) {
+    if (root.is_object() &&
+        root.find(serve::kSnapshotVersionMember) != nullptr) {
+      throw snapshot_hint;
+    }
+    throw Error("not a trace_event file: no traceEvents array",
+                ErrorCode::kParse);
   }
+  const auto is = [](const Json* node, Json::Type type) {
+    return node != nullptr && node->type() == type;
+  };
   for (const Json& event : events->as_array()) {
+    if (!event.is_object()) continue;
     const Json* name = event.find("name");
     const Json* phase = event.find("ph");
+    const Json* ts = event.find("ts");
     const Json* args = event.find("args");
-    if (name == nullptr || phase == nullptr || args == nullptr) continue;
-    if (name->as_string() != "epoch" || phase->as_string() != "C") continue;
-    const double ts = event.find("ts")->as_number();
+    if (!is(name, Json::Type::kString) || name->as_string() != "epoch" ||
+        !is(phase, Json::Type::kString) || phase->as_string() != "C" ||
+        !is(ts, Json::Type::kNumber) || !is(args, Json::Type::kObject) ||
+        !std::all_of(args->as_object().begin(), args->as_object().end(),
+                     [&](const auto& arg) {
+                       return is(&arg.second, Json::Type::kNumber);
+                     })) {
+      continue;
+    }
     ++epochs;
     for (const auto& [channel, value] : args->as_object()) {
       if (channel == "max_latency_multiplier") continue;
-      series[channel].emplace_back(ts, value.as_number());
+      series[channel].emplace_back(ts->as_number(), value.as_number());
     }
   }
   if (series.empty()) {
@@ -1046,8 +1008,10 @@ int cmd_stats(int argc, char** argv) {
   }
   std::cout << "channel utilization per epoch (" << epochs << " epochs, "
             << order.size() << " of " << series.size() << " channels)";
-  if (const Json* other = root.find("otherData")) {
-    if (const Json* clock = other->find("clock")) {
+  const Json* other = root.find("otherData");
+  if (is(other, Json::Type::kObject)) {
+    const Json* clock = other->find("clock");
+    if (is(clock, Json::Type::kString)) {
       std::cout << ", clock: " << clock->as_string();
     }
   }
