@@ -7,10 +7,17 @@
 // analyze --windows and explain) adds one cycle window's samples; a whole
 // profile (extract_channels) adds every sample once, in profile order.
 //
+// Every add resolves its sample to a WindowSample — the 8 bytes Table I
+// reads: latency, memory level, source node and home node — and returns
+// it.  A sliding window keeps those records and evicts them, so eviction
+// never consults the locator or the machine again: what leaves the window
+// is exactly what entered it, whatever locator filled it.
+//
 // State: one record per source node (sample count, the five latency
-// threshold counters, and count + latency sum for all, local-DRAM and LFB
-// samples) plus a remote-DRAM count + latency sum per (src, home) pair.
-// Each mean is sum / count, or 0 when the count is 0.
+// threshold counters, and count + latency sum for all samples) plus a
+// row of level tallies per source node: local DRAM, LFB, a sink for the
+// levels Table I does not read, and remote DRAM per home node.  Each mean
+// is sum / count, or 0 when the count is 0.
 #pragma once
 
 #include <array>
@@ -24,6 +31,16 @@
 
 namespace drbw::features {
 
+/// One sample as a ChannelWindow holds it: what Table I reads of a
+/// pebs::MemorySample plus the nodes the window resolved it to.
+struct WindowSample {
+  float latency = 0.0f;  ///< MemorySample::latency_cycles
+  pebs::MemLevel level = pebs::MemLevel::kL1;
+  std::uint8_t src = 0;   ///< node of the CPU that issued the access
+  std::uint8_t home = 0;  ///< node where the data resides
+};
+static_assert(sizeof(WindowSample) == 8, "WindowSample must pack to 8 bytes");
+
 /// Running Table I statistics of every remote channel over a multiset of
 /// samples.
 ///
@@ -35,24 +52,23 @@ namespace drbw::features {
 /// of the add/evict history.  Whole-run sums (extract_channels) run in
 /// profile order, so they are deterministic at any size, and order-free
 /// within the bound.
-///
-/// Precondition for evict(): the window recomputes the evicted sample's home
-/// node with the locator, so the locator must be stateless (the same answer
-/// at eviction as at admission).  core::ReplayLocator is; add-only windows
-/// may use any locator.
 class ChannelWindow {
  public:
-  /// `machine` and `locator` must outlive the window.
+  /// `machine` and `locator` must outlive the window.  The machine has at
+  /// most 256 nodes (a WindowSample names them in one byte each).
   ChannelWindow(const topology::Machine& machine, core::PageLocator& locator);
 
   /// Adds a raw sample: its source node comes from the machine, its home
-  /// node from the locator.
-  void add(const pebs::MemorySample& sample);
+  /// node from the locator.  Returns the record it applied, for evict().
+  WindowSample add(const pebs::MemorySample& sample);
   /// Adds a profiled sample with the source and home node the profiler
   /// recorded (both nodes of the machine); the locator is not consulted.
   void add(const core::AttributedSample& sample);
-  /// Removes one sample previously passed to add(const MemorySample&).
-  void evict(const pebs::MemorySample& sample);
+  /// Adds a record an add() returned.
+  void add(const WindowSample& sample);
+  /// Removes one record an add() returned (or passed to add()).  Reads
+  /// nothing but the record: no locator, no machine lookup.
+  void evict(const WindowSample& sample);
   void clear();
 
   /// Per-channel features for every remote channel, in channel index order
@@ -70,19 +86,18 @@ class ChannelWindow {
   };
   struct SourceStats {
     Tally all;
-    Tally local;
-    Tally lfb;
     std::array<std::uint64_t, kLatencyThresholds.size()> above{};
   };
-
+  /// The one update: kSign = 1 adds `sample`, -1 evicts it.
   template <int kSign>
-  void apply(const pebs::MemorySample& sample, topology::NodeId src,
-             topology::NodeId home);
+  void apply(const WindowSample& sample);
 
   const topology::Machine& machine_;
   core::PageLocator& locator_;
+  std::size_t row_;                   ///< level tallies per source node
   std::vector<SourceStats> sources_;  ///< indexed by source node
-  std::vector<Tally> remote_;         ///< remote DRAM, src * nodes + home
+  /// Level tallies, src * row_ + slot (slots in window.cpp).
+  std::vector<Tally> levels_;
 };
 
 }  // namespace drbw::features

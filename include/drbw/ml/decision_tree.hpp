@@ -11,8 +11,10 @@
 // normalizer with the tree and persists both as one JSON document.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -61,17 +63,25 @@ struct Explanation {
 struct DriftBaseline {
   static constexpr std::size_t kBuckets = 8;
 
+  /// A baseline as divergence reads it: the epsilon-floored proportion of
+  /// each feature's buckets, and the PSI term a serving bucket floored to
+  /// epsilon scores against each.
+  struct Proportions {
+    std::vector<std::array<double, kBuckets>> floored;
+    std::vector<std::array<double, kBuckets>> at_floor;
+  };
+
   /// counts[feature][bucket]; values clamp to [0, 1] before bucketing, so
   /// out-of-training-range serving values pile into the edge buckets —
   /// exactly the drift signal.
-  std::vector<std::vector<std::uint64_t>> counts;
+  std::vector<std::array<std::uint64_t, kBuckets>> counts;
   std::uint64_t total = 0;
 
   bool empty() const { return counts.empty() || total == 0; }
 
   static std::size_t bucket_of(double normalized_value);
   void resize(std::size_t num_features);
-  void observe(const std::vector<double>& normalized_row);
+  void observe(std::span<const double> normalized_row);
   /// Elementwise sum — commutative, so parallel accumulators folded in a
   /// fixed order give the same histogram as serial observation.
   void merge(const DriftBaseline& other);
@@ -81,6 +91,12 @@ struct DriftBaseline {
   /// finite; ~0 for in-distribution traffic, grows without bound as mass
   /// moves to buckets the training set never populated.
   std::vector<double> divergence(const DriftBaseline& serving) const;
+  /// This baseline's Proportions (needs !empty()): compute them once to
+  /// score many serving histograms against the same baseline.
+  Proportions proportions() const;
+  /// divergence() against a baseline's proportions(); the same bits.
+  static std::vector<double> divergence(const Proportions& baseline,
+                                        const DriftBaseline& serving);
 
   Json to_json() const;
   /// Parses an embedded baseline.  A structurally invalid baseline — or a
@@ -125,11 +141,13 @@ class DecisionTree {
   /// predict() with the decision path, leaf-purity confidence, and
   /// per-feature attribution (see Explanation).  `num_features` sizes the
   /// attribution vector; pass the dataset arity.
-  Explanation predict_explained(const std::vector<double>& normalized_row,
+  Explanation predict_explained(std::span<const double> normalized_row,
                                 std::size_t num_features) const;
 
   const std::vector<Node>& nodes() const { return nodes_; }
-  int depth() const;
+  /// Longest root-to-leaf path in edges: a lone leaf has depth 0, and a
+  /// trained tree's depth never exceeds TreeParams::max_depth.
+  int depth() const { return depth_; }
   std::size_t leaf_count() const;
   /// Distinct features used by internal nodes, ascending.
   std::vector<int> used_features() const;
@@ -148,8 +166,11 @@ class DecisionTree {
   int build(const Dataset& data, const std::vector<std::size_t>& indices,
             const TreeParams& params, int depth);
   int add_leaf(const Dataset& data, const std::vector<std::size_t>& indices);
+  /// Sets depth_ from nodes_, whose children follow their parent.
+  void index_depth();
 
   std::vector<Node> nodes_;
+  int depth_ = 0;
 };
 
 /// The deployable model: normalizer + tree + feature names.
@@ -166,8 +187,9 @@ class Classifier {
   Label predict(const std::vector<double>& raw_row) const;
 
   /// Normalizes, then explains (see DecisionTree::predict_explained).
-  /// Attribution indices match feature_names().
-  Explanation predict_explained(const std::vector<double>& raw_row) const;
+  /// Attribution indices match feature_names().  The normalized row lives
+  /// on the stack (for rows up to 32 features).
+  Explanation predict_explained(std::span<const double> raw_row) const;
 
   const DecisionTree& tree() const { return tree_; }
   const Normalizer& normalizer() const { return normalizer_; }
@@ -179,7 +201,7 @@ class Classifier {
   const DriftBaseline& drift_baseline() const { return drift_baseline_; }
   bool has_drift_baseline() const { return !drift_baseline_.empty(); }
   /// Buckets a raw serving row the same way training rows were bucketed.
-  void observe_drift(const std::vector<double>& raw_row,
+  void observe_drift(std::span<const double> raw_row,
                      DriftBaseline& serving) const;
 
   std::string describe() const;

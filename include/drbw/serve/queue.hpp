@@ -17,6 +17,9 @@
 // A queue holds trace ordinals (pebs/session.hpp), never sample copies, in
 // an OrdinalRing that grows on demand: its memory follows the most samples
 // it has held, so a huge --queue-depth costs nothing until traffic fills it.
+// The same Ring<T> holds each client's classify window as 8-byte
+// features::WindowSample records, so the window evicts what it admitted
+// without reading the trace again.
 //
 // Serial only: no member is synchronized.  The serve loop admits into and
 // drains every queue from its one loop thread, in client/ordinal order, and
@@ -54,24 +57,26 @@ enum class AdmitResult {
 
 const char* admit_result_name(AdmitResult result);
 
-/// FIFO of trace ordinals in a power-of-two ring.  The ring starts empty
-/// and doubles (from 16 slots) when a push finds it full, so it holds at
-/// most max(16, 2 x high-water size) slots.  pop_front() needs size() > 0.
-class OrdinalRing {
+/// FIFO of trivially copyable values in a power-of-two ring.  The ring
+/// starts empty and doubles (from 16 slots) when a push finds it full, so
+/// it holds at most max(16, 2 x high-water size) slots.  pop_front() needs
+/// size() > 0.
+template <typename T>
+class Ring {
  public:
   std::size_t size() const { return size_; }
 
-  void push_back(std::uint32_t ordinal) {
+  void push_back(const T& value) {
     if (size_ == slots_.size()) grow();
-    slots_[(head_ + size_) & (slots_.size() - 1)] = ordinal;
+    slots_[(head_ + size_) & (slots_.size() - 1)] = value;
     ++size_;
   }
 
-  std::uint32_t pop_front() {
-    const std::uint32_t ordinal = slots_[head_];
+  T pop_front() {
+    const T value = slots_[head_];
     head_ = (head_ + 1) & (slots_.size() - 1);
     --size_;
-    return ordinal;
+    return value;
   }
 
   /// Empties the ring (its slots stay allocated).
@@ -81,12 +86,22 @@ class OrdinalRing {
   }
 
  private:
-  void grow();
+  void grow() {
+    std::vector<T> slots(std::max<std::size_t>(16, 2 * slots_.size()));
+    for (std::size_t i = 0; i < size_; ++i) {
+      slots[i] = slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+    slots_.swap(slots);
+    head_ = 0;
+  }
 
-  std::vector<std::uint32_t> slots_;
+  std::vector<T> slots_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
 };
+
+/// A ring of trace ordinals.
+using OrdinalRing = Ring<std::uint32_t>;
 
 /// One client's bounded ingest queue.
 class BoundedQueue {

@@ -20,11 +20,14 @@
 //      `explain` use, fanned out over util::TaskPool into indexed slots and
 //      applied serially, so results are byte-identical at any jobs count.
 //
-// Each sample is held once, in the trace: sessions, deferred offers, the
-// queues and the window buffers all carry uint32 trace ordinals, and the
-// window reads trace.samples[ordinal] when it adds or evicts.  Queue and
-// window rings grow with what they hold, never with --queue-depth or
-// --window-capacity.
+// Each sample is held once, in the trace: sessions, deferred offers and the
+// queues carry uint32 trace ordinals, and the window reads
+// trace.samples[ordinal] once, when it adds it.  A window buffer holds the
+// 8-byte features::WindowSample records its adds returned and evicts them
+// as they are, so eviction reads neither the trace nor the locator.  Queue
+// and window rings grow with what they hold, never with --queue-depth or
+// --window-capacity.  Each client's drift score is recomputed only on a
+// tick that merged a classified window into its histograms.
 //
 // Robustness contract:
 //   * Four fault sites guard the hot path — serve.ingest (per sample,

@@ -95,8 +95,14 @@ class Machine {
   int num_cores() const { return spec_.total_cores(); }
   int num_hw_threads() const { return spec_.total_hw_threads(); }
 
-  /// NUMA node that hosts the given CPU (hardware-thread id).
-  NodeId node_of_cpu(CpuId cpu) const;
+  /// NUMA node that hosts the given CPU (hardware-thread id): one lookup
+  /// into a table the constructor fills, since the profiler and every
+  /// window add call it per sample.  Throws Error for a CPU the machine
+  /// lacks.
+  NodeId node_of_cpu(CpuId cpu) const {
+    if (static_cast<unsigned>(cpu) >= cpu_node_.size()) cpu_out_of_range(cpu);
+    return cpu_node_[static_cast<std::size_t>(cpu)];
+  }
   /// All hardware-thread ids on a node, primary contexts first.
   const std::vector<CpuId>& cpus_of_node(NodeId node) const;
 
@@ -147,11 +153,14 @@ class Machine {
 
  private:
   void build_paths();
+  [[noreturn]] void cpu_out_of_range(CpuId cpu) const;
 
   MachineSpec spec_;
   std::vector<std::vector<CpuId>> node_cpus_;
   /// Per channel index: the physical links its traffic traverses.
   std::vector<std::vector<ChannelId>> paths_;
+  /// Per CPU id: its node, (cpu % cores) / cores_per_socket.
+  std::vector<NodeId> cpu_node_;
 };
 
 }  // namespace drbw::topology

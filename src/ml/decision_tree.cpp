@@ -67,11 +67,11 @@ std::size_t DriftBaseline::bucket_of(double normalized_value) {
 }
 
 void DriftBaseline::resize(std::size_t num_features) {
-  counts.assign(num_features, std::vector<std::uint64_t>(kBuckets, 0));
+  counts.assign(num_features, std::array<std::uint64_t, kBuckets>{});
   total = 0;
 }
 
-void DriftBaseline::observe(const std::vector<double>& normalized_row) {
+void DriftBaseline::observe(std::span<const double> normalized_row) {
   DRBW_CHECK_MSG(normalized_row.size() >= counts.size(),
                  "row too short for drift baseline of " << counts.size()
                                                         << " features");
@@ -94,25 +94,62 @@ void DriftBaseline::merge(const DriftBaseline& other) {
   total += other.total;
 }
 
+namespace {
+
+// PSI with epsilon-floored proportions so buckets one side never populated
+// stay finite; ~0 in-distribution, grows as mass shifts.
+constexpr double kDriftEps = 1e-4;
+
+double floored_proportion(std::uint64_t count, std::uint64_t total) {
+  return std::max(static_cast<double>(count) / static_cast<double>(total),
+                  kDriftEps);
+}
+
+/// One bucket's PSI term, serving proportion `q` against baseline `p`.
+double psi_term(double q, double p) { return (q - p) * std::log(q / p); }
+
+}  // namespace
+
 std::vector<double> DriftBaseline::divergence(
     const DriftBaseline& serving) const {
   DRBW_CHECK_MSG(serving.counts.size() == counts.size(),
                  "drift histograms disagree on feature count");
-  std::vector<double> scores(counts.size(), 0.0);
-  if (empty() || serving.empty()) return scores;
-  // PSI with epsilon-floored proportions so buckets one side never
-  // populated stay finite; ~0 in-distribution, grows as mass shifts.
-  constexpr double kEps = 1e-4;
+  if (empty() || serving.empty()) {
+    return std::vector<double>(counts.size(), 0.0);
+  }
+  return divergence(proportions(), serving);
+}
+
+DriftBaseline::Proportions DriftBaseline::proportions() const {
+  DRBW_CHECK_MSG(!empty(), "an empty drift baseline has no proportions");
+  Proportions out{std::vector<std::array<double, kBuckets>>(counts.size()),
+                  std::vector<std::array<double, kBuckets>>(counts.size())};
   for (std::size_t f = 0; f < counts.size(); ++f) {
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      const double p = floored_proportion(counts[f][b], total);
+      out.floored[f][b] = p;
+      out.at_floor[f][b] = psi_term(kDriftEps, p);
+    }
+  }
+  return out;
+}
+
+std::vector<double> DriftBaseline::divergence(const Proportions& baseline,
+                                              const DriftBaseline& serving) {
+  DRBW_CHECK_MSG(serving.counts.size() == baseline.floored.size(),
+                 "drift histograms disagree on feature count");
+  std::vector<double> scores(baseline.floored.size(), 0.0);
+  if (serving.empty()) return scores;
+  for (std::size_t f = 0; f < scores.size(); ++f) {
     double psi = 0.0;
     for (std::size_t b = 0; b < kBuckets; ++b) {
-      const double p = std::max(
-          static_cast<double>(counts[f][b]) / static_cast<double>(total), kEps);
-      const double q =
-          std::max(static_cast<double>(serving.counts[f][b]) /
-                       static_cast<double>(serving.total),
-                   kEps);
-      psi += (q - p) * std::log(q / p);
+      const double p = baseline.floored[f][b];
+      const double q = floored_proportion(serving.counts[f][b], serving.total);
+      // Equal proportions add (q - p) * log(1) = +0, which leaves psi's
+      // bits as they are; a serving bucket at the floor adds the term
+      // proportions() computed from the same operands.
+      if (q == p) continue;
+      psi += q == kDriftEps ? baseline.at_floor[f][b] : psi_term(q, p);
     }
     scores[f] = psi;
   }
@@ -153,16 +190,14 @@ DriftBaseline DriftBaseline::from_json(const Json& json,
     const JsonArray& row = rows[f].as_array();
     if (row.size() != kBuckets) return empty_baseline;
     std::uint64_t sum = 0;
-    std::vector<std::uint64_t> feature_counts;
-    feature_counts.reserve(kBuckets);
-    for (const Json& c : row) {
-      const auto count = static_cast<std::uint64_t>(c.as_int());
-      feature_counts.push_back(count);
-      sum += count;
+    std::array<std::uint64_t, kBuckets> feature_counts{};
+    for (std::size_t b = 0; b < kBuckets; ++b) {
+      feature_counts[b] = static_cast<std::uint64_t>(row[b].as_int());
+      sum += feature_counts[b];
     }
     // Every observed row increments each feature's histogram exactly once.
     if (sum != baseline.total) return empty_baseline;
-    baseline.counts.push_back(std::move(feature_counts));
+    baseline.counts.push_back(feature_counts);
   }
   return baseline;
 }
@@ -267,6 +302,7 @@ DecisionTree DecisionTree::train(const Dataset& normalized, TreeParams params) {
   std::vector<std::size_t> all(normalized.size());
   std::iota(all.begin(), all.end(), 0);
   tree.build(normalized, all, params, 0);
+  tree.index_depth();
   MlMetrics::get().trees.add(1);
   span.arg("nodes", static_cast<double>(tree.nodes().size()));
   return tree;
@@ -287,9 +323,10 @@ Label DecisionTree::predict(const std::vector<double>& row) const {
 }
 
 Explanation DecisionTree::predict_explained(
-    const std::vector<double>& row, std::size_t num_features) const {
+    std::span<const double> row, std::size_t num_features) const {
   DRBW_CHECK_MSG(!nodes_.empty(), "predict on untrained tree");
   Explanation out;
+  out.path.reserve(static_cast<std::size_t>(depth_));
   out.attributions.assign(num_features, 0.0);
   int at = 0;
   while (!nodes_[static_cast<std::size_t>(at)].is_leaf()) {
@@ -317,22 +354,18 @@ Explanation DecisionTree::predict_explained(
   return out;
 }
 
-int DecisionTree::depth() const {
-  // Longest root-to-leaf path in *edges*: a lone leaf has depth 0, and a
-  // trained tree's depth never exceeds TreeParams::max_depth.
-  std::vector<std::pair<int, int>> stack{{0, 0}};
-  int max_depth = 0;
-  while (!stack.empty()) {
-    const auto [at, d] = stack.back();
-    stack.pop_back();
-    max_depth = std::max(max_depth, d);
-    const Node& node = nodes_[static_cast<std::size_t>(at)];
-    if (!node.is_leaf()) {
-      stack.emplace_back(node.left, d + 1);
-      stack.emplace_back(node.right, d + 1);
-    }
+void DecisionTree::index_depth() {
+  // Children always follow their parent (build() reserves a node's slot
+  // before recursing; from_json checks it), so one reverse pass sees every
+  // child before its parent.
+  std::vector<int> below(nodes_.size(), 0);
+  for (std::size_t i = nodes_.size(); i-- > 0;) {
+    const Node& node = nodes_[i];
+    if (node.is_leaf()) continue;
+    below[i] = 1 + std::max(below[static_cast<std::size_t>(node.left)],
+                            below[static_cast<std::size_t>(node.right)]);
   }
-  return max_depth;
+  depth_ = below.empty() ? 0 : below[0];
 }
 
 std::size_t DecisionTree::leaf_count() const {
@@ -423,6 +456,16 @@ DecisionTree DecisionTree::from_json(const Json& json) {
     tree.nodes_.push_back(n);
   }
   DRBW_CHECK_MSG(!tree.nodes_.empty(), "model file contains no tree nodes");
+  const int size = static_cast<int>(tree.nodes_.size());
+  for (int i = 0; i < size; ++i) {
+    const Node& n = tree.nodes_[static_cast<std::size_t>(i)];
+    if (n.is_leaf()) continue;
+    DRBW_CHECK_MSG(n.left > i && n.left < size && n.right > i &&
+                       n.right < size,
+                   "tree node " << i << " has a child outside (" << i << ", "
+                                << size << ")");
+  }
+  tree.index_depth();
   return tree;
 }
 
@@ -451,15 +494,45 @@ Label Classifier::predict(const std::vector<double>& raw_row) const {
   return tree_.predict(normalizer_.apply(raw_row));
 }
 
-Explanation Classifier::predict_explained(
-    const std::vector<double>& raw_row) const {
-  return tree_.predict_explained(normalizer_.apply(raw_row),
-                                 feature_names_.size());
+namespace {
+
+/// Rows up to this wide normalize into a stack buffer.
+constexpr std::size_t kStackFeatures = 32;
+
+/// Calls `fn` with `raw` normalized into a buffer on the stack (on the
+/// heap past kStackFeatures features).
+template <typename Fn>
+auto with_normalized(const Normalizer& normalizer, std::span<const double> raw,
+                     Fn&& fn) {
+  DRBW_CHECK_MSG(raw.size() == normalizer.num_features(),
+                 "row arity " << raw.size() << " != normalizer "
+                              << normalizer.num_features());
+  std::array<double, kStackFeatures> stack;
+  std::vector<double> heap;
+  double* row = stack.data();
+  if (raw.size() > stack.size()) {
+    heap.resize(raw.size());
+    row = heap.data();
+  }
+  for (std::size_t j = 0; j < raw.size(); ++j) {
+    row[j] = normalizer.apply_one(j, raw[j]);
+  }
+  return fn(std::span<const double>(row, raw.size()));
 }
 
-void Classifier::observe_drift(const std::vector<double>& raw_row,
+}  // namespace
+
+Explanation Classifier::predict_explained(
+    std::span<const double> raw_row) const {
+  return with_normalized(normalizer_, raw_row, [&](std::span<const double> row) {
+    return tree_.predict_explained(row, feature_names_.size());
+  });
+}
+
+void Classifier::observe_drift(std::span<const double> raw_row,
                                DriftBaseline& serving) const {
-  serving.observe(normalizer_.apply(raw_row));
+  with_normalized(normalizer_, raw_row,
+                  [&](std::span<const double> row) { serving.observe(row); });
 }
 
 std::string Classifier::describe() const {

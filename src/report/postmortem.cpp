@@ -17,6 +17,20 @@ const Json* find_in(const Json* node, const char* key) {
   return node != nullptr && node->is_object() ? node->find(key) : nullptr;
 }
 
+/// The container `key` of `node`, or nullptr when it is absent.  A member
+/// present with another type is not a partial write but a damaged
+/// manifest: Error(kCorruptArtifact) naming `path`.
+const Json* container_in(const std::string& path, const Json* node,
+                         const char* key, Json::Type type) {
+  const Json* found = find_in(node, key);
+  if (found != nullptr && found->type() != type) {
+    throw Error(path + ": manifest member '" + key + "' is not " +
+                    (type == Json::Type::kObject ? "an object" : "an array"),
+                ErrorCode::kCorruptArtifact);
+  }
+  return found;
+}
+
 std::string str_or(const Json* node, const std::string& fallback) {
   return node != nullptr && node->type() == Json::Type::kString
              ? node->as_string()
@@ -37,7 +51,7 @@ std::uint64_t u64_or(const Json* node, std::uint64_t fallback) {
 
 std::vector<obs::ArtifactRef> parse_artifact_refs(const Json* node) {
   std::vector<obs::ArtifactRef> refs;
-  if (node == nullptr || !node->is_array()) return refs;
+  if (node == nullptr) return refs;
   for (const Json& entry : node->as_array()) {
     if (!entry.is_object()) continue;
     obs::ArtifactRef ref;
@@ -58,7 +72,7 @@ std::vector<obs::ArtifactRef> parse_artifact_refs(const Json* node) {
 
 std::vector<obs::SpanStat> parse_spans(const Json* node) {
   std::vector<obs::SpanStat> spans;
-  if (node == nullptr || !node->is_array()) return spans;
+  if (node == nullptr) return spans;
   for (const Json& entry : node->as_array()) {
     if (!entry.is_object()) continue;
     obs::SpanStat stat;
@@ -82,50 +96,55 @@ ManifestData load_manifest(const std::string& path) {
   } catch (const Error& e) {
     throw Error(path + ": " + e.what(), ErrorCode::kParse);
   }
-  const Json* golden = m.document.find("golden");
-  const Json* context = m.document.find("context");
+  if (!m.document.is_object()) {
+    throw Error(path + ": manifest body is not a JSON object",
+                ErrorCode::kCorruptArtifact);
+  }
+  const auto object_in = [&](const Json* node, const char* key) {
+    return container_in(path, node, key, Json::Type::kObject);
+  };
+  const auto array_in = [&](const Json* node, const char* key) {
+    return container_in(path, node, key, Json::Type::kArray);
+  };
+  const Json* golden = object_in(&m.document, "golden");
+  const Json* context = object_in(&m.document, "context");
   m.subcommand = str_or(find_in(golden, "subcommand"), "");
   m.fault_spec = str_or(find_in(golden, "fault_spec"), "");
   if (const Json* degraded = find_in(golden, "degraded")) {
     m.degraded = degraded->type() == Json::Type::kBool && degraded->as_bool();
   }
   m.drift = str_or(find_in(golden, "drift"), "");
-  if (const Json* outcome = find_in(golden, "outcome")) {
-    m.status = str_or(outcome->find("status"), "ok");
-    m.error_code = str_or(outcome->find("error_code"), "");
-    m.exit_code = static_cast<int>(num_or(outcome->find("exit_code"), 0));
-    m.message = str_or(outcome->find("message"), "");
+  if (const Json* outcome = object_in(golden, "outcome")) {
+    m.status = str_or(find_in(outcome, "status"), "ok");
+    m.error_code = str_or(find_in(outcome, "error_code"), "");
+    m.exit_code = static_cast<int>(num_or(find_in(outcome, "exit_code"), 0));
+    m.message = str_or(find_in(outcome, "message"), "");
   }
-  if (const Json* load = find_in(golden, "load")) {
+  if (const Json* load = object_in(golden, "load")) {
     m.has_load = true;
-    m.records_seen = u64_or(load->find("records_seen"), 0);
-    m.records_ok = u64_or(load->find("records_ok"), 0);
-    m.records_quarantined = u64_or(load->find("records_quarantined"), 0);
-    const Json* ok = load->find("checksum_ok");
+    m.records_seen = u64_or(find_in(load, "records_seen"), 0);
+    m.records_ok = u64_or(find_in(load, "records_ok"), 0);
+    m.records_quarantined = u64_or(find_in(load, "records_quarantined"), 0);
+    const Json* ok = find_in(load, "checksum_ok");
     m.checksum_ok =
         ok == nullptr || ok->type() != Json::Type::kBool || ok->as_bool();
   }
-  if (const Json* fires = find_in(golden, "fault_fires")) {
-    if (fires->is_object()) {
-      for (const auto& [site, count] : fires->as_object()) {
-        m.fault_fires.emplace_back(site, u64_or(&count, 0));
-      }
+  if (const Json* fires = object_in(golden, "fault_fires")) {
+    for (const auto& [site, count] : fires->as_object()) {
+      m.fault_fires.emplace_back(site, u64_or(&count, 0));
     }
   }
-  m.spans = parse_spans(find_in(golden, "spans"));
-  if (m.spans.empty()) m.spans = parse_spans(find_in(context, "spans"));
-  if (const Json* metrics = find_in(golden, "metrics")) {
-    if (const Json* counters = find_in(metrics, "counters")) {
-      if (counters->is_object()) {
-        for (const auto& [name, entry] : counters->as_object()) {
-          if (!entry.is_object()) continue;
-          m.counters.emplace_back(name, num_or(entry.find("value"), 0.0));
-        }
-      }
+  m.spans = parse_spans(array_in(golden, "spans"));
+  if (m.spans.empty()) m.spans = parse_spans(array_in(context, "spans"));
+  if (const Json* counters =
+          object_in(object_in(golden, "metrics"), "counters")) {
+    for (const auto& [name, entry] : counters->as_object()) {
+      if (!entry.is_object()) continue;
+      m.counters.emplace_back(name, num_or(entry.find("value"), 0.0));
     }
   }
-  m.inputs = parse_artifact_refs(find_in(golden, "inputs"));
-  m.outputs = parse_artifact_refs(find_in(golden, "outputs"));
+  m.inputs = parse_artifact_refs(array_in(golden, "inputs"));
+  m.outputs = parse_artifact_refs(array_in(golden, "outputs"));
   m.jobs = static_cast<int>(num_or(find_in(context, "jobs"), 0));
   return m;
 }

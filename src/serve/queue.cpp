@@ -43,16 +43,6 @@ const char* admit_result_name(AdmitResult result) {
   return "?";
 }
 
-void OrdinalRing::grow() {
-  std::vector<std::uint32_t> slots(
-      std::max<std::size_t>(16, 2 * slots_.size()));
-  for (std::size_t i = 0; i < size_; ++i) {
-    slots[i] = slots_[(head_ + i) & (slots_.size() - 1)];
-  }
-  slots_.swap(slots);
-  head_ = 0;
-}
-
 BoundedQueue::BoundedQueue(std::size_t depth, OverloadPolicy policy)
     : depth_(std::max<std::size_t>(1, depth)), policy_(policy) {}
 

@@ -55,10 +55,10 @@ struct ClientState {
   std::size_t cursor = 0;  ///< next unconsumed session ordinal
   std::vector<std::uint32_t> deferred;  ///< pushed back under block
   std::vector<std::uint32_t> offers;    ///< this tick's admission batch
-  /// Sliding classify window: `buffer` holds its samples' trace ordinals
-  /// oldest first and `window` their running channel features (add on
+  /// Sliding classify window: `buffer` holds the records `window` applied,
+  /// oldest first, and `window` their running channel features (add on
   /// push, evict on pop).
-  OrdinalRing buffer;
+  Ring<features::WindowSample> buffer;
   features::ChannelWindow window;
   std::uint64_t window_updates = 0;  ///< window adds + evicts
   int consecutive_faults = 0;
@@ -66,6 +66,8 @@ struct ClientState {
   std::vector<double> window_confidences;
   std::uint64_t rows_classified = 0;
   ml::DriftBaseline serving;  ///< serving-side drift histograms
+  /// Max per-feature divergence of `serving`, refreshed when it changes.
+  double drift_score = 0.0;
 };
 
 /// Renders `result`'s snapshot body into result.snapshot_json and, when
@@ -140,6 +142,9 @@ ServeResult Server::run(const pebs::Trace& trace) {
   const bool drift_on = model != nullptr && model->has_drift_baseline();
   const std::size_t num_features =
       model != nullptr ? model->feature_names().size() : 0;
+  const ml::DriftBaseline::Proportions baseline =
+      drift_on ? model->drift_baseline().proportions()
+               : ml::DriftBaseline::Proportions{};
   result.drift_available = drift_on;
   result.drift_threshold = options_.drift_threshold;
 
@@ -183,12 +188,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
         mh.confidence_min = *std::min_element(st.window_confidences.begin(),
                                               st.window_confidences.end());
       }
-      if (!st.serving.empty()) {
-        for (const double d :
-             model->drift_baseline().divergence(st.serving)) {
-          mh.drift_score = std::max(mh.drift_score, d);
-        }
-      }
+      mh.drift_score = st.drift_score;
       mh.drift_suspected = options_.drift_threshold > 0.0 && mh.windows > 0 &&
                            mh.drift_score >= options_.drift_threshold;
       if (mh.drift_suspected) ++out.drift_suspected_clients;
@@ -215,12 +215,15 @@ ServeResult Server::run(const pebs::Trace& trace) {
     bool rmc = false;
     std::uint64_t retries = 0;
     std::uint64_t backoff_cycles = 0;
-    // Model-health payload, merged serially after the fan-out.
+    // Model-health payload, merged serially after the fan-out (the drift
+    // histogram sits in `drifts`, whose buffers live across ticks).
     bool has_confidence = false;
     double confidence = 0.0;  ///< min row confidence in the window
     std::uint64_t rows = 0;
-    ml::DriftBaseline drift;
   };
+  std::vector<Slot> slots;
+  std::vector<ml::DriftBaseline> drifts(clients);
+  std::vector<double> tick_confidences;
 
   std::uint64_t tick = 0;
   for (;; ++tick) {
@@ -328,19 +331,19 @@ ServeResult Server::run(const pebs::Trace& trace) {
     }
 
     // -- drain into sliding windows (serial) -------------------------------
-    std::vector<Slot> slots(clients);
+    slots.assign(clients, Slot{});
     for (std::uint32_t c = 0; c < clients; ++c) {
       ClientState& st = states[c];
       if (st.stats.quarantined) continue;
       // Add before evict, the order the window has always used: outside
       // ChannelWindow's exactness bound the order can move feature bits.
+      // The evicted record comes from the ring, not from the trace.
       const std::size_t drained =
           st.queue.drain(drain_n, [&](std::uint32_t ordinal) {
-            st.buffer.push_back(ordinal);
-            st.window.add(trace.samples[ordinal]);
+            st.buffer.push_back(st.window.add(trace.samples[ordinal]));
             ++st.window_updates;
             if (st.buffer.size() > options_.window_capacity) {
-              st.window.evict(trace.samples[st.buffer.pop_front()]);
+              st.window.evict(st.buffer.pop_front());
               ++st.window_updates;
             }
           });
@@ -384,12 +387,12 @@ ServeResult Server::run(const pebs::Trace& trace) {
       }
       slot.has_confidence = true;
       if (drift_on) {
-        slot.drift.resize(num_features);
-        tool_->observe_drift(verdict, slot.drift);
+        drifts[i].resize(num_features);
+        tool_->observe_drift(verdict, drifts[i]);
       }
     });
 
-    std::vector<double> tick_confidences;
+    tick_confidences.clear();
     std::uint64_t tick_windows = 0;
     std::uint64_t tick_rmc = 0;
     for (std::uint32_t c = 0; c < clients; ++c) {
@@ -413,7 +416,15 @@ ServeResult Server::run(const pebs::Trace& trace) {
         st.window_confidences.push_back(slot.confidence);
         tick_confidences.push_back(slot.confidence);
         st.rows_classified += slot.rows;
-        if (drift_on) st.serving.merge(slot.drift);
+        if (drift_on) {
+          // Only a client whose histograms changed gets a new score.
+          st.serving.merge(drifts[c]);
+          st.drift_score = 0.0;
+          for (const double d : ml::DriftBaseline::divergence(baseline,
+                                                              st.serving)) {
+            st.drift_score = std::max(st.drift_score, d);
+          }
+        }
       }
     }
 
@@ -422,14 +433,8 @@ ServeResult Server::run(const pebs::Trace& trace) {
       // the running max across clients so the rendered timeline shows when
       // serving traffic left the training distribution.
       double drift_now = 0.0;
-      if (drift_on) {
-        for (const ClientState& st : states) {
-          if (st.serving.empty()) continue;
-          for (const double d :
-               model->drift_baseline().divergence(st.serving)) {
-            drift_now = std::max(drift_now, d);
-          }
-        }
+      for (const ClientState& st : states) {
+        drift_now = std::max(drift_now, st.drift_score);
       }
       result.timeline.push_back(TimelineRow{tick, 1, tick_windows, tick_rmc,
                                             lower_median(tick_confidences),

@@ -125,7 +125,7 @@ WindowVerdict DrBw::classify_window(
   verdict.channels.reserve(channels.size());
   for (const features::ChannelFeatures& cf : channels) {
     if (config_.sparse_guard.sparse(cf.features)) continue;
-    ml::Explanation explanation = model_.predict_explained(cf.features.as_row());
+    ml::Explanation explanation = model_.predict_explained(cf.features.values);
     if (explanation.label == ml::Label::kRmc) {
       verdict.contended.push_back(cf.channel);
     }
@@ -138,10 +138,8 @@ WindowVerdict DrBw::classify_window(
 
 void DrBw::observe_drift(const WindowVerdict& verdict,
                          ml::DriftBaseline& serving) const {
-  std::vector<double> row;  // one buffer for every channel's row
   for (const WindowChannel& ch : verdict.channels) {
-    row.assign(ch.features.values.begin(), ch.features.values.end());
-    model_.observe_drift(row, serving);
+    model_.observe_drift(ch.features.values, serving);
   }
 }
 

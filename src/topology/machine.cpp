@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <sstream>
 
 namespace drbw::topology {
 
@@ -19,8 +20,12 @@ Machine::Machine(MachineSpec spec) : spec_(std::move(spec)) {
   DRBW_CHECK(spec_.page_bytes > 0 && (spec_.page_bytes & (spec_.page_bytes - 1)) == 0);
 
   node_cpus_.resize(static_cast<std::size_t>(spec_.sockets));
+  cpu_node_.resize(static_cast<std::size_t>(num_hw_threads()));
   for (CpuId cpu = 0; cpu < num_hw_threads(); ++cpu) {
-    node_cpus_[static_cast<std::size_t>(node_of_cpu(cpu))].push_back(cpu);
+    const int core = cpu % num_cores();  // strip the hyperthread context bank
+    const NodeId node = core / spec_.cores_per_socket;
+    cpu_node_[static_cast<std::size_t>(cpu)] = node;
+    node_cpus_[static_cast<std::size_t>(node)].push_back(cpu);
   }
   build_paths();
 }
@@ -81,11 +86,11 @@ int Machine::hops(ChannelId ch) const {
   return static_cast<int>(path_links(ch).size());
 }
 
-NodeId Machine::node_of_cpu(CpuId cpu) const {
-  DRBW_CHECK_MSG(cpu >= 0 && cpu < num_hw_threads(),
-                 "cpu " << cpu << " out of range [0," << num_hw_threads() << ")");
-  const int core = cpu % num_cores();  // strip the hyperthread context bank
-  return core / spec_.cores_per_socket;
+void Machine::cpu_out_of_range(CpuId cpu) const {
+  std::ostringstream msg;
+  msg << "cpu " << cpu << " out of range [0," << num_hw_threads() << ")";
+  detail::throw_check_failure("cpu >= 0 && cpu < num_hw_threads()", __FILE__,
+                              __LINE__, msg.str());
 }
 
 const std::vector<CpuId>& Machine::cpus_of_node(NodeId node) const {

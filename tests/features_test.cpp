@@ -2,8 +2,13 @@
 // candidate catalogue + selection study.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "drbw/features/candidates.hpp"
 #include "drbw/features/selected.hpp"
+#include "drbw/features/window.hpp"
+#include "drbw/util/rng.hpp"
 
 namespace drbw::features {
 namespace {
@@ -178,6 +183,83 @@ TEST_F(FeaturesTest, CandidatesCountLevels) {
   EXPECT_DOUBLE_EQ(find("total_samples"), 3.0);
   EXPECT_DOUBLE_EQ(find("num_distinct_nodes"), 2.0);
   EXPECT_DOUBLE_EQ(find("avg_RemoteDRAM_latency"), 900.0);
+}
+
+/// Answers a different home node on every call, and counts the calls: a
+/// window that re-located on evict would both call it and file the sample
+/// under the wrong channel.
+class CyclingLocator final : public core::PageLocator {
+ public:
+  explicit CyclingLocator(int nodes) : nodes_(nodes) {}
+  topology::NodeId locate(mem::Addr, topology::NodeId) override {
+    return static_cast<topology::NodeId>(calls_++ % nodes_);
+  }
+  int calls() const { return calls_; }
+
+ private:
+  int nodes_;
+  int calls_ = 0;
+};
+
+TEST(ChannelWindowTest, EvictsEveryCpuAndLevelRecordInAnyOrder) {
+  const Machine machine = Machine::xeon_e5_4650();
+  const pebs::MemLevel levels[] = {
+      pebs::MemLevel::kL1,  pebs::MemLevel::kL2,        pebs::MemLevel::kL3,
+      pebs::MemLevel::kLfb, pebs::MemLevel::kLocalDram,
+      pebs::MemLevel::kRemoteDram};
+  for (const bool shuffled : {false, true}) {
+    CyclingLocator locator(machine.num_nodes());
+    ChannelWindow window(machine, locator);
+    // One sample per (cpu, level), the hyperthread bank included; integer
+    // latencies keep every sum inside the window's exactness bound.
+    std::vector<WindowSample> records;
+    for (topology::CpuId cpu = 0; cpu < machine.num_hw_threads(); ++cpu) {
+      for (const pebs::MemLevel level : levels) {
+        pebs::MemorySample s;
+        s.cpu = cpu;
+        s.level = level;
+        s.latency_cycles =
+            static_cast<float>(40 + 23 * cpu + 190 * static_cast<int>(level));
+        const WindowSample r = window.add(s);
+        EXPECT_EQ(r.src, machine.node_of_cpu(cpu));
+        EXPECT_EQ(r.level, level);
+        EXPECT_EQ(r.latency, s.latency_cycles);
+        records.push_back(r);
+      }
+    }
+    const int calls = locator.calls();
+    ASSERT_EQ(static_cast<std::size_t>(calls), records.size());
+    if (shuffled) {
+      Rng rng(7);
+      for (std::size_t i = records.size(); i > 1; --i) {
+        std::swap(records[i - 1], records[rng.bounded(i)]);
+      }
+    } else {
+      std::reverse(records.begin(), records.end());
+    }
+    const std::size_t half = records.size() / 2;
+    for (std::size_t i = 0; i < half; ++i) window.evict(records[i]);
+    // Halfway: the window equals a fresh one built from what is left.
+    ChannelWindow fresh(machine, locator);
+    for (std::size_t i = half; i < records.size(); ++i) fresh.add(records[i]);
+    const std::vector<ChannelFeatures> got = window.channels();
+    const std::vector<ChannelFeatures> want = fresh.channels();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t c = 0; c < got.size(); ++c) {
+      EXPECT_EQ(got[c].channel, want[c].channel);
+      EXPECT_EQ(got[c].features.values, want[c].features.values)
+          << "channel " << c << (shuffled ? " shuffled" : " reversed");
+      EXPECT_EQ(got[c].features.scope_samples, want[c].features.scope_samples);
+    }
+    for (std::size_t i = half; i < records.size(); ++i) {
+      window.evict(records[i]);
+    }
+    EXPECT_EQ(locator.calls(), calls);  // eviction never re-locates
+    for (const ChannelFeatures& cf : window.channels()) {
+      EXPECT_EQ(cf.features.scope_samples, 0u);
+      for (const double v : cf.features.values) EXPECT_EQ(v, 0.0);
+    }
+  }
 }
 
 TEST(FeatureSelection, SeparablesSelectedInseparablesRejected) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <numeric>
 
@@ -195,7 +197,7 @@ TEST(DecisionTree, EmptyAndInvalidInputs) {
 TEST(Explanation, PathMatchesPredictionAndTree) {
   const Dataset d = xor_free_dataset();
   const Classifier model = Classifier::train(d);
-  const Explanation e = model.predict_explained({0.9, 0.1});
+  const Explanation e = model.predict_explained(std::vector<double>{0.9, 0.1});
   EXPECT_EQ(e.label, Label::kRmc);
   EXPECT_EQ(e.label, model.predict({0.9, 0.1}));
   ASSERT_FALSE(e.path.empty());
@@ -210,8 +212,8 @@ TEST(Explanation, ConfidenceIsLeafPurityInMajorityRange) {
   const Classifier model = Classifier::train(d);
   Rng rng(3);
   for (int i = 0; i < 100; ++i) {
-    const Explanation e =
-        model.predict_explained({rng.uniform(), rng.uniform()});
+    const Explanation e = model.predict_explained(
+        std::vector<double>{rng.uniform(), rng.uniform()});
     EXPECT_GE(e.confidence, 0.5);
     EXPECT_LE(e.confidence, 1.0);
   }
@@ -229,8 +231,8 @@ TEST(Explanation, AttributionsSumToLeafMinusRootProbability) {
   const double p_root = p_rmc(0);
   Rng rng(9);
   for (int i = 0; i < 50; ++i) {
-    const Explanation e =
-        model.predict_explained({rng.uniform(), rng.uniform()});
+    const Explanation e = model.predict_explained(
+        std::vector<double>{rng.uniform(), rng.uniform()});
     ASSERT_EQ(e.attributions.size(), 2u);
     const double p_leaf = p_rmc(e.leaf);
     const double sum = std::accumulate(e.attributions.begin(),
@@ -243,10 +245,10 @@ TEST(Explanation, PathSignatureIsStable) {
   Dataset pure({"a"});
   for (int i = 0; i < 8; ++i) pure.add({1.0}, Label::kGood);
   const Classifier lone = Classifier::train(pure);
-  EXPECT_EQ(lone.predict_explained({1.0}).path_signature(), "root");
+  EXPECT_EQ(lone.predict_explained(std::vector<double>{1.0}).path_signature(), "root");
 
   const Classifier model = Classifier::train(xor_free_dataset());
-  const Explanation e = model.predict_explained({0.9, 0.1});
+  const Explanation e = model.predict_explained(std::vector<double>{0.9, 0.1});
   // "<feature><L|R>" per hop, space-joined — the explain report's group key.
   std::string expect;
   for (const PathStep& step : e.path) {
@@ -255,7 +257,61 @@ TEST(Explanation, PathSignatureIsStable) {
   }
   EXPECT_EQ(e.path_signature(), expect);
   EXPECT_EQ(e.path_signature(),
-            model.predict_explained({0.9, 0.5}).path_signature());
+            model.predict_explained(std::vector<double>{0.9, 0.5}).path_signature());
+}
+
+/// A random `width`-feature dataset with a label that depends on the first
+/// two features, so trained trees split several times.
+Dataset random_dataset(std::size_t width, std::uint64_t seed) {
+  std::vector<std::string> names;
+  for (std::size_t f = 0; f < width; ++f) names.push_back("f" + std::to_string(f));
+  Dataset d(names);
+  Rng rng(seed);
+  for (int i = 0; i < 300; ++i) {
+    std::vector<double> row(width);
+    for (double& v : row) v = rng.uniform(-50.0, 400.0);
+    const bool rmc = (row[0] > 150.0) != (row[1] > 300.0);
+    d.add(std::move(row), rmc ? Label::kRmc : Label::kGood);
+  }
+  return d;
+}
+
+TEST(Explanation, SpanPathMatchesNormalizeThenExplainBitForBit) {
+  // 13 features normalize on the stack, 40 past the stack buffer.
+  for (const std::size_t width : {std::size_t{13}, std::size_t{40}}) {
+    const Classifier model = Classifier::train(random_dataset(width, width));
+    ASSERT_GT(model.tree().depth(), 1);
+    Rng rng(99);
+    for (int i = 0; i < 200; ++i) {
+      std::vector<double> raw(width);
+      // Past the training range too: normalized values leave [0, 1].
+      for (double& v : raw) v = rng.uniform(-200.0, 600.0);
+      const Explanation got = model.predict_explained(raw);
+      const Explanation want = model.tree().predict_explained(
+          model.normalizer().apply(raw), model.feature_names().size());
+      EXPECT_EQ(got.label, want.label);
+      EXPECT_EQ(got.leaf, want.leaf);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.confidence),
+                std::bit_cast<std::uint64_t>(want.confidence));
+      ASSERT_EQ(got.path.size(), want.path.size());
+      EXPECT_LE(got.path.size(), static_cast<std::size_t>(model.tree().depth()));
+      for (std::size_t k = 0; k < got.path.size(); ++k) {
+        EXPECT_EQ(got.path[k].node, want.path[k].node);
+        EXPECT_EQ(got.path[k].feature, want.path[k].feature);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.path[k].threshold),
+                  std::bit_cast<std::uint64_t>(want.path[k].threshold));
+        EXPECT_EQ(got.path[k].went_right, want.path[k].went_right);
+      }
+      ASSERT_EQ(got.attributions.size(), want.attributions.size());
+      for (std::size_t f = 0; f < got.attributions.size(); ++f) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.attributions[f]),
+                  std::bit_cast<std::uint64_t>(want.attributions[f]));
+      }
+    }
+    // A row of the wrong arity is refused, as Normalizer::apply refuses it.
+    EXPECT_THROW(model.predict_explained(std::vector<double>(width + 1, 0.0)),
+                 Error);
+  }
 }
 
 TEST(DriftBaseline, TrainingEmbedsBaselineAndRoundTrips) {
@@ -278,12 +334,14 @@ TEST(DriftBaseline, DivergenceSeparatesInFromOutOfDistribution) {
   Rng rng(17);
   for (int i = 0; i < 200; ++i) {
     // In-distribution: the same bimodal signal the training set carries.
-    model.observe_drift({i % 2 == 0 ? rng.uniform(0.0, 0.4)
-                                    : rng.uniform(0.6, 1.0),
-                         rng.uniform()},
+    model.observe_drift(std::vector<double>{i % 2 == 0
+                                                ? rng.uniform(0.0, 0.4)
+                                                : rng.uniform(0.6, 1.0),
+                                            rng.uniform()},
                         in_dist);
     // Shifted: all mass inside the training gap.
-    model.observe_drift({rng.uniform(0.45, 0.55), rng.uniform()}, shifted);
+    model.observe_drift(
+        std::vector<double>{rng.uniform(0.45, 0.55), rng.uniform()}, shifted);
   }
   const auto quiet = model.drift_baseline().divergence(in_dist);
   const auto loud = model.drift_baseline().divergence(shifted);
@@ -295,6 +353,50 @@ TEST(DriftBaseline, DivergenceSeparatesInFromOutOfDistribution) {
   EXPECT_LT(loud[1], 1.0);
 }
 
+TEST(DriftBaseline, DivergenceKeepsThePsiFormulasBits) {
+  // divergence() skips equal buckets and reuses the term of a serving
+  // bucket at the epsilon floor; the scores must stay the textbook PSI
+  // over floored proportions, bit for bit.
+  Rng rng(31);
+  for (int trial = 0; trial < 50; ++trial) {
+    DriftBaseline base, serving;
+    base.resize(5);
+    serving.resize(5);
+    // Narrow streams leave many buckets empty on one side or both.
+    const double lo = rng.uniform(0.0, 0.8);
+    for (int i = 0; i < 400; ++i) {
+      std::vector<double> row(5), shifted(5);
+      for (std::size_t f = 0; f < 5; ++f) {
+        row[f] = rng.uniform(lo, lo + 0.3);
+        shifted[f] = rng.uniform(0.2, 0.6);
+      }
+      base.observe(row);
+      if (i < 37 + trial) serving.observe(shifted);
+    }
+    const std::vector<double> got = base.divergence(serving);
+    const std::vector<double> cached =
+        DriftBaseline::divergence(base.proportions(), serving);
+    ASSERT_EQ(got.size(), 5u);
+    for (std::size_t f = 0; f < 5; ++f) {
+      double psi = 0.0;
+      for (std::size_t b = 0; b < DriftBaseline::kBuckets; ++b) {
+        const double p = std::max(static_cast<double>(base.counts[f][b]) /
+                                      static_cast<double>(base.total),
+                                  1e-4);
+        const double q = std::max(static_cast<double>(serving.counts[f][b]) /
+                                      static_cast<double>(serving.total),
+                                  1e-4);
+        psi += (q - p) * std::log(q / p);
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[f]),
+                std::bit_cast<std::uint64_t>(psi))
+          << "trial " << trial << " feature " << f;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(cached[f]),
+                std::bit_cast<std::uint64_t>(psi));
+    }
+  }
+}
+
 TEST(DriftBaseline, MergeIsCommutativeAndMatchesSerial) {
   Rng rng(23);
   DriftBaseline serial, a, b;
@@ -303,8 +405,8 @@ TEST(DriftBaseline, MergeIsCommutativeAndMatchesSerial) {
   b.resize(1);
   for (int i = 0; i < 100; ++i) {
     const double v = rng.uniform();
-    serial.observe({v});
-    (i % 2 == 0 ? a : b).observe({v});
+    serial.observe(std::vector<double>{v});
+    (i % 2 == 0 ? a : b).observe(std::vector<double>{v});
   }
   DriftBaseline ab = a, ba = b;
   ab.merge(b);

@@ -382,25 +382,31 @@ TEST_P(ChannelWindowProperty, IncrementalMatchesFreshAndProfiled) {
   ASSERT_GT(run.samples.size(), 500u);
 
   // Every sampled page was homed during the run, so the locator now answers
-  // statelessly — evict()'s precondition.
+  // statelessly: the rebuilt window and the profile resolve each held sample
+  // to the nodes the incremental window recorded.
   core::AddressSpaceLocator locator(space);
   const core::Profiler profiler(machine(), locator);
   const ml::Classifier model =
       ml::Classifier::load(std::string(DRBW_SOURCE_ROOT) + "/drbw_model.json");
   features::ChannelWindow window(machine(), locator);
   std::vector<pebs::MemorySample> held;
+  // The records add() returned, index-aligned with `held`: evict() takes
+  // them back as they are.
+  std::vector<features::WindowSample> held_records;
   Rng rng(GetParam());
   std::size_t checks = 0;
   for (int step = 0; step < 3000; ++step) {
     if (held.empty() || rng.bernoulli(0.6)) {
       const auto& s = run.samples[rng.bounded(run.samples.size())];
-      window.add(s);
+      held_records.push_back(window.add(s));
       held.push_back(s);
     } else {
       const std::size_t at = rng.bounded(held.size());
-      window.evict(held[at]);
+      window.evict(held_records[at]);
       held[at] = held.back();
       held.pop_back();
+      held_records[at] = held_records.back();
+      held_records.pop_back();
     }
     if (step % 97 != 0) continue;
     ++checks;
@@ -430,7 +436,7 @@ TEST_P(ChannelWindowProperty, IncrementalMatchesFreshAndProfiled) {
   }
   EXPECT_GT(checks, 20u);
   // Evicting everything returns the window to the empty state exactly.
-  for (const auto& s : held) window.evict(s);
+  for (const auto& r : held_records) window.evict(r);
   for (const auto& cf : window.channels()) {
     for (const double v : cf.features.values) EXPECT_EQ(v, 0.0);
   }

@@ -676,6 +676,34 @@ TEST(ProvenanceCliTest, PerfDiffGateExitsThreeOnRegression) {
   EXPECT_EQ(run_cli("perf diff " + a + " " + c), 0);
 }
 
+TEST(ProvenanceCliTest, TypeConfusedManifestsAreCorruptArtifacts) {
+  // Checksum-valid manifests whose JSON has the wrong shape: a root that is
+  // not an object, and a golden member of the wrong type.  doctor and perf
+  // diff read neither, and say so with exit 68 (not 1).
+  const std::string good = testing::TempDir() + "/prov_shape_good.json";
+  obs::RunManifest ok = sample_manifest();
+  ok.write(good);
+  for (const char* body :
+       {"[]\n", R"({"golden": {"outcome": "x"}})" "\n",
+        R"({"golden": []})" "\n", R"({"golden": {"spans": {}}})" "\n"}) {
+    const std::string dir = make_run_dir("shape");
+    const std::string manifest = dir + "/" + obs::kManifestFileName;
+    util::write_versioned_artifact(manifest, "manifest",
+                                   obs::kManifestVersion, body);
+    try {
+      (void)report::load_manifest(manifest);
+      ADD_FAILURE() << "loaded " << body;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorruptArtifact) << body;
+      EXPECT_NE(std::string(e.what()).find(manifest), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(run_cli("doctor " + dir), 68) << body;
+    EXPECT_EQ(run_cli("perf diff " + manifest + " " + good), 68) << body;
+    EXPECT_EQ(run_cli("perf diff " + good + " " + manifest), 68) << body;
+  }
+}
+
 TEST(ProvenanceCliTest, ExpectTraceVersionPinGatesBinaryTraces) {
   const std::string trace = testing::TempDir() + "/prov_pin_trace.bin";
   ASSERT_EQ(run_cli("record --config T4-N2 --format binary --out " + trace +

@@ -872,6 +872,61 @@ TEST(ServeGoldenTest, SnapshotsMatchPinnedChecksums) {
   }
 }
 
+TEST(ServeGoldenTest, UnevenTenantsMatchPinnedChecksums) {
+  const Machine machine = Machine::xeon_e5_4650();
+  pebs::Trace trace = random_trace(machine, 3000, 2017);
+  const ml::Classifier model = fixture_model(machine, trace);
+  // Three tenants under reject: clients 0 and 1 get ten samples each for
+  // every one client 2 gets, so client 2 sits out many classifying ticks
+  // and its drift score must carry over unchanged.  The armed plan also
+  // trips the breaker, so quarantined tenants keep their last score.
+  for (std::size_t i = 0; i < trace.samples.size(); ++i) {
+    trace.samples[i].tid =
+        i % 21 == 20 ? 2u : static_cast<std::uint32_t>(i % 2);
+  }
+  // CRC-32 of snapshot_json, generated on the commit before the timeline
+  // kept a per-client drift score; must not be edited to make a change pass.
+  struct Golden {
+    bool armed;
+    std::uint32_t crc;
+  };
+  const Golden kGolden[] = {
+      {false, 0x49c62151u},
+      {true, 0xba989d74u},
+  };
+  for (const Golden& g : kGolden) {
+    serve::ServeOptions opts;
+    opts.clients = 3;
+    opts.queue_depth = 8;
+    opts.drain_per_tick = 3;
+    opts.overload = serve::OverloadPolicy::kReject;
+    opts.window_cycles = 40;
+    opts.window_capacity = 37;
+    opts.max_retries = 0;
+    opts.breaker_threshold = 3;
+    serve::ServeResult r;
+    if (g.armed) {
+      const ArmGuard guard(
+          "seed=9,serve.session:fail:0.1,serve.window:fail:0.1,"
+          "serve.classify:fail:0.1");
+      r = serve::Server(machine, &model, opts).run(trace);
+    } else {
+      r = serve::Server(machine, &model, opts).run(trace);
+    }
+    ASSERT_TRUE(r.drift_available);
+    // What the case is about: client 2 skips classifying ticks, and the
+    // armed run quarantines some tenants while others keep serving.
+    ASSERT_EQ(r.clients.size(), 3u);
+    EXPECT_LT(r.clients[2].windows_classified, r.timeline.size());
+    if (g.armed) {
+      EXPECT_GT(r.quarantined_clients, 0u);
+      EXPECT_LT(r.quarantined_clients, 3u);
+    }
+    EXPECT_EQ(util::crc32(r.snapshot_json), g.crc)
+        << (g.armed ? "armed" : "unarmed");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot reader: load_snapshot reads back every byte render_snapshot wrote
 // ---------------------------------------------------------------------------

@@ -33,6 +33,18 @@ TEST(Machine, CpuToNodeMappingBlocksOfCores) {
   EXPECT_EQ(m.node_of_cpu(63), 3);
 }
 
+TEST(Machine, CpuNodeTableMatchesTheNumberingRuleOnEveryPreset) {
+  for (const Machine& m : {Machine::xeon_e5_4650(), Machine::dual_socket_test(),
+                           Machine::opteron_6174()}) {
+    const int cores = m.num_cores();
+    for (CpuId cpu = 0; cpu < m.num_hw_threads(); ++cpu) {
+      EXPECT_EQ(m.node_of_cpu(cpu), (cpu % cores) / m.spec().cores_per_socket)
+          << m.spec().name << " cpu " << cpu;
+    }
+    EXPECT_THROW(m.node_of_cpu(m.num_hw_threads()), Error) << m.spec().name;
+  }
+}
+
 TEST(Machine, CpusOfNodePartitionTheMachine) {
   const Machine m = Machine::xeon_e5_4650();
   std::size_t total = 0;
