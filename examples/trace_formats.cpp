@@ -6,7 +6,7 @@
 //      disk,
 //   3. load both back and verify they are the *same trace*.
 //
-// Why bother with formats?  CSV is greppable; binary loads several times
+// Why bother with formats?  CSV is greppable; binary loads 2-3x
 // faster (perfbench/ measures both decoders per sample on million-sample
 // traces: pebs.decode_binary_ns_per_sample vs pebs.decode_csv_ns_per_sample).
 // Either way a trace is one checksummed file, written atomically.
@@ -101,7 +101,7 @@ int main() {
 
   std::cout
       << "\nPicking a format: CSV stays greppable; `drbw record --format "
-         "binary`\nloads several times faster (perfbench/ measures the "
+         "binary`\nloads 2-3x faster (perfbench/ measures the "
          "decoders). `drbw convert`\nmoves a trace between formats after "
          "the fact, and `drbw analyze\n--expect-trace-version` pins what a "
          "deployment accepts (exit 69 on skew).\n";

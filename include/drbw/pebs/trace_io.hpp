@@ -24,12 +24,24 @@
 //               is one '"'; a quoted site may hold ',' and newlines, so a
 //               record can span lines.  It is keyed (line number and
 //               "trace.read" fault key) by its first line.
-//   Records are parsed in place with std::from_chars.  The writer prints
-//   the latency at precision 6, exactly as `ostream <<` does, so a CSV
-//   round trip keeps six significant digits of it.
+//   Records are parsed in place.  An integer is a digit loop in the field's
+//   own width; the digits past the digits10 that always fit are
+//   overflow-checked, so it accepts exactly what std::from_chars accepts.
+//   A latency written as digits[.digits] with a significand m <= 2^24 and
+//   at most 10 fraction digits k is m / 10^k in one float division: m and
+//   10^k are exact floats, so the quotient is correctly rounded, which is
+//   the value std::from_chars returns (Clinger's fast path).  Any other
+//   latency text (an exponent, a sign, more digits, inf/nan, a bare '.')
+//   goes through std::from_chars.  The writer prints the latency at
+//   precision 6, exactly as `ostream <<` does, so a CSV round trip keeps
+//   six significant digits of it; of the latencies it writes, only -0 and
+//   those in scientific notation (below 1e-4 or from 1e6 up) miss the fast
+//   path.
 //
-//   Binary (v3) — little-endian fixed-width records, several times faster
-//   to load (field decoding is a byte copy, with no text to scan):
+//   Binary (v3) — little-endian fixed-width records, 2-3x faster to
+//   load than CSV (field decoding is a byte copy, with no text to scan;
+//   perfbench/ reports pebs.decode_binary_ns_per_sample and
+//   pebs.decode_csv_ns_per_sample):
 //     #drbw-trace v3 crc32=<hex> bytes=<n>
 //     prelude   magic 'DRBW' u32 | flags u32 (0) | event count u64 |
 //               sample count u64 | label-blob bytes u64

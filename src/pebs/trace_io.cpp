@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cfloat>
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string_view>
@@ -418,6 +421,22 @@ std::size_t count_fields(std::string_view rec) {
 
 enum class FieldKind { kNumber, kLatency, kLevel, kWriteFlag, kLabel };
 
+// The latency fast path's exactness argument is about one float division,
+// so float arithmetic must be evaluated in float, not a wider format.
+static_assert(FLT_EVAL_METHOD == 0);
+
+/// Every integer up to 2^24 is an exact float.
+constexpr std::uint32_t kMaxExactSignificand = std::uint32_t{1} << 24;
+
+/// 10^k for k = 0..10, all exact floats (5^10 < 2^24).
+constexpr float kPow10f[] = {1e0f, 1e1f, 1e2f, 1e3f, 1e4f, 1e5f,
+                             1e6f, 1e7f, 1e8f, 1e9f, 1e10f};
+
+/// The value of the decimal digit `c`; above 9 when `c` is not a digit.
+constexpr unsigned digit_value(char c) {
+  return static_cast<unsigned char>(c) - unsigned{'0'};
+}
+
 /// One record's fields, read left to right in place.  Each read parses its
 /// field and then requires the ',' right after it (or, for the last field,
 /// the record's end), so no separate split is needed.  After a failed read,
@@ -444,16 +463,75 @@ struct FieldCursor {
   bool integer(T& out, bool last = false) {
     field = p;
     kind = FieldKind::kNumber;
-    const auto [at, ec] = std::from_chars(p, end, out);
-    return ec == std::errc() && separator(at, last);
+    // [0-9]+ whose value fits T: exactly what std::from_chars accepts for
+    // an unsigned type, leading zeros and any length included.  Any digits10
+    // digits fit T, so only the digits past them check for overflow.
+    constexpr auto kFits = std::numeric_limits<T>::digits10;
+    const char* fits_end = end - p > kFits ? p + kFits : end;
+    T value = 0;
+    const char* at = p;
+    for (; at != fits_end; ++at) {
+      const unsigned digit = digit_value(*at);
+      if (digit > 9) break;
+      value = static_cast<T>(value * 10 + digit);
+    }
+    if (at == fits_end) {
+      for (; at != end; ++at) {
+        const unsigned digit = digit_value(*at);
+        if (digit > 9) break;
+        if (__builtin_mul_overflow(value, T{10}, &value) ||
+            __builtin_add_overflow(value, static_cast<T>(digit), &value)) {
+          return false;
+        }
+      }
+    }
+    if (at == p) return false;
+    out = value;
+    return separator(at, last);
   }
 
   bool latency(float& out) {
     field = p;
     kind = FieldKind::kLatency;
+    if (exact_latency(out)) return true;
     const auto [at, ec] = std::from_chars(p, end, out);
     return ec == std::errc() && std::isfinite(out) && out >= 0.0f &&
            separator(at, false);
+  }
+
+  /// Clinger's fast path for `digits[.digits],`: with the significand m at
+  /// most 2^24 and at most 10 fraction digits, m and 10^frac are exact
+  /// floats, so one float division rounds m / 10^frac correctly, which is
+  /// the value std::from_chars returns.  Any other text (exponents, signs,
+  /// more digits, inf/nan, a bare '.') returns false and goes to from_chars.
+  bool exact_latency(float& out) {
+    std::uint32_t m = 0;
+    const char* at = exact_digits(p, m);
+    if (at == p || at == end) return false;
+    std::size_t frac = 0;
+    if (*at == '.') {
+      const char* first = at + 1;
+      at = exact_digits(first, m);
+      frac = static_cast<std::size_t>(at - first);
+      if (frac == 0 || frac >= std::size(kPow10f) || at == end) return false;
+    }
+    if (*at != ',') return false;
+    out = static_cast<float>(m) / kPow10f[frac];
+    p = at + 1;
+    return true;
+  }
+
+  /// Folds the digits from `at` into `m` while `m` stays at most 2^24;
+  /// returns the first character not taken.
+  const char* exact_digits(const char* at, std::uint32_t& m) const {
+    for (; at != end; ++at) {
+      const unsigned digit = digit_value(*at);
+      if (digit > 9) break;
+      const std::uint32_t next = m * 10 + digit;
+      if (next > kMaxExactSignificand) break;
+      m = next;
+    }
+    return at;
   }
 
   bool level(MemLevel& out) {

@@ -4,10 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "drbw/core/profiler.hpp"
 #include "drbw/pebs/trace_io.hpp"
@@ -248,6 +255,44 @@ TEST(TraceIo, MultiLineRecordIsKeyedByItsFirstLine) {
   EXPECT_EQ(loaded.samples.size(), 1u);
   ASSERT_EQ(loaded.events.size(), 1u);
   EXPECT_EQ(loaded.events[0].site.label, "x,y");
+}
+
+TEST(TraceIo, SampleLinesAmongOtherLinesKeepTheirLineNumbers) {
+  // Sample lines read by the field readers among blank lines, a two-line
+  // label, a bad sample and a last line with no '\n': each keeps the line
+  // number of its first physical line.
+  const std::string body =
+      "S,1,0,0,L1,5,0,1\n"         // line 2
+      "\n"                         // 3
+      "  \n"                       // 4
+      "A,\"a\nb\",4096,64\n"       // 5-6
+      "S,2,1,0,LFB,5.5,1,2\n"      // 7
+      "S,3,0,0,L2,5,0,3x\n"        // 8: bad cycle
+      "S,4,2,0,L3,1e-05,0,4";      // 9
+  const std::string path = write_csv_trace("sample_lines.csv", body);
+  util::LoadStats stats;
+  const Trace loaded = load_trace(
+      path, util::LoadPolicy{util::LoadMode::kLenient, 0.5}, &stats);
+  EXPECT_EQ(stats.records_seen, 5u);
+  EXPECT_EQ(stats.records_ok, 4u);
+  EXPECT_EQ(stats.records_quarantined, 1u);
+  ASSERT_EQ(loaded.samples.size(), 3u);
+  EXPECT_EQ(loaded.samples[1].level, MemLevel::kLfb);
+  EXPECT_EQ(loaded.samples[1].latency_cycles, 5.5f);
+  EXPECT_TRUE(loaded.samples[1].is_write);
+  EXPECT_EQ(loaded.samples[2].cpu, 2);
+  EXPECT_EQ(loaded.samples[2].latency_cycles, 1e-05f);
+  EXPECT_EQ(loaded.samples[2].cycle, 4u);
+  ASSERT_EQ(loaded.events.size(), 1u);
+  EXPECT_EQ(loaded.events[0].site.label, "a\nb");
+  EXPECT_EQ(expect_error([&] { load_trace(path); }, ErrorCode::kParse),
+            path + ":8: malformed number '3x'");
+  const std::string last = write_csv_trace(
+      "sample_lines_last.csv", "S,1,0,0,L1,5,0,1\nS,4,2,0,L3,7,0,4\r");
+  EXPECT_EQ(expect_error([&] { load_trace(last); }, ErrorCode::kParse),
+            last + ":3: malformed number '4\r'");
+  std::remove(path.c_str());
+  std::remove(last.c_str());
 }
 
 /// Sample records outside the field grammar, most of which std::stoull /
@@ -585,6 +630,275 @@ TEST(TraceBinary, ArtifactOfAnotherKindIsAParseErrorInBothModes) {
     const std::string salvaged =
         expect_error([&] { load_trace(path, lenient); }, ErrorCode::kParse);
     EXPECT_NE(salvaged.find(expected), std::string::npos) << salvaged;
+  }
+}
+
+// ------------------------------------ field readers vs std::from_chars ----
+
+/// The grammar's verdict on one field's text, from std::from_chars: the
+/// whole text must parse, and a latency must be finite and >= 0.
+template <typename T>
+std::optional<T> from_chars_oracle(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [at, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || at != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value) || !(value >= 0.0f)) return std::nullopt;
+  }
+  return value;
+}
+
+std::uint32_t bits_of(float f) {
+  std::uint32_t bits = 0;
+  std::memcpy(&bits, &f, sizeof bits);
+  return bits;
+}
+
+float float_of(std::uint32_t bits) {
+  float f = 0.0f;
+  std::memcpy(&f, &bits, sizeof f);
+  return f;
+}
+
+/// One sample record per text: `record(text, i)` places text i in the field
+/// under test and i in a field `id` reads back.  The records load under a
+/// lenient policy that keeps every good one; the loader must keep exactly
+/// the records the oracle accepts, in order, each with the oracle's value
+/// (`value` reads the field back; floats compare bit for bit).
+template <typename T>
+void expect_oracle_agrees(
+    const std::vector<std::string>& texts,
+    const std::function<std::string(const std::string&, std::size_t)>& record,
+    const std::function<std::size_t(const MemorySample&)>& id,
+    const std::function<T(const MemorySample&)>& value) {
+  std::string body;
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    body += record(texts[i], i) + "\n";
+  }
+  const std::string path = write_csv_trace("oracle.csv", body);
+  util::LoadStats stats;
+  const Trace loaded = load_trace(
+      path, util::LoadPolicy{util::LoadMode::kLenient, 1.0}, &stats);
+  std::remove(path.c_str());
+  std::size_t kept = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    const std::optional<T> want = from_chars_oracle<T>(texts[i]);
+    if (!want) {
+      ++rejected;
+      continue;
+    }
+    ASSERT_LT(kept, loaded.samples.size()) << "'" << texts[i] << "'";
+    const MemorySample& s = loaded.samples[kept++];
+    ASSERT_EQ(id(s), i) << "'" << texts[i] << "' was dropped";
+    if constexpr (std::is_floating_point_v<T>) {
+      ASSERT_EQ(bits_of(value(s)), bits_of(*want)) << "'" << texts[i] << "'";
+    } else {
+      ASSERT_EQ(value(s), *want) << "'" << texts[i] << "'";
+    }
+  }
+  EXPECT_EQ(kept, loaded.samples.size());
+  EXPECT_EQ(stats.records_quarantined, rejected);
+}
+
+/// Checks `texts` as latencies, with the sample's address as its index.
+void expect_latencies_agree(const std::vector<std::string>& texts) {
+  expect_oracle_agrees<float>(
+      texts,
+      [](const std::string& text, std::size_t i) {
+        return "S," + std::to_string(i) + ",0,0,L1," + text + ",0,1";
+      },
+      [](const MemorySample& s) { return static_cast<std::size_t>(s.address); },
+      [](const MemorySample& s) { return s.latency_cycles; });
+}
+
+TEST(TraceFieldOracle, RandomFloatBitsReloadAsFromCharsReadsTheirText) {
+  // Finite non-negative bit patterns: a quarter zero or denormal, a quarter
+  // in [1e-4, 1e6) where the writer prints fixed notation, the rest anywhere.
+  Rng rng(27);
+  Trace trace;
+  const std::uint32_t fixed_lo = bits_of(1e-4f);
+  const std::uint32_t fixed_hi = bits_of(1e6f);
+  for (std::size_t i = 0; i < 100000; ++i) {
+    MemorySample s;
+    s.address = i;
+    std::uint64_t bits = 0;
+    switch (i % 4) {
+      case 0: bits = rng.bounded(0x00800000u); break;
+      case 1: bits = fixed_lo + rng.bounded(fixed_hi - fixed_lo); break;
+      default: bits = rng.bounded(0x7f800000u); break;
+    }
+    s.latency_cycles = float_of(static_cast<std::uint32_t>(bits));
+    trace.samples.push_back(s);
+  }
+  const Trace loaded = round_trip(trace);
+  ASSERT_EQ(loaded.samples.size(), trace.samples.size());
+  std::size_t fixed_notation = 0;
+  for (std::size_t i = 0; i < trace.samples.size(); ++i) {
+    char text[32];
+    const char* end = std::to_chars(text, text + sizeof text,
+                                    trace.samples[i].latency_cycles,
+                                    std::chars_format::general, 6)
+                          .ptr;
+    const std::string printed(text, static_cast<std::size_t>(end - text));
+    if (printed.find('e') == std::string::npos) ++fixed_notation;
+    const std::optional<float> want = from_chars_oracle<float>(printed);
+    ASSERT_TRUE(want.has_value()) << printed;
+    ASSERT_EQ(bits_of(loaded.samples[i].latency_cycles), bits_of(*want))
+        << printed;
+  }
+  EXPECT_GT(fixed_notation, trace.samples.size() / 4);
+}
+
+TEST(TraceFieldOracle, LatencyEdgeTextsMatchFromChars) {
+  const std::vector<std::string> texts = {
+      "0", "0.0", "9999999", "16777216", "16777217", "167772161",
+      "0.0000001", "1234567.5", "1677721.6", "9999999.999", "1e-05",
+      "3.40282e+38", "3.5e+38", "1e-50", "-0", "-0.0", "1.", ".5",
+      "00000001.5", "0.1", "3.96949", "0.0000000001", "0.00000000001",
+      "1.0000000001", "612.5", "", "-", "+5", "5.5.5", "1e", "inf", "nan",
+      "0x1p3", "1,5"};
+  expect_latencies_agree(texts);
+  // The same verdicts, one strict load each, name the text on a rejection.
+  for (const std::string& text : texts) {
+    if (text.find(',') != std::string::npos) continue;
+    const std::string path = write_csv_trace(
+        "latency_edge.csv", "S,1,0,0,L1," + text + ",0,1\n");
+    const std::optional<float> want = from_chars_oracle<float>(text);
+    if (want) {
+      const Trace loaded = load_trace(path);
+      ASSERT_EQ(loaded.samples.size(), 1u) << text;
+      EXPECT_EQ(bits_of(loaded.samples[0].latency_cycles), bits_of(*want))
+          << text;
+    } else {
+      EXPECT_NE(expect_error([&] { load_trace(path); }, ErrorCode::kParse)
+                    .find("malformed latency '" + text + "'"),
+                std::string::npos)
+          << text;
+    }
+    std::remove(path.c_str());
+  }
+  // -0 stays accepted, as -0.0.
+  EXPECT_EQ(bits_of(from_chars_oracle<float>("-0").value()), 0x80000000u);
+}
+
+TEST(TraceFieldOracle, RandomDecimalTextsMatchFromChars) {
+  // Texts around the fast path's shape: up to 2 leading zeros, 0-9 integer
+  // digits, an optional '.', 0-12 fraction digits, sometimes an exponent.
+  Rng rng(2017);
+  const auto digits = [&rng](std::uint64_t n) {
+    std::string out;
+    for (std::uint64_t k = 0; k < n; ++k) {
+      out += static_cast<char>('0' + rng.bounded(10));
+    }
+    return out;
+  };
+  std::vector<std::string> texts;
+  for (std::size_t i = 0; i < 50000; ++i) {
+    std::string text(rng.bounded(3), '0');
+    text += digits(rng.bounded(10));
+    if (rng.bounded(4) != 0) text += "." + digits(rng.bounded(13));
+    if (rng.bounded(16) == 0) text += "e" + std::to_string(rng.bounded(20));
+    texts.push_back(text);
+  }
+  expect_latencies_agree(texts);
+}
+
+TEST(TraceFieldOracle, IntegersAtTheWidthLimitsMatchFromChars) {
+  using Record = std::function<std::string(const std::string&, std::size_t)>;
+  using Read = std::function<std::uint64_t(const MemorySample&)>;
+  const std::function<std::size_t(const MemorySample&)> by_address =
+      [](const MemorySample& s) { return static_cast<std::size_t>(s.address); };
+  const std::function<std::size_t(const MemorySample&)> by_cycle =
+      [](const MemorySample& s) { return static_cast<std::size_t>(s.cycle); };
+  struct Field {
+    const char* name;
+    bool wide;  // u64 rather than u32
+    Record record;
+    std::function<std::size_t(const MemorySample&)> id;
+    Read value;
+  };
+  const std::vector<Field> fields = {
+      {"address", true,
+       [](const std::string& t, std::size_t i) {
+         return "S," + t + ",0,0,L1,5,0," + std::to_string(i);
+       },
+       by_cycle, [](const MemorySample& s) { return s.address; }},
+      {"cpu", false,
+       [](const std::string& t, std::size_t i) {
+         return "S," + std::to_string(i) + "," + t + ",0,L1,5,0,1";
+       },
+       by_address,
+       [](const MemorySample& s) {
+         return std::uint64_t{static_cast<std::uint32_t>(s.cpu)};
+       }},
+      {"tid", false,
+       [](const std::string& t, std::size_t i) {
+         return "S," + std::to_string(i) + ",0," + t + ",L1,5,0,1";
+       },
+       by_address, [](const MemorySample& s) { return std::uint64_t{s.tid}; }},
+      {"cycle", true,
+       [](const std::string& t, std::size_t i) {
+         return "S," + std::to_string(i) + ",0,0,L1,5,0," + t;
+       },
+       by_address, [](const MemorySample& s) { return s.cycle; }},
+  };
+  Rng rng(42);
+  std::vector<std::string> texts = {
+      "0", "00", "4294967295", "4294967296", "04294967295",
+      "18446744073709551615", "18446744073709551616", "99999999999999999999",
+      "0000000000000000000000001", "", "-1", "+1", "1x", " 1", "0x10"};
+  for (std::size_t i = 0; i < 5000; ++i) {
+    std::string text(rng.bounded(4), '0');
+    for (std::uint64_t k = 1 + rng.bounded(21); k > 0; --k) {
+      text += static_cast<char>('0' + rng.bounded(10));
+    }
+    texts.push_back(text);
+  }
+  for (const Field& f : fields) {
+    SCOPED_TRACE(f.name);
+    if (f.wide) {
+      expect_oracle_agrees<std::uint64_t>(texts, f.record, f.id, f.value);
+    } else {
+      expect_oracle_agrees<std::uint32_t>(
+          texts, f.record, f.id, [&f](const MemorySample& s) {
+            return static_cast<std::uint32_t>(f.value(s));
+          });
+    }
+  }
+  // Strict loads name the number that does not fit, allocation fields too.
+  const auto strict = [](const std::string& record) {
+    const std::string path =
+        write_csv_trace("width_limit.csv", record + "\n");
+    std::string message;
+    try {
+      load_trace(path);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kParse) << record;
+      message = e.what();
+    }
+    std::remove(path.c_str());
+    return message;
+  };
+  EXPECT_EQ(strict("S,1,4294967295,4294967295,L1,5,0,1"), "");
+  EXPECT_EQ(strict("S,18446744073709551615,0,0,L1,5,0,18446744073709551615"),
+            "");
+  EXPECT_EQ(strict("A,x,0000000000000000000000001,18446744073709551615"), "");
+  EXPECT_EQ(strict("F,18446744073709551615"), "");
+  const std::string u32_over = "4294967296";
+  const std::string u64_over = "18446744073709551616";
+  for (const auto& [record, token] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"S,1," + u32_over + ",0,L1,5,0,1", u32_over},
+           {"S,1,0," + u32_over + ",L1,5,0,1", u32_over},
+           {"S," + u64_over + ",0,0,L1,5,0,1", u64_over},
+           {"S,1,0,0,L1,5,0," + u64_over, u64_over},
+           {"A,x," + u64_over + ",1", u64_over},
+           {"F," + u64_over, u64_over}}) {
+    EXPECT_NE(strict(record).find("malformed number '" + token + "'"),
+              std::string::npos)
+        << record;
   }
 }
 
