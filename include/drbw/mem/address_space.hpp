@@ -8,15 +8,21 @@
 // AllocationEvent stream, exactly as the real tool rebuilds one from
 // intercepted malloc calls (see drbw::core::HeapTracker).
 //
-// Placement policies model the paper's optimization levers:
+// Placement policies model the paper's optimization levers.  Every policy
+// but first-touch is a closed-form function of the page index, so those
+// regions keep no per-page state: a page's home, and the number of pages of
+// a range homed on each node, are computed from the policy alone.
 //   * kBind          — every page on one node (master-thread allocation; the
 //                      default problematic layout, and also the "co-locate"
 //                      building block when applied per segment).
 //   * kFirstTouch    — page homed on the node of the first access (Linux
-//                      default); the engine calls touch() to resolve it.
-//   * kInterleave    — pages round-robined across a node set (numactl -i).
+//                      default).  The only policy with history, and so the
+//                      only one that keeps a per-page home table; the
+//                      engine's first access resolves each page.
+//   * kInterleave    — page i on node set[i % k] (numactl -i).
 //   * kColocate      — explicit per-segment homes supplied by the caller
-//                      (libnuma numa_alloc_onnode per partition, §VIII-A).
+//                      (libnuma numa_alloc_onnode per partition, §VIII-A);
+//                      page i of P lies in segment floor(i * S / P).
 //   * kReplicate     — one replica per node; every access resolves local
 //                      (the Streamcluster "shadow replication", §VIII-C).
 #pragma once
@@ -131,8 +137,9 @@ class AddressSpace {
   /// seen from `accessing_node`.  Touches any unassigned first-touch pages
   /// in the range (the caller is about to access them) and returns the
   /// fraction of pages homed on each node.  Replicated objects report 1.0
-  /// on the accessing node.  This is the engine's hot path: a direct scan
-  /// of the region's page-home vector, no per-page map lookups.
+  /// on the accessing node.  This is the engine's hot path: the per-node
+  /// page counts come from the placement's closed form (first-touch alone
+  /// scans its page-home table), so the cost does not grow with the span.
   std::vector<double> touch_and_home_fractions(ObjectId id,
                                                std::uint64_t offset_bytes,
                                                std::uint64_t span_bytes,
@@ -150,12 +157,25 @@ class AddressSpace {
  private:
   struct Region {
     DataObject object;
-    /// Per-page home; kUnassigned for untouched first-touch pages,
-    /// kReplicated sentinel column handled via object.placement.
+    std::uint64_t pages = 0;
+    /// kInterleave: the node set pages cycle through (an empty spec is
+    /// resolved to every node).  kColocate: the segment homes.
+    std::vector<topology::NodeId> nodes;
+    /// kFirstTouch only: per-page home, kUnassigned until first touched.
     std::vector<std::int16_t> page_home;
   };
 
   static constexpr std::int16_t kUnassigned = -1;
+
+  /// Home of `page` as seen from `accessing_node`; kUnassigned for an
+  /// untouched first-touch page.
+  static topology::NodeId home_of(const Region& region, std::uint64_t page,
+                                  topology::NodeId accessing_node);
+  /// Pages of [first_page, last_page] homed on each node (untouched
+  /// first-touch pages count nowhere).  Not for replicated regions.
+  std::vector<std::uint64_t> home_counts(const Region& region,
+                                         std::uint64_t first_page,
+                                         std::uint64_t last_page) const;
 
   ObjectId allocate_impl(const std::string& site_label, std::uint64_t bytes,
                          const PlacementSpec& placement, bool is_heap);

@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -84,6 +85,14 @@ class Histogram {
   /// Equivalent to calling observe(v) n times; lets hot loops accumulate into
   /// plain locals and flush once without changing the exported values.
   void observe_n(std::uint64_t v, std::uint64_t n);
+  /// Records pre-bucketed observations with one round of atomics:
+  /// `bucket_counts[i]` more observations in bucket i (one entry per bucket,
+  /// +Inf included) whose values sum to `sum`.  Equivalent to observing each
+  /// of them; hot loops tally buckets via bucket_index() into plain locals.
+  void add_buckets(std::span<const std::uint64_t> bucket_counts,
+                   std::uint64_t sum);
+  /// Bucket an observation of `v` lands in; bounds().size() is +Inf.
+  std::size_t bucket_index(std::uint64_t v) const;
 
   const std::vector<std::uint64_t>& bounds() const { return bounds_; }
   /// Per-bucket (non-cumulative) count; i in [0, bounds().size()] where the

@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "drbw/mem/address_space.hpp"
 #include "drbw/topology/machine.hpp"
@@ -50,6 +49,16 @@ struct MemorySample {
 };
 static_assert(sizeof(MemorySample) == 32, "MemorySample must pack to 32 bytes");
 
+/// The 0-based access offsets at which samples fire within one batch, in
+/// increasing order: `count` terms of the progression first + i * period.
+struct SampleFires {
+  std::uint64_t first = 0;
+  std::uint64_t count = 0;
+  std::uint64_t period = 1;
+
+  std::uint64_t at(std::uint64_t i) const { return first + i * period; }
+};
+
 /// Deterministic 1-in-N sampler with a randomized phase per thread,
 /// mirroring PEBS counter arming.  Feed it batches of access counts; it
 /// reports how many samples fire in the batch and at which access offsets.
@@ -60,13 +69,13 @@ class PeriodSampler {
   /// not sample in lockstep.
   PeriodSampler(std::uint64_t period, std::uint64_t phase_seed);
 
-  /// Consumes `accesses` accesses.  Returns the 0-based offsets (within this
-  /// batch) at which samples fire, in increasing order.
-  std::vector<std::uint64_t> consume(std::uint64_t accesses);
+  /// Consumes `accesses` accesses and returns where samples fire in them.
+  SampleFires consume(std::uint64_t accesses);
 
-  /// Number of samples that would fire for `accesses` without recording
-  /// offsets (cheap path when the caller only needs the count).
-  std::uint64_t count_only(std::uint64_t accesses);
+  /// Number of samples that fire for `accesses`: consume(accesses).count.
+  std::uint64_t count_only(std::uint64_t accesses) {
+    return consume(accesses).count;
+  }
 
   std::uint64_t period() const { return period_; }
 

@@ -4,6 +4,17 @@
 
 namespace drbw::mem {
 
+namespace {
+
+/// First page of co-locate segment `s` when `pages` pages split into
+/// `segments`: the least page i with floor(i * segments / pages) >= s.
+std::uint64_t segment_begin(std::uint64_t s, std::uint64_t pages,
+                            std::uint64_t segments) {
+  return (s * pages + segments - 1) / segments;
+}
+
+}  // namespace
+
 const char* placement_name(Placement p) {
   switch (p) {
     case Placement::kBind: return "bind";
@@ -83,12 +94,10 @@ ObjectId AddressSpace::allocate_impl(const std::string& site_label,
   region.object.size_bytes = bytes;
   region.object.placement = placement;
   region.object.is_heap = is_heap;
-
-  const std::uint64_t pages = (bytes + page_bytes_ - 1) / page_bytes_;
-  region.page_home.assign(pages, kUnassigned);
+  region.pages = (bytes + page_bytes_ - 1) / page_bytes_;
   assign_initial_homes(region);
 
-  next_base_ += pages * page_bytes_;
+  next_base_ += region.pages * page_bytes_;
   // Guard page gap: adjacent objects never share a page, so page-granular
   // home lookups are unambiguous (real allocators give no such guarantee,
   // but PEBS attribution in the paper is byte-granular anyway).
@@ -103,48 +112,42 @@ void AddressSpace::assign_initial_homes(Region& region) {
   const PlacementSpec& p = region.object.placement;
   const int nodes = machine_.num_nodes();
   switch (p.policy) {
-    case Placement::kBind: {
+    case Placement::kBind:
       DRBW_CHECK_MSG(p.bind_node >= 0 && p.bind_node < nodes,
                      "bind node " << p.bind_node << " out of range");
-      std::fill(region.page_home.begin(), region.page_home.end(),
-                static_cast<std::int16_t>(p.bind_node));
       break;
-    }
     case Placement::kFirstTouch:
       // Homes stay kUnassigned until resolve_home() observes a touch.
+      region.page_home.assign(region.pages, kUnassigned);
       break;
-    case Placement::kInterleave: {
-      std::vector<topology::NodeId> set = p.interleave_nodes;
-      if (set.empty()) {
-        for (int n = 0; n < nodes; ++n) set.push_back(n);
+    case Placement::kInterleave:
+      region.nodes = p.interleave_nodes;
+      if (region.nodes.empty()) {
+        for (int n = 0; n < nodes; ++n) region.nodes.push_back(n);
       }
-      for (topology::NodeId n : set) {
+      for (topology::NodeId n : region.nodes) {
         DRBW_CHECK_MSG(n >= 0 && n < nodes, "interleave node " << n << " out of range");
       }
-      for (std::size_t i = 0; i < region.page_home.size(); ++i) {
-        region.page_home[i] =
-            static_cast<std::int16_t>(set[i % set.size()]);
-      }
       break;
-    }
     case Placement::kColocate: {
       DRBW_CHECK_MSG(!p.segment_nodes.empty(),
                      "co-locate placement needs segment homes");
-      const std::size_t pages = region.page_home.size();
-      const std::size_t segments = p.segment_nodes.size();
-      for (std::size_t i = 0; i < pages; ++i) {
-        // Segment of this page by proportional split over the page range.
-        const std::size_t seg = std::min(i * segments / pages, segments - 1);
-        const topology::NodeId n = p.segment_nodes[seg];
+      region.nodes = p.segment_nodes;
+      const std::uint64_t segments = region.nodes.size();
+      for (std::uint64_t s = 0; s < segments; ++s) {
+        // A segment that owns no page (more segments than pages) never
+        // homes anything, so its node is not checked.
+        if (segment_begin(s, region.pages, segments) ==
+            segment_begin(s + 1, region.pages, segments)) {
+          continue;
+        }
+        const topology::NodeId n = region.nodes[s];
         DRBW_CHECK_MSG(n >= 0 && n < nodes, "segment node " << n << " out of range");
-        region.page_home[i] = static_cast<std::int16_t>(n);
       }
       break;
     }
     case Placement::kReplicate:
       // Page homes are irrelevant; resolution is always the accessing node.
-      std::fill(region.page_home.begin(), region.page_home.end(),
-                static_cast<std::int16_t>(0));
       break;
   }
 }
@@ -184,18 +187,79 @@ const DataObject& AddressSpace::object(ObjectId id) const {
   return region_of(id).object;
 }
 
+topology::NodeId AddressSpace::home_of(const Region& region,
+                                       std::uint64_t page,
+                                       topology::NodeId accessing_node) {
+  const PlacementSpec& p = region.object.placement;
+  switch (p.policy) {
+    case Placement::kBind: return p.bind_node;
+    case Placement::kFirstTouch: return region.page_home[page];
+    case Placement::kInterleave: return region.nodes[page % region.nodes.size()];
+    case Placement::kColocate:
+      return region.nodes[page * region.nodes.size() / region.pages];
+    case Placement::kReplicate: return accessing_node;
+  }
+  return kUnassigned;
+}
+
+std::vector<std::uint64_t> AddressSpace::home_counts(
+    const Region& region, std::uint64_t first_page,
+    std::uint64_t last_page) const {
+  std::vector<std::uint64_t> counts(static_cast<std::size_t>(machine_.num_nodes()),
+                                    0);
+  const PlacementSpec& p = region.object.placement;
+  const std::uint64_t end_page = last_page + 1;
+  switch (p.policy) {
+    case Placement::kBind:
+      counts[static_cast<std::size_t>(p.bind_node)] = end_page - first_page;
+      break;
+    case Placement::kFirstTouch:
+      for (std::uint64_t page = first_page; page < end_page; ++page) {
+        const std::int16_t home = region.page_home[page];
+        if (home != kUnassigned) ++counts[static_cast<std::size_t>(home)];
+      }
+      break;
+    case Placement::kInterleave: {
+      // Pages below n in residue class r of k: n / k, plus one if r < n % k.
+      const std::uint64_t k = region.nodes.size();
+      const auto below = [k](std::uint64_t n, std::uint64_t r) {
+        return n / k + (r < n % k ? 1 : 0);
+      };
+      for (std::uint64_t r = 0; r < k; ++r) {
+        counts[static_cast<std::size_t>(region.nodes[r])] +=
+            below(end_page, r) - below(first_page, r);
+      }
+      break;
+    }
+    case Placement::kColocate: {
+      const std::uint64_t segments = region.nodes.size();
+      for (std::uint64_t s = first_page * segments / region.pages;
+           s <= last_page * segments / region.pages; ++s) {
+        const std::uint64_t lo =
+            std::max(first_page, segment_begin(s, region.pages, segments));
+        const std::uint64_t hi =
+            std::min(end_page, segment_begin(s + 1, region.pages, segments));
+        if (lo < hi) counts[static_cast<std::size_t>(region.nodes[s])] += hi - lo;
+      }
+      break;
+    }
+    case Placement::kReplicate:
+      // Every node holds a replica; callers account for it before counting.
+      break;
+  }
+  return counts;
+}
+
 topology::NodeId AddressSpace::resolve_home(Addr addr,
                                             topology::NodeId accessing_node) {
   const DataObject* obj = object_at(addr);
   DRBW_CHECK_MSG(obj != nullptr, "access to unmapped address 0x" << std::hex << addr);
   Region& region = regions_[obj->id];
-  if (region.object.placement.policy == Placement::kReplicate) {
-    return accessing_node;
-  }
-  const std::size_t page = (addr - region.object.base) / page_bytes_;
-  std::int16_t& home = region.page_home[page];
-  if (home == kUnassigned) home = static_cast<std::int16_t>(accessing_node);
-  return home;
+  const std::uint64_t page = (addr - region.object.base) / page_bytes_;
+  const topology::NodeId home = home_of(region, page, accessing_node);
+  if (home != kUnassigned) return home;
+  region.page_home[page] = static_cast<std::int16_t>(accessing_node);
+  return accessing_node;
 }
 
 std::optional<topology::NodeId> AddressSpace::peek_home(
@@ -203,13 +267,10 @@ std::optional<topology::NodeId> AddressSpace::peek_home(
   const DataObject* obj = object_at(addr);
   if (obj == nullptr) return std::nullopt;
   const Region& region = regions_[obj->id];
-  if (region.object.placement.policy == Placement::kReplicate) {
-    return accessing_node;
-  }
-  const std::size_t page = (addr - region.object.base) / page_bytes_;
-  const std::int16_t home = region.page_home[page];
+  const std::uint64_t page = (addr - region.object.base) / page_bytes_;
+  const topology::NodeId home = home_of(region, page, accessing_node);
   if (home == kUnassigned) return std::nullopt;
-  return static_cast<topology::NodeId>(home);
+  return home;
 }
 
 std::vector<double> AddressSpace::touch_and_home_fractions(
@@ -228,15 +289,22 @@ std::vector<double> AddressSpace::touch_and_home_fractions(
     fractions[static_cast<std::size_t>(accessing_node)] = 1.0;
     return fractions;
   }
-  const std::size_t first_page = offset_bytes / page_bytes_;
-  const std::size_t last_page = (offset_bytes + span_bytes - 1) / page_bytes_;
-  for (std::size_t page = first_page; page <= last_page; ++page) {
-    std::int16_t& home = region.page_home[page];
-    if (home == kUnassigned) home = static_cast<std::int16_t>(accessing_node);
-    fractions[static_cast<std::size_t>(home)] += 1.0;
+  const std::uint64_t first_page = offset_bytes / page_bytes_;
+  const std::uint64_t last_page = (offset_bytes + span_bytes - 1) / page_bytes_;
+  if (region.object.placement.policy == Placement::kFirstTouch) {
+    const auto begin =
+        region.page_home.begin() + static_cast<std::ptrdiff_t>(first_page);
+    std::replace(begin, begin + static_cast<std::ptrdiff_t>(last_page - first_page + 1),
+                 kUnassigned, static_cast<std::int16_t>(accessing_node));
   }
+  // Page counts are exact integers, so each fraction is bit-identical to
+  // summing 1.0 per page and dividing by the same page count.
+  const std::vector<std::uint64_t> counts =
+      home_counts(region, first_page, last_page);
   const auto pages = static_cast<double>(last_page - first_page + 1);
-  for (double& f : fractions) f /= pages;
+  for (std::size_t n = 0; n < counts.size(); ++n) {
+    fractions[n] = static_cast<double>(counts[n]) / pages;
+  }
   return fractions;
 }
 
@@ -254,9 +322,9 @@ std::vector<std::uint64_t> AddressSpace::resident_bytes_per_node() const {
       for (auto& b : bytes) b += region.object.size_bytes;
       continue;
     }
-    for (std::int16_t home : region.page_home) {
-      if (home != kUnassigned) bytes[static_cast<std::size_t>(home)] += page_bytes_;
-    }
+    const std::vector<std::uint64_t> pages =
+        home_counts(region, 0, region.pages - 1);
+    for (std::size_t n = 0; n < pages.size(); ++n) bytes[n] += pages[n] * page_bytes_;
   }
   return bytes;
 }

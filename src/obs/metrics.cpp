@@ -32,22 +32,36 @@ Histogram::Histogram(std::vector<std::uint64_t> bounds)
   for (std::size_t i = 0; i <= bounds_.size(); ++i) counts_[i].store(0, std::memory_order_relaxed);
 }
 
-void Histogram::observe(std::uint64_t v) {
+std::size_t Histogram::bucket_index(std::uint64_t v) const {
   // First bound >= v: Prometheus `le` semantics — v lands in the bucket whose
   // upper edge it is <= to; past the last bound it lands in +Inf.
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const auto idx = static_cast<std::size_t>(it - bounds_.begin());
-  counts_[idx].fetch_add(1, std::memory_order_relaxed);
+  return static_cast<std::size_t>(it - bounds_.begin());
+}
+
+void Histogram::observe(std::uint64_t v) {
+  counts_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(v, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Histogram::observe_n(std::uint64_t v, std::uint64_t n) {
   if (n == 0) return;
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const auto idx = static_cast<std::size_t>(it - bounds_.begin());
-  counts_[idx].fetch_add(n, std::memory_order_relaxed);
+  counts_[bucket_index(v)].fetch_add(n, std::memory_order_relaxed);
   sum_.fetch_add(v * n, std::memory_order_relaxed);
+  count_.fetch_add(n, std::memory_order_relaxed);
+}
+
+void Histogram::add_buckets(std::span<const std::uint64_t> bucket_counts,
+                            std::uint64_t sum) {
+  DRBW_CHECK_MSG(bucket_counts.size() == bounds_.size() + 1,
+                 "add_buckets needs one count per bucket");
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i < bucket_counts.size(); ++i) {
+    counts_[i].fetch_add(bucket_counts[i], std::memory_order_relaxed);
+    n += bucket_counts[i];
+  }
+  sum_.fetch_add(sum, std::memory_order_relaxed);
   count_.fetch_add(n, std::memory_order_relaxed);
 }
 

@@ -35,32 +35,18 @@ PeriodSampler::PeriodSampler(std::uint64_t period, std::uint64_t phase_seed)
   countdown_ = splitmix64(s) % period + 1;
 }
 
-std::vector<std::uint64_t> PeriodSampler::consume(std::uint64_t accesses) {
-  std::vector<std::uint64_t> offsets;
-  if (accesses >= countdown_) {
-    std::uint64_t at = countdown_ - 1;  // 0-based offset of the firing access
-    while (at < accesses) {
-      offsets.push_back(at);
-      at += period_;
-    }
-    countdown_ = period_ - (accesses - 1 - offsets.back());
-    sampler_draws_counter().add(offsets.size());
-  } else {
-    countdown_ -= accesses;
-  }
-  return offsets;
-}
-
-std::uint64_t PeriodSampler::count_only(std::uint64_t accesses) {
+SampleFires PeriodSampler::consume(std::uint64_t accesses) {
   if (accesses < countdown_) {
     countdown_ -= accesses;
-    return 0;
+    return SampleFires{0, 0, period_};
   }
+  // The first fire lands on the access the countdown reaches zero at, then
+  // one every period; the countdown restarts after the last fire.
   const std::uint64_t after_first = accesses - countdown_;
-  const std::uint64_t n = 1 + after_first / period_;
+  const SampleFires fires{countdown_ - 1, 1 + after_first / period_, period_};
   countdown_ = period_ - after_first % period_;
-  sampler_draws_counter().add(n);
-  return n;
+  sampler_draws_counter().add(fires.count);
+  return fires;
 }
 
 }  // namespace drbw::pebs

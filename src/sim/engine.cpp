@@ -12,6 +12,9 @@ namespace drbw::sim {
 
 namespace {
 
+constexpr std::array<std::uint64_t, 7> kSampleLatencyBounds = {
+    100, 200, 300, 500, 800, 1300, 2100};
+
 /// Engine-side instruments, resolved once.  Every value is a commutative sum
 /// or integer histogram over per-run quantities, so totals are identical at
 /// any --jobs count.
@@ -51,13 +54,38 @@ struct SimMetrics {
                       {10, 25, 50, 75, 90, 95, 99, 100}),
         reg.histogram("drbw_sim_sample_latency_cycles",
                       "Latency of emitted memory samples (cycles)",
-                      {100, 200, 300, 500, 800, 1300, 2100}),
+                      {kSampleLatencyBounds.begin(), kSampleLatencyBounds.end()}),
     };
     return m;
   }
 };
 
 }  // namespace
+
+/// Per-sample instruments of one run, tallied in plain locals: emit_samples
+/// runs once per sampled access, where even relaxed atomics are measurable.
+/// The destructor flushes once per run, also when an injected engine failure
+/// unwinds it, so the exported totals equal per-sample updates.
+struct Engine::SampleTally {
+  std::uint64_t emitted = 0;
+  std::uint64_t below_threshold = 0;
+  std::uint64_t fault_dropped = 0;
+  std::uint64_t fault_corrupted = 0;
+  std::array<std::uint64_t, kSampleLatencyBounds.size() + 1> latency_buckets{};
+  std::uint64_t latency_sum = 0;
+
+  SampleTally() = default;
+  SampleTally(const SampleTally&) = delete;
+  SampleTally& operator=(const SampleTally&) = delete;
+  ~SampleTally() {
+    SimMetrics& m = SimMetrics::get();
+    m.samples.add(emitted);
+    m.samples_below_threshold.add(below_threshold);
+    m.samples_fault_dropped.add(fault_dropped);
+    m.samples_fault_corrupted.add(fault_corrupted);
+    m.sample_latency.add_buckets(latency_buckets, latency_sum);
+  }
+};
 
 /// Resolved state of a thread's active burst.
 struct Engine::BurstState {
@@ -176,7 +204,8 @@ double Engine::access_cost(const ThreadState& ts, const ChannelLoad& load) const
 
 void Engine::emit_samples(ThreadState& ts, std::uint64_t served,
                           std::uint64_t epoch_start, double /*cost*/,
-                          const ChannelLoad& load, RunResult& result) {
+                          const ChannelLoad& load, SampleTally& tally,
+                          RunResult& result) {
   DRBW_CHECK_MSG(served >= 1,
                  "emit_samples requires served >= 1 (offset mapping divides "
                  "by served and clamps to served - 1)");
@@ -205,7 +234,10 @@ void Engine::emit_samples(ThreadState& ts, std::uint64_t served,
     lfb_mult = std::max(1.0, avg_mult);
   }
 
-  for (std::uint64_t offset : ts.sampler.consume(counted)) {
+  const obs::Histogram& latency_histogram = SimMetrics::get().sample_latency;
+  const pebs::SampleFires fires = ts.sampler.consume(counted);
+  for (std::uint64_t i = 0; i < fires.count; ++i) {
+    std::uint64_t offset = fires.at(i);
     if (ops_per_access > 1.0) {
       // Each access contributes one memory op among ~1+cpa retired ops; an
       // IBS fire yields a memory record only when it tags the memory op.
@@ -273,12 +305,13 @@ void Engine::emit_samples(ThreadState& ts, std::uint64_t served,
     // lands on regardless of latency.
     if (config_.sampling_flavor == SamplingFlavor::kPebs &&
         latency < config_.sample_latency_threshold) {
-      SimMetrics::get().samples_below_threshold.add(1);
+      ++tally.below_threshold;
       continue;
     }
-    SimMetrics::get().samples.add(1);
-    SimMetrics::get().sample_latency.observe(
-        static_cast<std::uint64_t>(std::llround(latency)));
+    const auto rounded = static_cast<std::uint64_t>(std::llround(latency));
+    ++tally.emitted;
+    ++tally.latency_buckets[latency_histogram.bucket_index(rounded)];
+    tally.latency_sum += rounded;
 
     pebs::MemorySample sample;
     sample.address = addr;
@@ -301,14 +334,14 @@ void Engine::emit_samples(ThreadState& ts, std::uint64_t served,
         sample.tid;
     if (fault::should_inject("pebs.sample", fault::Kind::kDropSample,
                              fault_key)) {
-      SimMetrics::get().samples_fault_dropped.add(1);
+      ++tally.fault_dropped;
       continue;
     }
     if (fault::should_inject("pebs.sample", fault::Kind::kCorruptField,
                              fault_key)) {
       sample.address =
           fault::corrupt_bits("pebs.sample", fault_key, sample.address);
-      SimMetrics::get().samples_fault_corrupted.add(1);
+      ++tally.fault_corrupted;
     }
     result.samples.push_back(sample);
   }
@@ -372,6 +405,7 @@ RunResult Engine::run(const std::vector<SimThread>& threads,
   std::uint64_t local_epochs = 0;
   std::uint64_t local_demand_bytes = 0;
   std::array<std::uint64_t, 101> local_util_pct{};  // llround(u*100) in [0,100]
+  SampleTally sample_tally;
   std::uint64_t clock = 0;
   std::uint64_t epochs_used = 0;
   double latency_weight = 0.0;
@@ -473,7 +507,7 @@ RunResult Engine::run(const std::vector<SimThread>& threads,
             std::min(1.0, static_cast<double>(n) * cost / epoch_cycles));
 
         if (config_.profiling) {
-          emit_samples(ts, n, clock, cost, load, result);
+          emit_samples(ts, n, clock, cost, load, sample_tally, result);
         }
 
         // Traffic + latency accounting.

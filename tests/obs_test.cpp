@@ -74,6 +74,25 @@ TEST(ObsHistogramTest, ObserveNMatchesRepeatedObserve) {
   EXPECT_EQ(bulk.sum(), loop.sum());
 }
 
+TEST(ObsHistogramTest, AddBucketsMatchesObserve) {
+  Histogram bulk({10, 20, 30});
+  Histogram loop({10, 20, 30});
+  std::vector<std::uint64_t> buckets(4, 0);
+  std::uint64_t sum = 0;
+  for (const std::uint64_t v : {10u, 11u, 30u, 31u, 5u, 15u, 99u}) {
+    loop.observe(v);
+    ++buckets[bulk.bucket_index(v)];
+    sum += v;
+  }
+  bulk.add_buckets(buckets, sum);
+  for (std::size_t i = 0; i <= 3; ++i) {
+    EXPECT_EQ(bulk.bucket_count(i), loop.bucket_count(i)) << "bucket " << i;
+  }
+  EXPECT_EQ(bulk.count(), loop.count());
+  EXPECT_EQ(bulk.sum(), loop.sum());
+  EXPECT_THROW(bulk.add_buckets(std::vector<std::uint64_t>(3, 0), 0), Error);
+}
+
 TEST(ObsHistogramTest, RejectsUnsortedBounds) {
   EXPECT_THROW(Histogram({10, 5}), Error);
   EXPECT_THROW(Histogram({10, 10}), Error);

@@ -533,7 +533,7 @@ int cmd_record(int argc, char** argv) {
   parser.add_option("seed", "run seed", "7");
   parser.add_option("format",
                     "trace body encoding: csv (v2, greppable) | binary "
-                    "(v3, 10-100x faster to load)",
+                    "(v3, 2-3x faster to load)",
                     "csv");
   RunSession::add_options(parser);
   if (!parser.parse(argc, argv)) return 0;
