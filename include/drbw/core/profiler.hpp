@@ -16,15 +16,23 @@
 // bus connecting nodes 0 and 1".
 //
 // A profile holds each sample once: the samples stay in the caller's
-// vector, and a channel keeps an 8-byte SampleRef (index, object) per
-// sample, since the channel itself names the src and home nodes.  The
-// profile therefore borrows that vector and must not outlive it; the
-// profile() overloads that take a temporary are deleted.
+// vector, and the profile keeps one 8-byte SampleRef (index, object) per
+// sample, since the channel itself names the src and home nodes.  All refs
+// live in a single exact-size array, grouped by channel and in sample order
+// within each: profile() counts each channel's samples in one read pass and
+// then scatters the refs into place (a counting sort), so the array is
+// allocated once, never regrown, and huge-page advised.  Every
+// ChannelSamples views its slice of that array through shared ownership, so
+// a copied ProfileResult stays valid after the original is gone.  The
+// profile borrows the sample vector and must not outlive it; the profile()
+// overloads that take a temporary are deleted.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "drbw/core/heap_tracker.hpp"
@@ -91,8 +99,9 @@ static_assert(sizeof(SampleRef) == 8, "a profiled sample costs 8 bytes");
 /// Most samples one profile can index (SampleRef::index is 32-bit).
 inline constexpr std::uint64_t kMaxProfileSamples = 0xffffffffu;
 
-/// One channel's samples: refs into the borrowed sample vector, iterated in
-/// profile order as AttributedSample values.
+/// One channel's samples: its slice of the profile's shared ref array, refs
+/// into the borrowed sample vector, iterated in sample order as
+/// AttributedSample values.
 class ChannelSamples {
  public:
   class const_iterator {
@@ -127,17 +136,23 @@ class ChannelSamples {
 
   ChannelSamples() = default;
 
-  std::size_t size() const { return refs_.size(); }
-  bool empty() const { return refs_.empty(); }
-  AttributedSample operator[](std::size_t i) const { return at(refs_[i]); }
-  const_iterator begin() const { return {this, refs_.data()}; }
-  const_iterator end() const { return {this, refs_.data() + refs_.size()}; }
+  std::size_t size() const { return static_cast<std::size_t>(last_ - first_); }
+  bool empty() const { return first_ == last_; }
+  AttributedSample operator[](std::size_t i) const { return at(first_[i]); }
+  const_iterator begin() const { return {this, first_}; }
+  const_iterator end() const { return {this, last_}; }
 
  private:
   friend class Profiler;
 
-  ChannelSamples(const pebs::MemorySample* base, topology::ChannelId channel)
-      : base_(base), channel_(channel) {}
+  ChannelSamples(const pebs::MemorySample* base, topology::ChannelId channel,
+                 std::shared_ptr<const std::vector<SampleRef>> refs,
+                 std::size_t first, std::size_t last)
+      : base_(base),
+        channel_(channel),
+        refs_(std::move(refs)),
+        first_(refs_->data() + first),
+        last_(refs_->data() + last) {}
 
   AttributedSample at(SampleRef ref) const {
     return AttributedSample{base_[ref.index], channel_.src, channel_.dst,
@@ -146,7 +161,11 @@ class ChannelSamples {
 
   const pebs::MemorySample* base_ = nullptr;
   topology::ChannelId channel_;
-  std::vector<SampleRef> refs_;
+  /// The profile's one ref array, owned jointly by every channel of every
+  /// copy; this channel's refs are [first_, last_).
+  std::shared_ptr<const std::vector<SampleRef>> refs_;
+  const SampleRef* first_ = nullptr;
+  const SampleRef* last_ = nullptr;
 };
 
 /// All samples whose (src, home) pair maps to one directed channel.
@@ -156,7 +175,8 @@ struct ChannelProfile {
 };
 
 /// A profile borrows the sample vector it was built from: it stays valid,
-/// and may be copied, only while that vector lives unmodified.
+/// and may be copied, only while that vector lives unmodified.  Copies share
+/// the ref array, so copying costs one reference count per channel.
 struct ProfileResult {
   /// One entry per machine channel index (possibly with zero samples).
   std::vector<ChannelProfile> channels;

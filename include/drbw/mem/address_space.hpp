@@ -122,6 +122,10 @@ class AddressSpace {
   /// and become permanently homed there (the engine's first access *is* the
   /// first touch).
   topology::NodeId resolve_home(Addr addr, topology::NodeId accessing_node);
+  /// resolve_home() for a caller that already knows the live object `id`
+  /// owning `addr` (the engine's active burst), without the range lookup.
+  topology::NodeId resolve_home(ObjectId id, Addr addr,
+                                topology::NodeId accessing_node);
 
   /// Like resolve_home but never mutates (untouched first-touch pages report
   /// std::nullopt).  Used by assertions and the libnuma-lookup analogue.

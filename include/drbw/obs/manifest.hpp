@@ -12,9 +12,11 @@
 // Determinism: the document splits into a "golden" object (everything that
 // is a pure function of the invocation — byte-identical at any --jobs
 // value) and a "context" object (the --jobs value itself, flight-ring
-// occupancy, and wall-mode span stats).  For identical invocations that
-// differ only in --jobs, manifests differ in exactly two lines: the header
-// (whose crc32 covers the body) and the `"jobs":` line — test-enforced.
+// occupancy, the process's minor faults and peak RSS, and wall-mode span
+// stats).  For identical invocations that differ only in --jobs, manifests
+// differ only in the header (whose crc32 covers the body), the `"jobs":`
+// line and the two resource lines, `"minor_faults":` and
+// `"peak_rss_kib":` — test-enforced.
 //
 // Layering: obs-side (below util) so the sinks and the CLI share it without
 // an upward dependency; serialization is hand-rolled like the other obs
@@ -94,6 +96,16 @@ struct RunManifest {
   std::string timing = "sim";
   std::uint64_t flight_events = 0;
   std::uint64_t flight_dropped = 0;
+  /// getrusage(RUSAGE_SELF) as of record_usage(): minor page faults so far
+  /// and the peak resident set in KiB.  Linux carries ru_maxrss across
+  /// execve, so a run launched by a larger process reports at least that
+  /// process's resident set at fork.
+  std::uint64_t minor_faults = 0;
+  std::uint64_t peak_rss_kib = 0;
+
+  /// Fills minor_faults and peak_rss_kib from the calling process; the CLI
+  /// calls it just before write(), so the counts cover the whole run.
+  void record_usage();
 
   /// Deterministic pretty-printed JSON document (see header comment).
   std::string to_json() const;

@@ -254,7 +254,16 @@ topology::NodeId AddressSpace::resolve_home(Addr addr,
                                             topology::NodeId accessing_node) {
   const DataObject* obj = object_at(addr);
   DRBW_CHECK_MSG(obj != nullptr, "access to unmapped address 0x" << std::hex << addr);
-  Region& region = regions_[obj->id];
+  return resolve_home(obj->id, addr, accessing_node);
+}
+
+topology::NodeId AddressSpace::resolve_home(ObjectId id, Addr addr,
+                                            topology::NodeId accessing_node) {
+  Region& region = region_of(id);
+  DRBW_CHECK_MSG(region.object.alive && addr >= region.object.base &&
+                     addr - region.object.base < region.object.size_bytes,
+                 "address 0x" << std::hex << addr << " outside object "
+                              << std::dec << id);
   const std::uint64_t page = (addr - region.object.base) / page_bytes_;
   const topology::NodeId home = home_of(region, page, accessing_node);
   if (home != kUnassigned) return home;

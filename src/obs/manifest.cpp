@@ -1,5 +1,7 @@
 #include "drbw/obs/manifest.hpp"
 
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <sstream>
 
@@ -108,13 +110,22 @@ std::string RunManifest::to_json() const {
   os << "    \"jobs\": " << jobs << ",\n";
   os << "    \"timing\": " << quoted(timing) << ",\n";
   os << "    \"flight_events\": " << flight_events << ",\n";
-  os << "    \"flight_dropped\": " << flight_dropped;
+  os << "    \"flight_dropped\": " << flight_dropped << ",\n";
+  os << "    \"minor_faults\": " << minor_faults << ",\n";
+  os << "    \"peak_rss_kib\": " << peak_rss_kib;
   if (!spans_golden) {
     os << ",\n    ";
     render_spans(os, spans);
   }
   os << "\n  }\n}\n";
   return os.str();
+}
+
+void RunManifest::record_usage() {
+  rusage usage{};
+  if (::getrusage(RUSAGE_SELF, &usage) != 0) return;
+  minor_faults = static_cast<std::uint64_t>(usage.ru_minflt);
+  peak_rss_kib = static_cast<std::uint64_t>(usage.ru_maxrss);  // KiB on Linux
 }
 
 void RunManifest::write(const std::string& path) const {

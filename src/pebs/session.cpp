@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "drbw/util/error.hpp"
+#include "drbw/util/huge_pages.hpp"
 
 namespace drbw::pebs {
 
@@ -61,6 +62,7 @@ CycleWindows bucket_by_cycle(const std::vector<MemorySample>& samples,
   for (std::size_t w = 0; w < count; ++w) out.offsets[w + 1] += out.offsets[w];
   // Fill pass: the next free slot of each window, in stream order.
   std::vector<std::uint32_t> next(out.offsets.begin(), out.offsets.end() - 1);
+  util::reserve_huge(out.ordinals, samples.size());
   out.ordinals.resize(samples.size());
   const auto n = static_cast<std::uint32_t>(samples.size());
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -17,6 +17,7 @@
 #include "drbw/obs/flight_recorder.hpp"
 #include "drbw/obs/metrics.hpp"
 #include "drbw/util/csv.hpp"
+#include "drbw/util/huge_pages.hpp"
 
 namespace drbw::pebs {
 
@@ -692,7 +693,7 @@ Trace parse_records(std::string_view body, const std::string& source,
     std::size_t seen = 0;
     ~SeenTally() { counter.add(seen); }
   } tally{metrics.records_seen};
-  trace.samples.reserve(detail::count_newlines(body) + 1);
+  util::reserve_huge(trace.samples, detail::count_newlines(body) + 1);
   const bool faults_armed = fault::armed();
   RecordReader reader(cpus);
   std::string damaged;
@@ -868,7 +869,7 @@ Trace parse_binary(std::string_view body, const std::string& source,
   }
   Trace trace;
   trace.events.reserve(events_avail);
-  trace.samples.reserve(samples_avail);
+  util::reserve_huge(trace.samples, samples_avail);
   const bool faults_armed = fault::armed();
   unsigned char scratch[kBinaryPreludeBytes];
   // Returns the record bytes to decode: the mapped body bytes, or a locally

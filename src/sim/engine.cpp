@@ -291,7 +291,8 @@ void Engine::emit_samples(ThreadState& ts, std::uint64_t served,
     } else {
       // DRAM: the page home of the sampled address decides local vs remote,
       // exactly as the tool will later rediscover via its libnuma lookup.
-      const topology::NodeId home = space_.resolve_home(addr, ts.node);
+      const topology::NodeId home =
+          space_.resolve_home(bs.burst.object, addr, ts.node);
       level = home == ts.node ? pebs::MemLevel::kLocalDram
                               : pebs::MemLevel::kRemoteDram;
       idle_latency =

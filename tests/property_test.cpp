@@ -10,9 +10,11 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <span>
 #include <sstream>
+#include <utility>
 
 #include "drbw/core/profiler.hpp"
 #include "drbw/drbw.hpp"
@@ -665,6 +667,198 @@ TEST_P(IndexProfileProperty, ViewsMatchReferenceCopyProfile) {
 
 INSTANTIATE_TEST_SUITE_P(SeedGrid, IndexProfileProperty,
                          ::testing::Values(1, 7, 42, 2017));
+
+// ---------------------------------------------------------------------- //
+// Profiler: the counting sort (one read pass, one scatter into a single
+// shared ref array) files each sample exactly where a per-channel push_back
+// reference built here files it, in the same order, over homes spread on
+// every node, freed ranges, untracked addresses and an empty stream; a copy
+// of the profile keeps iterating after the original is gone.
+
+namespace counting_sort {
+
+/// Per channel, (sample index, object) in the order a push_back profile
+/// files them.
+using Reference = std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>;
+
+Reference push_back_reference(const std::vector<mem::AllocationEvent>& events,
+                              const std::vector<pebs::MemorySample>& samples,
+                              core::PageLocator& locator,
+                              std::uint64_t* attributed) {
+  core::HeapTracker tracker;
+  tracker.on_events(events);
+  Reference want(static_cast<std::size_t>(machine().num_channels()));
+  *attributed = 0;
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const topology::NodeId src = machine().node_of_cpu(samples[i].cpu);
+    const topology::NodeId home = locator.locate(samples[i].address, src);
+    const std::uint32_t object = tracker.object_of(samples[i].address);
+    *attributed += object != core::kUnknownObject;
+    want[static_cast<std::size_t>(
+             machine().channel_index(topology::ChannelId{src, home}))]
+        .emplace_back(static_cast<std::uint32_t>(i), object);
+  }
+  return want;
+}
+
+/// Asserts `profile` files every sample as `want` does; samples carry their
+/// index in `cycle`, so a ref's sample names its position.
+void expect_matches(const core::ProfileResult& profile, const Reference& want,
+                    const std::vector<pebs::MemorySample>& samples) {
+  ASSERT_EQ(profile.channels.size(), want.size());
+  EXPECT_EQ(profile.total_samples, samples.size());
+  for (std::size_t c = 0; c < want.size(); ++c) {
+    const core::ChannelProfile& channel = profile.channels[c];
+    EXPECT_EQ(channel.channel, machine().channel_at(static_cast<int>(c)));
+    ASSERT_EQ(channel.samples.size(), want[c].size()) << "channel " << c;
+    std::size_t k = 0;
+    for (const core::AttributedSample& got : channel.samples) {
+      const auto [index, object] = want[c][k];
+      EXPECT_EQ(got.sample.cycle, samples[index].cycle);
+      EXPECT_EQ(got.sample.address, samples[index].address);
+      EXPECT_EQ(got.object, object);
+      EXPECT_EQ(got.src_node, channel.channel.src);
+      EXPECT_EQ(got.home_node, channel.channel.dst);
+      ++k;
+    }
+  }
+}
+
+pebs::MemorySample sample_at(mem::Addr address, std::uint64_t index, Rng& rng) {
+  pebs::MemorySample s;
+  s.address = address;
+  s.cycle = index;
+  s.cpu = static_cast<topology::CpuId>(
+      rng.bounded(static_cast<std::uint64_t>(machine().num_hw_threads())));
+  s.level = pebs::MemLevel::kRemoteDram;
+  s.latency_cycles = 300.0f;
+  return s;
+}
+
+}  // namespace counting_sort
+
+class CountingSortProfileProperty
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CountingSortProfileProperty, SimulatedHomesMatchPushBackReference) {
+  Rng rng(GetParam());
+  AddressSpace space(machine());
+  const PlacementSpec placements[] = {PlacementSpec::interleave(),
+                                      PlacementSpec::first_touch(),
+                                      PlacementSpec::bind(3)};
+  std::vector<mem::ObjectId> live;
+  std::vector<mem::ObjectId> freed;
+  for (int i = 0; i < 9; ++i) {
+    const mem::ObjectId id = space.allocate(
+        "sort.c:" + std::to_string(i % 5) + " obj", 1 << 20, placements[i % 3]);
+    (i % 4 == 3 ? freed : live).push_back(id);
+  }
+  for (const mem::ObjectId id : freed) space.free(id);
+  // Static data is mapped but never intercepted: untracked addresses.
+  live.push_back(space.allocate_static("sort.c:99 static", 1 << 16,
+                                       PlacementSpec::bind(1)));
+  const std::vector<mem::AllocationEvent> events = space.drain_events();
+
+  // Runs of samples on one object, as a real stream has, so the last-hit
+  // check both answers and misses.
+  std::vector<pebs::MemorySample> samples;
+  const auto n = 2000 + rng.bounded(3000);
+  while (samples.size() < n) {
+    const mem::ObjectId id = live[rng.bounded(live.size())];
+    for (std::uint64_t run = 1 + rng.bounded(8); run > 0; --run) {
+      samples.push_back(counting_sort::sample_at(
+          space.object(id).base + rng.bounded(1 << 16), samples.size(), rng));
+    }
+  }
+
+  // The profile runs first: its locator first-touches the pages, and the
+  // reference then reads the same homes.
+  core::AddressSpaceLocator locator(space);
+  std::optional<core::ProfileResult> original =
+      core::Profiler(machine(), locator).profile(events, samples);
+  std::uint64_t attributed = 0;
+  const counting_sort::Reference want =
+      counting_sort::push_back_reference(events, samples, locator, &attributed);
+  counting_sort::expect_matches(*original, want, samples);
+  EXPECT_EQ(original->attributed_samples, attributed);
+  EXPECT_GT(attributed, 0u);
+  EXPECT_LT(attributed, samples.size());
+
+  // Homes land on every node, on remote and local channels alike.
+  std::set<topology::NodeId> homes;
+  for (const core::ChannelProfile& channel : original->channels) {
+    if (!channel.samples.empty()) homes.insert(channel.channel.dst);
+  }
+  EXPECT_EQ(homes.size(), static_cast<std::size_t>(machine().num_nodes()));
+
+  // A copy shares the ref array and outlives the original.
+  const core::ProfileResult copy = *original;
+  original.reset();
+  counting_sort::expect_matches(copy, want, samples);
+  EXPECT_EQ(copy.attributed_samples, attributed);
+}
+
+TEST_P(CountingSortProfileProperty, OverlappingAndFreedRangesMatchReference) {
+  // A raw event stream, as a replayed trace carries: ranges that nest, ranges
+  // freed and reallocated, and addresses in the gaps between them.
+  Rng rng(GetParam());
+  std::vector<mem::AllocationEvent> events;
+  std::vector<mem::Addr> bases;
+  for (int i = 0; i < 40; ++i) {
+    const mem::Addr base = 0x10000 + rng.bounded(1 << 20);
+    if (std::find(bases.begin(), bases.end(), base) != bases.end()) continue;
+    events.push_back(mem::AllocationEvent{
+        mem::AllocationEvent::Kind::kAlloc,
+        {"raw.c:" + std::to_string(i % 7) + " r"}, base, 1 + rng.bounded(1 << 16)});
+    bases.push_back(base);
+    if (rng.bernoulli(0.3)) {
+      const std::size_t k = rng.bounded(bases.size());
+      events.push_back(mem::AllocationEvent{mem::AllocationEvent::Kind::kFree,
+                                            {""}, bases[k], 0});
+      bases.erase(bases.begin() + static_cast<std::ptrdiff_t>(k));
+    }
+  }
+  std::vector<pebs::MemorySample> samples;
+  mem::Addr address = 0;
+  for (std::uint64_t i = 0; i < 4000; ++i) {
+    // Mostly a short stride from the last address, sometimes a jump.
+    address = rng.bernoulli(0.1) ? rng.bounded(0x10000 + (2 << 20))
+                                 : address + rng.bounded(256);
+    samples.push_back(counting_sort::sample_at(address, i, rng));
+  }
+
+  core::ReplayLocator locator;
+  const core::ProfileResult profile =
+      core::Profiler(machine(), locator).profile(events, samples);
+  std::uint64_t attributed = 0;
+  const counting_sort::Reference want =
+      counting_sort::push_back_reference(events, samples, locator, &attributed);
+  counting_sort::expect_matches(profile, want, samples);
+  EXPECT_EQ(profile.attributed_samples, attributed);
+  EXPECT_GT(attributed, 0u);
+  EXPECT_LT(attributed, samples.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(SeedGrid, CountingSortProfileProperty,
+                         ::testing::Values(3, 11, 2017));
+
+TEST(CountingSortProfile, EmptyStreamHasEveryChannelEmpty) {
+  AddressSpace space(machine());
+  space.allocate("empty.c:1 obj", 1 << 16, PlacementSpec::interleave());
+  core::AddressSpaceLocator locator(space);
+  const std::vector<pebs::MemorySample> samples;
+  const core::ProfileResult profile =
+      core::Profiler(machine(), locator).profile(space.drain_events(), samples);
+  ASSERT_EQ(profile.channels.size(),
+            static_cast<std::size_t>(machine().num_channels()));
+  for (const core::ChannelProfile& channel : profile.channels) {
+    EXPECT_TRUE(channel.samples.empty());
+    EXPECT_EQ(channel.samples.begin(), channel.samples.end());
+  }
+  EXPECT_EQ(profile.total_samples, 0u);
+  EXPECT_EQ(profile.attributed_samples, 0u);
+  EXPECT_EQ(profile.tracker.live_range_count(), 1u);
+}
 
 // ---------------------------------------------------------------------- //
 // Post-profile stages against the reference implementations they replaced:

@@ -4,11 +4,13 @@
 
 #include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "drbw/util/ascii_chart.hpp"
 #include "drbw/util/cli.hpp"
 #include "drbw/util/csv.hpp"
 #include "drbw/util/error.hpp"
+#include "drbw/util/huge_pages.hpp"
 #include "drbw/util/json.hpp"
 #include "drbw/util/rng.hpp"
 #include "drbw/util/stats.hpp"
@@ -390,6 +392,26 @@ TEST(Cli, BoundedReadsRejectOutOfRangeAndNonFinite) {
   ASSERT_TRUE(big.parse(1, argv));
   EXPECT_THROW(big.option_int("n"), UsageError);  // overflows int64
   EXPECT_THROW(big.option_int("e"), UsageError);  // empty is not a number
+}
+
+TEST(HugePages, ReserveHugeOnlyReservesAndKeepsContents) {
+  // The advice is a hint: the vector behaves exactly as after reserve(),
+  // whatever the host's THP mode.
+  std::vector<std::uint64_t> v;
+  const std::size_t n = 3 * util::kHugePageBytes / sizeof(std::uint64_t);
+  util::reserve_huge(v, n);
+  EXPECT_TRUE(v.empty());
+  EXPECT_GE(v.capacity(), n);
+  for (std::size_t i = 0; i < n; ++i) v.push_back(i * 3);
+  EXPECT_EQ(v[n / 2], (n / 2) * 3);
+  EXPECT_EQ(v.back(), (n - 1) * 3);
+  // Ranges without a whole aligned huge page, and no buffer at all, are
+  // accepted and left alone.
+  std::vector<char> small;
+  util::reserve_huge(small, 100);
+  EXPECT_GE(small.capacity(), 100u);
+  util::advise_huge_pages(nullptr, util::kHugePageBytes * 4);
+  util::advise_huge_pages(v.data(), 0);
 }
 
 }  // namespace

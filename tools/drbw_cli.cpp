@@ -68,7 +68,8 @@ constexpr int kExitPerfRegression = 3;   // perf diff crossed the threshold
 /// pipeline run emits, so the ring never wraps: a wrapped ring keeps the
 /// last N events by *arrival* order, which is scheduling-dependent, and the
 /// manifest's flight_dropped counter (asserted 0 in the determinism tests)
-/// would flag it.
+/// would flag it.  The ring grows with its events, so the cap costs a run
+/// nothing it does not record.
 constexpr std::size_t kFlightCapacity = 65536;
 
 constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
@@ -333,7 +334,10 @@ struct RunSession {
         flight.write(run_dir_ + "/" + obs::kFlightFileName);
       });
     }
-    write_one("run manifest", [&] { manifest_.write(manifest_path()); });
+    write_one("run manifest", [&] {
+      manifest_.record_usage();
+      manifest_.write(manifest_path());
+    });
   }
 
   const ArgParser& parser_;
