@@ -157,6 +157,30 @@ TEST(HeapTracker, FreedBaseMayBeAllocatedAgainByAnotherSite) {
   EXPECT_EQ(t.live_range_count(), 0u);
 }
 
+TEST(HeapTracker, FinderAnswersAsObjectOfInAnyLookupOrder) {
+  // Nested ranges (a damaged but accepted stream), gaps, the address-space
+  // ends, and lookups that move forward, backward and stay put, so the
+  // finder's last-hit check is taken and refused in every direction.
+  HeapTracker t;
+  t.on_event(alloc("outer", 0x1000, 0x1000));
+  t.on_event(alloc("inner", 0x1400, 0x100));
+  t.on_event(alloc("next", 0x3000, 0x10));
+  t.on_event(alloc("top", 0xffffffffffffff00ull, 0xff));
+  HeapTracker::Finder finder = t.finder();
+  const mem::Addr probes[] = {
+      0x0,    0x1000, 0x13ff, 0x1400, 0x14ff, 0x1500, 0x1fff, 0x2000,
+      0x1450, 0x1450, 0x1001, 0x3000, 0x300f, 0x3010, 0x0fff, 0x1500,
+      0xffffffffffffff00ull,  0xfffffffffffffffeull, 0xffffffffffffffffull,
+      0x1400};
+  for (const mem::Addr addr : probes) {
+    EXPECT_EQ(finder.object_of(addr), t.object_of(addr)) << std::hex << addr;
+  }
+  // With no live ranges every address is unknown.
+  HeapTracker empty;
+  HeapTracker::Finder none = empty.finder();
+  EXPECT_EQ(none.object_of(0x1000), kUnknownObject);
+}
+
 class ProfilerTest : public ::testing::Test {
  protected:
   Machine machine_ = Machine::xeon_e5_4650();
