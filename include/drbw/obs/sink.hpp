@@ -2,10 +2,10 @@
 // header shared by every artifact the process emits.
 //
 // These used to live in util/artifact, but the obs sinks themselves (trace
-// JSON, metrics expositions, flight dumps, run manifests) must never leave a
-// partial file behind, and obs sits *below* util in the link order.  The
-// primitives therefore live here; util/artifact re-exports them so existing
-// callers keep their spelling.
+// JSON, metrics expositions, flight dumps) must never leave a partial file
+// behind, and obs sits *below* util in the link order.  The primitives
+// therefore live here; util/artifact re-exports them so existing callers
+// keep their spelling.
 //
 //   * crc32            — CRC-32 (IEEE 802.3, reflected 0xEDB88320), in
 //     src/obs/crc32.cpp: a carry-less PCLMULQDQ fold where the CPU has one

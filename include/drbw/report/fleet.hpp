@@ -35,6 +35,7 @@
 
 #include "drbw/obs/flame.hpp"
 #include "drbw/report/postmortem.hpp"
+#include "drbw/util/json.hpp"
 
 namespace drbw::report {
 
@@ -169,14 +170,10 @@ FleetReport fleet_scan(const std::string& root, const FleetOptions& options);
 std::string render_fleet_markdown(const FleetReport& report);
 
 /// Deterministic JSON document (golden-vs-context split; --jobs omitted so
-/// the bytes are jobs-independent).  write_fleet_json adds the checksummed
-/// `#drbw-fleet v1` header and writes atomically via obs/sink.
+/// the bytes are jobs-independent).  write_fleet_json writes it under the
+/// checksummed `#drbw-fleet v1` header (util::write_versioned_artifact).
 std::string render_fleet_json(const FleetReport& report);
 void write_fleet_json(const FleetReport& report, const std::string& path);
-
-/// Atomic write of the Markdown / collapsed-stack artifacts (no header:
-/// both formats are consumed by external tools as-is).
-void write_fleet_text(const std::string& path, const std::string& content);
 
 /// tag=="span" flight breadcrumbs -> foldable spans.
 std::vector<obs::FlameSpan> flame_spans(

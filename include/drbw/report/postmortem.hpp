@@ -1,19 +1,17 @@
 // drbw::report post-mortem tooling — the read side of the provenance layer.
 //
-// The obs layer *writes* the run manifest and flight dump; this module reads
-// them back and closes the loop from failure to diagnosis:
+// The CLI writes the run manifest (report/manifest.hpp) and the obs flight
+// recorder the flight dump; this module reads them back and closes the loop
+// from failure to diagnosis:
 //
-//   * load_manifest / load_flight_dump — parse the `#drbw-manifest` /
-//     `#drbw-flight` artifacts (checksummed like everything else).
+//   * load_flight_dump — parses the `#drbw-flight` artifact (checksummed
+//     like everything else); load_manifest lives with the manifest format.
 //   * doctor(run_dir) — ranked root-cause findings for `drbw doctor`: which
 //     stage was active, which fault site or corrupt record is implicated,
 //     and what to retry.  Diagnosing a *failed* run is a success (exit 0) —
 //     the tool's whole job is reading crash sites.
 //   * perf_diff(a, b, threshold) — span-stat and counter comparison between
 //     two manifests for `drbw perf diff`; CI gates on the regression flag.
-//
-// Layering: report sits near the top, so it may use util::Json for parsing —
-// the manifest writer below obs hand-rolls its JSON instead.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +19,7 @@
 #include <utility>
 #include <vector>
 
-#include "drbw/obs/manifest.hpp"
-#include "drbw/util/json.hpp"
+#include "drbw/report/manifest.hpp"
 
 namespace drbw::report {
 
@@ -35,36 +32,6 @@ struct FlightRecord {
   std::string tag;
   std::string detail;
 };
-
-/// A loaded run manifest: the full parsed document plus the fields the
-/// doctor and perf-diff paths consume, extracted defensively (absent fields
-/// keep their defaults so partially-written manifests still diagnose).
-struct ManifestData {
-  Json document;
-  std::string subcommand;
-  std::string fault_spec;
-  bool degraded = false;  ///< run completed in a reduced mode (serve)
-  std::string drift;      ///< serve drift verdict: "" | "ok" | "suspected" |
-                          ///< "unavailable" (see obs::RunManifest)
-  std::string status = "ok";
-  std::string error_code;
-  int exit_code = 0;
-  std::string message;
-  bool has_load = false;
-  std::uint64_t records_seen = 0;
-  std::uint64_t records_ok = 0;
-  std::uint64_t records_quarantined = 0;
-  bool checksum_ok = true;
-  std::vector<std::pair<std::string, std::uint64_t>> fault_fires;
-  std::vector<obs::SpanStat> spans;
-  std::vector<std::pair<std::string, double>> counters;  ///< metrics snapshot
-  std::vector<obs::ArtifactRef> inputs;
-  std::vector<obs::ArtifactRef> outputs;
-  int jobs = 0;
-};
-
-/// Reads and validates a `#drbw-manifest` artifact (strict policy).
-ManifestData load_manifest(const std::string& path);
 
 /// Reads a `#drbw-flight` dump; records come back sorted as dumped.
 std::vector<FlightRecord> load_flight_dump(const std::string& path);
@@ -80,7 +47,7 @@ struct Finding {
 
 struct DoctorReport {
   std::string run_dir;
-  ManifestData manifest;
+  RunManifest manifest;
   bool has_flight = false;
   std::vector<FlightRecord> flight;
   std::string last_stage;  ///< last "stage" breadcrumb on the main track
@@ -120,7 +87,7 @@ struct PerfDiff {
 /// Compares span total durations and metric counters between two manifests.
 /// A row regresses when after > before * (1 + threshold) with before > 0.
 /// Baseline spans and counters the new manifest lacks become `gone` rows.
-PerfDiff perf_diff(const ManifestData& before, const ManifestData& after,
+PerfDiff perf_diff(const RunManifest& before, const RunManifest& after,
                    double threshold);
 
 /// Human-readable rendering of a PerfDiff.

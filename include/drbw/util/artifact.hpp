@@ -21,9 +21,10 @@
 //
 // The atomic-rename writer, crc32, and header formatter are implemented
 // below `obs` (drbw/obs/sink.hpp) so the observability sinks themselves —
-// trace JSON, metrics expositions, flight dumps, run manifests — share the
-// never-partial guarantee; the declarations here are thin forwards kept for
-// the historical util spelling.
+// trace JSON, metrics expositions, flight dumps — share the never-partial
+// guarantee; the declarations here are thin forwards kept for the
+// historical util spelling.  The run manifest (report/manifest) writes
+// through write_versioned_artifact like every other artifact.
 #pragma once
 
 #include <cstddef>

@@ -4,12 +4,16 @@
 // load_tree) and for machine-readable experiment artifacts.  Supports the
 // full JSON data model except surrogate-pair unicode escapes, which model
 // files never contain.  Object key order is preserved (vector of pairs) so
-// saved models diff cleanly.
+// saved models diff cleanly.  Integers stay exact: an integer token or an
+// integer constructor keeps its int64/uint64 value, so a count past 2^53
+// reads back and dumps in full.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -32,9 +36,9 @@ class Json {
   Json(std::nullptr_t) : value_(nullptr) {}  // NOLINT(google-explicit-constructor)
   Json(bool b) : value_(b) {}                // NOLINT(google-explicit-constructor)
   Json(double d) : value_(d) {}              // NOLINT(google-explicit-constructor)
-  Json(int i) : value_(static_cast<double>(i)) {}          // NOLINT
-  Json(std::int64_t i) : value_(static_cast<double>(i)) {} // NOLINT
-  Json(std::size_t i) : value_(static_cast<double>(i)) {}  // NOLINT
+  Json(int i) : value_(std::int64_t{i}) {}                 // NOLINT
+  Json(std::int64_t i) : value_(i) {}                      // NOLINT
+  Json(std::size_t i) : value_(std::uint64_t{i}) {}        // NOLINT
   Json(const char* s) : value_(std::string(s)) {}          // NOLINT
   Json(std::string s) : value_(std::move(s)) {}            // NOLINT
   Json(JsonArray a) : value_(std::move(a)) {}              // NOLINT
@@ -45,10 +49,14 @@ class Json {
   bool is_object() const { return type() == Type::kObject; }
   bool is_array() const { return type() == Type::kArray; }
 
-  /// Typed accessors; throw drbw::Error on type mismatch.
+  /// Typed accessors; throw drbw::Error on type mismatch.  as_number
+  /// converts an integer to the nearest double.
   bool as_bool() const;
   double as_number() const;
   std::int64_t as_int() const;
+  /// The exact non-negative integer a number holds (an integral double
+  /// counts); nullopt for anything else.  Never throws.
+  std::optional<std::uint64_t> as_u64() const;
   const std::string& as_string() const;
   const JsonArray& as_array() const;
   const JsonObject& as_object() const;
@@ -73,9 +81,13 @@ class Json {
  private:
   void dump_to(std::string& out, int indent, int depth) const;
 
+  // The first six alternatives follow Type; the integers are kNumber too.
   std::variant<std::nullptr_t, bool, double, std::string, JsonArray,
-               JsonObject>
+               JsonObject, std::int64_t, std::uint64_t>
       value_;
 };
+
+/// `s` as a quoted JSON string, escaped exactly as Json::dump escapes it.
+std::string json_quoted(std::string_view s);
 
 }  // namespace drbw

@@ -6,7 +6,6 @@
 #include <map>
 #include <sstream>
 
-#include "drbw/obs/sink.hpp"
 #include "drbw/serve/server.hpp"
 #include "drbw/util/artifact.hpp"
 #include "drbw/util/task_pool.hpp"
@@ -61,13 +60,13 @@ std::vector<std::string> discover_run_dirs(const std::string& root) {
   }
   std::vector<std::string> dirs;
   const fs::path root_path(root);
-  if (fs::exists(root_path / obs::kManifestFileName, ec)) {
+  if (fs::exists(root_path / kManifestFileName, ec)) {
     dirs.push_back(".");
   }
   for (fs::recursive_directory_iterator it(root_path, ec), end;
        !ec && it != end; it.increment(ec)) {
     if (!it->is_regular_file(ec)) continue;
-    if (it->path().filename() != obs::kManifestFileName) continue;
+    if (it->path().filename() != kManifestFileName) continue;
     dirs.push_back(
         fs::relative(it->path().parent_path(), root_path, ec).generic_string());
   }
@@ -84,12 +83,12 @@ FleetReport fleet_scan(const std::string& root, const FleetOptions& options) {
   const std::vector<std::string> dirs = discover_run_dirs(root);
   if (dirs.empty()) {
     throw Error("no run dirs under '" + root + "' (no " +
-                    std::string(obs::kManifestFileName) + " found)",
+                    std::string(kManifestFileName) + " found)",
                 ErrorCode::kNotFound);
   }
   report.dirs_scanned = dirs.size();
 
-  ManifestData baseline;
+  RunManifest baseline;
   const bool scan_regressions = !options.baseline_path.empty();
   if (scan_regressions) baseline = load_manifest(options.baseline_path);
 
@@ -99,7 +98,7 @@ FleetReport fleet_scan(const std::string& root, const FleetOptions& options) {
   struct Slot {
     bool corrupt = false;
     std::string error;
-    ManifestData manifest;
+    RunManifest manifest;
     bool serve_snapshot_ok = false;
     std::vector<FleetServeClient> serve_clients;
     bool drift_section = false;
@@ -109,7 +108,7 @@ FleetReport fleet_scan(const std::string& root, const FleetOptions& options) {
   util::TaskPool pool(options.jobs);
   pool.parallel_for(dirs.size(), [&](std::size_t i) {
     const std::string path =
-        join_root(root, dirs[i]) + "/" + obs::kManifestFileName;
+        join_root(root, dirs[i]) + "/" + kManifestFileName;
     try {
       slots[i].manifest = load_manifest(path);
     } catch (const Error& e) {
@@ -161,7 +160,7 @@ FleetReport fleet_scan(const std::string& root, const FleetOptions& options) {
       report.corrupt.push_back(CorruptManifest{dirs[i], slot.error});
       continue;
     }
-    const ManifestData& m = slot.manifest;
+    const RunManifest& m = slot.manifest;
     const bool failed = m.status != "ok";
     if ((options.filter_status == "ok" && failed) ||
         (options.filter_status == "failed" && !failed)) {
@@ -571,16 +570,8 @@ std::string render_fleet_json(const FleetReport& report) {
 }
 
 void write_fleet_json(const FleetReport& report, const std::string& path) {
-  const std::string body = render_fleet_json(report);
-  std::string content =
-      obs::format_artifact_header("fleet", kFleetReportVersion, body);
-  content += '\n';
-  content += body;
-  obs::atomic_write_file(path, content);
-}
-
-void write_fleet_text(const std::string& path, const std::string& content) {
-  obs::atomic_write_file(path, content);
+  util::write_versioned_artifact(path, "fleet", kFleetReportVersion,
+                                 render_fleet_json(report));
 }
 
 std::vector<obs::FlameSpan> flame_spans(
@@ -620,23 +611,16 @@ std::vector<obs::FlameSpan> flame_spans_from_trace(const Json& trace) {
     span.name = name != nullptr && name->type() == Json::Type::kString
                     ? name->as_string()
                     : std::string("?");
-    span.track = tid != nullptr && tid->type() == Json::Type::kNumber
-                     ? static_cast<std::uint64_t>(tid->as_int())
-                     : 0;
-    span.start = ts != nullptr && ts->type() == Json::Type::kNumber
-                     ? static_cast<std::uint64_t>(ts->as_int())
-                     : 0;
-    span.dur = dur != nullptr && dur->type() == Json::Type::kNumber
-                   ? static_cast<std::uint64_t>(dur->as_int())
-                   : 0;
+    span.track = tid != nullptr ? tid->as_u64().value_or(0) : 0;
+    span.start = ts != nullptr ? ts->as_u64().value_or(0) : 0;
+    span.dur = dur != nullptr ? dur->as_u64().value_or(0) : 0;
     spans.push_back(std::move(span));
   }
   return spans;
 }
 
 bool fold_run_dir(const std::string& run_dir, obs::FlameFold& fold) {
-  const std::string path =
-      run_dir + "/" + std::string(obs::kFlightFileName);
+  const std::string path = run_dir + "/" + kFlightFileName;
   std::error_code ec;
   if (!fs::exists(path, ec)) return false;
   std::vector<FlightRecord> records;

@@ -1,8 +1,8 @@
 #include "drbw/report/postmortem.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 
@@ -10,144 +10,6 @@
 #include "drbw/util/strings.hpp"
 
 namespace drbw::report {
-
-namespace {
-
-const Json* find_in(const Json* node, const char* key) {
-  return node != nullptr && node->is_object() ? node->find(key) : nullptr;
-}
-
-/// The container `key` of `node`, or nullptr when it is absent.  A member
-/// present with another type is not a partial write but a damaged
-/// manifest: Error(kCorruptArtifact) naming `path`.
-const Json* container_in(const std::string& path, const Json* node,
-                         const char* key, Json::Type type) {
-  const Json* found = find_in(node, key);
-  if (found != nullptr && found->type() != type) {
-    throw Error(path + ": manifest member '" + key + "' is not " +
-                    (type == Json::Type::kObject ? "an object" : "an array"),
-                ErrorCode::kCorruptArtifact);
-  }
-  return found;
-}
-
-std::string str_or(const Json* node, const std::string& fallback) {
-  return node != nullptr && node->type() == Json::Type::kString
-             ? node->as_string()
-             : fallback;
-}
-
-double num_or(const Json* node, double fallback) {
-  return node != nullptr && node->type() == Json::Type::kNumber
-             ? node->as_number()
-             : fallback;
-}
-
-std::uint64_t u64_or(const Json* node, std::uint64_t fallback) {
-  return node != nullptr && node->type() == Json::Type::kNumber
-             ? static_cast<std::uint64_t>(node->as_int())
-             : fallback;
-}
-
-std::vector<obs::ArtifactRef> parse_artifact_refs(const Json* node) {
-  std::vector<obs::ArtifactRef> refs;
-  if (node == nullptr) return refs;
-  for (const Json& entry : node->as_array()) {
-    if (!entry.is_object()) continue;
-    obs::ArtifactRef ref;
-    ref.role = str_or(entry.find("role"), "");
-    ref.path = str_or(entry.find("path"), "");
-    ref.kind = str_or(entry.find("kind"), "");
-    ref.version = static_cast<int>(num_or(entry.find("version"), 0));
-    ref.bytes = u64_or(entry.find("bytes"), 0);
-    const std::string crc_hex = str_or(entry.find("crc32"), "");
-    if (!crc_hex.empty()) {
-      ref.crc = static_cast<std::uint32_t>(
-          std::strtoul(crc_hex.c_str(), nullptr, 16));
-    }
-    refs.push_back(std::move(ref));
-  }
-  return refs;
-}
-
-std::vector<obs::SpanStat> parse_spans(const Json* node) {
-  std::vector<obs::SpanStat> spans;
-  if (node == nullptr) return spans;
-  for (const Json& entry : node->as_array()) {
-    if (!entry.is_object()) continue;
-    obs::SpanStat stat;
-    stat.name = str_or(entry.find("name"), "");
-    stat.count = u64_or(entry.find("count"), 0);
-    stat.total_dur = u64_or(entry.find("total_dur"), 0);
-    stat.max_dur = u64_or(entry.find("max_dur"), 0);
-    spans.push_back(std::move(stat));
-  }
-  return spans;
-}
-
-}  // namespace
-
-ManifestData load_manifest(const std::string& path) {
-  const util::VersionedArtifact artifact = util::read_versioned_artifact(
-      path, "manifest", obs::kManifestVersion, util::LoadPolicy{});
-  ManifestData m;
-  try {
-    m.document = Json::parse(artifact.body);
-  } catch (const Error& e) {
-    throw Error(path + ": " + e.what(), ErrorCode::kParse);
-  }
-  if (!m.document.is_object()) {
-    throw Error(path + ": manifest body is not a JSON object",
-                ErrorCode::kCorruptArtifact);
-  }
-  const auto object_in = [&](const Json* node, const char* key) {
-    return container_in(path, node, key, Json::Type::kObject);
-  };
-  const auto array_in = [&](const Json* node, const char* key) {
-    return container_in(path, node, key, Json::Type::kArray);
-  };
-  const Json* golden = object_in(&m.document, "golden");
-  const Json* context = object_in(&m.document, "context");
-  m.subcommand = str_or(find_in(golden, "subcommand"), "");
-  m.fault_spec = str_or(find_in(golden, "fault_spec"), "");
-  if (const Json* degraded = find_in(golden, "degraded")) {
-    m.degraded = degraded->type() == Json::Type::kBool && degraded->as_bool();
-  }
-  m.drift = str_or(find_in(golden, "drift"), "");
-  if (const Json* outcome = object_in(golden, "outcome")) {
-    m.status = str_or(find_in(outcome, "status"), "ok");
-    m.error_code = str_or(find_in(outcome, "error_code"), "");
-    m.exit_code = static_cast<int>(num_or(find_in(outcome, "exit_code"), 0));
-    m.message = str_or(find_in(outcome, "message"), "");
-  }
-  if (const Json* load = object_in(golden, "load")) {
-    m.has_load = true;
-    m.records_seen = u64_or(find_in(load, "records_seen"), 0);
-    m.records_ok = u64_or(find_in(load, "records_ok"), 0);
-    m.records_quarantined = u64_or(find_in(load, "records_quarantined"), 0);
-    const Json* ok = find_in(load, "checksum_ok");
-    m.checksum_ok =
-        ok == nullptr || ok->type() != Json::Type::kBool || ok->as_bool();
-  }
-  if (const Json* fires = object_in(golden, "fault_fires")) {
-    for (const auto& [site, count] : fires->as_object()) {
-      m.fault_fires.emplace_back(site, u64_or(&count, 0));
-    }
-  }
-  m.spans = parse_spans(array_in(golden, "spans"));
-  if (m.spans.empty()) m.spans = parse_spans(array_in(context, "spans"));
-  if (const Json* counters =
-          object_in(object_in(golden, "metrics"), "counters")) {
-    for (const auto& [name, entry] : counters->as_object()) {
-      if (!entry.is_object()) continue;
-      m.counters.emplace_back(name, num_or(entry.find("value"), 0.0));
-    }
-  }
-  m.inputs = parse_artifact_refs(array_in(golden, "inputs"));
-  m.outputs = parse_artifact_refs(array_in(golden, "outputs"));
-  m.jobs = static_cast<int>(num_or(find_in(context, "jobs"), 0));
-  return m;
-}
 
 std::vector<FlightRecord> load_flight_dump(const std::string& path) {
   const util::VersionedArtifact artifact = util::read_versioned_artifact(
@@ -161,6 +23,7 @@ std::vector<FlightRecord> load_flight_dump(const std::string& path) {
     if (trim(line).empty()) continue;
     if (line.rfind("track,", 0) == 0) continue;  // column header
     // track,seq,ts,value,tag,detail — detail is last, commas in it are safe.
+    // Each number is digits only (no sign, no blank) and fits in a u64.
     FlightRecord record;
     std::uint64_t* numeric[4] = {&record.track, &record.seq, &record.ts,
                                  &record.value};
@@ -168,21 +31,14 @@ std::vector<FlightRecord> load_flight_dump(const std::string& path) {
     bool ok = true;
     for (auto* field : numeric) {
       const std::size_t comma = line.find(',', begin);
-      if (comma == std::string::npos) {
-        ok = false;
-        break;
-      }
-      char* end = nullptr;
-      const std::string text = line.substr(begin, comma - begin);
-      *field = std::strtoull(text.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || text.empty()) {
-        ok = false;
-        break;
-      }
+      const char* end = line.data() + std::min(comma, line.size());
+      const auto [ptr, ec] = std::from_chars(line.data() + begin, end, *field);
+      ok = comma != std::string::npos && ec == std::errc() && ptr == end;
+      if (!ok) break;
       begin = comma + 1;
     }
     const std::size_t tag_comma = ok ? line.find(',', begin) : std::string::npos;
-    if (!ok || tag_comma == std::string::npos) {
+    if (tag_comma == std::string::npos) {
       throw Error(path + ":" + std::to_string(line_no) +
                       ": malformed flight record '" + line + "'",
                   ErrorCode::kParse);
@@ -213,11 +69,11 @@ DoctorReport doctor(const std::string& run_dir) {
   DoctorReport rep;
   rep.run_dir = run_dir.empty() ? "." : run_dir;
   const fs::path dir(rep.run_dir);
-  const std::string manifest_path = (dir / obs::kManifestFileName).string();
+  const std::string manifest_path = (dir / kManifestFileName).string();
   util::require_input_file(manifest_path, "run manifest");
   rep.manifest = load_manifest(manifest_path);
 
-  const std::string flight_path = (dir / obs::kFlightFileName).string();
+  const std::string flight_path = (dir / kFlightFileName).string();
   std::error_code ec;
   if (fs::exists(flight_path, ec)) {
     rep.flight = load_flight_dump(flight_path);
@@ -234,7 +90,7 @@ DoctorReport doctor(const std::string& run_dir) {
     }
   }
 
-  const ManifestData& m = rep.manifest;
+  const RunManifest& m = rep.manifest;
   int rank = 0;
   const auto add = [&](const std::string& title, const std::string& evidence,
                        const std::string& advice) {
@@ -253,7 +109,7 @@ DoctorReport doctor(const std::string& run_dir) {
           "change its seed= clause to move the fault elsewhere");
     } else if (m.error_code == "corrupt-artifact") {
       std::string evidence = "error: " + m.message;
-      if (m.has_load) {
+      if (m.has_load_stats) {
         evidence += "; load saw " + std::to_string(m.records_seen) +
                     " records, quarantined " +
                     std::to_string(m.records_quarantined) +
@@ -263,7 +119,7 @@ DoctorReport doctor(const std::string& run_dir) {
         evidence += "; input '" + m.inputs.front().path + "'";
       }
       add("corrupt input artifact", evidence,
-          m.has_load && m.records_quarantined > 0
+          m.has_load_stats && m.records_quarantined > 0
               ? "retry with --load-mode lenient and a higher "
                 "--max-bad-fraction, or regenerate the artifact with "
                 "`drbw record`"
@@ -401,7 +257,7 @@ DoctorReport doctor(const std::string& run_dir) {
       std::error_code entry_ec;
       if (!it->is_directory(entry_ec)) continue;
       if (it->path().lexically_normal() == self) continue;
-      if (fs::exists(it->path() / obs::kManifestFileName, entry_ec)) {
+      if (fs::exists(it->path() / kManifestFileName, entry_ec)) {
         siblings.push_back(it->path());
       }
     }
@@ -411,8 +267,8 @@ DoctorReport doctor(const std::string& run_dir) {
       std::size_t degraded_siblings = 0;
       for (const fs::path& sibling : siblings) {
         try {
-          const ManifestData other = load_manifest(
-              (sibling / obs::kManifestFileName).string());
+          const RunManifest other = load_manifest(
+              (sibling / kManifestFileName).string());
           if (m.status == "error" && !m.error_code.empty() &&
               other.error_code == m.error_code) {
             ++same_token;
@@ -441,7 +297,7 @@ DoctorReport doctor(const std::string& run_dir) {
 }
 
 std::string render_doctor(const DoctorReport& rep) {
-  const ManifestData& m = rep.manifest;
+  const RunManifest& m = rep.manifest;
   std::ostringstream os;
   os << "run " << rep.run_dir << ": drbw " << m.subcommand;
   if (m.status == "ok") {
@@ -469,7 +325,7 @@ std::string render_doctor(const DoctorReport& rep) {
   return os.str();
 }
 
-PerfDiff perf_diff(const ManifestData& before, const ManifestData& after,
+PerfDiff perf_diff(const RunManifest& before, const RunManifest& after,
                    double threshold) {
   PerfDiff diff;
   diff.threshold = threshold;

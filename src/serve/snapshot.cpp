@@ -1,32 +1,19 @@
 // The serve snapshot format, written and read back in one place, and the
 // console summary of a finished run.
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <limits>
 #include <optional>
 #include <sstream>
-#include <variant>
 
 #include "drbw/serve/server.hpp"
 #include "drbw/util/artifact.hpp"
 #include "drbw/util/error.hpp"
-#include "drbw/util/json.hpp"
+#include "drbw/util/json_fields.hpp"
 #include "drbw/util/stats.hpp"
 #include "drbw/util/strings.hpp"
 
 namespace drbw::serve {
 
 namespace {
-
-const char* bool_token(bool v) { return v ? "true" : "false"; }
-
-/// Fixed, locale-independent double rendering for the snapshot body.
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  return buf;
-}
 
 /// Bounds the snapshot: merges adjacent timeline rows until at most
 /// `max_rows` remain.  Counts sum, drift takes the running max, and the
@@ -62,17 +49,10 @@ std::vector<TimelineRow> downsample_timeline(
 /// Snapshot timelines never exceed this many rows (see downsample_timeline).
 constexpr std::size_t kSnapshotTimelineRows = 256;
 
-/// One snapshot member: its JSON name and the field it carries.  Counts are
-/// uint64 (client ids uint32) printed in full, scores are fmt_double, and
-/// flags are true/false.  Each object's member table below is the one
-/// place that names its members: render_snapshot writes through it and
-/// load_snapshot reads through it.
-template <typename T>
-struct Field {
-  const char* name;
-  std::variant<std::uint64_t T::*, std::uint32_t T::*, double T::*, bool T::*>
-      member;
-};
+/// One member table per snapshot object: render_snapshot writes through it
+/// and load_snapshot reads through it (util/json_fields.hpp).
+using util::Field;
+using util::Members;
 
 const Field<ServeResult> kTopFields[] = {
     {"degraded", &ServeResult::degraded},
@@ -138,146 +118,31 @@ const Field<ClientStats> kClientFields[] = {
     {"quarantined_tick", &ClientStats::quarantined_tick},
 };
 
-void put(std::ostream& os, std::uint64_t v) { os << v; }
-void put(std::ostream& os, std::uint32_t v) { os << v; }
-void put(std::ostream& os, double v) { os << fmt_double(v); }
-void put(std::ostream& os, bool v) { os << bool_token(v); }
-
-/// `"name": value` for every field of `object`, joined by `sep`.
-template <typename T, std::size_t N>
-void put_fields(std::ostream& os, const T& object, const Field<T> (&fields)[N],
-                const char* sep = ", ") {
-  for (std::size_t i = 0; i < N; ++i) {
-    os << (i == 0 ? "" : sep) << '"' << fields[i].name << "\": ";
-    std::visit([&](const auto& member) { put(os, object.*member); },
-               fields[i].member);
-  }
-}
-
-/// An array of one-line objects, one row per line.
-template <typename T, std::size_t N>
-void put_rows(std::ostream& os, const std::vector<T>& rows,
-              const Field<T> (&fields)[N]) {
-  os << '[';
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    os << (i == 0 ? "\n    {" : ",\n    {");
-    put_fields(os, rows[i], fields);
-    os << '}';
-  }
-  os << (rows.empty() ? "]" : "\n  ]");
-}
-
-/// Reads the members of one snapshot object.  An absent member keeps the
-/// caller's default; a present one must have the JSON type render_snapshot
-/// writes for it, or the whole snapshot is rejected as corrupt.
-class Members {
- public:
-  Members(const Json& node, const std::string& path, std::string where)
-      : node_(&node), path_(path), where_(std::move(where)) {
-    if (!node.is_object()) fail("is not an object");
-  }
-
-  void get(const char* key, std::uint64_t& out) const {
-    const Json* node = typed(key, Json::Type::kNumber);
-    if (node == nullptr) return;
-    const double v = node->as_number();
-    if (!(v >= 0.0 && v < 0x1p64 && v == std::floor(v))) {
-      fail(std::string("member '") + key + "' is not a non-negative integer");
-    }
-    out = static_cast<std::uint64_t>(v);
-  }
-  void get(const char* key, std::uint32_t& out) const {
-    std::uint64_t v = out;
-    get(key, v);
-    if (v > std::numeric_limits<std::uint32_t>::max()) {
-      fail(std::string("member '") + key + "' is out of range");
-    }
-    out = static_cast<std::uint32_t>(v);
-  }
-  void get(const char* key, double& out) const {
-    if (const Json* node = typed(key, Json::Type::kNumber)) {
-      out = node->as_number();
-    }
-  }
-  void get(const char* key, bool& out) const {
-    if (const Json* node = typed(key, Json::Type::kBool)) out = node->as_bool();
-  }
-  template <typename T, std::size_t N>
-  void get_fields(T& object, const Field<T> (&fields)[N]) const {
-    for (const Field<T>& field : fields) {
-      std::visit([&](const auto& member) { get(field.name, object.*member); },
-                 field.member);
-    }
-  }
-
-  /// The members of nested object `key` (nullopt when absent).
-  std::optional<Members> object(const char* key) const {
-    const Json* node = typed(key, Json::Type::kObject);
-    if (node == nullptr) return std::nullopt;
-    return Members(*node, path_, child(key));
-  }
-  /// Each element of array `key` as Members (none when absent).
-  std::vector<Members> rows(const char* key) const {
-    std::vector<Members> out;
-    const Json* node = typed(key, Json::Type::kArray);
-    if (node == nullptr) return out;
-    for (const Json& row : node->as_array()) {
-      out.emplace_back(row, path_,
-                       child(key) + "[" + std::to_string(out.size()) + "]");
-    }
-    return out;
-  }
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw Error(path_ + ": corrupt serve snapshot: " +
-                    (where_.empty() ? std::string("body") : where_) + " " +
-                    what,
-                ErrorCode::kCorruptArtifact);
-  }
-
- private:
-  const Json* typed(const char* key, Json::Type type) const {
-    const Json* node = node_->find(key);
-    if (node != nullptr && node->type() != type) {
-      fail(std::string("member '") + key + "' has the wrong type");
-    }
-    return node;
-  }
-
-  std::string child(const char* key) const {
-    return where_.empty() ? std::string(key) : where_ + "." + key;
-  }
-
-  const Json* node_;
-  std::string path_;
-  std::string where_;  ///< "" for the root, else e.g. "drift.clients[2]"
-};
-
 }  // namespace
 
 std::string render_snapshot(const ServeResult& r) {
   std::ostringstream os;
   os << "{\n  \"" << kSnapshotVersionMember << "\": " << kServeSnapshotVersion
      << ",\n  ";
-  put_fields(os, r, kTopFields, ",\n  ");
+  util::put_fields(os, r, kTopFields, ",\n  ");
   os << ",\n  \"samples\": {";
-  put_fields(os, r, kSampleFields);
+  util::put_fields(os, r, kSampleFields);
   os << "},\n  \"windows\": {";
-  put_fields(os, r, kWindowFields);
+  util::put_fields(os, r, kWindowFields);
   os << "},\n  \"timeline\": ";
-  put_rows(os, downsample_timeline(r.timeline, kSnapshotTimelineRows),
-           kTimelineFields);
+  util::put_rows(os, downsample_timeline(r.timeline, kSnapshotTimelineRows),
+                 kTimelineFields, 2);
   if (r.drift_available) {
     os << ",\n  \"drift\": {";
-    put_fields(os, r, kDriftFields);
+    util::put_fields(os, r, kDriftFields);
     os << ", \"clients\": ";
-    put_rows(os, r.model_health, kHealthFields);
+    util::put_rows(os, r.model_health, kHealthFields, 2);
     os << '}';
   }
   os << ",\n  \"faults\": {";
-  put_fields(os, r, kFaultFields);
+  util::put_fields(os, r, kFaultFields);
   os << "},\n  \"clients\": ";
-  put_rows(os, r.clients, kClientFields);
+  util::put_rows(os, r.clients, kClientFields, 2);
   os << "\n}\n";
   return os.str();
 }
@@ -286,7 +151,7 @@ Snapshot load_snapshot(const std::string& path) {
   const util::VersionedArtifact artifact = util::read_versioned_artifact(
       path, kSnapshotKind, kServeSnapshotVersion, util::LoadPolicy{});
   const Json doc = Json::parse(artifact.body);
-  const Members root(doc, path, "");
+  const Members root(doc, path, "serve snapshot");
   Snapshot snap;
   std::uint64_t version = 0;  // no snapshot version is 0
   root.get(kSnapshotVersionMember, version);
@@ -300,28 +165,16 @@ Snapshot load_snapshot(const std::string& path) {
 
   ServeResult& r = snap.result;
   root.get_fields(r, kTopFields);
-  if (const std::optional<Members> samples = root.object("samples")) {
-    samples->get_fields(r, kSampleFields);
-  }
-  if (const std::optional<Members> windows = root.object("windows")) {
-    windows->get_fields(r, kWindowFields);
-  }
-  for (const Members& row : root.rows("timeline")) {
-    row.get_fields(r.timeline.emplace_back(), kTimelineFields);
-  }
+  root.get_object("samples", r, kSampleFields);
+  root.get_object("windows", r, kWindowFields);
+  root.get_rows("timeline", r.timeline, kTimelineFields);
   if (const std::optional<Members> drift = root.object("drift")) {
     r.drift_available = true;
     drift->get_fields(r, kDriftFields);
-    for (const Members& row : drift->rows("clients")) {
-      row.get_fields(r.model_health.emplace_back(), kHealthFields);
-    }
+    drift->get_rows("clients", r.model_health, kHealthFields);
   }
-  if (const std::optional<Members> faults = root.object("faults")) {
-    faults->get_fields(r, kFaultFields);
-  }
-  for (const Members& row : root.rows("clients")) {
-    row.get_fields(r.clients.emplace_back(), kClientFields);
-  }
+  root.get_object("faults", r, kFaultFields);
+  root.get_rows("clients", r.clients, kClientFields);
   return snap;
 }
 

@@ -22,8 +22,8 @@
 namespace drbw::util {
 
 // The writer primitives live below obs (src/obs/sink.cpp) so the trace,
-// metrics, flight-recorder, and manifest sinks share the same never-partial
-// guarantee; these thin forwards keep the historical util spelling.
+// metrics and flight-recorder sinks share the same never-partial guarantee;
+// these thin forwards keep the historical util spelling.
 std::uint32_t crc32(std::string_view data) { return obs::crc32(data); }
 
 LoadPolicy load_policy_from_name(const std::string& name,

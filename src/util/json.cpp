@@ -1,6 +1,7 @@
 #include "drbw/util/json.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -8,7 +9,8 @@
 namespace drbw {
 
 Json::Type Json::type() const {
-  return static_cast<Type>(value_.index());
+  const std::size_t index = value_.index();
+  return index > 5 ? Type::kNumber : static_cast<Type>(index);
 }
 
 bool Json::as_bool() const {
@@ -17,17 +19,34 @@ bool Json::as_bool() const {
 }
 
 double Json::as_number() const {
+  if (const auto* i = std::get_if<std::int64_t>(&value_)) {
+    return static_cast<double>(*i);
+  }
+  if (const auto* u = std::get_if<std::uint64_t>(&value_)) {
+    return static_cast<double>(*u);
+  }
   DRBW_CHECK_MSG(std::holds_alternative<double>(value_),
                  "JSON value is not a number");
   return std::get<double>(value_);
 }
 
 std::int64_t Json::as_int() const {
-  const double d = as_number();
-  const auto i = static_cast<std::int64_t>(std::llround(d));
-  DRBW_CHECK_MSG(std::abs(d - static_cast<double>(i)) < 1e-9,
-                 "JSON number " << d << " is not integral");
-  return i;
+  if (const auto* i = std::get_if<std::int64_t>(&value_)) return *i;
+  const std::optional<std::uint64_t> u = as_u64();
+  DRBW_CHECK_MSG(u.has_value() && *u <= static_cast<std::uint64_t>(INT64_MAX),
+                 "JSON value " << dump(-1) << " is not an int64");
+  return static_cast<std::int64_t>(*u);
+}
+
+std::optional<std::uint64_t> Json::as_u64() const {
+  if (const auto* u = std::get_if<std::uint64_t>(&value_)) return *u;
+  const auto* i = std::get_if<std::int64_t>(&value_);
+  if (i != nullptr && *i >= 0) return static_cast<std::uint64_t>(*i);
+  const auto* d = std::get_if<double>(&value_);
+  if (d != nullptr && *d >= 0.0 && *d < 0x1p64 && *d == std::floor(*d)) {
+    return static_cast<std::uint64_t>(*d);
+  }
+  return std::nullopt;
 }
 
 const std::string& Json::as_string() const {
@@ -91,7 +110,7 @@ void Json::push_back(Json value) {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
+void append_escaped(std::string& out, std::string_view s) {
   out += '"';
   for (char c : s) {
     switch (c) {
@@ -141,7 +160,15 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
   switch (type()) {
     case Type::kNull: out += "null"; break;
     case Type::kBool: out += std::get<bool>(value_) ? "true" : "false"; break;
-    case Type::kNumber: append_number(out, std::get<double>(value_)); break;
+    case Type::kNumber:
+      if (const auto* i = std::get_if<std::int64_t>(&value_)) {
+        out += std::to_string(*i);
+      } else if (const auto* u = std::get_if<std::uint64_t>(&value_)) {
+        out += std::to_string(*u);
+      } else {
+        append_number(out, std::get<double>(value_));
+      }
+      break;
     case Type::kString: append_escaped(out, std::get<std::string>(value_)); break;
     case Type::kArray: {
       const auto& arr = std::get<JsonArray>(value_);
@@ -182,6 +209,12 @@ void Json::dump_to(std::string& out, int indent, int depth) const {
       break;
     }
   }
+}
+
+std::string json_quoted(std::string_view s) {
+  std::string out;
+  append_escaped(out, s);
+  return out;
 }
 
 std::string Json::dump(int indent) const {
@@ -379,6 +412,17 @@ class Parser {
     }
     if (!saw_digit) fail("invalid number");
     const std::string token(text_.substr(start, pos_ - start));
+    // An integer token is exact when it fits: int64 below zero, else uint64.
+    const char* first = token.data() + (token[0] == '+' ? 1 : 0);
+    const char* last = token.data() + token.size();
+    std::uint64_t u = 0;
+    std::int64_t i = 0;
+    const std::from_chars_result exact =
+        token[0] == '-' ? std::from_chars(first, last, i)
+                        : std::from_chars(first, last, u);
+    if (exact.ec == std::errc() && exact.ptr == last) {
+      return token[0] == '-' ? Json(i) : Json(u);
+    }
     return Json(std::strtod(token.c_str(), nullptr));
   }
 

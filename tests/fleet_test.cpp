@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "drbw/obs/flame.hpp"
-#include "drbw/obs/manifest.hpp"
 #include "drbw/report/fleet.hpp"
+#include "drbw/report/manifest.hpp"
 #include "drbw/report/postmortem.hpp"
 #include "drbw/util/error.hpp"
 #include "drbw/util/json.hpp"
@@ -283,7 +283,7 @@ TEST(FleetDoctorTest, SharedErrorTokenSiblingsAreCounted) {
   for (const char* name : {"a", "b", "c"}) {
     fs::create_directories(parent + "/" + name);
     fs::copy_file(kFleetDir + "/fail_corrupt/run.json",
-                  parent + "/" + name + "/" + obs::kManifestFileName);
+                  parent + "/" + name + "/" + report::kManifestFileName);
   }
   const report::DoctorReport rep = report::doctor(parent + "/a");
   const auto corpus = std::find_if(
@@ -301,7 +301,7 @@ TEST(FleetDoctorTest, LoneRunDirGetsNoCorpusFinding) {
   fs::remove_all(parent);
   fs::create_directories(parent + "/only");
   fs::copy_file(kFleetDir + "/ok_lenient/run.json",
-                parent + "/only/" + obs::kManifestFileName);
+                parent + "/only/" + report::kManifestFileName);
   const report::DoctorReport rep = report::doctor(parent + "/only");
   for (const report::Finding& f : rep.findings) {
     EXPECT_EQ(f.title.find("part of a corpus"), std::string::npos) << f.title;

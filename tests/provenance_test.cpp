@@ -27,10 +27,10 @@
 #include "drbw/ml/decision_tree.hpp"
 #include "drbw/obs/flame.hpp"
 #include "drbw/obs/flight_recorder.hpp"
-#include "drbw/obs/manifest.hpp"
 #include "drbw/obs/trace.hpp"
 #include "drbw/pebs/trace_io.hpp"
 #include "drbw/report/fleet.hpp"
+#include "drbw/report/manifest.hpp"
 #include "drbw/report/postmortem.hpp"
 #include "drbw/util/artifact.hpp"
 #include "drbw/util/json.hpp"
@@ -38,6 +38,9 @@
 
 namespace drbw {
 namespace {
+
+using report::ArtifactRef;
+using report::RunManifest;
 
 const std::string kDataDir = DRBW_TEST_DATA_DIR;
 
@@ -214,13 +217,13 @@ TEST(FlightRecorderTest, WallSpansShareOneClockWithoutTheTraceSink) {
 // ---------------------------------------------------------------------------
 // In-process: manifest round-trip
 
-obs::RunManifest sample_manifest() {
-  obs::RunManifest m;
+RunManifest sample_manifest() {
+  RunManifest m;
   m.subcommand = "analyze";
   m.config = {{"load-mode", "lenient"}, {"trace", "t.csv"}};
   m.fault_spec = "seed=3,trace.read:corrupt:0.5";
-  m.inputs.push_back(obs::ArtifactRef{"trace-in", "t.csv", "trace", 2,
-                                      0xdeadbeefu, 1234});
+  m.inputs.push_back(
+      ArtifactRef{"trace-in", "t.csv", "trace", 2, 0xdeadbeefu, 1234});
   m.has_load_stats = true;
   m.records_seen = 100;
   m.records_ok = 90;
@@ -236,34 +239,143 @@ obs::RunManifest sample_manifest() {
   return m;
 }
 
+/// Every optional golden member set, and free text that needs escaping.
+RunManifest full_manifest() {
+  RunManifest m = sample_manifest();
+  m.subcommand = "train";
+  m.config.emplace_back("out", "dir with \"quotes\"\\m.json");
+  m.degraded = true;
+  m.drift = "suspected";
+  m.has_model_shape = true;
+  m.model_nodes = 21;
+  m.model_leaves = 11;
+  m.model_depth = 6;
+  m.model_splits = {{"n_remote_dram", 4}, {"avg_latency", 6}};
+  m.inputs.push_back(ArtifactRef{"model-in", "m.json", "model", 3, 0x00c0ffeeu,
+                                 3519});
+  m.outputs.push_back(ArtifactRef{"model-out", "out/m.json", "raw", 0, 7, 0});
+  m.fault_fires.emplace_back("model.write:truncate", 1);
+  m.spans.push_back(obs::SpanStat{"train", 3, 18446744073709551615u, 12});
+  m.metrics_json =
+      "{\n  \"counters\": {\n    \"drbw_x_total\": {\"help\": \"x\", "
+      "\"value\": 3}\n  },\n  \"gauges\": {},\n  \"histograms\": {}\n}\n \n";
+  m.message = "line one\nline\ttwo \x01 \"q\" \\ end";
+  m.timing = "sim";
+  m.flight_events = 1004;
+  m.flight_dropped = 2;
+  m.minor_faults = 13446;
+  m.peak_rss_kib = 52000;
+  return m;
+}
+
+/// A passing `--timing wall` run: its spans sit in the context block.
+RunManifest wall_manifest() {
+  RunManifest m;
+  m.subcommand = "analyze";
+  m.spans_golden = false;
+  m.timing = "wall";
+  m.spans = {obs::SpanStat{"classify", 1, 812, 812},
+             obs::SpanStat{"profile", 2, 4100, 3000}};
+  m.jobs = 1;
+  m.flight_events = 9;
+  return m;
+}
+
+/// The written manifest, header line included, is pinned by committed
+/// files: any change to the run.json bytes shows up here first.
+TEST(ManifestTest, WriterBytesArePinned) {
+  const std::pair<RunManifest, const char*> cases[] = {
+      {full_manifest(), "manifest_full.json"},
+      {wall_manifest(), "manifest_wall.json"}};
+  for (const auto& [manifest, expected] : cases) {
+    const std::string path =
+        testing::TempDir() + "/prov_pinned_" + std::string(expected);
+    manifest.write(path);
+    EXPECT_EQ(read_file(path), read_file(kDataDir + "/" + expected))
+        << expected;
+  }
+}
+
+/// load_manifest returns the RunManifest that was written: every member
+/// renders back to the same bytes, and the metrics block comes back as its
+/// counters.
 TEST(ManifestTest, WriteLoadRoundTripsThroughChecksummedHeader) {
   const std::string path = testing::TempDir() + "/prov_manifest.json";
-  sample_manifest().write(path);
+  for (const RunManifest& written :
+       {sample_manifest(), full_manifest(), wall_manifest()}) {
+    written.write(path);
+    // The artifact layer validates the CRC on the way back in.
+    (void)util::read_versioned_artifact(
+        path, "manifest", report::kManifestVersion, util::LoadPolicy{});
+    const RunManifest loaded = report::load_manifest(path);
+    RunManifest expected = written;
+    expected.metrics_json.clear();
+    EXPECT_EQ(loaded.to_json(), expected.to_json());
+    EXPECT_TRUE(loaded.metrics_json.empty());
+    EXPECT_EQ(loaded.counters,
+              (written.metrics_json.empty()
+                   ? std::vector<std::pair<std::string, double>>{}
+                   : std::vector<std::pair<std::string, double>>{
+                         {"drbw_x_total", 3.0}}));
+  }
+}
 
-  // The artifact layer validates the CRC on the way back in.
-  (void)util::read_versioned_artifact(path, "manifest", obs::kManifestVersion,
-                                      util::LoadPolicy{});
+/// Every manifest the repo commits loads through the strict reader, and
+/// perf diff of each against itself is clean: the fleet fixtures, and the
+/// perf baselines CI's perf gate compares new runs with.
+TEST(ManifestTest, CommittedManifestsLoadAndDiffClean) {
+  namespace fs = std::filesystem;
+  std::vector<std::string> paths;
+  for (const fs::directory_entry& dir :
+       fs::directory_iterator(kDataDir + "/fleet")) {
+    if (dir.is_directory() && dir.path().filename() != "corrupt_manifest") {
+      paths.push_back((dir.path() / report::kManifestFileName).string());
+    }
+  }
+  for (const fs::directory_entry& file :
+       fs::directory_iterator(std::string(DRBW_SOURCE_ROOT) + "/bench")) {
+    if (starts_with(file.path().filename().string(), "perf_baseline_")) {
+      paths.push_back(file.path().string());
+    }
+  }
+  EXPECT_EQ(paths.size(), 7u + 6u);
+  for (const std::string& path : paths) {
+    RunManifest m;
+    try {
+      m = report::load_manifest(path);
+    } catch (const Error& e) {
+      ADD_FAILURE() << e.what();
+      continue;
+    }
+    EXPECT_FALSE(m.subcommand.empty()) << path;
+    EXPECT_FALSE(report::perf_diff(m, m, 0.0).regressed) << path;
+  }
+}
 
-  const report::ManifestData m = report::load_manifest(path);
-  EXPECT_EQ(m.subcommand, "analyze");
-  EXPECT_EQ(m.fault_spec, "seed=3,trace.read:corrupt:0.5");
-  EXPECT_EQ(m.status, "error");
-  EXPECT_EQ(m.error_code, "corrupt-artifact");
-  EXPECT_EQ(m.exit_code, 68);
-  EXPECT_EQ(m.message, "too damaged");
-  ASSERT_TRUE(m.has_load);
-  EXPECT_EQ(m.records_seen, 100u);
-  EXPECT_EQ(m.records_quarantined, 10u);
-  EXPECT_FALSE(m.checksum_ok);
-  ASSERT_EQ(m.fault_fires.size(), 1u);
-  EXPECT_EQ(m.fault_fires[0].first, "trace.read:corrupt");
-  EXPECT_EQ(m.fault_fires[0].second, 10u);
-  ASSERT_EQ(m.spans.size(), 1u);
-  EXPECT_EQ(m.spans[0].name, "phase:main");
-  EXPECT_EQ(m.spans[0].total_dur, 5000u);
-  ASSERT_EQ(m.inputs.size(), 1u);
-  EXPECT_EQ(m.inputs[0].crc, 0xdeadbeefu);
-  EXPECT_EQ(m.jobs, 4);
+/// Flight-dump numbers are digits only and fit in a u64: a sign, a blank
+/// or an overflow is a malformed record, never a wrapped seq.
+TEST(FlightDumpTest, NumbersAreDigitsOnly) {
+  const std::string path = testing::TempDir() + "/prov_flight_digits.log";
+  const std::string header = "track,seq,ts,value,tag,detail\n";
+  util::write_versioned_artifact(path, "flight", obs::kFlightVersion,
+                                 header + "0,18446744073709551615,0,0,a,b\n");
+  ASSERT_EQ(report::load_flight_dump(path).size(), 1u);
+  EXPECT_EQ(report::load_flight_dump(path)[0].seq, UINT64_MAX);
+  for (const char* line :
+       {"0,-1,0,0,stage,load", "0,+1,0,0,stage,load", "0, 1,0,0,stage,load",
+        "0,,0,0,stage,load", "0,18446744073709551616,0,0,stage,load",
+        "0,1x,0,0,stage,load", "0,1,0,0"}) {
+    util::write_versioned_artifact(
+        path, "flight", obs::kFlightVersion,
+        header + "0,0,0,0,stage,classify\n" + line + "\n");
+    ErrorCode code = ErrorCode::kGeneric;
+    try {
+      (void)report::load_flight_dump(path);
+    } catch (const Error& e) {
+      code = e.code();
+    }
+    EXPECT_EQ(code, ErrorCode::kParse) << line;
+  }
 }
 
 TEST(ManifestTest, CorruptedManifestIsRejected) {
@@ -290,12 +402,12 @@ TEST(ManifestTest, CorruptedManifestIsRejected) {
 TEST(ManifestTest, DoctorRanksInjectedFaultFirst) {
   const std::string dir = testing::TempDir() + "/prov_doctor_run";
   std::filesystem::create_directories(dir);
-  obs::RunManifest m = sample_manifest();
+  RunManifest m = sample_manifest();
   m.status = "error";
   m.error_code = "fault-injected";
   m.exit_code = 70;
   m.message = "injected diagnoser failure";
-  m.write(dir + "/" + obs::kManifestFileName);
+  m.write(dir + "/" + report::kManifestFileName);
 
   const report::DoctorReport rep = report::doctor(dir);
   ASSERT_FALSE(rep.findings.empty());
@@ -383,8 +495,8 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // In-process: perf diff
 
-report::ManifestData perf_fixture(double span_dur, double counter_val) {
-  report::ManifestData m;
+RunManifest perf_fixture(double span_dur, double counter_val) {
+  RunManifest m;
   m.spans.push_back(obs::SpanStat{
       "phase:main", 1, static_cast<std::uint64_t>(span_dur),
       static_cast<std::uint64_t>(span_dur)});
@@ -479,26 +591,24 @@ TEST(ProvenanceCliTest, ManifestAndFlightAreJobsIndependent) {
   ASSERT_EQ(run_cli("train --jobs 4 --out " + model + " --run-dir " + d4), 0);
 
   // Flight dumps: byte-identical, full file including the header.
-  EXPECT_EQ(read_file(d1 + "/" + obs::kFlightFileName),
-            read_file(d4 + "/" + obs::kFlightFileName));
+  EXPECT_EQ(read_file(d1 + "/" + report::kFlightFileName),
+            read_file(d4 + "/" + report::kFlightFileName));
 
   // Manifests: identical apart from the header, "jobs": and the two
   // process-measurement context lines (minor faults, peak RSS).
-  const std::string m1 = read_file(d1 + "/" + obs::kManifestFileName);
-  const std::string m4 = read_file(d4 + "/" + obs::kManifestFileName);
+  const std::string m1 = read_file(d1 + "/" + report::kManifestFileName);
+  const std::string m4 = read_file(d4 + "/" + report::kManifestFileName);
   EXPECT_EQ(golden_view(m1), golden_view(m4));
   EXPECT_NE(m1, m4);  // the jobs line itself must differ
 
   // The ring never wrapped, so the last-N selection was total.
-  const report::ManifestData parsed =
-      report::load_manifest(d1 + "/" + obs::kManifestFileName);
-  const Json* context = parsed.document.find("context");
-  ASSERT_NE(context, nullptr);
-  EXPECT_EQ(context->at("flight_dropped").as_int(), 0);
-  EXPECT_GT(context->at("flight_events").as_int(), 0);
+  const RunManifest parsed =
+      report::load_manifest(d1 + "/" + report::kManifestFileName);
+  EXPECT_EQ(parsed.flight_dropped, 0u);
+  EXPECT_GT(parsed.flight_events, 0u);
   // The process's own cost, read when the manifest was written.
-  EXPECT_GT(context->at("minor_faults").as_int(), 0);
-  EXPECT_GT(context->at("peak_rss_kib").as_int(), 0);
+  EXPECT_GT(parsed.minor_faults, 0u);
+  EXPECT_GT(parsed.peak_rss_kib, 0u);
 }
 
 struct CorpusCase {
@@ -556,7 +666,7 @@ TEST(ProvenanceCliTest, UnmatchedFreeIsACorruptArtifact) {
                              "A,x,4096,64\nF,8192\nS,4096,0,1,LDR,500,0,10\n",
                              dir),
             68);
-  const std::string manifest = read_file(dir + "/" + obs::kManifestFileName);
+  const std::string manifest = read_file(dir + "/" + report::kManifestFileName);
   EXPECT_NE(manifest.find("corrupt-artifact"), std::string::npos);
   EXPECT_NE(manifest.find("no matching allocation"), std::string::npos);
 }
@@ -591,7 +701,7 @@ TEST(ProvenanceCliTest, TraceIndexArtifactIsAParseError) {
   EXPECT_EQ(run_cli("convert --in " + index + " --out " + testing::TempDir() +
                     "/prov_index_out.bin"),
             67);
-  const std::string manifest = read_file(dir + "/" + obs::kManifestFileName);
+  const std::string manifest = read_file(dir + "/" + report::kManifestFileName);
   EXPECT_NE(manifest.find("artifact kind is 'trace-index', expected 'trace'"),
             std::string::npos)
       << manifest;
@@ -618,7 +728,7 @@ TEST(ProvenanceCliTest, WallTimingFoldsAnalyzeStagesSideBySide) {
     ASSERT_EQ(rc, 2);  // contention detected
     obs::FlameFold fold;
     fold.add(report::flame_spans(
-        report::load_flight_dump(dir + "/" + obs::kFlightFileName)));
+        report::load_flight_dump(dir + "/" + report::kFlightFileName)));
     const std::string collapsed = fold.collapsed();
     std::istringstream lines(collapsed);
     std::string line;
@@ -672,12 +782,12 @@ TEST(ProvenanceCliTest, LenientCapBoundaryIsExact) {
                     " --load-mode lenient --max-bad-fraction 0.19 --run-dir " +
                     below),
             68);
-  const report::ManifestData ok =
-      report::load_manifest(at_cap + "/" + obs::kManifestFileName);
+  const RunManifest ok =
+      report::load_manifest(at_cap + "/" + report::kManifestFileName);
   EXPECT_EQ(ok.status, "ok");
   EXPECT_EQ(ok.records_quarantined, 2u);
-  const report::ManifestData bad =
-      report::load_manifest(below + "/" + obs::kManifestFileName);
+  const RunManifest bad =
+      report::load_manifest(below + "/" + report::kManifestFileName);
   EXPECT_EQ(bad.error_code, "corrupt-artifact");
   EXPECT_EQ(bad.records_quarantined, 2u);
 }
@@ -685,13 +795,13 @@ TEST(ProvenanceCliTest, LenientCapBoundaryIsExact) {
 TEST(ProvenanceCliTest, PerfDiffGateExitsThreeOnRegression) {
   const std::string a = testing::TempDir() + "/prov_perf_a.json";
   const std::string b = testing::TempDir() + "/prov_perf_b.json";
-  obs::RunManifest before = sample_manifest();
+  RunManifest before = sample_manifest();
   before.status = "ok";
   before.error_code.clear();
   before.exit_code = 0;
   before.spans = {obs::SpanStat{"phase:main", 1, 1000, 1000}};
   before.write(a);
-  obs::RunManifest after = before;
+  RunManifest after = before;
   after.spans = {obs::SpanStat{"phase:main", 1, 2000, 2000}};
   after.write(b);
 
@@ -716,7 +826,7 @@ TEST(ProvenanceCliTest, PerfDiffGateExitsThreeOnRegression) {
 
   // A span missing from the new manifest is informational: exit stays 0.
   const std::string c = testing::TempDir() + "/prov_perf_c.json";
-  obs::RunManifest fewer = before;
+  RunManifest fewer = before;
   fewer.spans.clear();
   fewer.write(c);
   EXPECT_EQ(run_cli("perf diff " + a + " " + c), 0);
@@ -724,18 +834,29 @@ TEST(ProvenanceCliTest, PerfDiffGateExitsThreeOnRegression) {
 
 TEST(ProvenanceCliTest, TypeConfusedManifestsAreCorruptArtifacts) {
   // Checksum-valid manifests whose JSON has the wrong shape: a root that is
-  // not an object, and a golden member of the wrong type.  doctor and perf
-  // diff read neither, and say so with exit 68 (not 1).
+  // not an object, a golden member of the wrong type, a count that is not a
+  // non-negative integer in range, and an array entry that is not an
+  // object.  doctor and perf diff read none, and say so with exit 68 (not
+  // 1, and never a silent default).
   const std::string good = testing::TempDir() + "/prov_shape_good.json";
-  obs::RunManifest ok = sample_manifest();
+  RunManifest ok = sample_manifest();
   ok.write(good);
-  for (const char* body :
-       {"[]\n", R"({"golden": {"outcome": "x"}})" "\n",
-        R"({"golden": []})" "\n", R"({"golden": {"spans": {}}})" "\n"}) {
+  for (const char* body : {
+           "[]\n",
+           R"({"golden": {"outcome": "x"}})" "\n",
+           R"({"golden": []})" "\n",
+           R"({"golden": {"spans": {}}})" "\n",
+           R"({"golden": {"spans": [{"name": "a", "count": 1.5}]}})",
+           R"({"golden": {"spans": [{"name": "a", "count": -3}]}})",
+           R"({"golden": {"load": {"records_seen": 1e300}}})",
+           R"({"golden": {"outcome": {"exit_code": "74"}}})",
+           R"({"golden": {"degraded": "yes"}})",
+           R"({"golden": {"inputs": ["t.csv"]}})",
+       }) {
     const std::string dir = make_run_dir("shape");
-    const std::string manifest = dir + "/" + obs::kManifestFileName;
+    const std::string manifest = dir + "/" + report::kManifestFileName;
     util::write_versioned_artifact(manifest, "manifest",
-                                   obs::kManifestVersion, body);
+                                   report::kManifestVersion, body);
     try {
       (void)report::load_manifest(manifest);
       ADD_FAILURE() << "loaded " << body;

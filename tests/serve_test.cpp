@@ -1016,6 +1016,13 @@ TEST(ServeSnapshotTest, LoadRendersDriftFlagsAndDownsampledTimelinesBack) {
       serve::Server(machine, nullptr, fine).run(trace);
   EXPECT_EQ(reload(degraded, path), degraded.snapshot_json);
   EXPECT_FALSE(serve::load_snapshot(path).result.drift_available);
+  // Counts past 2^53 read back exactly, not rounded through a double.
+  serve::ServeResult big = degraded;
+  big.samples_dropped = (std::uint64_t{1} << 53) + 1;
+  big.snapshot_json = serve::render_snapshot(big);
+  EXPECT_EQ(reload(big, path), big.snapshot_json);
+  EXPECT_EQ(serve::load_snapshot(path).result.samples_dropped,
+            (std::uint64_t{1} << 53) + 1);
 }
 
 /// Checksum-valid snapshots whose bodies render_snapshot cannot have

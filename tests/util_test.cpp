@@ -269,6 +269,24 @@ TEST(Json, ParsesEscapesAndNumbers) {
   EXPECT_EQ(v.at("s").as_string(), "a\nb\"c");
   EXPECT_DOUBLE_EQ(v.at("n").as_number(), -150.0);
   EXPECT_EQ(v.at("u").as_string(), "A");
+
+  // Integer tokens stay exact past 2^53 and dump in full; a token past the
+  // integer range, or with a fraction or exponent, is a double.
+  const Json ints = Json::parse(
+      "[9007199254740993, -9223372036854775808, 18446744073709551615, "
+      "18446744073709551616, 1.0, -1]");
+  EXPECT_EQ(ints.dump(-1),
+            "[9007199254740993,-9223372036854775808,18446744073709551615,"
+            "1.8446744073709552e+19,1,-1]");
+  const JsonArray& a = ints.as_array();
+  EXPECT_EQ(a[0].as_u64(), std::optional<std::uint64_t>(9007199254740993u));
+  EXPECT_EQ(a[1].as_int(), INT64_MIN);
+  EXPECT_EQ(a[1].as_u64(), std::nullopt);
+  EXPECT_EQ(a[2].as_u64(), std::optional<std::uint64_t>(UINT64_MAX));
+  EXPECT_EQ(a[3].as_u64(), std::nullopt);
+  EXPECT_EQ(a[4].as_u64(), std::optional<std::uint64_t>(1));
+  EXPECT_EQ(a[5].as_int(), -1);
+  EXPECT_EQ(Json(std::size_t{9007199254740993u}).dump(), "9007199254740993");
 }
 
 TEST(Json, RejectsMalformed) {

@@ -36,13 +36,13 @@
 #include "drbw/fault/injector.hpp"
 #include "drbw/features/selected.hpp"
 #include "drbw/obs/flight_recorder.hpp"
-#include "drbw/obs/manifest.hpp"
 #include "drbw/obs/trace.hpp"
 #include "drbw/pebs/session.hpp"
 #include "drbw/pebs/trace_io.hpp"
 #include "drbw/obs/flame.hpp"
 #include "drbw/report/explain.hpp"
 #include "drbw/report/fleet.hpp"
+#include "drbw/report/manifest.hpp"
 #include "drbw/report/markdown.hpp"
 #include "drbw/report/postmortem.hpp"
 #include "drbw/serve/server.hpp"
@@ -152,7 +152,7 @@ struct RunSession {
     for (const auto& [name, value] : parser_.resolved_options()) {
       if (name == "jobs") {
         manifest_.jobs = jobs_option(parser_);
-        continue;  // context, not golden — see obs/manifest.hpp
+        continue;  // context, not golden — see report/manifest.hpp
       }
       if (name == "run-dir") continue;  // the manifest's own location
       manifest_.config.emplace_back(name, value);
@@ -210,25 +210,9 @@ struct RunSession {
     manifest_.outputs.push_back(make_ref(role, path));
   }
 
-  /// Marks the run as degraded (completed in a reduced mode, e.g. serve
-  /// without a usable model); recorded in the manifest's golden block.
-  void set_degraded(bool degraded) { manifest_.degraded = degraded; }
-
-  /// Records serve's drift verdict ("ok" | "suspected" | "unavailable") in
-  /// the manifest's golden block — what `drbw doctor` and fleet read.
-  void set_drift(std::string verdict) { manifest_.drift = std::move(verdict); }
-
-  /// Records `drbw train`'s tree-shape provenance (node/leaf counts, depth,
-  /// per-feature split counts) in the manifest's golden block.
-  void set_model_shape(
-      std::size_t nodes, std::size_t leaves, int depth,
-      std::vector<std::pair<std::string, std::uint64_t>> splits) {
-    manifest_.has_model_shape = true;
-    manifest_.model_nodes = nodes;
-    manifest_.model_leaves = leaves;
-    manifest_.model_depth = static_cast<std::uint64_t>(depth);
-    manifest_.model_splits = std::move(splits);
-  }
+  /// The run's manifest, for the golden members a subcommand adds: serve's
+  /// degraded flag and drift verdict, train's tree shape.
+  report::RunManifest& manifest() { return manifest_; }
 
   void set_load_stats(const util::LoadStats& stats) {
     manifest_.has_load_stats = true;
@@ -278,15 +262,15 @@ struct RunSession {
 
  private:
   std::string manifest_path() const {
-    return run_dir_ + "/" + obs::kManifestFileName;
+    return run_dir_ + "/" + report::kManifestFileName;
   }
 
   /// Content-identifies an artifact: its own `#drbw-*` header when it has
   /// one (only that line is read), a whole-file crc otherwise.
   /// Never throws — an unreadable path is itself provenance worth recording.
-  static obs::ArtifactRef make_ref(const std::string& role,
-                                   const std::string& path) {
-    obs::ArtifactRef ref;
+  static report::ArtifactRef make_ref(const std::string& role,
+                                      const std::string& path) {
+    report::ArtifactRef ref;
     ref.role = role;
     ref.path = path;
     try {
@@ -331,7 +315,7 @@ struct RunSession {
     };
     if (flight.enabled()) {
       write_one("flight dump", [&] {
-        flight.write(run_dir_ + "/" + obs::kFlightFileName);
+        flight.write(run_dir_ + "/" + report::kFlightFileName);
       });
     }
     write_one("run manifest", [&] {
@@ -341,7 +325,7 @@ struct RunSession {
   }
 
   const ArgParser& parser_;
-  obs::RunManifest manifest_;
+  report::RunManifest manifest_;
   std::string run_dir_ = ".";
   bool begun_ = false;
 };
@@ -504,7 +488,11 @@ int cmd_train(int argc, char** argv) {
     // Tree-shape provenance: printed, and recorded in the run manifest so a
     // later `drbw doctor`/fleet pass can spot a degenerate train.
     const ml::DecisionTree& tree = model.tree();
-    std::vector<std::pair<std::string, std::uint64_t>> splits;
+    report::RunManifest& manifest = session.manifest();
+    manifest.has_model_shape = true;
+    manifest.model_nodes = tree.nodes().size();
+    manifest.model_leaves = tree.leaf_count();
+    manifest.model_depth = static_cast<std::uint64_t>(tree.depth());
     std::ostringstream shape;
     shape << "tree shape: " << tree.nodes().size() << " nodes, "
           << tree.leaf_count() << " leaves, depth " << tree.depth()
@@ -514,11 +502,10 @@ int cmd_train(int argc, char** argv) {
       // Table I names — these land in the manifest as JSON keys.
       const std::string& name =
           features::selected_feature_keys()[static_cast<std::size_t>(feature)];
-      splits.emplace_back(name, static_cast<std::uint64_t>(count));
+      manifest.model_splits.emplace_back(name,
+                                         static_cast<std::uint64_t>(count));
       shape << ' ' << name << " x" << count;
     }
-    session.set_model_shape(tree.nodes().size(), tree.leaf_count(),
-                            tree.depth(), std::move(splits));
     std::cout << "trained on 192 mini-program runs; model written to "
               << parser.option("out") << '\n'
               << shape.str() << "\n\n"
@@ -850,13 +837,13 @@ int cmd_serve(int argc, char** argv) {
     session.stage("serve");
     serve::Server server(machine, model.has_value() ? &*model : nullptr, opts);
     const serve::ServeResult result = server.run(trace);
-    session.set_degraded(result.degraded);
+    session.manifest().degraded = result.degraded;
 
     // The drift verdict goes to the manifest's golden block so doctor and
     // fleet can read it without the snapshot.  Suspected drift never changes
     // the exit code — serve is a telemetry loop, the finding is typed, not
     // fatal.
-    session.set_drift(serve::drift_verdict(result));
+    session.manifest().drift = serve::drift_verdict(result);
     std::cout << serve::render_summary(result, opts);
     session.note_output(std::string(serve::kSnapshotKind) + "-out",
                         opts.snapshot_path);
@@ -1120,10 +1107,10 @@ int cmd_perf_diff(int argc, char** argv) {
   if (!parser.parse(argc, argv)) return 0;
   const double threshold = parser.option_double("threshold", 0.0, kDoubleMax);
   const std::vector<std::string>& manifests = parser.positionals();
-  const report::ManifestData before = report::load_manifest(manifests[0]);
+  const report::RunManifest before = report::load_manifest(manifests[0]);
   bool any_regressed = false;
   for (std::size_t i = 1; i < manifests.size(); ++i) {
-    const report::ManifestData after = report::load_manifest(manifests[i]);
+    const report::RunManifest after = report::load_manifest(manifests[i]);
     const report::PerfDiff diff = report::perf_diff(before, after, threshold);
     if (manifests.size() > 2) {
       std::cout << "== " << manifests[0] << " vs " << manifests[i] << " ==\n";
@@ -1187,7 +1174,7 @@ int cmd_fleet(int argc, char** argv) {
   if (out.empty()) {
     std::cout << markdown;
   } else {
-    report::write_fleet_text(out, markdown);
+    util::atomic_write_file(out, markdown);
     std::cout << "fleet report written to " << out << '\n';
   }
   if (!json_out.empty()) {
@@ -1202,7 +1189,7 @@ int cmd_fleet(int argc, char** argv) {
           run.dir == "." ? root : root + "/" + run.dir;
       if (report::fold_run_dir(dir, fold)) ++folded;
     }
-    report::write_fleet_text(flame_out, fold.collapsed());
+    util::atomic_write_file(flame_out, fold.collapsed());
     std::cout << "flame profile (" << fold.stack_count() << " stack(s) from "
               << folded << " run(s)) written to " << flame_out << '\n';
   }
@@ -1238,7 +1225,7 @@ int cmd_flame(int argc, char** argv) {
   if (std::filesystem::is_directory(input, ec)) {
     if (!report::fold_run_dir(input, fold)) {
       throw Error(input + ": no loadable " +
-                      std::string(obs::kFlightFileName) +
+                      std::string(report::kFlightFileName) +
                       " in this run dir (flame folds the flight recorder's "
                       "span breadcrumbs)",
                   ErrorCode::kNotFound);
@@ -1251,16 +1238,14 @@ int cmd_flame(int argc, char** argv) {
       try {
         fold.add(report::flame_spans_from_trace(Json::parse(content)));
       } catch (const Error& e) {
-        throw Error(input + ": " + e.what(), e.code() == ErrorCode::kGeneric
-                                                ? ErrorCode::kParse
-                                                : e.code());
+        throw Error(input + ": " + e.what(), e.code());
       }
     }
   }
   if (out.empty()) {
     std::cout << fold.collapsed();
   } else {
-    report::write_fleet_text(out, fold.collapsed());
+    util::atomic_write_file(out, fold.collapsed());
     std::cout << "flame profile (" << fold.stack_count()
               << " stack(s), total weight " << fold.total_weight()
               << ") written to " << out << '\n';
