@@ -2,9 +2,12 @@
 // dynamics, sampling fidelity, and placement effects.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 
+#include "drbw/obs/metrics.hpp"
 #include "drbw/sim/engine.hpp"
+#include "drbw/util/artifact.hpp"
 #include "drbw/util/error.hpp"
 #include "drbw/util/stats.hpp"
 
@@ -339,6 +342,235 @@ TEST_F(EngineTest, BurstValidation) {
   AccessBurst oob = seq_read(obj, 100, /*offset=*/0, /*span=*/8192);
   EXPECT_THROW(engine.run(threads, {Phase{"p", {ThreadWork{{oob}, 1.0}}}}),
                Error);
+}
+
+// ---------------------------------------------------------------------------
+// Pinned results.  Each config below is hashed over every sample's fields,
+// total cycles, per-channel bytes and utilizations, and phase cycles; the
+// constants were captured before the fixed point learned to stop early, so
+// any change to what a round computes (or whether its answer is used) shows
+// up here as a changed checksum.
+
+/// CRC-32 over the result's observable bytes.  Sample fields are appended
+/// one by one: the struct's padding bytes are not part of the result.
+std::uint32_t result_crc(const RunResult& r) {
+  std::string bytes;
+  auto put = [&bytes](const auto& v) {
+    char buf[sizeof(v)];
+    std::memcpy(buf, &v, sizeof(v));
+    bytes.append(buf, sizeof(v));
+  };
+  put(r.total_cycles);
+  for (const pebs::MemorySample& s : r.samples) {
+    put(s.address);
+    put(s.cycle);
+    put(s.cpu);
+    put(s.tid);
+    put(s.latency_cycles);
+    put(static_cast<std::uint8_t>(s.level));
+    put(static_cast<std::uint8_t>(s.is_write));
+  }
+  for (const ChannelStats& ch : r.channels) {
+    put(ch.bytes);
+    put(ch.peak_utilization);
+    put(ch.busy_utilization);
+  }
+  for (const PhaseResult& ph : r.phases) put(ph.cycles);
+  return util::crc32(bytes);
+}
+
+class EnginePinTest : public ::testing::Test {
+ protected:
+  static EngineConfig config() {
+    EngineConfig cfg;
+    cfg.epoch_cycles = 50'000;
+    cfg.seed = 2017;
+    return cfg;
+  }
+
+  /// Threads on `cpus`, tids in order, each running `bursts` in one phase.
+  static std::vector<SimThread> threads_on(const std::vector<topology::CpuId>& cpus) {
+    std::vector<SimThread> threads;
+    for (std::size_t i = 0; i < cpus.size(); ++i) {
+      threads.push_back(SimThread{static_cast<std::uint32_t>(i), cpus[i]});
+    }
+    return threads;
+  }
+
+  static void expect_pinned(const RunResult& r, std::uint32_t want) {
+    const std::uint32_t got = result_crc(r);
+    EXPECT_EQ(got, want) << "crc 0x" << std::hex << got << " over "
+                         << std::dec << r.samples.size() << " samples, "
+                         << r.total_cycles << " cycles";
+  }
+};
+
+// PEBS, bound placement: eight node-1 threads saturate the N1->N0 channel,
+// so the fixed point iterates on a contended multiplier.
+TEST_F(EnginePinTest, PebsBoundSaturatedChannel) {
+  const Machine machine = Machine::xeon_e5_4650();
+  AddressSpace space(machine);
+  const auto obj = space.allocate("pin.c:1 hot", 1ull << 30, PlacementSpec::bind(0));
+  Phase phase{"main", {}};
+  for (int i = 0; i < 8; ++i) {
+    phase.work.push_back(ThreadWork{{seq_read(obj, 400'000)}, 1.0});
+  }
+  Engine engine(machine, space, config());
+  expect_pinned(engine.run(threads_on({8, 9, 10, 11, 12, 13, 14, 15}), {phase}),
+                0x0da421dbu);
+}
+
+// PEBS, interleaved placement: sixteen threads over all four nodes spread
+// random reads across every channel.
+TEST_F(EnginePinTest, PebsInterleavedRandomReads) {
+  const Machine machine = Machine::xeon_e5_4650();
+  AddressSpace space(machine);
+  const auto obj = space.allocate("pin.c:2 shared", 1ull << 30,
+                                  PlacementSpec::interleave());
+  std::vector<topology::CpuId> cpus;
+  Phase phase{"main", {}};
+  for (int n = 0; n < 4; ++n) {
+    for (int c = 0; c < 4; ++c) {
+      cpus.push_back(n * 8 + c);
+      phase.work.push_back(ThreadWork{{random_read(obj, 150'000)}, 2.0});
+    }
+  }
+  Engine engine(machine, space, config());
+  expect_pinned(engine.run(threads_on(cpus), {phase}), 0xa567bc34u);
+}
+
+// PEBS, first-touch placement: an init phase writes each thread's slice
+// from its own node, then every thread reads the whole array.
+TEST_F(EnginePinTest, PebsFirstTouchInitThenShare) {
+  const Machine machine = Machine::xeon_e5_4650();
+  AddressSpace space(machine);
+  constexpr std::uint64_t kSlice = 16ull << 20;
+  const auto obj = space.allocate("pin.c:3 ft", 4 * kSlice,
+                                  PlacementSpec::first_touch());
+  const std::vector<topology::CpuId> cpus{0, 8, 16, 24};
+  Phase init{"init", {}};
+  Phase solve{"solve", {}};
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    init.work.push_back(
+        ThreadWork{{seq_write(obj, kSlice / 8, i * kSlice, kSlice)}, 1.0});
+    solve.work.push_back(ThreadWork{{seq_read(obj, 300'000)}, 1.0});
+  }
+  Engine engine(machine, space, config());
+  expect_pinned(engine.run(threads_on(cpus), {init, solve}), 0x3cf04f88u);
+}
+
+// IBS on the 8-node Opteron: op-counting samples, no latency threshold,
+// and multi-hop links between some node pairs.
+TEST_F(EnginePinTest, IbsOpteronMultiHop) {
+  const Machine machine = Machine::opteron_6174();
+  AddressSpace space(machine);
+  const auto obj = space.allocate("pin.c:4 far", 512ull << 20, PlacementSpec::bind(0));
+  std::vector<topology::CpuId> cpus;
+  Phase phase{"main", {}};
+  for (int n = 1; n < 8; n += 2) {
+    for (int c = 0; c < 3; ++c) {
+      cpus.push_back(machine.cpus_of_node(n)[static_cast<std::size_t>(c)]);
+      phase.work.push_back(ThreadWork{{seq_read(obj, 200'000)}, 3.0});
+    }
+  }
+  EngineConfig cfg = config();
+  cfg.sampling_flavor = SamplingFlavor::kIbs;
+  Engine engine(machine, space, cfg);
+  expect_pinned(engine.run(threads_on(cpus), {phase}), 0xd7f75ddeu);
+}
+
+// Several phases of short, unaligned bursts: bursts end and the next one
+// activates in the middle of an epoch, and threads finish at different times.
+TEST_F(EnginePinTest, MultiPhaseBurstsEndMidEpoch) {
+  const Machine machine = Machine::xeon_e5_4650();
+  AddressSpace space(machine);
+  const auto a = space.allocate("pin.c:5 a", 256ull << 20, PlacementSpec::bind(0));
+  const auto b = space.allocate("pin.c:6 b", 256ull << 20, PlacementSpec::bind(1));
+  const auto c = space.allocate("pin.c:7 c", 64 * 1024, PlacementSpec::bind(2));
+  const std::vector<topology::CpuId> cpus{0, 1, 8, 9, 16, 24};
+  Phase p1{"p1", {}};
+  Phase p2{"p2", {}};
+  Phase p3{"p3", {}};
+  for (std::uint64_t i = 0; i < cpus.size(); ++i) {
+    p1.work.push_back(ThreadWork{{seq_read(a, 37'111 + 5'003 * i),
+                                  random_read(b, 12'345 + 777 * i),
+                                  seq_read(c, 91'001)},
+                                 1.0 + 0.5 * static_cast<double>(i)});
+    p2.work.push_back(i % 2 == 0 ? ThreadWork{{}, 1.0}
+                                 : ThreadWork{{seq_write(b, 54'321 * i)}, 1.0});
+    p3.work.push_back(ThreadWork{{random_read(a, 9'999), seq_read(b, 23'456 + i)},
+                                 2.0});
+  }
+  Engine engine(machine, space, config());
+  expect_pinned(engine.run(threads_on(cpus), {p1, p2, p3}), 0xf9c06fffu);
+}
+
+// Saturated channel with bursts of different lengths: rationing serves
+// less than was planned, so a thread's plan is clamped to its remaining
+// count for several epochs before the burst ends.
+TEST_F(EnginePinTest, RemainingClampBindsUnderRationing) {
+  const Machine machine = Machine::xeon_e5_4650();
+  AddressSpace space(machine);
+  const auto obj = space.allocate("pin.c:8 hot", 1ull << 30, PlacementSpec::bind(0));
+  Phase phase{"main", {}};
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    phase.work.push_back(ThreadWork{
+        {seq_read(obj, 20'000 + 3'001 * i), seq_read(obj, 150'000 - 9'000 * i)},
+        0.5});
+  }
+  EngineConfig cfg = config();
+  cfg.epoch_cycles = 200'000;
+  Engine engine(machine, space, cfg);
+  expect_pinned(engine.run(threads_on({8, 9, 10, 11, 12, 13, 14, 15}), {phase}),
+                0xeecd187au);
+}
+
+// No profiler attached: no samples, no interrupt cost, no buffer traffic.
+TEST_F(EnginePinTest, UnprofiledRun) {
+  const Machine machine = Machine::xeon_e5_4650();
+  AddressSpace space(machine);
+  const auto obj = space.allocate("pin.c:9 x", 512ull << 20, PlacementSpec::bind(1));
+  Phase phase{"main", {}};
+  for (int i = 0; i < 6; ++i) {
+    phase.work.push_back(ThreadWork{{seq_read(obj, 250'000), random_read(obj, 40'000)},
+                                    1.0});
+  }
+  EngineConfig cfg = config();
+  cfg.profiling = false;
+  Engine engine(machine, space, cfg);
+  const RunResult r = engine.run(threads_on({0, 1, 2, 16, 17, 18}), {phase});
+  EXPECT_TRUE(r.samples.empty());
+  expect_pinned(r, 0x3c592e33u);
+}
+
+// The rounds counter tallies executed rounds: at least one, and never more
+// than the configured cap in every epoch.
+TEST_F(EnginePinTest, RoundsCounterIsBoundedByTheCap) {
+  auto& reg = obs::Registry::global();
+  const obs::Counter& epochs =
+      reg.counter("drbw_sim_epochs_total", "Epochs simulated");
+  const obs::Counter& rounds = reg.counter(
+      "drbw_sim_fixed_point_rounds_total", "Rate/multiplier fixed-point iterations");
+  const std::uint64_t epochs_before = epochs.value();
+  const std::uint64_t rounds_before = rounds.value();
+
+  const Machine machine = Machine::xeon_e5_4650();
+  AddressSpace space(machine);
+  const auto obj = space.allocate("pin.c:10 hot", 1ull << 30, PlacementSpec::bind(0));
+  Phase phase{"main", {}};
+  for (int i = 0; i < 8; ++i) {
+    phase.work.push_back(ThreadWork{{seq_read(obj, 300'000)}, 1.0});
+  }
+  const EngineConfig cfg = config();
+  Engine engine(machine, space, cfg);
+  engine.run(threads_on({8, 9, 10, 11, 12, 13, 14, 15}), {phase});
+
+  const std::uint64_t ran_epochs = epochs.value() - epochs_before;
+  const std::uint64_t ran_rounds = rounds.value() - rounds_before;
+  ASSERT_GT(ran_epochs, 1u);
+  EXPECT_GT(ran_rounds, 0u);
+  EXPECT_LE(ran_rounds,
+            ran_epochs * static_cast<std::uint64_t>(cfg.fixed_point_rounds));
 }
 
 }  // namespace
