@@ -47,6 +47,9 @@ class Dataset {
   std::vector<std::string> tags_;
 };
 
+/// What member errors call a model document that was not read from a file.
+inline constexpr const char* kModelDocument = "model document";
+
 /// Per-feature min-max scaling to [0, 1], fit on the training set.  The
 /// paper's Fig. 3 thresholds are over "normalized values"; persisting the
 /// scaler with the tree keeps deployment consistent with training.
@@ -59,7 +62,11 @@ class Normalizer {
   std::size_t num_features() const { return lo_.size(); }
 
   Json to_json() const;
-  static Normalizer from_json(const Json& json);
+  /// Error(kCorruptArtifact) naming `path` and the member when `lo` or `hi`
+  /// is missing, is not an array of numbers, or differs from the other in
+  /// length.
+  static Normalizer from_json(const Json& json,
+                              const std::string& path = kModelDocument);
 
  private:
   std::vector<double> lo_;

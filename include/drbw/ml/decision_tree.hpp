@@ -102,8 +102,10 @@ struct DriftBaseline {
   /// Parses an embedded baseline.  A structurally invalid baseline — or a
   /// fired "model.drift" corrupt-field fault (content-keyed by feature
   /// index) — yields an empty baseline: the model still loads, drift is
-  /// just disabled, and the caller reports it unavailable.
-  static DriftBaseline from_json(const Json& json, std::size_t num_features);
+  /// just disabled, and the caller reports it unavailable.  A missing or
+  /// wrong-typed member is Error(kCorruptArtifact) naming it and `path`.
+  static DriftBaseline from_json(const Json& json, std::size_t num_features,
+                                 const std::string& path);
 };
 
 struct TreeParams {
@@ -160,7 +162,11 @@ class DecisionTree {
   std::string to_string(const std::vector<std::string>& feature_names) const;
 
   Json to_json() const;
-  static DecisionTree from_json(const Json& json);
+  /// Error(kCorruptArtifact) naming `path`, the node and the member when a
+  /// node lacks a member, has a wrong-typed one, splits on a feature outside
+  /// [0, num_features), or points at a child that does not follow it.
+  static DecisionTree from_json(const Json& json, std::size_t num_features,
+                                const std::string& path);
 
  private:
   int build(const Dataset& data, const std::vector<std::size_t>& indices,
@@ -207,7 +213,11 @@ class Classifier {
   std::string describe() const;
 
   Json to_json() const;
-  static Classifier from_json(const Json& json);
+  /// Error(kCorruptArtifact) naming `path` and the member when one is
+  /// missing, wrong-typed, or inconsistent with the others (a normalizer
+  /// or tree that does not fit `feature_names`).
+  static Classifier from_json(const Json& json,
+                              const std::string& path = kModelDocument);
 
   /// Persists the model as a versioned, checksummed artifact through the
   /// atomic writer (threads the "model.write" fault site), so a crashed

@@ -80,11 +80,5 @@ AccessBurst seq_write(mem::ObjectId obj, std::uint64_t count,
 AccessBurst random_read(mem::ObjectId obj, std::uint64_t count,
                         std::uint64_t offset = 0, std::uint64_t span = 0,
                         std::uint32_t elem = 8);
-AccessBurst strided_read(mem::ObjectId obj, std::uint64_t count,
-                         std::uint32_t stride, std::uint64_t offset = 0,
-                         std::uint64_t span = 0, std::uint32_t elem = 8);
-AccessBurst chase_read(mem::ObjectId obj, std::uint64_t count,
-                       std::uint32_t streams = 1, std::uint64_t offset = 0,
-                       std::uint64_t span = 0);
 
 }  // namespace drbw::sim

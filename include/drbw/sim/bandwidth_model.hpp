@@ -64,7 +64,9 @@ class ChannelLoad {
                         double outstanding = 0.0);
 
   /// Recomputes utilizations and multipliers for an epoch of `epoch_cycles`.
-  void finalize_round(double epoch_cycles);
+  /// Returns whether any multiplier changed its bits: when none did, a
+  /// further round over the same thread states would repeat this one.
+  bool finalize_round(double epoch_cycles);
 
   double utilization(topology::ChannelId ch) const;
   double multiplier(topology::ChannelId ch) const;
@@ -87,6 +89,12 @@ class ChannelLoad {
   std::vector<double> utilization_;  // demand / (capacity * cycles)
   std::vector<double> multiplier_;
   std::vector<double> service_fraction_;
+  // finalize_round scratch, refilled each round: per destination memory
+  // controller, then per physical link (channel index).
+  std::vector<double> mc_u_;
+  std::vector<double> mc_outstanding_;
+  std::vector<double> link_demand_;
+  std::vector<double> link_outstanding_;
 };
 
 }  // namespace drbw::sim

@@ -3,9 +3,9 @@
 // The engine advances simulated time in fixed-length epochs.  Within each
 // epoch it solves a small fixed-point problem: thread issue rates depend on
 // memory latency, memory latency depends on channel utilization, and channel
-// utilization depends on thread issue rates.  A few damped iterations give a
-// self-consistent operating point per epoch; saturated channels then ration
-// served traffic to capacity.  This reproduces the macroscopic behaviour
+// utilization depends on thread issue rates.  A few iterations, only as many
+// as change the answer, give a self-consistent operating point per epoch;
+// saturated channels then ration served traffic to capacity.  This reproduces the macroscopic behaviour
 // DR-BW observes on hardware:
 //
 //   * threads sharing a saturated channel see inflated DRAM latencies,
@@ -93,6 +93,10 @@ struct EngineConfig {
   double sample_latency_threshold = 3.0;
   std::uint64_t seed = 12345;
   std::uint64_t max_epochs = 5'000'000;
+  /// Cap on rate <-> multiplier fixed-point rounds per epoch.  A round runs
+  /// only when one of its inputs changed: rounds stop at the first that
+  /// leaves every multiplier's bits unchanged, and an epoch whose threads
+  /// kept their bursts and plans runs none.
   int fixed_point_rounds = 3;
   /// Lognormal sigma of per-sample latency jitter.
   double latency_jitter_sigma = 0.18;

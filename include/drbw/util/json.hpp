@@ -57,6 +57,9 @@ class Json {
   /// The exact non-negative integer a number holds (an integral double
   /// counts); nullopt for anything else.  Never throws.
   std::optional<std::uint64_t> as_u64() const;
+  /// The exact int64 a number holds (an integral double counts); nullopt
+  /// for anything else.  Never throws.
+  std::optional<std::int64_t> as_i64() const;
   const std::string& as_string() const;
   const JsonArray& as_array() const;
   const JsonObject& as_object() const;

@@ -2,10 +2,12 @@
 // run manifest: a `Field<T>` table names each member once, the writer
 // renders through it (put_fields / put_rows: integers in full, doubles
 // "%.9g", strings quoted like Json::dump, `hex` fields "%08x") and the
-// reader fills a T through it (Members).  The reader is strict: an absent
-// member keeps the caller's default; a wrong JSON type, an integer that is
-// not exactly a non-negative one in its field's range, or an array entry
-// that is not an object is Error(kCorruptArtifact) naming the file.
+// reader fills a T through it (Members), which also reads the model file.
+// The reader is strict: an absent member keeps the caller's default (unless
+// require()d); a wrong JSON type, also of an array element, an unsigned
+// integer that is not exactly a non-negative one in its field's range, an
+// int64 that is not exactly an integer, or a row that is not an object is
+// Error(kCorruptArtifact) naming the file and the member.
 #pragma once
 
 #include <cstdint>
@@ -27,8 +29,8 @@ namespace drbw::util {
 template <typename T>
 struct Field {
   const char* name;
-  std::variant<std::uint64_t T::*, std::uint32_t T::*, int T::*, double T::*,
-               bool T::*, std::string T::*>
+  std::variant<std::uint64_t T::*, std::uint32_t T::*, int T::*,
+               std::int64_t T::*, double T::*, bool T::*, std::string T::*>
       member;
   bool hex = false;  ///< uint32 only: a "%08x" string
 };
@@ -88,8 +90,11 @@ class Members {
           std::string where = "");
 
   bool has(const char* key) const { return node_->find(key) != nullptr; }
+  /// fail()s unless member `key` is present.
+  void require(const char* key) const;
 
   /// Member `key` into `out`, which keeps its value when `key` is absent.
+  /// A std::vector `out` reads an array, element by element.
   template <typename V>
   void get(const char* key, V& out, bool hex = false) const {
     if (const Json* v = node_->find(key)) read(*v, key, out, hex);
@@ -156,6 +161,17 @@ class Members {
     } else if constexpr (std::is_same_v<V, std::string>) {
       if (v.type() != Json::Type::kString) wrong("a string");
       out = v.as_string();
+    } else if constexpr (std::is_same_v<V, std::int64_t>) {
+      const std::optional<std::int64_t> i = v.as_i64();
+      if (!i) wrong("an integer");
+      out = *i;
+    } else if constexpr (requires { typename V::value_type; }) {  // vector
+      if (v.type() != Json::Type::kArray) wrong("an array");
+      out.clear();
+      for (const Json& element : v.as_array()) {
+        const std::string at = key + "[" + std::to_string(out.size()) + "]";
+        read(element, at, out.emplace_back());
+      }
     } else if (hex) {  // uint32 only
       std::string text;
       read(v, key, text);

@@ -1,4 +1,4 @@
-// Streaming summary statistics and histograms.
+// Streaming summary statistics and quantiles.
 //
 // Feature extraction (drbw::features) and the experiment harnesses summarize
 // large sample populations; OnlineStats implements Welford's numerically
@@ -75,38 +75,6 @@ double quantile_sorted(const std::vector<double>& sorted, double q);
 /// Lower median (nearest rank, element (n-1)/2 of the sorted copy); 0 for
 /// an empty input.  Always one of the inputs, so it is deterministic.
 double lower_median(std::vector<double> values);
-
-/// Fixed-width histogram used for latency distributions in reports.
-class Histogram {
- public:
-  /// Buckets span [lo, hi) in `buckets` equal bins, with two overflow bins
-  /// for values below lo / at-or-above hi.
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t total() const { return total_; }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t count_at(std::size_t i) const { return counts_.at(i); }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-
-  /// Fraction of recorded values ≥ threshold (includes overflow bin).
-  /// Exact with respect to the recorded values, not the bucketed ones: we
-  /// keep a sorted sidecar only when small; for DR-BW's use the threshold
-  /// always coincides with a bucket edge so bucket math is exact.
-  double fraction_at_least(double threshold) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
-};
 
 /// Geometric mean of strictly positive values; used for speedup summaries.
 double geomean(const std::vector<double>& values);

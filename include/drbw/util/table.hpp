@@ -37,8 +37,6 @@ class TablePrinter {
   /// Convenience: renders with a centered title line above the table.
   std::string render_titled(const std::string& title) const;
 
-  std::size_t row_count() const { return rows_.size(); }
-
  private:
   struct Row {
     bool separator = false;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
+
+#include "drbw/util/json_fields.hpp"
 
 namespace drbw::ml {
 
@@ -82,11 +85,16 @@ Json Normalizer::to_json() const {
   return j;
 }
 
-Normalizer Normalizer::from_json(const Json& json) {
+Normalizer Normalizer::from_json(const Json& json, const std::string& path) {
+  const util::Members members(json, path, "model", "normalizer");
+  for (const char* key : {"lo", "hi"}) members.require(key);
   Normalizer n;
-  for (const Json& v : json.at("lo").as_array()) n.lo_.push_back(v.as_number());
-  for (const Json& v : json.at("hi").as_array()) n.hi_.push_back(v.as_number());
-  DRBW_CHECK_MSG(n.lo_.size() == n.hi_.size(), "normalizer lo/hi mismatch");
+  members.get("lo", n.lo_);
+  members.get("hi", n.hi_);
+  if (n.hi_.size() != n.lo_.size()) {
+    members.fail("member 'hi' has " + std::to_string(n.hi_.size()) +
+                 " entries, 'lo' has " + std::to_string(n.lo_.size()));
+  }
   return n;
 }
 

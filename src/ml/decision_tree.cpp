@@ -6,13 +6,37 @@
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "drbw/fault/injector.hpp"
 #include "drbw/obs/trace.hpp"
+#include "drbw/util/json_fields.hpp"
 
 namespace drbw::ml {
 
 namespace {
+
+using util::Field;
+using util::Members;
+
+/// One tree node as the model file spells it; from_json range-checks it
+/// into a DecisionTree::Node.
+struct NodeRow {
+  std::int64_t feature = 0;
+  double threshold = 0.0;
+  std::int64_t left = 0;
+  std::int64_t right = 0;
+  std::string label;
+  std::uint64_t count = 0;
+  std::uint64_t rmc_count = 0;
+};
+const Field<NodeRow> kNodeFields[] = {
+    {"feature", &NodeRow::feature},   {"threshold", &NodeRow::threshold},
+    {"left", &NodeRow::left},         {"right", &NodeRow::right},
+    {"label", &NodeRow::label},       {"count", &NodeRow::count},
+    {"rmc_count", &NodeRow::rmc_count},
+};
 
 struct MlMetrics {
   obs::Counter& trees;
@@ -171,33 +195,36 @@ Json DriftBaseline::to_json() const {
 }
 
 DriftBaseline DriftBaseline::from_json(const Json& json,
-                                       std::size_t num_features) {
+                                       std::size_t num_features,
+                                       const std::string& path) {
+  const Members members(json, path, "model", "drift_baseline");
+  for (const char* key : {"buckets", "total", "counts"}) members.require(key);
+  std::uint64_t buckets = 0;
+  std::vector<std::vector<std::uint64_t>> rows;
+  DriftBaseline baseline;
+  members.get("buckets", buckets);
+  members.get("total", baseline.total);
+  members.get("counts", rows);
   // A baseline that fails structural validation — or a fired model.drift
   // corrupt-field fault simulating one — disables drift rather than
   // failing the load: the tree itself is intact and still serves.
   DriftBaseline empty_baseline;
-  DriftBaseline baseline;
-  if (static_cast<std::size_t>(json.at("buckets").as_int()) != kBuckets) {
-    return empty_baseline;
-  }
-  baseline.total = static_cast<std::uint64_t>(json.at("total").as_int());
-  const JsonArray& rows = json.at("counts").as_array();
+  if (buckets != kBuckets) return empty_baseline;
   if (rows.size() != num_features) return empty_baseline;
   for (std::size_t f = 0; f < rows.size(); ++f) {
     if (fault::should_inject("model.drift", fault::Kind::kCorruptField, f)) {
       return empty_baseline;
     }
-    const JsonArray& row = rows[f].as_array();
+    const std::vector<std::uint64_t>& row = rows[f];
     if (row.size() != kBuckets) return empty_baseline;
-    std::uint64_t sum = 0;
-    std::array<std::uint64_t, kBuckets> feature_counts{};
-    for (std::size_t b = 0; b < kBuckets; ++b) {
-      feature_counts[b] = static_cast<std::uint64_t>(row[b].as_int());
-      sum += feature_counts[b];
-    }
     // Every observed row increments each feature's histogram exactly once.
-    if (sum != baseline.total) return empty_baseline;
-    baseline.counts.push_back(feature_counts);
+    if (std::accumulate(row.begin(), row.end(), std::uint64_t{0}) !=
+        baseline.total) {
+      return empty_baseline;
+    }
+    std::array<std::uint64_t, kBuckets>& feature_counts =
+        baseline.counts.emplace_back();
+    std::copy(row.begin(), row.end(), feature_counts.begin());
   }
   return baseline;
 }
@@ -442,28 +469,47 @@ Json DecisionTree::to_json() const {
   return out;
 }
 
-DecisionTree DecisionTree::from_json(const Json& json) {
+DecisionTree DecisionTree::from_json(const Json& json,
+                                     std::size_t num_features,
+                                     const std::string& path) {
+  const Members members(json, path, "model", "tree");
+  const std::vector<Members> rows = members.rows("nodes");
+  if (rows.empty()) members.fail("has no nodes");
+  const auto size = static_cast<std::int64_t>(rows.size());
   DecisionTree tree;
-  for (const Json& j : json.at("nodes").as_array()) {
+  for (std::int64_t i = 0; i < size; ++i) {
+    const Members& m = rows[static_cast<std::size_t>(i)];
+    for (const Field<NodeRow>& field : kNodeFields) m.require(field.name);
+    NodeRow row;
+    m.get_fields(row, kNodeFields);
+    if (row.label != "rmc" && row.label != "good") {
+      m.fail("member 'label' is neither \"rmc\" nor \"good\"");
+    }
+    if (row.feature < -1 ||
+        row.feature >= static_cast<std::int64_t>(num_features)) {
+      m.fail("member 'feature' is outside [-1, " +
+             std::to_string(num_features) + ")");
+    }
+    // Children follow their parent, which index_depth relies on; a leaf
+    // has none (-1).
+    const std::int64_t lo = row.feature < 0 ? -1 : i + 1;
+    const std::int64_t hi = row.feature < 0 ? -1 : size - 1;
+    for (const auto& [name, child] :
+         {std::pair{"left", row.left}, std::pair{"right", row.right}}) {
+      if (child < lo || child > hi) {
+        m.fail(std::string("member '") + name + "' is outside [" +
+               std::to_string(lo) + ", " + std::to_string(hi) + "]");
+      }
+    }
     Node n;
-    n.feature = static_cast<int>(j.at("feature").as_int());
-    n.threshold = j.at("threshold").as_number();
-    n.left = static_cast<int>(j.at("left").as_int());
-    n.right = static_cast<int>(j.at("right").as_int());
-    n.label = j.at("label").as_string() == "rmc" ? Label::kRmc : Label::kGood;
-    n.count = static_cast<std::size_t>(j.at("count").as_int());
-    n.rmc_count = static_cast<std::size_t>(j.at("rmc_count").as_int());
+    n.feature = static_cast<int>(row.feature);
+    n.threshold = row.threshold;
+    n.left = static_cast<int>(row.left);
+    n.right = static_cast<int>(row.right);
+    n.label = row.label == "rmc" ? Label::kRmc : Label::kGood;
+    n.count = row.count;
+    n.rmc_count = row.rmc_count;
     tree.nodes_.push_back(n);
-  }
-  DRBW_CHECK_MSG(!tree.nodes_.empty(), "model file contains no tree nodes");
-  const int size = static_cast<int>(tree.nodes_.size());
-  for (int i = 0; i < size; ++i) {
-    const Node& n = tree.nodes_[static_cast<std::size_t>(i)];
-    if (n.is_leaf()) continue;
-    DRBW_CHECK_MSG(n.left > i && n.left < size && n.right > i &&
-                       n.right < size,
-                   "tree node " << i << " has a child outside (" << i << ", "
-                                << size << ")");
   }
   tree.index_depth();
   return tree;
@@ -553,20 +599,33 @@ Json Classifier::to_json() const {
   return j;
 }
 
-Classifier Classifier::from_json(const Json& json) {
-  DRBW_CHECK_MSG(json.at("kind").as_string() == "drbw-decision-tree",
-                 "not a DR-BW model file");
-  std::vector<std::string> names;
-  for (const Json& n : json.at("feature_names").as_array()) {
-    names.push_back(n.as_string());
+Classifier Classifier::from_json(const Json& json, const std::string& path) {
+  const Members members(json, path, "model");
+  for (const char* key : {"kind", "feature_names", "normalizer", "tree"}) {
+    members.require(key);
   }
-  Classifier model(Normalizer::from_json(json.at("normalizer")),
-                   DecisionTree::from_json(json.at("tree")), std::move(names));
+  std::string kind;
+  std::vector<std::string> names;
+  members.get("kind", kind);
+  members.get("feature_names", names);
+  if (kind != "drbw-decision-tree") {
+    members.fail("member 'kind' is not \"drbw-decision-tree\"");
+  }
+  Normalizer normalizer = Normalizer::from_json(json.at("normalizer"), path);
+  if (normalizer.num_features() != names.size()) {
+    members.fail("member 'normalizer' scales " +
+                 std::to_string(normalizer.num_features()) +
+                 " features, 'feature_names' has " +
+                 std::to_string(names.size()));
+  }
+  DecisionTree tree =
+      DecisionTree::from_json(json.at("tree"), names.size(), path);
+  Classifier model(std::move(normalizer), std::move(tree), std::move(names));
   // v2 documents carry no baseline: the model loads fine, drift detection
   // is simply unavailable (doctor advises re-training).
   if (const Json* baseline = json.find("drift_baseline")) {
     model.drift_baseline_ =
-        DriftBaseline::from_json(*baseline, model.feature_names_.size());
+        DriftBaseline::from_json(*baseline, model.feature_names_.size(), path);
   }
   return model;
 }
@@ -604,8 +663,10 @@ Classifier Classifier::load(const std::string& path,
                                                 : e.code());
   }
   try {
-    return from_json(json);
+    return from_json(json, path);
   } catch (const Error& e) {
+    // Member errors already name the path.
+    if (e.code() == ErrorCode::kCorruptArtifact) throw;
     throw Error(path + ": " + e.what(),
                 e.code() == ErrorCode::kGeneric ? ErrorCode::kCorruptArtifact
                                                 : e.code());

@@ -44,19 +44,4 @@ AccessBurst random_read(mem::ObjectId obj, std::uint64_t count, std::uint64_t of
   return make(obj, Pattern::kRandom, count, offset, span, elem, elem, false);
 }
 
-AccessBurst strided_read(mem::ObjectId obj, std::uint64_t count, std::uint32_t stride,
-                         std::uint64_t offset, std::uint64_t span,
-                         std::uint32_t elem) {
-  return make(obj, Pattern::kStrided, count, offset, span, elem, stride, false);
-}
-
-AccessBurst chase_read(mem::ObjectId obj, std::uint64_t count,
-                       std::uint32_t streams, std::uint64_t offset,
-                       std::uint64_t span) {
-  AccessBurst b = make(obj, Pattern::kPointerChaseConflict, count, offset, span,
-                       8, 64, false);
-  b.parallel_streams = streams;
-  return b;
-}
-
 }  // namespace drbw::sim

@@ -1,6 +1,8 @@
 #include "drbw/sim/bandwidth_model.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 namespace drbw::sim {
 
@@ -33,6 +35,10 @@ ChannelLoad::ChannelLoad(const topology::Machine& machine,
   utilization_.assign(n, 0.0);
   multiplier_.assign(n, 1.0);
   service_fraction_.assign(n, 1.0);
+  mc_u_.resize(static_cast<std::size_t>(machine.num_nodes()));
+  mc_outstanding_.resize(static_cast<std::size_t>(machine.num_nodes()));
+  link_demand_.resize(n);
+  link_outstanding_.resize(n);
 }
 
 void ChannelLoad::reset_round() {
@@ -52,23 +58,23 @@ void ChannelLoad::add_demand_index(int channel_index, double bytes,
   outstanding_[static_cast<std::size_t>(channel_index)] += outstanding;
 }
 
-void ChannelLoad::finalize_round(double epoch_cycles) {
+bool ChannelLoad::finalize_round(double epoch_cycles) {
   DRBW_CHECK(epoch_cycles > 0.0);
   const int nodes = machine_.num_nodes();
-  // Aggregate sink demand per destination memory controller.
-  std::vector<double> mc_u(static_cast<std::size_t>(nodes), 0.0);
+  // Aggregate sink demand and in-flight requests per destination memory
+  // controller.
+  std::fill(mc_u_.begin(), mc_u_.end(), 0.0);
+  std::fill(mc_outstanding_.begin(), mc_outstanding_.end(), 0.0);
   const double mc_capacity = machine_.spec().mc_bandwidth * epoch_cycles;
   for (int src = 0; src < nodes; ++src) {
     for (int dst = 0; dst < nodes; ++dst) {
-      mc_u[static_cast<std::size_t>(dst)] +=
+      mc_u_[static_cast<std::size_t>(dst)] +=
           demand_[static_cast<std::size_t>(src * nodes + dst)] / mc_capacity;
     }
   }
-  // Total in-flight requests sinking into each memory controller.
-  std::vector<double> mc_outstanding(static_cast<std::size_t>(nodes), 0.0);
   for (int src = 0; src < nodes; ++src) {
     for (int dst = 0; dst < nodes; ++dst) {
-      mc_outstanding[static_cast<std::size_t>(dst)] +=
+      mc_outstanding_[static_cast<std::size_t>(dst)] +=
           outstanding_[static_cast<std::size_t>(src * nodes + dst)];
     }
   }
@@ -76,9 +82,8 @@ void ChannelLoad::finalize_round(double epoch_cycles) {
   // Aggregate bytes and in-flight requests per *physical link*: a channel's
   // traffic loads every hop of its path (one hop on fully connected
   // machines, possibly more on partial meshes like the 8-node Opteron).
-  const auto total = static_cast<std::size_t>(nodes * nodes);
-  std::vector<double> link_demand(total, 0.0);
-  std::vector<double> link_outstanding(total, 0.0);
+  std::fill(link_demand_.begin(), link_demand_.end(), 0.0);
+  std::fill(link_outstanding_.begin(), link_outstanding_.end(), 0.0);
   for (int src = 0; src < nodes; ++src) {
     for (int dst = 0; dst < nodes; ++dst) {
       const auto i = static_cast<std::size_t>(src * nodes + dst);
@@ -87,13 +92,14 @@ void ChannelLoad::finalize_round(double epoch_cycles) {
            machine_.path_links(topology::ChannelId{src, dst})) {
         const auto l =
             static_cast<std::size_t>(machine_.channel_index(link));
-        link_demand[l] += demand_[i];
-        link_outstanding[l] += outstanding_[i];
+        link_demand_[l] += demand_[i];
+        link_outstanding_[l] += outstanding_[i];
       }
     }
   }
 
   const double line = machine_.spec().l1.line_bytes;
+  bool changed = false;
   for (int src = 0; src < nodes; ++src) {
     for (int dst = 0; dst < nodes; ++dst) {
       const auto i = static_cast<std::size_t>(src * nodes + dst);
@@ -104,26 +110,29 @@ void ChannelLoad::finalize_round(double epoch_cycles) {
       for (const topology::ChannelId link : machine_.path_links(ch)) {
         const auto l = static_cast<std::size_t>(machine_.channel_index(link));
         const double cap = machine_.link_capacity(link);
-        link_u = std::max(link_u, link_demand[l] / (cap * epoch_cycles));
-        link_delay = std::max(link_delay, link_outstanding[l] * line / cap);
+        link_u = std::max(link_u, link_demand_[l] / (cap * epoch_cycles));
+        link_delay = std::max(link_delay, link_outstanding_[l] * line / cap);
       }
-      const double u = std::max(link_u, mc_u[static_cast<std::size_t>(dst)]);
+      const double u = std::max(link_u, mc_u_[static_cast<std::size_t>(dst)]);
       utilization_[i] = u;
       double mult = latency_multiplier(u, config_);
       // Little's-law bound: the queueing delay cannot exceed the time to
       // drain every in-flight request ahead of a newcomer through the
       // binding resource.
       if (outstanding_[i] > 0.0) {
-        const double mc_delay = mc_outstanding[static_cast<std::size_t>(dst)] *
+        const double mc_delay = mc_outstanding_[static_cast<std::size_t>(dst)] *
                                 line / machine_.spec().mc_bandwidth;
         const double idle = machine_.idle_dram_latency(ch);
         const double bound = 1.0 + std::max(link_delay, mc_delay) / idle;
         mult = std::min(mult, bound);
       }
+      changed |= std::bit_cast<std::uint64_t>(mult) !=
+                 std::bit_cast<std::uint64_t>(multiplier_[i]);
       multiplier_[i] = mult;
       service_fraction_[i] = u > 1.0 ? 1.0 / u : 1.0;
     }
   }
+  return changed;
 }
 
 double ChannelLoad::utilization(topology::ChannelId ch) const {

@@ -118,8 +118,10 @@ struct Engine::ThreadState {
   bool phase_done = true;
   pebs::PeriodSampler sampler{2000, 0};
   Rng rng;
-  /// Fixed-point scratch: accesses planned this epoch.
+  /// Fixed-point scratch: accesses planned this epoch, and the plan before
+  /// the clamp to `current.remaining`.
   std::uint64_t planned = 0;
+  std::uint64_t unclamped_plan = 0;
   /// Channel index of the thread's node-local channel (PEBS buffer flushes).
   int self_channel = 0;
   /// Phase constants hoisted out of the epoch loop: retired ops per memory
@@ -404,6 +406,7 @@ RunResult Engine::run(const std::vector<SimThread>& threads,
   // atomics in this loop are measurable.  The flushed totals are identical
   // to per-epoch updates (sums and bucket counts are commutative).
   std::uint64_t local_epochs = 0;
+  std::uint64_t local_rounds = 0;
   std::uint64_t local_demand_bytes = 0;
   std::array<std::uint64_t, 101> local_util_pct{};  // llround(u*100) in [0,100]
   SampleTally sample_tally;
@@ -419,6 +422,11 @@ RunResult Engine::run(const std::vector<SimThread>& threads,
                              << threads.size());
     const std::uint64_t phase_start = clock;
     std::size_t live = 0;
+    // Whether the multipliers are the fixed point of the live threads'
+    // current inputs, so that a round would only reproduce them.  A round
+    // reads the multipliers and, per live thread, its burst and its plan
+    // clamp; it is cleared whenever one of those changes.
+    bool settled = false;
     for (std::size_t i = 0; i < threads.size(); ++i) {
       ThreadState& ts = states[i];
       ts.queue = &phase.work[i].bursts;
@@ -457,14 +465,20 @@ RunResult Engine::run(const std::vector<SimThread>& threads,
       }
 
       // --- fixed point: rates <-> channel multipliers ---
-      for (int round = 0; round < config_.fixed_point_rounds; ++round) {
+      // Rounds stop at the first one that leaves every multiplier's bits
+      // unchanged: the next would read the same inputs and repeat it.  An
+      // epoch that starts settled runs none, and `load` still holds what
+      // its first round would have computed.
+      for (int round = 0; !settled && round < config_.fixed_point_rounds;
+           ++round) {
         load.reset_round();
         for (ThreadState& ts : states) {
           if (ts.phase_done) continue;
           const double cost = access_cost(ts, load);
-          const auto planned = static_cast<std::uint64_t>(epoch_cycles / cost);
-          ts.planned = std::min<std::uint64_t>(
-              std::max<std::uint64_t>(planned, 1), ts.current.remaining);
+          ts.unclamped_plan = std::max<std::uint64_t>(
+              static_cast<std::uint64_t>(epoch_cycles / cost), 1);
+          ts.planned =
+              std::min<std::uint64_t>(ts.unclamped_plan, ts.current.remaining);
           if (profiling_demand) {
             // PEBS buffer flushes land in the thread's local DRAM.
             load.add_demand_index(
@@ -483,7 +497,8 @@ RunResult Engine::run(const std::vector<SimThread>& threads,
             }
           }
         }
-        load.finalize_round(epoch_cycles);
+        ++local_rounds;
+        settled = !load.finalize_round(epoch_cycles);
       }
 
       // --- ration saturated channels, then commit the epoch ---
@@ -540,12 +555,16 @@ RunResult Engine::run(const std::vector<SimThread>& threads,
         result.total_accesses += n;
         bs.remaining -= n;
         if (bs.remaining == 0) {
+          settled = false;
           if (ts.next_burst < ts.queue->size()) {
             activate_burst(ts, (*ts.queue)[ts.next_burst++]);
           } else {
             ts.phase_done = true;
             --live;
           }
+        } else if (ts.unclamped_plan > bs.remaining) {
+          // Next epoch's clamp binds where this one's may not have.
+          settled = false;
         }
       }
 
@@ -601,8 +620,7 @@ RunResult Engine::run(const std::vector<SimThread>& threads,
   metrics.runs.add(1);
   metrics.accesses.add(result.total_accesses);
   metrics.epochs.add(local_epochs);
-  metrics.fixed_point_rounds.add(
-      local_epochs * static_cast<std::uint64_t>(config_.fixed_point_rounds));
+  metrics.fixed_point_rounds.add(local_rounds);
   metrics.demand_bytes.add(local_demand_bytes);
   for (std::size_t pct = 0; pct < local_util_pct.size(); ++pct) {
     metrics.utilization_pct.observe_n(pct, local_util_pct[pct]);

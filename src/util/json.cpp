@@ -31,11 +31,18 @@ double Json::as_number() const {
 }
 
 std::int64_t Json::as_int() const {
+  const std::optional<std::int64_t> i = as_i64();
+  DRBW_CHECK_MSG(i.has_value(), "JSON value " << dump(-1) << " is not an int64");
+  return *i;
+}
+
+std::optional<std::int64_t> Json::as_i64() const {
   if (const auto* i = std::get_if<std::int64_t>(&value_)) return *i;
   const std::optional<std::uint64_t> u = as_u64();
-  DRBW_CHECK_MSG(u.has_value() && *u <= static_cast<std::uint64_t>(INT64_MAX),
-                 "JSON value " << dump(-1) << " is not an int64");
-  return static_cast<std::int64_t>(*u);
+  if (u && *u <= static_cast<std::uint64_t>(INT64_MAX)) {
+    return static_cast<std::int64_t>(*u);
+  }
+  return std::nullopt;
 }
 
 std::optional<std::uint64_t> Json::as_u64() const {

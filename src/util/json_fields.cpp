@@ -40,6 +40,10 @@ std::vector<std::pair<std::string, Members>> Members::entries(
   return out;
 }
 
+void Members::require(const char* key) const {
+  if (!has(key)) fail(std::string("lacks member '") + key + "'");
+}
+
 void Members::fail(const std::string& what) const {
   throw Error(path_ + ": corrupt " + what_ + ": " +
                   (where_.empty() ? "body" : where_) + " " + what,

@@ -1,6 +1,10 @@
 // Unit tests for the bandwidth/queueing model and per-channel load tracking.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "drbw/sim/bandwidth_model.hpp"
 #include "drbw/util/error.hpp"
 
@@ -101,6 +105,57 @@ TEST_F(ChannelLoadTest, RejectsNegativeDemandAndBadEpoch) {
   load_.reset_round();
   EXPECT_THROW(load_.add_demand(ChannelId{0, 0}, -1.0), Error);
   EXPECT_THROW(load_.finalize_round(0.0), Error);
+}
+
+/// Offers one fixed contended load: both remote channels and node 0's local
+/// channel, with outstanding requests so the Little's-law bound applies.
+void offer(ChannelLoad& load, double scale) {
+  load.reset_round();
+  load.add_demand(ChannelId{0, 0}, 30'000.0 * scale, 4.0);
+  load.add_demand(ChannelId{1, 0}, 45'000.0 * scale, 9.0);
+  load.add_demand(ChannelId{0, 1}, 8'000.0 * scale, 2.0);
+}
+
+std::vector<std::uint64_t> multiplier_bits(const ChannelLoad& load,
+                                           const Machine& machine) {
+  std::vector<std::uint64_t> bits;
+  for (int i = 0; i < machine.num_channels(); ++i) {
+    bits.push_back(std::bit_cast<std::uint64_t>(load.multiplier_index(i)));
+  }
+  return bits;
+}
+
+TEST_F(ChannelLoadTest, UnchangedDemandReportsNoChange) {
+  offer(load_, 1.0);
+  EXPECT_TRUE(load_.finalize_round(10'000.0));
+  const std::vector<std::uint64_t> before = multiplier_bits(load_, machine_);
+  offer(load_, 1.0);
+  EXPECT_FALSE(load_.finalize_round(10'000.0));
+  EXPECT_EQ(multiplier_bits(load_, machine_), before);
+  // A different load moves some multiplier again.
+  offer(load_, 1.5);
+  EXPECT_TRUE(load_.finalize_round(10'000.0));
+  EXPECT_NE(multiplier_bits(load_, machine_), before);
+}
+
+TEST_F(ChannelLoadTest, ReusedLoadMatchesAFreshOne) {
+  // Rounds of differing demand through one instance must leave exactly what
+  // a fresh instance computes from the last round alone.
+  for (const double scale : {2.0, 0.25, 1.0, 3.0, 0.5}) {
+    offer(load_, scale);
+    load_.finalize_round(10'000.0);
+    ChannelLoad fresh(machine_);
+    offer(fresh, scale);
+    fresh.finalize_round(10'000.0);
+    EXPECT_EQ(multiplier_bits(load_, machine_), multiplier_bits(fresh, machine_));
+    for (int i = 0; i < machine_.num_channels(); ++i) {
+      const ChannelId ch = machine_.channel_at(i);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(load_.utilization(ch)),
+                std::bit_cast<std::uint64_t>(fresh.utilization(ch)));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(load_.service_fraction_index(i)),
+                std::bit_cast<std::uint64_t>(fresh.service_fraction_index(i)));
+    }
+  }
 }
 
 }  // namespace

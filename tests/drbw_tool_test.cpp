@@ -679,7 +679,9 @@ TEST(DrBwCliWindowTest, AnalyzeAndExplainShareOneGrid) {
 /// A checksum-valid model whose feature count is not 13 cannot classify a
 /// channel: analyze and explain reject it at load as a corrupt artifact
 /// (68), and serve degrades to pass-through telemetry with exit 0, as for
-/// any other unusable model.
+/// any other unusable model.  So is one whose tree node holds a member of
+/// the wrong type or range (a split on feature 13 of 13 included), and the
+/// error names that member.
 TEST(DrBwCliExitCodeTest, WrongArityModelIsACorruptArtifact) {
   const std::string dir =
       ::testing::TempDir() + "/drbw_cli_arity_" + std::to_string(::getpid());
@@ -708,6 +710,32 @@ TEST(DrBwCliExitCodeTest, WrongArityModelIsACorruptArtifact) {
             0);
   EXPECT_NE(cli_read_file(dir + "/serve/run.json").find("\"degraded\": true"),
             std::string::npos);
+
+  const Json committed =
+      ml::Classifier::load(std::string(DRBW_SOURCE_ROOT) + "/drbw_model.json")
+          .to_json();
+  const std::vector<std::pair<std::string, Json>> damaged_members = {
+      {"count", Json(1.5)}, {"left", Json(std::int64_t{-2})},
+      {"threshold", Json("x")}, {"feature", Json(std::int64_t{13})}};
+  for (const auto& [member, value] : damaged_members) {
+    Json doc = committed;
+    Json tree = doc.at("tree");
+    JsonArray nodes = tree.at("nodes").as_array();
+    nodes[0].set(member, value);
+    tree.set("nodes", Json(std::move(nodes)));
+    doc.set("tree", std::move(tree));
+    const std::string damaged = dir + "/" + member + "_model.json";
+    util::write_versioned_artifact(damaged, "model", 3, doc.dump() + "\n");
+    EXPECT_EQ(run_cli("analyze --trace " + dir + "/t.csv --model " + damaged +
+                      " --run-dir " + dir + "/run"),
+              68)
+        << member;
+    const std::string manifest = cli_read_file(dir + "/run/run.json");
+    EXPECT_NE(manifest.find("corrupt-artifact"), std::string::npos) << member;
+    EXPECT_NE(manifest.find("tree.nodes[0] member '" + member + "'"),
+              std::string::npos)
+        << manifest;
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -437,6 +437,55 @@ TEST(DriftBaseline, InvalidEmbeddedBaselineDisablesDriftNotLoad) {
   EXPECT_EQ(loaded.predict({0.9, 0.1}), model.predict({0.9, 0.1}));
 }
 
+/// A model document whose members are missing, wrong-typed or mutually
+/// inconsistent fails to load as a corrupt artifact whose message names
+/// the member.
+TEST(ModelJson, DamagedMembersAreNamed) {
+  const Json doc = Classifier::train(xor_free_dataset()).to_json();
+  // Replaces member `key` of the object at `path` (empty: the root).
+  const auto damaged = [&doc](const std::vector<std::string>& path,
+                              const std::string& key, Json value) {
+    std::vector<Json> chain{doc};
+    for (const std::string& step : path) chain.push_back(chain.back().at(step));
+    chain.back().set(key, std::move(value));
+    for (std::size_t i = path.size(); i > 0; --i) {
+      chain[i - 1].set(path[i - 1], std::move(chain[i]));
+    }
+    return chain.front();
+  };
+  JsonArray counts = doc.at("drift_baseline").at("counts").as_array();
+  counts[1].as_array()[2] = Json(-3.0);
+  JsonArray short_hi = doc.at("normalizer").at("hi").as_array();
+  short_hi.pop_back();
+  Json missing_tree = doc;
+  JsonObject& top = missing_tree.as_object();
+  top.erase(std::remove_if(top.begin(), top.end(),
+                           [](const auto& m) { return m.first == "tree"; }),
+            top.end());
+  const std::vector<std::pair<Json, std::string>> cases = {
+      {damaged({}, "kind", Json("forest")), "body member 'kind'"},
+      {damaged({}, "feature_names", Json(JsonArray{Json(1.0), Json("b")})),
+       "body member 'feature_names[0]' is not a string"},
+      {damaged({}, "feature_names", Json(JsonArray{Json("a")})),
+       "body member 'normalizer' scales 2 features"},
+      {damaged({"normalizer"}, "hi", Json(std::move(short_hi))),
+       "normalizer member 'hi' has 1 entries"},
+      {missing_tree, "body lacks member 'tree'"},
+      {damaged({"drift_baseline"}, "counts", Json(std::move(counts))),
+       "drift_baseline member 'counts[1][2]'"},
+  };
+  for (const auto& [bad, expected] : cases) {
+    try {
+      Classifier::from_json(bad);
+      ADD_FAILURE() << "loaded; expected " << expected;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorruptArtifact) << e.what();
+      EXPECT_NE(std::string(e.what()).find(expected), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(DriftBaseline, CorruptFieldFaultYieldsEmptyBaseline) {
   const Classifier model = Classifier::train(xor_free_dataset());
   const Json doc = model.to_json();

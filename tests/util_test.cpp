@@ -148,31 +148,6 @@ TEST(Quantile, RejectsEmptyAndOutOfRange) {
   EXPECT_THROW(quantile({1.0}, 1.5), Error);
 }
 
-TEST(Histogram, BucketsAndOverflow) {
-  Histogram h(0.0, 100.0, 10);
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(55.0);
-  h.add(99.9999);
-  h.add(100.0);
-  h.add(500.0);
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.count_at(0), 1u);
-  EXPECT_EQ(h.count_at(5), 1u);
-  EXPECT_EQ(h.count_at(9), 1u);
-}
-
-TEST(Histogram, FractionAtLeastUsesBucketEdges) {
-  Histogram h(0.0, 1000.0, 20);  // 50-wide buckets
-  for (int i = 0; i < 10; ++i) h.add(25.0);    // < 50
-  for (int i = 0; i < 30; ++i) h.add(75.0);    // >= 50
-  for (int i = 0; i < 60; ++i) h.add(1500.0);  // overflow
-  EXPECT_DOUBLE_EQ(h.fraction_at_least(50.0), 0.9);
-  EXPECT_DOUBLE_EQ(h.fraction_at_least(1000.0), 0.6);
-}
-
 TEST(Geomean, KnownValue) {
   EXPECT_NEAR(geomean({1.0, 4.0}), 2.0, 1e-12);
   EXPECT_THROW(geomean({1.0, 0.0}), Error);
