@@ -15,6 +15,14 @@
 // observed between nodes 0 and 1 to diagnose performance problems on the
 // bus connecting nodes 0 and 1".
 //
+// The read pass that finds each sample's channel also adds the sample to
+// the profile's Table I tallies (tallies.hpp): per source node, the count,
+// latency sum and latency-threshold counters of all its samples, and the
+// count and latency sum of its local-DRAM, LFB and per-home remote-DRAM
+// samples.  features::extract_channels reads the features off them and
+// never walks the samples again.  The tallies take the samples in stream
+// order.
+//
 // A profile holds each sample once: the samples stay in the caller's
 // vector, and the profile keeps one 8-byte SampleRef (index, object) per
 // sample, since the channel itself names the src and home nodes.  All refs
@@ -36,6 +44,7 @@
 #include <vector>
 
 #include "drbw/core/heap_tracker.hpp"
+#include "drbw/core/tallies.hpp"
 #include "drbw/pebs/sample.hpp"
 #include "drbw/sim/engine.hpp"
 #include "drbw/topology/machine.hpp"
@@ -184,6 +193,9 @@ struct ProfileResult {
   std::uint64_t total_samples = 0;
   /// Samples attributed to tracked heap objects (vs static/stack).
   std::uint64_t attributed_samples = 0;
+  /// Table I tallies of every sample, one source per machine node (no
+  /// nodes in a default-constructed profile).
+  SourceTallies tallies;
 };
 
 class Profiler {

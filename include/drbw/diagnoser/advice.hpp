@@ -4,7 +4,8 @@
 // (§VI-B, §VIII): co-locate partitioned data with its computation,
 // replicate read-shared data, or interleave when nothing finer is
 // available.  This module turns a diagnosis into that recommendation by
-// inspecting, per top-CF object, the evidence the samples already carry:
+// inspecting, per top-CF object, the evidence diagnose() gathered from the
+// samples (diagnoser.hpp's ObjectEvidence):
 //
 //   * write fraction  — replication is only sound for data that is not
 //     written after initialization (the paper replicates Streamcluster's
@@ -35,20 +36,6 @@ enum class Remedy : std::uint8_t {
 
 const char* remedy_name(Remedy remedy);
 
-/// Evidence gathered for one data object from the contended channels.
-struct ObjectEvidence {
-  std::uint32_t object = core::kUnknownObject;
-  std::string site;
-  double cf = 0.0;
-  std::uint64_t samples = 0;
-  double write_fraction = 0.0;
-  /// Number of distinct accessing nodes observed.
-  int accessing_nodes = 0;
-  /// Fraction of the object's sampled 64 KiB regions touched by more than
-  /// one software thread (1.0 = fully shared, 0.0 = perfectly partitioned).
-  double shared_line_fraction = 0.0;
-};
-
 struct Advice {
   ObjectEvidence evidence;
   Remedy remedy = Remedy::kInterleave;
@@ -64,12 +51,12 @@ struct AdviceConfig {
   double sharing_threshold = 0.25;
 };
 
-/// Collects per-object evidence over the contended channels of a profile.
-std::vector<ObjectEvidence> collect_evidence(
-    const core::ProfileResult& profile,
-    const std::vector<topology::ChannelId>& contended);
+/// Recommends a remedy for each actionable object of the diagnosis, in its
+/// rank order.  Reads no samples.
+std::vector<Advice> advise(const Diagnosis& diagnosis,
+                           const AdviceConfig& config = {});
 
-/// Ranks the actionable objects and recommends a remedy for each.
+/// advise(diagnose(profile, contended), config).
 std::vector<Advice> advise(const core::ProfileResult& profile,
                            const std::vector<topology::ChannelId>& contended,
                            const AdviceConfig& config = {});

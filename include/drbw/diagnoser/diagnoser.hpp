@@ -17,6 +17,13 @@
 // see the SP and LULESH case studies) are reported as a separate
 // "untracked" bucket so the heap CFs remain honest fractions of the
 // channel's total traffic.
+//
+// The same pass gathers each object's evidence for the advice engine
+// (advice.hpp): its writes, its accessing nodes and how many of its 64 KiB
+// regions more than one software thread touched.  Region sharing lives in
+// one flat open-addressed table keyed by the exact (object, addr >> 16)
+// pair, probed per sample and never iterated, so no hash order reaches the
+// result.  advise() reads the diagnosis, not the samples.
 #pragma once
 
 #include <string>
@@ -26,16 +33,28 @@
 
 namespace drbw::diagnoser {
 
-struct ObjectContribution {
+/// One tracked heap object's share of the contended traffic, and the
+/// evidence the advice engine reads.
+struct ObjectEvidence {
   std::uint32_t object = core::kUnknownObject;
   std::string site;
-  std::uint64_t samples = 0;
   double cf = 0.0;
+  std::uint64_t samples = 0;
+  double write_fraction = 0.0;
+  /// Number of distinct accessing nodes observed.
+  int accessing_nodes = 0;
+  /// Fraction of the object's sampled 64 KiB regions touched by more than
+  /// one software thread (1.0 = fully shared, 0.0 = perfectly partitioned).
+  /// Regions, not cache lines: at a 1/2000 sampling rate two threads
+  /// essentially never sample the same line, but partitioned arrays keep
+  /// whole regions single-threaded while shared arrays mix threads within
+  /// every region.
+  double shared_line_fraction = 0.0;
 };
 
 struct Diagnosis {
-  /// Tracked heap objects, ranked by CF descending.
-  std::vector<ObjectContribution> ranking;
+  /// Tracked heap objects, ranked by CF descending (equal counts by site).
+  std::vector<ObjectEvidence> ranking;
   /// Samples on contended channels touching untracked (static/stack) data.
   std::uint64_t untracked_samples = 0;
   double untracked_cf = 0.0;
@@ -44,19 +63,15 @@ struct Diagnosis {
   std::vector<topology::ChannelId> channels;
 };
 
-/// The profile's channels named by `contended`, in that order (a repeated
-/// id repeats its channel).  Throws drbw::Error if one is absent; diagnose
-/// and collect_evidence both resolve their channels through this.
-std::vector<const core::ChannelProfile*> resolve_channels(
-    const core::ProfileResult& profile,
-    const std::vector<topology::ChannelId>& contended);
-
-/// Per-channel CF distribution (§VI-A "metrics per channel").
-std::vector<ObjectContribution> contributions_in_channel(
+/// Per-channel CF distribution (§VI-A "metrics per channel").  Throws
+/// drbw::Error if the profile lacks the channel.
+std::vector<ObjectEvidence> contributions_in_channel(
     const core::ProfileResult& profile, topology::ChannelId channel);
 
 /// Cross-channel CF over the given contended channels (§VI-A "metrics
-/// cross channels").  Channels without contention are ignored by design.
+/// cross channels"), with each object's evidence, in one pass over their
+/// samples.  Channels without contention are ignored by design; a repeated
+/// channel counts twice, and one the profile lacks throws drbw::Error.
 Diagnosis diagnose(const core::ProfileResult& profile,
                    const std::vector<topology::ChannelId>& contended);
 

@@ -20,7 +20,10 @@
 // For the channel (i -> j) the scope is all samples issued from node i,
 // with the remote-DRAM statistics (features 6-7) restricted to samples
 // whose data lives on node j — the traffic actually on that channel.
-// features::ChannelWindow (window.hpp) computes them for every scope.
+// core::SourceTallies (core/tallies.hpp) holds the running sums behind
+// them; channel_features reads every remote channel's scope off one.
+// Profiler::profile fills the tallies of a whole run, and
+// features::ChannelWindow (window.hpp) those of a window.
 #pragma once
 
 #include <array>
@@ -28,15 +31,14 @@
 #include <vector>
 
 #include "drbw/core/profiler.hpp"
+#include "drbw/core/tallies.hpp"
 #include "drbw/topology/machine.hpp"
 
 namespace drbw::features {
 
 inline constexpr int kNumSelected = 13;
 
-/// Latency thresholds (cycles) of the ratio features [0]-[4], in order.
-inline constexpr std::array<double, 5> kLatencyThresholds = {
-    1000.0, 500.0, 200.0, 100.0, 50.0};
+using core::kLatencyThresholds;
 
 /// Table I descriptions, index-aligned with FeatureVector::values.
 const std::array<std::string, kNumSelected>& selected_feature_names();
@@ -87,9 +89,16 @@ struct ChannelFeatures {
   FeatureVector features;
 };
 
+/// Features of every remote channel the tallies cover, in channel index
+/// order (src-major, the local channel skipped).  The one place
+/// FeatureVector::values is assembled.
+std::vector<ChannelFeatures> channel_features(
+    const core::SourceTallies& tallies);
+
 /// Per-channel scope for every remote channel of the machine, in channel
-/// index order: one ChannelWindow fed the profile's samples in profile
-/// order.
+/// index order, read off the tallies Profiler::profile filled in its read
+/// pass; the samples are not walked again.  A default-constructed profile
+/// holds no samples, and every one of its scopes reads zero.
 std::vector<ChannelFeatures> extract_channels(const core::ProfileResult& profile,
                                               const topology::Machine& machine);
 

@@ -1,30 +1,26 @@
-// The one Table I featurizer.
+// The one Table I featurizer over a changing set of samples.
 //
 // ChannelWindow keeps the Table I statistics of every directed channel as
-// running sums, so adding or evicting one sample costs O(1) and reading the
-// features costs O(nodes^2), whatever the window holds.  A sliding window
-// (serve) adds and evicts; a windowed scope (DrBw::analyze_window, behind
-// analyze --windows and explain) adds one cycle window's samples; a whole
-// profile (extract_channels) adds every sample once, in profile order.
+// running sums in a core::SourceTallies (core/tallies.hpp), so adding or
+// evicting one sample costs O(1) and reading the features costs
+// O(nodes^2), whatever the window holds.  A sliding window (serve) adds and
+// evicts; a windowed scope (DrBw::analyze_window, behind analyze --windows
+// and explain) adds one cycle window's samples.  A whole profile needs no
+// window: Profiler::profile fills the same tallies in its read pass, and
+// extract_channels reads them off the profile.
 //
 // Every add resolves its sample to a WindowSample — the 8 bytes Table I
 // reads: latency, memory level, source node and home node — and returns
 // it.  A sliding window keeps those records and evicts them, so eviction
 // never consults the locator or the machine again: what leaves the window
 // is exactly what entered it, whatever locator filled it.
-//
-// State: one record per source node (sample count, the five latency
-// threshold counters, and count + latency sum for all samples) plus a
-// row of level tallies per source node: local DRAM, LFB, a sink for the
-// levels Table I does not read, and remote DRAM per home node.  Each mean
-// is sum / count, or 0 when the count is 0.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "drbw/core/profiler.hpp"
+#include "drbw/core/tallies.hpp"
 #include "drbw/features/selected.hpp"
 #include "drbw/pebs/sample.hpp"
 #include "drbw/topology/machine.hpp"
@@ -49,9 +45,14 @@ static_assert(sizeof(WindowSample) == 8, "WindowSample must pack to 8 bytes");
 /// add() bit for bit — while each latency is 0 or at least 1 cycle and a
 /// sum stays below 2^30 cycles (e.g. 4096 samples averaging 262k cycles).
 /// Inside the bound the features are a pure function of the multiset, never
-/// of the add/evict history.  Whole-run sums (extract_channels) run in
-/// profile order, so they are deterministic at any size, and order-free
-/// within the bound.
+/// of the add/evict history.  Whole-run sums (Profiler::profile's tallies,
+/// read by extract_channels) run in stream order, so they are deterministic
+/// at any size.  Under ReplayLocator (analyze, explain, serve) all of a
+/// source's samples sit in one channel, (src, 0), so stream order is also
+/// the order a window fed the profile channel by channel would see, and the
+/// sums match it bit for bit at any latency.  Under other locators only the
+/// order across one source's channels differs, which the bound makes
+/// order-free.
 class ChannelWindow {
  public:
   /// `machine` and `locator` must outlive the window.  The machine has at
@@ -61,9 +62,6 @@ class ChannelWindow {
   /// Adds a raw sample: its source node comes from the machine, its home
   /// node from the locator.  Returns the record it applied, for evict().
   WindowSample add(const pebs::MemorySample& sample);
-  /// Adds a profiled sample with the source and home node the profiler
-  /// recorded (both nodes of the machine); the locator is not consulted.
-  void add(const core::AttributedSample& sample);
   /// Adds a record an add() returned.
   void add(const WindowSample& sample);
   /// Removes one record an add() returned (or passed to add()).  Reads
@@ -76,28 +74,9 @@ class ChannelWindow {
   std::vector<ChannelFeatures> channels() const;
 
  private:
-  /// Latency sum over a counted subset of the source node's samples.
-  struct Tally {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double mean() const {
-      return count > 0 ? sum / static_cast<double>(count) : 0.0;
-    }
-  };
-  struct SourceStats {
-    Tally all;
-    std::array<std::uint64_t, kLatencyThresholds.size()> above{};
-  };
-  /// The one update: kSign = 1 adds `sample`, -1 evicts it.
-  template <int kSign>
-  void apply(const WindowSample& sample);
-
   const topology::Machine& machine_;
   core::PageLocator& locator_;
-  std::size_t row_;                   ///< level tallies per source node
-  std::vector<SourceStats> sources_;  ///< indexed by source node
-  /// Level tallies, src * row_ + slot (slots in window.cpp).
-  std::vector<Tally> levels_;
+  core::SourceTallies tallies_;
 };
 
 }  // namespace drbw::features

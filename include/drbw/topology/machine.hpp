@@ -108,8 +108,16 @@ class Machine {
 
   /// Number of directed channels including the local (i->i) ones: N*N.
   int num_channels() const { return spec_.sockets * spec_.sockets; }
-  /// Dense index for a channel, row-major by (src, dst).
-  int channel_index(ChannelId ch) const;
+  /// Dense index for a channel, row-major by (src, dst).  Inline, since the
+  /// profiler asks once per sample; a node outside the machine throws.
+  int channel_index(ChannelId ch) const {
+    const auto nodes = static_cast<unsigned>(spec_.sockets);
+    if (static_cast<unsigned>(ch.src) >= nodes ||
+        static_cast<unsigned>(ch.dst) >= nodes) {
+      channel_out_of_range(ch);
+    }
+    return ch.src * spec_.sockets + ch.dst;
+  }
   ChannelId channel_at(int index) const;
 
   /// Capacity of a channel in bytes/cycle: the memory controller for local
@@ -154,6 +162,7 @@ class Machine {
  private:
   void build_paths();
   [[noreturn]] void cpu_out_of_range(CpuId cpu) const;
+  [[noreturn]] void channel_out_of_range(ChannelId ch) const;
 
   MachineSpec spec_;
   std::vector<std::vector<CpuId>> node_cpus_;

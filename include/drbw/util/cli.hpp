@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -54,6 +55,8 @@ class ArgParser {
 
   bool flag(const std::string& name) const;
   const std::string& option(const std::string& name) const;
+  /// Whether the command line set option `name` (its default otherwise).
+  bool given(const std::string& name) const { return given_.count(name) > 0; }
   /// Every bare argument, in command-line order.
   const std::vector<std::string>& positionals() const { return positionals_; }
 
@@ -94,6 +97,7 @@ class ArgParser {
   std::vector<std::pair<std::string, Spec>> specs_;
   std::vector<Positional> positional_specs_;
   std::map<std::string, std::string> values_;
+  std::set<std::string> given_;
   std::map<std::string, bool> flags_;
   std::vector<std::string> positionals_;
 

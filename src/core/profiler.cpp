@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "drbw/obs/trace.hpp"
 #include "drbw/util/error.hpp"
@@ -61,11 +62,13 @@ ProfileResult Profiler::profile(
   const auto channels = static_cast<std::size_t>(machine_.num_channels());
   const std::size_t n = samples.size();
 
-  // Read pass: each sample's channel and object, and a count per channel in
-  // offsets[channel + 1].
+  // Read pass: each sample's channel and object, a count per channel in
+  // offsets[channel + 1], and the sample's Table I tallies.
   std::vector<Routed> routed;
   util::reserve_huge(routed, n);
   std::vector<std::uint32_t> offsets(channels + 1, 0);
+  SourceTallies tallies(machine_.num_nodes());
+  std::uint64_t attributed = 0;
   HeapTracker::Finder objects = result.tracker.finder();
   for (const pebs::MemorySample& sample : samples) {
     const topology::NodeId src = machine_.node_of_cpu(sample.cpu);
@@ -73,10 +76,15 @@ ProfileResult Profiler::profile(
     const std::uint32_t object = objects.object_of(sample.address);
     const auto channel = static_cast<std::uint32_t>(
         machine_.channel_index(topology::ChannelId{src, home}));
-    if (object != kUnknownObject) ++result.attributed_samples;
+    if (object != kUnknownObject) ++attributed;
     ++offsets[channel + 1];
     routed.push_back(Routed{channel, object});
+    tallies.apply<1>(sample.latency_cycles, sample.level,
+                     static_cast<std::size_t>(src),
+                     static_cast<std::size_t>(home));
   }
+  result.attributed_samples = attributed;
+  result.tallies = std::move(tallies);
   for (std::size_t c = 0; c < channels; ++c) offsets[c + 1] += offsets[c];
 
   // Scatter pass: each ref to its channel's next free slot, so every

@@ -1,6 +1,6 @@
 #include "drbw/features/selected.hpp"
 
-#include "drbw/features/window.hpp"
+#include "drbw/util/error.hpp"
 
 namespace drbw::features {
 
@@ -33,16 +33,54 @@ const std::array<std::string, kNumSelected>& selected_feature_keys() {
   return keys;
 }
 
+std::vector<ChannelFeatures> channel_features(
+    const core::SourceTallies& tallies) {
+  const int nodes = tallies.nodes();
+  std::vector<ChannelFeatures> out;
+  out.reserve(static_cast<std::size_t>(nodes * (nodes - 1)));
+  for (int src = 0; src < nodes; ++src) {
+    const auto s = static_cast<std::size_t>(src);
+    const core::LatencyTally& all = tallies.all(s);
+    const core::LatencyTally& local = tallies.local(s);
+    const core::LatencyTally& lfb = tallies.lfb(s);
+    FeatureVector base;
+    const auto n = static_cast<double>(all.count);
+    for (std::size_t i = 0; i < kLatencyThresholds.size(); ++i) {
+      base.values[i] =
+          n > 0.0 ? static_cast<double>(tallies.above(s, i)) / n : 0.0;
+    }
+    base.values[7] = static_cast<double>(local.count);
+    base.values[8] = local.mean();
+    base.values[9] = n;
+    base.values[10] = all.mean();
+    base.values[11] = static_cast<double>(lfb.count);
+    base.values[12] = lfb.mean();
+    base.scope_samples = all.count;
+    for (int dst = 0; dst < nodes; ++dst) {
+      if (dst == src) continue;  // detection targets remote channels only
+      const core::LatencyTally& remote =
+          tallies.remote(s, static_cast<std::size_t>(dst));
+      ChannelFeatures cf;
+      cf.channel = topology::ChannelId{src, dst};
+      cf.features = base;
+      cf.features.values[5] = static_cast<double>(remote.count);
+      cf.features.values[6] = remote.mean();
+      out.push_back(cf);
+    }
+  }
+  return out;
+}
+
 std::vector<ChannelFeatures> extract_channels(const core::ProfileResult& profile,
                                               const topology::Machine& machine) {
-  // Every profiled sample carries its source and home node, so the window
-  // never consults its locator.
-  core::ReplayLocator unused;
-  ChannelWindow window(machine, unused);
-  for (const core::ChannelProfile& channel : profile.channels) {
-    for (const core::AttributedSample& s : channel.samples) window.add(s);
+  if (profile.tallies.nodes() == 0) {
+    return channel_features(core::SourceTallies(machine.num_nodes()));
   }
-  return window.channels();
+  DRBW_CHECK_MSG(profile.tallies.nodes() == machine.num_nodes(),
+                 "a profile of " << profile.tallies.nodes()
+                                 << " nodes featurized for a machine of "
+                                 << machine.num_nodes());
+  return channel_features(profile.tallies);
 }
 
 }  // namespace drbw::features

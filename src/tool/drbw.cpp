@@ -82,7 +82,7 @@ Report DrBw::analyze_profile(const core::ProfileResult& profile) const {
     obs::Span span("diagnose");
     span.arg("contended_channels", static_cast<double>(report.contended.size()));
     report.diagnosis = diagnoser::diagnose(profile, report.contended);
-    report.advice = diagnoser::advise(profile, report.contended);
+    report.advice = diagnoser::advise(report.diagnosis);
   }
   return report;
 }

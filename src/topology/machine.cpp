@@ -98,10 +98,12 @@ const std::vector<CpuId>& Machine::cpus_of_node(NodeId node) const {
   return node_cpus_[static_cast<std::size_t>(node)];
 }
 
-int Machine::channel_index(ChannelId ch) const {
-  DRBW_CHECK(ch.src >= 0 && ch.src < num_nodes());
-  DRBW_CHECK(ch.dst >= 0 && ch.dst < num_nodes());
-  return ch.src * num_nodes() + ch.dst;
+void Machine::channel_out_of_range(ChannelId ch) const {
+  std::ostringstream msg;
+  msg << "channel N" << ch.src << "->N" << ch.dst << " outside the machine's "
+      << num_nodes() << " nodes";
+  detail::throw_check_failure("ch.src and ch.dst in [0, num_nodes())",
+                              __FILE__, __LINE__, msg.str());
 }
 
 ChannelId Machine::channel_at(int index) const {

@@ -92,9 +92,11 @@ bool ArgParser::parse(int argc, const char* const* argv) {
       flags_[name] = true;
     } else if (has_inline) {
       values_[name] = inline_value;
+      given_.insert(name);
     } else {
       if (i + 1 >= argc) throw UsageError("option --" + name + " expects a value");
       values_[name] = argv[++i];
+      given_.insert(name);
     }
   }
   // Declared positionals fill in order; only the last may be unbounded.

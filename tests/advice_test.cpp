@@ -143,7 +143,7 @@ TEST_F(AdviceTest, EvidenceSortedBySamples) {
   }
   samples.push_back(sample(space_.object(b).base, machine_.cpus_of_node(1)[0], 1));
   const auto profile = profiler_.profile(space_.drain_events(), samples);
-  const auto evidence = collect_evidence(profile, {ChannelId{1, 0}});
+  const auto evidence = diagnose(profile, {ChannelId{1, 0}}).ranking;
   ASSERT_EQ(evidence.size(), 2u);
   EXPECT_EQ(evidence[0].site, "a.c:7 big");
   EXPECT_GT(evidence[0].cf, evidence[1].cf);

@@ -128,7 +128,6 @@ TEST_F(DiagnoserTest, UnknownChannelThrows) {
   EXPECT_THROW(diagnose(profile, {ChannelId{0, 1}}), Error);
   EXPECT_THROW(contributions_in_channel(profile, ChannelId{0, 1}), Error);
   // The advice engine resolves its channels the same way.
-  EXPECT_THROW(collect_evidence(profile, {ChannelId{0, 1}}), Error);
   EXPECT_THROW(advise(profile, {ChannelId{0, 1}}), Error);
 }
 

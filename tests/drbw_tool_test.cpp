@@ -450,6 +450,25 @@ std::string cli_read_file(const std::string& path) {
   return buffer.str();
 }
 
+/// lulesh has one input, so `record` with no --input uses input 0 (input 1
+/// is the default only where it exists) and the manifest says so; an
+/// explicit --input 1 is still out of range.
+TEST(DrBwCliExitCodeTest, OneInputBenchmarkRecordsWithoutInput) {
+  const std::string dir =
+      ::testing::TempDir() + "/drbw_cli_input_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  EXPECT_EQ(run_cli("record --benchmark lulesh --config T4-N2 --out " + dir +
+                    "/lulesh.csv --run-dir " + dir + "/rec"),
+            0);
+  EXPECT_NE(cli_read_file(dir + "/rec/run.json").find("\"input\": \"0\""),
+            std::string::npos);
+  EXPECT_EQ(run_cli("record --benchmark lulesh --input 1 --config T4-N2 "
+                    "--out " + dir + "/one.csv --run-dir " + dir + "/one"),
+            64);
+  std::filesystem::remove_all(dir);
+}
+
 /// A trace recorded on a bigger machine carries cpu ids the replaying
 /// machine lacks: every trace-reading front end rejects it as a corrupt
 /// artifact (68) at load time, from a CSV or a binary body and in either

@@ -1154,17 +1154,13 @@ TEST_P(PostProfileOracleProperty, EvidenceAndTallyMatchOrderedReference) {
   for (int c = 0; c < machine().num_channels(); ++c) {
     if (rng.bernoulli(0.4)) contended.push_back(machine().channel_at(c));
   }
-  const auto want = reference::collect_evidence(profile, contended);
-  expect_same_evidence(diagnoser::collect_evidence(profile, contended), want);
-
-  // diagnose() ranks the same objects by the same counts.
   const diagnoser::Diagnosis d = diagnoser::diagnose(profile, contended);
-  ASSERT_EQ(d.ranking.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(d.ranking[i].object, want[i].object);
-    EXPECT_EQ(d.ranking[i].samples, want[i].samples);
-    EXPECT_EQ(d.ranking[i].cf, want[i].cf);
-  }
+  expect_same_evidence(d.ranking,
+                       reference::collect_evidence(profile, contended));
+  // The untracked bucket and the ranked objects account for every sample.
+  std::uint64_t ranked = 0;
+  for (const diagnoser::ObjectEvidence& e : d.ranking) ranked += e.samples;
+  EXPECT_EQ(ranked + d.untracked_samples, d.total_samples);
 }
 
 TEST_P(PostProfileOracleProperty, FeaturesMatchPerDestinationReference) {
@@ -1185,9 +1181,68 @@ TEST_P(PostProfileOracleProperty, FeaturesMatchPerDestinationReference) {
   }
   ASSERT_GT(diagonal_remote, 0u);
   ASSERT_GT(remote_local_or_lfb, 0u);
+  // Sources whose samples span several homes: the read pass tallies them
+  // in stream order, the reference channel by channel.
+  int multi_home_sources = 0;
+  for (int src = 0; src < machine().num_nodes(); ++src) {
+    int homes = 0;
+    for (const core::ChannelProfile& channel : profile.channels) {
+      homes += channel.channel.src == src && !channel.samples.empty();
+    }
+    multi_home_sources += homes > 1;
+  }
+  ASSERT_GT(multi_home_sources, 1);
 
   const auto got = features::extract_channels(profile, machine());
   const auto want = reference::extract_channels(profile, machine());
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t c = 0; c < got.size(); ++c) {
+    EXPECT_EQ(got[c].channel, want[c].channel);
+    EXPECT_EQ(std::memcmp(&got[c].features, &want[c].features,
+                          sizeof(features::FeatureVector)),
+              0)
+        << machine().channel_name(want[c].channel);
+  }
+}
+
+// Latencies far outside ChannelWindow's exactness bound: zero, denormals,
+// FLT_MAX and 3.4e38 mixed with ordinary values, so the sums round and
+// their order shows in the bits.  Under ReplayLocator every sample of a
+// source sits in channel (src, 0), so the read pass's stream order is the
+// order a window fed the profile channel by channel sees.
+TEST_P(PostProfileOracleProperty, ReplayFeaturesMatchAChannelOrderWindow) {
+  Rng rng(GetParam());
+  const ProfileInput input = random_profile(rng);
+  std::vector<pebs::MemorySample> samples = input.samples;
+  const float hostile[] = {0.0f,
+                           std::numeric_limits<float>::denorm_min(),
+                           1e-40f,
+                           FLT_MIN,
+                           0.5f,
+                           1.0f,
+                           123.456f,
+                           FLT_MAX,
+                           3.4e38f};
+  for (pebs::MemorySample& s : samples) {
+    s.latency_cycles =
+        rng.bernoulli(0.5)
+            ? hostile[rng.bounded(std::size(hostile))]
+            : static_cast<float>(rng.uniform(0.0, 1e30));
+  }
+  core::ReplayLocator replay;
+  const core::ProfileResult profile =
+      core::Profiler(machine(), replay).profile(input.events, samples);
+  features::ChannelWindow window(machine(), replay);
+  for (const core::ChannelProfile& channel : profile.channels) {
+    for (const core::AttributedSample& s : channel.samples) {
+      window.add(features::WindowSample{
+          s.sample.latency_cycles, s.sample.level,
+          static_cast<std::uint8_t>(s.src_node),
+          static_cast<std::uint8_t>(s.home_node)});
+    }
+  }
+  const auto got = features::extract_channels(profile, machine());
+  const auto want = window.channels();
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t c = 0; c < got.size(); ++c) {
     EXPECT_EQ(got[c].channel, want[c].channel);
@@ -1226,7 +1281,7 @@ TEST(PostProfileOracle, EvidenceEdgeCases) {
   const std::vector<topology::ChannelId> contended = {
       {1, 0}, {2, 0}, {3, 0}};
 
-  const auto got = diagnoser::collect_evidence(profile, contended);
+  const auto got = diagnoser::diagnose(profile, contended).ranking;
   expect_same_evidence(got, reference::collect_evidence(profile, contended));
   // Three objects with 3 samples each tie, so the site breaks the tie.
   ASSERT_EQ(got.size(), 3u);
@@ -1242,10 +1297,60 @@ TEST(PostProfileOracle, EvidenceEdgeCases) {
   EXPECT_EQ(got[2].accessing_nodes, 2);
 
   // No contended channel: no evidence, as the reference.
-  EXPECT_TRUE(diagnoser::collect_evidence(profile, {}).empty());
+  EXPECT_TRUE(diagnoser::diagnose(profile, {}).ranking.empty());
   EXPECT_TRUE(reference::collect_evidence(profile, {}).empty());
   // HeapTracker interns sites, so two objects can never share one: the
   // (samples, site) sort key is a total order over any evidence list.
+}
+
+// The region table holds far more pairs than it starts with, so it grows
+// and rehashes, and its keys would collide if they were packed or XORed
+// into 64 bits: 65,544 objects of 1 KiB above 2^63, object i alone in
+// region R + i for i < 65,536, and object 65,536 + k next to object k in
+// region R + k (so `object << 48 | region` collides), while objects 2m and
+// 2m + 1 in regions R + 2m and R + 2m + 1 give equal `object ^ region` for
+// R divisible by 4.
+TEST(PostProfileOracle, EvidenceKeepsEveryObjectRegionPairApart) {
+  constexpr std::uint32_t kLow = 1u << 16;
+  constexpr std::uint32_t kHigh = 8;
+  constexpr mem::Addr kBase = (1ull << 63) + (1ull << 40);
+  constexpr mem::Addr kRegion = 1ull << 16;
+  ProfileInput input;
+  std::vector<mem::Addr> bases;
+  for (std::uint32_t i = 0; i < kLow + kHigh; ++i) {
+    mem::AllocationEvent event;
+    event.site.label = "oracle.c:" + std::to_string(i) + " obj";
+    event.base = i < kLow ? kBase + i * kRegion
+                          : kBase + (i - kLow) * kRegion + 1024;
+    event.size_bytes = 1024;
+    input.events.push_back(event);
+    bases.push_back(event.base);
+  }
+  // 1,500 low objects (object i from node 1 + i % 3) and every high one;
+  // a second sample from another thread shares every third region.
+  std::vector<std::uint32_t> sampled;
+  for (std::uint32_t i = 0; i < 1500; ++i) sampled.push_back(i);
+  for (std::uint32_t k = 0; k < kHigh; ++k) sampled.push_back(kLow + k);
+  for (const std::uint32_t object : sampled) {
+    const auto src = static_cast<topology::NodeId>(1 + object % 3);
+    core::AttributedSample s = attributed(bases[object], object % 5, src);
+    s.sample.is_write = object % 7 == 0;
+    add_sample(input, s);
+    s.sample.address += 64;
+    if (object % 3 == 0) ++s.sample.tid;
+    add_sample(input, s);
+  }
+  const core::ProfileResult profile = profile_of(input);
+  const std::vector<topology::ChannelId> contended = {{1, 0}, {2, 0}, {3, 0}};
+  const diagnoser::Diagnosis d = diagnoser::diagnose(profile, contended);
+  expect_same_evidence(d.ranking,
+                       reference::collect_evidence(profile, contended));
+  ASSERT_EQ(d.ranking.size(), sampled.size());
+  for (const diagnoser::ObjectEvidence& e : d.ranking) {
+    EXPECT_EQ(e.samples, 2u) << e.site;
+    EXPECT_EQ(e.shared_line_fraction, e.object % 3 == 0 ? 1.0 : 0.0)
+        << e.site;
+  }
 }
 
 // ---------------------------------------------------------------------- //

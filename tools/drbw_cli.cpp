@@ -517,7 +517,9 @@ int cmd_train(int argc, char** argv) {
 int cmd_record(int argc, char** argv) {
   ArgParser parser("drbw record", "Profile a proxy benchmark into a trace");
   parser.add_option("benchmark", "suite benchmark name", "streamcluster");
-  parser.add_option("input", "input index", "1");
+  parser.add_option("input",
+                    "input index; a benchmark with one input defaults to 0",
+                    "1");
   parser.add_option("config", "Tt-Nn configuration", "T32-N4");
   parser.add_option("placement", "placement mode", "original");
   parser.add_option("out", "trace output path", "drbw_trace.csv");
@@ -541,8 +543,19 @@ int cmd_record(int argc, char** argv) {
         parse_config(parser.option("config"), machine);
     const workloads::PlacementMode placement =
         parse_placement(parser.option("placement"));
-    const std::int64_t input = parser.option_int(
-        "input", 0, static_cast<std::int64_t>(bench->num_inputs()) - 1);
+    // Input 1 by default, but a benchmark with one input has only input 0;
+    // the manifest records the input the run used.
+    const bool only_input = bench->num_inputs() == 1 && !parser.given("input");
+    const std::int64_t input =
+        only_input ? 0
+                   : parser.option_int(
+                         "input", 0,
+                         static_cast<std::int64_t>(bench->num_inputs()) - 1);
+    if (only_input) {
+      for (auto& [name, value] : session.manifest().config) {
+        if (name == "input") value = "0";
+      }
+    }
     session.stage("build");
     mem::AddressSpace space(machine);
     sim::EngineConfig engine;
