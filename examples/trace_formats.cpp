@@ -2,13 +2,15 @@
 //
 //   1. record a sample trace by running sumv (master-thread allocation,
 //      so the trace is worth re-analyzing later),
-//   2. save it two ways — CSV v2 and binary v3 — and show what lands on
+//   2. save it two ways — CSV v2 and binary v4 — and show what lands on
 //      disk,
 //   3. load both back and verify they are the *same trace*.
 //
-// Why bother with formats?  CSV is greppable; binary loads 2-3x
-// faster (perfbench/ measures both decoders per sample on million-sample
-// traces: pebs.decode_binary_ns_per_sample vs pebs.decode_csv_ns_per_sample).
+// Why bother with formats?  CSV is greppable.  A binary v4 sample record is
+// the 32-byte MemorySample itself, so a clean binary load copies no sample:
+// the trace's samples are read straight from the mapped file (perfbench/
+// measures both loaders per sample on million-sample traces:
+// pebs.decode_binary_ns_per_sample vs pebs.decode_csv_ns_per_sample).
 // Either way a trace is one checksummed file, written atomically.
 //
 // Build & run:  ./examples/trace_formats
@@ -101,10 +103,10 @@ int main() {
 
   std::cout
       << "\nPicking a format: CSV stays greppable; `drbw record --format "
-         "binary`\nloads 2-3x faster (perfbench/ measures the "
-         "decoders). `drbw convert`\nmoves a trace between formats after "
-         "the fact, and `drbw analyze\n--expect-trace-version` pins what a "
-         "deployment accepts (exit 69 on skew).\n";
+         "binary`\nwrites v4, whose samples load without a copy. `drbw "
+         "convert`\nmoves a trace between formats (and a v3 binary trace to "
+         "v4) after\nthe fact, and `drbw analyze --expect-trace-version` "
+         "pins what a\ndeployment accepts (exit 69 on skew).\n";
 
   fs::remove_all(dir);
   return all_equal ? 0 : 1;

@@ -24,7 +24,7 @@
 // order.
 //
 // A profile holds each sample once: the samples stay in the caller's
-// vector, and the profile keeps one 8-byte SampleRef (index, object) per
+// array, and the profile keeps one 8-byte SampleRef (index, object) per
 // sample, since the channel itself names the src and home nodes.  All refs
 // live in a single exact-size array, grouped by channel and in sample order
 // within each: profile() counts each channel's samples in one read pass and
@@ -32,14 +32,15 @@
 // allocated once, never regrown, and huge-page advised.  Every
 // ChannelSamples views its slice of that array through shared ownership, so
 // a copied ProfileResult stays valid after the original is gone.  The
-// profile borrows the sample vector and must not outlive it; the profile()
-// overloads that take a temporary are deleted.
+// profile borrows the samples and must not outlive them; the profile()
+// overloads that take a temporary run or vector are deleted.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -109,7 +110,7 @@ static_assert(sizeof(SampleRef) == 8, "a profiled sample costs 8 bytes");
 inline constexpr std::uint64_t kMaxProfileSamples = 0xffffffffu;
 
 /// One channel's samples: its slice of the profile's shared ref array, refs
-/// into the borrowed sample vector, iterated in sample order as
+/// into the borrowed samples, iterated in sample order as
 /// AttributedSample values.
 class ChannelSamples {
  public:
@@ -183,8 +184,8 @@ struct ChannelProfile {
   ChannelSamples samples;
 };
 
-/// A profile borrows the sample vector it was built from: it stays valid,
-/// and may be copied, only while that vector lives unmodified.  Copies share
+/// A profile borrows the samples it was built from: it stays valid, and may
+/// be copied, only while they live unmodified.  Copies share
 /// the ref array, so copying costs one reference count per channel.
 struct ProfileResult {
   /// One entry per machine channel index (possibly with zero samples).
@@ -211,7 +212,7 @@ class Profiler {
   /// replayed traces).  The result borrows `samples`; more than
   /// kMaxProfileSamples of them throw Error(kCorruptArtifact).
   ProfileResult profile(const std::vector<mem::AllocationEvent>& events,
-                        const std::vector<pebs::MemorySample>& samples) const;
+                        std::span<const pebs::MemorySample> samples) const;
   ProfileResult profile(const std::vector<mem::AllocationEvent>& events,
                         std::vector<pebs::MemorySample>&& samples) const =
       delete;

@@ -11,6 +11,7 @@
 // (sampling, channel association, attribution) is reusable on its own.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -103,7 +104,7 @@ class DrBw {
   /// verdict's cycle bounds and sample count, and classifies it with
   /// classify_window.  Windows may be classified concurrently when `locator`
   /// is stateless.
-  WindowVerdict analyze_window(const std::vector<pebs::MemorySample>& samples,
+  WindowVerdict analyze_window(std::span<const pebs::MemorySample> samples,
                                const pebs::CycleWindows& windows,
                                std::size_t w, core::PageLocator& locator) const;
 

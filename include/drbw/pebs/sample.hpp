@@ -9,8 +9,12 @@
 // this layer (profiler, features, classifier, diagnoser) is the real tool.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "drbw/mem/address_space.hpp"
 #include "drbw/topology/machine.hpp"
@@ -37,7 +41,11 @@ inline bool is_dram(MemLevel level) {
 }
 
 /// One sampled memory access.  Fields are ordered widest first so the
-/// record packs into 32 bytes: a 1M-sample trace is 32 MB, not 40.
+/// record packs into 32 bytes: a 1M-sample trace is 32 MB, not 40.  The
+/// struct has no padding: its last two bytes are the explicit `reserved`
+/// pair, so on a little-endian host its object image is exactly a v4 binary
+/// trace record (trace_io.hpp), and the loader can read the samples straight
+/// from the mapped file.
 struct MemorySample {
   mem::Addr address = 0;
   std::uint64_t cycle = 0;       // retirement timestamp (simulated clock)
@@ -46,8 +54,55 @@ struct MemorySample {
   float latency_cycles = 0.0f;   // load-to-use latency
   MemLevel level = MemLevel::kL1;
   bool is_write = false;
+  std::uint8_t reserved[2] = {0, 0};  // zero; a v4 trace rejects anything else
 };
 static_assert(sizeof(MemorySample) == 32, "MemorySample must pack to 32 bytes");
+static_assert(alignof(MemorySample) == 8);
+static_assert(offsetof(MemorySample, cycle) == 8 &&
+                  offsetof(MemorySample, cpu) == 16 &&
+                  offsetof(MemorySample, tid) == 20 &&
+                  offsetof(MemorySample, latency_cycles) == 24 &&
+                  offsetof(MemorySample, level) == 28 &&
+                  offsetof(MemorySample, is_write) == 29 &&
+                  offsetof(MemorySample, reserved) == 30,
+              "MemorySample's image is the v4 trace record");
+
+/// A read-only run of samples, shared on copy: an owned vector, or a view
+/// into memory another object keeps alive (a loaded binary trace's file
+/// mapping).  Copying costs one reference count, so a trace and a run hand
+/// their samples to each other without copying one.  It reads like a const
+/// vector and, being a contiguous range, converts implicitly to
+/// std::span<const MemorySample>, which is what the analysis stages take.
+class SampleArray {
+ public:
+  SampleArray() = default;
+  /// Owns `samples` (moved in, or copied from an lvalue).
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  SampleArray(std::vector<MemorySample> samples) {
+    if (samples.empty()) return;
+    auto owned =
+        std::make_shared<const std::vector<MemorySample>>(std::move(samples));
+    data_ = owned->data();
+    size_ = owned->size();
+    owner_ = std::move(owned);
+  }
+  /// Views `count` samples at `data`, which stay valid while `owner` lives.
+  SampleArray(std::shared_ptr<const void> owner, const MemorySample* data,
+              std::size_t count)
+      : owner_(std::move(owner)), data_(data), size_(count) {}
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const MemorySample* data() const { return data_; }
+  const MemorySample& operator[](std::size_t i) const { return data_[i]; }
+  const MemorySample* begin() const { return data_; }
+  const MemorySample* end() const { return data_ + size_; }
+
+ private:
+  std::shared_ptr<const void> owner_;
+  const MemorySample* data_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 /// The 0-based access offsets at which samples fire within one batch, in
 /// increasing order: `count` terms of the progression first + i * period.

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "drbw/pebs/sample.hpp"
-#include "drbw/pebs/trace_io.hpp"
 
 namespace drbw::pebs {
 
@@ -41,13 +40,13 @@ struct Sessions {
   std::uint64_t cycle_span = 0;
 };
 
-/// Slices `trace` into `clients` sessions (client = tid % clients): one
+/// Slices `samples` into `clients` sessions (client = tid % clients): one
 /// counting pass, then one exact-size ordinal vector per client.  Throws
-/// Error(kUsage) when clients == 0 and Error(kCorruptArtifact) when the
-/// trace holds more than kMaxSessionSamples samples.  Slicing is a pure
-/// function of the trace, so sessions are identical across runs and job
-/// counts.
-Sessions slice_sessions(const Trace& trace, std::uint32_t clients);
+/// Error(kUsage) when clients == 0 and Error(kCorruptArtifact) past
+/// kMaxSessionSamples samples.  Slicing is a pure function of the samples,
+/// so sessions are identical across runs and job counts.
+Sessions slice_sessions(std::span<const MemorySample> samples,
+                        std::uint32_t clients);
 
 /// Most cycle windows a caller may ask for (`--windows`): every window
 /// costs an offset, a verdict and a featurization pass over its ordinals, so
@@ -90,13 +89,14 @@ struct CycleWindows {
 /// one counting pass, then one fill.  Empty windows are kept, and a sample
 /// past the last window's start lands in it.  Throws
 /// Error(kCorruptArtifact) past kMaxSessionSamples samples.
-CycleWindows bucket_by_cycle(const std::vector<MemorySample>& samples,
+CycleWindows bucket_by_cycle(std::span<const MemorySample> samples,
                              std::uint64_t width, std::size_t count,
                              std::uint64_t end);
 
 /// The front ends' grid: exactly `windows` windows of
 /// cycle_window_width(span, windows) cycles over [0, span + 1), span being
 /// the largest sample cycle (the end saturates at 2^64 - 1).
-CycleWindows split_cycle_windows(const Trace& trace, std::size_t windows);
+CycleWindows split_cycle_windows(std::span<const MemorySample> samples,
+                                 std::size_t windows);
 
 }  // namespace drbw::pebs

@@ -38,19 +38,27 @@
 //   those in scientific notation (below 1e-4 or from 1e6 up) miss the fast
 //   path.
 //
-//   Binary (v3) — little-endian fixed-width records, 2-3x faster to
-//   load than CSV (field decoding is a byte copy, with no text to scan;
-//   perfbench/ reports pebs.decode_binary_ns_per_sample and
-//   pebs.decode_csv_ns_per_sample):
-//     #drbw-trace v3 crc32=<hex> bytes=<n>
-//     prelude   magic 'DRBW' u32 | flags u32 (0) | event count u64 |
+//   Binary (v4) — little-endian fixed-width records behind a 32-byte
+//   prelude; perfbench/ reports pebs.decode_binary_ns_per_sample and
+//   pebs.decode_csv_ns_per_sample:
+//     #drbw-trace v4 crc32=<hex> bytes=<n>
+//     prelude   magic 'DRBW' u32 | samples pad u32 | event count u64 |
 //               sample count u64 | label-blob bytes u64
 //     labels    concatenated allocation-site labels (referenced by offset)
 //     events    kind u8 | label_off u32 | label_len u32 | base u64 | size u64
+//     pad       `samples pad` zero bytes (at most 15)
 //     samples   addr u64 | cycle u64 | cpu u32 | tid u32 |
-//               latency f32-bits u32 | level u8 | is_write u8
+//               latency f32-bits u32 | level u8 | is_write u8 |
+//               reserved u8[2] (zero)
+//   A sample record is 32 bytes, exactly the MemorySample object on a
+//   little-endian host.  The writer sizes the pad so that the samples
+//   section starts 8-byte aligned in the *file* (header line included);
+//   the mapping is page-aligned, so the records are then aligned in memory.
+//   v3 is the same body with the prelude's pad word a zero flags word, no
+//   pad, and 30-byte sample records without the reserved bytes; it still
+//   loads, through the decoder below.  `drbw convert` rewrites it as v4.
 //
-// save_trace writes CSV v2 by default and binary v3 behind
+// save_trace writes CSV v2 by default and binary v4 behind
 // SaveOptions{.format = TraceFormat::kBinary}.  Every trace loads through
 // load_trace, and a file without the checksummed header is rejected
 // (kParse) before any record is read.
@@ -58,13 +66,19 @@
 // File writes go through the atomic artifact writer, so a crashed or
 // fault-injected save never leaves a partial trace at the target path.
 //
-// File loads map the artifact read-only (util::MappedFile) and validate
-// and decode it in place: the body is never copied, only the decoded
-// records are.  The mapping is dropped before load_trace returns, and the
-// Trace owns its samples.  One caveat
-// of reading through a mapping: another process truncating the file while
-// it loads can raise SIGBUS.  No file content can: damaged or short bodies
-// fail validation with a typed Error as before.
+// File loads map the artifact read-only (util::MappedFile) and validate it
+// in place.  A v4 body whose every sample record passes its checks where it
+// lies (level byte, write flag, latency finite and >= 0, reserved bytes
+// zero, the cpu check) is not copied at all: the Trace's samples are a view
+// of the mapping, and the Trace keeps the mapping alive.  The decoder fills
+// an owned array instead, and the mapping is dropped before load_trace
+// returns, when a record is quarantined, a "trace.read" fault is armed, the
+// samples section is misaligned, or the body is v3 or CSV.  One caveat of
+// reading through a mapping: another process truncating the file while it
+// is mapped can raise SIGBUS, and a viewed trace stays mapped for as long as
+// the Trace (or a copy of its samples) lives, so the caveat covers the whole
+// run that reads it.  No file content can: damaged or short bodies fail
+// validation with a typed Error as before.
 //
 // Loads run under a util::LoadPolicy: strict (the default) rejects the
 // first malformed record with a typed Error naming the source, record, and
@@ -86,20 +100,22 @@
 
 namespace drbw::pebs {
 
-/// Highest trace artifact version this build reads (the binary body).
-inline constexpr int kTraceVersion = 3;
+/// Highest trace artifact version this build reads, and the one it writes
+/// for binary bodies.  Binary v3 bodies still load (decoded, not viewed).
+inline constexpr int kTraceVersion = 4;
 /// Version written for CSV bodies (the v2 checksummed line format).
 inline constexpr int kTraceCsvVersion = 2;
 
 struct Trace {
   std::vector<mem::AllocationEvent> events;
-  std::vector<MemorySample> samples;
+  /// Owned, or a view of the loaded file's mapping (see above).
+  SampleArray samples;
 };
 
 /// Body encodings; name round-trip is exposed for the CLI's --format flag.
 enum class TraceFormat {
   kCsv,     ///< v2 line-oriented body (default; human-greppable)
-  kBinary,  ///< v3 fixed-width little-endian body (fast bulk loads)
+  kBinary,  ///< v4 fixed-width little-endian body (loads without a copy)
 };
 const char* trace_format_name(TraceFormat format);
 /// Parses "csv" / "binary"; throws Error(kUsage) otherwise.

@@ -22,7 +22,7 @@
 //
 // Each sample is held once, in the trace: sessions, deferred offers and the
 // queues carry uint32 trace ordinals, and the window reads
-// trace.samples[ordinal] once, when it adds it.  A window buffer holds the
+// samples[ordinal] once, when it adds it.  A window buffer holds the
 // 8-byte features::WindowSample records its adds returned and evicts them
 // as they are, so eviction reads neither the trace nor the locator.  Queue
 // and window rings grow with what they hold, never with --queue-depth or
@@ -56,6 +56,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,6 +64,7 @@
 #include "drbw/features/selected.hpp"
 #include "drbw/ml/decision_tree.hpp"
 #include "drbw/pebs/session.hpp"
+#include "drbw/pebs/trace_io.hpp"
 #include "drbw/serve/queue.hpp"
 #include "drbw/topology/machine.hpp"
 
@@ -244,10 +246,12 @@ class Server {
   Server(const topology::Machine& machine, const ml::Classifier* model,
          ServeOptions options);
 
-  /// Replays `trace` through the serve loop (see file comment).  Byte-for-
-  /// byte deterministic: identical trace + options + fault spec produce an
-  /// identical ServeResult and snapshot at any options.jobs value.
-  ServeResult run(const pebs::Trace& trace);
+  /// Replays a trace's `samples` through the serve loop (see file comment).
+  /// Byte-for-byte deterministic: identical samples + options + fault spec
+  /// produce an identical ServeResult and snapshot at any options.jobs
+  /// value.
+  ServeResult run(std::span<const pebs::MemorySample> samples);
+  ServeResult run(const pebs::Trace& trace) { return run(trace.samples); }
 
  private:
   const topology::Machine& machine_;

@@ -119,7 +119,7 @@ struct PhaseResult {
 struct RunResult {
   std::uint64_t total_cycles = 0;
   std::vector<PhaseResult> phases;
-  std::vector<pebs::MemorySample> samples;
+  pebs::SampleArray samples;
   std::vector<ChannelStats> channels;  // by machine channel index
   std::vector<mem::AllocationEvent> alloc_events;
 
@@ -161,7 +161,7 @@ class Engine {
   void emit_samples(ThreadState& ts, std::uint64_t served,
                     std::uint64_t epoch_start, double cost,
                     const ChannelLoad& load, SampleTally& tally,
-                    RunResult& result);
+                    std::vector<pebs::MemorySample>& samples);
 
   const topology::Machine& machine_;
   mem::AddressSpace& space_;

@@ -86,6 +86,12 @@ struct ArtifactHeader {
 std::string format_artifact_header(const std::string& kind, int version,
                                    std::string_view body);
 
+/// Length of the header line format_artifact_header writes over a body of
+/// `body_bytes` bytes, without its newline.  Writers that align a section of
+/// the body in the file (binary traces) place it with this.
+std::size_t artifact_header_size(const std::string& kind, int version,
+                                 std::size_t body_bytes);
+
 /// Parses one header line.  Returns nullopt when the line does not start
 /// with `#drbw-`; throws Error(kParse) unless it is exactly the line
 /// format_artifact_header writes, `#drbw-<kind> v<N> crc32=<8 hex>

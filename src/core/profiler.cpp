@@ -48,7 +48,7 @@ ProfileResult Profiler::profile(const sim::RunResult& run) const {
 
 ProfileResult Profiler::profile(
     const std::vector<mem::AllocationEvent>& events,
-    const std::vector<pebs::MemorySample>& samples) const {
+    std::span<const pebs::MemorySample> samples) const {
   obs::Span span("profile");
   span.arg("samples", static_cast<double>(samples.size()));
   if (samples.size() > kMaxProfileSamples) {

@@ -7,19 +7,20 @@
 
 namespace drbw::pebs {
 
-Sessions slice_sessions(const Trace& trace, std::uint32_t clients) {
+Sessions slice_sessions(std::span<const MemorySample> samples,
+                        std::uint32_t clients) {
   if (clients == 0) {
     throw Error("slice_sessions: clients must be >= 1", ErrorCode::kUsage);
   }
-  if (trace.samples.size() > kMaxSessionSamples) {
-    throw Error("cannot replay " + std::to_string(trace.samples.size()) +
+  if (samples.size() > kMaxSessionSamples) {
+    throw Error("cannot replay " + std::to_string(samples.size()) +
                     " samples: a session indexes at most " +
                     std::to_string(kMaxSessionSamples),
                 ErrorCode::kCorruptArtifact);
   }
   Sessions out;
   std::vector<std::size_t> counts(clients, 0);
-  for (const MemorySample& s : trace.samples) {
+  for (const MemorySample& s : samples) {
     ++counts[s.tid % clients];
     out.cycle_span = std::max(out.cycle_span, s.cycle);
   }
@@ -28,9 +29,9 @@ Sessions slice_sessions(const Trace& trace, std::uint32_t clients) {
     out.clients[c].client = c;
     out.clients[c].ordinals.reserve(counts[c]);
   }
-  const auto n = static_cast<std::uint32_t>(trace.samples.size());
+  const auto n = static_cast<std::uint32_t>(samples.size());
   for (std::uint32_t i = 0; i < n; ++i) {
-    out.clients[trace.samples[i].tid % clients].ordinals.push_back(i);
+    out.clients[samples[i].tid % clients].ordinals.push_back(i);
   }
   return out;
 }
@@ -41,7 +42,7 @@ std::uint64_t cycle_window_width(std::uint64_t span, std::uint64_t windows) {
   return std::max(base, base + 1);  // saturating
 }
 
-CycleWindows bucket_by_cycle(const std::vector<MemorySample>& samples,
+CycleWindows bucket_by_cycle(std::span<const MemorySample> samples,
                              std::uint64_t width, std::size_t count,
                              std::uint64_t end) {
   DRBW_CHECK_MSG(width > 0 && count > 0,
@@ -71,10 +72,11 @@ CycleWindows bucket_by_cycle(const std::vector<MemorySample>& samples,
   return out;
 }
 
-CycleWindows split_cycle_windows(const Trace& trace, std::size_t windows) {
+CycleWindows split_cycle_windows(std::span<const MemorySample> samples,
+                                 std::size_t windows) {
   std::uint64_t span = 0;
-  for (const MemorySample& s : trace.samples) span = std::max(span, s.cycle);
-  return bucket_by_cycle(trace.samples, cycle_window_width(span, windows),
+  for (const MemorySample& s : samples) span = std::max(span, s.cycle);
+  return bucket_by_cycle(samples, cycle_window_width(span, windows),
                          windows, std::max(span, span + 1));  // saturating
 }
 

@@ -1,6 +1,7 @@
 #include "drbw/pebs/trace_io.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cfloat>
 #include <charconv>
@@ -9,6 +10,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string_view>
 #include <utility>
@@ -25,12 +27,21 @@ namespace {
 
 constexpr const char* kArtifactKind = "trace";
 
-// Binary (v3) body geometry.  All integers are little-endian regardless of
-// host byte order; the encoder/decoder below shift bytes explicitly.
+// Binary body geometry.  All integers are little-endian regardless of host
+// byte order; the decoder below shifts bytes explicitly, and a v4 sample
+// record is read in place only on a little-endian host.
 constexpr std::uint32_t kBinaryMagic = 0x57425244u;  // "DRBW" read as LE u32
 constexpr std::size_t kBinaryPreludeBytes = 32;
 constexpr std::size_t kBinaryEventBytes = 25;
-constexpr std::size_t kBinarySampleBytes = 30;
+constexpr std::size_t kV3SampleBytes = 30;
+constexpr std::size_t kV4SampleBytes = sizeof(MemorySample);
+static_assert(kV4SampleBytes == 32);
+/// Most pad bytes before a v4 samples section.  Eight choices of pad always
+/// align the section, unless one of them adds a digit to the header's
+/// `bytes=` field and so shifts the section by one more byte; the next eight
+/// then do.
+constexpr std::uint32_t kMaxSamplesPad = 15;
+constexpr bool kLittleEndian = std::endian::native == std::endian::little;
 constexpr std::uint8_t kMaxLevelByte =
     static_cast<std::uint8_t>(MemLevel::kRemoteDram);
 
@@ -213,7 +224,22 @@ float bits_float(std::uint32_t bits) {
   return f;
 }
 
-/// Renders the v3 binary body (see the layout in trace_io.hpp).  Labels are
+/// Pad bytes that put a samples section `offset` bytes into a body of
+/// `body_bytes` (pad excluded) 8-byte aligned in the file, whose header line
+/// and its newline come first.
+std::uint32_t samples_pad(std::size_t offset, std::size_t body_bytes) {
+  const auto file_offset = [&](std::uint32_t pad) {
+    return util::artifact_header_size(kArtifactKind, kTraceVersion,
+                                      body_bytes + pad) +
+           1 + offset + pad;
+  };
+  std::uint32_t pad = 0;
+  while (file_offset(pad) % alignof(MemorySample) != 0) ++pad;
+  DRBW_CHECK(pad <= kMaxSamplesPad);
+  return pad;
+}
+
+/// Renders the v4 binary body (see the layout in trace_io.hpp).  Labels are
 /// deduplicated into one blob; events reference them by (offset, length).
 std::string render_binary(const Trace& trace) {
   const std::size_t event_count = trace.events.size();
@@ -234,12 +260,14 @@ std::string render_binary(const Trace& trace) {
     interned.emplace(label, ref);
     refs[i] = ref;
   }
+  const std::size_t samples_off =
+      kBinaryPreludeBytes + labels.size() + event_count * kBinaryEventBytes;
+  const std::uint32_t pad =
+      samples_pad(samples_off, samples_off + sample_count * kV4SampleBytes);
   std::string out;
-  out.reserve(kBinaryPreludeBytes + labels.size() +
-              event_count * kBinaryEventBytes +
-              sample_count * kBinarySampleBytes);
+  out.reserve(samples_off + pad + sample_count * kV4SampleBytes);
   put_u32(out, kBinaryMagic);
-  put_u32(out, 0);  // flags, reserved
+  put_u32(out, pad);
   put_u64(out, event_count);
   put_u64(out, sample_count);
   put_u64(out, labels.size());
@@ -252,14 +280,23 @@ std::string render_binary(const Trace& trace) {
     put_u64(out, e.base);
     put_u64(out, e.size_bytes);
   }
-  for (const MemorySample& s : trace.samples) {
-    put_u64(out, s.address);
-    put_u64(out, s.cycle);
-    put_u32(out, static_cast<std::uint32_t>(s.cpu));
-    put_u32(out, s.tid);
-    put_u32(out, float_bits(s.latency_cycles));
-    out.push_back(static_cast<char>(s.level));
-    out.push_back(static_cast<char>(s.is_write ? 1 : 0));
+  out.append(pad, '\0');
+  if constexpr (kLittleEndian) {
+    // The record is the sample's object image, reserved bytes included.
+    out.append(reinterpret_cast<const char*>(trace.samples.data()),
+               sample_count * kV4SampleBytes);
+  } else {
+    for (const MemorySample& s : trace.samples) {
+      put_u64(out, s.address);
+      put_u64(out, s.cycle);
+      put_u32(out, static_cast<std::uint32_t>(s.cpu));
+      put_u32(out, s.tid);
+      put_u32(out, float_bits(s.latency_cycles));
+      out.push_back(static_cast<char>(s.level));
+      out.push_back(static_cast<char>(s.is_write ? 1 : 0));
+      out.push_back(static_cast<char>(s.reserved[0]));
+      out.push_back(static_cast<char>(s.reserved[1]));
+    }
   }
   return out;
 }
@@ -339,6 +376,9 @@ class CpuCheck {
       : num_cpus_(num_cpus),
         limit_(num_cpus > 0 ? static_cast<std::uint64_t>(num_cpus)
                             : std::uint64_t{1} << 32) {}
+
+  /// Whether `cpu` passes; note() records nothing for such a cpu.
+  bool admits(std::uint32_t cpu) const { return cpu < limit_; }
 
   /// `ordinal` is the sample's index in the decoded trace.
   void note(topology::CpuId cpu, std::size_t ordinal) {
@@ -612,15 +652,18 @@ struct FieldCursor {
   throw Error("malformed site label '" + token + "'", ErrorCode::kParse);
 }
 
-/// Reads CSV records into a trace.  Only a quoted allocation label is ever
-/// copied, into one reused buffer; every other field parses in place.
+/// Reads CSV records into events and samples.  Only a quoted allocation
+/// label is ever copied, into one reused buffer; every other field parses in
+/// place.
 class RecordReader {
  public:
-  explicit RecordReader(CpuCheck& cpus) : cpus_(cpus) {}
+  RecordReader(CpuCheck& cpus, std::vector<mem::AllocationEvent>& events,
+               std::vector<MemorySample>& samples)
+      : cpus_(cpus), events_(events), samples_(samples) {}
 
-  /// Appends the non-blank record `rec` to `trace`; throws Error(kParse)
-  /// naming the offending token (the caller prefixes source and line).
-  void read(std::string_view rec, Trace& trace) {
+  /// Appends the non-blank record `rec`; throws Error(kParse) naming the
+  /// offending token (the caller prefixes source and line).
+  void read(std::string_view rec) {
     if (rec.size() > 1 && rec[1] != ',') {
       throw Error("unknown record kind '" +
                       std::string(rec.substr(0, rec.find(','))) + "'",
@@ -638,8 +681,8 @@ class RecordReader {
           reject(rec, 8, c);
         }
         s.cpu = static_cast<topology::CpuId>(cpu);
-        cpus_.note(s.cpu, trace.samples.size());
-        trace.samples.push_back(s);
+        cpus_.note(s.cpu, samples_.size());
+        samples_.push_back(s);
         return;
       }
       case 'A': {
@@ -650,7 +693,7 @@ class RecordReader {
               c.integer(size, true))) {
           reject(rec, 4, c);
         }
-        trace.events.push_back(mem::AllocationEvent{
+        events_.push_back(mem::AllocationEvent{
             mem::AllocationEvent::Kind::kAlloc, {std::string(label)}, base,
             size});
         return;
@@ -658,7 +701,7 @@ class RecordReader {
       case 'F': {
         std::uint64_t base = 0;
         if (!c.integer(base, true)) reject(rec, 2, c);
-        trace.events.push_back(mem::AllocationEvent{
+        events_.push_back(mem::AllocationEvent{
             mem::AllocationEvent::Kind::kFree, {""}, base, 0});
         return;
       }
@@ -671,6 +714,8 @@ class RecordReader {
 
  private:
   CpuCheck& cpus_;
+  std::vector<mem::AllocationEvent>& events_;
+  std::vector<MemorySample>& samples_;
   std::string label_;
 };
 
@@ -693,9 +738,10 @@ Trace parse_records(std::string_view body, const std::string& source,
     std::size_t seen = 0;
     ~SeenTally() { counter.add(seen); }
   } tally{metrics.records_seen};
-  util::reserve_huge(trace.samples, detail::count_newlines(body) + 1);
+  std::vector<MemorySample> samples;
+  util::reserve_huge(samples, detail::count_newlines(body) + 1);
   const bool faults_armed = fault::armed();
-  RecordReader reader(cpus);
+  RecordReader reader(cpus, trace.events, samples);
   std::string damaged;
   LineCursor lines(body);
   std::string_view rec;
@@ -719,7 +765,7 @@ Trace parse_records(std::string_view body, const std::string& source,
       rec = damaged;
     }
     try {
-      reader.read(rec, trace);
+      reader.read(rec);
       ++st.records_ok;
     } catch (const Error& e) {
       if (!policy.lenient()) {
@@ -734,6 +780,7 @@ Trace parse_records(std::string_view body, const std::string& source,
     }
   }
   enforce_quarantine_cap(source, policy, st);
+  trace.samples = std::move(samples);
   return trace;
 }
 
@@ -766,12 +813,13 @@ mem::AllocationEvent parse_binary_event(const unsigned char* p,
 }
 
 /// Decodes one binary sample record; throws Error(kParse) on an invalid
-/// field (level byte, write flag, non-finite latency).  Always inlined: it
-/// runs once per sample in parse_binary's loop, and GCC's own choice here
-/// depends on how large the enclosing function has grown by inlining, which
-/// moves with unrelated edits to this file.
+/// field (level byte, write flag, non-finite latency, and in a v4 record
+/// non-zero reserved bytes).  Always inlined: it runs once per sample in
+/// parse_binary's loop, and GCC's own choice here depends on how large the
+/// enclosing function has grown by inlining, which moves with unrelated
+/// edits to this file.
 [[gnu::always_inline]] inline MemorySample parse_binary_sample(
-    const unsigned char* p, std::size_t ordinal) {
+    const unsigned char* p, std::size_t ordinal, bool v4) {
   const std::uint8_t level = p[28];
   if (level > kMaxLevelByte) {
     throw Error("sample record #" + std::to_string(ordinal) +
@@ -790,6 +838,11 @@ mem::AllocationEvent parse_binary_event(const unsigned char* p,
                     ": malformed latency bits",
                 ErrorCode::kParse);
   }
+  if (v4 && (p[30] | p[31]) != 0) {
+    throw Error("sample record #" + std::to_string(ordinal) +
+                    ": reserved bytes are not zero",
+                ErrorCode::kParse);
+  }
   MemorySample s;
   s.address = get_u64(p);
   s.cycle = get_u64(p + 8);
@@ -801,18 +854,50 @@ mem::AllocationEvent parse_binary_event(const unsigned char* p,
   return s;
 }
 
-/// Parses a v3 binary body under `policy`.  Record ordinals are keyed the
-/// way CSV line numbers would be for the same trace (events start at 2,
+/// Whether every v4 sample record at `records` passes parse_binary_sample's
+/// checks, read where it lies; `max_cpu` receives the largest cpu.  One
+/// branch-free pass: the checks are folded into a flag, so the loop has no
+/// early exit to stop the compiler from unrolling it.
+bool v4_samples_valid(const unsigned char* records, std::size_t count,
+                      std::uint32_t& max_cpu) {
+  std::uint32_t bad = 0;
+  std::uint32_t cpu_max = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const unsigned char* p = records + i * kV4SampleBytes;
+    // level | write << 8 | reserved << 16
+    const std::uint32_t tail = get_u32(p + 28);
+    const std::uint32_t latency = get_u32(p + 24);
+    bad |= static_cast<std::uint32_t>((tail & 0xffu) > kMaxLevelByte) |
+           static_cast<std::uint32_t>(tail > 0x1ffu) |
+           // Finite and >= 0: a clear sign bit below the infinity's bits, or
+           // -0 (which compares equal to 0).
+           static_cast<std::uint32_t>(latency >= 0x7f800000u &&
+                                      latency != 0x80000000u);
+    cpu_max = std::max(cpu_max, get_u32(p + 16));
+  }
+  max_cpu = cpu_max;
+  return bad == 0;
+}
+
+/// Parses a v3 or v4 binary body under `policy`.  Record ordinals are keyed
+/// the way CSV line numbers would be for the same trace (events start at 2,
 /// samples follow), so one fault spec damages the same logical record in
 /// either format.  In lenient mode a truncated tail quarantines the missing
 /// records against the declared counts, so stats are stable across loads.
-Trace parse_binary(std::string_view body, const std::string& source,
-                   const util::LoadPolicy& policy, util::LoadStats* stats,
-                   CpuCheck& cpus) {
+/// A v4 body whose sample records are all present, aligned in memory and
+/// valid, with no fault armed, yields samples that view the body where it
+/// lies, kept alive by `mapping`; any other body is decoded into an owned
+/// array.
+Trace parse_binary(std::string_view body, int version,
+                   const std::string& source, const util::LoadPolicy& policy,
+                   util::LoadStats* stats, CpuCheck& cpus,
+                   const std::shared_ptr<const util::MappedFile>& mapping) {
   util::LoadStats local;
   util::LoadStats& st = stats != nullptr ? *stats : local;
   TraceMetrics& metrics = TraceMetrics::get();
   const auto* base = reinterpret_cast<const unsigned char*>(body.data());
+  const bool v4 = version >= 4;
+  const std::size_t sample_bytes = v4 ? kV4SampleBytes : kV3SampleBytes;
   if (body.size() < kBinaryPreludeBytes) {
     throw Error(source + ": binary trace prelude is " +
                     std::to_string(body.size()) + " bytes, expected " +
@@ -821,12 +906,17 @@ Trace parse_binary(std::string_view body, const std::string& source,
                 ErrorCode::kCorruptArtifact);
   }
   if (get_u32(base) != kBinaryMagic) {
-    throw Error(source + ": binary trace magic mismatch (body is not a v3 "
-                         "trace encoding)",
+    throw Error(source + ": binary trace magic mismatch (body is not a v" +
+                    std::to_string(version) + " trace encoding)",
                 ErrorCode::kParse);
   }
-  if (get_u32(base + 4) != 0) {
-    throw Error(source + ": unsupported binary trace flags", ErrorCode::kParse);
+  // v3's flags word is always 0; v4 keeps the samples pad there.
+  const std::uint32_t pad = get_u32(base + 4);
+  if (pad > (v4 ? kMaxSamplesPad : 0)) {
+    throw Error(source + (v4 ? ": unsupported binary trace samples pad "
+                             : ": unsupported binary trace flags ") +
+                    std::to_string(pad),
+                ErrorCode::kParse);
   }
   const std::uint64_t event_count = get_u64(base + 8);
   const std::uint64_t sample_count = get_u64(base + 16);
@@ -842,16 +932,25 @@ Trace parse_binary(std::string_view body, const std::string& source,
   }
   const std::size_t events_off = kBinaryPreludeBytes +
                                  static_cast<std::size_t>(label_bytes);
-  const std::size_t samples_off =
+  const std::size_t pad_off =
       events_off + static_cast<std::size_t>(event_count) * kBinaryEventBytes;
+  const std::size_t samples_off = pad_off + pad;
   const std::size_t expected =
-      samples_off + static_cast<std::size_t>(sample_count) * kBinarySampleBytes;
+      samples_off + static_cast<std::size_t>(sample_count) * sample_bytes;
   if (body.size() != expected && !policy.lenient()) {
     throw Error(source + ": binary trace body is " +
                     std::to_string(body.size()) + " bytes, expected " +
                     std::to_string(expected) +
                     " — artifact is truncated or corrupt",
                 ErrorCode::kCorruptArtifact);
+  }
+  // The pad belongs to the prelude's geometry: damage there cannot be
+  // quarantined as a record.
+  for (std::size_t i = pad_off; i < std::min(samples_off, body.size()); ++i) {
+    if (base[i] != 0) {
+      throw Error(source + ": binary trace samples pad holds non-zero bytes",
+                  ErrorCode::kParse);
+    }
   }
   const bool labels_ok = events_off <= body.size();
   const std::string_view label_blob(
@@ -864,14 +963,14 @@ Trace parse_binary(std::string_view body, const std::string& source,
         event_count, (body.size() - events_off) / kBinaryEventBytes);
     if (body.size() >= samples_off) {
       samples_avail = std::min<std::uint64_t>(
-          sample_count, (body.size() - samples_off) / kBinarySampleBytes);
+          sample_count, (body.size() - samples_off) / sample_bytes);
     }
   }
   Trace trace;
   trace.events.reserve(events_avail);
-  util::reserve_huge(trace.samples, samples_avail);
   const bool faults_armed = fault::armed();
-  unsigned char scratch[kBinaryPreludeBytes];
+  unsigned char scratch[kV4SampleBytes];
+  static_assert(sizeof scratch >= kBinaryEventBytes);
   // Returns the record bytes to decode: the mapped body bytes, or a locally
   // damaged copy when the "trace.read" corrupt fault fires for this key.
   const auto record_bytes = [&](const unsigned char* p, std::size_t nbytes,
@@ -916,6 +1015,27 @@ Trace parse_binary(std::string_view body, const std::string& source,
       quarantine(e, key);
     }
   }
+  const unsigned char* records = base + samples_off;
+  std::uint32_t max_cpu = 0;
+  if (kLittleEndian && v4 && !faults_armed && samples_avail == sample_count &&
+      reinterpret_cast<std::uintptr_t>(records) % alignof(MemorySample) ==
+          0 &&
+      v4_samples_valid(records, samples_avail, max_cpu)) {
+    // Each record is a valid MemorySample object representation (checked
+    // above: a bool byte of 0 or 1, a defined level, no padding), read in
+    // place the way any file mapping of trivially copyable records is.
+    const auto* view = reinterpret_cast<const MemorySample*>(records);
+    if (!cpus.admits(max_cpu)) {
+      for (std::size_t i = 0; i < samples_avail; ++i) cpus.note(view[i].cpu, i);
+    }
+    st.records_seen += samples_avail;
+    st.records_ok += samples_avail;
+    enforce_quarantine_cap(source, policy, st);
+    trace.samples = SampleArray(mapping, view, samples_avail);
+    return trace;
+  }
+  std::vector<MemorySample> samples;
+  util::reserve_huge(samples, samples_avail);
   for (std::uint64_t i = 0; i < sample_count; ++i) {
     const std::uint64_t key = 2 + event_count + i;
     ++st.records_seen;
@@ -927,17 +1047,17 @@ Trace parse_binary(std::string_view body, const std::string& source,
       continue;
     }
     try {
-      trace.samples.push_back(parse_binary_sample(
-          record_bytes(base + samples_off + i * kBinarySampleBytes,
-                       kBinarySampleBytes, key),
-          static_cast<std::size_t>(i)));
-      cpus.note(trace.samples.back().cpu, trace.samples.size() - 1);
+      samples.push_back(parse_binary_sample(
+          record_bytes(records + i * sample_bytes, sample_bytes, key),
+          static_cast<std::size_t>(i), v4));
+      cpus.note(samples.back().cpu, samples.size() - 1);
       ++st.records_ok;
     } catch (const Error& e) {
       quarantine(e, key);
     }
   }
   enforce_quarantine_cap(source, policy, st);
+  trace.samples = std::move(samples);
   return trace;
 }
 
@@ -946,9 +1066,11 @@ Trace parse_binary(std::string_view body, const std::string& source,
 Trace parse_trace_body(const util::ArtifactView& artifact,
                        const std::string& source,
                        const util::LoadPolicy& policy, util::LoadStats* stats,
-                       CpuCheck& cpus) {
+                       CpuCheck& cpus,
+                       const std::shared_ptr<const util::MappedFile>& mapping) {
   if (artifact.header.version >= 3) {
-    return parse_binary(artifact.body, source, policy, stats, cpus);
+    return parse_binary(artifact.body, artifact.header.version, source, policy,
+                        stats, cpus, mapping);
   }
   return parse_records(artifact.body, source, policy, stats, cpus);
 }
@@ -995,13 +1117,15 @@ Trace load_trace(const std::string& path, const LoadOptions& options,
                  util::LoadStats* stats) {
   util::LoadStats local;
   util::LoadStats& st = stats != nullptr ? *stats : local;
-  const util::MappedFile file(path, "trace file");
+  const auto file =
+      std::make_shared<const util::MappedFile>(path, "trace file");
   const util::ArtifactView artifact = util::validate_versioned_content(
-      path, file.view(), kArtifactKind, options.max_version, options.policy,
+      path, file->view(), kArtifactKind, options.max_version, options.policy,
       &st);
   if (!st.checksum_ok) TraceMetrics::get().checksum_failures.add(1);
   CpuCheck cpus(options.num_cpus);
-  Trace trace = parse_trace_body(artifact, path, options.policy, &st, cpus);
+  Trace trace =
+      parse_trace_body(artifact, path, options.policy, &st, cpus, file);
   TraceMetrics::get().bytes_loaded.add(artifact.body.size());
   cpus.require_none(path);
   return trace;

@@ -101,13 +101,13 @@ Server::Server(const topology::Machine& machine, const ml::Classifier* model,
                  "serve backoff_cycles must be at most " << kMaxBackoffCycles);
 }
 
-ServeResult Server::run(const pebs::Trace& trace) {
+ServeResult Server::run(std::span<const pebs::MemorySample> samples) {
   const std::uint32_t clients = std::max<std::uint32_t>(1, options_.clients);
   const std::size_t queue_depth = std::max<std::size_t>(1, options_.queue_depth);
   const std::size_t drain_n =
       options_.drain_per_tick == 0 ? queue_depth : options_.drain_per_tick;
   const int breaker = std::max(1, options_.breaker_threshold);
-  const pebs::Sessions sessions = pebs::slice_sessions(trace, clients);
+  const pebs::Sessions sessions = pebs::slice_sessions(samples, clients);
   const std::uint64_t span = sessions.cycle_span;
   const std::uint64_t window = options_.window_cycles == 0
                                    ? pebs::cycle_window_width(span, 8)
@@ -134,7 +134,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
   ServeResult result;
   result.degraded = !tool_.has_value();
   result.window_cycles = window;
-  result.samples_in = trace.samples.size();
+  result.samples_in = samples.size();
   // Drift needs a v3 model with an embedded training baseline; without one
   // the run still serves (and still records the confidence timeline), the
   // drift section is just unavailable.
@@ -206,7 +206,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
   // a hard cap turns any future regression into a truncated-run result
   // instead of a hang.
   const std::uint64_t hard_cap =
-      span / window + static_cast<std::uint64_t>(trace.samples.size()) + 16;
+      span / window + static_cast<std::uint64_t>(samples.size()) + 16;
 
   struct Slot {
     bool candidate = false;
@@ -268,7 +268,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
       const std::vector<std::uint32_t>& stream = sessions.clients[c].ordinals;
       const auto arrives = [&] {
         return st.cursor < stream.size() &&
-               trace.samples[stream[st.cursor]].cycle < window_end;
+               samples[stream[st.cursor]].cycle < window_end;
       };
       if (!arrives() && st.deferred.empty()) continue;
 
@@ -340,7 +340,7 @@ ServeResult Server::run(const pebs::Trace& trace) {
       // The evicted record comes from the ring, not from the trace.
       const std::size_t drained =
           st.queue.drain(drain_n, [&](std::uint32_t ordinal) {
-            st.buffer.push_back(st.window.add(trace.samples[ordinal]));
+            st.buffer.push_back(st.window.add(samples[ordinal]));
             ++st.window_updates;
             if (st.buffer.size() > options_.window_capacity) {
               st.window.evict(st.buffer.pop_front());

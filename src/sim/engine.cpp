@@ -207,7 +207,7 @@ double Engine::access_cost(const ThreadState& ts, const ChannelLoad& load) const
 void Engine::emit_samples(ThreadState& ts, std::uint64_t served,
                           std::uint64_t epoch_start, double /*cost*/,
                           const ChannelLoad& load, SampleTally& tally,
-                          RunResult& result) {
+                          std::vector<pebs::MemorySample>& samples) {
   DRBW_CHECK_MSG(served >= 1,
                  "emit_samples requires served >= 1 (offset mapping divides "
                  "by served and clamps to served - 1)");
@@ -346,7 +346,7 @@ void Engine::emit_samples(ThreadState& ts, std::uint64_t served,
           fault::corrupt_bits("pebs.sample", fault_key, sample.address);
       ++tally.fault_corrupted;
     }
-    result.samples.push_back(sample);
+    samples.push_back(sample);
   }
 }
 
@@ -369,6 +369,7 @@ RunResult Engine::run(const std::vector<SimThread>& threads,
     ts.rng = Rng(config_.seed).fork(threads[i].tid);
   }
 
+  std::vector<pebs::MemorySample> samples;
   if (config_.profiling) {
     // One sample per sample_period accesses is the expected density; the
     // latency threshold only thins it.  Reserving up front keeps the commit
@@ -379,7 +380,7 @@ RunResult Engine::run(const std::vector<SimThread>& threads,
         for (const AccessBurst& burst : work.bursts) total_accesses += burst.count;
       }
     }
-    result.samples.reserve(static_cast<std::size_t>(
+    samples.reserve(static_cast<std::size_t>(
         total_accesses / config_.sample_period + 64));
   }
 
@@ -523,7 +524,7 @@ RunResult Engine::run(const std::vector<SimThread>& threads,
             std::min(1.0, static_cast<double>(n) * cost / epoch_cycles));
 
         if (config_.profiling) {
-          emit_samples(ts, n, clock, cost, load, sample_tally, result);
+          emit_samples(ts, n, clock, cost, load, sample_tally, samples);
         }
 
         // Traffic + latency accounting.
@@ -625,6 +626,7 @@ RunResult Engine::run(const std::vector<SimThread>& threads,
   for (std::size_t pct = 0; pct < local_util_pct.size(); ++pct) {
     metrics.utilization_pct.observe_n(pct, local_util_pct[pct]);
   }
+  result.samples = std::move(samples);
   result.total_cycles = clock;
   if (result.dram_accesses > 0.0) {
     result.avg_dram_latency /= result.dram_accesses;

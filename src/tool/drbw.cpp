@@ -105,7 +105,7 @@ std::vector<WindowVerdict> DrBw::analyze_windows(
 }
 
 WindowVerdict DrBw::analyze_window(
-    const std::vector<pebs::MemorySample>& samples,
+    std::span<const pebs::MemorySample> samples,
     const pebs::CycleWindows& windows, std::size_t w,
     core::PageLocator& locator) const {
   features::ChannelWindow window(machine_, locator);

@@ -46,6 +46,13 @@ std::string format_artifact_header(const std::string& kind, int version,
   return obs::format_artifact_header(kind, version, body);
 }
 
+std::size_t artifact_header_size(const std::string& kind, int version,
+                                 std::size_t body_bytes) {
+  // The empty body's header ends in "bytes=0": one digit.
+  return format_artifact_header(kind, version, {}).size() - 1 +
+         std::to_string(body_bytes).size();
+}
+
 namespace {
 
 /// `text` read whole as a number in `base`, or nullopt: no sign (for the

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <sys/wait.h>
@@ -312,13 +313,13 @@ TEST_F(DrBwToolTest, CycleBucketerKeepsEdgesAndEmptyWindows) {
 /// inverted, and the grid keeps exactly the windows asked for, even near
 /// the 2^64 cycle limit.
 TEST_F(DrBwToolTest, CycleGridHasExactlyTheRequestedWindows) {
-  pebs::Trace trace;
+  std::vector<pebs::MemorySample> samples;
   for (std::uint64_t c = 0; c < 9; ++c) {
     pebs::MemorySample s;
     s.cycle = 8 - c;  // unsorted: the grid reads the span, not the order
-    trace.samples.push_back(s);
+    samples.push_back(s);
   }
-  const pebs::CycleWindows grid = pebs::split_cycle_windows(trace, 8);
+  const pebs::CycleWindows grid = pebs::split_cycle_windows(samples, 8);
   ASSERT_EQ(grid.count(), 8u);
   EXPECT_EQ(grid.width, 2u);
   const std::uint64_t expected[8][2] = {{0, 2}, {2, 4}, {4, 6}, {6, 8},
@@ -328,14 +329,14 @@ TEST_F(DrBwToolTest, CycleGridHasExactlyTheRequestedWindows) {
     EXPECT_EQ(grid.end_cycle(w), expected[w][1]) << w;
     EXPECT_EQ(grid.window(w).size(), w < 4 ? 2u : (w == 4 ? 1u : 0u)) << w;
   }
-  trace.samples[0].cycle = std::numeric_limits<std::uint64_t>::max();
-  const pebs::CycleWindows top = pebs::split_cycle_windows(trace, 3);
+  samples[0].cycle = std::numeric_limits<std::uint64_t>::max();
+  const pebs::CycleWindows top = pebs::split_cycle_windows(samples, 3);
   ASSERT_EQ(top.count(), 3u);
   EXPECT_EQ(top.window(2).size(), 1u);
   for (std::size_t w = 0; w < 3; ++w) {
     EXPECT_LE(top.start_cycle(w), top.end_cycle(w)) << w;
   }
-  EXPECT_EQ(pebs::split_cycle_windows(trace, 1).window(0).size(), 9u);
+  EXPECT_EQ(pebs::split_cycle_windows(samples, 1).window(0).size(), 9u);
 }
 
 TEST_F(DrBwToolTest, ClassifyWindowOfAnEmptyWindowHasNoChannels) {
@@ -484,7 +485,10 @@ TEST(DrBwCliExitCodeTest, OutOfRangeCpuExits68) {
   pebs::Trace trace = pebs::load_trace(dir + "/good.csv");
   ASSERT_GT(trace.samples.size(), 2u);
   const std::size_t ordinal = trace.samples.size() / 2;
-  trace.samples[ordinal].cpu = 99;
+  std::vector<pebs::MemorySample> samples(trace.samples.begin(),
+                                          trace.samples.end());
+  samples[ordinal].cpu = 99;
+  trace.samples = std::move(samples);
   // The same bad sample in both encodings; lenient mode must not
   // quarantine it.
   const std::string csv = dir + "/cpu99.csv";
@@ -557,6 +561,7 @@ TEST(DrBwCliExitCodeTest, ArtifactsWithoutAChecksummedHeaderExit67) {
   pebs::Trace trace;
   trace.events.push_back(mem::AllocationEvent{
       mem::AllocationEvent::Kind::kAlloc, {"h.c:1 buf"}, 0x10000, 4096});
+  std::vector<pebs::MemorySample> samples;
   for (std::uint64_t i = 0; i < 16; ++i) {
     pebs::MemorySample s;
     s.address = 0x10000 + i * 64;
@@ -564,8 +569,9 @@ TEST(DrBwCliExitCodeTest, ArtifactsWithoutAChecksummedHeaderExit67) {
     s.level = pebs::MemLevel::kRemoteDram;
     s.latency_cycles = 500.0f;
     s.cycle = 10 + i;
-    trace.samples.push_back(s);
+    samples.push_back(s);
   }
+  trace.samples = std::move(samples);
   const std::string good_trace = dir + "/trace.csv";
   pebs::save_trace(good_trace, trace);
   const std::string run = " --run-dir " + dir + "/run";
@@ -642,6 +648,7 @@ TEST(DrBwCliWindowTest, AnalyzeAndExplainShareOneGrid) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   pebs::Trace trace;
+  std::vector<pebs::MemorySample> samples;
   for (std::uint64_t c = 0; c < 9; ++c) {
     pebs::MemorySample s;
     s.address = 0x10000 + c * 64;
@@ -649,8 +656,9 @@ TEST(DrBwCliWindowTest, AnalyzeAndExplainShareOneGrid) {
     s.level = pebs::MemLevel::kRemoteDram;
     s.latency_cycles = 500.0f;
     s.cycle = c;
-    trace.samples.push_back(s);
+    samples.push_back(s);
   }
+  trace.samples = std::move(samples);
   const std::string trace_path = dir + "/nine.csv";
   pebs::save_trace(trace_path, trace);
   const std::string args = " --windows 8 --trace " + trace_path + " --model " +
@@ -803,8 +811,9 @@ TEST(DrBwCliExplainTest, WritesDeterministicArtifactAndReport) {
 
 /// Pins the front ends' output bytes: a seeded trace through `analyze
 /// --windows`, `explain` at --jobs 1 and 4, and `serve` must reproduce these
-/// CRC-32s.  Every path is relative to the run directory, so the artifacts
-/// do not depend on where the test runs.  The windows and the serve window
+/// CRC-32s, from the CSV trace and from its binary copy alike.  Every path
+/// is relative to the run directory, so the artifacts do not depend on
+/// where the test runs.  The windows and the serve window
 /// capacity are small enough that the sparse-channel guards decide verdicts
 /// (analyze keeps all but one window sparse-good), so the pin also holds
 /// each front end to its guard thresholds.
@@ -826,52 +835,101 @@ TEST(DrBwCliPinTest, FrontEndOutputsMatchPinnedChecksums) {
                        "--seed 7 --out trace.csv --run-dir r"),
             0);
   ASSERT_EQ(run_in_dir("train --out model.json --run-dir r"), 0);
-  std::filesystem::remove(dir + "/stdout.txt");
-  const std::string inputs = " --model model.json --jobs ";
-  ASSERT_EQ(run_in_dir("analyze --trace trace.csv --windows 64 --run-dir r" +
-                       inputs + "1"),
-            2);
-  std::string window_lines;
-  {
-    std::istringstream out(cli_read_file(dir + "/stdout.txt"));
-    for (std::string line; std::getline(out, line);) {
-      if (line.rfind('[', 0) == 0) window_lines += line + '\n';
-    }
-  }
-  EXPECT_EQ(util::crc32(window_lines), 0xb38c3646u) << window_lines;
-  for (const char* jobs : {"1", "4"}) {
-    ASSERT_EQ(run_in_dir("explain --trace trace.csv --windows 64 "
-                         "--out explain.json --report explain.md --run-dir r" +
-                         inputs + jobs),
-              0);
-    EXPECT_EQ(crc_of("explain.json"), 0x87964376u) << "--jobs " << jobs;
-    EXPECT_EQ(crc_of("explain.md"), 0x799d52c2u) << "--jobs " << jobs;
-  }
-  ASSERT_EQ(run_in_dir("serve --replay trace.csv --window-capacity 64 "
-                       "--run-dir r" +
-                       inputs + "1"),
+  // The binary copy's samples are read straight from its mapping.  Every
+  // front end must print the same bytes from it as from the CSV, apart from
+  // the artifacts that name their input: explain.json, explain.md and
+  // report.md name the trace file, and the report also lists the body bytes
+  // the loader read.
+  ASSERT_EQ(run_in_dir("convert --in trace.csv --format binary "
+                       "--out trace.bin"),
             0);
-  EXPECT_EQ(crc_of("r/serve_snapshot.json"), 0x4cca85cbu);
-  // Whole-run contended analyze: stdout carries the verdict table, the
-  // Contribution-Fraction ranking and the advice block.
-  std::filesystem::remove(dir + "/stdout.txt");
-  ASSERT_EQ(run_in_dir("analyze --trace trace.csv --report report.md "
-                       "--run-dir r" +
-                       inputs + "1"),
-            2);
-  std::string analyze_lines;
-  {
-    std::istringstream out(cli_read_file(dir + "/stdout.txt"));
-    for (std::string line; std::getline(out, line);) {
-      if (line.find("written to") == std::string::npos) {
-        analyze_lines += line + '\n';
+  const auto body_bytes = [&](const std::string& name) {
+    const std::string content = cli_read_file(dir + "/" + name);
+    return std::to_string(content.size() - content.find('\n') - 1);
+  };
+  const auto replaced = [](std::string text, const std::string& from,
+                           const std::string& to) {
+    for (std::size_t at = text.find(from); at != std::string::npos;
+         at = text.find(from, at + to.size())) {
+      text.replace(at, from.size(), to);
+    }
+    return text;
+  };
+  const std::string bytes_row = "`drbw_trace_bytes_loaded_total` | counter | ";
+  // The CSV leg's outputs without their checksummed header lines (a
+  // header checksums the bytes below it, so these bytes decide it).
+  std::map<std::string, std::string> csv_outputs;
+  const auto body_of = [](const std::string& text) {
+    return text.rfind("#drbw-", 0) == 0 ? text.substr(text.find('\n') + 1)
+                                        : text;
+  };
+  // For the binary leg: the CSV leg's output `name`, naming trace.bin.
+  const auto as_binary = [&](const std::string& name) {
+    return replaced(replaced(csv_outputs.at(name), "trace.csv", "trace.bin"),
+                    bytes_row + body_bytes("trace.csv"),
+                    bytes_row + body_bytes("trace.bin"));
+  };
+  const std::string inputs = " --model model.json --jobs ";
+  for (const std::string trace : {"trace.csv", "trace.bin"}) {
+    SCOPED_TRACE(trace);
+    const bool csv = trace == "trace.csv";
+    // Pinned by CRC for the CSV leg, and kept for the binary leg to match.
+    const auto expect_named_output = [&](const std::string& name,
+                                         std::uint32_t crc) {
+      const std::string got = cli_read_file(dir + "/" + name);
+      if (csv) {
+        EXPECT_EQ(util::crc32(got), crc) << name;
+        csv_outputs[name] = body_of(got);
+      } else {
+        EXPECT_EQ(body_of(got), as_binary(name)) << name;
+      }
+    };
+    std::filesystem::remove(dir + "/stdout.txt");
+    ASSERT_EQ(run_in_dir("analyze --trace " + trace +
+                         " --windows 64 --run-dir r" + inputs + "1"),
+              2);
+    std::string window_lines;
+    {
+      std::istringstream out(cli_read_file(dir + "/stdout.txt"));
+      for (std::string line; std::getline(out, line);) {
+        if (line.rfind('[', 0) == 0) window_lines += line + '\n';
       }
     }
+    EXPECT_EQ(util::crc32(window_lines), 0xb38c3646u) << window_lines;
+    for (const char* jobs : {"1", "4"}) {
+      SCOPED_TRACE(std::string("--jobs ") + jobs);
+      ASSERT_EQ(run_in_dir("explain --trace " + trace +
+                           " --windows 64 --out explain.json "
+                           "--report explain.md --run-dir r" +
+                           inputs + jobs),
+                0);
+      expect_named_output("explain.json", 0x87964376u);
+      expect_named_output("explain.md", 0x799d52c2u);
+    }
+    ASSERT_EQ(run_in_dir("serve --replay " + trace +
+                         " --window-capacity 64 --run-dir r" + inputs + "1"),
+              0);
+    EXPECT_EQ(crc_of("r/serve_snapshot.json"), 0x4cca85cbu);
+    // Whole-run contended analyze: stdout carries the verdict table, the
+    // Contribution-Fraction ranking and the advice block.
+    std::filesystem::remove(dir + "/stdout.txt");
+    ASSERT_EQ(run_in_dir("analyze --trace " + trace +
+                         " --report report.md --run-dir r" + inputs + "1"),
+              2);
+    std::string analyze_lines;
+    {
+      std::istringstream out(cli_read_file(dir + "/stdout.txt"));
+      for (std::string line; std::getline(out, line);) {
+        if (line.find("written to") == std::string::npos) {
+          analyze_lines += line + '\n';
+        }
+      }
+    }
+    EXPECT_NE(analyze_lines.find("Optimization guidance"), std::string::npos)
+        << analyze_lines;
+    EXPECT_EQ(util::crc32(analyze_lines), 0xe75ecdeeu) << analyze_lines;
+    expect_named_output("report.md", 0xca611d9au);
   }
-  EXPECT_NE(analyze_lines.find("Optimization guidance"), std::string::npos)
-      << analyze_lines;
-  EXPECT_EQ(util::crc32(analyze_lines), 0xe75ecdeeu) << analyze_lines;
-  EXPECT_EQ(crc_of("report.md"), 0xca611d9au);
   std::filesystem::remove_all(dir);
 }
 

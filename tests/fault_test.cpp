@@ -280,14 +280,16 @@ TEST(ArtifactIo, AtomicWriteNeverLeavesPartialArtifact) {
 TEST(ArtifactIo, InjectedTraceTruncationIsDetectedOnLoad) {
   const std::string path = ::testing::TempDir() + "/truncated_save.csv";
   pebs::Trace trace;
+  std::vector<pebs::MemorySample> samples;
   for (std::uint64_t i = 0; i < 20; ++i) {
     pebs::MemorySample s;
     s.address = 0x1000 + i * 8;
     s.level = pebs::MemLevel::kLocalDram;
     s.latency_cycles = 300.0f;
     s.cycle = i;
-    trace.samples.push_back(s);
+    samples.push_back(s);
   }
+  trace.samples = std::move(samples);
   {
     ArmGuard guard("seed=5,trace.write:truncate:1");
     pebs::save_trace(path, trace);
@@ -446,6 +448,41 @@ TEST(CorruptionCorpus, ShortBinaryBodyStrictRejectsLenientQuarantines) {
   EXPECT_EQ(second.records_ok, first.records_ok);
 }
 
+/// The committed v3 fixture still loads through the decoder, and gives the
+/// samples its 30-byte records hold, read here field by field.
+TEST(CorruptionCorpus, V3FixtureLoadsTheSameSamples) {
+  const std::string path = kDataDir + "/short_binary_trace.bin";
+  const std::string content = read_all(path);
+  ASSERT_EQ(content.rfind("#drbw-trace v3 ", 0), 0u);
+  const std::string body = content.substr(content.find('\n') + 1);
+  const auto le = [&](std::size_t off, std::size_t bytes) {
+    std::uint64_t v = 0;
+    for (std::size_t i = bytes; i-- > 0;) {
+      v = v << 8 | static_cast<unsigned char>(body[off + i]);
+    }
+    return v;
+  };
+  const std::size_t first =
+      static_cast<std::size_t>(32 + le(24, 8) + le(8, 8) * 25);
+  const std::size_t present = (body.size() - first) / 30;
+  const pebs::Trace loaded =
+      pebs::load_trace(path, util::LoadPolicy{util::LoadMode::kLenient});
+  ASSERT_EQ(loaded.samples.size(), present);
+  ASSERT_EQ(present, 50u);
+  for (std::size_t i = 0; i < present; ++i) {
+    const std::size_t at = first + i * 30;
+    const pebs::MemorySample& s = loaded.samples[i];
+    EXPECT_EQ(s.address, le(at, 8)) << i;
+    EXPECT_EQ(s.cycle, le(at + 8, 8)) << i;
+    EXPECT_EQ(static_cast<std::uint64_t>(s.cpu), le(at + 16, 4)) << i;
+    EXPECT_EQ(s.tid, le(at + 20, 4)) << i;
+    const auto bits = static_cast<std::uint32_t>(le(at + 24, 4));
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(s.latency_cycles), bits) << i;
+    EXPECT_EQ(static_cast<std::uint64_t>(s.level), le(at + 28, 1)) << i;
+    EXPECT_EQ(s.is_write ? 1u : 0u, le(at + 29, 1)) << i;
+  }
+}
+
 // Mapped loads: trace bodies are read through util::MappedFile, which
 // treats a 0-byte file and a short file specially.  Each edge file keeps
 // the exit code and lenient LoadStats the copying reader gave it.
@@ -455,8 +492,8 @@ void write_bytes(const std::string& path, const std::string& bytes) {
   out << bytes;
 }
 
-/// Saves a v3 binary trace of 3 events and 100 samples (30-byte records) to
-/// `path` and returns the file's bytes.
+/// Saves a binary trace (v4: 32-byte sample records) of 3 events and 100
+/// samples to `path` and returns the file's bytes.
 std::string write_binary_trace(const std::string& path) {
   pebs::Trace trace;
   for (std::uint64_t i = 0; i < 3; ++i) {
@@ -464,14 +501,16 @@ std::string write_binary_trace(const std::string& path) {
         mem::AllocationEvent::Kind::kAlloc, {"m.c:" + std::to_string(i)},
         0x100000 * (i + 1), 4096});
   }
+  std::vector<pebs::MemorySample> samples;
   for (std::uint64_t i = 0; i < 100; ++i) {
     pebs::MemorySample s;
     s.address = 0x100000 + i * 64;
     s.level = pebs::MemLevel::kRemoteDram;
     s.latency_cycles = 500.0f;
     s.cycle = i;
-    trace.samples.push_back(s);
+    samples.push_back(s);
   }
+  trace.samples = std::move(samples);
   pebs::SaveOptions save;
   save.format = pebs::TraceFormat::kBinary;
   pebs::save_trace(path, trace, save);
@@ -531,7 +570,7 @@ TEST(MappedLoad, TruncatedBinaryBodyStrictRejectsLenientQuarantines) {
   const std::string full = write_binary_trace(path);
   // Cut one and a half sample records off the end; the header still
   // declares the whole body.
-  write_bytes(path, full.substr(0, full.size() - 45));
+  write_bytes(path, full.substr(0, full.size() - 48));
   std::string message;
   EXPECT_EQ(
       exit_code_for(code_of([&] { pebs::load_trace(path); }, &message)), 68);
@@ -633,14 +672,16 @@ TEST(EngineFaultSites, SampleCorruptionFlipsAddressBits) {
 TEST(TraceReadSite, CorruptionQuarantinesDeterministically) {
   const std::string path = ::testing::TempDir() + "/read_fault_trace.csv";
   pebs::Trace trace;
+  std::vector<pebs::MemorySample> samples;
   for (std::uint64_t i = 0; i < 40; ++i) {
     pebs::MemorySample s;
     s.address = 0x2000 + i * 64;
     s.level = i % 2 ? pebs::MemLevel::kRemoteDram : pebs::MemLevel::kLocalDram;
     s.latency_cycles = 600.0f;
     s.cycle = i * 10;
-    trace.samples.push_back(s);
+    samples.push_back(s);
   }
+  trace.samples = std::move(samples);
   pebs::save_trace(path, trace);
 
   ArmGuard guard("seed=21,trace.read:corrupt:0.2");
@@ -663,6 +704,7 @@ TEST(TraceReadSite, CorruptionQuarantinesDeterministically) {
 TEST(TraceReadSite, EveryDamagedSampleIsQuarantined) {
   const std::string path = ::testing::TempDir() + "/read_fault_all.csv";
   pebs::Trace trace;
+  std::vector<pebs::MemorySample> samples;
   for (std::uint32_t i = 0; i < 64; ++i) {
     pebs::MemorySample s;
     s.address = 10000 + i * 1111;
@@ -672,8 +714,9 @@ TEST(TraceReadSite, EveryDamagedSampleIsQuarantined) {
     s.latency_cycles = 1.5f * static_cast<float>(i) + 100.0f;
     s.is_write = i % 2 == 1;
     s.cycle = 1000000 + i * 13;
-    trace.samples.push_back(s);
+    samples.push_back(s);
   }
+  trace.samples = std::move(samples);
   pebs::save_trace(path, trace);
 
   ArmGuard guard("seed=4,trace.read:corrupt:1");
@@ -689,6 +732,49 @@ TEST(TraceReadSite, EveryDamagedSampleIsQuarantined) {
             ErrorCode::kParse);
   EXPECT_NE(message.find(path + ":2: "), std::string::npos) << message;
   EXPECT_EQ(exit_code_for(ErrorCode::kParse), 67);
+  std::remove(path.c_str());
+}
+
+/// Whether `got` is `want` with exactly one byte XORed by 0x11 (the site's
+/// damage), compared as 32-byte object images.
+bool damaged_once(const pebs::MemorySample& want,
+                  const pebs::MemorySample& got) {
+  const auto* a = reinterpret_cast<const unsigned char*>(&want);
+  const auto* b = reinterpret_cast<const unsigned char*>(&got);
+  std::size_t damaged = 0;
+  for (std::size_t i = 0; i < sizeof(pebs::MemorySample); ++i) {
+    if (a[i] == b[i]) continue;
+    if ((a[i] ^ b[i]) != 0x11) return false;
+    ++damaged;
+  }
+  return damaged == 1;
+}
+
+/// An armed "trace.read" site damages the record it decodes, so an armed
+/// v4 load cannot view the mapping: each kept sample is the damaged copy,
+/// not the clean bytes on disk.
+TEST(TraceReadSite, ArmedBinaryLoadKeepsTheDamagedRecords) {
+  const std::string path = ::testing::TempDir() + "/read_fault_v4.bin";
+  write_binary_trace(path);
+  const pebs::Trace clean = pebs::load_trace(path);
+  ASSERT_EQ(clean.samples.size(), 100u);
+
+  ArmGuard guard("seed=9,trace.read:corrupt:1");
+  util::LoadStats stats;
+  const pebs::Trace loaded = pebs::load_trace(
+      path, util::LoadPolicy{util::LoadMode::kLenient, 1.0}, &stats);
+  EXPECT_EQ(stats.records_seen, 103u);
+  // Rate 1 damages every record: a damaged level, write flag, latency or
+  // reserved byte is quarantined, and every other sample is kept damaged.
+  std::size_t kept = 0;
+  for (const pebs::MemorySample& want : clean.samples) {
+    if (kept < loaded.samples.size() &&
+        damaged_once(want, loaded.samples[kept])) {
+      ++kept;
+    }
+  }
+  EXPECT_EQ(kept, loaded.samples.size());
+  EXPECT_GT(kept, 50u);  // 24 of 32 bytes never fail a check
   std::remove(path.c_str());
 }
 

@@ -457,7 +457,7 @@ INSTANTIATE_TEST_SUITE_P(SeedGrid, ChannelWindowProperty,
 /// The copying reference bucketer: one sample vector per window, stream
 /// order inside each, samples past the last window clamped into it.
 std::vector<std::vector<pebs::MemorySample>> copy_buckets(
-    const std::vector<pebs::MemorySample>& samples, std::uint64_t width,
+    std::span<const pebs::MemorySample> samples, std::uint64_t width,
     std::size_t count) {
   std::vector<std::vector<pebs::MemorySample>> buckets(count);
   for (const pebs::MemorySample& s : samples) {
@@ -474,6 +474,7 @@ TEST_P(CycleWindowOracleProperty, OrdinalWindowsMatchCopyingReference) {
   pebs::Trace trace;
   const std::uint64_t cycle_bound = 1 + rng.bounded(2'000'000);
   const std::size_t n = 500 + rng.bounded(2500);
+  std::vector<pebs::MemorySample> samples;
   for (std::size_t i = 0; i < n; ++i) {
     pebs::MemorySample s;
     s.address = rng.bounded(1ull << 30) & ~63ull;
@@ -484,8 +485,9 @@ TEST_P(CycleWindowOracleProperty, OrdinalWindowsMatchCopyingReference) {
     if (rng.bernoulli(0.5)) s.level = pebs::MemLevel::kRemoteDram;
     s.latency_cycles = static_cast<float>(rng.bounded(2500));
     s.cycle = rng.bounded(cycle_bound);  // unsorted
-    trace.samples.push_back(s);
+    samples.push_back(s);
   }
+  trace.samples = std::move(samples);
   std::uint64_t span = 0;
   for (const pebs::MemorySample& s : trace.samples) {
     span = std::max(span, s.cycle);
@@ -501,7 +503,7 @@ TEST_P(CycleWindowOracleProperty, OrdinalWindowsMatchCopyingReference) {
       const std::uint64_t width = span / count + 1;
       const auto reference = copy_buckets(trace.samples, width, count);
       const pebs::CycleWindows grid =
-          pebs::split_cycle_windows(trace, count);
+          pebs::split_cycle_windows(trace.samples, count);
       ASSERT_EQ(grid.count(), count);
       ASSERT_EQ(grid.width, width);
       ASSERT_EQ(grid.ordinals.size(), trace.samples.size());
@@ -1448,17 +1450,19 @@ void require_arity(const std::vector<std::string>& fields, std::size_t want) {
   }
 }
 
-void parse_record(const std::string& line, pebs::Trace& trace) {
+void parse_record(const std::string& line,
+                  std::vector<mem::AllocationEvent>& events,
+                  std::vector<pebs::MemorySample>& samples) {
   const auto fields = split_csv(line);
   const std::string& kind = fields[0];
   if (kind == "A") {
     require_arity(fields, 4);
-    trace.events.push_back(mem::AllocationEvent{
+    events.push_back(mem::AllocationEvent{
         mem::AllocationEvent::Kind::kAlloc, {fields[1]}, to_u64(fields[2]),
         to_u64(fields[3])});
   } else if (kind == "F") {
     require_arity(fields, 2);
-    trace.events.push_back(mem::AllocationEvent{
+    events.push_back(mem::AllocationEvent{
         mem::AllocationEvent::Kind::kFree, {""}, to_u64(fields[1]), 0});
   } else if (kind == "S") {
     require_arity(fields, 8);
@@ -1470,7 +1474,7 @@ void parse_record(const std::string& line, pebs::Trace& trace) {
     s.latency_cycles = to_latency(fields[5]);
     s.is_write = fields[6] == "1";
     s.cycle = to_u64(fields[7]);
-    trace.samples.push_back(s);
+    samples.push_back(s);
   } else {
     throw Error("unknown record kind '" + kind + "'", ErrorCode::kParse);
   }
@@ -1479,18 +1483,20 @@ void parse_record(const std::string& line, pebs::Trace& trace) {
 /// The reference's lenient loop over a CSV body (one record per line).
 pebs::Trace parse_records(const std::string& body, util::LoadStats& st) {
   pebs::Trace trace;
+  std::vector<pebs::MemorySample> samples;
   std::istringstream is(body);
   std::string line;
   while (std::getline(is, line)) {
     if (trim(line).empty()) continue;
     ++st.records_seen;
     try {
-      parse_record(line, trace);
+      parse_record(line, trace.events, samples);
       ++st.records_ok;
     } catch (const Error&) {
       ++st.records_quarantined;
     }
   }
+  trace.samples = std::move(samples);
   return trace;
 }
 
@@ -1521,8 +1527,9 @@ pebs::Trace random_trace(Rng& rng, bool reference_loadable) {
     trace.events.push_back(e);
   }
   const std::uint32_t tids[] = {0, 7, 0xFFFFFFFFu};
-  const int samples = 50 + static_cast<int>(rng.bounded(400));
-  for (int i = 0; i < samples; ++i) {
+  const int count = 50 + static_cast<int>(rng.bounded(400));
+  std::vector<pebs::MemorySample> samples;
+  for (int i = 0; i < count; ++i) {
     pebs::MemorySample s;
     s.address = rng.bernoulli(0.5) ? rng.next() : rng.bounded(1 << 30);
     s.cpu = static_cast<topology::CpuId>(rng.bounded(64));
@@ -1545,8 +1552,9 @@ pebs::Trace random_trace(Rng& rng, bool reference_loadable) {
     }
     s.is_write = rng.bernoulli(0.3);
     s.cycle = rng.bernoulli(0.5) ? rng.next() : rng.bounded(1 << 30);
-    trace.samples.push_back(s);
+    samples.push_back(s);
   }
+  trace.samples = std::move(samples);
   return trace;
 }
 
@@ -1610,13 +1618,15 @@ TEST_P(CsvCodecOracleProperty, RendererMatchesStreamReferenceBytes) {
   }
   // Rounding ties and the extremes of the latency format.
   pebs::Trace edges;
+  std::vector<pebs::MemorySample> edges_samples;
   for (const float f : {1234565.0f, 1234575.0f, 0.5f, 2.5f, 1e-45f, -0.0f,
                         FLT_MIN, FLT_MAX, 100000.0f, 999999.5f, 1e6f}) {
     pebs::MemorySample s;
     s.latency_cycles = f;
     s.cpu = -1;
-    edges.samples.push_back(s);
+    edges_samples.push_back(s);
   }
+  edges.samples = std::move(edges_samples);
   const std::string file = path("edges.csv");
   pebs::save_trace(file, edges);
   EXPECT_EQ(artifact_body(file), reference::render_csv(edges));
@@ -1714,7 +1724,10 @@ TEST_P(CsvCodecOracleProperty, SingleByteDamageAgreesOrIsNarrowed) {
   Rng rng(GetParam());
   pebs::Trace trace = random_trace(rng, true);
   trace.events.clear();
-  trace.samples.resize(24);
+  std::vector<pebs::MemorySample> kept(trace.samples.begin(),
+                                       trace.samples.end());
+  kept.resize(24);
+  trace.samples = std::move(kept);
   const std::string body = reference::render_csv(trace);
   const std::string file = path("damage.csv");
   std::istringstream lines(body);
@@ -1727,12 +1740,14 @@ TEST_P(CsvCodecOracleProperty, SingleByteDamageAgreesOrIsNarrowed) {
       damaged[at] = static_cast<char>(damaged[at] ^ 0x11);
       ++mutations;
       pebs::Trace want;
+      std::vector<pebs::MemorySample> want_samples;
       bool want_ok = true;
       try {
-        reference::parse_record(damaged, want);
+        reference::parse_record(damaged, want.events, want_samples);
       } catch (const Error&) {
         want_ok = false;
       }
+      want.samples = std::move(want_samples);
       pebs::Trace got;
       bool got_ok = true;
       util::write_versioned_artifact(file, "trace", 2, damaged + "\n");

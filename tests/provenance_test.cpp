@@ -876,25 +876,28 @@ TEST(ProvenanceCliTest, ExpectTraceVersionPinGatesBinaryTraces) {
   ASSERT_EQ(run_cli("record --config T4-N2 --format binary --out " + trace +
                     " --run-dir " + make_run_dir("rec_pin")),
             0);
-  // A strict v2-only consumer meets a v3 binary trace: version skew, and
-  // the run dir diagnoses it with re-record/convert advice.
-  const std::string dir = make_run_dir("pin69");
-  EXPECT_EQ(run_cli("analyze --trace " + trace +
-                    " --expect-trace-version 2 --run-dir " + dir),
-            69);
-  const report::DoctorReport rep = report::doctor(dir);
-  EXPECT_EQ(rep.manifest.error_code, "version-skew");
-  ASSERT_FALSE(rep.findings.empty());
-  EXPECT_NE(rep.findings[0].advice.find("convert"), std::string::npos);
-  EXPECT_EQ(run_cli("doctor " + dir), 0);
+  // A strict v2-only or v3-only consumer meets a v4 binary trace: version
+  // skew, and the run dir diagnoses it with re-record/convert advice.
+  for (const char* pin : {"2", "3"}) {
+    const std::string dir = make_run_dir(std::string("pin69_") + pin);
+    EXPECT_EQ(run_cli("analyze --trace " + trace + " --expect-trace-version " +
+                      pin + " --run-dir " + dir),
+              69)
+        << pin;
+    const report::DoctorReport rep = report::doctor(dir);
+    EXPECT_EQ(rep.manifest.error_code, "version-skew");
+    ASSERT_FALSE(rep.findings.empty());
+    EXPECT_NE(rep.findings[0].advice.find("convert"), std::string::npos);
+    EXPECT_EQ(run_cli("doctor " + dir), 0);
+  }
   // Pinning the version the trace actually has succeeds.
   const int ok = run_cli("analyze --trace " + trace +
-                         " --expect-trace-version 3 --run-dir " +
+                         " --expect-trace-version 4 --run-dir " +
                          make_run_dir("pin_ok"));
   EXPECT_TRUE(ok == 0 || ok == 2) << ok;  // 2 = contention detected
   // Pins outside the supported range are usage errors.
   EXPECT_EQ(run_cli("analyze --trace " + trace +
-                    " --expect-trace-version 4 --run-dir " +
+                    " --expect-trace-version 5 --run-dir " +
                     make_run_dir("pin_bad")),
             64);
 }

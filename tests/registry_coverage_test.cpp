@@ -105,6 +105,7 @@ pebs::Trace small_trace() {
   pebs::Trace trace;
   trace.events.push_back(mem::AllocationEvent{
       mem::AllocationEvent::Kind::kAlloc, {"cov.c:1 buf"}, 0x10000, 4096});
+  std::vector<pebs::MemorySample> samples;
   for (std::size_t i = 0; i < 64; ++i) {
     pebs::MemorySample s;
     s.address = 0x10000 + (i * 64) % 4096;
@@ -114,8 +115,9 @@ pebs::Trace small_trace() {
     s.latency_cycles = 20.0f + static_cast<float>(i);
     s.is_write = i % 3 == 0;
     s.cycle = 100 + i * 10;
-    trace.samples.push_back(s);
+    samples.push_back(s);
   }
+  trace.samples = std::move(samples);
   return trace;
 }
 

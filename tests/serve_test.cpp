@@ -136,6 +136,7 @@ pebs::Trace flat_trace(std::size_t n, topology::CpuId cpu,
   pebs::Trace trace;
   trace.events.push_back(mem::AllocationEvent{
       mem::AllocationEvent::Kind::kAlloc, {"serve.c:1 buf"}, 0x10000, 4096});
+  std::vector<pebs::MemorySample> samples;
   for (std::size_t i = 0; i < n; ++i) {
     pebs::MemorySample s;
     s.address = 0x10000 + (i * 64) % 4096;
@@ -145,8 +146,9 @@ pebs::Trace flat_trace(std::size_t n, topology::CpuId cpu,
     s.latency_cycles = 600.0f;
     s.is_write = i % 3 == 0;
     s.cycle = 100 + i;
-    trace.samples.push_back(s);
+    samples.push_back(s);
   }
+  trace.samples = std::move(samples);
   return trace;
 }
 
@@ -157,6 +159,7 @@ pebs::Trace mixed_trace(const Machine& machine, std::size_t n) {
   trace.events.push_back(mem::AllocationEvent{
       mem::AllocationEvent::Kind::kAlloc, {"serve.c:2 grid"}, 0x20000,
       64 * 1024});
+  std::vector<pebs::MemorySample> samples;
   for (std::size_t i = 0; i < n; ++i) {
     pebs::MemorySample s;
     s.address = 0x20000 + (i * 64) % (64 * 1024);
@@ -167,8 +170,9 @@ pebs::Trace mixed_trace(const Machine& machine, std::size_t n) {
     s.latency_cycles = 80.0f + static_cast<float>(i % 7) * 100.0f;
     s.is_write = i % 5 == 0;
     s.cycle = 100 + i * 5;
-    trace.samples.push_back(s);
+    samples.push_back(s);
   }
+  trace.samples = std::move(samples);
   return trace;
 }
 
@@ -188,7 +192,7 @@ TEST(ServeSessionTest, SlicesByTidAndStampsGlobalOrdinals) {
   // flat_trace gives sample i tid i % 4, so with 2 clients client c owns
   // exactly the ordinals c, c + 2, c + 4, ... — ascending, in trace order.
   const pebs::Trace trace = flat_trace(12, 0, pebs::MemLevel::kLocalDram);
-  const pebs::Sessions sessions = pebs::slice_sessions(trace, 2);
+  const pebs::Sessions sessions = pebs::slice_sessions(trace.samples, 2);
   ASSERT_EQ(sessions.clients.size(), 2u);
   for (std::uint32_t c = 0; c < 2; ++c) {
     const pebs::ClientSession& session = sessions.clients[c];
@@ -203,12 +207,12 @@ TEST(ServeSessionTest, SlicesByTidAndStampsGlobalOrdinals) {
   // The slicing pass also takes the cycle span the serve loop needs.
   EXPECT_EQ(sessions.cycle_span, 111u);
 
-  const pebs::Sessions empty = pebs::slice_sessions(pebs::Trace{}, 3);
+  const pebs::Sessions empty = pebs::slice_sessions({}, 3);
   ASSERT_EQ(empty.clients.size(), 3u);
   EXPECT_EQ(empty.clients[2].client, 2u);
   EXPECT_TRUE(empty.clients[2].ordinals.empty());
   EXPECT_EQ(empty.cycle_span, 0u);
-  EXPECT_EQ(code_of([&] { (void)pebs::slice_sessions(trace, 0); }),
+  EXPECT_EQ(code_of([&] { (void)pebs::slice_sessions(trace.samples, 0); }),
             ErrorCode::kUsage);
 }
 
@@ -764,6 +768,7 @@ pebs::Trace random_trace(const Machine& machine, std::size_t n,
       mem::AllocationEvent::Kind::kAlloc, {"serve.c:3 heap"}, 0x40000,
       64 * 1024});
   std::uint64_t cycle = 100;
+  std::vector<pebs::MemorySample> samples;
   for (std::size_t i = 0; i < n; ++i) {
     pebs::MemorySample s;
     s.address = 0x40000 + rng.bounded(1024) * 64;
@@ -776,8 +781,9 @@ pebs::Trace random_trace(const Machine& machine, std::size_t n,
     s.is_write = rng.bounded(4) == 0;
     cycle += 1 + rng.bounded(9);
     s.cycle = cycle;
-    trace.samples.push_back(s);
+    samples.push_back(s);
   }
+  trace.samples = std::move(samples);
   return trace;
 }
 
@@ -880,10 +886,12 @@ TEST(ServeGoldenTest, UnevenTenantsMatchPinnedChecksums) {
   // every one client 2 gets, so client 2 sits out many classifying ticks
   // and its drift score must carry over unchanged.  The armed plan also
   // trips the breaker, so quarantined tenants keep their last score.
-  for (std::size_t i = 0; i < trace.samples.size(); ++i) {
-    trace.samples[i].tid =
-        i % 21 == 20 ? 2u : static_cast<std::uint32_t>(i % 2);
+  std::vector<pebs::MemorySample> samples(trace.samples.begin(),
+                                          trace.samples.end());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    samples[i].tid = i % 21 == 20 ? 2u : static_cast<std::uint32_t>(i % 2);
   }
+  trace.samples = std::move(samples);
   // CRC-32 of snapshot_json, generated on the commit before the timeline
   // kept a per-client drift score; must not be edited to make a change pass.
   struct Golden {

@@ -1,16 +1,19 @@
 // Tests for sample-trace persistence and offline re-analysis: the CSV (v2)
-// and binary (v3) bodies, their round trips, field grammar, version skew,
-// and truncated-body handling.
+// and binary (v4, and v3 on load) bodies, their round trips, field grammar,
+// version skew, truncated-body handling, and v4's load without a copy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -39,11 +42,11 @@ Trace make_trace() {
   s.latency_cycles = 612.5f;
   s.is_write = true;
   s.cycle = 123456789;
-  trace.samples.push_back(s);
-  s.level = MemLevel::kLfb;
-  s.latency_cycles = 58.0f;
-  s.is_write = false;
-  trace.samples.push_back(s);
+  MemorySample t = s;
+  t.level = MemLevel::kLfb;
+  t.latency_cycles = 58.0f;
+  t.is_write = false;
+  trace.samples = std::vector<MemorySample>{s, t};
   return trace;
 }
 
@@ -77,7 +80,7 @@ std::string write_csv_trace(const std::string& name, const std::string& body) {
 
 /// Deterministic synthetic trace exercising every field: quoted labels,
 /// frees, all six memory levels, write bits, wide addresses.
-Trace make_trace(std::size_t events, std::size_t samples) {
+Trace make_trace(std::size_t events, std::size_t count) {
   Trace trace;
   for (std::size_t i = 0; i < events; ++i) {
     if (i % 5 == 4) {
@@ -91,7 +94,8 @@ Trace make_trace(std::size_t events, std::size_t samples) {
         {"site.c:" + std::to_string(i % 7) + " buf, \"q\""},
         0x10000 + i * 0x1000, 4096 + i});
   }
-  for (std::size_t i = 0; i < samples; ++i) {
+  std::vector<MemorySample> samples;
+  for (std::size_t i = 0; i < count; ++i) {
     MemorySample s;
     s.address = 0x10000 + (i * 64) % (events * 0x1000 + 0x1000);
     s.cpu = static_cast<topology::CpuId>(i % 32);
@@ -100,8 +104,9 @@ Trace make_trace(std::size_t events, std::size_t samples) {
     s.latency_cycles = 10.0f + static_cast<float>(i % 900) * 1.5f;
     s.is_write = i % 3 == 0;
     s.cycle = 1000 + i * 17;
-    trace.samples.push_back(s);
+    samples.push_back(s);
   }
+  trace.samples = std::move(samples);
   return trace;
 }
 
@@ -431,9 +436,9 @@ TEST(TraceBinary, RoundTripPreservesEverything) {
   save.format = TraceFormat::kBinary;
   save_trace(path, original, save);
 
-  // The artifact carries the v3 checksummed header over a binary body.
+  // The artifact carries the v4 checksummed header over a binary body.
   const std::string content = slurp(path);
-  EXPECT_EQ(content.rfind("#drbw-trace v3 crc32=", 0), 0u);
+  EXPECT_EQ(content.rfind("#drbw-trace v4 crc32=", 0), 0u);
 
   util::LoadStats stats;
   const Trace loaded = load_trace(path, util::LoadPolicy{}, &stats);
@@ -479,7 +484,7 @@ TEST(TraceBinary, VersionSkewNamesOffendingToken) {
   load.max_version = kTraceCsvVersion;  // a strict v2-only consumer
   const std::string message = expect_error(
       [&] { load_trace(path, load); }, ErrorCode::kVersionSkew);
-  EXPECT_NE(message.find("offending header token 'v3'"), std::string::npos)
+  EXPECT_NE(message.find("offending header token 'v4'"), std::string::npos)
       << message;
 }
 
@@ -503,7 +508,7 @@ TEST(TraceBinary, TruncatedBodyStrictRejectsLenientQuarantines) {
   // header and body agree) — the structural length check catches it.
   const std::size_t eol = content.find('\n');
   const std::string body = content.substr(eol + 1);
-  const std::string short_body = body.substr(0, body.size() - 900);
+  const std::string short_body = body.substr(0, body.size() - 960);
   util::write_versioned_artifact(short_path, "trace", kTraceVersion,
                                  short_body);
   expect_error([&] { load_trace(short_path); }, ErrorCode::kCorruptArtifact);
@@ -521,9 +526,23 @@ TEST(TraceBinary, TruncatedBodyStrictRejectsLenientQuarantines) {
   EXPECT_EQ(first.records_seen, 104u);
   EXPECT_EQ(first.records_seen, second.records_seen);
   EXPECT_EQ(first.records_quarantined, second.records_quarantined);
-  EXPECT_EQ(first.records_quarantined, 30u);  // 900 bytes = 30 samples
+  EXPECT_EQ(first.records_quarantined, 30u);  // 960 bytes = 30 samples
   EXPECT_EQ(first.records_ok, 74u);
   EXPECT_TRUE(first.checksum_ok);  // header matches the short body
+  // The 70 samples left are decoded, in order, into an owned array.
+  const Trace original = make_trace(4, 100);
+  ASSERT_EQ(a.samples.size(), 70u);
+  EXPECT_EQ(std::memcmp(a.samples.data(), original.samples.data(),
+                        70 * sizeof(MemorySample)),
+            0);
+
+  // A cut inside a record: the partial record is missing too.
+  util::write_versioned_artifact(short_path, "trace", kTraceVersion,
+                                 body.substr(0, body.size() - 40));
+  expect_error([&] { load_trace(short_path); }, ErrorCode::kCorruptArtifact);
+  util::LoadStats cut_stats;
+  EXPECT_EQ(load_trace(short_path, lenient, &cut_stats).samples.size(), 98u);
+  EXPECT_EQ(cut_stats.records_quarantined, 2u);
 }
 
 TEST(TraceBinary, BytesPastTheDeclaredRecordsStrictRejectsLenientKeeps) {
@@ -633,6 +652,189 @@ TEST(TraceBinary, ArtifactOfAnotherKindIsAParseErrorInBothModes) {
   }
 }
 
+// ----------------------------------------- v4: loads without a copy ----
+
+static_assert(std::is_convertible_v<SampleArray, std::span<const MemorySample>>,
+              "the analysis stages take a trace's samples as a span");
+
+/// The file whose mapping holds `p` in this process, from /proc/self/maps;
+/// empty when no file mapping does.
+std::string mapped_file_of(const void* p) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  std::ifstream maps("/proc/self/maps");
+  for (std::string line; std::getline(maps, line);) {
+    std::istringstream in(line);
+    std::string range, perms, offset, device, inode, file;
+    in >> range >> perms >> offset >> device >> inode >> file;
+    const std::size_t dash = range.find('-');
+    const auto lo = std::stoull(range.substr(0, dash), nullptr, 16);
+    const auto hi = std::stoull(range.substr(dash + 1), nullptr, 16);
+    if (addr >= lo && addr < hi) return file;
+  }
+  return "";
+}
+
+/// Whether `samples` view the mapping of the file at `path` (no copy).
+bool views_file(const SampleArray& samples, const std::string& path) {
+  return !samples.empty() && mapped_file_of(samples.data()) ==
+                                 std::filesystem::canonical(path).string();
+}
+
+/// Saves `trace` as a binary trace at `path`; returns its body (the bytes
+/// after the header line).
+std::string save_binary(const std::string& path, const Trace& trace) {
+  SaveOptions save;
+  save.format = TraceFormat::kBinary;
+  save_trace(path, trace, save);
+  const std::string content = slurp(path);
+  return content.substr(content.find('\n') + 1);
+}
+
+std::uint64_t le_at(const std::string& body, std::size_t off,
+                    std::size_t bytes) {
+  std::uint64_t v = 0;
+  for (std::size_t i = bytes; i-- > 0;) {
+    v = v << 8 | static_cast<unsigned char>(body[off + i]);
+  }
+  return v;
+}
+
+/// Offset of a v4 body's samples section: prelude, labels, events, pad.
+std::size_t samples_offset(const std::string& body) {
+  return static_cast<std::size_t>(32 + le_at(body, 24, 8) +
+                                  le_at(body, 8, 8) * 25 + le_at(body, 4, 4));
+}
+
+/// The strict and the lenient policy.
+std::vector<util::LoadPolicy> both_modes() {
+  util::LoadPolicy lenient;
+  lenient.mode = util::LoadMode::kLenient;
+  return {util::LoadPolicy{}, lenient};
+}
+
+TEST(TraceBinaryV4, RecordsAreTheSamplesObjectImage) {
+  const std::string path = temp_path("t.bin");
+  const Trace original = make_trace(23, 400);
+  const std::string body = save_binary(path, original);
+  const std::size_t bytes = 400 * sizeof(MemorySample);
+  // The samples section is the samples' bytes, 8-byte aligned in the file.
+  const std::size_t at = samples_offset(body);
+  const std::size_t header = slurp(path).size() - body.size();
+  EXPECT_EQ((header + at) % alignof(MemorySample), 0u);
+  ASSERT_EQ(body.size(), at + bytes);
+  EXPECT_EQ(std::memcmp(body.data() + at, original.samples.data(), bytes), 0);
+  // A save -> load round trip gives back the same bytes.
+  const Trace loaded = load_trace(path);
+  ASSERT_EQ(loaded.samples.size(), 400u);
+  EXPECT_EQ(
+      std::memcmp(loaded.samples.data(), original.samples.data(), bytes), 0);
+}
+
+TEST(TraceBinaryV4, CleanLoadViewsTheFileMapping) {
+  const std::string path = temp_path("t.bin");
+  const Trace original = make_trace(5, 300);
+  save_binary(path, original);
+  for (const util::LoadPolicy& policy : both_modes()) {
+    SCOPED_TRACE(policy.lenient() ? "lenient" : "strict");
+    util::LoadStats stats;
+    const Trace loaded = load_trace(path, policy, &stats);
+    EXPECT_TRUE(views_file(loaded.samples, path));
+    EXPECT_TRUE(traces_equal(original, loaded));
+    EXPECT_EQ(stats.records_ok, 305u);
+  }
+  // A copy of the samples shares the view and keeps the mapping alive
+  // after the Trace is gone.
+  SampleArray kept;
+  {
+    const Trace loaded = load_trace(path);
+    kept = loaded.samples;
+  }
+  EXPECT_TRUE(views_file(kept, path));
+  EXPECT_EQ(std::memcmp(kept.data(), original.samples.data(),
+                        kept.size() * sizeof(MemorySample)),
+            0);
+  // A CSV load owns its decoded samples.
+  const std::string csv = temp_path("t.csv");
+  save_trace(csv, original);
+  EXPECT_FALSE(views_file(load_trace(csv).samples, csv));
+}
+
+TEST(TraceBinaryV4, NonZeroReservedByteStrictRejectsLenientQuarantines) {
+  const std::string path = temp_path("reserved.bin");
+  const Trace original = make_trace(4, 100);
+  std::string body = save_binary(path, original);
+  body[samples_offset(body) + 37 * sizeof(MemorySample) + 31] = 0x01;
+  util::write_versioned_artifact(path, "trace", kTraceVersion, body);
+  const std::string message =
+      expect_error([&] { load_trace(path); }, ErrorCode::kParse);
+  EXPECT_NE(message.find("sample record #37: reserved bytes are not zero"),
+            std::string::npos)
+      << message;
+
+  util::LoadPolicy lenient;
+  lenient.mode = util::LoadMode::kLenient;
+  util::LoadStats stats;
+  const Trace loaded = load_trace(path, lenient, &stats);
+  EXPECT_EQ(stats.records_quarantined, 1u);
+  EXPECT_EQ(stats.records_ok, 103u);
+  // The decoder fills an owned array with every sample but #37.
+  EXPECT_FALSE(views_file(loaded.samples, path));
+  std::vector<MemorySample> want(original.samples.begin(),
+                                 original.samples.end());
+  want.erase(want.begin() + 37);
+  ASSERT_EQ(loaded.samples.size(), want.size());
+  EXPECT_EQ(std::memcmp(loaded.samples.data(), want.data(),
+                        want.size() * sizeof(MemorySample)),
+            0);
+}
+
+TEST(TraceBinaryV4, MisalignedSamplesSectionLoadsThroughTheDecoder) {
+  const std::string path = temp_path("misaligned.bin");
+  const Trace original = make_trace(4, 100);
+  std::string body = save_binary(path, original);
+  // One pad byte more (or less) moves the section off its boundary; the
+  // body stays checksummed and well-formed.
+  const std::size_t at = samples_offset(body);
+  const auto pad = static_cast<unsigned char>(body[4]);
+  if (pad < 15) {
+    body.insert(at, 1, '\0');
+    body[4] = static_cast<char>(pad + 1);
+  } else {
+    body.erase(at - 1, 1);
+    body[4] = static_cast<char>(pad - 1);
+  }
+  util::write_versioned_artifact(path, "trace", kTraceVersion, body);
+  const std::size_t header = slurp(path).size() - body.size();
+  ASSERT_NE((header + samples_offset(body)) % alignof(MemorySample), 0u);
+  for (const util::LoadPolicy& policy : both_modes()) {
+    SCOPED_TRACE(policy.lenient() ? "lenient" : "strict");
+    util::LoadStats stats;
+    const Trace loaded = load_trace(path, policy, &stats);
+    EXPECT_FALSE(views_file(loaded.samples, path));
+    EXPECT_TRUE(traces_equal(original, loaded));
+    EXPECT_EQ(stats.records_ok, 104u);
+    EXPECT_EQ(stats.records_quarantined, 0u);
+  }
+}
+
+TEST(TraceBinaryV4, DamagedSamplesPadIsAParseErrorInBothModes) {
+  const std::string path = temp_path("pad.bin");
+  const std::string body = save_binary(path, make_trace(4, 100));
+  std::string wide = body;  // a pad past 15 bytes
+  wide[4] = 16;
+  std::string dirty = body;  // a pad byte that is not zero
+  dirty.insert(samples_offset(body), 1, 'x');
+  dirty[4] = static_cast<char>(dirty[4] + 1);
+  for (const std::string& damaged : {wide, dirty}) {
+    util::write_versioned_artifact(path, "trace", kTraceVersion, damaged);
+    for (const util::LoadPolicy& policy : both_modes()) {
+      const std::string message = expect_error(
+          [&] { load_trace(path, policy); }, ErrorCode::kParse);
+      EXPECT_NE(message.find("samples pad"), std::string::npos) << message;
+    }
+  }
+}
+
 // ------------------------------------ field readers vs std::from_chars ----
 
 /// The grammar's verdict on one field's text, from std::from_chars: the
@@ -720,6 +922,7 @@ TEST(TraceFieldOracle, RandomFloatBitsReloadAsFromCharsReadsTheirText) {
   Trace trace;
   const std::uint32_t fixed_lo = bits_of(1e-4f);
   const std::uint32_t fixed_hi = bits_of(1e6f);
+  std::vector<pebs::MemorySample> samples;
   for (std::size_t i = 0; i < 100000; ++i) {
     MemorySample s;
     s.address = i;
@@ -730,8 +933,9 @@ TEST(TraceFieldOracle, RandomFloatBitsReloadAsFromCharsReadsTheirText) {
       default: bits = rng.bounded(0x7f800000u); break;
     }
     s.latency_cycles = float_of(static_cast<std::uint32_t>(bits));
-    trace.samples.push_back(s);
+    samples.push_back(s);
   }
+  trace.samples = std::move(samples);
   const Trace loaded = round_trip(trace);
   ASSERT_EQ(loaded.samples.size(), trace.samples.size());
   std::size_t fixed_notation = 0;

@@ -526,7 +526,7 @@ int cmd_record(int argc, char** argv) {
   parser.add_option("seed", "run seed", "7");
   parser.add_option("format",
                     "trace body encoding: csv (v2, greppable) | binary "
-                    "(v3, 2-3x faster to load)",
+                    "(v4, loaded without a copy)",
                     "csv");
   RunSession::add_options(parser);
   if (!parser.parse(argc, argv)) return 0;
@@ -593,7 +593,8 @@ int cmd_analyze(int argc, char** argv) {
                     "1");
   parser.add_option("expect-trace-version",
                     "reject trace artifacts newer than vN with the "
-                    "version-skew exit code (0 = newest supported)",
+                    "version-skew exit code (0 = newest supported, v4; "
+                    "2 = CSV only; 3 = CSV and v3 binary)",
                     "0");
   RunSession::add_options(parser);
   if (!parser.parse(argc, argv)) return 0;
@@ -647,8 +648,8 @@ int cmd_analyze(int argc, char** argv) {
     }
 
     session.stage("windows");
-    const pebs::CycleWindows grid =
-        pebs::split_cycle_windows(trace, static_cast<std::size_t>(windows));
+    const pebs::CycleWindows grid = pebs::split_cycle_windows(
+        trace.samples, static_cast<std::size_t>(windows));
     bool any = false;
     for (std::size_t w = 0; w < grid.count(); ++w) {
       const WindowVerdict v = tool.analyze_window(trace.samples, grid, w, locator);
@@ -695,7 +696,7 @@ int cmd_explain(int argc, char** argv) {
 
     session.stage("explain");
     const pebs::CycleWindows grid =
-        pebs::split_cycle_windows(input.trace, windows);
+        pebs::split_cycle_windows(input.trace.samples, windows);
     core::ReplayLocator locator;
     std::vector<WindowVerdict> verdicts(windows);
     {
