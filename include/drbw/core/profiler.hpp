@@ -33,9 +33,10 @@
 // ChannelSamples views its slice of that array through shared ownership, so
 // a copied ProfileResult stays valid after the original is gone.  The
 // profile borrows the samples and must not outlive them; the profile()
-// overloads that take a temporary run or vector are deleted.
+// overloads that take a temporary run, vector or sample array are deleted.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -213,9 +214,14 @@ class Profiler {
   /// kMaxProfileSamples of them throw Error(kCorruptArtifact).
   ProfileResult profile(const std::vector<mem::AllocationEvent>& events,
                         std::span<const pebs::MemorySample> samples) const;
+  /// A temporary vector or sample array would die under the result.  An
+  /// lvalue deduces a reference type, fails the constraint and reaches the
+  /// span overload.
+  template <class Samples>
+    requires std::same_as<Samples, std::vector<pebs::MemorySample>> ||
+             std::same_as<Samples, pebs::SampleArray>
   ProfileResult profile(const std::vector<mem::AllocationEvent>& events,
-                        std::vector<pebs::MemorySample>&& samples) const =
-      delete;
+                        Samples&& samples) const = delete;
 
  private:
   const topology::Machine& machine_;

@@ -121,7 +121,8 @@ class SourceTallies {
   static constexpr std::size_t kRemoteSlot = 3;
   /// Row slot of each memory level's tally; remote DRAM adds the home node.
   /// Indexed by the raw level byte, so a level the decoders reject would
-  /// still land in the sink.
+  /// still land in the sink (a viewed trace whose file is rewritten after
+  /// its load's checks can hand one in).
   static constexpr std::array<std::uint8_t, 256> kLevelSlot = [] {
     std::array<std::uint8_t, 256> slots{};
     slots.fill(kSinkSlot);

@@ -45,7 +45,10 @@ inline bool is_dram(MemLevel level) {
 /// struct has no padding: its last two bytes are the explicit `reserved`
 /// pair, so on a little-endian host its object image is exactly a v4 binary
 /// trace record (trace_io.hpp), and the loader can read the samples straight
-/// from the mapped file.
+/// from the mapped file.  Every byte value of every field is a valid value
+/// (the level enum has a fixed u8 base and the write flag is a byte, not a
+/// bool), so a viewed file that another process rewrites after the load's
+/// checks changes the samples read, never makes reading them undefined.
 struct MemorySample {
   mem::Addr address = 0;
   std::uint64_t cycle = 0;       // retirement timestamp (simulated clock)
@@ -53,7 +56,7 @@ struct MemorySample {
   std::uint32_t tid = 0;         // software thread id
   float latency_cycles = 0.0f;   // load-to-use latency
   MemLevel level = MemLevel::kL1;
-  bool is_write = false;
+  std::uint8_t is_write = 0;    // 1 for a store; read any non-zero as one
   std::uint8_t reserved[2] = {0, 0};  // zero; a v4 trace rejects anything else
 };
 static_assert(sizeof(MemorySample) == 32, "MemorySample must pack to 32 bytes");

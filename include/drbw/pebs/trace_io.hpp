@@ -73,12 +73,15 @@
 // of the mapping, and the Trace keeps the mapping alive.  The decoder fills
 // an owned array instead, and the mapping is dropped before load_trace
 // returns, when a record is quarantined, a "trace.read" fault is armed, the
-// samples section is misaligned, or the body is v3 or CSV.  One caveat of
-// reading through a mapping: another process truncating the file while it
-// is mapped can raise SIGBUS, and a viewed trace stays mapped for as long as
-// the Trace (or a copy of its samples) lives, so the caveat covers the whole
-// run that reads it.  No file content can: damaged or short bodies fail
-// validation with a typed Error as before.
+// samples section is misaligned, or the body is v3 or CSV.  Damaged or
+// short bodies fail validation with a typed Error either way.
+//
+// The record checks run once, at load, and a viewed trace reads the file's
+// pages for as long as the Trace (or a copy of its samples) lives.  So
+// another process that changes the file during that time reaches the run:
+// bytes rewritten in place change the samples it reads (MemorySample admits
+// every byte value of every field, so the values change but stay defined),
+// and truncating the file can raise SIGBUS.
 //
 // Loads run under a util::LoadPolicy: strict (the default) rejects the
 // first malformed record with a typed Error naming the source, record, and

@@ -185,16 +185,19 @@ std::string render_csv(const Trace& trace) {
   return out;
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xffu));
-  out.push_back(static_cast<char>((v >> 8) & 0xffu));
-  out.push_back(static_cast<char>((v >> 16) & 0xffu));
-  out.push_back(static_cast<char>((v >> 24) & 0xffu));
+// The binary writer stores every field through these two: the value's
+// little-endian bytes on any host (swapped first on a big-endian one), in
+// one store.  Each returns the position past the field.
+char* put_u32(char* p, std::uint32_t v) {
+  if constexpr (!kLittleEndian) v = __builtin_bswap32(v);
+  std::memcpy(p, &v, sizeof v);
+  return p + sizeof v;
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v & 0xffffffffu));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
+char* put_u64(char* p, std::uint64_t v) {
+  if constexpr (!kLittleEndian) v = __builtin_bswap64(v);
+  std::memcpy(p, &v, sizeof v);
+  return p + sizeof v;
 }
 
 // The decoders read every binary field through these two.  Declared inline
@@ -264,40 +267,34 @@ std::string render_binary(const Trace& trace) {
       kBinaryPreludeBytes + labels.size() + event_count * kBinaryEventBytes;
   const std::uint32_t pad =
       samples_pad(samples_off, samples_off + sample_count * kV4SampleBytes);
-  std::string out;
-  out.reserve(samples_off + pad + sample_count * kV4SampleBytes);
-  put_u32(out, kBinaryMagic);
-  put_u32(out, pad);
-  put_u64(out, event_count);
-  put_u64(out, sample_count);
-  put_u64(out, labels.size());
-  out += labels;
+  std::string out(samples_off + pad + sample_count * kV4SampleBytes, '\0');
+  char* p = put_u32(out.data(), kBinaryMagic);
+  p = put_u32(p, pad);
+  p = put_u64(p, event_count);
+  p = put_u64(p, sample_count);
+  p = put_u64(p, labels.size());
+  p = std::copy(labels.begin(), labels.end(), p);
   for (std::size_t i = 0; i < event_count; ++i) {
     const mem::AllocationEvent& e = trace.events[i];
-    out.push_back(static_cast<char>(e.kind));
-    put_u32(out, refs[i].first);
-    put_u32(out, refs[i].second);
-    put_u64(out, e.base);
-    put_u64(out, e.size_bytes);
+    *p++ = static_cast<char>(e.kind);
+    p = put_u32(p, refs[i].first);
+    p = put_u32(p, refs[i].second);
+    p = put_u64(p, e.base);
+    p = put_u64(p, e.size_bytes);
   }
-  out.append(pad, '\0');
-  if constexpr (kLittleEndian) {
-    // The record is the sample's object image, reserved bytes included.
-    out.append(reinterpret_cast<const char*>(trace.samples.data()),
-               sample_count * kV4SampleBytes);
-  } else {
-    for (const MemorySample& s : trace.samples) {
-      put_u64(out, s.address);
-      put_u64(out, s.cycle);
-      put_u32(out, static_cast<std::uint32_t>(s.cpu));
-      put_u32(out, s.tid);
-      put_u32(out, float_bits(s.latency_cycles));
-      out.push_back(static_cast<char>(s.level));
-      out.push_back(static_cast<char>(s.is_write ? 1 : 0));
-      out.push_back(static_cast<char>(s.reserved[0]));
-      out.push_back(static_cast<char>(s.reserved[1]));
-    }
+  p += pad;  // already zero
+  for (const MemorySample& s : trace.samples) {
+    p = put_u64(p, s.address);
+    p = put_u64(p, s.cycle);
+    p = put_u32(p, static_cast<std::uint32_t>(s.cpu));
+    p = put_u32(p, s.tid);
+    p = put_u32(p, float_bits(s.latency_cycles));
+    *p++ = static_cast<char>(s.level);
+    *p++ = static_cast<char>(s.is_write ? 1 : 0);
+    *p++ = static_cast<char>(s.reserved[0]);
+    *p++ = static_cast<char>(s.reserved[1]);
   }
+  DRBW_CHECK(p == out.data() + out.size());
   return out;
 }
 
@@ -588,7 +585,7 @@ struct FieldCursor {
     return true;
   }
 
-  bool write_flag(bool& out) {
+  bool write_flag(std::uint8_t& out) {
     field = p;
     kind = FieldKind::kWriteFlag;
     if (end - p < 2 || (p[0] != '0' && p[0] != '1') || p[1] != ',') {
@@ -812,71 +809,82 @@ mem::AllocationEvent parse_binary_event(const unsigned char* p,
   return e;
 }
 
-/// Decodes one binary sample record; throws Error(kParse) on an invalid
-/// field (level byte, write flag, non-finite latency, and in a v4 record
-/// non-zero reserved bytes).  Always inlined: it runs once per sample in
+// The rules a binary sample record's fields must meet, one predicate each.
+// The in-place check of a v4 samples section and the decoder both apply
+// them through sample_record_ok.
+inline bool level_byte_ok(const unsigned char* p) {
+  return p[28] <= kMaxLevelByte;
+}
+inline bool write_flag_ok(const unsigned char* p) { return p[29] <= 1; }
+/// Finite and >= 0, -0 included (NaN fails both compares).
+inline bool latency_ok(const unsigned char* p) {
+  const float latency = bits_float(get_u32(p + 24));
+  return latency >= 0.0f && latency <= std::numeric_limits<float>::max();
+}
+inline bool reserved_ok(const unsigned char* p) {
+  return (p[30] | p[31]) == 0;
+}
+
+/// Whether the sample record at `p` meets every field rule; a v3 record has
+/// no reserved bytes.
+inline bool sample_record_ok(const unsigned char* p, bool v4) {
+  return level_byte_ok(p) && write_flag_ok(p) && latency_ok(p) &&
+         (!v4 || reserved_ok(p));
+}
+
+/// Throws Error(kParse) naming the first rule the sample record at `p`
+/// breaks.
+[[noreturn, gnu::cold]] void throw_bad_sample(const unsigned char* p,
+                                              std::size_t ordinal) {
+  std::string what = "sample record #" + std::to_string(ordinal);
+  if (!level_byte_ok(p)) {
+    what += ": unknown memory-level byte " + std::to_string(p[28]);
+  } else if (!write_flag_ok(p)) {
+    what += ": malformed write flag " + std::to_string(p[29]);
+  } else if (!latency_ok(p)) {
+    what += ": malformed latency bits";
+  } else {
+    what += ": reserved bytes are not zero";
+  }
+  throw Error(what, ErrorCode::kParse);
+}
+
+/// Decodes one binary sample record; throws Error(kParse) on a record that
+/// breaks a field rule.  Always inlined: it runs once per sample in
 /// parse_binary's loop, and GCC's own choice here depends on how large the
 /// enclosing function has grown by inlining, which moves with unrelated
 /// edits to this file.
 [[gnu::always_inline]] inline MemorySample parse_binary_sample(
     const unsigned char* p, std::size_t ordinal, bool v4) {
-  const std::uint8_t level = p[28];
-  if (level > kMaxLevelByte) {
-    throw Error("sample record #" + std::to_string(ordinal) +
-                    ": unknown memory-level byte " + std::to_string(level),
-                ErrorCode::kParse);
-  }
-  const std::uint8_t write = p[29];
-  if (write > 1) {
-    throw Error("sample record #" + std::to_string(ordinal) +
-                    ": malformed write flag " + std::to_string(write),
-                ErrorCode::kParse);
-  }
-  const float latency = bits_float(get_u32(p + 24));
-  if (!std::isfinite(latency) || latency < 0.0f) {
-    throw Error("sample record #" + std::to_string(ordinal) +
-                    ": malformed latency bits",
-                ErrorCode::kParse);
-  }
-  if (v4 && (p[30] | p[31]) != 0) {
-    throw Error("sample record #" + std::to_string(ordinal) +
-                    ": reserved bytes are not zero",
-                ErrorCode::kParse);
+  if (!sample_record_ok(p, v4)) [[unlikely]] {
+    throw_bad_sample(p, ordinal);
   }
   MemorySample s;
   s.address = get_u64(p);
   s.cycle = get_u64(p + 8);
   s.cpu = static_cast<topology::CpuId>(get_u32(p + 16));
   s.tid = get_u32(p + 20);
-  s.latency_cycles = latency;
-  s.level = static_cast<MemLevel>(level);
-  s.is_write = write == 1;
+  s.latency_cycles = bits_float(get_u32(p + 24));
+  s.level = static_cast<MemLevel>(p[28]);
+  s.is_write = p[29];
   return s;
 }
 
-/// Whether every v4 sample record at `records` passes parse_binary_sample's
-/// checks, read where it lies; `max_cpu` receives the largest cpu.  One
-/// branch-free pass: the checks are folded into a flag, so the loop has no
-/// early exit to stop the compiler from unrolling it.
+/// Whether every v4 sample record at `records` meets sample_record_ok, read
+/// where it lies; `max_cpu` receives the largest cpu.  The loop folds the
+/// verdicts into one flag with no early exit, since a damaged section is
+/// decoded again anyway to name its first bad record.
 bool v4_samples_valid(const unsigned char* records, std::size_t count,
                       std::uint32_t& max_cpu) {
-  std::uint32_t bad = 0;
+  bool ok = true;
   std::uint32_t cpu_max = 0;
   for (std::size_t i = 0; i < count; ++i) {
     const unsigned char* p = records + i * kV4SampleBytes;
-    // level | write << 8 | reserved << 16
-    const std::uint32_t tail = get_u32(p + 28);
-    const std::uint32_t latency = get_u32(p + 24);
-    bad |= static_cast<std::uint32_t>((tail & 0xffu) > kMaxLevelByte) |
-           static_cast<std::uint32_t>(tail > 0x1ffu) |
-           // Finite and >= 0: a clear sign bit below the infinity's bits, or
-           // -0 (which compares equal to 0).
-           static_cast<std::uint32_t>(latency >= 0x7f800000u &&
-                                      latency != 0x80000000u);
+    ok &= sample_record_ok(p, true);
     cpu_max = std::max(cpu_max, get_u32(p + 16));
   }
   max_cpu = cpu_max;
-  return bad == 0;
+  return ok;
 }
 
 /// Parses a v3 or v4 binary body under `policy`.  Record ordinals are keyed

@@ -2,7 +2,10 @@
 // the profiler's channel association + object attribution.
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "drbw/core/profiler.hpp"
 #include "drbw/util/error.hpp"
@@ -180,6 +183,22 @@ TEST(HeapTracker, FinderAnswersAsObjectOfInAnyLookupOrder) {
   HeapTracker::Finder none = empty.finder();
   EXPECT_EQ(none.object_of(0x1000), kUnknownObject);
 }
+
+// profile() borrows its samples, so it takes them only as lvalues or views:
+// a temporary vector or sample array does not compile.
+template <class Samples>
+concept Profiles = requires(const Profiler& profiler,
+                            const std::vector<AllocationEvent>& events,
+                            Samples&& samples) {
+  profiler.profile(events, std::forward<Samples>(samples));
+};
+static_assert(Profiles<std::vector<pebs::MemorySample>&>);
+static_assert(Profiles<const std::vector<pebs::MemorySample>&>);
+static_assert(Profiles<pebs::SampleArray&>);
+static_assert(Profiles<const pebs::SampleArray&>);
+static_assert(Profiles<std::span<const pebs::MemorySample>>);
+static_assert(!Profiles<std::vector<pebs::MemorySample>>);
+static_assert(!Profiles<pebs::SampleArray>);
 
 class ProfilerTest : public ::testing::Test {
  protected:

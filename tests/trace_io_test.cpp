@@ -759,6 +759,40 @@ TEST(TraceBinaryV4, CleanLoadViewsTheFileMapping) {
   EXPECT_FALSE(views_file(load_trace(csv).samples, csv));
 }
 
+TEST(TraceBinaryV4, InPlaceRewriteAfterLoadReadsAsDefinedValues) {
+  // The record checks run once, at load.  A viewed trace then reads the
+  // file's pages, so bytes another process rewrites in place may reach the
+  // run; every byte value is a valid field value, so the edited samples
+  // still profile without undefined behaviour (the sanitizer build checks
+  // the reads).
+  const std::string path = temp_path("rewritten.bin");
+  const Trace original = make_trace(5, 300);
+  const std::string body = save_binary(path, original);
+  const std::size_t header = slurp(path).size() - body.size();
+  const Trace loaded = load_trace(path);
+  ASSERT_TRUE(views_file(loaded.samples, path));
+  {
+    // Sample #7's level byte becomes 200 and its write flag 2.
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(static_cast<std::streamoff>(
+        header + samples_offset(body) + 7 * sizeof(MemorySample) + 28));
+    const char edit[] = {static_cast<char>(200), 2};
+    file.write(edit, sizeof edit);
+    ASSERT_TRUE(file.good());
+  }
+  const MemorySample& edited = loaded.samples[7];
+  const MemorySample& saved = original.samples[7];
+  EXPECT_TRUE(static_cast<unsigned>(edited.level) == 200 ||
+              edited.level == saved.level);
+  EXPECT_TRUE(edited.is_write == 2 || edited.is_write == saved.is_write);
+  const auto machine = topology::Machine::xeon_e5_4650();
+  core::ReplayLocator locator;
+  const core::Profiler profiler(machine, locator);
+  const core::ProfileResult profile =
+      profiler.profile(loaded.events, loaded.samples);
+  EXPECT_EQ(profile.total_samples, 300u);
+}
+
 TEST(TraceBinaryV4, NonZeroReservedByteStrictRejectsLenientQuarantines) {
   const std::string path = temp_path("reserved.bin");
   const Trace original = make_trace(4, 100);
