@@ -24,9 +24,20 @@
 //               is one '"'; a quoted site may hold ',' and newlines, so a
 //               record can span lines.  It is keyed (line number and
 //               "trace.read" fault key) by its first line.
-//   Records are parsed in place.  An integer is a digit loop in the field's
-//   own width; the digits past the digits10 that always fit are
-//   overflow-checked, so it accepts exactly what std::from_chars accepts.
+//   Records are parsed in place, in one pass over the body.  A sample or
+//   free record is read from its first byte, bounded only by the body's
+//   end: each field requires its ',' and no field takes in a '\n', so the
+//   record's line ends at the '\n' after its last field (or at the body's
+//   end), and no line is found before the record is read.  The sample
+//   array is reserved for the most sample records the body could hold
+//   (one per 17 bytes).  Any other line, a record that read refuses, and
+//   the damaged copy an armed "trace.read" fault makes are read again
+//   bounded by their line (a quoted label's lines included), through the
+//   same field readers; that read names the failure, so messages, line
+//   numbers and lenient tallies do not depend on which read took the
+//   record.  An integer is a digit loop in the field's own width; the
+//   digits past the digits10 that always fit are overflow-checked, so it
+//   accepts exactly what std::from_chars accepts.
 //   A latency written as digits[.digits] with a significand m <= 2^24 and
 //   at most 10 fraction digits k is m / 10^k in one float division: m and
 //   10^k are exact floats, so the quotient is correctly rounded, which is
@@ -92,9 +103,7 @@
 // line / record ordinal so injection is deterministic.
 #pragma once
 
-#include <cstddef>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "drbw/mem/address_space.hpp"
@@ -162,13 +171,5 @@ Trace load_trace(const std::string& path, const LoadOptions& options,
 /// Level <-> trace-token conversion (exposed for tests).
 const char* level_token(MemLevel level);
 MemLevel level_from_token(const std::string& token);
-
-namespace detail {
-
-/// The number of '\n' bytes in `body`, counted in 32 byte lanes (exposed
-/// for tests; the CSV loader sizes its sample vector with it).
-std::size_t count_newlines(std::string_view body);
-
-}  // namespace detail
 
 }  // namespace drbw::pebs

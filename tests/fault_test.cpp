@@ -411,6 +411,31 @@ TEST(CorruptionCorpus, MidRecordEofStrictNamesTheLine) {
   EXPECT_EQ(recovered.samples.size(), 6u);
 }
 
+TEST(CorruptionCorpus, CsvLineShapesKeepTheirOutcomes) {
+  // CRLF line ends and an unquoted label cut by a newline are parse errors
+  // at the record's first line; a quoted label may span lines.
+  std::string message;
+  const std::string crlf = kDataDir + "/crlf_trace.csv";
+  EXPECT_EQ(code_of([&] { pebs::load_trace(crlf); }, &message),
+            ErrorCode::kParse);
+  EXPECT_EQ(message, crlf + ":2: malformed number '8192\r'");
+  const std::string split = kDataDir + "/split_label_trace.csv";
+  EXPECT_EQ(code_of([&] { pebs::load_trace(split); }, &message),
+            ErrorCode::kParse);
+  EXPECT_EQ(message, split + ":2: record has 2 fields, expected 4");
+  util::LoadStats stats;
+  const pebs::Trace split_kept = pebs::load_trace(
+      split, util::LoadPolicy{util::LoadMode::kLenient, 0.5}, &stats);
+  EXPECT_EQ(stats.records_seen, 4u);
+  EXPECT_EQ(stats.records_quarantined, 2u);
+  EXPECT_EQ(split_kept.samples.size(), 2u);
+  const pebs::Trace multi =
+      pebs::load_trace(kDataDir + "/multiline_label_trace.csv");
+  ASSERT_EQ(multi.events.size(), 2u);
+  EXPECT_EQ(multi.events[0].site.label, "multi.c:7 grid, \"halo\"\nrows");
+  EXPECT_EQ(multi.samples.size(), 3u);
+}
+
 TEST(CorruptionCorpus, QuarantineCountsAreExactAndStable) {
   const std::string path = kDataDir + "/malformed_records_trace.csv";
   util::LoadStats first;
@@ -732,6 +757,70 @@ TEST(TraceReadSite, EveryDamagedSampleIsQuarantined) {
             ErrorCode::kParse);
   EXPECT_NE(message.find(path + ":2: "), std::string::npos) << message;
   EXPECT_EQ(exit_code_for(ErrorCode::kParse), 67);
+  std::remove(path.c_str());
+}
+
+/// An armed site damages a CSV record's own bytes, whichever way the
+/// record is read.  Over twenty fault seeds and a body of mixed record
+/// shapes (quoted labels spanning lines, frees, blank lines, CRLF), the
+/// lenient tallies, the fire count, the kept records and the strict error
+/// are pinned as one CRC-32, taken when every record was read from its own
+/// line.
+TEST(TraceReadSite, ArmedCsvLoadsDecodeAsPinned) {
+  const char* const levels[] = {"L1", "L2", "L3", "LFB", "LDR", "RDR"};
+  std::string body;
+  for (int i = 0; i < 48; ++i) {
+    body += "S," + std::to_string(4096 + i * 64) + "," +
+            std::to_string(i % 8) + ",1," + levels[i % 6] + "," +
+            std::to_string(100 + 7 * i) + (i % 3 == 0 ? ".25" : "") + "," +
+            (i % 2 == 0 ? "0" : "1") + "," + std::to_string(10 * i) +
+            (i % 17 == 8 ? "\r\n" : "\n");
+    if (i % 9 == 4) {
+      body += "A,\"site \"\"" + std::to_string(i) + "\"\",\nnext\"," +
+              std::to_string(4096 * i) + ",64\n";
+    }
+    if (i % 11 == 5) body += "\n  \n";
+    if (i % 13 == 6) body += "F," + std::to_string(4096 * (i - 2)) + "\n";
+  }
+  const std::string path = ::testing::TempDir() + "/read_fault_pin.csv";
+  util::write_versioned_artifact(path, "trace", 2, body);
+  std::string lines;
+  for (int seed = 1; seed <= 20; ++seed) {
+    ArmGuard guard("seed=" + std::to_string(seed) + ",trace.read:corrupt:0.2");
+    util::LoadStats stats;
+    const pebs::Trace t = pebs::load_trace(
+        path, util::LoadPolicy{util::LoadMode::kLenient, 1.0}, &stats);
+    std::string kept;
+    for (const mem::AllocationEvent& e : t.events) {
+      kept += e.site.label + "," + std::to_string(e.base) + "," +
+              std::to_string(e.size_bytes) + "\n";
+    }
+    for (const pebs::MemorySample& s : t.samples) {
+      kept += std::to_string(s.address) + "," + std::to_string(s.cpu) + "," +
+              std::to_string(static_cast<int>(s.level)) + "," +
+              std::to_string(s.latency_cycles) + "," +
+              std::to_string(s.is_write) + "," + std::to_string(s.cycle) +
+              "\n";
+    }
+    std::uint64_t fired = 0;
+    for (const auto& [site, count] : fault::Injector::global().fire_counts()) {
+      fired += count;
+    }
+    std::string message;
+    try {
+      (void)pebs::load_trace(path);
+    } catch (const Error& e) {
+      message = std::string(e.what()).substr(path.size());
+    }
+    lines += std::to_string(seed) + ": seen=" +
+             std::to_string(stats.records_seen) +
+             " ok=" + std::to_string(stats.records_ok) +
+             " quarantined=" + std::to_string(stats.records_quarantined) +
+             " fired=" + std::to_string(fired) +
+             " kept=" + std::to_string(util::crc32(kept)) + " strict" +
+             message + "\n";
+  }
+  EXPECT_EQ(util::crc32(lines), 0xf401dd67u) << lines;
   std::remove(path.c_str());
 }
 

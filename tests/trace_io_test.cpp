@@ -1,7 +1,9 @@
 // Tests for sample-trace persistence and offline re-analysis: the CSV (v2)
 // and binary (v4, and v3 on load) bodies, their round trips, field grammar,
-// version skew, truncated-body handling, and v4's load without a copy.
+// version skew, truncated-body handling, v4's load without a copy, and the
+// CSV decoder's outcomes pinned over line shapes, cuts and byte mutations.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
 #include <algorithm>
 #include <charconv>
@@ -1140,36 +1142,271 @@ TEST(TraceFieldOracle, IntegersAtTheWidthLimitsMatchFromChars) {
   }
 }
 
-// ------------------------------------------------------ newline count ----
+// -------------------------------------------------------- decoder pin ----
 
-TEST(TraceNewlineCount, MatchesStdCountOnRandomBodies) {
-  Rng rng(2017);
-  for (std::size_t size : {0u, 1u, 31u, 32u, 33u, 255u * 32u - 1u,
-                           255u * 32u, 255u * 32u + 1u, 100000u}) {
-    for (std::uint64_t density : {2u, 7u, 64u}) {
-      std::string body(size + 3, 'x');
-      for (char& c : body) {
-        c = rng.next() % density == 0 ? '\n'
-                                      : static_cast<char>(rng.next() >> 56);
-      }
-      for (std::size_t offset : {0u, 3u}) {
-        const std::string_view view(body.data() + offset, size);
-        EXPECT_EQ(detail::count_newlines(view),
-                  static_cast<std::size_t>(
-                      std::count(view.begin(), view.end(), '\n')))
-            << "size " << size << " density " << density << " offset "
-            << offset;
-      }
+/// `text` with every byte outside printable ASCII written as \xNN, so an
+/// outcome holding a damaged record prints (and pins) as plain text.
+std::string printable(std::string_view text) {
+  std::string out;
+  for (const char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte >= 0x20 && byte < 0x7f && c != '\\') {
+      out += c;
+      continue;
     }
+    char hex[8];
+    std::snprintf(hex, sizeof hex, "\\x%02x", byte);
+    out += hex;
+  }
+  return out;
+}
+
+/// CRC-32 of every decoded field of `trace`, events first.
+std::uint32_t trace_crc(const Trace& trace) {
+  std::string bytes;
+  const auto put = [&bytes](const auto& v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  for (const mem::AllocationEvent& e : trace.events) {
+    put(static_cast<std::uint8_t>(e.kind));
+    bytes += e.site.label;
+    put(e.site.label.size());
+    put(e.base);
+    put(e.size_bytes);
+  }
+  for (const MemorySample& s : trace.samples) {
+    put(s.address);
+    put(s.cycle);
+    put(s.cpu);
+    put(s.tid);
+    put(bits_of(s.latency_cycles));
+    put(static_cast<std::uint8_t>(s.level));
+    put(s.is_write);
+  }
+  return util::crc32(bytes);
+}
+
+/// One load of `path` under `policy` as text: the typed error and its
+/// message (the path shown as <trace>), or the record tallies and the
+/// CRC-32 of what was decoded.
+std::string load_outcome(const std::string& path,
+                         const util::LoadPolicy& policy) {
+  util::LoadStats stats;
+  try {
+    const Trace trace = load_trace(path, policy, &stats);
+    char crc[16];
+    std::snprintf(crc, sizeof crc, "%08x", trace_crc(trace));
+    return "seen=" + std::to_string(stats.records_seen) +
+           " ok=" + std::to_string(stats.records_ok) +
+           " quarantined=" + std::to_string(stats.records_quarantined) +
+           " crc=" + crc;
+  } catch (const Error& e) {
+    std::string what = e.what();
+    for (std::size_t at = what.find(path); at != std::string::npos;
+         at = what.find(path, at)) {
+      what.replace(at, path.size(), "<trace>");
+    }
+    return std::string(error_code_name(e.code())) + " " + printable(what);
   }
 }
 
-TEST(TraceNewlineCount, LanesAreFlushedBeforeTheyOverflow) {
-  // All newlines: every byte lane gains one per 32 bytes, so a lane that
-  // were never flushed would wrap after 255 rows.
-  for (std::size_t size : {255u * 32u + 32u, 255u * 32u * 4u + 17u}) {
-    EXPECT_EQ(detail::count_newlines(std::string(size, '\n')), size);
+/// The strict and the lenient (never capped) outcome of one CSV body.
+struct PinnedOutcome {
+  std::string strict;
+  std::string lenient;
+};
+
+PinnedOutcome decode_outcome(const std::string& body) {
+  const std::string path = write_csv_trace("pin.csv", body);
+  PinnedOutcome out{load_outcome(path, util::LoadPolicy{}),
+                    load_outcome(path, {util::LoadMode::kLenient, 1.0})};
+  std::remove(path.c_str());
+  return out;
+}
+
+/// A few records in the recorder's format, plus the shapes it can write
+/// that a plain sample line is not: a quoted label holding ',', "" and a
+/// newline, a free, a blank line, every level, a latency in scientific
+/// notation, the widest field values, and a last record with no '\n'.
+constexpr const char* kRecordedBody =
+    "A,streamcluster.cpp:1739 block,268435456,100663296\n"
+    "A,\"streamcluster.cpp:985 \"\"p\"\",\nq\",369102848,33554432\n"
+    "S,323140184,0,0,LDR,179.732,0,20185\n"
+    "S,357489072,1,1,L1,187.207,1,6451\n"
+    "\n"
+    "S,325640856,9,3,RDR,401.668,0,96863\n"
+    "S,294288200,0,0,LFB,1e-05,0,117937\n"
+    "F,268435456\n"
+    "S,365394208,1,1,L2,212,0,104203\n"
+    "S,291433664,8,2,L3,4.17716e+06,1,140627\n"
+    "S,18446744073709551615,4294967295,4294967295,LDR,0,1,"
+    "18446744073709551615\n"
+    "S,280101144,0,0,LDR,170.337,0,215689";
+
+/// A CRC-32 over a group of outcomes, one "strict | lenient" line each,
+/// and how many of the strict loads kept every record.
+struct GroupPin {
+  std::uint32_t crc = 0;
+  std::size_t strict_ok = 0;
+};
+
+GroupPin pin_group(const std::vector<std::string>& bodies) {
+  std::string lines;
+  GroupPin pin;
+  for (const std::string& body : bodies) {
+    const PinnedOutcome o = decode_outcome(body);
+    pin.strict_ok += o.strict.rfind("seen=", 0) == 0;
+    lines += o.strict + " | " + o.lenient + "\n";
   }
+  pin.crc = util::crc32(lines);
+  return pin;
+}
+
+// The expected outcomes below were taken from the line-at-a-time decoder
+// before records were read in place; the in-place reader must reproduce
+// every one of them: values, tallies, error codes, messages, line numbers.
+TEST(TraceDecoderPin, LineShapesDecodeAsPinned) {
+  struct Case {
+    const char* name;
+    std::string body;
+    const char* strict;
+    const char* lenient;
+  };
+  const std::vector<Case> cases = {
+      {"crlf", "S,1,0,0,L1,5,0,1\r\nS,2,0,0,L1,5,0,2\r\nF,9\r\n",
+       "parse-error <trace>:2: malformed number '1\\x0d'",
+       "seen=3 ok=0 quarantined=3 crc=00000000"},
+      {"blank lines", "\n   \n\t\r\nS,1,0,0,L1,5,0,1\n\r\n\nF,7\n  \n",
+       "seen=2 ok=2 quarantined=0 crc=818ca6e4",
+       "seen=2 ok=2 quarantined=0 crc=818ca6e4"},
+      {"multi-line quoted label",
+       "A,\"a \"\"b\"\"\nc,\n\"\"d\"\"\",4096,64\nS,4096,0,0,L1,5,0,1\n"
+       "S,4100,1,0,L2,6,0,2\n",
+       "seen=3 ok=3 quarantined=0 crc=707aeba8",
+       "seen=3 ok=3 quarantined=0 crc=707aeba8"},
+      {"unterminated quote",
+       "A,\"never closed,4096,64\nS,1,0,0,L1,5,0,1\nA,\"x\ny\",8192,64\n",
+       "parse-error <trace>:2: record has 2 fields, expected 4",
+       "seen=3 ok=2 quarantined=1 crc=b4bf4e89"},
+      {"label split by a newline", "S,1,0,0,L1,5,0,1\nA,foo\nbar,1,2\n",
+       "parse-error <trace>:3: record has 2 fields, expected 4",
+       "seen=3 ok=1 quarantined=2 crc=16bd2db8"},
+      {"bare S", "S\nS,1,0,0,L1,5,0,1\n",
+       "parse-error <trace>:2: record has 1 fields, expected 8",
+       "seen=2 ok=1 quarantined=1 crc=16bd2db8"},
+      {"bare S comma", "S,1,0,0,L1,5,0,1\nS,\n",
+       "parse-error <trace>:3: record has 2 fields, expected 8",
+       "seen=2 ok=1 quarantined=1 crc=16bd2db8"},
+      {"last record without a newline",
+       "S,1,0,0,L1,5,0,1\nS,2,0,0,LFB,5.5,1,2",
+       "seen=2 ok=2 quarantined=0 crc=ac3dae40",
+       "seen=2 ok=2 quarantined=0 crc=ac3dae40"},
+      {"level cut by a newline", "S,1,0,0,L\n1,5,0,1\nS,1,0,0,LFB\n,5,0,1\n",
+       "parse-error <trace>:2: record has 5 fields, expected 8",
+       "seen=4 ok=0 quarantined=4 crc=00000000"},
+      {"latency cut by a newline", "S,1,0,0,L1,5\n,0,1\nS,1,0,0,L1,1e5\n",
+       "parse-error <trace>:2: record has 6 fields, expected 8",
+       "seen=3 ok=0 quarantined=3 crc=00000000"},
+      {"flag cut by a newline", "S,1,0,0,L1,5,1\n,1\nS,1,0,0,L1,5,\n0,1\n",
+       "parse-error <trace>:2: record has 7 fields, expected 8",
+       "seen=4 ok=0 quarantined=4 crc=00000000"},
+      {"empty last field", "S,1,0,0,L1,5,0,\nS,1,0,0,L1,5,0,1\n",
+       "parse-error <trace>:2: malformed number ''",
+       "seen=2 ok=1 quarantined=1 crc=16bd2db8"},
+      {"record past its last field", "S,1,0,0,L1,5,0,1,\nF,1,2\n",
+       "parse-error <trace>:2: record has 9 fields, expected 8",
+       "seen=2 ok=0 quarantined=2 crc=00000000"},
+      {"unknown kinds", "SS,1\nQ\nS1,0\n",
+       "parse-error <trace>:2: unknown record kind 'SS'",
+       "seen=3 ok=0 quarantined=3 crc=00000000"},
+  };
+  for (const Case& c : cases) {
+    const PinnedOutcome got = decode_outcome(c.body);
+    EXPECT_EQ(got.strict, c.strict) << c.name;
+    EXPECT_EQ(got.lenient, c.lenient) << c.name;
+  }
+}
+
+TEST(TraceDecoderPin, EveryCutOfARecordedBodyDecodesAsPinned) {
+  const std::string body = kRecordedBody;
+  std::vector<std::string> cuts;
+  for (std::size_t n = 0; n <= body.size(); ++n) {
+    cuts.push_back(body.substr(0, n));
+  }
+  const GroupPin pin = pin_group(cuts);
+  EXPECT_EQ(pin.crc, 0x6d9e187eu);
+  EXPECT_EQ(pin.strict_ok, 96u);
+}
+
+TEST(TraceDecoderPin, SeededByteMutationsDecodeAsPinned) {
+  // Each case replaces, inserts or deletes one to three bytes, drawn from
+  // the grammar's own characters or from all 256 byte values.
+  const std::string base = kRecordedBody;
+  const std::string alphabet = "0123456789,\n\r\" \tSAFLDRB.e-+x";
+  Rng rng(2017);
+  std::vector<std::string> bodies;
+  for (int i = 0; i < 500; ++i) {
+    std::string body = base;
+    const std::uint64_t edits = 1 + rng.next() % 3;
+    for (std::uint64_t e = 0; e < edits; ++e) {
+      const auto at = static_cast<std::size_t>(rng.next() % body.size());
+      const char byte = rng.next() % 4 == 0
+                            ? static_cast<char>(rng.next() >> 56)
+                            : alphabet[rng.next() % alphabet.size()];
+      switch (rng.next() % 3) {
+        case 0: body[at] = byte; break;
+        case 1: body.insert(at, 1, byte); break;
+        default: body.erase(at, 1); break;
+      }
+    }
+    bodies.push_back(std::move(body));
+  }
+  const GroupPin pin = pin_group(bodies);
+  EXPECT_EQ(pin.crc, 0x7689b05fu);
+  EXPECT_EQ(pin.strict_ok, 120u);
+}
+
+TEST(TraceDecoderBounds, LastRecordCutAtAPageEndReadsNothingPastTheFile) {
+  // Each file is a whole number of pages, so the mapping ends where the
+  // body does and a read one byte past the body's end touches the next
+  // page.  Every cut must decode to samples or fail with kParse.
+  const std::string last =
+      "S,18446744073709551615,4294967295,7,LFB,1e-05,1,18446744073709551615\n";
+  const std::string path = temp_path("page_end.csv");
+  for (std::size_t cut = 1; cut <= last.size(); ++cut) {
+    const std::string tail = "S,1,0,0,L1,5,0,1\n" + last.substr(0, cut);
+    std::string body;
+    for (std::size_t pad = 0;; ++pad) {
+      body = "A," + std::string(pad, 'x') + ",4096,64\n" + tail;
+      if ((util::artifact_header_size("trace", 2, body.size()) + 1 +
+           body.size()) % 4096 == 0) {
+        break;
+      }
+    }
+    util::write_versioned_artifact(path, "trace", 2, body);
+    const std::size_t file_bytes = slurp(path).size();
+    ASSERT_EQ(file_bytes % 4096, 0u) << cut;
+    for (const util::LoadPolicy& policy :
+         {util::LoadPolicy{},
+          util::LoadPolicy{util::LoadMode::kLenient, 1.0}}) {
+      // An inaccessible page right above a hole the file's size: mappings
+      // are placed top-down in the highest gap that fits, so the loader's
+      // mapping of the file usually fills the hole and ends at the guard.
+      char* const hole = static_cast<char*>(
+          ::mmap(nullptr, file_bytes + 4096, PROT_NONE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0));
+      ASSERT_NE(hole, MAP_FAILED);
+      ::munmap(hole, file_bytes);
+      try {
+        const Trace trace = load_trace(path, policy);
+        EXPECT_GE(trace.samples.size(), 1u) << cut;
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kParse) << cut << ": " << e.what();
+      }
+      ::munmap(hole + file_bytes, 4096);
+    }
+  }
+  std::remove(path.c_str());
 }
 
 // --------------------------------------------------------- cpu check ----
