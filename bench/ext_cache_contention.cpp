@@ -66,8 +66,7 @@ int main(int argc, char** argv) {
           bench.build(space, harness->machine, workloads::RunConfig{tpn * 2, 2},
                       workloads::PlacementMode::kOriginal, 0);
       const auto run = workloads::execute(harness->machine, space, built, engine);
-      core::AddressSpaceLocator locator(space);
-      core::Profiler profiler(harness->machine, locator);
+      core::Profiler profiler(harness->machine);
       const auto verdicts = detector.analyze(profiler.profile(run));
       table.add_row({format_percent(ws, 0), std::to_string(tpn),
                      format_fixed(ws * tpn, 2) + "x",

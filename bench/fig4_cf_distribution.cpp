@@ -21,8 +21,7 @@ void diagnose_one(const Harness& harness, const DrBw& tool, const char* name,
       bench->build(space, harness.machine, config, workloads::PlacementMode::kOriginal,
                    input);
   const auto run = workloads::execute(harness.machine, space, built, engine);
-  core::AddressSpaceLocator locator(space);
-  const Report report = tool.analyze(run, locator);
+  const Report report = tool.analyze(run);
 
   std::cout << "\n--- " << name << " (" << bench->input_name(input) << ", "
             << config.name() << ") — "

@@ -32,8 +32,7 @@ int main(int argc, char** argv) {
                                         workloads::PlacementMode::kOriginal,
                                         input);
         const auto run = workloads::execute(harness->machine, space, built, engine);
-        core::AddressSpaceLocator locator(space);
-        if (tool.analyze(run, locator).rmc) {
+        if (tool.analyze(run).rmc) {
           any_rmc = true;
           break;
         }

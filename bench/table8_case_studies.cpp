@@ -62,8 +62,7 @@ int main(int argc, char** argv) {
                                     PlacementMode::kOriginal, 2);
     const auto run = workloads::execute(harness->machine, space, built, engine);
     const DrBw tool(harness->machine, harness->train());
-    core::AddressSpaceLocator locator(space);
-    const auto report = tool.analyze(run, locator);
+    const auto report = tool.analyze(run);
     std::cout << "Diagnoser on SP class C, T64-N4:\n"
               << "  detected rmc: " << (report.rmc ? "yes" : "no")
               << ", untracked CF: "

@@ -60,8 +60,7 @@ int main(int argc, char** argv) {
             << format_fixed(run.seconds(machine) * 1e3, 2) << " ms)\n\n";
 
   // --- 2. detect + diagnose ---
-  core::AddressSpaceLocator locator(space);
-  const Report report = tool.analyze(run, locator);
+  const Report report = tool.analyze(run);
   std::cout << report.to_string(machine);
   if (!report.rmc) {
     std::cout << "\nNo contention at this configuration — try a heavier "

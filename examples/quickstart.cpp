@@ -41,8 +41,7 @@ int main() {
                                    workloads::PlacementMode::kOriginal, 0);
     const sim::RunResult run = workloads::execute(machine, space, built, {});
 
-    core::AddressSpaceLocator locator(space);
-    const Report report = tool.analyze(run, locator);
+    const Report report = tool.analyze(run);
     std::cout << report.to_string(machine)
               << "execution time: " << run.seconds(machine) * 1e3 << " ms\n\n";
   }

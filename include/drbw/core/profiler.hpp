@@ -6,8 +6,9 @@
 //
 //   * the *accessing node* comes from the sample's CPU id and the machine
 //     topology (§IV-B),
-//   * the *locating node* comes from a libnuma-style page lookup on the
-//     sampled effective address (PageLocator), and
+//   * the *locating node* is the sample's home byte, the page's node as
+//     the sampler's move_pages-style lookup saw it when the sample was
+//     taken (pebs/sample.hpp), and
 //   * the touched *data object* comes from the heap tracker's range table
 //     (§IV-C).
 //
@@ -53,38 +54,15 @@
 
 namespace drbw::core {
 
-/// Page-location oracle: the tool's view of libnuma's move_pages query.
-/// `accessing_node` matters only for replicated ranges (where the kernel
-/// would report the local replica).
+/// A libnuma-style page-location oracle.  Nothing calls it any more: each
+/// sample carries its home node.  It stays declared only because
+/// perfbench/pipebench.cpp still compiles against it and against the
+/// Profiler and DrBw::analyze_windows overloads that take one.
 class PageLocator {
  public:
   virtual ~PageLocator() = default;
   virtual topology::NodeId locate(mem::Addr addr,
                                   topology::NodeId accessing_node) = 0;
-};
-
-/// Adapter over the simulated address space.
-class AddressSpaceLocator final : public PageLocator {
- public:
-  explicit AddressSpaceLocator(mem::AddressSpace& space) : space_(space) {}
-  topology::NodeId locate(mem::Addr addr,
-                          topology::NodeId accessing_node) override {
-    return space_.resolve_home(addr, accessing_node);
-  }
-
- private:
-  mem::AddressSpace& space_;
-};
-
-/// The one offline locator, for analysis of a recorded trace (analyze,
-/// explain, serve): every address is homed on node 0, the master-allocation
-/// default the tool targets.  Sound for verdicts: remote/local
-/// classification of each sample comes from its recorded level; only the
-/// home-node attribution of the channel needs this locator.  Stateless, so
-/// concurrent locate() calls are safe.
-class ReplayLocator final : public PageLocator {
- public:
-  topology::NodeId locate(mem::Addr, topology::NodeId) override { return 0; }
 };
 
 /// A sample annotated with everything the classifier and diagnoser need.
@@ -202,7 +180,11 @@ struct ProfileResult {
 
 class Profiler {
  public:
-  Profiler(const topology::Machine& machine, PageLocator& locator);
+  explicit Profiler(const topology::Machine& machine);
+  /// Ignores the locator: the home node comes from each sample.  Kept only
+  /// for perfbench/pipebench.cpp.
+  Profiler(const topology::Machine& machine, PageLocator& /*unused*/)
+      : Profiler(machine) {}
 
   /// Ingests a run's allocation events and samples.  The result borrows
   /// `run.samples`.
@@ -225,7 +207,6 @@ class Profiler {
 
  private:
   const topology::Machine& machine_;
-  PageLocator& locator_;
 };
 
 }  // namespace drbw::core

@@ -84,7 +84,7 @@ class DrBw {
 
   /// Profiles a finished run (its samples + allocation events) and
   /// classifies/diagnoses it.
-  Report analyze(const sim::RunResult& run, core::PageLocator& locator) const;
+  Report analyze(const sim::RunResult& run) const;
 
   /// Same, for a pre-built profile (replayed traces, tests).  The report
   /// copies what it needs, so it may outlive the profile and its samples.
@@ -96,17 +96,22 @@ class DrBw {
   /// shrink with the window, which only makes windowed detection more
   /// conservative.
   std::vector<WindowVerdict> analyze_windows(const sim::RunResult& run,
-                                             core::PageLocator& locator,
                                              std::uint64_t window_cycles) const;
+  /// Ignores the locator: the home node comes from each sample.  Kept only
+  /// for perfbench/pipebench.cpp.
+  std::vector<WindowVerdict> analyze_windows(const sim::RunResult& run,
+                                             core::PageLocator& /*unused*/,
+                                             std::uint64_t window_cycles) const {
+    return analyze_windows(run, window_cycles);
+  }
 
   /// Featurizes window `w` of `windows` (ordinals into `samples`) with an
   /// add-only features::ChannelWindow — no profile, no diagnosis — sets the
   /// verdict's cycle bounds and sample count, and classifies it with
-  /// classify_window.  Windows may be classified concurrently when `locator`
-  /// is stateless.
+  /// classify_window.  Windows may be classified concurrently.
   WindowVerdict analyze_window(std::span<const pebs::MemorySample> samples,
                                const pebs::CycleWindows& windows,
-                               std::size_t w, core::PageLocator& locator) const;
+                               std::size_t w) const;
 
   /// The one window classifier (analyze --windows, explain, serve): explains
   /// every channel of a filled `window` that this DrBw's sparse guard lets

@@ -12,14 +12,13 @@
 // Every add resolves its sample to a WindowSample — the 8 bytes Table I
 // reads: latency, memory level, source node and home node — and returns
 // it.  A sliding window keeps those records and evicts them, so eviction
-// never consults the locator or the machine again: what leaves the window
-// is exactly what entered it, whatever locator filled it.
+// never consults the machine again: what leaves the window is exactly
+// what entered it.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "drbw/core/profiler.hpp"
 #include "drbw/core/tallies.hpp"
 #include "drbw/features/selected.hpp"
 #include "drbw/pebs/sample.hpp"
@@ -47,25 +46,26 @@ static_assert(sizeof(WindowSample) == 8, "WindowSample must pack to 8 bytes");
 /// Inside the bound the features are a pure function of the multiset, never
 /// of the add/evict history.  Whole-run sums (Profiler::profile's tallies,
 /// read by extract_channels) run in stream order, so they are deterministic
-/// at any size.  Under ReplayLocator (analyze, explain, serve) all of a
-/// source's samples sit in one channel, (src, 0), so stream order is also
-/// the order a window fed the profile channel by channel would see, and the
-/// sums match it bit for bit at any latency.  Under other locators only the
-/// order across one source's channels differs, which the bound makes
-/// order-free.
+/// at any size.  When all of a source's samples share one home node (a
+/// trace recorded before v5 loads every sample homed on node 0), they sit
+/// in one channel, so stream order is also the order a window fed the
+/// profile channel by channel would see, and the sums match it bit for bit
+/// at any latency.  Otherwise only the order across one source's channels
+/// differs, which the bound makes order-free.
 class ChannelWindow {
  public:
-  /// `machine` and `locator` must outlive the window.  The machine has at
-  /// most 256 nodes (a WindowSample names them in one byte each).
-  ChannelWindow(const topology::Machine& machine, core::PageLocator& locator);
+  /// `machine` must outlive the window.  It has at most 256 nodes (a
+  /// WindowSample names them in one byte each).
+  explicit ChannelWindow(const topology::Machine& machine);
 
   /// Adds a raw sample: its source node comes from the machine, its home
-  /// node from the locator.  Returns the record it applied, for evict().
+  /// node from the sample, which must name one of the machine's nodes.
+  /// Returns the record it applied, for evict().
   WindowSample add(const pebs::MemorySample& sample);
   /// Adds a record an add() returned.
   void add(const WindowSample& sample);
   /// Removes one record an add() returned (or passed to add()).  Reads
-  /// nothing but the record: no locator, no machine lookup.
+  /// nothing but the record: no machine lookup.
   void evict(const WindowSample& sample);
   void clear();
 
@@ -75,7 +75,6 @@ class ChannelWindow {
 
  private:
   const topology::Machine& machine_;
-  core::PageLocator& locator_;
   core::SourceTallies tallies_;
 };
 

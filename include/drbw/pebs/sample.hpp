@@ -4,9 +4,11 @@
 // Intel PEBS sampling of MEM_TRANS_RETIRED:LATENCY_ABOVE_THRESHOLD with a
 // period of 2000 memory accesses per thread; each record carries the
 // effective address, the data source in the memory hierarchy, the access
-// latency in core cycles, and the CPU the instruction retired on.  The
-// simulator's sampler emits exactly the same schema, so everything above
-// this layer (profiler, features, classifier, diagnoser) is the real tool.
+// latency in core cycles, and the CPU the instruction retired on.  The tool
+// adds the home node of the sampled page, which it asks move_pages for as
+// it collects the sample.  The simulator's sampler emits exactly the same
+// schema, home included, so everything above this layer (profiler,
+// features, classifier, diagnoser) is the real tool.
 #pragma once
 
 #include <cstddef>
@@ -42,13 +44,19 @@ inline bool is_dram(MemLevel level) {
 
 /// One sampled memory access.  Fields are ordered widest first so the
 /// record packs into 32 bytes: a 1M-sample trace is 32 MB, not 40.  The
-/// struct has no padding: its last two bytes are the explicit `reserved`
-/// pair, so on a little-endian host its object image is exactly a v4 binary
-/// trace record (trace_io.hpp), and the loader can read the samples straight
-/// from the mapped file.  Every byte value of every field is a valid value
-/// (the level enum has a fixed u8 base and the write flag is a byte, not a
-/// bool), so a viewed file that another process rewrites after the load's
-/// checks changes the samples read, never makes reading them undefined.
+/// struct has no padding: its last two bytes are `home` and one explicit
+/// `reserved` byte, so on a little-endian host its object image is exactly a
+/// v5 binary trace record (trace_io.hpp), and the loader can read the
+/// samples straight from the mapped file.  Every byte value of every field
+/// is a valid value (the level enum has a fixed u8 base and the write flag
+/// is a byte, not a bool), so a viewed file that another process rewrites
+/// after the load's checks changes the samples read, never makes reading
+/// them undefined.
+///
+/// `home` is the node the sampled page lives on, stamped when the sample is
+/// taken, the way DR-BW asks move_pages for each sampled address (§IV-B).
+/// With the CPU's node it names the sample's directed channel.  A trace
+/// older than v5 carries no home, and its samples load homed on node 0.
 struct MemorySample {
   mem::Addr address = 0;
   std::uint64_t cycle = 0;       // retirement timestamp (simulated clock)
@@ -57,7 +65,8 @@ struct MemorySample {
   float latency_cycles = 0.0f;   // load-to-use latency
   MemLevel level = MemLevel::kL1;
   std::uint8_t is_write = 0;    // 1 for a store; read any non-zero as one
-  std::uint8_t reserved[2] = {0, 0};  // zero; a v4 trace rejects anything else
+  std::uint8_t home = 0;        // node the sampled page lives on
+  std::uint8_t reserved = 0;    // zero; a v5 trace rejects anything else
 };
 static_assert(sizeof(MemorySample) == 32, "MemorySample must pack to 32 bytes");
 static_assert(alignof(MemorySample) == 8);
@@ -67,8 +76,9 @@ static_assert(offsetof(MemorySample, cycle) == 8 &&
                   offsetof(MemorySample, latency_cycles) == 24 &&
                   offsetof(MemorySample, level) == 28 &&
                   offsetof(MemorySample, is_write) == 29 &&
-                  offsetof(MemorySample, reserved) == 30,
-              "MemorySample's image is the v4 trace record");
+                  offsetof(MemorySample, home) == 30 &&
+                  offsetof(MemorySample, reserved) == 31,
+              "MemorySample's image is the v5 trace record");
 
 /// A read-only run of samples, shared on copy: an owned vector, or a view
 /// into memory another object keeps alive (a loaded binary trace's file

@@ -24,7 +24,7 @@
 // queues carry uint32 trace ordinals, and the window reads
 // samples[ordinal] once, when it adds it.  A window buffer holds the
 // 8-byte features::WindowSample records its adds returned and evicts them
-// as they are, so eviction reads neither the trace nor the locator.  Queue
+// as they are, so eviction reads neither the trace nor the machine.  Queue
 // and window rings grow with what they hold, never with --queue-depth or
 // --window-capacity.  Each client's drift score is recomputed only on a
 // tick that merged a classified window into its histograms.

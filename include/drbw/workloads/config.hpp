@@ -29,9 +29,14 @@ struct RunConfig {
     return tid / threads_per_node();
   }
 
+  /// Throws Error(kUsage) unless the config fits `machine`: 1 to
+  /// num_nodes() nodes, and threads a positive multiple of the node count,
+  /// at most one node's hardware threads per node.
+  void check(const topology::Machine& machine) const;
+
   /// Pins the threads: thread blocks map to consecutive nodes, primary core
   /// contexts first, then the hyperthread contexts (T64-N4 fills all 16
-  /// hardware threads of every node).
+  /// hardware threads of every node).  Throws what check() throws.
   std::vector<sim::SimThread> bind(const topology::Machine& machine) const;
 
   /// Per-thread owner nodes, the segment map used by co-locate placement

@@ -39,8 +39,7 @@ struct Routed {
 
 }  // namespace
 
-Profiler::Profiler(const topology::Machine& machine, PageLocator& locator)
-    : machine_(machine), locator_(locator) {}
+Profiler::Profiler(const topology::Machine& machine) : machine_(machine) {}
 
 ProfileResult Profiler::profile(const sim::RunResult& run) const {
   return profile(run.alloc_events, run.samples);
@@ -72,7 +71,7 @@ ProfileResult Profiler::profile(
   HeapTracker::Finder objects = result.tracker.finder();
   for (const pebs::MemorySample& sample : samples) {
     const topology::NodeId src = machine_.node_of_cpu(sample.cpu);
-    const topology::NodeId home = locator_.locate(sample.address, src);
+    const topology::NodeId home = sample.home;
     const std::uint32_t object = objects.object_of(sample.address);
     const auto channel = static_cast<std::uint32_t>(
         machine_.channel_index(topology::ChannelId{src, home}));

@@ -119,8 +119,7 @@ std::vector<CacheTrainingInstance> generate_cache_training_set(
           space, machine, workloads::RunConfig{total_threads, setup.nodes},
           workloads::PlacementMode::kOriginal, 0);
       const auto run = workloads::execute(machine, space, built, engine);
-      core::AddressSpaceLocator locator(space);
-      core::Profiler profiler(machine, locator);
+      core::Profiler profiler(machine);
       const auto profile = profiler.profile(run);
 
       // One instance per *active* node (all nodes behave alike here, so

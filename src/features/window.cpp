@@ -2,9 +2,8 @@
 
 namespace drbw::features {
 
-ChannelWindow::ChannelWindow(const topology::Machine& machine,
-                             core::PageLocator& locator)
-    : machine_(machine), locator_(locator), tallies_(machine.num_nodes()) {
+ChannelWindow::ChannelWindow(const topology::Machine& machine)
+    : machine_(machine), tallies_(machine.num_nodes()) {
   DRBW_CHECK_MSG(machine.num_nodes() <= 256,
                  "a channel window names nodes in one byte; the machine has "
                      << machine.num_nodes() << " nodes");
@@ -12,9 +11,10 @@ ChannelWindow::ChannelWindow(const topology::Machine& machine,
 
 WindowSample ChannelWindow::add(const pebs::MemorySample& sample) {
   const topology::NodeId src = machine_.node_of_cpu(sample.cpu);
-  const WindowSample record{
-      sample.latency_cycles, sample.level, static_cast<std::uint8_t>(src),
-      static_cast<std::uint8_t>(locator_.locate(sample.address, src))};
+  // Validates the home: the tallies index by it unchecked.
+  (void)machine_.channel_index(topology::ChannelId{src, sample.home});
+  const WindowSample record{sample.latency_cycles, sample.level,
+                            static_cast<std::uint8_t>(src), sample.home};
   add(record);
   return record;
 }

@@ -28,18 +28,22 @@ namespace {
 constexpr const char* kArtifactKind = "trace";
 
 // Binary body geometry.  All integers are little-endian regardless of host
-// byte order; the decoder below shifts bytes explicitly, and a v4 sample
-// record is read in place only on a little-endian host.
+// byte order; the decoder below shifts bytes explicitly, and a v4 or v5
+// sample record is read in place only on a little-endian host.
 constexpr std::uint32_t kBinaryMagic = 0x57425244u;  // "DRBW" read as LE u32
+constexpr std::string_view kMagicBytes = "DRBW";
 constexpr std::size_t kBinaryPreludeBytes = 32;
 constexpr std::size_t kBinaryEventBytes = 25;
 constexpr std::size_t kV3SampleBytes = 30;
 constexpr std::size_t kV4SampleBytes = sizeof(MemorySample);
 static_assert(kV4SampleBytes == 32);
-/// Most pad bytes before a v4 samples section.  Eight choices of pad always
-/// align the section, unless one of them adds a digit to the header's
-/// `bytes=` field and so shifts the section by one more byte; the next eight
-/// then do.
+/// The first version whose samples carry a home node: a byte of the binary
+/// record, a last column of the CSV one.
+constexpr int kHomeVersion = 5;
+/// Most pad bytes before a v4 or v5 samples section.  Eight choices of pad
+/// always align the section, unless one of them adds a digit to the
+/// header's `bytes=` field and so shifts the section by one more byte; the
+/// next eight then do.
 constexpr std::uint32_t kMaxSamplesPad = 15;
 constexpr bool kLittleEndian = std::endian::native == std::endian::little;
 constexpr std::uint8_t kMaxLevelByte =
@@ -121,8 +125,9 @@ TraceFormat trace_format_from_name(const std::string& name) {
 namespace {
 
 /// Room for one rendered sample record: "S," five integers, a level token,
-/// a latency, a write flag, seven separators and the newline come to 86
-/// chars at most, and put_int may look up to 24 chars past the last field.
+/// a latency, a write flag, a home node, eight separators and the newline
+/// come to 90 chars at most, and put_int may look up to 24 chars past the
+/// cycle, which ends at most 6 chars before the home's end.
 constexpr std::size_t kMaxSampleChars = 96;
 
 /// Writes the decimal digits of `v` at `p` and returns their end; any
@@ -179,6 +184,8 @@ std::string render_csv(const Trace& trace) {
     *p++ = s.is_write ? '1' : '0';
     *p++ = ',';
     p = put_int(p, s.cycle);
+    *p++ = ',';
+    p = std::to_chars(p, p + 3, unsigned{s.home}).ptr;
     *p++ = '\n';
     out.append(buf, p);
   }
@@ -242,7 +249,7 @@ std::uint32_t samples_pad(std::size_t offset, std::size_t body_bytes) {
   return pad;
 }
 
-/// Renders the v4 binary body (see the layout in trace_io.hpp).  Labels are
+/// Renders the v5 binary body (see the layout in trace_io.hpp).  Labels are
 /// deduplicated into one blob; events reference them by (offset, length).
 std::string render_binary(const Trace& trace) {
   const std::size_t event_count = trace.events.size();
@@ -291,8 +298,8 @@ std::string render_binary(const Trace& trace) {
     p = put_u32(p, float_bits(s.latency_cycles));
     *p++ = static_cast<char>(s.level);
     *p++ = static_cast<char>(s.is_write ? 1 : 0);
-    *p++ = static_cast<char>(s.reserved[0]);
-    *p++ = static_cast<char>(s.reserved[1]);
+    *p++ = static_cast<char>(s.home);
+    *p++ = static_cast<char>(s.reserved);
   }
   DRBW_CHECK(p == out.data() + out.size());
   return out;
@@ -327,46 +334,60 @@ bool is_blank(std::string_view line) {
   return true;
 }
 
-/// The first kept sample whose cpu the machine lacks.  The decoders note
-/// each kept sample as they append it and keep decoding; load_trace throws
-/// after the parse, so a bad cpu is never quarantined and never outranks
-/// a parse error or the quarantine cap.
-class CpuCheck {
+/// The first kept sample whose cpu or home node the machine lacks.  The
+/// decoders note each kept sample as they append it and keep decoding;
+/// load_trace throws after the parse, so a bad cpu or home is never
+/// quarantined and never outranks a parse error or the quarantine cap.
+class MachineCheck {
  public:
-  /// `num_cpus` <= 0 means no machine is known: every cpu passes.
-  explicit CpuCheck(int num_cpus)
-      : num_cpus_(num_cpus),
-        limit_(num_cpus > 0 ? static_cast<std::uint64_t>(num_cpus)
-                            : std::uint64_t{1} << 32) {}
+  /// With no machine every cpu and home passes: the limits are past every
+  /// u32 cpu and u8 home.
+  explicit MachineCheck(const topology::Machine* machine)
+      : cpu_limit_(machine != nullptr
+                       ? static_cast<std::uint64_t>(machine->num_hw_threads())
+                       : std::uint64_t{1} << 32),
+        home_limit_(machine != nullptr
+                        ? static_cast<std::uint32_t>(machine->num_nodes())
+                        : 256) {}
 
-  /// Whether `cpu` passes; note() records nothing for such a cpu.
-  bool admits(std::uint32_t cpu) const { return cpu < limit_; }
+  /// Whether every sample with cpus and homes at most these passes; note()
+  /// records nothing for such a sample.
+  bool admits(std::uint32_t max_cpu, std::uint32_t max_home) const {
+    return max_cpu < cpu_limit_ && max_home < home_limit_;
+  }
 
   /// `ordinal` is the sample's index in the decoded trace.
-  void note(topology::CpuId cpu, std::size_t ordinal) {
-    if (static_cast<std::uint32_t>(cpu) >= limit_ && !found_) [[unlikely]] {
+  void note(const MemorySample& s, std::size_t ordinal) {
+    if (!admits(static_cast<std::uint32_t>(s.cpu), s.home) && !found_)
+        [[unlikely]] {
       found_ = true;
       ordinal_ = ordinal;
-      cpu_ = cpu;
+      bad_ = s;
     }
   }
 
   /// Throws Error(kCorruptArtifact) naming the first noted bad sample.
   void require_none(const std::string& source) const {
     if (!found_) return;
-    throw Error(source + ": sample " + std::to_string(ordinal_) +
-                    " has cpu " + std::to_string(cpu_) +
-                    ", but the machine has " + std::to_string(num_cpus_) +
-                    " hardware threads",
+    const std::string sample = source + ": sample " + std::to_string(ordinal_);
+    if (static_cast<std::uint32_t>(bad_.cpu) >= cpu_limit_) {
+      throw Error(sample + " has cpu " + std::to_string(bad_.cpu) +
+                      ", but the machine has " + std::to_string(cpu_limit_) +
+                      " hardware threads",
+                  ErrorCode::kCorruptArtifact);
+    }
+    throw Error(sample + " has home node " + std::to_string(bad_.home) +
+                    ", but the machine has " + std::to_string(home_limit_) +
+                    " nodes",
                 ErrorCode::kCorruptArtifact);
   }
 
  private:
-  int num_cpus_;
-  std::uint64_t limit_;
+  std::uint64_t cpu_limit_;
+  std::uint32_t home_limit_;
   bool found_ = false;
   std::size_t ordinal_ = 0;
-  topology::CpuId cpu_ = 0;
+  MemorySample bad_;
 };
 
 /// The closing quote of an allocation's quoted label when it opens on
@@ -634,9 +655,14 @@ struct FieldCursor {
 /// reused buffer; every other field parses in place.
 class RecordReader {
  public:
-  RecordReader(CpuCheck& cpus, std::vector<mem::AllocationEvent>& events,
+  /// `home_column`: sample records end with a home node (v5).
+  RecordReader(MachineCheck& check, bool home_column,
+               std::vector<mem::AllocationEvent>& events,
                std::vector<MemorySample>& samples)
-      : cpus_(cpus), events_(events), samples_(samples) {}
+      : check_(check),
+        home_column_(home_column),
+        events_(events),
+        samples_(samples) {}
 
   /// Whether the record at `rec` may be read in place: a sample or a free,
   /// neither of which can span lines.
@@ -666,7 +692,7 @@ class RecordReader {
     }
     FieldCursor c{rec.data() + std::min<std::size_t>(rec.size(), 2),
                   rec.data() + rec.size()};
-    const std::size_t fields = rec[0] == 'S'   ? 8
+    const std::size_t fields = rec[0] == 'S'   ? (home_column_ ? 9 : 8)
                                : rec[0] == 'A' ? 4
                                : rec[0] == 'F' ? 2
                                                : 0;
@@ -688,11 +714,12 @@ class RecordReader {
         std::uint32_t cpu = 0;
         if (!(c.integer(s.address) && c.integer(cpu) && c.integer(s.tid) &&
               c.level(s.level) && c.latency(s.latency_cycles) &&
-              c.write_flag(s.is_write) && c.integer(s.cycle, true))) {
+              c.write_flag(s.is_write) && c.integer(s.cycle, !home_column_) &&
+              (!home_column_ || c.integer(s.home, true)))) {
           return false;
         }
         s.cpu = static_cast<topology::CpuId>(cpu);
-        cpus_.note(s.cpu, samples_.size());
+        check_.note(s, samples_.size());
         samples_.push_back(s);
         return true;
       }
@@ -721,13 +748,14 @@ class RecordReader {
     }
   }
 
-  CpuCheck& cpus_;
+  MachineCheck& check_;
+  bool home_column_;
   std::vector<mem::AllocationEvent>& events_;
   std::vector<MemorySample>& samples_;
   std::string label_;
 };
 
-/// The shortest sample record, "S,0,0,0,L1,0,0,0", and its '\n'.
+/// The shortest sample record, v2's "S,0,0,0,L1,0,0,0", and its '\n'.
 constexpr std::size_t kMinSampleLineBytes = 17;
 
 /// Samples in one huge page.
@@ -768,9 +796,9 @@ std::size_t advise_next_huge_page(const std::vector<MemorySample>& samples,
 /// record the in-place read refuses and the damaged copy of an armed
 /// "trace.read" fault are read bounded by their line, through the same
 /// field readers, which also name a refused record's failure.
-Trace parse_records(std::string_view body, const std::string& source,
-                    const util::LoadPolicy& policy, util::LoadStats* stats,
-                    CpuCheck& cpus) {
+Trace parse_records(std::string_view body, int version,
+                    const std::string& source, const util::LoadPolicy& policy,
+                    util::LoadStats* stats, MachineCheck& check) {
   Trace trace;
   util::LoadStats local;
   util::LoadStats& st = stats != nullptr ? *stats : local;
@@ -788,7 +816,7 @@ Trace parse_records(std::string_view body, const std::string& source,
   samples.reserve((body.size() + 1) / kMinSampleLineBytes);
   std::size_t advise_at = 0;
   const bool faults_armed = fault::armed();
-  RecordReader reader(cpus, trace.events, samples);
+  RecordReader reader(check, version >= kHomeVersion, trace.events, samples);
   std::string damaged;
   const char* p = body.data();
   const char* const end = p + body.size();
@@ -887,8 +915,8 @@ mem::AllocationEvent parse_binary_event(const unsigned char* p,
 }
 
 // The rules a binary sample record's fields must meet, one predicate each.
-// The in-place check of a v4 samples section and the decoder both apply
-// them through sample_record_ok.
+// The in-place check of a v4 or v5 samples section and the decoder both
+// apply them through sample_record_ok.
 inline bool level_byte_ok(const unsigned char* p) {
   return p[28] <= kMaxLevelByte;
 }
@@ -898,21 +926,23 @@ inline bool latency_ok(const unsigned char* p) {
   const float latency = bits_float(get_u32(p + 24));
   return latency >= 0.0f && latency <= std::numeric_limits<float>::max();
 }
-inline bool reserved_ok(const unsigned char* p) {
-  return (p[30] | p[31]) == 0;
+/// v4 reserves bytes 30 and 31; v5 keeps the home node in byte 30.
+inline bool reserved_ok(const unsigned char* p, int version) {
+  return (p[31] | (version >= kHomeVersion ? 0 : p[30])) == 0;
 }
 
 /// Whether the sample record at `p` meets every field rule; a v3 record has
 /// no reserved bytes.
-inline bool sample_record_ok(const unsigned char* p, bool v4) {
+inline bool sample_record_ok(const unsigned char* p, int version) {
   return level_byte_ok(p) && write_flag_ok(p) && latency_ok(p) &&
-         (!v4 || reserved_ok(p));
+         (version < 4 || reserved_ok(p, version));
 }
 
 /// Throws Error(kParse) naming the first rule the sample record at `p`
 /// breaks.
 [[noreturn, gnu::cold]] void throw_bad_sample(const unsigned char* p,
-                                              std::size_t ordinal) {
+                                              std::size_t ordinal,
+                                              int version) {
   std::string what = "sample record #" + std::to_string(ordinal);
   if (!level_byte_ok(p)) {
     what += ": unknown memory-level byte " + std::to_string(p[28]);
@@ -921,7 +951,8 @@ inline bool sample_record_ok(const unsigned char* p, bool v4) {
   } else if (!latency_ok(p)) {
     what += ": malformed latency bits";
   } else {
-    what += ": reserved bytes are not zero";
+    what += version >= kHomeVersion ? ": reserved byte is not zero"
+                                    : ": reserved bytes are not zero";
   }
   throw Error(what, ErrorCode::kParse);
 }
@@ -932,9 +963,9 @@ inline bool sample_record_ok(const unsigned char* p, bool v4) {
 /// enclosing function has grown by inlining, which moves with unrelated
 /// edits to this file.
 [[gnu::always_inline]] inline MemorySample parse_binary_sample(
-    const unsigned char* p, std::size_t ordinal, bool v4) {
-  if (!sample_record_ok(p, v4)) [[unlikely]] {
-    throw_bad_sample(p, ordinal);
+    const unsigned char* p, std::size_t ordinal, int version) {
+  if (!sample_record_ok(p, version)) [[unlikely]] {
+    throw_bad_sample(p, ordinal, version);
   }
   MemorySample s;
   s.address = get_u64(p);
@@ -944,45 +975,53 @@ inline bool sample_record_ok(const unsigned char* p, bool v4) {
   s.latency_cycles = bits_float(get_u32(p + 24));
   s.level = static_cast<MemLevel>(p[28]);
   s.is_write = p[29];
+  if (version >= kHomeVersion) s.home = p[30];
   return s;
 }
 
-/// Whether every v4 sample record at `records` meets sample_record_ok, read
-/// where it lies; `max_cpu` receives the largest cpu.  The loop folds the
-/// verdicts into one flag with no early exit, since a damaged section is
-/// decoded again anyway to name its first bad record.
-bool v4_samples_valid(const unsigned char* records, std::size_t count,
-                      std::uint32_t& max_cpu) {
+/// Whether every v4 or v5 sample record at `records` meets
+/// sample_record_ok, read where it lies; `max_cpu` and `max_home` receive
+/// the largest cpu and home byte.  The loop folds the verdicts into one flag
+/// with no early exit, since a damaged section is decoded again anyway to
+/// name its first bad record.
+bool samples_valid_in_place(const unsigned char* records, std::size_t count,
+                            int version, std::uint32_t& max_cpu,
+                            std::uint32_t& max_home) {
   bool ok = true;
   std::uint32_t cpu_max = 0;
+  unsigned home_max = 0;
   for (std::size_t i = 0; i < count; ++i) {
     const unsigned char* p = records + i * kV4SampleBytes;
-    ok &= sample_record_ok(p, true);
+    ok &= sample_record_ok(p, version);
     cpu_max = std::max(cpu_max, get_u32(p + 16));
+    home_max = std::max<unsigned>(home_max, p[30]);
   }
   max_cpu = cpu_max;
+  max_home = home_max;
   return ok;
 }
 
-/// Parses a v3 or v4 binary body under `policy`.  Record ordinals are keyed
-/// the way CSV line numbers would be for the same trace (events start at 2,
-/// samples follow), so one fault spec damages the same logical record in
-/// either format.  In lenient mode a truncated tail quarantines the missing
-/// records against the declared counts, so stats are stable across loads.
-/// A v4 body whose sample records are all present, aligned in memory and
-/// valid, with no fault armed, yields samples that view the body where it
-/// lies, kept alive by `mapping`; any other body is decoded into an owned
-/// array.
+/// Parses a v3, v4 or v5 binary body under `policy`.  Record ordinals are
+/// keyed the way CSV line numbers would be for the same trace (events start
+/// at 2, samples follow), so one fault spec damages the same logical record
+/// in either format.  In lenient mode a truncated tail quarantines the
+/// missing records against the declared counts, so stats are stable across
+/// loads.  A v4 or v5 body whose sample records are all present, aligned in
+/// memory and valid, with no fault armed, yields samples that view the body
+/// where it lies, kept alive by `mapping`; any other body is decoded into an
+/// owned array.
 Trace parse_binary(std::string_view body, int version,
                    const std::string& source, const util::LoadPolicy& policy,
-                   util::LoadStats* stats, CpuCheck& cpus,
+                   util::LoadStats* stats, MachineCheck& check,
                    const std::shared_ptr<const util::MappedFile>& mapping) {
   util::LoadStats local;
   util::LoadStats& st = stats != nullptr ? *stats : local;
   TraceMetrics& metrics = TraceMetrics::get();
   const auto* base = reinterpret_cast<const unsigned char*>(body.data());
-  const bool v4 = version >= 4;
-  const std::size_t sample_bytes = v4 ? kV4SampleBytes : kV3SampleBytes;
+  // From v4 on, a sample record is a 32-byte MemorySample image behind a
+  // samples pad.
+  const bool images = version >= 4;
+  const std::size_t sample_bytes = images ? kV4SampleBytes : kV3SampleBytes;
   if (body.size() < kBinaryPreludeBytes) {
     throw Error(source + ": binary trace prelude is " +
                     std::to_string(body.size()) + " bytes, expected " +
@@ -995,10 +1034,10 @@ Trace parse_binary(std::string_view body, int version,
                     std::to_string(version) + " trace encoding)",
                 ErrorCode::kParse);
   }
-  // v3's flags word is always 0; v4 keeps the samples pad there.
+  // v3's flags word is always 0; v4 and v5 keep the samples pad there.
   const std::uint32_t pad = get_u32(base + 4);
-  if (pad > (v4 ? kMaxSamplesPad : 0)) {
-    throw Error(source + (v4 ? ": unsupported binary trace samples pad "
+  if (pad > (images ? kMaxSamplesPad : 0)) {
+    throw Error(source + (images ? ": unsupported binary trace samples pad "
                              : ": unsupported binary trace flags ") +
                     std::to_string(pad),
                 ErrorCode::kParse);
@@ -1102,16 +1141,19 @@ Trace parse_binary(std::string_view body, int version,
   }
   const unsigned char* records = base + samples_off;
   std::uint32_t max_cpu = 0;
-  if (kLittleEndian && v4 && !faults_armed && samples_avail == sample_count &&
+  std::uint32_t max_home = 0;
+  if (kLittleEndian && images && !faults_armed && samples_avail == sample_count &&
       reinterpret_cast<std::uintptr_t>(records) % alignof(MemorySample) ==
           0 &&
-      v4_samples_valid(records, samples_avail, max_cpu)) {
+      samples_valid_in_place(records, samples_avail, version, max_cpu,
+                             max_home)) {
     // Each record is a valid MemorySample object representation (checked
-    // above: a bool byte of 0 or 1, a defined level, no padding), read in
-    // place the way any file mapping of trivially copyable records is.
+    // above: a write byte of 0 or 1, a defined level, no padding), read in
+    // place the way any file mapping of trivially copyable records is.  A
+    // v4 record's home byte is reserved, so zero: node 0.
     const auto* view = reinterpret_cast<const MemorySample*>(records);
-    if (!cpus.admits(max_cpu)) {
-      for (std::size_t i = 0; i < samples_avail; ++i) cpus.note(view[i].cpu, i);
+    if (!check.admits(max_cpu, max_home)) {
+      for (std::size_t i = 0; i < samples_avail; ++i) check.note(view[i], i);
     }
     st.records_seen += samples_avail;
     st.records_ok += samples_avail;
@@ -1134,8 +1176,8 @@ Trace parse_binary(std::string_view body, int version,
     try {
       samples.push_back(parse_binary_sample(
           record_bytes(records + i * sample_bytes, sample_bytes, key),
-          static_cast<std::size_t>(i), v4));
-      cpus.note(samples.back().cpu, samples.size() - 1);
+          static_cast<std::size_t>(i), version));
+      check.note(samples.back(), samples.size() - 1);
       ++st.records_ok;
     } catch (const Error& e) {
       quarantine(e, key);
@@ -1146,18 +1188,33 @@ Trace parse_binary(std::string_view body, int version,
   return trace;
 }
 
-/// Dispatches a validated artifact body to the CSV or binary parser by its
-/// header version.
+/// Whether a validated artifact body is binary.  v3 and v4 are binary
+/// only and v2 is CSV only.  A v5 body is binary when it opens with the
+/// magic, which no CSV record can start with, or when it is cut short
+/// inside the magic (shorter than its header declares): the prelude check
+/// then reports the cut.
+bool is_binary_body(const util::ArtifactView& artifact) {
+  if (artifact.header.version < kHomeVersion) {
+    return artifact.header.version >= 3;
+  }
+  const std::string_view head = artifact.body.substr(0, kMagicBytes.size());
+  return kMagicBytes.starts_with(head) &&
+         (head.size() == kMagicBytes.size() ||
+          artifact.header.bytes > artifact.body.size());
+}
+
+/// Dispatches a validated artifact body to the CSV or binary parser.
 Trace parse_trace_body(const util::ArtifactView& artifact,
                        const std::string& source,
                        const util::LoadPolicy& policy, util::LoadStats* stats,
-                       CpuCheck& cpus,
+                       MachineCheck& check,
                        const std::shared_ptr<const util::MappedFile>& mapping) {
-  if (artifact.header.version >= 3) {
+  if (is_binary_body(artifact)) {
     return parse_binary(artifact.body, artifact.header.version, source, policy,
-                        stats, cpus, mapping);
+                        stats, check, mapping);
   }
-  return parse_records(artifact.body, source, policy, stats, cpus);
+  return parse_records(artifact.body, artifact.header.version, source, policy,
+                       stats, check);
 }
 
 }  // namespace
@@ -1166,7 +1223,7 @@ void save_trace(const std::string& path, const Trace& trace,
                 const SaveOptions& options) {
   const bool binary = options.format == TraceFormat::kBinary;
   util::write_versioned_artifact(
-      path, kArtifactKind, binary ? kTraceVersion : kTraceCsvVersion,
+      path, kArtifactKind, kTraceVersion,
       binary ? render_binary(trace) : render_csv(trace), "trace.write");
 }
 
@@ -1180,11 +1237,11 @@ Trace load_trace(const std::string& path, const LoadOptions& options,
       path, file->view(), kArtifactKind, options.max_version, options.policy,
       &st);
   if (!st.checksum_ok) TraceMetrics::get().checksum_failures.add(1);
-  CpuCheck cpus(options.num_cpus);
+  MachineCheck check(options.machine);
   Trace trace =
-      parse_trace_body(artifact, path, options.policy, &st, cpus, file);
+      parse_trace_body(artifact, path, options.policy, &st, check, file);
   TraceMetrics::get().bytes_loaded.add(artifact.body.size());
-  cpus.require_none(path);
+  check.require_none(path);
   return trace;
 }
 

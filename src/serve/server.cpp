@@ -46,9 +46,9 @@ RetryOutcome attempt_with_backoff(bool armed, int max_retries,
 
 /// Mutable per-client replay state around the public ClientStats.
 struct ClientState {
-  ClientState(const topology::Machine& machine, core::PageLocator& locator,
-              std::size_t queue_depth, OverloadPolicy overload)
-      : queue(queue_depth, overload), window(machine, locator) {}
+  ClientState(const topology::Machine& machine, std::size_t queue_depth,
+              OverloadPolicy overload)
+      : queue(queue_depth, overload), window(machine) {}
 
   ClientStats stats;
   BoundedQueue queue;
@@ -120,13 +120,12 @@ ServeResult Server::run(std::span<const pebs::MemorySample> samples) {
                                 options_.backoff_cycles, draw);
   };
 
-  core::ReplayLocator locator;
   util::TaskPool pool(options_.jobs);
 
   std::vector<ClientState> states;
   states.reserve(clients);
   for (std::uint32_t c = 0; c < clients; ++c) {
-    states.emplace_back(machine_, locator, queue_depth, options_.overload);
+    states.emplace_back(machine_, queue_depth, options_.overload);
     states[c].stats.client = c;
   }
   const auto discard = [](std::uint32_t) {};

@@ -137,6 +137,9 @@ Engine::Engine(const topology::Machine& machine, mem::AddressSpace& space,
   DRBW_CHECK(config_.epoch_cycles > 0);
   DRBW_CHECK(config_.sample_period > 0);
   DRBW_CHECK(config_.fixed_point_rounds >= 1);
+  DRBW_CHECK_MSG(machine.num_nodes() <= 256,
+                 "a sample names its home node in one byte; the machine has "
+                     << machine.num_nodes() << " nodes");
 }
 
 void Engine::activate_burst(ThreadState& ts, const AccessBurst& burst) {
@@ -271,6 +274,11 @@ void Engine::emit_samples(ThreadState& ts, std::uint64_t served,
         slot = 0;
     }
     const mem::Addr addr = bs.base + slot * elem;
+    // The page home of the sampled address, the node DR-BW's move_pages
+    // query reports.  Burst activation has already homed the burst's
+    // pages, so asking changes nothing.
+    const topology::NodeId home =
+        space_.resolve_home(bs.burst.object, addr, ts.node);
 
     // --- hit level ---
     pebs::MemLevel level;
@@ -291,10 +299,7 @@ void Engine::emit_samples(ThreadState& ts, std::uint64_t served,
       idle_latency = spec.lfb_latency_cycles;
       mult = lfb_mult;
     } else {
-      // DRAM: the page home of the sampled address decides local vs remote,
-      // exactly as the tool will later rediscover via its libnuma lookup.
-      const topology::NodeId home =
-          space_.resolve_home(bs.burst.object, addr, ts.node);
+      // DRAM: the page home of the sampled address decides local vs remote.
       level = home == ts.node ? pebs::MemLevel::kLocalDram
                               : pebs::MemLevel::kRemoteDram;
       idle_latency =
@@ -323,6 +328,7 @@ void Engine::emit_samples(ThreadState& ts, std::uint64_t served,
     sample.level = level;
     sample.latency_cycles = static_cast<float>(latency);
     sample.is_write = bs.burst.is_write;
+    sample.home = static_cast<std::uint8_t>(home);
     sample.cycle = epoch_start +
                    static_cast<std::uint64_t>(
                        static_cast<double>(offset) /

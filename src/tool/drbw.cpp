@@ -43,10 +43,8 @@ ml::Classifier load_classifier(const std::string& path,
   return model;
 }
 
-Report DrBw::analyze(const sim::RunResult& run,
-                     core::PageLocator& locator) const {
-  core::Profiler profiler(machine_, locator);
-  return analyze_profile(profiler.profile(run));
+Report DrBw::analyze(const sim::RunResult& run) const {
+  return analyze_profile(core::Profiler(machine_).profile(run));
 }
 
 Report DrBw::analyze_profile(const core::ProfileResult& profile) const {
@@ -88,8 +86,7 @@ Report DrBw::analyze_profile(const core::ProfileResult& profile) const {
 }
 
 std::vector<WindowVerdict> DrBw::analyze_windows(
-    const sim::RunResult& run, core::PageLocator& locator,
-    std::uint64_t window_cycles) const {
+    const sim::RunResult& run, std::uint64_t window_cycles) const {
   DRBW_CHECK_MSG(window_cycles > 0, "window length must be positive");
   const std::uint64_t count =
       run.total_cycles / window_cycles + (run.total_cycles % window_cycles != 0);
@@ -99,16 +96,15 @@ std::vector<WindowVerdict> DrBw::analyze_windows(
   std::vector<WindowVerdict> verdicts;
   verdicts.reserve(windows.count());
   for (std::size_t w = 0; w < windows.count(); ++w) {
-    verdicts.push_back(analyze_window(run.samples, windows, w, locator));
+    verdicts.push_back(analyze_window(run.samples, windows, w));
   }
   return verdicts;
 }
 
 WindowVerdict DrBw::analyze_window(
     std::span<const pebs::MemorySample> samples,
-    const pebs::CycleWindows& windows, std::size_t w,
-    core::PageLocator& locator) const {
-  features::ChannelWindow window(machine_, locator);
+    const pebs::CycleWindows& windows, std::size_t w) const {
+  features::ChannelWindow window(machine_);
   const std::span<const std::uint32_t> ordinals = windows.window(w);
   for (const std::uint32_t o : ordinals) window.add(samples[o]);
   WindowVerdict verdict = classify_window(window);

@@ -1,18 +1,32 @@
 #include "drbw/workloads/config.hpp"
 
+#include <string>
+
+#include "drbw/util/error.hpp"
+
 namespace drbw::workloads {
+
+void RunConfig::check(const topology::Machine& machine) const {
+  if (num_nodes < 1 || num_nodes > machine.num_nodes()) {
+    throw Error(
+        "nodes must be between 1 and " + std::to_string(machine.num_nodes()),
+        ErrorCode::kUsage);
+  }
+  const int per_node = static_cast<int>(machine.cpus_of_node(0).size());
+  if (total_threads < 1 || total_threads % num_nodes != 0 ||
+      threads_per_node() > per_node) {
+    throw Error(
+        "threads must be a positive multiple of the node count, at most " +
+            std::to_string(per_node) + " per node (" +
+            std::to_string(machine.num_hw_threads()) + " in total)",
+        ErrorCode::kUsage);
+  }
+}
 
 std::vector<sim::SimThread> RunConfig::bind(
     const topology::Machine& machine) const {
-  DRBW_CHECK_MSG(num_nodes >= 1 && num_nodes <= machine.num_nodes(),
-                 "config uses " << num_nodes << " nodes, machine has "
-                                << machine.num_nodes());
-  DRBW_CHECK_MSG(total_threads % num_nodes == 0,
-                 name() << ": threads not divisible by nodes");
+  check(machine);
   const int per_node = threads_per_node();
-  DRBW_CHECK_MSG(
-      per_node <= static_cast<int>(machine.cpus_of_node(0).size()),
-      name() << " needs " << per_node << " hardware threads per node");
 
   std::vector<sim::SimThread> threads;
   threads.reserve(static_cast<std::size_t>(total_threads));

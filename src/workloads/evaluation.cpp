@@ -11,11 +11,8 @@ namespace {
 sim::RunResult run_mode(const topology::Machine& machine,
                         const Benchmark& benchmark, std::size_t input,
                         const RunConfig& config, PlacementMode mode,
-                        sim::EngineConfig engine, mem::AddressSpace* out_space) {
-  mem::AddressSpace local_space(machine);
-  mem::AddressSpace& space = out_space != nullptr
-                                 ? *out_space
-                                 : local_space;
+                        sim::EngineConfig engine) {
+  mem::AddressSpace space(machine);
   const BuiltWorkload built = benchmark.build(space, machine, config, mode, input);
   return execute(machine, space, built, engine);
 }
@@ -60,11 +57,9 @@ CaseOutcome evaluate_case(const topology::Machine& machine, const DrBw& tool,
     sim::EngineConfig engine = options.engine;
     engine.profiling = true;
     engine.seed = case_seed;
-    mem::AddressSpace space(machine);
     const sim::RunResult run = run_mode(machine, benchmark, input, config,
-                                        PlacementMode::kOriginal, engine, &space);
-    core::AddressSpaceLocator locator(space);
-    const Report report = tool.analyze(run, locator);
+                                        PlacementMode::kOriginal, engine);
+    const Report report = tool.analyze(run);
     outcome.detected_rmc = report.rmc;
     outcome.contended = report.contended;
   }
@@ -75,11 +70,11 @@ CaseOutcome evaluate_case(const topology::Machine& machine, const DrBw& tool,
   timing.seed = case_seed ^ 0x5a5a;
   outcome.original_cycles =
       run_mode(machine, benchmark, input, config, PlacementMode::kOriginal,
-               timing, nullptr)
+               timing)
           .total_cycles;
   outcome.interleave_cycles =
       run_mode(machine, benchmark, input, config, PlacementMode::kInterleave,
-               timing, nullptr)
+               timing)
           .total_cycles;
   outcome.interleave_speedup =
       static_cast<double>(outcome.original_cycles) /
@@ -196,7 +191,7 @@ OptimizationStudy study_optimization(const topology::Machine& machine,
     engine.profiling = false;  // speedups are measured unprofiled
     engine.seed = options.seed ^ static_cast<std::uint64_t>(mode);
     const sim::RunResult run = run_mode(machine, benchmark, input, config, mode,
-                                        engine, nullptr);
+                                        engine);
     OptimizationRun r;
     r.mode = mode;
     r.total_cycles = run.total_cycles;
@@ -222,12 +217,12 @@ OverheadResult measure_overhead(const topology::Machine& machine,
   engine.profiling = false;
   result.baseline_seconds =
       run_mode(machine, benchmark, input, config, PlacementMode::kOriginal,
-               engine, nullptr)
+               engine)
           .seconds(machine);
   engine.profiling = true;
   result.profiled_seconds =
       run_mode(machine, benchmark, input, config, PlacementMode::kOriginal,
-               engine, nullptr)
+               engine)
           .seconds(machine);
   result.overhead_percent = 100.0 *
                             (result.profiled_seconds - result.baseline_seconds) /

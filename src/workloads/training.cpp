@@ -39,8 +39,7 @@ TrainingInstance run_instance(const topology::Machine& machine,
   engine.seed = run_seed;
   const sim::RunResult run = execute(machine, space, built, engine);
 
-  core::AddressSpaceLocator locator(space);
-  core::Profiler profiler(machine, locator);
+  core::Profiler profiler(machine);
   const core::ProfileResult profile = profiler.profile(run);
 
   TrainingInstance instance;

@@ -17,9 +17,9 @@ class AdviceTest : public ::testing::Test {
  protected:
   Machine machine_ = Machine::xeon_e5_4650();
   AddressSpace space_{machine_};
-  core::AddressSpaceLocator locator_{space_};
-  core::Profiler profiler_{machine_, locator_};
+  core::Profiler profiler_{machine_};
 
+  /// A sample homed where the sampler would have homed it.
   pebs::MemorySample sample(mem::Addr addr, topology::CpuId cpu,
                             std::uint32_t tid, bool write = false) {
     pebs::MemorySample s;
@@ -29,6 +29,8 @@ class AdviceTest : public ::testing::Test {
     s.level = pebs::MemLevel::kRemoteDram;
     s.latency_cycles = 800.0f;
     s.is_write = write;
+    s.home = static_cast<std::uint8_t>(
+        space_.resolve_home(addr, machine_.node_of_cpu(cpu)));
     return s;
   }
 

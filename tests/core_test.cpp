@@ -204,9 +204,9 @@ class ProfilerTest : public ::testing::Test {
  protected:
   Machine machine_ = Machine::xeon_e5_4650();
   AddressSpace space_{machine_};
-  AddressSpaceLocator locator_{space_};
-  Profiler profiler_{machine_, locator_};
+  Profiler profiler_{machine_};
 
+  /// A sample homed where the sampler would have homed it.
   pebs::MemorySample sample(mem::Addr addr, topology::CpuId cpu,
                             pebs::MemLevel level, float lat) {
     pebs::MemorySample s;
@@ -214,6 +214,8 @@ class ProfilerTest : public ::testing::Test {
     s.cpu = cpu;
     s.level = level;
     s.latency_cycles = lat;
+    s.home = static_cast<std::uint8_t>(
+        space_.resolve_home(addr, machine_.node_of_cpu(cpu)));
     return s;
   }
 };

@@ -17,16 +17,18 @@ class DiagnoserTest : public ::testing::Test {
  protected:
   Machine machine_ = Machine::xeon_e5_4650();
   AddressSpace space_{machine_};
-  core::AddressSpaceLocator locator_{space_};
-  core::Profiler profiler_{machine_, locator_};
+  core::Profiler profiler_{machine_};
 
-  static pebs::MemorySample sample(mem::Addr addr, topology::CpuId cpu,
-                                   float lat = 600.0f) {
+  /// A sample homed where the sampler would have homed it.
+  pebs::MemorySample sample(mem::Addr addr, topology::CpuId cpu,
+                            float lat = 600.0f) {
     pebs::MemorySample s;
     s.address = addr;
     s.cpu = cpu;
     s.level = pebs::MemLevel::kRemoteDram;
     s.latency_cycles = lat;
+    s.home = static_cast<std::uint8_t>(
+        space_.resolve_home(addr, machine_.node_of_cpu(cpu)));
     return s;
   }
 };

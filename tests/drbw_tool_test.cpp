@@ -17,6 +17,7 @@
 
 #include "drbw/drbw.hpp"
 #include "drbw/pebs/session.hpp"
+#include "drbw/pebs/trace_io.hpp"
 #include "drbw/serve/server.hpp"
 #include "drbw/util/artifact.hpp"
 #include "drbw/util/json.hpp"
@@ -73,10 +74,8 @@ class DrBwToolTest : public ::testing::Test {
         features::selected_feature_names().begin(),
         features::selected_feature_names().end()));
     std::uint64_t seed = 100;
-    auto add_run = [&](const sim::RunResult& run, AddressSpace& space,
-                       bool rmc) {
-      core::AddressSpaceLocator locator(space);
-      core::Profiler profiler(machine_, locator);
+    auto add_run = [&](const sim::RunResult& run, bool rmc) {
+      core::Profiler profiler(machine_);
       const auto profile = profiler.profile(run);
       // Train on the hottest remote channel — the same scope the detector
       // classifies (mirrors workloads::generate_training_set).
@@ -98,7 +97,7 @@ class DrBwToolTest : public ::testing::Test {
           AddressSpace space(machine_);
           const auto run =
               make_run(machine_, space, tpn, 4, bound, 400'000, seed++);
-          add_run(run, space, /*rmc=*/bound && tpn >= 6);
+          add_run(run, /*rmc=*/bound && tpn >= 6);
         }
       }
       // Local-saturation run: eight node-0 threads streaming node-0 memory.
@@ -117,7 +116,7 @@ class DrBwToolTest : public ::testing::Test {
         phase.work.push_back(ThreadWork{{sim::seq_read(obj, 400'000)}, 1.0});
       }
       Engine engine(machine_, space, test_config(seed++));
-      add_run(engine.run(threads, {phase}), space, /*rmc=*/false);
+      add_run(engine.run(threads, {phase}), /*rmc=*/false);
     }
     return ml::Classifier::train(data);
   }
@@ -129,8 +128,7 @@ TEST_F(DrBwToolTest, DetectsContentionAndDiagnosesRootCause) {
   // Contended case: 6 threads on each of 4 nodes hammer node-0 memory.
   AddressSpace space(machine_);
   const auto run = make_run(machine_, space, 6, 4, /*bound=*/true, 400'000, 999);
-  core::AddressSpaceLocator locator(space);
-  const Report report = tool.analyze(run, locator);
+  const Report report = tool.analyze(run);
 
   EXPECT_TRUE(report.rmc);
   ASSERT_FALSE(report.contended.empty());
@@ -153,8 +151,7 @@ TEST_F(DrBwToolTest, InterleavedRunIsGood) {
   const DrBw tool(machine_, train_model());
   AddressSpace space(machine_);
   const auto run = make_run(machine_, space, 6, 4, /*bound=*/false, 400'000, 888);
-  core::AddressSpaceLocator locator(space);
-  const Report report = tool.analyze(run, locator);
+  const Report report = tool.analyze(run);
   EXPECT_FALSE(report.rmc);
   EXPECT_TRUE(report.contended.empty());
   EXPECT_NE(report.to_string(machine_).find("good"), std::string::npos);
@@ -172,8 +169,7 @@ TEST_F(DrBwToolTest, LightBoundRunIsGood) {
                ThreadWork{{sim::random_read(obj, 200'000)}, 1.0}}};
   Engine engine(machine_, space, test_config(55));
   const auto run = engine.run(threads, {phase});
-  core::AddressSpaceLocator locator(space);
-  const Report report = tool.analyze(run, locator);
+  const Report report = tool.analyze(run);
   EXPECT_FALSE(report.rmc);
 }
 
@@ -186,8 +182,7 @@ TEST_F(DrBwToolTest, SparseChannelsDefaultGood) {
   Phase phase{"main", {ThreadWork{{sim::seq_read(obj, 20'000)}, 1.0}}};
   Engine engine(machine_, space, test_config(44));
   const auto run = engine.run(threads, {phase});
-  core::AddressSpaceLocator locator(space);
-  const Report report = tool.analyze(run, locator);
+  const Report report = tool.analyze(run);
   EXPECT_FALSE(report.rmc);
   for (const auto& v : report.channels) {
     if (v.channel.src == 0) {
@@ -204,8 +199,7 @@ TEST_F(DrBwToolTest, ModelRoundTripThroughDiskKeepsVerdicts) {
 
   AddressSpace space(machine_);
   const auto run = make_run(machine_, space, 6, 4, true, 400'000, 123);
-  core::AddressSpaceLocator locator(space);
-  EXPECT_TRUE(tool.analyze(run, locator).rmc);
+  EXPECT_TRUE(tool.analyze(run).rmc);
   std::remove(path.c_str());
 }
 
@@ -232,11 +226,10 @@ TEST_F(DrBwToolTest, WindowedAnalysisSeparatesPhases) {
   }
   Engine engine(machine_, space, test_config(404));
   const auto run = engine.run(threads, {quiet, storm});
-  core::AddressSpaceLocator locator(space);
 
   ASSERT_EQ(run.phases.size(), 2u);
   const auto verdicts =
-      tool.analyze_windows(run, locator, run.phases[0].cycles);
+      tool.analyze_windows(run, run.phases[0].cycles);
   ASSERT_GE(verdicts.size(), 2u);
   EXPECT_FALSE(verdicts.front().rmc);  // the quiet phase
   bool any_late_rmc = false;
@@ -253,8 +246,7 @@ TEST_F(DrBwToolTest, ReportCarriesAdviceWhenContended) {
   const DrBw tool(machine_, train_model());
   AddressSpace space(machine_);
   const auto run = make_run(machine_, space, 6, 4, /*bound=*/true, 400'000, 777);
-  core::AddressSpaceLocator locator(space);
-  const Report report = tool.analyze(run, locator);
+  const Report report = tool.analyze(run);
   ASSERT_TRUE(report.rmc);
   ASSERT_FALSE(report.advice.empty());
   EXPECT_EQ(report.advice[0].evidence.site, "app.c:42 data");
@@ -267,9 +259,8 @@ TEST_F(DrBwToolTest, WindowedAnalysisValidatesArguments) {
   const DrBw tool(machine_, train_model());
   AddressSpace space(machine_);
   const auto run = make_run(machine_, space, 2, 4, false, 100'000, 321);
-  core::AddressSpaceLocator locator(space);
-  EXPECT_THROW(tool.analyze_windows(run, locator, 0), Error);
-  const auto verdicts = tool.analyze_windows(run, locator, 1ull << 62);
+  EXPECT_THROW(tool.analyze_windows(run, 0), Error);
+  const auto verdicts = tool.analyze_windows(run, 1ull << 62);
   EXPECT_EQ(verdicts.size(), 1u);  // one giant window
 }
 
@@ -341,8 +332,7 @@ TEST_F(DrBwToolTest, CycleGridHasExactlyTheRequestedWindows) {
 
 TEST_F(DrBwToolTest, ClassifyWindowOfAnEmptyWindowHasNoChannels) {
   const DrBw tool(machine_, train_model());
-  core::ReplayLocator locator;
-  const features::ChannelWindow window(machine_, locator);
+  const features::ChannelWindow window(machine_);
   const WindowVerdict verdict = tool.classify_window(window);
   EXPECT_TRUE(verdict.channels.empty());
   EXPECT_TRUE(verdict.contended.empty());
@@ -366,6 +356,86 @@ int run_cli(const std::string& args) {
       std::string(DRBW_CLI_PATH) + " " + args + " >/dev/null 2>&1";
   const int rc = std::system(cmd.c_str());
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+std::string cli_read_file(const std::string& path);
+
+TEST(DrBwCliExitCodeTest, PlacementTakesTheNamesItsErrorLists) {
+  const std::string dir =
+      ::testing::TempDir() + "/drbw_cli_place_" + std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  const std::string out = " --config T4-N2 --out " + dir + "/t.csv --run-dir " + dir;
+  EXPECT_EQ(run_cli("record --placement co-locate" + out), 0);
+  const std::string cmd = std::string(DRBW_CLI_PATH) +
+                          " record --placement colocate" + out + " 2>" + dir +
+                          "/err.txt >/dev/null";
+  const int rc = std::system(cmd.c_str());
+  EXPECT_EQ(WIFEXITED(rc) ? WEXITSTATUS(rc) : -1, 64);
+  EXPECT_NE(cli_read_file(dir + "/err.txt")
+                .find("unknown placement 'colocate' (use original, "
+                      "interleave, co-locate or replicate)"),
+            std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
+/// The remote-sample column of `channel`'s row in analyze's verdict table.
+std::string remote_samples(const std::string& out, const std::string& channel) {
+  std::istringstream lines(out);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(channel + " ", 0) != 0) continue;
+    std::vector<std::string> cells;
+    std::istringstream row(line);
+    for (std::string cell; std::getline(row, cell, '|');) {
+      cells.push_back(cell.substr(cell.find_first_not_of(' ')));
+    }
+    return cells.size() > 2 ? cells[2].substr(0, cells[2].find(' ')) : "";
+  }
+  return "";
+}
+
+TEST(DrBwCliHomeTest, AnalyzeFilesABoundObjectUnderItsHomeNode) {
+  // A contended run whose hot object lives on node 2: its recorded trace,
+  // CSV or binary, files every remote sample under Nk->N2.
+  const Machine machine = Machine::xeon_e5_4650();
+  AddressSpace space(machine);
+  const auto obj =
+      space.allocate("hot.c:7 grid", 1ull << 30, PlacementSpec::bind(2));
+  std::vector<SimThread> threads;
+  Phase phase{"main", {}};
+  std::uint32_t tid = 0;
+  for (int n = 0; n < 4; ++n) {
+    for (int t = 0; t < 6; ++t) {
+      threads.push_back(
+          SimThread{tid++, machine.cpus_of_node(n)[static_cast<std::size_t>(t)]});
+      phase.work.push_back(ThreadWork{{sim::seq_read(obj, 200'000)}, 1.0});
+    }
+  }
+  Engine engine(machine, space, test_config(11));
+  const sim::RunResult run = engine.run(threads, {phase});
+  const std::string dir =
+      ::testing::TempDir() + "/drbw_cli_home_" + std::to_string(::getpid());
+  std::filesystem::create_directories(dir);
+  for (const pebs::TraceFormat format :
+       {pebs::TraceFormat::kCsv, pebs::TraceFormat::kBinary}) {
+    SCOPED_TRACE(pebs::trace_format_name(format));
+    const std::string trace = dir + "/t." + pebs::trace_format_name(format);
+    pebs::save_trace(trace, {run.alloc_events, run.samples}, {format});
+    const std::string cmd = std::string(DRBW_CLI_PATH) + " analyze --trace " +
+                            trace + " --model " + DRBW_SOURCE_ROOT +
+                            "/drbw_model.json --run-dir " + dir + " >" + dir +
+                            "/out.txt 2>/dev/null";
+    const int rc = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(rc) && (WEXITSTATUS(rc) == 0 || WEXITSTATUS(rc) == 2));
+    const std::string out = cli_read_file(dir + "/out.txt");
+    for (const char* src : {"N0", "N1", "N3"}) {
+      EXPECT_NE(remote_samples(out, std::string(src) + "->N2"), "0") << out;
+      EXPECT_NE(remote_samples(out, std::string(src) + "->N2"), "") << out;
+    }
+    for (const char* channel : {"N0->N1", "N1->N0", "N3->N0", "N2->N0"}) {
+      EXPECT_EQ(remote_samples(out, channel), "0") << out;
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DrBwCliExitCodeTest, UnknownSubcommandExits65) {
@@ -928,7 +998,7 @@ TEST(DrBwCliPinTest, FrontEndOutputsMatchPinnedChecksums) {
     EXPECT_NE(analyze_lines.find("Optimization guidance"), std::string::npos)
         << analyze_lines;
     EXPECT_EQ(util::crc32(analyze_lines), 0xe75ecdeeu) << analyze_lines;
-    expect_named_output("report.md", 0xca611d9au);
+    expect_named_output("report.md", 0x589794fcu);
   }
   std::filesystem::remove_all(dir);
 }

@@ -35,8 +35,7 @@ class CacheContentionTest : public ::testing::Test {
         bench.build(space, machine(), workloads::RunConfig{threads, nodes},
                     workloads::PlacementMode::kOriginal, 0);
     const auto run = workloads::execute(machine(), space, built, engine);
-    core::AddressSpaceLocator locator(space);
-    core::Profiler profiler(machine(), locator);
+    core::Profiler profiler(machine());
     const auto profile = profiler.profile(run);
     const CacheContentionDetector detector(machine(), model());
     return detector.analyze(profile);
@@ -121,8 +120,7 @@ TEST_F(CacheContentionTest, RemoteBandwidthContentionIsNotCacheContention) {
   engine.seed = 3;
   sim::Engine eng(machine(), space, engine);
   const auto run = eng.run(threads, {phase});
-  core::AddressSpaceLocator locator(space);
-  core::Profiler profiler(machine(), locator);
+  core::Profiler profiler(machine());
   const CacheContentionDetector detector(machine(), model());
   for (const auto& v : detector.analyze(profiler.profile(run))) {
     EXPECT_FALSE(v.contended) << "node " << v.node;

@@ -21,16 +21,18 @@ class FeaturesTest : public ::testing::Test {
  protected:
   Machine machine_ = Machine::xeon_e5_4650();
   AddressSpace space_{machine_};
-  core::AddressSpaceLocator locator_{space_};
-  core::Profiler profiler_{machine_, locator_};
+  core::Profiler profiler_{machine_};
 
-  static pebs::MemorySample sample(mem::Addr addr, topology::CpuId cpu,
-                                   pebs::MemLevel level, float lat) {
+  /// A sample homed where the sampler would have homed it.
+  pebs::MemorySample sample(mem::Addr addr, topology::CpuId cpu,
+                            pebs::MemLevel level, float lat) {
     pebs::MemorySample s;
     s.address = addr;
     s.cpu = cpu;
     s.level = level;
     s.latency_cycles = lat;
+    s.home = static_cast<std::uint8_t>(
+        space_.resolve_home(addr, machine_.node_of_cpu(cpu)));
     return s;
   }
 };
@@ -185,22 +187,6 @@ TEST_F(FeaturesTest, CandidatesCountLevels) {
   EXPECT_DOUBLE_EQ(find("avg_RemoteDRAM_latency"), 900.0);
 }
 
-/// Answers a different home node on every call, and counts the calls: a
-/// window that re-located on evict would both call it and file the sample
-/// under the wrong channel.
-class CyclingLocator final : public core::PageLocator {
- public:
-  explicit CyclingLocator(int nodes) : nodes_(nodes) {}
-  topology::NodeId locate(mem::Addr, topology::NodeId) override {
-    return static_cast<topology::NodeId>(calls_++ % nodes_);
-  }
-  int calls() const { return calls_; }
-
- private:
-  int nodes_;
-  int calls_ = 0;
-};
-
 TEST(ChannelWindowTest, EvictsEveryCpuAndLevelRecordInAnyOrder) {
   const Machine machine = Machine::xeon_e5_4650();
   const pebs::MemLevel levels[] = {
@@ -208,10 +194,10 @@ TEST(ChannelWindowTest, EvictsEveryCpuAndLevelRecordInAnyOrder) {
       pebs::MemLevel::kLfb, pebs::MemLevel::kLocalDram,
       pebs::MemLevel::kRemoteDram};
   for (const bool shuffled : {false, true}) {
-    CyclingLocator locator(machine.num_nodes());
-    ChannelWindow window(machine, locator);
-    // One sample per (cpu, level), the hyperthread bank included; integer
-    // latencies keep every sum inside the window's exactness bound.
+    ChannelWindow window(machine);
+    // One sample per (cpu, level), the hyperthread bank included, each
+    // homed on the next node in turn; integer latencies keep every sum
+    // inside the window's exactness bound.
     std::vector<WindowSample> records;
     for (topology::CpuId cpu = 0; cpu < machine.num_hw_threads(); ++cpu) {
       for (const pebs::MemLevel level : levels) {
@@ -220,15 +206,17 @@ TEST(ChannelWindowTest, EvictsEveryCpuAndLevelRecordInAnyOrder) {
         s.level = level;
         s.latency_cycles =
             static_cast<float>(40 + 23 * cpu + 190 * static_cast<int>(level));
+        s.home = static_cast<std::uint8_t>(records.size() %
+                                           static_cast<std::size_t>(
+                                               machine.num_nodes()));
         const WindowSample r = window.add(s);
         EXPECT_EQ(r.src, machine.node_of_cpu(cpu));
+        EXPECT_EQ(r.home, s.home);
         EXPECT_EQ(r.level, level);
         EXPECT_EQ(r.latency, s.latency_cycles);
         records.push_back(r);
       }
     }
-    const int calls = locator.calls();
-    ASSERT_EQ(static_cast<std::size_t>(calls), records.size());
     if (shuffled) {
       Rng rng(7);
       for (std::size_t i = records.size(); i > 1; --i) {
@@ -240,7 +228,7 @@ TEST(ChannelWindowTest, EvictsEveryCpuAndLevelRecordInAnyOrder) {
     const std::size_t half = records.size() / 2;
     for (std::size_t i = 0; i < half; ++i) window.evict(records[i]);
     // Halfway: the window equals a fresh one built from what is left.
-    ChannelWindow fresh(machine, locator);
+    ChannelWindow fresh(machine);
     for (std::size_t i = half; i < records.size(); ++i) fresh.add(records[i]);
     const std::vector<ChannelFeatures> got = window.channels();
     const std::vector<ChannelFeatures> want = fresh.channels();
@@ -254,7 +242,6 @@ TEST(ChannelWindowTest, EvictsEveryCpuAndLevelRecordInAnyOrder) {
     for (std::size_t i = half; i < records.size(); ++i) {
       window.evict(records[i]);
     }
-    EXPECT_EQ(locator.calls(), calls);  // eviction never re-locates
     for (const ChannelFeatures& cf : window.channels()) {
       EXPECT_EQ(cf.features.scope_samples, 0u);
       for (const double v : cf.features.values) EXPECT_EQ(v, 0.0);

@@ -128,8 +128,7 @@ TEST(Opteron, EndToEndDetectionWorksOnEightNodes) {
         bench.build(space, m, workloads::RunConfig{threads, nodes},
                     workloads::PlacementMode::kOriginal, 0);
     const auto run = workloads::execute(m, space, built, engine);
-    core::AddressSpaceLocator locator(space);
-    core::Profiler profiler(m, locator);
+    core::Profiler profiler(m);
     const auto profile = profiler.profile(run);
     const auto channels = features::extract_channels(profile, m);
     const features::ChannelFeatures* best = &channels.front();
@@ -157,8 +156,7 @@ TEST(Opteron, EndToEndDetectionWorksOnEightNodes) {
   const auto built = bench.build(space, m, workloads::RunConfig{48, 8},
                                  workloads::PlacementMode::kOriginal, 0);
   const auto run = workloads::execute(m, space, built, engine);
-  core::AddressSpaceLocator locator(space);
-  const Report report = tool.analyze(run, locator);
+  const Report report = tool.analyze(run);
   EXPECT_TRUE(report.rmc);
   for (const auto& ch : report.contended) EXPECT_EQ(ch.dst, 0);
   ASSERT_FALSE(report.diagnosis.ranking.empty());

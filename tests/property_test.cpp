@@ -43,6 +43,13 @@ const Machine& machine() {
   return m;
 }
 
+/// Stamps `s` with the home node the sampler would have given it: the
+/// page's node in `space` as the sample's cpu sees it.
+void stamp_home(pebs::MemorySample& s, AddressSpace& space) {
+  s.home = static_cast<std::uint8_t>(
+      space.resolve_home(s.address, machine().node_of_cpu(s.cpu)));
+}
+
 // ---------------------------------------------------------------------- //
 // Cache model: the hit profile is a probability distribution for every
 // combination of pattern, span, and cache-sharing configuration.
@@ -255,10 +262,10 @@ TEST_P(CfDistributionProperty, CfSumsToOne) {
     s.cpu = static_cast<topology::CpuId>(rng.bounded(64));
     s.level = pebs::MemLevel::kRemoteDram;
     s.latency_cycles = static_cast<float>(rng.uniform(300.0, 2000.0));
+    stamp_home(s, space);
     samples.push_back(s);
   }
-  core::AddressSpaceLocator locator(space);
-  core::Profiler profiler(machine(), locator);
+  const core::Profiler profiler(machine());
   const auto profile = profiler.profile(space.drain_events(), samples);
 
   std::vector<topology::ChannelId> contended;
@@ -383,14 +390,13 @@ TEST_P(ChannelWindowProperty, IncrementalMatchesFreshAndProfiled) {
   const auto run = engine.run(threads, {phase});
   ASSERT_GT(run.samples.size(), 500u);
 
-  // Every sampled page was homed during the run, so the locator now answers
-  // statelessly: the rebuilt window and the profile resolve each held sample
-  // to the nodes the incremental window recorded.
-  core::AddressSpaceLocator locator(space);
-  const core::Profiler profiler(machine(), locator);
+  // Each sample carries its home node, so the rebuilt window and the
+  // profile file each held sample under the nodes the incremental window
+  // recorded.
+  const core::Profiler profiler(machine());
   const ml::Classifier model =
       ml::Classifier::load(std::string(DRBW_SOURCE_ROOT) + "/drbw_model.json");
-  features::ChannelWindow window(machine(), locator);
+  features::ChannelWindow window(machine());
   std::vector<pebs::MemorySample> held;
   // The records add() returned, index-aligned with `held`: evict() takes
   // them back as they are.
@@ -412,7 +418,7 @@ TEST_P(ChannelWindowProperty, IncrementalMatchesFreshAndProfiled) {
     }
     if (step % 97 != 0) continue;
     ++checks;
-    features::ChannelWindow fresh(machine(), locator);
+    features::ChannelWindow fresh(machine());
     for (const auto& s : held) fresh.add(s);
     const auto incremental = window.channels();
     const auto rebuilt = fresh.channels();
@@ -485,6 +491,8 @@ TEST_P(CycleWindowOracleProperty, OrdinalWindowsMatchCopyingReference) {
     if (rng.bernoulli(0.5)) s.level = pebs::MemLevel::kRemoteDram;
     s.latency_cycles = static_cast<float>(rng.bounded(2500));
     s.cycle = rng.bounded(cycle_bound);  // unsorted
+    s.home = static_cast<std::uint8_t>(rng.bounded(
+        static_cast<std::uint64_t>(machine().num_nodes())));
     samples.push_back(s);
   }
   trace.samples = std::move(samples);
@@ -494,7 +502,6 @@ TEST_P(CycleWindowOracleProperty, OrdinalWindowsMatchCopyingReference) {
   }
   const ml::Classifier model =
       ml::Classifier::load(std::string(DRBW_SOURCE_ROOT) + "/drbw_model.json");
-  core::ReplayLocator locator;
   std::size_t rmc_windows = 0;
   for (const features::SparseGuard guard :
        {features::SparseGuard{0, 0}, features::kWindowGuard}) {
@@ -509,7 +516,7 @@ TEST_P(CycleWindowOracleProperty, OrdinalWindowsMatchCopyingReference) {
       ASSERT_EQ(grid.ordinals.size(), trace.samples.size());
       for (std::size_t w = 0; w < count; ++w) {
         const WindowVerdict got =
-            tool.analyze_window(trace.samples, grid, w, locator);
+            tool.analyze_window(trace.samples, grid, w);
         ASSERT_EQ(got.start_cycle, std::min(w * width, span + 1)) << count;
         ASSERT_EQ(got.end_cycle, std::min((w + 1) * width, span + 1)) << count;
         ASSERT_EQ(got.samples, reference[w].size()) << count << " " << w;
@@ -521,7 +528,7 @@ TEST_P(CycleWindowOracleProperty, OrdinalWindowsMatchCopyingReference) {
           ASSERT_EQ(sample.cycle, reference[w][k].cycle);
           ASSERT_EQ(sample.address, reference[w][k].address);
         }
-        features::ChannelWindow window(machine(), locator);
+        features::ChannelWindow window(machine());
         for (const pebs::MemorySample& s : reference[w]) window.add(s);
         std::vector<topology::ChannelId> contended;
         std::size_t c = 0;
@@ -596,6 +603,7 @@ TEST_P(IndexProfileProperty, ViewsMatchReferenceCopyProfile) {
     s.latency_cycles = static_cast<float>(rng.uniform(4.0, 3000.0));
     s.level = static_cast<pebs::MemLevel>(rng.bounded(6));
     s.is_write = rng.bernoulli(0.3);
+    stamp_home(s, space);
     samples.push_back(s);
   }
 
@@ -615,9 +623,8 @@ TEST_P(IndexProfileProperty, ViewsMatchReferenceCopyProfile) {
         .push_back(a);
   }
 
-  core::AddressSpaceLocator locator(space);
   const core::ProfileResult profile =
-      core::Profiler(machine(), locator).profile(events, samples);
+      core::Profiler(machine()).profile(events, samples);
   ASSERT_EQ(profile.channels.size(), want.size());
   EXPECT_EQ(profile.total_samples, samples.size());
   std::uint64_t attributed = 0;
@@ -685,7 +692,6 @@ using Reference = std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t
 
 Reference push_back_reference(const std::vector<mem::AllocationEvent>& events,
                               const std::vector<pebs::MemorySample>& samples,
-                              core::PageLocator& locator,
                               std::uint64_t* attributed) {
   core::HeapTracker tracker;
   tracker.on_events(events);
@@ -693,7 +699,7 @@ Reference push_back_reference(const std::vector<mem::AllocationEvent>& events,
   *attributed = 0;
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const topology::NodeId src = machine().node_of_cpu(samples[i].cpu);
-    const topology::NodeId home = locator.locate(samples[i].address, src);
+    const topology::NodeId home = samples[i].home;
     const std::uint32_t object = tracker.object_of(samples[i].address);
     *attributed += object != core::kUnknownObject;
     want[static_cast<std::size_t>(
@@ -770,17 +776,15 @@ TEST_P(CountingSortProfileProperty, SimulatedHomesMatchPushBackReference) {
     for (std::uint64_t run = 1 + rng.bounded(8); run > 0; --run) {
       samples.push_back(counting_sort::sample_at(
           space.object(id).base + rng.bounded(1 << 16), samples.size(), rng));
+      stamp_home(samples.back(), space);
     }
   }
 
-  // The profile runs first: its locator first-touches the pages, and the
-  // reference then reads the same homes.
-  core::AddressSpaceLocator locator(space);
   std::optional<core::ProfileResult> original =
-      core::Profiler(machine(), locator).profile(events, samples);
+      core::Profiler(machine()).profile(events, samples);
   std::uint64_t attributed = 0;
   const counting_sort::Reference want =
-      counting_sort::push_back_reference(events, samples, locator, &attributed);
+      counting_sort::push_back_reference(events, samples, &attributed);
   counting_sort::expect_matches(*original, want, samples);
   EXPECT_EQ(original->attributed_samples, attributed);
   EXPECT_GT(attributed, 0u);
@@ -827,14 +831,15 @@ TEST_P(CountingSortProfileProperty, OverlappingAndFreedRangesMatchReference) {
     address = rng.bernoulli(0.1) ? rng.bounded(0x10000 + (2 << 20))
                                  : address + rng.bounded(256);
     samples.push_back(counting_sort::sample_at(address, i, rng));
+    samples.back().home = static_cast<std::uint8_t>(
+        rng.bounded(static_cast<std::uint64_t>(machine().num_nodes())));
   }
 
-  core::ReplayLocator locator;
   const core::ProfileResult profile =
-      core::Profiler(machine(), locator).profile(events, samples);
+      core::Profiler(machine()).profile(events, samples);
   std::uint64_t attributed = 0;
   const counting_sort::Reference want =
-      counting_sort::push_back_reference(events, samples, locator, &attributed);
+      counting_sort::push_back_reference(events, samples, &attributed);
   counting_sort::expect_matches(profile, want, samples);
   EXPECT_EQ(profile.attributed_samples, attributed);
   EXPECT_GT(attributed, 0u);
@@ -847,10 +852,9 @@ INSTANTIATE_TEST_SUITE_P(SeedGrid, CountingSortProfileProperty,
 TEST(CountingSortProfile, EmptyStreamHasEveryChannelEmpty) {
   AddressSpace space(machine());
   space.allocate("empty.c:1 obj", 1 << 16, PlacementSpec::interleave());
-  core::AddressSpaceLocator locator(space);
   const std::vector<pebs::MemorySample> samples;
   const core::ProfileResult profile =
-      core::Profiler(machine(), locator).profile(space.drain_events(), samples);
+      core::Profiler(machine()).profile(space.drain_events(), samples);
   ASSERT_EQ(profile.channels.size(),
             static_cast<std::size_t>(machine().num_channels()));
   for (const core::ChannelProfile& channel : profile.channels) {
@@ -1018,34 +1022,16 @@ std::vector<features::ChannelFeatures> extract_channels(
 
 }  // namespace reference
 
-/// The raw stream a profile is built from: allocation events, samples, and
-/// the home node of each sample, which ScriptedLocator hands back.
+/// The raw stream a profile is built from: allocation events and samples,
+/// each sample stamped with its home node.
 struct ProfileInput {
   std::vector<mem::AllocationEvent> events;
   std::vector<pebs::MemorySample> samples;
-  std::vector<topology::NodeId> homes;
-};
-
-/// Answers the Profiler's locate() calls from a script: it locates each
-/// sample once, in order, so call i homes sample i.
-class ScriptedLocator final : public core::PageLocator {
- public:
-  explicit ScriptedLocator(const std::vector<topology::NodeId>& homes)
-      : homes_(homes) {}
-  topology::NodeId locate(mem::Addr, topology::NodeId) override {
-    return homes_.at(next_++);
-  }
-
- private:
-  const std::vector<topology::NodeId>& homes_;
-  std::size_t next_ = 0;
 };
 
 /// A real Profiler pass over machine(); the result borrows input.samples.
 core::ProfileResult profile_of(const ProfileInput& input) {
-  ScriptedLocator locator(input.homes);
-  return core::Profiler(machine(), locator)
-      .profile(input.events, input.samples);
+  return core::Profiler(machine()).profile(input.events, input.samples);
 }
 
 /// Base of the untracked range: below every object empty_profile lays out.
@@ -1073,13 +1059,13 @@ ProfileInput empty_profile(const std::vector<std::uint64_t>& sizes,
 }
 
 /// Appends `s` so the Profiler files it under (src, home): its cpu is the
-/// first of the src node, and its home comes from the script.  The object
-/// is the one its address falls in.
+/// first of the src node, and it is stamped with the home.  The object is
+/// the one its address falls in.
 void add_sample(ProfileInput& input, const core::AttributedSample& s) {
   pebs::MemorySample sample = s.sample;
   sample.cpu = machine().cpus_of_node(s.src_node).front();
+  sample.home = static_cast<std::uint8_t>(s.home_node);
   input.samples.push_back(sample);
-  input.homes.push_back(s.home_node);
 }
 
 core::AttributedSample attributed(mem::Addr addr, std::uint32_t tid,
@@ -1209,9 +1195,10 @@ TEST_P(PostProfileOracleProperty, FeaturesMatchPerDestinationReference) {
 
 // Latencies far outside ChannelWindow's exactness bound: zero, denormals,
 // FLT_MAX and 3.4e38 mixed with ordinary values, so the sums round and
-// their order shows in the bits.  Under ReplayLocator every sample of a
-// source sits in channel (src, 0), so the read pass's stream order is the
-// order a window fed the profile channel by channel sees.
+// their order shows in the bits.  With every sample homed on node 0 (as a
+// trace older than v5 loads), every sample of a source sits in channel
+// (src, 0), so the read pass's stream order is the order a window fed the
+// profile channel by channel sees.
 TEST_P(PostProfileOracleProperty, ReplayFeaturesMatchAChannelOrderWindow) {
   Rng rng(GetParam());
   const ProfileInput input = random_profile(rng);
@@ -1230,11 +1217,11 @@ TEST_P(PostProfileOracleProperty, ReplayFeaturesMatchAChannelOrderWindow) {
         rng.bernoulli(0.5)
             ? hostile[rng.bounded(std::size(hostile))]
             : static_cast<float>(rng.uniform(0.0, 1e30));
+    s.home = 0;
   }
-  core::ReplayLocator replay;
   const core::ProfileResult profile =
-      core::Profiler(machine(), replay).profile(input.events, samples);
-  features::ChannelWindow window(machine(), replay);
+      core::Profiler(machine()).profile(input.events, samples);
+  features::ChannelWindow window(machine());
   for (const core::ChannelProfile& channel : profile.channels) {
     for (const core::AttributedSample& s : channel.samples) {
       window.add(features::WindowSample{
@@ -1379,7 +1366,8 @@ std::string render_csv(const pebs::Trace& trace) {
   for (const pebs::MemorySample& s : trace.samples) {
     os << "S," << s.address << ',' << s.cpu << ',' << s.tid << ','
        << pebs::level_token(s.level) << ',' << s.latency_cycles << ','
-       << (s.is_write ? 1 : 0) << ',' << s.cycle << '\n';
+       << (s.is_write ? 1 : 0) << ',' << s.cycle << ','
+       << static_cast<unsigned>(s.home) << '\n';
   }
   return os.str();
 }
@@ -1465,7 +1453,7 @@ void parse_record(const std::string& line,
     events.push_back(mem::AllocationEvent{
         mem::AllocationEvent::Kind::kFree, {""}, to_u64(fields[1]), 0});
   } else if (kind == "S") {
-    require_arity(fields, 8);
+    require_arity(fields, 9);
     pebs::MemorySample s;
     s.address = to_u64(fields[1]);
     s.cpu = static_cast<topology::CpuId>(to_u64(fields[2]));
@@ -1474,6 +1462,7 @@ void parse_record(const std::string& line,
     s.latency_cycles = to_latency(fields[5]);
     s.is_write = fields[6] == "1";
     s.cycle = to_u64(fields[7]);
+    s.home = static_cast<std::uint8_t>(to_u64(fields[8]));
     samples.push_back(s);
   } else {
     throw Error("unknown record kind '" + kind + "'", ErrorCode::kParse);
@@ -1552,6 +1541,7 @@ pebs::Trace random_trace(Rng& rng, bool reference_loadable) {
     }
     s.is_write = rng.bernoulli(0.3);
     s.cycle = rng.bernoulli(0.5) ? rng.next() : rng.bounded(1 << 30);
+    s.home = static_cast<std::uint8_t>(rng.bounded(256));
     samples.push_back(s);
   }
   trace.samples = std::move(samples);
@@ -1578,7 +1568,8 @@ void expect_same_trace(const pebs::Trace& got, const pebs::Trace& want) {
     std::memcpy(&b_bits, &b.latency_cycles, sizeof b_bits);
     EXPECT_TRUE(a.address == b.address && a.cpu == b.cpu && a.tid == b.tid &&
                 a.level == b.level && a_bits == b_bits &&
-                a.is_write == b.is_write && a.cycle == b.cycle)
+                a.is_write == b.is_write && a.cycle == b.cycle &&
+                a.home == b.home)
         << "sample " << i;
   }
 }
@@ -1648,7 +1639,7 @@ TEST_P(CsvCodecOracleProperty, LoaderMatchesReferenceAndBinaryRoundTrip) {
   }
   const std::string file = path("load.csv");
   util::atomic_write_file(file, util::format_artifact_header(
-                                    "trace", pebs::kTraceCsvVersion, body) +
+                                    "trace", pebs::kTraceVersion, body) +
                                     "\n" + body);
   const util::LoadPolicy lenient{util::LoadMode::kLenient, 0.9};
   util::LoadStats got_stats;
@@ -1684,7 +1675,7 @@ TEST_P(CsvCodecOracleProperty, LoaderMatchesReferenceAndBinaryRoundTrip) {
 /// True when the damaged sample `line` (damage at byte `at`) is outside the
 /// field grammar in a way the reference loader tolerated: whitespace or a
 /// sign before a number, a quote in a field, a write flag other than 0/1,
-/// a non-finite or negative latency, or a cpu/tid past u32.
+/// a non-finite or negative latency, a cpu/tid past u32, or a home past u8.
 bool in_narrowing_list(const std::string& line, std::size_t at) {
   std::size_t index = 0;
   std::size_t begin = 0;
@@ -1710,9 +1701,9 @@ bool in_narrowing_list(const std::string& line, std::size_t at) {
       return false;
     }
   }
-  if (index == 2 || index == 3) {
+  if (index == 2 || index == 3 || index == 8) {
     try {
-      return reference::to_u64(field) > 0xFFFFFFFFu;
+      return reference::to_u64(field) > (index == 8 ? 0xFFu : 0xFFFFFFFFu);
     } catch (const Error&) {
       return false;
     }
@@ -1750,7 +1741,8 @@ TEST_P(CsvCodecOracleProperty, SingleByteDamageAgreesOrIsNarrowed) {
       want.samples = std::move(want_samples);
       pebs::Trace got;
       bool got_ok = true;
-      util::write_versioned_artifact(file, "trace", 2, damaged + "\n");
+      util::write_versioned_artifact(file, "trace", pebs::kTraceVersion,
+                                     damaged + "\n");
       try {
         got = pebs::load_trace(file);
       } catch (const Error& e) {

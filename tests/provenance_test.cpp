@@ -652,7 +652,7 @@ const std::string kModel = std::string(DRBW_SOURCE_ROOT) + "/drbw_model.json";
 int analyze_csv_body(const std::string& name, const std::string& body,
                      const std::string& dir) {
   const std::string trace = testing::TempDir() + "/prov_" + name + ".csv";
-  util::write_versioned_artifact(trace, "trace", pebs::kTraceCsvVersion, body);
+  util::write_versioned_artifact(trace, "trace", 2, body);
   return run_cli("analyze --trace " + trace + " --model " + kModel +
                  " --run-dir " + dir);
 }
@@ -876,9 +876,9 @@ TEST(ProvenanceCliTest, ExpectTraceVersionPinGatesBinaryTraces) {
   ASSERT_EQ(run_cli("record --config T4-N2 --format binary --out " + trace +
                     " --run-dir " + make_run_dir("rec_pin")),
             0);
-  // A strict v2-only or v3-only consumer meets a v4 binary trace: version
+  // A strict v2-, v3- or v4-only consumer meets a v5 binary trace: version
   // skew, and the run dir diagnoses it with re-record/convert advice.
-  for (const char* pin : {"2", "3"}) {
+  for (const char* pin : {"2", "3", "4"}) {
     const std::string dir = make_run_dir(std::string("pin69_") + pin);
     EXPECT_EQ(run_cli("analyze --trace " + trace + " --expect-trace-version " +
                       pin + " --run-dir " + dir),
@@ -892,12 +892,12 @@ TEST(ProvenanceCliTest, ExpectTraceVersionPinGatesBinaryTraces) {
   }
   // Pinning the version the trace actually has succeeds.
   const int ok = run_cli("analyze --trace " + trace +
-                         " --expect-trace-version 4 --run-dir " +
+                         " --expect-trace-version 5 --run-dir " +
                          make_run_dir("pin_ok"));
   EXPECT_TRUE(ok == 0 || ok == 2) << ok;  // 2 = contention detected
   // Pins outside the supported range are usage errors.
   EXPECT_EQ(run_cli("analyze --trace " + trace +
-                    " --expect-trace-version 5 --run-dir " +
+                    " --expect-trace-version 6 --run-dir " +
                     make_run_dir("pin_bad")),
             64);
 }

@@ -141,11 +141,10 @@ TEST_F(RegistryCoverageTest, EveryRegisteredNameIsEmittedByThePipeline) {
   // tool, and diagnoser instrumentation.
   AddressSpace space(machine_);
   const auto run = bound_run(machine_, space, 2, 150'000, 42);
-  core::AddressSpaceLocator locator(space);
   AnalysisConfig config;
   config.sparse_guard = {1, 1};
   const DrBw tool(machine_, always_rmc_model(), config);
-  const Report report = tool.analyze(run, locator);
+  const Report report = tool.analyze(run);
   ASSERT_TRUE(report.rmc);  // always-rmc model ⇒ the diagnose stage ran
 
   // Train/cross-validate on a separable two-class set: ml training metrics
@@ -216,13 +215,12 @@ TEST_F(RegistryCoverageTest, EveryRegisteredNameIsEmittedByThePipeline) {
 TEST_F(RegistryCoverageTest, DiagnoseCfFaultSiteFires) {
   AddressSpace space(machine_);
   const auto run = bound_run(machine_, space, 2, 100'000, 7);
-  core::AddressSpaceLocator locator(space);
   AnalysisConfig config;
   config.sparse_guard = {1, 1};
   const DrBw tool(machine_, always_rmc_model(), config);
 
   const ArmGuard guard("seed=1,diagnose.cf:fail:1");
-  EXPECT_EQ(code_of([&] { (void)tool.analyze(run, locator); }),
+  EXPECT_EQ(code_of([&] { (void)tool.analyze(run); }),
             ErrorCode::kFaultInjected);
 }
 

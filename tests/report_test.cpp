@@ -34,9 +34,8 @@ class ReportTest : public ::testing::Test {
           bench.build(space, machine(), workloads::RunConfig{32, 4},
                       workloads::PlacementMode::kOriginal, 0);
       const auto run = workloads::execute(machine(), space, built, engine);
-      core::AddressSpaceLocator locator(space);
-      return std::make_pair(tool.analyze(run, locator),
-                            tool.analyze_windows(run, locator,
+      return std::make_pair(tool.analyze(run),
+                            tool.analyze_windows(run,
                                                  run.total_cycles / 4 + 1));
     }();
     return result;
@@ -101,8 +100,7 @@ TEST_F(ReportTest, IdenticalProfilesRenderIdenticalMarkdown) {
         bench.build(space, machine(), workloads::RunConfig{32, 4},
                     workloads::PlacementMode::kOriginal, 0);
     const auto run = workloads::execute(machine(), space, built, engine);
-    core::AddressSpaceLocator locator(space);
-    return to_markdown(tool.analyze(run, locator), machine());
+    return to_markdown(tool.analyze(run), machine());
   };
   EXPECT_EQ(render_once(), render_once());
 }

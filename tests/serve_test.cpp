@@ -426,8 +426,8 @@ TEST(ServeLoopTest, BlockBackpressureIsLossless) {
 
 TEST(ServeLoopTest, ClassifiesWindowsWithAModel) {
   const Machine machine = Machine::xeon_e5_4650();
-  // Remote traffic: node-1 CPU reading node-0 homed pages (the replay
-  // locator homes every recorded allocation on node 0).
+  // Remote traffic: node-1 CPU reading node-0 homed pages (the samples
+  // carry home 0).
   const pebs::Trace trace =
       flat_trace(64, machine.cpus_of_node(1)[0], pebs::MemLevel::kRemoteDram);
   const ml::Classifier model = always_rmc_model();
@@ -792,8 +792,7 @@ pebs::Trace random_trace(const Machine& machine, std::size_t n,
 /// with one label in five flipped, so leaves are impure and window
 /// confidences vary.
 ml::Classifier fixture_model(const Machine& machine, const pebs::Trace& trace) {
-  core::ReplayLocator locator;
-  features::ChannelWindow window(machine, locator);
+  features::ChannelWindow window(machine);
   std::vector<std::vector<double>> rows;
   for (std::size_t i = 0; i < trace.samples.size(); ++i) {
     window.add(trace.samples[i]);

@@ -44,10 +44,12 @@ Trace make_trace() {
   s.latency_cycles = 612.5f;
   s.is_write = true;
   s.cycle = 123456789;
+  s.home = 3;
   MemorySample t = s;
   t.level = MemLevel::kLfb;
   t.latency_cycles = 58.0f;
   t.is_write = false;
+  t.home = 0;
   trace.samples = std::vector<MemorySample>{s, t};
   return trace;
 }
@@ -106,6 +108,7 @@ Trace make_trace(std::size_t events, std::size_t count) {
     s.latency_cycles = 10.0f + static_cast<float>(i % 900) * 1.5f;
     s.is_write = i % 3 == 0;
     s.cycle = 1000 + i * 17;
+    s.home = static_cast<std::uint8_t>(i % 4);
     samples.push_back(s);
   }
   trace.samples = std::move(samples);
@@ -128,7 +131,7 @@ bool traces_equal(const Trace& a, const Trace& b) {
     const auto& y = b.samples[i];
     if (x.address != y.address || x.cpu != y.cpu || x.tid != y.tid ||
         x.level != y.level || x.latency_cycles != y.latency_cycles ||
-        x.is_write != y.is_write || x.cycle != y.cycle) {
+        x.is_write != y.is_write || x.cycle != y.cycle || x.home != y.home) {
       return false;
     }
   }
@@ -172,7 +175,9 @@ TEST(TraceIo, RoundTripPreservesEverything) {
   EXPECT_FLOAT_EQ(loaded.samples[0].latency_cycles, 612.5f);
   EXPECT_TRUE(loaded.samples[0].is_write);
   EXPECT_EQ(loaded.samples[0].cycle, 123456789u);
+  EXPECT_EQ(loaded.samples[0].home, 3u);
   EXPECT_EQ(loaded.samples[1].level, MemLevel::kLfb);
+  EXPECT_EQ(loaded.samples[1].home, 0u);
   EXPECT_FALSE(loaded.samples[1].is_write);
 }
 
@@ -419,10 +424,14 @@ TEST(TraceIo, RecordedRunReplaysThroughProfiler) {
   const Trace loaded = load_trace(path);
   std::remove(path.c_str());
 
-  core::AddressSpaceLocator locator(space);
-  core::Profiler profiler(machine, locator);
+  core::Profiler profiler(machine);
   const auto live = profiler.profile(run.alloc_events, run.samples);
   const auto replayed = profiler.profile(loaded.events, loaded.samples);
+  // cpu 0 reads node-1 data: the samples are filed under N0->N1.
+  EXPECT_GT(live.channels[static_cast<std::size_t>(
+                              machine.channel_index({0, 1}))]
+                .samples.size(),
+            0u);
   EXPECT_EQ(replayed.total_samples, live.total_samples);
   EXPECT_EQ(replayed.attributed_samples, live.attributed_samples);
   for (std::size_t c = 0; c < live.channels.size(); ++c) {
@@ -440,7 +449,7 @@ TEST(TraceBinary, RoundTripPreservesEverything) {
 
   // The artifact carries the v4 checksummed header over a binary body.
   const std::string content = slurp(path);
-  EXPECT_EQ(content.rfind("#drbw-trace v4 crc32=", 0), 0u);
+  EXPECT_EQ(content.rfind("#drbw-trace v5 crc32=", 0), 0u);
 
   util::LoadStats stats;
   const Trace loaded = load_trace(path, util::LoadPolicy{}, &stats);
@@ -468,12 +477,15 @@ TEST(TraceBinary, FormatNamesRoundTrip) {
   expect_error([] { trace_format_from_name("tsv"); }, ErrorCode::kUsage);
 }
 
-TEST(TraceBinary, CsvDefaultStillWritesV2) {
+TEST(TraceBinary, CsvDefaultWritesV5WithAHomeColumn) {
   const std::string path = temp_path("t.csv");
   const Trace trace = make_trace(5, 40);
   save_trace(path, trace);
   const std::string content = slurp(path);
-  EXPECT_EQ(content.rfind("#drbw-trace v2 crc32=", 0), 0u);
+  EXPECT_EQ(content.rfind("#drbw-trace v5 crc32=", 0), 0u);
+  // Sample 3 (cpu 3, tid 3, LFB, latency 14.5, a write) is homed on node 3.
+  EXPECT_NE(content.find("\nS,65728,3,3,LFB,14.5,1,1051,3\n"),
+            std::string::npos);
   EXPECT_TRUE(traces_equal(trace, load_trace(path)));
 }
 
@@ -483,10 +495,10 @@ TEST(TraceBinary, VersionSkewNamesOffendingToken) {
   save.format = TraceFormat::kBinary;
   save_trace(path, make_trace(3, 30), save);
   LoadOptions load;
-  load.max_version = kTraceCsvVersion;  // a strict v2-only consumer
+  load.max_version = 2;  // a strict v2-only consumer
   const std::string message = expect_error(
       [&] { load_trace(path, load); }, ErrorCode::kVersionSkew);
-  EXPECT_NE(message.find("offending header token 'v4'"), std::string::npos)
+  EXPECT_NE(message.find("offending header token 'v5'"), std::string::npos)
       << message;
 }
 
@@ -788,8 +800,7 @@ TEST(TraceBinaryV4, InPlaceRewriteAfterLoadReadsAsDefinedValues) {
               edited.level == saved.level);
   EXPECT_TRUE(edited.is_write == 2 || edited.is_write == saved.is_write);
   const auto machine = topology::Machine::xeon_e5_4650();
-  core::ReplayLocator locator;
-  const core::Profiler profiler(machine, locator);
+  const core::Profiler profiler(machine);
   const core::ProfileResult profile =
       profiler.profile(loaded.events, loaded.samples);
   EXPECT_EQ(profile.total_samples, 300u);
@@ -803,7 +814,7 @@ TEST(TraceBinaryV4, NonZeroReservedByteStrictRejectsLenientQuarantines) {
   util::write_versioned_artifact(path, "trace", kTraceVersion, body);
   const std::string message =
       expect_error([&] { load_trace(path); }, ErrorCode::kParse);
-  EXPECT_NE(message.find("sample record #37: reserved bytes are not zero"),
+  EXPECT_NE(message.find("sample record #37: reserved byte is not zero"),
             std::string::npos)
       << message;
 
@@ -822,6 +833,33 @@ TEST(TraceBinaryV4, NonZeroReservedByteStrictRejectsLenientQuarantines) {
   EXPECT_EQ(std::memcmp(loaded.samples.data(), want.data(),
                         want.size() * sizeof(MemorySample)),
             0);
+}
+
+TEST(TraceBinaryV4, V4BodyLoadsViewedAndHomedOnNodeZero) {
+  // A v4 record is a v5 record whose home byte is reserved: zero.
+  const std::string path = temp_path("v4.bin");
+  const Trace original = make_trace(4, 100);
+  std::string body = save_binary(path, original);
+  const std::size_t at = samples_offset(body);
+  for (std::size_t i = 0; i < 100; ++i) {
+    body[at + i * sizeof(MemorySample) + 30] = 0;
+  }
+  util::write_versioned_artifact(path, "trace", 4, body);
+  const Trace loaded = load_trace(path);
+  EXPECT_TRUE(views_file(loaded.samples, path));
+  Trace want = original;
+  std::vector<MemorySample> homed_on_zero(original.samples.begin(),
+                                          original.samples.end());
+  for (MemorySample& s : homed_on_zero) s.home = 0;
+  want.samples = std::move(homed_on_zero);
+  EXPECT_TRUE(traces_equal(want, loaded));
+  // Its byte 30 is still reserved.
+  body[at + 37 * sizeof(MemorySample) + 30] = 1;
+  util::write_versioned_artifact(path, "trace", 4, body);
+  EXPECT_NE(expect_error([&] { load_trace(path); }, ErrorCode::kParse)
+                .find("sample record #37: reserved bytes are not zero"),
+            std::string::npos);
+  std::remove(path.c_str());
 }
 
 TEST(TraceBinaryV4, MisalignedSamplesSectionLoadsThroughTheDecoder) {
@@ -1409,20 +1447,29 @@ TEST(TraceDecoderBounds, LastRecordCutAtAPageEndReadsNothingPastTheFile) {
   std::remove(path.c_str());
 }
 
-// --------------------------------------------------------- cpu check ----
+// ----------------------------------------------- cpu and home checks ----
+
+/// `base` with `cores` single-threaded cores per node.
+topology::Machine with_cores(const topology::Machine& base, int cores) {
+  topology::MachineSpec spec = base.spec();
+  spec.cores_per_socket = cores;
+  spec.threads_per_core = 1;
+  return topology::Machine(std::move(spec));
+}
 
 TEST(TraceCpuCheck, OutOfRangeCpuFailsBothEncodingsInBothModes) {
-  util::LoadPolicy lenient;
-  lenient.mode = util::LoadMode::kLenient;
+  const auto xeon = topology::Machine::xeon_e5_4650();
+  const topology::Machine sixteen = with_cores(xeon, 4);
+  const topology::Machine thirty_two = with_cores(xeon, 8);
   const Trace trace = make_trace(10, 100);  // sample i has cpu i % 32
   for (const TraceFormat format : {TraceFormat::kCsv, TraceFormat::kBinary}) {
     SCOPED_TRACE(trace_format_name(format));
     const std::string path = temp_path(trace_format_name(format));
     save_trace(path, trace, {format});
-    for (const util::LoadPolicy& policy : {util::LoadPolicy{}, lenient}) {
+    for (const util::LoadPolicy& policy : both_modes()) {
       LoadOptions load;
       load.policy = policy;
-      load.num_cpus = 16;
+      load.machine = &sixteen;
       util::LoadStats stats;
       const std::string message = expect_error(
           [&] { load_trace(path, load, &stats); },
@@ -1431,11 +1478,96 @@ TEST(TraceCpuCheck, OutOfRangeCpuFailsBothEncodingsInBothModes) {
                                 "has 16 hardware threads");
       EXPECT_EQ(stats.records_ok, 110u);
       EXPECT_EQ(stats.records_quarantined, 0u);
-      load.num_cpus = 32;
+      load.machine = &thirty_two;
       EXPECT_EQ(load_trace(path, load).samples.size(), 100u);
-      load.num_cpus = 0;  // no machine known
+      load.machine = nullptr;  // no machine known
       EXPECT_EQ(load_trace(path, load).samples.size(), 100u);
     }
+    std::remove(path.c_str());
+  }
+}
+
+TEST(TraceHomeCheck, HomeTheMachineLacksFailsBothEncodingsInBothModes) {
+  // Sample i is homed on node i % 4; the two-node machine lacks nodes 2
+  // and 3 but has every cpu the trace names.
+  const topology::Machine two_nodes =
+      with_cores(topology::Machine::dual_socket_test(), 16);
+  const topology::Machine four_nodes =
+      with_cores(topology::Machine::xeon_e5_4650(), 8);
+  const Trace trace = make_trace(10, 100);
+  for (const TraceFormat format : {TraceFormat::kCsv, TraceFormat::kBinary}) {
+    SCOPED_TRACE(trace_format_name(format));
+    const std::string path = temp_path(trace_format_name(format));
+    save_trace(path, trace, {format});
+    for (const util::LoadPolicy& policy : both_modes()) {
+      LoadOptions load;
+      load.policy = policy;
+      load.machine = &two_nodes;
+      util::LoadStats stats;
+      EXPECT_EQ(expect_error([&] { load_trace(path, load, &stats); },
+                             ErrorCode::kCorruptArtifact),
+                path + ": sample 2 has home node 2, but the machine has 2 "
+                       "nodes");
+      EXPECT_EQ(stats.records_ok, 110u);
+      EXPECT_EQ(stats.records_quarantined, 0u);
+      load.machine = &four_nodes;
+      EXPECT_TRUE(traces_equal(trace, load_trace(path, load)));
+    }
+    std::remove(path.c_str());
+  }
+}
+
+TEST(TraceHomeCheck, HostileHomeByteOfAViewedBodyFailsInBothModes) {
+  // A home byte of 255 in an otherwise valid v5 record: every record still
+  // passes where it lies, so only the machine check can refuse it.
+  const topology::Machine xeon = topology::Machine::xeon_e5_4650();
+  const std::string path = temp_path("home.bin");
+  const Trace original = make_trace(4, 100);
+  std::string body = save_binary(path, original);
+  body[samples_offset(body) + 37 * sizeof(MemorySample) + 30] =
+      static_cast<char>(255);
+  util::write_versioned_artifact(path, "trace", kTraceVersion, body);
+  for (const util::LoadPolicy& policy : both_modes()) {
+    LoadOptions load;
+    load.policy = policy;
+    load.machine = &xeon;
+    EXPECT_EQ(expect_error([&] { load_trace(path, load); },
+                           ErrorCode::kCorruptArtifact),
+              path + ": sample 37 has home node 255, but the machine has 4 "
+                     "nodes");
+  }
+  // With no machine known the byte is a home like any other.
+  const Trace loaded = load_trace(path);
+  EXPECT_TRUE(views_file(loaded.samples, path));
+  EXPECT_EQ(loaded.samples[37].home, 255u);
+  std::remove(path.c_str());
+}
+
+TEST(TraceHomeCheck, CsvHomeColumnIsAU8LastField) {
+  const auto v5 = [](const std::string& name, const std::string& body) {
+    const std::string path = temp_path(name);
+    util::write_versioned_artifact(path, "trace", kTraceVersion, body);
+    return path;
+  };
+  const std::string widest = v5("widest.csv", "S,1,0,0,L1,5,0,1,255\n");
+  EXPECT_EQ(load_trace(widest).samples[0].home, 255u);
+  const topology::Machine xeon = topology::Machine::xeon_e5_4650();
+  LoadOptions load;
+  load.machine = &xeon;
+  EXPECT_EQ(expect_error([&] { load_trace(widest, load); },
+                         ErrorCode::kCorruptArtifact),
+            widest + ": sample 0 has home node 255, but the machine has 4 "
+                     "nodes");
+  const std::string over = v5("over.csv", "S,1,0,0,L1,5,0,1,256\n");
+  EXPECT_EQ(expect_error([&] { load_trace(over); }, ErrorCode::kParse),
+            over + ":2: malformed number '256'");
+  const std::string short_record = v5("short.csv", "S,1,0,0,L1,5,0,1\n");
+  EXPECT_EQ(expect_error([&] { load_trace(short_record); }, ErrorCode::kParse),
+            short_record + ":2: record has 8 fields, expected 9");
+  // A v2 body has no home column, and its samples are homed on node 0.
+  const std::string v2 = write_csv_trace("v2.csv", "S,1,0,0,L1,5,0,1\n");
+  EXPECT_EQ(load_trace(v2).samples[0].home, 0u);
+  for (const std::string& path : {widest, over, short_record, v2}) {
     std::remove(path.c_str());
   }
 }
@@ -1451,9 +1583,11 @@ TEST(TraceCpuCheck, OrdinalCountsKeptSamplesAndTheCapComesFirst) {
       "S,4108,4294967295,1,LDR,500,0,40\n");
   util::LoadPolicy lenient;
   lenient.mode = util::LoadMode::kLenient;
+  const topology::Machine eight =
+      with_cores(topology::Machine::xeon_e5_4650(), 2);
   LoadOptions load;
   load.policy = lenient;
-  load.num_cpus = 8;
+  load.machine = &eight;
   EXPECT_EQ(expect_error([&] { load_trace(path, load); },
                          ErrorCode::kCorruptArtifact),
             path + ": sample 1 has cpu 99, but the machine has 8 hardware "

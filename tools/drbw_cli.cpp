@@ -26,6 +26,7 @@
 #include <cctype>
 #include <filesystem>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <memory>
@@ -337,9 +338,9 @@ topology::Machine machine_by_name(const std::string& name) {
   throw UsageError("unknown machine '" + name + "' (use xeon or opteron)");
 }
 
-/// Parses --config Tt-Nn and bounds it by `machine` exactly as
-/// RunConfig::bind would, so a bad value is a usage error before any
-/// simulation instead of an internal check deep inside it.
+/// Parses --config Tt-Nn and bounds it by `machine` with RunConfig::check,
+/// the check RunConfig::bind relies on, so a bad value is a usage error
+/// before any simulation.
 workloads::RunConfig parse_config(const std::string& name,
                                   const topology::Machine& machine) {
   const auto bad = [&](const std::string& why) {
@@ -360,29 +361,28 @@ workloads::RunConfig parse_config(const std::string& name,
     return std::stoi(part.substr(1));
   };
   const workloads::RunConfig config{field(parts[0], 'T'), field(parts[1], 'N')};
-  const int per_node = static_cast<int>(machine.cpus_of_node(0).size());
-  if (config.num_nodes < 1 || config.num_nodes > machine.num_nodes()) {
-    throw bad("nodes must be between 1 and " +
-              std::to_string(machine.num_nodes()));
-  }
-  if (config.total_threads < 1 ||
-      config.total_threads % config.num_nodes != 0 ||
-      config.threads_per_node() > per_node) {
-    throw bad("threads must be a positive multiple of the node count, at most " +
-              std::to_string(per_node) + " per node (" +
-              std::to_string(machine.num_hw_threads()) + " in total)");
+  try {
+    config.check(machine);
+  } catch (const Error& e) {
+    throw bad(e.what());
   }
   return config;
 }
 
+/// Parses --placement: exactly the names placement_mode_name gives, which
+/// the error lists.
 workloads::PlacementMode parse_placement(const std::string& name) {
-  for (const auto mode :
-       {workloads::PlacementMode::kOriginal, workloads::PlacementMode::kInterleave,
-        workloads::PlacementMode::kColocate, workloads::PlacementMode::kReplicate}) {
-    if (name == workloads::placement_mode_name(mode)) return mode;
+  constexpr workloads::PlacementMode kModes[] = {
+      workloads::PlacementMode::kOriginal, workloads::PlacementMode::kInterleave,
+      workloads::PlacementMode::kColocate, workloads::PlacementMode::kReplicate};
+  std::string names;
+  for (std::size_t i = 0; i < std::size(kModes); ++i) {
+    const char* mode_name = workloads::placement_mode_name(kModes[i]);
+    if (name == mode_name) return kModes[i];
+    names += i == 0 ? "" : i + 1 == std::size(kModes) ? " or " : ", ";
+    names += mode_name;
   }
-  throw UsageError("unknown placement '" + name +
-                   "' (use original, interleave, colocate or replicate)");
+  throw UsageError("unknown placement '" + name + "' (use " + names + ")");
 }
 
 /// --load-mode / --max-bad-fraction, shared by every subcommand that reads
@@ -421,9 +421,9 @@ struct TraceInput {
 /// instead).  load_trace fills the stats incrementally, so they reach the
 /// manifest even when the load escalates — the quarantine tally at the
 /// moment of failure is exactly what `drbw doctor` needs.  A sample whose
-/// cpu `machine` lacks (a trace from a bigger machine) fails the load as a
-/// corrupt artifact (68) in either load mode, before any stage indexes a
-/// per-cpu table with it.
+/// cpu or home node `machine` lacks (a trace from a bigger machine) fails
+/// the load as a corrupt artifact (68) in either load mode, before any
+/// stage indexes a per-cpu or per-node table with it.
 TraceInput load_trace_input(const ArgParser& parser, RunSession& session,
                             const topology::Machine& machine,
                             const std::string& path, bool require_model,
@@ -438,7 +438,7 @@ TraceInput load_trace_input(const ArgParser& parser, RunSession& session,
   pebs::LoadOptions load;
   load.policy = input.policy;
   load.max_version = max_version;
-  load.num_cpus = machine.num_hw_threads();
+  load.machine = &machine;
   try {
     input.trace = pebs::load_trace(path, load, &input.stats);
   } catch (...) {
@@ -525,8 +525,8 @@ int cmd_record(int argc, char** argv) {
   parser.add_option("out", "trace output path", "drbw_trace.csv");
   parser.add_option("seed", "run seed", "7");
   parser.add_option("format",
-                    "trace body encoding: csv (v2, greppable) | binary "
-                    "(v4, loaded without a copy)",
+                    "trace body encoding, both v5 with each sample's home "
+                    "node: csv (greppable) | binary (loaded without a copy)",
                     "csv");
   RunSession::add_options(parser);
   if (!parser.parse(argc, argv)) return 0;
@@ -593,8 +593,9 @@ int cmd_analyze(int argc, char** argv) {
                     "1");
   parser.add_option("expect-trace-version",
                     "reject trace artifacts newer than vN with the "
-                    "version-skew exit code (0 = newest supported, v4; "
-                    "2 = CSV only; 3 = CSV and v3 binary)",
+                    "version-skew exit code (0 = newest supported, v5, "
+                    "whose samples carry home nodes; 2 = v2 CSV only; "
+                    "3 = v2 CSV and v3 binary; 4 = also v4 binary)",
                     "0");
   RunSession::add_options(parser);
   if (!parser.parse(argc, argv)) return 0;
@@ -623,10 +624,9 @@ int cmd_analyze(int argc, char** argv) {
     session.stage("classify");
     const DrBw tool(machine,
                     load_model(parser, session, machine, input.policy));
-    core::ReplayLocator locator;
 
     if (windows == 1) {
-      core::Profiler profiler(machine, locator);
+      core::Profiler profiler(machine);
       const Report report =
           tool.analyze_profile(profiler.profile(trace.events, trace.samples));
       std::cout << report.to_string(machine);
@@ -652,7 +652,7 @@ int cmd_analyze(int argc, char** argv) {
         trace.samples, static_cast<std::size_t>(windows));
     bool any = false;
     for (std::size_t w = 0; w < grid.count(); ++w) {
-      const WindowVerdict v = tool.analyze_window(trace.samples, grid, w, locator);
+      const WindowVerdict v = tool.analyze_window(trace.samples, grid, w);
       std::cout << "[" << v.start_cycle << ", " << v.end_cycle << ") "
                 << v.samples << " samples: "
                 << (v.rmc ? "RMC" : "good");
@@ -697,13 +697,12 @@ int cmd_explain(int argc, char** argv) {
     session.stage("explain");
     const pebs::CycleWindows grid =
         pebs::split_cycle_windows(input.trace.samples, windows);
-    core::ReplayLocator locator;
     std::vector<WindowVerdict> verdicts(windows);
     {
       obs::Span explain_span("explain");
       util::TaskPool pool(jobs_option(parser));
       pool.parallel_for(windows, [&](std::size_t w) {
-        verdicts[w] = tool.analyze_window(input.trace.samples, grid, w, locator);
+        verdicts[w] = tool.analyze_window(input.trace.samples, grid, w);
       });
     }
     const report::ExplainArtifacts explained = report::render_explain(
