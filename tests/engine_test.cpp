@@ -397,11 +397,21 @@ class EnginePinTest : public ::testing::Test {
     return threads;
   }
 
-  static void expect_pinned(const RunResult& r, std::uint32_t want) {
+  /// Checks the pinned CRC (which skips the home byte), and that every
+  /// sample is stamped with the home `space` gives its address from its
+  /// cpu's node, asked after the run.
+  static void expect_pinned(const Machine& machine, AddressSpace& space,
+                            const RunResult& r, std::uint32_t want) {
     const std::uint32_t got = result_crc(r);
     EXPECT_EQ(got, want) << "crc 0x" << std::hex << got << " over "
                          << std::dec << r.samples.size() << " samples, "
                          << r.total_cycles << " cycles";
+    std::size_t mismatched = 0;
+    for (const pebs::MemorySample& s : r.samples) {
+      mismatched += s.home != space.resolve_home(
+                                  s.address, machine.node_of_cpu(s.cpu));
+    }
+    EXPECT_EQ(mismatched, 0u) << "of " << r.samples.size() << " samples";
   }
 };
 
@@ -416,7 +426,7 @@ TEST_F(EnginePinTest, PebsBoundSaturatedChannel) {
     phase.work.push_back(ThreadWork{{seq_read(obj, 400'000)}, 1.0});
   }
   Engine engine(machine, space, config());
-  expect_pinned(engine.run(threads_on({8, 9, 10, 11, 12, 13, 14, 15}), {phase}),
+  expect_pinned(machine, space, engine.run(threads_on({8, 9, 10, 11, 12, 13, 14, 15}), {phase}),
                 0x0da421dbu);
 }
 
@@ -436,7 +446,7 @@ TEST_F(EnginePinTest, PebsInterleavedRandomReads) {
     }
   }
   Engine engine(machine, space, config());
-  expect_pinned(engine.run(threads_on(cpus), {phase}), 0xa567bc34u);
+  expect_pinned(machine, space, engine.run(threads_on(cpus), {phase}), 0xa567bc34u);
 }
 
 // PEBS, first-touch placement: an init phase writes each thread's slice
@@ -456,7 +466,7 @@ TEST_F(EnginePinTest, PebsFirstTouchInitThenShare) {
     solve.work.push_back(ThreadWork{{seq_read(obj, 300'000)}, 1.0});
   }
   Engine engine(machine, space, config());
-  expect_pinned(engine.run(threads_on(cpus), {init, solve}), 0x3cf04f88u);
+  expect_pinned(machine, space, engine.run(threads_on(cpus), {init, solve}), 0x3cf04f88u);
 }
 
 // IBS on the 8-node Opteron: op-counting samples, no latency threshold,
@@ -476,7 +486,7 @@ TEST_F(EnginePinTest, IbsOpteronMultiHop) {
   EngineConfig cfg = config();
   cfg.sampling_flavor = SamplingFlavor::kIbs;
   Engine engine(machine, space, cfg);
-  expect_pinned(engine.run(threads_on(cpus), {phase}), 0xd7f75ddeu);
+  expect_pinned(machine, space, engine.run(threads_on(cpus), {phase}), 0xd7f75ddeu);
 }
 
 // Several phases of short, unaligned bursts: bursts end and the next one
@@ -502,7 +512,7 @@ TEST_F(EnginePinTest, MultiPhaseBurstsEndMidEpoch) {
                                  2.0});
   }
   Engine engine(machine, space, config());
-  expect_pinned(engine.run(threads_on(cpus), {p1, p2, p3}), 0xf9c06fffu);
+  expect_pinned(machine, space, engine.run(threads_on(cpus), {p1, p2, p3}), 0xf9c06fffu);
 }
 
 // Saturated channel with bursts of different lengths: rationing serves
@@ -521,7 +531,7 @@ TEST_F(EnginePinTest, RemainingClampBindsUnderRationing) {
   EngineConfig cfg = config();
   cfg.epoch_cycles = 200'000;
   Engine engine(machine, space, cfg);
-  expect_pinned(engine.run(threads_on({8, 9, 10, 11, 12, 13, 14, 15}), {phase}),
+  expect_pinned(machine, space, engine.run(threads_on({8, 9, 10, 11, 12, 13, 14, 15}), {phase}),
                 0xeecd187au);
 }
 
@@ -540,7 +550,7 @@ TEST_F(EnginePinTest, UnprofiledRun) {
   Engine engine(machine, space, cfg);
   const RunResult r = engine.run(threads_on({0, 1, 2, 16, 17, 18}), {phase});
   EXPECT_TRUE(r.samples.empty());
-  expect_pinned(r, 0x3c592e33u);
+  expect_pinned(machine, space, r, 0x3c592e33u);
 }
 
 // The rounds counter tallies executed rounds: at least one, and never more
