@@ -436,6 +436,20 @@ TEST(CorruptionCorpus, CsvLineShapesKeepTheirOutcomes) {
   EXPECT_EQ(multi.samples.size(), 3u);
 }
 
+TEST(CorruptionCorpus, LegacyFixturesLoadHomedOnNodeZero) {
+  // v2 CSV and v3 binary bodies carry no home node.
+  const pebs::Trace csv =
+      pebs::load_trace(kDataDir + "/multiline_label_trace.csv");
+  const pebs::Trace binary =
+      pebs::load_trace(kDataDir + "/short_binary_trace.bin",
+                       util::LoadPolicy{util::LoadMode::kLenient});
+  ASSERT_FALSE(csv.samples.empty());
+  ASSERT_FALSE(binary.samples.empty());
+  for (const pebs::Trace* trace : {&csv, &binary}) {
+    for (const pebs::MemorySample& s : trace->samples) EXPECT_EQ(s.home, 0u);
+  }
+}
+
 TEST(CorruptionCorpus, QuarantineCountsAreExactAndStable) {
   const std::string path = kDataDir + "/malformed_records_trace.csv";
   util::LoadStats first;
