@@ -47,7 +47,8 @@ bool same_trace(const pebs::Trace& a, const pebs::Trace& b,
     const auto& x = a.samples[i];
     const auto& y = b.samples[i];
     if (x.address != y.address || x.cpu != y.cpu || x.tid != y.tid ||
-        x.level != y.level || x.is_write != y.is_write || x.cycle != y.cycle) {
+        x.level != y.level || x.is_write != y.is_write || x.cycle != y.cycle ||
+        x.home != y.home) {
       return false;
     }
     const float tolerance =

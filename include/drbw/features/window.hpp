@@ -54,8 +54,7 @@ static_assert(sizeof(WindowSample) == 8, "WindowSample must pack to 8 bytes");
 /// differs, which the bound makes order-free.
 class ChannelWindow {
  public:
-  /// `machine` must outlive the window.  It has at most 256 nodes (a
-  /// WindowSample names them in one byte each).
+  /// `machine` must outlive the window.
   explicit ChannelWindow(const topology::Machine& machine);
 
   /// Adds a raw sample: its source node comes from the machine, its home

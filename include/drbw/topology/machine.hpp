@@ -37,7 +37,7 @@ struct CacheSpec {
 /// GB/s at the spec'd clock).
 struct MachineSpec {
   std::string name;
-  int sockets = 0;
+  int sockets = 0;  // 1 to 256: samples name a node in one byte
   int cores_per_socket = 0;
   int threads_per_core = 1;  // hardware threads (HT/SMT)
   double ghz = 1.0;

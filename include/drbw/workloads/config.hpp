@@ -29,9 +29,10 @@ struct RunConfig {
     return tid / threads_per_node();
   }
 
-  /// Throws Error(kUsage) unless the config fits `machine`: 1 to
-  /// num_nodes() nodes, and threads a positive multiple of the node count,
-  /// at most one node's hardware threads per node.
+  /// Throws Error(kUsage), worded for the CLI's --config, unless the config
+  /// fits `machine`: 1 to num_nodes() nodes, and threads a positive
+  /// multiple of the node count, at most one node's hardware threads per
+  /// node.
   void check(const topology::Machine& machine) const;
 
   /// Pins the threads: thread blocks map to consecutive nodes, primary core

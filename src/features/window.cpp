@@ -3,11 +3,7 @@
 namespace drbw::features {
 
 ChannelWindow::ChannelWindow(const topology::Machine& machine)
-    : machine_(machine), tallies_(machine.num_nodes()) {
-  DRBW_CHECK_MSG(machine.num_nodes() <= 256,
-                 "a channel window names nodes in one byte; the machine has "
-                     << machine.num_nodes() << " nodes");
-}
+    : machine_(machine), tallies_(machine.num_nodes()) {}
 
 WindowSample ChannelWindow::add(const pebs::MemorySample& sample) {
   const topology::NodeId src = machine_.node_of_cpu(sample.cpu);

@@ -369,16 +369,11 @@ class MachineCheck {
   /// Throws Error(kCorruptArtifact) naming the first noted bad sample.
   void require_none(const std::string& source) const {
     if (!found_) return;
-    const std::string sample = source + ": sample " + std::to_string(ordinal_);
-    if (static_cast<std::uint32_t>(bad_.cpu) >= cpu_limit_) {
-      throw Error(sample + " has cpu " + std::to_string(bad_.cpu) +
-                      ", but the machine has " + std::to_string(cpu_limit_) +
-                      " hardware threads",
-                  ErrorCode::kCorruptArtifact);
-    }
-    throw Error(sample + " has home node " + std::to_string(bad_.home) +
-                    ", but the machine has " + std::to_string(home_limit_) +
-                    " nodes",
+    throw Error(source + ": sample " + std::to_string(ordinal_) +
+                    " has cpu " + std::to_string(bad_.cpu) + " and home node " +
+                    std::to_string(bad_.home) + ", but the machine has " +
+                    std::to_string(cpu_limit_) + " hardware threads and " +
+                    std::to_string(home_limit_) + " nodes",
                 ErrorCode::kCorruptArtifact);
   }
 
@@ -1188,19 +1183,17 @@ Trace parse_binary(std::string_view body, int version,
   return trace;
 }
 
-/// Whether a validated artifact body is binary.  v3 and v4 are binary
-/// only and v2 is CSV only.  A v5 body is binary when it opens with the
-/// magic, which no CSV record can start with, or when it is cut short
-/// inside the magic (shorter than its header declares): the prelude check
-/// then reports the cut.
+/// Whether a validated artifact body is binary: v3 and v4 always are, v2
+/// never is, and a v5 body is when it opens with the magic, which no CSV
+/// record can start with, or is cut short inside it (shorter than its
+/// header declares), so that the prelude check reports the cut.
 bool is_binary_body(const util::ArtifactView& artifact) {
-  if (artifact.header.version < kHomeVersion) {
-    return artifact.header.version >= 3;
-  }
+  const int version = artifact.header.version;
   const std::string_view head = artifact.body.substr(0, kMagicBytes.size());
-  return kMagicBytes.starts_with(head) &&
-         (head.size() == kMagicBytes.size() ||
-          artifact.header.bytes > artifact.body.size());
+  return version >= 3 &&
+         (version < kHomeVersion ||
+          (kMagicBytes.starts_with(head) &&
+           (head == kMagicBytes || artifact.header.bytes > artifact.body.size())));
 }
 
 /// Dispatches a validated artifact body to the CSV or binary parser.

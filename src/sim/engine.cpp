@@ -137,9 +137,6 @@ Engine::Engine(const topology::Machine& machine, mem::AddressSpace& space,
   DRBW_CHECK(config_.epoch_cycles > 0);
   DRBW_CHECK(config_.sample_period > 0);
   DRBW_CHECK(config_.fixed_point_rounds >= 1);
-  DRBW_CHECK_MSG(machine.num_nodes() <= 256,
-                 "a sample names its home node in one byte; the machine has "
-                     << machine.num_nodes() << " nodes");
 }
 
 void Engine::activate_burst(ThreadState& ts, const AccessBurst& burst) {

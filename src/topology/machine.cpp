@@ -7,7 +7,9 @@
 namespace drbw::topology {
 
 Machine::Machine(MachineSpec spec) : spec_(std::move(spec)) {
-  DRBW_CHECK_MSG(spec_.sockets >= 1, "machine needs at least one socket");
+  // A sample and a window record name a node in one byte.
+  DRBW_CHECK_MSG(spec_.sockets >= 1 && spec_.sockets <= 256,
+                 "machine needs 1 to 256 sockets");
   DRBW_CHECK_MSG(spec_.cores_per_socket >= 1, "socket needs at least one core");
   DRBW_CHECK_MSG(spec_.threads_per_core >= 1, "core needs at least one thread");
   DRBW_CHECK_MSG(spec_.mc_bandwidth > 0.0, "memory-controller bandwidth unset");

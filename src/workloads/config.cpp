@@ -7,20 +7,21 @@
 namespace drbw::workloads {
 
 void RunConfig::check(const topology::Machine& machine) const {
-  if (num_nodes < 1 || num_nodes > machine.num_nodes()) {
-    throw Error(
-        "nodes must be between 1 and " + std::to_string(machine.num_nodes()),
-        ErrorCode::kUsage);
-  }
   const int per_node = static_cast<int>(machine.cpus_of_node(0).size());
-  if (total_threads < 1 || total_threads % num_nodes != 0 ||
-      threads_per_node() > per_node) {
-    throw Error(
-        "threads must be a positive multiple of the node count, at most " +
-            std::to_string(per_node) + " per node (" +
-            std::to_string(machine.num_hw_threads()) + " in total)",
-        ErrorCode::kUsage);
+  std::string why;
+  if (num_nodes < 1 || num_nodes > machine.num_nodes()) {
+    why = "nodes must be between 1 and " + std::to_string(machine.num_nodes());
+  } else if (total_threads < 1 || total_threads % num_nodes != 0 ||
+             threads_per_node() > per_node) {
+    why = "threads must be a positive multiple of the node count, at most " +
+          std::to_string(per_node) + " per node (" +
+          std::to_string(machine.num_hw_threads()) + " in total)";
+  } else {
+    return;
   }
+  throw Error("--config expects Tt-Nn (e.g. T32-N4), got '" + name() +
+                  "': " + why,
+              ErrorCode::kUsage);
 }
 
 std::vector<sim::SimThread> RunConfig::bind(

@@ -1407,41 +1407,48 @@ TEST(TraceDecoderPin, SeededByteMutationsDecodeAsPinned) {
 TEST(TraceDecoderBounds, LastRecordCutAtAPageEndReadsNothingPastTheFile) {
   // Each file is a whole number of pages, so the mapping ends where the
   // body does and a read one byte past the body's end touches the next
-  // page.  Every cut must decode to samples or fail with kParse.
-  const std::string last =
-      "S,18446744073709551615,4294967295,7,LFB,1e-05,1,18446744073709551615\n";
+  // page.  Every cut must decode to samples or fail with kParse.  A v5
+  // sample record ends with its home node, a v2 one with its cycle.
   const std::string path = temp_path("page_end.csv");
-  for (std::size_t cut = 1; cut <= last.size(); ++cut) {
-    const std::string tail = "S,1,0,0,L1,5,0,1\n" + last.substr(0, cut);
-    std::string body;
-    for (std::size_t pad = 0;; ++pad) {
-      body = "A," + std::string(pad, 'x') + ",4096,64\n" + tail;
-      if ((util::artifact_header_size("trace", 2, body.size()) + 1 +
-           body.size()) % 4096 == 0) {
-        break;
+  for (const int version : {2, kTraceVersion}) {
+    SCOPED_TRACE(version);
+    const std::string home = version == 2 ? "" : ",255";
+    const std::string last =
+        "S,18446744073709551615,4294967295,7,LFB,1e-05,1,18446744073709551615" +
+        home + "\n";
+    for (std::size_t cut = 1; cut <= last.size(); ++cut) {
+      const std::string tail =
+          "S,1,0,0,L1,5,0,1" + home + "\n" + last.substr(0, cut);
+      std::string body;
+      for (std::size_t pad = 0;; ++pad) {
+        body = "A," + std::string(pad, 'x') + ",4096,64\n" + tail;
+        if ((util::artifact_header_size("trace", version, body.size()) + 1 +
+             body.size()) % 4096 == 0) {
+          break;
+        }
       }
-    }
-    util::write_versioned_artifact(path, "trace", 2, body);
-    const std::size_t file_bytes = slurp(path).size();
-    ASSERT_EQ(file_bytes % 4096, 0u) << cut;
-    for (const util::LoadPolicy& policy :
-         {util::LoadPolicy{},
-          util::LoadPolicy{util::LoadMode::kLenient, 1.0}}) {
-      // An inaccessible page right above a hole the file's size: mappings
-      // are placed top-down in the highest gap that fits, so the loader's
-      // mapping of the file usually fills the hole and ends at the guard.
-      char* const hole = static_cast<char*>(
-          ::mmap(nullptr, file_bytes + 4096, PROT_NONE,
-                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0));
-      ASSERT_NE(hole, MAP_FAILED);
-      ::munmap(hole, file_bytes);
-      try {
-        const Trace trace = load_trace(path, policy);
-        EXPECT_GE(trace.samples.size(), 1u) << cut;
-      } catch (const Error& e) {
-        EXPECT_EQ(e.code(), ErrorCode::kParse) << cut << ": " << e.what();
+      util::write_versioned_artifact(path, "trace", version, body);
+      const std::size_t file_bytes = slurp(path).size();
+      ASSERT_EQ(file_bytes % 4096, 0u) << cut;
+      for (const util::LoadPolicy& policy :
+           {util::LoadPolicy{},
+            util::LoadPolicy{util::LoadMode::kLenient, 1.0}}) {
+        // An inaccessible page right above a hole the file's size: mappings
+        // are placed top-down in the highest gap that fits, so the loader's
+        // mapping of the file usually fills the hole and ends at the guard.
+        char* const hole = static_cast<char*>(
+            ::mmap(nullptr, file_bytes + 4096, PROT_NONE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0));
+        ASSERT_NE(hole, MAP_FAILED);
+        ::munmap(hole, file_bytes);
+        try {
+          const Trace trace = load_trace(path, policy);
+          EXPECT_GE(trace.samples.size(), 1u) << cut;
+        } catch (const Error& e) {
+          EXPECT_EQ(e.code(), ErrorCode::kParse) << cut << ": " << e.what();
+        }
+        ::munmap(hole + file_bytes, 4096);
       }
-      ::munmap(hole + file_bytes, 4096);
     }
   }
   std::remove(path.c_str());
@@ -1474,8 +1481,9 @@ TEST(TraceCpuCheck, OutOfRangeCpuFailsBothEncodingsInBothModes) {
       const std::string message = expect_error(
           [&] { load_trace(path, load, &stats); },
           ErrorCode::kCorruptArtifact);
-      EXPECT_EQ(message, path + ": sample 16 has cpu 16, but the machine "
-                                "has 16 hardware threads");
+      EXPECT_EQ(message, path + ": sample 16 has cpu 16 and home node 0, but "
+                                "the machine has 16 hardware threads and 4 "
+                                "nodes");
       EXPECT_EQ(stats.records_ok, 110u);
       EXPECT_EQ(stats.records_quarantined, 0u);
       load.machine = &thirty_two;
@@ -1506,8 +1514,8 @@ TEST(TraceHomeCheck, HomeTheMachineLacksFailsBothEncodingsInBothModes) {
       util::LoadStats stats;
       EXPECT_EQ(expect_error([&] { load_trace(path, load, &stats); },
                              ErrorCode::kCorruptArtifact),
-                path + ": sample 2 has home node 2, but the machine has 2 "
-                       "nodes");
+                path + ": sample 2 has cpu 2 and home node 2, but the "
+                       "machine has 32 hardware threads and 2 nodes");
       EXPECT_EQ(stats.records_ok, 110u);
       EXPECT_EQ(stats.records_quarantined, 0u);
       load.machine = &four_nodes;
@@ -1533,8 +1541,8 @@ TEST(TraceHomeCheck, HostileHomeByteOfAViewedBodyFailsInBothModes) {
     load.machine = &xeon;
     EXPECT_EQ(expect_error([&] { load_trace(path, load); },
                            ErrorCode::kCorruptArtifact),
-              path + ": sample 37 has home node 255, but the machine has 4 "
-                     "nodes");
+              path + ": sample 37 has cpu 5 and home node 255, but the "
+                     "machine has 64 hardware threads and 4 nodes");
   }
   // With no machine known the byte is a home like any other.
   const Trace loaded = load_trace(path);
@@ -1556,8 +1564,8 @@ TEST(TraceHomeCheck, CsvHomeColumnIsAU8LastField) {
   load.machine = &xeon;
   EXPECT_EQ(expect_error([&] { load_trace(widest, load); },
                          ErrorCode::kCorruptArtifact),
-            widest + ": sample 0 has home node 255, but the machine has 4 "
-                     "nodes");
+            widest + ": sample 0 has cpu 0 and home node 255, but the "
+                     "machine has 64 hardware threads and 4 nodes");
   const std::string over = v5("over.csv", "S,1,0,0,L1,5,0,1,256\n");
   EXPECT_EQ(expect_error([&] { load_trace(over); }, ErrorCode::kParse),
             over + ":2: malformed number '256'");
@@ -1590,8 +1598,8 @@ TEST(TraceCpuCheck, OrdinalCountsKeptSamplesAndTheCapComesFirst) {
   load.machine = &eight;
   EXPECT_EQ(expect_error([&] { load_trace(path, load); },
                          ErrorCode::kCorruptArtifact),
-            path + ": sample 1 has cpu 99, but the machine has 8 hardware "
-                   "threads");
+            path + ": sample 1 has cpu 99 and home node 0, but the machine "
+                   "has 8 hardware threads and 4 nodes");
   // Strict mode stops at the malformed record: the parse error wins.
   load.policy = util::LoadPolicy{};
   expect_error([&] { load_trace(path, load); }, ErrorCode::kParse);
@@ -1607,8 +1615,8 @@ TEST(TraceCpuCheck, OrdinalCountsKeptSamplesAndTheCapComesFirst) {
   load.policy = util::LoadPolicy{};
   EXPECT_EQ(expect_error([&] { load_trace(wide, load); },
                          ErrorCode::kCorruptArtifact),
-            wide + ": sample 0 has cpu -1, but the machine has 8 hardware "
-                   "threads");
+            wide + ": sample 0 has cpu -1 and home node 0, but the machine "
+                   "has 8 hardware threads and 4 nodes");
   std::remove(path.c_str());
   std::remove(wide.c_str());
 }

@@ -361,11 +361,7 @@ workloads::RunConfig parse_config(const std::string& name,
     return std::stoi(part.substr(1));
   };
   const workloads::RunConfig config{field(parts[0], 'T'), field(parts[1], 'N')};
-  try {
-    config.check(machine);
-  } catch (const Error& e) {
-    throw bad(e.what());
-  }
+  config.check(machine);
   return config;
 }
 
