@@ -128,7 +128,7 @@ class AddressSpace {
                                 topology::NodeId accessing_node);
 
   /// Like resolve_home but never mutates (untouched first-touch pages report
-  /// std::nullopt).  Used by assertions and the libnuma-lookup analogue.
+  /// std::nullopt).  Only tests call it.
   std::optional<topology::NodeId> peek_home(Addr addr,
                                             topology::NodeId accessing_node) const;
 
