@@ -2,7 +2,8 @@
 // data-object attribution.
 //
 // The profiler receives the raw PEBS sample stream plus the intercepted
-// allocation events, and produces per-channel batches of attributed samples:
+// allocation events, and files every sample under a directed channel with
+// a data object:
 //
 //   * the *accessing node* comes from the sample's CPU id and the machine
 //     topology (§IV-B),
@@ -24,26 +25,21 @@
 // never walks the samples again.  The tallies take the samples in stream
 // order.
 //
-// A profile holds each sample once: the samples stay in the caller's
-// array, and the profile keeps one 8-byte SampleRef (index, object) per
-// sample, since the channel itself names the src and home nodes.  All refs
-// live in a single exact-size array, grouped by channel and in sample order
-// within each: profile() counts each channel's samples in one read pass and
-// then scatters the refs into place (a counting sort), so the array is
-// allocated once, never regrown, and huge-page advised.  Every
-// ChannelSamples views its slice of that array through shared ownership, so
-// a copied ProfileResult stays valid after the original is gone.  The
-// profile borrows the samples and must not outlive them; the profile()
-// overloads that take a temporary run, vector or sample array are deleted.
+// A profile stores nothing per sample: it counts each channel's samples
+// and keeps the samples where the caller holds them, with a copy of the
+// machine's cpu->node table (NodeMap).  A consumer that needs the samples
+// of some channels (the diagnoser, the Table I selection study, the cache
+// extension) re-walks the borrowed samples in stream order and re-derives
+// each one's channel and heap object; for_each_in_channel does it for one
+// channel.  The profile borrows the samples and must not outlive them; the
+// profile() overloads that take a temporary run, vector or sample array
+// are deleted.
 #pragma once
 
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
-#include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "drbw/core/heap_tracker.hpp"
@@ -65,9 +61,8 @@ class PageLocator {
                                   topology::NodeId accessing_node) = 0;
 };
 
-/// A sample annotated with everything the classifier and diagnoser need.
-/// A profile stores only a SampleRef per sample; iterating a channel's
-/// samples yields this view by value.
+/// A sample with its channel's nodes and its heap object, as
+/// for_each_in_channel yields it.
 struct AttributedSample {
   pebs::MemorySample sample;
   topology::NodeId src_node = 0;   // node of the CPU that issued the access
@@ -77,96 +72,49 @@ struct AttributedSample {
   bool is_remote() const { return src_node != home_node; }
 };
 
-/// What a profile keeps per sample: the sample's index in the profiled
-/// vector and its heap object.  Its src and home nodes are the channel's.
-struct SampleRef {
-  std::uint32_t index = 0;
-  std::uint32_t object = kUnknownObject;
-};
-static_assert(sizeof(SampleRef) == 8, "a profiled sample costs 8 bytes");
-
-/// Most samples one profile can index (SampleRef::index is 32-bit).
-inline constexpr std::uint64_t kMaxProfileSamples = 0xffffffffu;
-
-/// One channel's samples: its slice of the profile's shared ref array, refs
-/// into the borrowed samples, iterated in sample order as
-/// AttributedSample values.
-class ChannelSamples {
+/// What a profile keeps of its machine: the cpu->node table, so a sample's
+/// channel can be re-derived without the Machine.
+class NodeMap {
  public:
-  class const_iterator {
-   public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = AttributedSample;
-    using difference_type = std::ptrdiff_t;
-    using pointer = void;
-    using reference = AttributedSample;
+  /// No nodes and no cpus: what a default-constructed ProfileResult holds.
+  NodeMap() = default;
+  explicit NodeMap(const topology::Machine& machine);
 
-    const_iterator() = default;
-    const_iterator(const ChannelSamples* owner, const SampleRef* ref)
-        : owner_(owner), ref_(ref) {}
+  int nodes() const { return nodes_; }
 
-    AttributedSample operator*() const { return owner_->at(*ref_); }
-    const_iterator& operator++() {
-      ++ref_;
-      return *this;
+  /// The node of the sample's cpu.  Throws drbw::Error when the cpu or the
+  /// home node lies outside the machine.
+  topology::NodeId src_of(const pebs::MemorySample& s) const {
+    if (s.cpu < 0 || static_cast<std::size_t>(s.cpu) >= cpu_node_.size() ||
+        s.home >= nodes_) {
+      out_of_range(s);
     }
-    const_iterator operator++(int) {
-      const_iterator before = *this;
-      ++ref_;
-      return before;
-    }
-    bool operator==(const const_iterator& o) const { return ref_ == o.ref_; }
-    bool operator!=(const const_iterator& o) const { return ref_ != o.ref_; }
-
-   private:
-    const ChannelSamples* owner_ = nullptr;
-    const SampleRef* ref_ = nullptr;
-  };
-
-  ChannelSamples() = default;
-
-  std::size_t size() const { return static_cast<std::size_t>(last_ - first_); }
-  bool empty() const { return first_ == last_; }
-  AttributedSample operator[](std::size_t i) const { return at(first_[i]); }
-  const_iterator begin() const { return {this, first_}; }
-  const_iterator end() const { return {this, last_}; }
-
- private:
-  friend class Profiler;
-
-  ChannelSamples(const pebs::MemorySample* base, topology::ChannelId channel,
-                 std::shared_ptr<const std::vector<SampleRef>> refs,
-                 std::size_t first, std::size_t last)
-      : base_(base),
-        channel_(channel),
-        refs_(std::move(refs)),
-        first_(refs_->data() + first),
-        last_(refs_->data() + last) {}
-
-  AttributedSample at(SampleRef ref) const {
-    return AttributedSample{base_[ref.index], channel_.src, channel_.dst,
-                            ref.object};
+    return cpu_node_[static_cast<std::size_t>(s.cpu)];
+  }
+  /// The sample's channel index, row-major by (src, home) as
+  /// Machine::channel_index.  Throws as src_of.
+  std::size_t channel_of(const pebs::MemorySample& s) const {
+    return static_cast<std::size_t>(src_of(s) * nodes_ + s.home);
   }
 
-  const pebs::MemorySample* base_ = nullptr;
-  topology::ChannelId channel_;
-  /// The profile's one ref array, owned jointly by every channel of every
-  /// copy; this channel's refs are [first_, last_).
-  std::shared_ptr<const std::vector<SampleRef>> refs_;
-  const SampleRef* first_ = nullptr;
-  const SampleRef* last_ = nullptr;
+ private:
+  [[noreturn]] void out_of_range(const pebs::MemorySample& s) const;
+
+  int nodes_ = 0;
+  std::vector<topology::NodeId> cpu_node_;  ///< indexed by cpu id
 };
 
-/// All samples whose (src, home) pair maps to one directed channel.
+/// One directed channel and how many of the profile's samples it carries.
 struct ChannelProfile {
   topology::ChannelId channel;
-  ChannelSamples samples;
+  std::uint64_t samples = 0;
 };
 
 /// A profile borrows the samples it was built from: it stays valid, and may
-/// be copied, only while they live unmodified.  Copies share
-/// the ref array, so copying costs one reference count per channel.
+/// be copied, only while they live unmodified.
 struct ProfileResult {
+  /// The profiled samples, in stream order.
+  std::span<const pebs::MemorySample> samples;
   /// One entry per machine channel index (possibly with zero samples).
   std::vector<ChannelProfile> channels;
   HeapTracker tracker;
@@ -176,7 +124,23 @@ struct ProfileResult {
   /// Table I tallies of every sample, one source per machine node (no
   /// nodes in a default-constructed profile).
   SourceTallies tallies;
+  /// The profiled machine's nodes and cpus.
+  NodeMap nodes;
 };
+
+/// Calls visit(const AttributedSample&) for every sample of `profile` on
+/// channel index `channel`, in stream order, each with its heap object.
+/// One pass over all the profile's samples; nothing is stored.
+template <class Visit>
+void for_each_in_channel(const ProfileResult& profile, std::size_t channel,
+                         Visit&& visit) {
+  HeapTracker::Finder objects = profile.tracker.finder();
+  for (const pebs::MemorySample& sample : profile.samples) {
+    if (profile.nodes.channel_of(sample) != channel) continue;
+    visit(AttributedSample{sample, profile.nodes.src_of(sample), sample.home,
+                           objects.object_of(sample.address)});
+  }
+}
 
 class Profiler {
  public:
@@ -192,8 +156,7 @@ class Profiler {
   ProfileResult profile(sim::RunResult&& run) const = delete;
 
   /// Lower-level entry point for callers with a raw stream (tests,
-  /// replayed traces).  The result borrows `samples`; more than
-  /// kMaxProfileSamples of them throw Error(kCorruptArtifact).
+  /// replayed traces).  The result borrows `samples`.
   ProfileResult profile(const std::vector<mem::AllocationEvent>& events,
                         std::span<const pebs::MemorySample> samples) const;
   /// A temporary vector or sample array would die under the result.  An

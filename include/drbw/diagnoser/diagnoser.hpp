@@ -18,12 +18,16 @@
 // "untracked" bucket so the heap CFs remain honest fractions of the
 // channel's total traffic.
 //
+// The diagnoser re-walks the profiled samples once, in stream order: it
+// re-derives each sample's channel from its cpu's node and its home, skips
+// the channels not asked for, and looks up the heap object of the rest.
 // The same pass gathers each object's evidence for the advice engine
 // (advice.hpp): its writes, its accessing nodes and how many of its 64 KiB
 // regions more than one software thread touched.  Region sharing lives in
 // one flat open-addressed table keyed by the exact (object, addr >> 16)
 // pair, probed per sample and never iterated, so no hash order reaches the
-// result.  advise() reads the diagnosis, not the samples.
+// result.  Every quantity is an integer count, so the sample order does
+// not matter either.  advise() reads the diagnosis, not the samples.
 #pragma once
 
 #include <string>
@@ -69,8 +73,8 @@ std::vector<ObjectEvidence> contributions_in_channel(
     const core::ProfileResult& profile, topology::ChannelId channel);
 
 /// Cross-channel CF over the given contended channels (§VI-A "metrics
-/// cross channels"), with each object's evidence, in one pass over their
-/// samples.  Channels without contention are ignored by design; a repeated
+/// cross channels"), with each object's evidence, in one pass over the
+/// profiled samples.  Channels without contention are ignored by design; a repeated
 /// channel counts twice, and one the profile lacks throws drbw::Error.
 Diagnosis diagnose(const core::ProfileResult& profile,
                    const std::vector<topology::ChannelId>& contended);

@@ -21,8 +21,8 @@
 
 namespace drbw::pebs {
 
-/// Most samples a trace may hold to be sliced: an ordinal is 32 bits (the
-/// same bound as core::kMaxProfileSamples).
+/// Most samples a trace may hold to be sliced: a session ordinal is 32 bits,
+/// and serve carries those ordinals through its queues and windows.
 inline constexpr std::uint64_t kMaxSessionSamples = 0xffffffffu;
 
 /// One simulated client's replay stream: the trace ordinals of its samples,

@@ -1,13 +1,10 @@
 #include "drbw/core/profiler.hpp"
 
-#include <algorithm>
-#include <memory>
 #include <string>
 #include <utility>
 
 #include "drbw/obs/trace.hpp"
 #include "drbw/util/error.hpp"
-#include "drbw/util/huge_pages.hpp"
 
 namespace drbw::core {
 
@@ -31,13 +28,23 @@ struct ProfilerMetrics {
   }
 };
 
-/// The read pass's per-sample scratch: where the scatter sends the sample.
-struct Routed {
-  std::uint32_t channel = 0;
-  std::uint32_t object = 0;
-};
-
 }  // namespace
+
+NodeMap::NodeMap(const topology::Machine& machine)
+    : nodes_(machine.num_nodes()),
+      cpu_node_(static_cast<std::size_t>(machine.num_hw_threads())) {
+  for (std::size_t cpu = 0; cpu < cpu_node_.size(); ++cpu) {
+    cpu_node_[cpu] = machine.node_of_cpu(static_cast<topology::CpuId>(cpu));
+  }
+}
+
+void NodeMap::out_of_range(const pebs::MemorySample& s) const {
+  throw Error("sample on cpu " + std::to_string(s.cpu) + " homed on node " +
+                  std::to_string(s.home) + " lies outside the profiled " +
+                  std::to_string(cpu_node_.size()) + "-cpu, " +
+                  std::to_string(nodes_) + "-node machine",
+              ErrorCode::kCorruptArtifact);
+}
 
 Profiler::Profiler(const topology::Machine& machine) : machine_(machine) {}
 
@@ -50,60 +57,34 @@ ProfileResult Profiler::profile(
     std::span<const pebs::MemorySample> samples) const {
   obs::Span span("profile");
   span.arg("samples", static_cast<double>(samples.size()));
-  if (samples.size() > kMaxProfileSamples) {
-    throw Error("cannot profile " + std::to_string(samples.size()) +
-                    " samples: a profile indexes at most " +
-                    std::to_string(kMaxProfileSamples),
-                ErrorCode::kCorruptArtifact);
-  }
   ProfileResult result;
+  result.samples = samples;
+  result.nodes = NodeMap(machine_);
   result.tracker.on_events(events);
   const auto channels = static_cast<std::size_t>(machine_.num_channels());
-  const std::size_t n = samples.size();
 
-  // Read pass: each sample's channel and object, a count per channel in
-  // offsets[channel + 1], and the sample's Table I tallies.
-  std::vector<Routed> routed;
-  util::reserve_huge(routed, n);
-  std::vector<std::uint32_t> offsets(channels + 1, 0);
+  // One read pass: each sample's channel count, its object for the
+  // attributed count, and its Table I tallies.
+  std::vector<std::uint64_t> counts(channels, 0);
   SourceTallies tallies(machine_.num_nodes());
   std::uint64_t attributed = 0;
   HeapTracker::Finder objects = result.tracker.finder();
   for (const pebs::MemorySample& sample : samples) {
     const topology::NodeId src = machine_.node_of_cpu(sample.cpu);
     const topology::NodeId home = sample.home;
-    const std::uint32_t object = objects.object_of(sample.address);
-    const auto channel = static_cast<std::uint32_t>(
-        machine_.channel_index(topology::ChannelId{src, home}));
-    if (object != kUnknownObject) ++attributed;
-    ++offsets[channel + 1];
-    routed.push_back(Routed{channel, object});
+    ++counts[static_cast<std::size_t>(
+        machine_.channel_index(topology::ChannelId{src, home}))];
+    attributed += objects.object_of(sample.address) != kUnknownObject;
     tallies.apply<1>(sample.latency_cycles, sample.level,
                      static_cast<std::size_t>(src),
                      static_cast<std::size_t>(home));
   }
   result.attributed_samples = attributed;
   result.tallies = std::move(tallies);
-  for (std::size_t c = 0; c < channels; ++c) offsets[c + 1] += offsets[c];
-
-  // Scatter pass: each ref to its channel's next free slot, so every
-  // channel keeps its samples in stream order.
-  auto refs = std::make_shared<std::vector<SampleRef>>();
-  util::reserve_huge(*refs, n);
-  refs->resize(n);
-  std::vector<std::uint32_t> next(offsets.begin(), offsets.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    (*refs)[next[routed[i].channel]++] =
-        SampleRef{static_cast<std::uint32_t>(i), routed[i].object};
-  }
-
   result.channels.reserve(channels);
   for (std::size_t c = 0; c < channels; ++c) {
-    const topology::ChannelId channel =
-        machine_.channel_at(static_cast<int>(c));
     result.channels.push_back(ChannelProfile{
-        channel, ChannelSamples(samples.data(), channel, refs, offsets[c],
-                                offsets[c + 1])});
+        machine_.channel_at(static_cast<int>(c)), counts[c]});
   }
   result.total_samples = samples.size();
   ProfilerMetrics& metrics = ProfilerMetrics::get();

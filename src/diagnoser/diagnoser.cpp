@@ -79,35 +79,27 @@ class RegionTable {
   std::size_t used_ = 0;
 };
 
-/// The profile's channels named by `contended`, in that order (a repeated
-/// id repeats its channel).  Throws drbw::Error if one is absent.
-std::vector<const core::ChannelProfile*> resolve_channels(
+/// How often `contended` names each of the profile's channel indices: 0
+/// for a channel not asked for, 2 for one asked for twice.  Throws
+/// drbw::Error for a channel the profile lacks.
+std::vector<std::uint32_t> multiplicities(
     const core::ProfileResult& profile,
     const std::vector<topology::ChannelId>& contended) {
-  std::vector<const core::ChannelProfile*> channels;
-  channels.reserve(contended.size());
+  const int nodes = profile.nodes.nodes();
+  std::vector<std::uint32_t> times(profile.channels.size(), 0);
   for (const topology::ChannelId want : contended) {
-    const auto it = std::find_if(
-        profile.channels.begin(), profile.channels.end(),
-        [&](const core::ChannelProfile& cp) { return cp.channel == want; });
-    DRBW_CHECK_MSG(it != profile.channels.end(),
+    DRBW_CHECK_MSG(want.src >= 0 && want.src < nodes && want.dst >= 0 &&
+                       want.dst < nodes,
                    "contended channel N" << want.src << "->N" << want.dst
                                          << " not present in profile");
-    channels.push_back(&*it);
+    ++times[static_cast<std::size_t>(want.src * nodes + want.dst)];
   }
-  return channels;
+  return times;
 }
 
-/// Nodes the profile's channels span: accessing-node ids lie below this.
-std::size_t node_count(const core::ProfileResult& profile) {
-  int nodes = 0;
-  for (const core::ChannelProfile& channel : profile.channels) {
-    nodes = std::max({nodes, channel.channel.src + 1, channel.channel.dst + 1});
-  }
-  return static_cast<std::size_t>(nodes);
-}
-
-/// The one walk: CF ranking and evidence over the named channels.
+/// The one walk: CF ranking and evidence over the named channels, in one
+/// stream-order pass over the profiled samples.  Every quantity is an
+/// integer count, so the result does not depend on the sample order.
 Diagnosis walk(const core::ProfileResult& profile,
                const std::vector<topology::ChannelId>& contended) {
   struct Accum {
@@ -115,40 +107,44 @@ Diagnosis walk(const core::ProfileResult& profile,
     std::uint64_t regions = 0;
     std::uint64_t shared_regions = 0;
   };
-  const std::vector<const core::ChannelProfile*> channels =
-      resolve_channels(profile, contended);
+  const std::vector<std::uint32_t> times = multiplicities(profile, contended);
   const std::size_t num_objects = profile.tracker.objects().size();
-  const std::size_t num_nodes = node_count(profile);
+  const auto num_nodes = static_cast<std::size_t>(profile.nodes.nodes());
   std::vector<Accum> per_object(num_objects);
   /// node_samples[object * num_nodes + node]: samples per accessing node.
   std::vector<std::uint64_t> node_samples(num_objects * num_nodes, 0);
   RegionTable regions;
   Diagnosis d;
-  for (const core::ChannelProfile* channel : channels) {
-    d.channels.push_back(channel->channel);
-    d.total_samples += channel->samples.size();
-    // Every sample of a channel was issued from the channel's source.
-    const auto src = static_cast<std::size_t>(channel->channel.src);
-    for (const core::AttributedSample& s : channel->samples) {
-      if (s.object == core::kUnknownObject) {
-        ++d.untracked_samples;
-        continue;
-      }
-      DRBW_CHECK_MSG(s.object < num_objects,
-                     "unknown tracked object " << s.object);
-      ++node_samples[s.object * num_nodes + src];
-      Accum& acc = per_object[s.object];
-      acc.writes += s.sample.is_write ? 1 : 0;
-      switch (regions.touch(s.object, s.sample.address >> 16, s.sample.tid)) {
-        case RegionTable::Touch::kNewRegion:
-          ++acc.regions;
-          break;
-        case RegionTable::Touch::kNewlyShared:
-          ++acc.shared_regions;
-          break;
-        case RegionTable::Touch::kNoChange:
-          break;
-      }
+  d.channels = contended;
+  for (std::size_t c = 0; c < times.size(); ++c) {
+    d.total_samples += times[c] * profile.channels[c].samples;
+  }
+  core::HeapTracker::Finder objects = profile.tracker.finder();
+  for (const pebs::MemorySample& s : profile.samples) {
+    const topology::NodeId src = profile.nodes.src_of(s);
+    const std::uint32_t m =
+        times[static_cast<std::size_t>(src) * num_nodes + s.home];
+    if (m == 0) continue;
+    const std::uint32_t object = objects.object_of(s.address);
+    if (object == core::kUnknownObject) {
+      d.untracked_samples += m;
+      continue;
+    }
+    DRBW_CHECK_MSG(object < num_objects, "unknown tracked object " << object);
+    node_samples[object * num_nodes + static_cast<std::size_t>(src)] += m;
+    Accum& acc = per_object[object];
+    acc.writes += s.is_write ? m : 0;
+    // A sample on a repeated channel counts m times but touches its region
+    // once: touching it again would find no new region and no new thread.
+    switch (regions.touch(object, s.address >> 16, s.tid)) {
+      case RegionTable::Touch::kNewRegion:
+        ++acc.regions;
+        break;
+      case RegionTable::Touch::kNewlyShared:
+        ++acc.shared_regions;
+        break;
+      case RegionTable::Touch::kNoChange:
+        break;
     }
   }
 
@@ -198,11 +194,8 @@ Diagnosis diagnose(const core::ProfileResult& profile,
                    const std::vector<topology::ChannelId>& contended) {
   // Fault site "diagnose.cf": chaos coverage for the Contribution-Fraction
   // stage.  Keyed by jobs-independent content (channel count and total
-  // attributed samples), so the decision is identical at any --jobs value.
-  std::uint64_t key = contended.size();
-  for (const core::ChannelProfile& cp : profile.channels) {
-    key += cp.samples.size();
-  }
+  // samples), so the decision is identical at any --jobs value.
+  const std::uint64_t key = contended.size() + profile.total_samples;
   fault::maybe_fail("diagnose.cf", key,
                     "injected diagnoser failure while ranking Contribution "
                     "Fractions over " +

@@ -26,14 +26,15 @@ std::vector<NodeFeatures> extract_node_features(
     OnlineStats local_dram;
   };
   std::vector<Accum> accs(static_cast<std::size_t>(machine.num_nodes()));
-  for (const core::ChannelProfile& channel : profile.channels) {
-    for (const core::AttributedSample& s : channel.samples) {
+  // Channel by channel, as the OnlineStats sums round in visiting order.
+  for (std::size_t c = 0; c < profile.channels.size(); ++c) {
+    core::for_each_in_channel(profile, c, [&](const core::AttributedSample& s) {
       Accum& acc = accs[static_cast<std::size_t>(s.src_node)];
       const double lat = s.sample.latency_cycles;
       acc.all.add(lat);
       if (s.sample.level == pebs::MemLevel::kL3) acc.l3.add(lat);
       if (s.sample.level == pebs::MemLevel::kLocalDram) acc.local_dram.add(lat);
-    }
+    });
   }
 
   std::vector<NodeFeatures> out;

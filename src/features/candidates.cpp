@@ -29,8 +29,9 @@ std::vector<CandidateValue> extract_candidates(
   std::array<std::uint64_t, 5> above{};
   std::uint64_t writes = 0;
 
-  for (const core::ChannelProfile& channel : profile.channels) {
-    for (const core::AttributedSample& s : channel.samples) {
+  // Channel by channel, as the OnlineStats sums round in visiting order.
+  for (std::size_t c = 0; c < profile.channels.size(); ++c) {
+    core::for_each_in_channel(profile, c, [&](const core::AttributedSample& s) {
       const double lat = s.sample.latency_cycles;
       all.add(lat);
       per_level[s.sample.level].add(lat);
@@ -41,7 +42,7 @@ std::vector<CandidateValue> extract_candidates(
       for (std::size_t t = 0; t < 5; ++t) {
         if (lat > kThresholds[t]) ++above[t];
       }
-    }
+    });
   }
 
   const auto n = static_cast<double>(all.count());

@@ -2,8 +2,10 @@
 // the profiler's channel association + object attribution.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -199,6 +201,9 @@ static_assert(Profiles<const pebs::SampleArray&>);
 static_assert(Profiles<std::span<const pebs::MemorySample>>);
 static_assert(!Profiles<std::vector<pebs::MemorySample>>);
 static_assert(!Profiles<pebs::SampleArray>);
+static_assert(std::is_default_constructible_v<ProfileResult> &&
+              std::is_copy_constructible_v<ProfileResult> &&
+              std::is_nothrow_move_constructible_v<ProfileResult>);
 
 class ProfilerTest : public ::testing::Test {
  protected:
@@ -218,6 +223,24 @@ class ProfilerTest : public ::testing::Test {
         space_.resolve_home(addr, machine_.node_of_cpu(cpu)));
     return s;
   }
+
+  /// How many samples `result` counts on `channel`.
+  std::uint64_t count_in(const ProfileResult& result,
+                         topology::ChannelId channel) const {
+    return result
+        .channels[static_cast<std::size_t>(machine_.channel_index(channel))]
+        .samples;
+  }
+
+  /// The samples `result` files under `channel`, in stream order.
+  std::vector<AttributedSample> samples_in(const ProfileResult& result,
+                                           topology::ChannelId channel) const {
+    std::vector<AttributedSample> out;
+    for_each_in_channel(
+        result, static_cast<std::size_t>(machine_.channel_index(channel)),
+        [&](const AttributedSample& s) { out.push_back(s); });
+    return out;
+  }
 };
 
 TEST_F(ProfilerTest, AssociatesSamplesWithDirectedChannels) {
@@ -232,14 +255,14 @@ TEST_F(ProfilerTest, AssociatesSamplesWithDirectedChannels) {
       sample(base + 64, 17, pebs::MemLevel::kLocalDram, 210.0f)};
   const auto result = profiler_.profile(events, samples);
 
-  const auto& remote =
-      result.channels[static_cast<std::size_t>(machine_.channel_index({0, 2}))];
-  const auto& local =
-      result.channels[static_cast<std::size_t>(machine_.channel_index({2, 2}))];
-  ASSERT_EQ(remote.samples.size(), 1u);
-  ASSERT_EQ(local.samples.size(), 1u);
-  EXPECT_TRUE(remote.samples[0].is_remote());
-  EXPECT_FALSE(local.samples[0].is_remote());
+  EXPECT_EQ(count_in(result, {0, 2}), 1u);
+  EXPECT_EQ(count_in(result, {2, 2}), 1u);
+  const auto remote = samples_in(result, {0, 2});
+  const auto local = samples_in(result, {2, 2});
+  ASSERT_EQ(remote.size(), 1u);
+  ASSERT_EQ(local.size(), 1u);
+  EXPECT_TRUE(remote[0].is_remote());
+  EXPECT_FALSE(local[0].is_remote());
   EXPECT_EQ(result.total_samples, 2u);
 }
 
@@ -258,13 +281,11 @@ TEST_F(ProfilerTest, AttributesSamplesToHeapObjects) {
   const auto result = profiler_.profile(events, samples);
 
   EXPECT_EQ(result.attributed_samples, 3u);
-  const auto local0 =
-      result.channels[static_cast<std::size_t>(machine_.channel_index({0, 0}))];
-  ASSERT_EQ(local0.samples.size(), 3u);
-  EXPECT_EQ(result.tracker.object(local0.samples[0].object).site,
-            "amg.c:120 diag_j");
-  EXPECT_EQ(result.tracker.object(local0.samples[1].object).site,
-            "amg.c:150 RAP");
+  EXPECT_EQ(count_in(result, {0, 0}), 3u);
+  const auto local0 = samples_in(result, {0, 0});
+  ASSERT_EQ(local0.size(), 3u);
+  EXPECT_EQ(result.tracker.object(local0[0].object).site, "amg.c:120 diag_j");
+  EXPECT_EQ(result.tracker.object(local0[1].object).site, "amg.c:150 RAP");
 }
 
 TEST_F(ProfilerTest, StaticRegionsRemainUnattributed) {
@@ -276,10 +297,10 @@ TEST_F(ProfilerTest, StaticRegionsRemainUnattributed) {
   const auto result = profiler_.profile(space_.drain_events(), samples);
   EXPECT_EQ(result.total_samples, 1u);
   EXPECT_EQ(result.attributed_samples, 0u);
-  const auto& ch =
-      result.channels[static_cast<std::size_t>(machine_.channel_index({0, 1}))];
-  ASSERT_EQ(ch.samples.size(), 1u);
-  EXPECT_EQ(ch.samples[0].object, kUnknownObject);
+  EXPECT_EQ(count_in(result, {0, 1}), 1u);
+  const auto ch = samples_in(result, {0, 1});
+  ASSERT_EQ(ch.size(), 1u);
+  EXPECT_EQ(ch[0].object, kUnknownObject);
 }
 
 TEST_F(ProfilerTest, ReplicatedDataResolvesLocalEverywhere) {
@@ -290,10 +311,15 @@ TEST_F(ProfilerTest, ReplicatedDataResolvesLocalEverywhere) {
       sample(base, 0, pebs::MemLevel::kLocalDram, 200.0f),
       sample(base, 25, pebs::MemLevel::kLocalDram, 200.0f)};  // node 3
   const auto result = profiler_.profile(space_.drain_events(), samples);
+  std::uint64_t local = 0;
   for (const auto& channel : result.channels) {
-    for (const auto& s : channel.samples) {
+    if (channel.channel.is_local()) local += channel.samples;
+  }
+  EXPECT_EQ(local, 2u);
+  for (std::size_t c = 0; c < result.channels.size(); ++c) {
+    for_each_in_channel(result, c, [](const AttributedSample& s) {
       EXPECT_FALSE(s.is_remote());
-    }
+    });
   }
 }
 
@@ -307,17 +333,57 @@ TEST_F(ProfilerTest, SamplesFromGroupsBySourceNode) {
       sample(base + 64, 1, pebs::MemLevel::kRemoteDram, 500.0f),
       sample(base + 128, 8, pebs::MemLevel::kRemoteDram, 500.0f)};
   const auto result = profiler_.profile(space_.drain_events(), samples);
-  const auto& from0 =
-      result.channels[static_cast<std::size_t>(machine_.channel_index({0, 3}))];
-  const auto& from1 =
-      result.channels[static_cast<std::size_t>(machine_.channel_index({1, 3}))];
-  ASSERT_EQ(from0.samples.size(), 2u);
-  ASSERT_EQ(from1.samples.size(), 1u);
-  for (const auto& channel : result.channels) {
-    for (const auto& s : channel.samples) {
-      EXPECT_EQ(s.src_node, channel.channel.src);
-      EXPECT_EQ(s.home_node, channel.channel.dst);
-    }
+  EXPECT_EQ(count_in(result, {0, 3}), 2u);
+  EXPECT_EQ(count_in(result, {1, 3}), 1u);
+  EXPECT_EQ(samples_in(result, {0, 3}).size(), 2u);
+  EXPECT_EQ(samples_in(result, {1, 3}).size(), 1u);
+  for (std::size_t c = 0; c < result.channels.size(); ++c) {
+    const topology::ChannelId channel = result.channels[c].channel;
+    for_each_in_channel(result, c, [&](const AttributedSample& s) {
+      EXPECT_EQ(s.src_node, channel.src);
+      EXPECT_EQ(s.home_node, channel.dst);
+    });
+  }
+}
+
+TEST_F(ProfilerTest, ProfileOutlivesItsMachine) {
+  // The profile keeps the machine's cpu->node table, not the Machine.
+  const auto obj = space_.allocate("x.c:2 d", 1 << 20, PlacementSpec::bind(1));
+  const mem::Addr base = space_.object(obj).base;
+  const std::vector<pebs::MemorySample> samples = {
+      sample(base, 0, pebs::MemLevel::kRemoteDram, 500.0f),
+      sample(base + 64, 9, pebs::MemLevel::kLocalDram, 200.0f)};
+  const std::vector<AllocationEvent> events = space_.drain_events();
+  std::optional<Machine> machine = Machine::xeon_e5_4650();
+  std::optional<ProfileResult> result = Profiler(*machine).profile(events, samples);
+  machine.reset();
+  const ProfileResult copy = *result;
+  result.reset();
+  const auto remote = samples_in(copy, {0, 1});
+  ASSERT_EQ(remote.size(), 1u);
+  EXPECT_EQ(remote[0].sample.address, base);
+  EXPECT_EQ(copy.tracker.object(remote[0].object).site, "x.c:2 d");
+  EXPECT_EQ(samples_in(copy, {1, 1}).size(), 1u);
+}
+
+TEST_F(ProfilerTest, WalkRejectsASampleOutsideTheMachine) {
+  // The walk re-derives each channel, so a sample that changed after the
+  // profile read it (a viewed trace rewritten underneath) throws instead
+  // of indexing past the machine.
+  std::vector<pebs::MemorySample> samples(1);
+  const ProfileResult result = profiler_.profile({}, samples);
+  EXPECT_EQ(samples_in(result, {0, 0}).size(), 1u);
+  samples[0].cpu = machine_.num_hw_threads();
+  EXPECT_THROW(samples_in(result, {0, 0}), Error);
+  samples[0].cpu = -1;
+  EXPECT_THROW(samples_in(result, {0, 0}), Error);
+  samples[0].cpu = 0;
+  samples[0].home = static_cast<std::uint8_t>(machine_.num_nodes());
+  try {
+    samples_in(result, {0, 0});
+    ADD_FAILURE() << "a home outside the machine was walked";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCorruptArtifact);
   }
 }
 

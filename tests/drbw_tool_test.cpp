@@ -393,10 +393,9 @@ std::string remote_samples(const std::string& out, const std::string& channel) {
   return "";
 }
 
-TEST(DrBwCliHomeTest, AnalyzeFilesABoundObjectUnderItsHomeNode) {
-  // A contended run whose hot object lives on node 2: its recorded trace,
-  // CSV or binary, files every remote sample under Nk->N2.
-  const Machine machine = Machine::xeon_e5_4650();
+/// A contended run whose hot object lives on node 2, streamed by six
+/// threads on each of the four nodes: its remote samples belong to Nk->N2.
+sim::RunResult home_bound_run(const Machine& machine) {
   AddressSpace space(machine);
   const auto obj =
       space.allocate("hot.c:7 grid", 1ull << 30, PlacementSpec::bind(2));
@@ -411,7 +410,14 @@ TEST(DrBwCliHomeTest, AnalyzeFilesABoundObjectUnderItsHomeNode) {
     }
   }
   Engine engine(machine, space, test_config(11));
-  const sim::RunResult run = engine.run(threads, {phase});
+  return engine.run(threads, {phase});
+}
+
+TEST(DrBwCliHomeTest, AnalyzeFilesABoundObjectUnderItsHomeNode) {
+  // The recorded trace, CSV or binary, files every remote sample under
+  // Nk->N2.
+  const Machine machine = Machine::xeon_e5_4650();
+  const sim::RunResult run = home_bound_run(machine);
   const std::string dir =
       ::testing::TempDir() + "/drbw_cli_home_" + std::to_string(::getpid());
   std::filesystem::create_directories(dir);
@@ -434,6 +440,53 @@ TEST(DrBwCliHomeTest, AnalyzeFilesABoundObjectUnderItsHomeNode) {
     for (const char* channel : {"N0->N1", "N1->N0", "N3->N0", "N2->N0"}) {
       EXPECT_EQ(remote_samples(out, channel), "0") << out;
     }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// Pins whole-run analyze on a trace homed on node 2, where every other
+/// pin's trace is homed on node 0: the channel each remote sample is filed
+/// under decides the verdict table, and the contended channels' samples
+/// decide the Contribution-Fraction ranking and the advice.
+TEST(DrBwCliHomeTest, AnalyzeMatchesPinnedChecksums) {
+  const Machine machine = Machine::xeon_e5_4650();
+  const sim::RunResult run = home_bound_run(machine);
+  const std::string dir = ::testing::TempDir() + "/drbw_cli_home_pin_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const struct {
+    pebs::TraceFormat format;
+    std::uint32_t stdout_crc;
+    std::uint32_t report_crc;
+  } legs[] = {{pebs::TraceFormat::kCsv, 0x36786600u, 0xe3a602f6u},
+              {pebs::TraceFormat::kBinary, 0x36786600u, 0x60116ec1u}};
+  for (const auto& leg : legs) {
+    SCOPED_TRACE(pebs::trace_format_name(leg.format));
+    const std::string trace =
+        std::string("t.") + pebs::trace_format_name(leg.format);
+    pebs::save_trace(dir + "/" + trace, {run.alloc_events, run.samples},
+                     {leg.format});
+    const std::string cmd = "cd '" + dir + "' && " + DRBW_CLI_PATH +
+                            " analyze --trace " + trace + " --model " +
+                            DRBW_SOURCE_ROOT +
+                            "/drbw_model.json --report report.md --run-dir r"
+                            " >stdout.txt 2>/dev/null";
+    const int rc = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(rc) && WEXITSTATUS(rc) == 2) << rc;
+    std::string analyze_lines;
+    {
+      std::istringstream out(cli_read_file(dir + "/stdout.txt"));
+      for (std::string line; std::getline(out, line);) {
+        if (line.find("written to") == std::string::npos) {
+          analyze_lines += line + '\n';
+        }
+      }
+    }
+    EXPECT_NE(analyze_lines.find("hot.c:7 grid"), std::string::npos)
+        << analyze_lines;
+    EXPECT_EQ(util::crc32(analyze_lines), leg.stdout_crc) << analyze_lines;
+    EXPECT_EQ(util::crc32(cli_read_file(dir + "/report.md")), leg.report_crc);
   }
   std::filesystem::remove_all(dir);
 }

@@ -50,6 +50,18 @@ void stamp_home(pebs::MemorySample& s, AddressSpace& space) {
       space.resolve_home(s.address, machine().node_of_cpu(s.cpu)));
 }
 
+/// The samples `profile` files under channel index `channel`, in stream
+/// order, as core::for_each_in_channel yields them.
+std::vector<core::AttributedSample> samples_in(
+    const core::ProfileResult& profile, std::size_t channel) {
+  std::vector<core::AttributedSample> out;
+  core::for_each_in_channel(profile, channel,
+                            [&](const core::AttributedSample& s) {
+                              out.push_back(s);
+                            });
+  return out;
+}
+
 // ---------------------------------------------------------------------- //
 // Cache model: the hit profile is a probability distribution for every
 // combination of pattern, span, and cache-sharing configuration.
@@ -566,10 +578,10 @@ INSTANTIATE_TEST_SUITE_P(SeedGrid, CycleWindowOracleProperty,
                          ::testing::Values(5, 23, 2017));
 
 // ---------------------------------------------------------------------- //
-// Profiler: the index profile (an 8-byte ref per sample into the borrowed
-// vector) yields, per channel and in order, exactly the attributed samples
-// of a reference profile built here with one AttributedSample copy per
-// sample.
+// Profiler: the profile's per-channel counts and its channel walk
+// (core::for_each_in_channel over the borrowed vector) yield, per channel
+// and in order, exactly the attributed samples of a reference profile built
+// here with one AttributedSample copy per sample.
 
 class IndexProfileProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -631,9 +643,11 @@ TEST_P(IndexProfileProperty, ViewsMatchReferenceCopyProfile) {
   for (std::size_t c = 0; c < want.size(); ++c) {
     const core::ChannelProfile& channel = profile.channels[c];
     EXPECT_EQ(channel.channel, machine().channel_at(static_cast<int>(c)));
-    ASSERT_EQ(channel.samples.size(), want[c].size());
-    std::size_t i = 0;
-    for (const core::AttributedSample& got : channel.samples) {
+    EXPECT_EQ(channel.samples, want[c].size());
+    const std::vector<core::AttributedSample> walked = samples_in(profile, c);
+    ASSERT_EQ(walked.size(), want[c].size());
+    for (std::size_t i = 0; i < walked.size(); ++i) {
+      const core::AttributedSample& got = walked[i];
       const core::AttributedSample& ref = want[c][i];
       EXPECT_EQ(got.sample.address, ref.sample.address);
       EXPECT_EQ(got.sample.cycle, ref.sample.cycle);
@@ -649,27 +663,22 @@ TEST_P(IndexProfileProperty, ViewsMatchReferenceCopyProfile) {
       EXPECT_EQ(got.src_node, ref.src_node);
       EXPECT_EQ(got.home_node, ref.home_node);
       EXPECT_EQ(got.object, ref.object);
-      // Indexed access yields the same view as iteration.
-      EXPECT_EQ(channel.samples[i].sample.address, ref.sample.address);
-      EXPECT_EQ(channel.samples[i].object, ref.object);
       attributed += ref.object != core::kUnknownObject;
-      ++i;
     }
-    EXPECT_EQ(i, want[c].size());
   }
   EXPECT_EQ(profile.attributed_samples, attributed);
   // Both tracked and untracked samples occur.
   EXPECT_GT(attributed, 0u);
   EXPECT_LT(attributed, samples.size());
 
-  // A copied profile borrows the same samples and yields the same views.
+  // A copied profile borrows the same samples and walks them the same way.
   const core::ProfileResult copy = profile;
   for (std::size_t c = 0; c < want.size(); ++c) {
-    std::size_t i = 0;
-    for (const core::AttributedSample& got : copy.channels[c].samples) {
-      EXPECT_EQ(got.sample.cycle, want[c][i].sample.cycle);
-      EXPECT_EQ(got.object, want[c][i].object);
-      ++i;
+    const std::vector<core::AttributedSample> walked = samples_in(copy, c);
+    ASSERT_EQ(walked.size(), want[c].size());
+    for (std::size_t i = 0; i < walked.size(); ++i) {
+      EXPECT_EQ(walked[i].sample.cycle, want[c][i].sample.cycle);
+      EXPECT_EQ(walked[i].object, want[c][i].object);
     }
   }
 }
@@ -678,11 +687,12 @@ INSTANTIATE_TEST_SUITE_P(SeedGrid, IndexProfileProperty,
                          ::testing::Values(1, 7, 42, 2017));
 
 // ---------------------------------------------------------------------- //
-// Profiler: the counting sort (one read pass, one scatter into a single
-// shared ref array) files each sample exactly where a per-channel push_back
-// reference built here files it, in the same order, over homes spread on
-// every node, freed ranges, untracked addresses and an empty stream; a copy
-// of the profile keeps iterating after the original is gone.
+// Profiler: the read pass counts each channel's samples, and the channel
+// walk finds each sample exactly where a per-channel push_back reference
+// built here files it, in the same order and with the same object, over
+// homes spread on every node, freed ranges, untracked addresses and an
+// empty stream; a copy of the profile keeps walking after the original is
+// gone.
 
 namespace counting_sort {
 
@@ -710,7 +720,7 @@ Reference push_back_reference(const std::vector<mem::AllocationEvent>& events,
 }
 
 /// Asserts `profile` files every sample as `want` does; samples carry their
-/// index in `cycle`, so a ref's sample names its position.
+/// index in `cycle`, so a walked sample names its position.
 void expect_matches(const core::ProfileResult& profile, const Reference& want,
                     const std::vector<pebs::MemorySample>& samples) {
   ASSERT_EQ(profile.channels.size(), want.size());
@@ -718,16 +728,17 @@ void expect_matches(const core::ProfileResult& profile, const Reference& want,
   for (std::size_t c = 0; c < want.size(); ++c) {
     const core::ChannelProfile& channel = profile.channels[c];
     EXPECT_EQ(channel.channel, machine().channel_at(static_cast<int>(c)));
-    ASSERT_EQ(channel.samples.size(), want[c].size()) << "channel " << c;
-    std::size_t k = 0;
-    for (const core::AttributedSample& got : channel.samples) {
+    EXPECT_EQ(channel.samples, want[c].size()) << "channel " << c;
+    const std::vector<core::AttributedSample> walked = samples_in(profile, c);
+    ASSERT_EQ(walked.size(), want[c].size()) << "channel " << c;
+    for (std::size_t k = 0; k < walked.size(); ++k) {
+      const core::AttributedSample& got = walked[k];
       const auto [index, object] = want[c][k];
       EXPECT_EQ(got.sample.cycle, samples[index].cycle);
       EXPECT_EQ(got.sample.address, samples[index].address);
       EXPECT_EQ(got.object, object);
       EXPECT_EQ(got.src_node, channel.channel.src);
       EXPECT_EQ(got.home_node, channel.channel.dst);
-      ++k;
     }
   }
 }
@@ -793,11 +804,11 @@ TEST_P(CountingSortProfileProperty, SimulatedHomesMatchPushBackReference) {
   // Homes land on every node, on remote and local channels alike.
   std::set<topology::NodeId> homes;
   for (const core::ChannelProfile& channel : original->channels) {
-    if (!channel.samples.empty()) homes.insert(channel.channel.dst);
+    if (channel.samples > 0) homes.insert(channel.channel.dst);
   }
   EXPECT_EQ(homes.size(), static_cast<std::size_t>(machine().num_nodes()));
 
-  // A copy shares the ref array and outlives the original.
+  // A copy outlives the original.
   const core::ProfileResult copy = *original;
   original.reset();
   counting_sort::expect_matches(copy, want, samples);
@@ -857,9 +868,9 @@ TEST(CountingSortProfile, EmptyStreamHasEveryChannelEmpty) {
       core::Profiler(machine()).profile(space.drain_events(), samples);
   ASSERT_EQ(profile.channels.size(),
             static_cast<std::size_t>(machine().num_channels()));
-  for (const core::ChannelProfile& channel : profile.channels) {
-    EXPECT_TRUE(channel.samples.empty());
-    EXPECT_EQ(channel.samples.begin(), channel.samples.end());
+  for (std::size_t c = 0; c < profile.channels.size(); ++c) {
+    EXPECT_EQ(profile.channels[c].samples, 0u);
+    EXPECT_TRUE(samples_in(profile, c).empty());
   }
   EXPECT_EQ(profile.total_samples, 0u);
   EXPECT_EQ(profile.attributed_samples, 0u);
@@ -867,16 +878,22 @@ TEST(CountingSortProfile, EmptyStreamHasEveryChannelEmpty) {
 }
 
 // ---------------------------------------------------------------------- //
-// Post-profile stages against the reference implementations they replaced:
-// the ordered-container evidence collector (one std::set insert per
-// sample) and one full count + sum tally per destination channel.  Both
-// rewrites must reproduce every field bit for bit.
+// Post-profile stages against brute-force references: a diagnosis built
+// straight from the raw samples with ordered containers (one std::set
+// insert per sample, the channel from Machine::node_of_cpu and the home,
+// the object from HeapTracker::object_of), and one full count + sum tally
+// per destination channel.  The real stages must reproduce every field bit
+// for bit.
 
 namespace reference {
 
-std::vector<diagnoser::ObjectEvidence> collect_evidence(
-    const core::ProfileResult& profile,
-    const std::vector<topology::ChannelId>& contended) {
+/// For each channel of `contended` in turn (a repeated one counts twice),
+/// every raw sample on it.
+diagnoser::Diagnosis diagnose(const std::vector<mem::AllocationEvent>& events,
+                              const std::vector<pebs::MemorySample>& samples,
+                              const std::vector<topology::ChannelId>& contended) {
+  core::HeapTracker tracker;
+  tracker.on_events(events);
   struct Accum {
     std::uint64_t samples = 0;
     std::uint64_t writes = 0;
@@ -884,53 +901,53 @@ std::vector<diagnoser::ObjectEvidence> collect_evidence(
     std::map<mem::Addr, std::set<std::uint32_t>> region_threads;
   };
   std::map<std::uint32_t, Accum> per_object;
-  std::uint64_t total = 0;
+  diagnoser::Diagnosis d;
+  d.channels = contended;
   for (const topology::ChannelId want : contended) {
-    for (const core::ChannelProfile& channel : profile.channels) {
-      if (!(channel.channel == want)) continue;
-      for (const core::AttributedSample& s : channel.samples) {
-        ++total;
-        if (s.object == core::kUnknownObject) continue;
-        Accum& acc = per_object[s.object];
-        ++acc.samples;
-        acc.writes += s.sample.is_write ? 1 : 0;
-        acc.nodes.insert(s.src_node);
-        acc.region_threads[s.sample.address >> 16].insert(s.sample.tid);
+    for (const pebs::MemorySample& s : samples) {
+      const topology::NodeId src = machine().node_of_cpu(s.cpu);
+      if (!(topology::ChannelId{src, s.home} == want)) continue;
+      ++d.total_samples;
+      const std::uint32_t object = tracker.object_of(s.address);
+      if (object == core::kUnknownObject) {
+        ++d.untracked_samples;
+        continue;
       }
+      Accum& acc = per_object[object];
+      ++acc.samples;
+      acc.writes += s.is_write ? 1 : 0;
+      acc.nodes.insert(src);
+      acc.region_threads[s.address >> 16].insert(s.tid);
     }
   }
-  std::vector<diagnoser::ObjectEvidence> out;
+  const auto total = static_cast<double>(d.total_samples);
+  d.untracked_cf =
+      d.total_samples > 0 ? static_cast<double>(d.untracked_samples) / total
+                          : 0.0;
   for (const auto& [object, acc] : per_object) {
     diagnoser::ObjectEvidence e;
     e.object = object;
-    e.site = profile.tracker.object(object).site;
+    e.site = tracker.object(object).site;
     e.samples = acc.samples;
-    e.cf = total > 0 ? static_cast<double>(acc.samples) /
-                           static_cast<double>(total)
-                     : 0.0;
-    e.write_fraction = acc.samples > 0
-                           ? static_cast<double>(acc.writes) /
-                                 static_cast<double>(acc.samples)
-                           : 0.0;
+    e.cf = static_cast<double>(acc.samples) / total;
+    e.write_fraction =
+        static_cast<double>(acc.writes) / static_cast<double>(acc.samples);
     e.accessing_nodes = static_cast<int>(acc.nodes.size());
     std::size_t shared_regions = 0;
     for (const auto& [region, threads] : acc.region_threads) {
       if (threads.size() > 1) ++shared_regions;
     }
-    e.shared_line_fraction =
-        acc.region_threads.empty()
-            ? 0.0
-            : static_cast<double>(shared_regions) /
-                  static_cast<double>(acc.region_threads.size());
-    out.push_back(std::move(e));
+    e.shared_line_fraction = static_cast<double>(shared_regions) /
+                             static_cast<double>(acc.region_threads.size());
+    d.ranking.push_back(std::move(e));
   }
-  std::sort(out.begin(), out.end(),
+  std::sort(d.ranking.begin(), d.ranking.end(),
             [](const diagnoser::ObjectEvidence& a,
                const diagnoser::ObjectEvidence& b) {
               if (a.samples != b.samples) return a.samples > b.samples;
               return a.site < b.site;
             });
-  return out;
+  return d;
 }
 
 class Accumulator {
@@ -1003,11 +1020,11 @@ std::vector<features::ChannelFeatures> extract_channels(
   for (int src = 0; src < m.num_nodes(); ++src) {
     std::vector<Accumulator> accs;
     for (int dst = 0; dst < m.num_nodes(); ++dst) accs.emplace_back(dst);
-    for (const core::ChannelProfile& channel : profile.channels) {
-      if (channel.channel.src != src) continue;
-      for (const core::AttributedSample& s : channel.samples) {
+    for (std::size_t c = 0; c < profile.channels.size(); ++c) {
+      if (profile.channels[c].channel.src != src) continue;
+      core::for_each_in_channel(profile, c, [&](const core::AttributedSample& s) {
         for (auto& acc : accs) acc.add(s);
-      }
+      });
     }
     for (int dst = 0; dst < m.num_nodes(); ++dst) {
       if (dst == src) continue;
@@ -1143,12 +1160,79 @@ TEST_P(PostProfileOracleProperty, EvidenceAndTallyMatchOrderedReference) {
     if (rng.bernoulli(0.4)) contended.push_back(machine().channel_at(c));
   }
   const diagnoser::Diagnosis d = diagnoser::diagnose(profile, contended);
-  expect_same_evidence(d.ranking,
-                       reference::collect_evidence(profile, contended));
+  expect_same_evidence(
+      d.ranking,
+      reference::diagnose(input.events, input.samples, contended).ranking);
   // The untracked bucket and the ranked objects account for every sample.
   std::uint64_t ranked = 0;
   for (const diagnoser::ObjectEvidence& e : d.ranking) ranked += e.samples;
   EXPECT_EQ(ranked + d.untracked_samples, d.total_samples);
+}
+
+// diagnose re-walks the raw samples: with cpus drawn from every node,
+// homes on every node and untracked addresses, and with channel lists
+// empty, shuffled, repeated or naming every channel, it must match the
+// brute-force reference field for field, whatever the sample order.
+TEST_P(PostProfileOracleProperty, DiagnoseMatchesBruteForceReference) {
+  Rng rng(GetParam());
+  ProfileInput input = random_profile(rng);
+  for (pebs::MemorySample& s : input.samples) {
+    s.cpu = static_cast<topology::CpuId>(
+        rng.bounded(static_cast<std::uint64_t>(machine().num_hw_threads())));
+  }
+  const core::ProfileResult profile = profile_of(input);
+
+  std::vector<topology::ChannelId> every;
+  for (int c = 0; c < machine().num_channels(); ++c) {
+    every.push_back(machine().channel_at(c));
+  }
+  std::vector<std::vector<topology::ChannelId>> lists = {{}, every};
+  for (std::size_t i = every.size(); i > 1; --i) {
+    std::swap(lists[1][i - 1], lists[1][rng.bounded(i)]);
+  }
+  for (int k = 0; k < 6; ++k) {
+    std::vector<topology::ChannelId> picked;
+    const auto n = 1 + rng.bounded(2 * every.size());
+    while (picked.size() < n) picked.push_back(every[rng.bounded(every.size())]);
+    lists.push_back(std::move(picked));
+  }
+  // A list that certainly repeats a channel, and one reordered.
+  lists.push_back({every[5], every[9], every[5]});
+  lists.push_back({every[9], every[5]});
+
+  // The same samples in another order profile and diagnose the same.
+  ProfileInput shuffled = input;
+  for (std::size_t i = shuffled.samples.size(); i > 1; --i) {
+    std::swap(shuffled.samples[i - 1], shuffled.samples[rng.bounded(i)]);
+  }
+  const core::ProfileResult reordered = profile_of(shuffled);
+
+  std::uint64_t untracked = 0;
+  for (const std::vector<topology::ChannelId>& contended : lists) {
+    SCOPED_TRACE(contended.size());
+    const diagnoser::Diagnosis want =
+        reference::diagnose(input.events, input.samples, contended);
+    for (const core::ProfileResult* p : {&profile, &reordered}) {
+      const diagnoser::Diagnosis got = diagnoser::diagnose(*p, contended);
+      EXPECT_EQ(got.total_samples, want.total_samples);
+      EXPECT_EQ(got.untracked_samples, want.untracked_samples);
+      EXPECT_EQ(got.untracked_cf, want.untracked_cf);
+      EXPECT_EQ(got.channels, contended);
+      expect_same_evidence(got.ranking, want.ranking);
+    }
+    untracked += want.untracked_samples;
+  }
+  // Untracked samples reach the diagnosis, and naming every channel once
+  // counts every sample once.
+  EXPECT_GT(untracked, 0u);
+  EXPECT_EQ(reference::diagnose(input.events, input.samples, every)
+                .total_samples,
+            input.samples.size());
+
+  for (const topology::ChannelId channel : every) {
+    expect_same_evidence(diagnoser::contributions_in_channel(profile, channel),
+                         diagnoser::diagnose(profile, {channel}).ranking);
+  }
 }
 
 TEST_P(PostProfileOracleProperty, FeaturesMatchPerDestinationReference) {
@@ -1157,15 +1241,16 @@ TEST_P(PostProfileOracleProperty, FeaturesMatchPerDestinationReference) {
   const core::ProfileResult profile = profile_of(input);
   std::size_t diagonal_remote = 0;
   std::size_t remote_local_or_lfb = 0;
-  for (const core::ChannelProfile& channel : profile.channels) {
-    for (const core::AttributedSample& s : channel.samples) {
-      if (channel.channel.is_local()) {
+  for (std::size_t c = 0; c < profile.channels.size(); ++c) {
+    const bool local = profile.channels[c].channel.is_local();
+    core::for_each_in_channel(profile, c, [&](const core::AttributedSample& s) {
+      if (local) {
         diagonal_remote += s.sample.level == pebs::MemLevel::kRemoteDram;
       } else {
         remote_local_or_lfb += s.sample.level == pebs::MemLevel::kLocalDram ||
                                s.sample.level == pebs::MemLevel::kLfb;
       }
-    }
+    });
   }
   ASSERT_GT(diagonal_remote, 0u);
   ASSERT_GT(remote_local_or_lfb, 0u);
@@ -1175,7 +1260,7 @@ TEST_P(PostProfileOracleProperty, FeaturesMatchPerDestinationReference) {
   for (int src = 0; src < machine().num_nodes(); ++src) {
     int homes = 0;
     for (const core::ChannelProfile& channel : profile.channels) {
-      homes += channel.channel.src == src && !channel.samples.empty();
+      homes += channel.channel.src == src && channel.samples > 0;
     }
     multi_home_sources += homes > 1;
   }
@@ -1222,13 +1307,13 @@ TEST_P(PostProfileOracleProperty, ReplayFeaturesMatchAChannelOrderWindow) {
   const core::ProfileResult profile =
       core::Profiler(machine()).profile(input.events, samples);
   features::ChannelWindow window(machine());
-  for (const core::ChannelProfile& channel : profile.channels) {
-    for (const core::AttributedSample& s : channel.samples) {
+  for (std::size_t c = 0; c < profile.channels.size(); ++c) {
+    core::for_each_in_channel(profile, c, [&](const core::AttributedSample& s) {
       window.add(features::WindowSample{
           s.sample.latency_cycles, s.sample.level,
           static_cast<std::uint8_t>(s.src_node),
           static_cast<std::uint8_t>(s.home_node)});
-    }
+    });
   }
   const auto got = features::extract_channels(profile, machine());
   const auto want = window.channels();
@@ -1271,7 +1356,8 @@ TEST(PostProfileOracle, EvidenceEdgeCases) {
       {1, 0}, {2, 0}, {3, 0}};
 
   const auto got = diagnoser::diagnose(profile, contended).ranking;
-  expect_same_evidence(got, reference::collect_evidence(profile, contended));
+  expect_same_evidence(
+      got, reference::diagnose(input.events, input.samples, contended).ranking);
   // Three objects with 3 samples each tie, so the site breaks the tie.
   ASSERT_EQ(got.size(), 3u);
   for (std::uint32_t i = 0; i < 3; ++i) {
@@ -1287,7 +1373,8 @@ TEST(PostProfileOracle, EvidenceEdgeCases) {
 
   // No contended channel: no evidence, as the reference.
   EXPECT_TRUE(diagnoser::diagnose(profile, {}).ranking.empty());
-  EXPECT_TRUE(reference::collect_evidence(profile, {}).empty());
+  EXPECT_TRUE(
+      reference::diagnose(input.events, input.samples, {}).ranking.empty());
   // HeapTracker interns sites, so two objects can never share one: the
   // (samples, site) sort key is a total order over any evidence list.
 }
@@ -1332,8 +1419,9 @@ TEST(PostProfileOracle, EvidenceKeepsEveryObjectRegionPairApart) {
   const core::ProfileResult profile = profile_of(input);
   const std::vector<topology::ChannelId> contended = {{1, 0}, {2, 0}, {3, 0}};
   const diagnoser::Diagnosis d = diagnoser::diagnose(profile, contended);
-  expect_same_evidence(d.ranking,
-                       reference::collect_evidence(profile, contended));
+  expect_same_evidence(
+      d.ranking,
+      reference::diagnose(input.events, input.samples, contended).ranking);
   ASSERT_EQ(d.ranking.size(), sampled.size());
   for (const diagnoser::ObjectEvidence& e : d.ranking) {
     EXPECT_EQ(e.samples, 2u) << e.site;

@@ -430,13 +430,12 @@ TEST(TraceIo, RecordedRunReplaysThroughProfiler) {
   // cpu 0 reads node-1 data: the samples are filed under N0->N1.
   EXPECT_GT(live.channels[static_cast<std::size_t>(
                               machine.channel_index({0, 1}))]
-                .samples.size(),
+                .samples,
             0u);
   EXPECT_EQ(replayed.total_samples, live.total_samples);
   EXPECT_EQ(replayed.attributed_samples, live.attributed_samples);
   for (std::size_t c = 0; c < live.channels.size(); ++c) {
-    EXPECT_EQ(replayed.channels[c].samples.size(),
-              live.channels[c].samples.size());
+    EXPECT_EQ(replayed.channels[c].samples, live.channels[c].samples);
   }
 }
 
